@@ -78,8 +78,8 @@ fn columnar_vs_reference_training(c: &mut Criterion) {
     g.finish();
 }
 
-/// Flat-arena batch prediction vs per-row boxed descent over a full
-/// window's worth of originators.
+/// Blocked batch descent vs per-row calls over a full window's worth
+/// of originators — the ratio behind `bench.ml.forest_predict_batch_rps`.
 fn columnar_vs_reference_prediction(c: &mut Criterion) {
     let data = paper_sized_dataset(4);
     let fp = ForestParams { n_trees: 50, ..ForestParams::default() };
@@ -94,33 +94,11 @@ fn columnar_vs_reference_prediction(c: &mut Criterion) {
     g.finish();
 }
 
-/// Lane-parallel blocked descent vs the retained row-at-a-time batch
-/// reference vs per-row scalar calls — the ratios behind the
-/// `bench.ml.forest_predict_*` gauges. Block transposition is part of
-/// the lane path's measured cost (it happens once per batch in real
-/// use too).
-fn lane_vs_scalar_prediction(c: &mut Criterion) {
-    let data = paper_sized_dataset(5);
-    let fp = ForestParams { n_trees: 50, ..ForestParams::default() };
-    let forest = Forest::fit(&data, &fp, 7);
-    let xs: Vec<Vec<f64>> = data.samples.iter().map(|s| s.features.clone()).collect();
-    assert_eq!(forest.predict_all(&xs), forest.predict_all_rows(&xs), "lane ≡ row reference");
-    let mut g = c.benchmark_group("ml-predict-lanes");
-    g.sample_size(10);
-    g.bench_function("forest_lanes", |b| b.iter(|| forest.predict_all(&xs)));
-    g.bench_function("forest_rows", |b| b.iter(|| forest.predict_all_rows(&xs)));
-    g.bench_function("forest_per_row", |b| {
-        b.iter(|| xs.iter().map(|x| forest.predict(x)).collect::<Vec<_>>())
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     training,
     prediction,
     columnar_vs_reference_training,
-    columnar_vs_reference_prediction,
-    lane_vs_scalar_prediction
+    columnar_vs_reference_prediction
 );
 criterion_main!(benches);

@@ -280,7 +280,7 @@ fn prof_overhead() -> [(&'static str, i64); 2] {
 /// (≈600 originators × 22 features × 12 classes). Runs single-threaded
 /// (the caller pins the pool) so the ratio isolates the algorithmic
 /// speedup. Asserts bit-identical models before recording anything.
-fn ml_throughput() -> [(&'static str, i64); 8] {
+fn ml_throughput() -> [(&'static str, i64); 6] {
     use backscatter_core::ml::{Dataset, Forest, ForestParams, Sample, Svm, SvmParams};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -317,12 +317,9 @@ fn ml_throughput() -> [(&'static str, i64); 8] {
     assert_eq!(fast_svm, ref_svm, "Gram-cached SVM must equal the reference bit for bit");
 
     let xs: Vec<Vec<f64>> = data.samples.iter().map(|s| s.features.clone()).collect();
-    let (predict_lanes_rps, lanes) = rps(xs.len(), || fast_forest.predict_all(&xs));
-    let (predict_batch_rps, batch) = rps(xs.len(), || fast_forest.predict_all_rows(&xs));
-    let (predict_scalar_rps, scalar) =
-        rps(xs.len(), || xs.iter().map(|x| fast_forest.predict(x)).collect::<Vec<_>>());
-    assert_eq!(lanes, batch, "lane prediction must equal the row-batch reference");
-    assert_eq!(batch, scalar, "batch prediction must equal per-row prediction");
+    let (predict_batch_rps, batch) = rps(xs.len(), || fast_forest.predict_all(&xs));
+    let per_row: Vec<usize> = xs.iter().map(|x| fast_forest.predict(x)).collect();
+    assert_eq!(batch, per_row, "batch prediction must equal per-row prediction");
 
     [
         ("bench.ml.rows", ROWS as i64),
@@ -330,9 +327,7 @@ fn ml_throughput() -> [(&'static str, i64); 8] {
         ("bench.ml.forest_fit_reference_rps", forest_ref_rps),
         ("bench.ml.svm_fit_fast_rps", svm_fast_rps),
         ("bench.ml.svm_fit_reference_rps", svm_ref_rps),
-        ("bench.ml.forest_predict_lanes_rps", predict_lanes_rps),
         ("bench.ml.forest_predict_batch_rps", predict_batch_rps),
-        ("bench.ml.forest_predict_scalar_rps", predict_scalar_rps),
     ]
 }
 
@@ -597,7 +592,7 @@ pub fn measure_all() -> MeasureSummary {
     for (name, value) in ml_gauges {
         backscatter_core::telemetry::gauge_set(name, value);
     }
-    // Static-feature matcher: names/second, packed `bs-simd` matcher
+    // Static-feature matcher: names/second, packed matcher
     // vs the byte-at-a-time reference, equivalence-asserted.
     for (name, value) in static_gauges {
         backscatter_core::telemetry::gauge_set(name, value);

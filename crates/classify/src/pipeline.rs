@@ -2,7 +2,7 @@
 
 use crate::labels::LabeledSet;
 use bs_activity::ApplicationClass;
-use bs_ml::{Algorithm, Dataset, MajorityEnsemble, Sample};
+use bs_ml::{Algorithm, Dataset, MajorityEnsemble, RowBlock, Sample, BLOCK_ROWS};
 use bs_sensor::{FeatureVector, OriginatorFeatures};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -98,24 +98,24 @@ impl TrainedClassifier {
 
     /// Classify every originator in a feature map.
     ///
-    /// Originators classify in parallel chunks, each chunk served by
-    /// the ensemble's batch path (every tree arena streams once per
-    /// chunk instead of once per originator; within a chunk eight rows
-    /// descend per tree level through the `bs-simd` lane path). The
-    /// result map is identical at any thread count (it is keyed, and
-    /// each prediction depends only on its own feature vector).
+    /// Originators classify in parallel chunks of one [`RowBlock`]:
+    /// each chunk's feature vectors are written once into a block that
+    /// every tree of every voting forest then walks
+    /// (`bs_ml::Forest::predict_block`). A window that fits one block
+    /// is classified on the calling thread — at ≈ 20 µs a row the work
+    /// is smaller than waking the pool. The result map is identical at
+    /// any thread count (it is keyed, and each prediction depends only
+    /// on its own feature vector).
     pub fn classify_all(&self, features: &FeatureMap) -> BTreeMap<Ipv4Addr, ApplicationClass> {
         let entries: Vec<(&Ipv4Addr, &FeatureVector)> = features.iter().collect();
-        // Spread the batch across the pool, but keep every chunk a
-        // multiple of the lane width so only the final chunk of the
-        // whole batch runs a ragged tail block.
-        let per_thread = entries.len().div_ceil(bs_par::threads().max(1));
-        let chunk_size = per_thread.next_multiple_of(bs_simd::LANES).clamp(bs_simd::LANES, 256);
-        bs_par::par_chunks(&entries, chunk_size, |_, chunk| {
-            let xs: Vec<Vec<f64>> = chunk.iter().map(|(_, fv)| fv.to_vec()).collect();
+        bs_par::par_chunks(&entries, BLOCK_ROWS, |_, chunk| {
+            let mut block = RowBlock::new(FeatureVector::LEN);
+            for (_, fv) in chunk {
+                fv.write_to(block.next_row());
+            }
             chunk
                 .iter()
-                .zip(self.ensemble.predict_all(&xs))
+                .zip(self.ensemble.predict_block(&block))
                 .map(|((ip, _), idx)| {
                     (
                         **ip,
@@ -198,17 +198,23 @@ mod tests {
         assert!(pipe.train(&only_spam, &features, 1).is_none());
     }
 
-    /// Regression for the lane-path chunking: batch sizes whose tail
-    /// block is ragged (`n % LANES != 0`) must classify identically to
-    /// the per-row scalar path — padding lanes' outputs are discarded,
-    /// never mixed into real rows.
+    /// Batch sizes that leave the last cursor group of a block, and
+    /// the last block of a batch, partly filled must classify
+    /// identically to the per-row path — the rows that pad a group are
+    /// never reported as real ones.
     #[test]
     fn classify_all_ragged_tails_match_per_row_classify() {
-        let (labeled, features) = setup();
+        let (labeled, mut features) = setup();
         let pipe =
             ClassifierPipeline { algorithm: Algorithm::Cart(CartParams::default()), runs: 1 };
         let model = pipe.train(&labeled, &features, 5).expect("trainable");
-        for n in [1usize, 7, 8, 9, 17, 30] {
+        // Enough originators for more than two blocks, on both sides
+        // of the tree's splits.
+        for i in 0..=255u8 {
+            let x = f64::from(i) / 255.0;
+            features.insert(Ipv4Addr::new(10, 0, 2, i), fv(x, (1.0 - x) / 2.0));
+        }
+        for n in [1usize, 7, 8, 9, 17, 30, 63, 64, 65, 130, features.len()] {
             let subset: FeatureMap =
                 features.iter().take(n).map(|(ip, fv)| (*ip, fv.clone())).collect();
             let batch = model.classify_all(&subset);

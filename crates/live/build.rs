@@ -31,7 +31,12 @@ fn main() {
     let profile = std::env::var("PROFILE").unwrap_or_else(|_| "unknown".to_string());
     println!("cargo:rustc-env=BS_BUILD_PROFILE={profile}");
 
-    // Rebuild when HEAD moves so the hash stays current.
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
+    // Rebuild when HEAD moves so the hash stays current. In an exported
+    // tree there is no HEAD, and cargo takes a missing watched file for
+    // a changed one: watching it would rebuild this crate and all its
+    // dependents on every build.
+    if std::path::Path::new("../../.git/HEAD").exists() {
+        println!("cargo:rerun-if-changed=../../.git/HEAD");
+    }
     println!("cargo:rerun-if-changed=build.rs");
 }

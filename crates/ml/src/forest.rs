@@ -9,7 +9,7 @@
 
 use crate::dataset::Dataset;
 use crate::tree::{CartParams, DecisionTree, ReferenceTree};
-use bs_mlcore::{argmax_first, LaneBlocks};
+use bs_mlcore::{argmax_first, RowBlock, BLOCK_ROWS};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -113,46 +113,30 @@ impl Forest {
         argmax_first(&votes)
     }
 
-    /// Predict a batch through the lane-parallel blocked descent: the
-    /// rows transpose into [`LaneBlocks`] **once**, then every tree
-    /// predicts eight rows per level ([`bs_mlcore::FlatTree::predict_lanes`])
-    /// into one reused class buffer, voting into a flat per-row
-    /// histogram. Bit-identical to [`Forest::predict_all_rows`] — the
-    /// per-tree classes are identical (same IEEE compares, lane by
-    /// lane), the vote counts are exact integers, and ties resolve by
-    /// the same [`argmax_first`].
+    /// Predict a batch, one [`RowBlock`] of rows at a time through
+    /// [`Forest::predict_block`].
     pub fn predict_all(&self, xs: &[Vec<f64>]) -> Vec<usize> {
-        let _cost = bs_prof::stage("ml.predict.lanes", bs_trace::ledger::current_window());
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        let blocks = LaneBlocks::from_rows(xs, self.trees[0].n_features());
-        let mut votes = vec![0u32; xs.len() * self.n_classes];
-        let mut classes: Vec<u32> = Vec::with_capacity(xs.len());
+        crate::predict_in_blocks(xs, self.trees[0].n_features(), |block| self.predict_block(block))
+    }
+
+    /// Predict every row of `block`: tree-outer, so each tree's arena
+    /// is walked once by all the block's rows
+    /// ([`bs_mlcore::FlatTree::predict_block`]), voting into a flat
+    /// per-row histogram. Identical to [`Forest::predict`] per row:
+    /// each tree's classes come from the same IEEE compares, the vote
+    /// counts are exact integers, and ties resolve by the same
+    /// [`argmax_first`].
+    pub fn predict_block(&self, block: &RowBlock) -> Vec<usize> {
+        let _cost = bs_prof::stage("ml.predict", bs_trace::ledger::current_window());
+        let mut votes = vec![0u32; block.rows() * self.n_classes];
+        let mut classes = [0u16; BLOCK_ROWS];
         for t in &self.trees {
-            classes.clear();
-            t.predict_blocked_into(&blocks, &mut classes);
-            for (row, &c) in classes.iter().enumerate() {
+            t.classes_of_block(block, &mut classes);
+            for (row, &c) in classes[..block.rows()].iter().enumerate() {
                 votes[row * self.n_classes + c as usize] += 1;
             }
         }
-        votes.chunks(self.n_classes).map(argmax_first).collect()
-    }
-
-    /// Row-at-a-time batch prediction with one reused vote buffer — the
-    /// executable reference the lane path is property-tested against
-    /// (`tests/simd_equivalence.rs`).
-    pub fn predict_all_rows(&self, xs: &[Vec<f64>]) -> Vec<usize> {
-        let mut votes = vec![0u32; self.n_classes];
-        xs.iter()
-            .map(|x| {
-                votes.fill(0);
-                for t in &self.trees {
-                    votes[t.predict(x)] += 1;
-                }
-                argmax_first(&votes)
-            })
-            .collect()
+        votes.chunks_exact(self.n_classes.max(1)).map(argmax_first).collect()
     }
 
     /// Normalized Gini importances (sum to 1 when any split occurred).
@@ -296,7 +280,6 @@ mod tests {
         for (x, b) in xs.iter().zip(&batch) {
             assert_eq!(f.predict(x), *b);
         }
-        assert_eq!(batch, f.predict_all_rows(&xs), "lane path ≡ row reference");
         assert!(f.predict_all(&[]).is_empty());
     }
 

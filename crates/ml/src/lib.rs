@@ -49,6 +49,7 @@ pub use svm::{Svm, SvmParams};
 pub use tree::{CartParams, DecisionTree, ReferenceTree};
 pub use vote::MajorityEnsemble;
 
+pub use bs_mlcore::{RowBlock, BLOCK_ROWS};
 use serde::{Deserialize, Serialize};
 
 /// The three algorithms the paper evaluates.
@@ -109,16 +110,32 @@ impl Model {
         }
     }
 
-    /// Predict class indices for many feature vectors, dispatching to
-    /// each model family's batch path (the forest streams every tree
-    /// arena once over the whole batch).
-    pub fn predict_all(&self, xs: &[Vec<f64>]) -> Vec<usize> {
+    /// Predict class indices for every row of `block`, dispatching to
+    /// each model family's batch path (the forest walks every tree
+    /// arena once over the whole block).
+    pub fn predict_block(&self, block: &RowBlock) -> Vec<usize> {
         bs_telemetry::counter_add("ml.predict.batches", 1);
-        bs_telemetry::counter_add("ml.predict.samples", xs.len() as u64);
+        bs_telemetry::counter_add("ml.predict.samples", block.rows() as u64);
         match self {
-            Model::Cart(m) => m.predict_all(xs),
-            Model::Forest(m) => m.predict_all(xs),
-            Model::Svm(m) => m.predict_all(xs),
+            Model::Cart(m) => m.predict_block(block),
+            Model::Forest(m) => m.predict_block(block),
+            Model::Svm(m) => (0..block.rows()).map(|r| m.predict(block.row(r))).collect(),
         }
     }
+}
+
+/// Predict `xs` by copying [`BLOCK_ROWS`] rows at a time into one
+/// reused [`RowBlock`] and handing it to `predict`.
+pub(crate) fn predict_in_blocks(
+    xs: &[Vec<f64>],
+    n_features: usize,
+    predict: impl Fn(&RowBlock) -> Vec<usize>,
+) -> Vec<usize> {
+    let mut block = RowBlock::new(n_features);
+    let mut out = Vec::with_capacity(xs.len());
+    for chunk in xs.chunks(BLOCK_ROWS) {
+        block.fill(chunk);
+        out.extend(predict(&block));
+    }
+    out
 }

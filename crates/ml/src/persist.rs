@@ -22,6 +22,7 @@
 
 use crate::forest::Forest;
 use crate::tree::DecisionTree;
+use bs_mlcore::MAX_ARITY;
 use std::fmt;
 
 /// Errors from parsing a stored model.
@@ -98,11 +99,19 @@ impl Forest {
         if n_classes == 0 {
             return Err(err(ln, "zero classes"));
         }
+        // Prediction sizes its vote histogram from this count and the
+        // packed tree node stores a class in 16 bits.
+        if n_classes > MAX_ARITY {
+            return Err(err(ln, format!("{n_classes} classes, at most {MAX_ARITY}")));
+        }
         let (ln, features_line) = next_line(&mut lines)?;
         let n_features: usize = features_line
             .strip_prefix("features ")
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| err(ln, "expected `features <n>`"))?;
+        if n_features > MAX_ARITY {
+            return Err(err(ln, format!("{n_features} features, at most {MAX_ARITY}")));
+        }
         let (ln, imp_line) = next_line(&mut lines)?;
         let imp_body = imp_line
             .strip_prefix("importances")
@@ -195,6 +204,68 @@ mod tests {
         let bad_split = text.replacen("S 0 ", "S 99 ", 1);
         if bad_split != text {
             assert!(Forest::from_text(&bad_split).is_err());
+        }
+    }
+
+    #[test]
+    fn counts_the_packed_node_cannot_address_are_rejected_with_their_line() {
+        let model = |classes: &str, features: &str, importances: &str| {
+            format!(
+                "bs-forest v1\nclasses {classes}\nfeatures {features}\nimportances{importances}\n\
+                 tree 0\nL 0\nend\n"
+            )
+        };
+        let e = Forest::from_text(&model("18446744073709551615", "0", "")).unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        let e = Forest::from_text(&model("65535", "0", "")).unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        let e = Forest::from_text(&model("2", "65535", "")).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        let e = Forest::from_text(&model("2", "18446744073709551615", "")).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        // The largest counts that fit load, and predict without sizing
+        // anything from `features`.
+        let widest = Forest::from_text(&model("65534", "0", "")).unwrap();
+        assert_eq!(widest.n_classes(), MAX_ARITY);
+        assert_eq!(widest.predict_all(&[vec![]]), vec![0]);
+    }
+
+    #[test]
+    fn leaf_only_tree_without_features_loads_and_predicts() {
+        let text =
+            "bs-forest v1\nclasses 3\nfeatures 0\nimportances\ntree 0\nL 2\ntree 1\nL 2\nend\n";
+        let forest = Forest::from_text(text).unwrap();
+        assert_eq!(forest.n_trees(), 2);
+        assert_eq!(forest.predict(&[]), 2);
+        assert_eq!(forest.predict_all(&vec![vec![]; 70]), vec![2; 70]);
+        assert_eq!(forest.to_text(), text);
+        // A split cannot name a feature when there are none.
+        let split = text.replacen("L 2", "S 0 0\nL 1\nL 2", 1);
+        assert_eq!(Forest::from_text(&split).unwrap_err().line, 6);
+    }
+
+    #[test]
+    fn trees_deeper_than_64_are_refused_and_64_feeds_the_descent() {
+        let chain = |depth: usize| {
+            let mut text =
+                "bs-forest v1\nclasses 2\nfeatures 1\nimportances 0\ntree 0\n".to_string();
+            // A left spine: each split's left child is the next split.
+            for level in 0..depth {
+                text.push_str(&format!("S 0 {:x}\n", (level as f64).to_bits()));
+            }
+            text.push_str("L 1\n");
+            text.push_str(&"L 0\n".repeat(depth));
+            text.push_str("end\n");
+            text
+        };
+        let e = Forest::from_text(&chain(65)).unwrap_err();
+        assert!(e.what.contains("deeper than 64"), "{e}");
+        let deep = Forest::from_text(&chain(64)).unwrap();
+        // Only a value at or below every threshold reaches the bottom.
+        let xs = vec![vec![-1.0], vec![0.5], vec![100.0], vec![f64::NAN]];
+        assert_eq!(deep.predict_all(&xs), vec![1, 0, 0, 0]);
+        for x in &xs {
+            assert_eq!(deep.predict(x), deep.predict_all(std::slice::from_ref(x))[0]);
         }
     }
 

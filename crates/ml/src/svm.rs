@@ -248,11 +248,6 @@ impl Svm {
         argmax_first(&votes)
     }
 
-    /// Predict a batch of feature vectors.
-    pub fn predict_all(&self, xs: &[Vec<f64>]) -> Vec<usize> {
-        xs.iter().map(|x| self.predict(x)).collect()
-    }
-
     /// Number of pairwise machines trained.
     pub fn n_machines(&self) -> usize {
         self.machines.len()
@@ -642,16 +637,5 @@ mod tests {
             default_class: 0,
         };
         assert_eq!(svm.predict(&[0.0]), 0, "0-vs-2 tie must go to class 0");
-    }
-
-    #[test]
-    fn predict_all_matches_predict() {
-        let train = ring_dataset(10, 20);
-        let m = Svm::fit(&train, &SvmParams::default(), 1);
-        let xs: Vec<Vec<f64>> = train.samples.iter().map(|s| s.features.clone()).collect();
-        let batch = m.predict_all(&xs);
-        for (x, b) in xs.iter().zip(&batch) {
-            assert_eq!(m.predict(x), *b);
-        }
     }
 }

@@ -15,7 +15,7 @@
 //!   reference's `O(nodes · features · n log n)`) while many features
 //!   are candidates, switching to node-local candidate sorts below a
 //!   cost crossover; the grown tree is a [`bs_mlcore::FlatTree`] arena
-//!   with iterative `predict`.
+//!   walked by `predict` and by the blocked batch descent.
 //! * [`ReferenceTree`] — the retained boxed-node reference: per-node
 //!   re-sorting, `Box` recursion. Property tests
 //!   (`crates/ml/tests/mlcore_equivalence.rs`) prove the fast path
@@ -27,7 +27,9 @@
 //! achievable rather than merely approximate.
 
 use crate::dataset::Dataset;
-use bs_mlcore::{argmax_first, ColumnarView, FlatTree, LaneBlocks, PresortedColumns, LEAF};
+use bs_mlcore::{
+    argmax_first, ColumnarView, FlatTree, PresortedColumns, RowBlock, Slot, BLOCK_ROWS,
+};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -64,7 +66,6 @@ enum Node {
 pub struct DecisionTree {
     flat: FlatTree,
     n_classes: usize,
-    n_features: usize,
     /// Total Gini-impurity decrease attributed to each feature during
     /// growth (unnormalized). The forest aggregates these into the
     /// importances of the paper's Table IV.
@@ -98,60 +99,47 @@ impl DecisionTree {
             n_classes: data.n_classes(),
             rng: StdRng::seed_from_u64(seed),
             importances: vec![0.0; data.n_features()],
-            flat: FlatTree::new(),
+            flat: FlatTree::new(data.n_features()),
         };
         // Arg-sorting every column only pays when the root itself will
         // grow in global mode; a node-local root never reads it.
         if view.n_features() > 0 && !grower.local_mode(view.rows()) {
             grower.presort = Some(PresortedColumns::new(&view));
         }
-        grower.grow(0, view.rows(), 0);
-        bs_telemetry::counter_add("ml.fit.nodes", grower.flat.len() as u64);
+        let root = grower.flat.root();
+        grower.grow(root, 0, view.rows());
+        bs_telemetry::counter_add("ml.fit.nodes", grower.flat.n_nodes() as u64);
         DecisionTree {
             flat: grower.flat,
             n_classes: data.n_classes(),
-            n_features: data.n_features(),
             importances: grower.importances,
         }
     }
 
-    /// Predict the class of one feature vector (iterative descent, no
-    /// pointer chasing).
+    /// Predict the class of one feature vector.
     pub fn predict(&self, x: &[f64]) -> usize {
-        assert_eq!(x.len(), self.n_features, "feature arity mismatch");
-        self.flat.predict(x) as usize
+        assert_eq!(x.len(), self.flat.n_features(), "feature arity mismatch");
+        self.flat.predict(x)
     }
 
-    /// Predict many feature vectors through the lane-parallel blocked
-    /// descent ([`FlatTree::predict_lanes`]): transpose once, then
-    /// eight rows walk the arena per tree level. Bit-identical to
-    /// [`DecisionTree::predict_all_rows`], the retained row-at-a-time
-    /// reference.
-    pub fn predict_all(&self, xs: &[Vec<f64>]) -> Vec<usize> {
-        let blocks = LaneBlocks::from_rows(xs, self.n_features);
-        self.flat.predict_blocked(&blocks).into_iter().map(|c| c as usize).collect()
+    /// Predict every row of `block` through the blocked descent
+    /// ([`FlatTree::predict_block`]); identical to [`DecisionTree::predict`]
+    /// per row.
+    pub fn predict_block(&self, block: &RowBlock) -> Vec<usize> {
+        let mut classes = [0u16; BLOCK_ROWS];
+        self.classes_of_block(block, &mut classes);
+        classes[..block.rows()].iter().map(|&c| c as usize).collect()
     }
 
-    /// Row-at-a-time batch prediction — the executable reference the
-    /// lane path is property-tested against (`tests/simd_equivalence.rs`).
-    pub fn predict_all_rows(&self, xs: &[Vec<f64>]) -> Vec<usize> {
-        for x in xs {
-            assert_eq!(x.len(), self.n_features, "feature arity mismatch");
-        }
-        self.flat.predict_all(xs).into_iter().map(|c| c as usize).collect()
-    }
-
-    /// Predict each block of a pre-transposed batch, appending into a
-    /// caller-owned buffer (forest voting support: the forest
-    /// transposes once and reuses the buffer across trees).
-    pub(crate) fn predict_blocked_into(&self, blocks: &LaneBlocks, out: &mut Vec<u32>) {
-        assert_eq!(blocks.n_features(), self.n_features, "feature arity mismatch");
-        self.flat.predict_blocked_into(blocks, out);
+    /// The blocked descent into a caller-owned buffer (the forest
+    /// reuses one across its trees).
+    pub(crate) fn classes_of_block(&self, block: &RowBlock, out: &mut [u16; BLOCK_ROWS]) {
+        self.flat.predict_block(block, out);
     }
 
     /// Feature arity this tree was trained on.
     pub fn n_features(&self) -> usize {
-        self.n_features
+        self.flat.n_features()
     }
 
     /// Raw (unnormalized) per-feature impurity decreases.
@@ -170,23 +158,30 @@ impl DecisionTree {
     }
 
     /// Write the tree's nodes in pre-order (`S <feature> <threshold>` /
-    /// `L <class>` lines) for the persistence format. The arena is
-    /// already pre-order, so this is a linear scan — the wire format is
-    /// unchanged from the boxed representation.
+    /// `L <class>` lines) for the persistence format: a depth-first
+    /// walk from the root, left child first, so the text does not
+    /// depend on where the arena keeps its nodes.
     pub(crate) fn write_nodes(&self, out: &mut String) {
-        for node in self.flat.nodes() {
-            if node.feature == LEAF {
-                out.push_str(&format!("L {}\n", node.right));
+        let nodes = self.flat.nodes();
+        let mut stack = vec![0u32];
+        while let Some(i) = stack.pop() {
+            let node = &nodes[i as usize];
+            if node.left == i {
+                out.push_str(&format!("L {}\n", node.class));
             } else {
                 out.push_str(&format!("S {} {:x}\n", node.feature, node.threshold.to_bits()));
+                stack.push(node.left + 1);
+                stack.push(node.left);
             }
         }
     }
 
     /// Rebuild a tree from pre-order node lines (persistence format),
-    /// unflattening directly into the arena. Raw importances are not
-    /// persisted per tree (the forest stores the aggregate), so they
-    /// reload as zeros.
+    /// straight into the arena. Raw importances are not persisted per
+    /// tree (the forest stores the aggregate), so they reload as
+    /// zeros. `n_classes` and `n_features` must not exceed
+    /// [`bs_mlcore::MAX_ARITY`]; the depth-64 refusal bounds the steps
+    /// the batch descent runs.
     pub(crate) fn read_nodes<'a>(
         lines: &mut impl Iterator<Item = (usize, &'a str)>,
         n_classes: usize,
@@ -196,12 +191,11 @@ impl DecisionTree {
         fn rec<'a>(
             lines: &mut impl Iterator<Item = (usize, &'a str)>,
             n_classes: usize,
-            n_features: usize,
-            depth: usize,
             flat: &mut FlatTree,
+            slot: Slot,
         ) -> Result<(), PersistError> {
             let e = |line: usize, what: String| PersistError { line, what };
-            if depth > 64 {
+            if slot.depth() > 64 {
                 return Err(e(0, "tree deeper than 64: refusing".to_string()));
             }
             let (ln, line) =
@@ -216,7 +210,7 @@ impl DecisionTree {
                     if class >= n_classes {
                         return Err(e(ln, format!("leaf class {class} out of range")));
                     }
-                    flat.push_leaf(class as u32);
+                    flat.leaf(slot, class);
                     Ok(())
                 }
                 Some("S") => {
@@ -224,7 +218,7 @@ impl DecisionTree {
                         .next()
                         .and_then(|s| s.parse().ok())
                         .ok_or_else(|| e(ln, format!("bad split {line:?}")))?;
-                    if feature >= n_features {
+                    if feature >= flat.n_features() {
                         return Err(e(ln, format!("split feature {feature} out of range")));
                     }
                     let threshold = f
@@ -232,18 +226,17 @@ impl DecisionTree {
                         .and_then(|s| u64::from_str_radix(s, 16).ok())
                         .map(f64::from_bits)
                         .ok_or_else(|| e(ln, format!("bad threshold in {line:?}")))?;
-                    let idx = flat.begin_split(feature as u32, threshold);
-                    rec(lines, n_classes, n_features, depth + 1, flat)?;
-                    flat.finish_split(idx);
-                    rec(lines, n_classes, n_features, depth + 1, flat)?;
-                    Ok(())
+                    let (left, right) = flat.split(slot, feature, threshold);
+                    rec(lines, n_classes, flat, left)?;
+                    rec(lines, n_classes, flat, right)
                 }
                 _ => Err(e(ln, format!("expected node line, got {line:?}"))),
             }
         }
-        let mut flat = FlatTree::new();
-        rec(lines, n_classes, n_features, 0, &mut flat)?;
-        Ok(DecisionTree { flat, n_classes, n_features, importances: vec![0.0; n_features] })
+        let mut flat = FlatTree::new(n_features);
+        let root = flat.root();
+        rec(lines, n_classes, &mut flat, root)?;
+        Ok(DecisionTree { flat, n_classes, importances: vec![0.0; n_features] })
     }
 }
 
@@ -306,29 +299,24 @@ impl ReferenceTree {
         &self.importances
     }
 
-    /// Convert to the flat-arena representation (pre-order walk).
+    /// Convert to the flat-arena representation, allocating slots in
+    /// the order the columnar grower does (pre-order, children at the
+    /// split), so equal trees have equal arenas.
     pub fn flatten(&self) -> DecisionTree {
-        fn rec(n: &Node, flat: &mut FlatTree) {
+        fn rec(n: &Node, flat: &mut FlatTree, slot: Slot) {
             match n {
-                Node::Leaf { class } => {
-                    flat.push_leaf(*class as u32);
-                }
+                Node::Leaf { class } => flat.leaf(slot, *class),
                 Node::Split { feature, threshold, left, right } => {
-                    let idx = flat.begin_split(*feature as u32, *threshold);
-                    rec(left, flat);
-                    flat.finish_split(idx);
-                    rec(right, flat);
+                    let (l, r) = flat.split(slot, *feature, *threshold);
+                    rec(left, flat, l);
+                    rec(right, flat, r);
                 }
             }
         }
-        let mut flat = FlatTree::new();
-        rec(&self.root, &mut flat);
-        DecisionTree {
-            flat,
-            n_classes: self.n_classes,
-            n_features: self.n_features,
-            importances: self.importances.clone(),
-        }
+        let mut flat = FlatTree::new(self.n_features);
+        let root = flat.root();
+        rec(&self.root, &mut flat, root);
+        DecisionTree { flat, n_classes: self.n_classes, importances: self.importances.clone() }
     }
 }
 
@@ -465,7 +453,7 @@ impl ColumnarGrower<'_> {
     /// feature array. Mirrors the reference [`grow`] decision for
     /// decision: same stop rule, same candidate order, same RNG
     /// consumption, same float expressions.
-    fn grow(&mut self, lo: usize, hi: usize, depth: usize) {
+    fn grow(&mut self, slot: Slot, lo: usize, hi: usize) {
         if self.view.n_features() == 0 {
             // No columns to walk (and nothing to split on): count
             // straight off the label array, which the degenerate
@@ -474,7 +462,7 @@ impl ColumnarGrower<'_> {
             for (&l, &w) in self.view.labels().iter().zip(self.weights) {
                 counts[l as usize] += w;
             }
-            self.flat.push_leaf(majority(&counts) as u32);
+            self.flat.leaf(slot, majority(&counts));
             return;
         }
         if self.presort.is_none() || self.local_mode(hi - lo) {
@@ -492,7 +480,7 @@ impl ColumnarGrower<'_> {
                 // position list is every row of the bootstrap view.
                 None => (lo as u32..hi as u32).collect(),
             };
-            self.grow_local(&positions, depth);
+            self.grow_local(slot, &positions);
             return;
         }
 
@@ -504,10 +492,11 @@ impl ColumnarGrower<'_> {
         // The node's weighted size — the reference's duplicate count.
         let m: usize = counts.iter().sum();
         let node_gini = gini(&counts, m);
-        let stop =
-            depth >= self.params.max_depth || m < self.params.min_samples_split || node_gini == 0.0;
+        let stop = slot.depth() >= self.params.max_depth
+            || m < self.params.min_samples_split
+            || node_gini == 0.0;
         if stop {
-            self.flat.push_leaf(majority(&counts) as u32);
+            self.flat.leaf(slot, majority(&counts));
             return;
         }
 
@@ -554,13 +543,12 @@ impl ColumnarGrower<'_> {
                 let presort = self.presort.as_mut().expect("global mode has presorted arrays");
                 presort.mark_by_threshold(feature, lo, hi, col, threshold);
                 let n_left = presort.partition(lo, hi);
-                let idx = self.flat.begin_split(feature as u32, threshold);
-                self.grow(lo, lo + n_left, depth + 1);
-                self.flat.finish_split(idx);
-                self.grow(lo + n_left, hi, depth + 1);
+                let (l, r) = self.flat.split(slot, feature, threshold);
+                self.grow(l, lo, lo + n_left);
+                self.grow(r, lo + n_left, hi);
             }
             _ => {
-                self.flat.push_leaf(majority(&counts) as u32);
+                self.flat.leaf(slot, majority(&counts));
             }
         }
     }
@@ -572,7 +560,7 @@ impl ColumnarGrower<'_> {
     /// shared [`sweep_feature`]. Children partition the ascending list
     /// by the split predicate, preserving ascending order, exactly as
     /// the reference partitions its index list.
-    fn grow_local(&mut self, positions: &[u32], depth: usize) {
+    fn grow_local(&mut self, slot: Slot, positions: &[u32]) {
         let mut counts = vec![0usize; self.n_classes];
         for &p in positions {
             counts[self.view.label(p)] += self.weights[p as usize];
@@ -580,10 +568,11 @@ impl ColumnarGrower<'_> {
         // The node's weighted size — the reference's duplicate count.
         let m: usize = counts.iter().sum();
         let node_gini = gini(&counts, m);
-        let stop =
-            depth >= self.params.max_depth || m < self.params.min_samples_split || node_gini == 0.0;
+        let stop = slot.depth() >= self.params.max_depth
+            || m < self.params.min_samples_split
+            || node_gini == 0.0;
         if stop {
-            self.flat.push_leaf(majority(&counts) as u32);
+            self.flat.leaf(slot, majority(&counts));
             return;
         }
 
@@ -631,13 +620,12 @@ impl ColumnarGrower<'_> {
                 let col = self.view.col(feature);
                 let (left, right): (Vec<u32>, Vec<u32>) =
                     positions.iter().partition(|&&p| col[p as usize] <= threshold);
-                let idx = self.flat.begin_split(feature as u32, threshold);
-                self.grow_local(&left, depth + 1);
-                self.flat.finish_split(idx);
-                self.grow_local(&right, depth + 1);
+                let (l, r) = self.flat.split(slot, feature, threshold);
+                self.grow_local(l, &left);
+                self.grow_local(r, &right);
             }
             _ => {
-                self.flat.push_leaf(majority(&counts) as u32);
+                self.flat.leaf(slot, majority(&counts));
             }
         }
     }
@@ -857,14 +845,14 @@ mod tests {
     }
 
     #[test]
-    fn predict_all_matches_predict() {
+    fn predict_block_matches_predict() {
         let d = two_blob_dataset();
         let t = DecisionTree::fit(&d, &CartParams::default(), 0);
-        let xs: Vec<Vec<f64>> = d.samples.iter().map(|s| s.features.clone()).collect();
-        let batch = t.predict_all(&xs);
-        for (x, b) in xs.iter().zip(&batch) {
-            assert_eq!(t.predict(x), *b);
-        }
+        let xs: Vec<&[f64]> = d.samples.iter().map(|s| s.features.as_slice()).collect();
+        let mut block = RowBlock::new(2);
+        block.fill(&xs);
+        let per_row: Vec<usize> = d.samples.iter().map(|s| t.predict(&s.features)).collect();
+        assert_eq!(t.predict_block(&block), per_row);
     }
 
     #[test]

@@ -6,13 +6,14 @@
 
 use crate::dataset::Dataset;
 use crate::{Algorithm, Model};
-use bs_mlcore::argmax_first;
+use bs_mlcore::{argmax_first, RowBlock};
 
 /// A bag of independently trained models that predicts by majority.
 #[derive(Debug, Clone)]
 pub struct MajorityEnsemble {
     models: Vec<Model>,
     n_classes: usize,
+    n_features: usize,
 }
 
 impl MajorityEnsemble {
@@ -32,7 +33,7 @@ impl MajorityEnsemble {
             let _s = bs_trace::span("ml.fit_run");
             algorithm.fit(data, seed.wrapping_add((i as u64).wrapping_mul(0xA076_1D64_78BD_642F)))
         });
-        MajorityEnsemble { models, n_classes: data.n_classes() }
+        MajorityEnsemble { models, n_classes: data.n_classes(), n_features: data.n_features() }
     }
 
     /// Majority class over the member models (ties break toward the
@@ -54,14 +55,20 @@ impl MajorityEnsemble {
         (class, votes[class] as f64 / self.models.len() as f64)
     }
 
-    /// Predict a batch: model-outer vote accumulation, so each member
-    /// model serves the whole batch through its own batch path (flat
-    /// tree arenas stream once per tree). Vote totals and tie-breaks
-    /// are identical to calling [`MajorityEnsemble::predict`] per row.
+    /// Predict a batch, one [`RowBlock`] of rows at a time through
+    /// [`MajorityEnsemble::predict_block`].
     pub fn predict_all(&self, xs: &[Vec<f64>]) -> Vec<usize> {
-        let mut votes = vec![0u32; xs.len() * self.n_classes];
+        crate::predict_in_blocks(xs, self.n_features, |block| self.predict_block(block))
+    }
+
+    /// Predict every row of `block`: model-outer vote accumulation, so
+    /// each member model serves the whole block through its own batch
+    /// path. Vote totals and tie-breaks are identical to calling
+    /// [`MajorityEnsemble::predict`] per row.
+    pub fn predict_block(&self, block: &RowBlock) -> Vec<usize> {
+        let mut votes = vec![0u32; block.rows() * self.n_classes];
         for m in &self.models {
-            for (r, class) in m.predict_all(xs).into_iter().enumerate() {
+            for (r, class) in m.predict_block(block).into_iter().enumerate() {
                 votes[r * self.n_classes + class] += 1;
             }
         }

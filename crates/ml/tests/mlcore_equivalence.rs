@@ -1,160 +1,200 @@
-//! Property-tested equivalence between the bs-mlcore fast paths and
-//! the retained reference implementations (DESIGN.md §12).
+//! Seeded equivalence between the bs-mlcore fast paths and the
+//! retained reference implementations (DESIGN.md §12, §16).
 //!
 //! The claims here are **bit-identity**, not approximate agreement:
 //! the columnar presorted-index CART must choose the same splits,
 //! accumulate the same importances and predict the same classes as the
-//! boxed re-sorting reference; the Gram-cached SMO must produce equal
-//! machines to the nested-`Vec` reference; and persisted models must
-//! serialize to identical bytes whichever grower built them.
+//! boxed re-sorting reference; the blocked batch descent must predict
+//! what the per-row walk predicts; the Gram-cached SMO must produce
+//! equal machines to the nested-`Vec` reference; and persisted models
+//! must serialize to identical bytes whichever grower built them.
+//!
+//! Every case derives from its loop index alone, so a failure replays
+//! from the seed in its message.
 
 use bs_ml::dataset::{Dataset, Sample};
 use bs_ml::forest::{Forest, ForestParams};
 use bs_ml::svm::{Svm, SvmParams};
 use bs_ml::tree::{CartParams, DecisionTree, ReferenceTree};
-use proptest::prelude::*;
+use bs_ml::RowBlock;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-/// 2–4 classes, 1–5 features, 10–50 samples; values drawn from a
+/// 2–4 classes, 1–5 features, 10–49 samples; values drawn from a
 /// coarse grid so duplicate feature values (the stable-sort stress
 /// case) are common.
-fn arb_dataset() -> impl Strategy<Value = Dataset> {
-    (2usize..=4, 1usize..=5).prop_flat_map(|(n_classes, n_features)| {
-        proptest::collection::vec(
-            (proptest::collection::vec(-8i64..8, n_features), 0usize..n_classes),
-            10..50,
-        )
-        .prop_map(move |rows| {
-            let mut d = Dataset::new(
-                (0..n_features).map(|i| format!("f{i}")).collect(),
-                (0..n_classes).map(|i| format!("c{i}")).collect(),
-            );
-            for (grid, label) in rows {
-                d.push(Sample {
-                    features: grid.into_iter().map(|g| g as f64 * 0.5).collect(),
-                    label,
-                });
-            }
-            d
-        })
-    })
+fn grid_dataset(rng: &mut StdRng) -> Dataset {
+    let n_classes = rng.gen_range(2..5usize);
+    let n_features = rng.gen_range(1..6usize);
+    let mut d = Dataset::new(
+        (0..n_features).map(|i| format!("f{i}")).collect(),
+        (0..n_classes).map(|i| format!("c{i}")).collect(),
+    );
+    for _ in 0..rng.gen_range(10..50usize) {
+        d.push(Sample {
+            features: (0..n_features).map(|_| rng.gen_range(-8..8i64) as f64 * 0.5).collect(),
+            label: rng.gen_range(0..n_classes),
+        });
+    }
+    d
 }
 
-fn arb_cart_params() -> impl Strategy<Value = CartParams> {
+fn cart_params(rng: &mut StdRng) -> CartParams {
     // `max_features` is drawn from 0..=3 with 0 meaning "no cap".
-    (1usize..=12, 2usize..=6, 1usize..=3, 0usize..=3).prop_map(
-        |(max_depth, min_samples_split, min_samples_leaf, cap)| CartParams {
-            max_depth,
-            min_samples_split,
-            min_samples_leaf,
-            max_features: if cap == 0 { None } else { Some(cap) },
-        },
-    )
+    let cap = rng.gen_range(0..4usize);
+    CartParams {
+        max_depth: rng.gen_range(1..13usize),
+        min_samples_split: rng.gen_range(2..7usize),
+        min_samples_leaf: rng.gen_range(1..4usize),
+        max_features: if cap == 0 { None } else { Some(cap) },
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
 
-    /// Columnar CART ≡ reference CART: same arena node for node (same
-    /// splits, same thresholds), bitwise-equal raw importances, and
-    /// identical predictions on every training row and on off-grid
-    /// probes.
-    #[test]
-    fn cart_fast_path_matches_reference(
-        d in arb_dataset(),
-        params in arb_cart_params(),
-        seed in any::<u64>(),
-    ) {
-        let fast = DecisionTree::fit(&d, &params, seed);
-        let reference = ReferenceTree::fit(&d, &params, seed);
-        let fast_imp: Vec<u64> = fast.raw_importances().iter().map(|v| v.to_bits()).collect();
-        let ref_imp: Vec<u64> = reference.raw_importances().iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(fast_imp, ref_imp, "importances must match bitwise");
-        prop_assert_eq!(&fast, &reference.flatten(), "identical flat arenas");
+/// Columnar CART ≡ reference CART: same arena node for node (same
+/// splits, same thresholds, same slots), bitwise-equal raw
+/// importances, and identical predictions on every training row and on
+/// an off-grid probe.
+#[test]
+fn cart_fast_path_matches_reference() {
+    for seed in 0..48u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let d = grid_dataset(&mut rng);
+        let params = cart_params(&mut rng);
+        let fit_seed: u64 = rng.gen();
+        let fast = DecisionTree::fit(&d, &params, fit_seed);
+        let reference = ReferenceTree::fit(&d, &params, fit_seed);
+        assert_eq!(
+            bits(fast.raw_importances()),
+            bits(reference.raw_importances()),
+            "importances must match bitwise, seed {seed}"
+        );
+        assert_eq!(fast, reference.flatten(), "identical flat arenas, seed {seed}");
         for s in &d.samples {
-            prop_assert_eq!(fast.predict(&s.features), reference.predict(&s.features));
+            assert_eq!(fast.predict(&s.features), reference.predict(&s.features), "seed {seed}");
         }
         let probe: Vec<f64> = (0..d.n_features()).map(|f| f as f64 * 0.25 - 1.0).collect();
-        prop_assert_eq!(fast.predict(&probe), reference.predict(&probe));
+        assert_eq!(fast.predict(&probe), reference.predict(&probe), "seed {seed}");
     }
+}
 
-    /// Flat-arena iterative predict ≡ boxed recursive predict, for the
-    /// same tree (the reference flattened), including the batch API.
-    #[test]
-    fn flat_predict_matches_boxed_predict(
-        d in arb_dataset(),
-        params in arb_cart_params(),
-        seed in any::<u64>(),
-    ) {
-        let boxed = ReferenceTree::fit(&d, &params, seed);
+/// Rows on the 0.25 grid. Training values live on the 0.5 grid, so
+/// every CART threshold `(v + v_next) / 2` is on this one and probes
+/// land exactly on split boundaries — the `x == threshold` case, which
+/// must go left in every implementation.
+fn boundary_probes(rng: &mut StdRng, n: usize, n_features: usize) -> Vec<Vec<f64>> {
+    (0..n)
+        .map(|_| (0..n_features).map(|_| rng.gen_range(-16..16i64) as f64 * 0.25).collect())
+        .collect()
+}
+
+/// Flat-arena predict ≡ boxed recursive predict for the same tree (the
+/// reference flattened), including the blocked batch descent, on the
+/// training rows and on boundary probes.
+#[test]
+fn flat_predict_matches_boxed_predict() {
+    for seed in 0..48u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xF1A7);
+        let d = grid_dataset(&mut rng);
+        let params = cart_params(&mut rng);
+        let boxed = ReferenceTree::fit(&d, &params, rng.gen());
         let flat = boxed.flatten();
-        let xs: Vec<Vec<f64>> = d.samples.iter().map(|s| s.features.clone()).collect();
-        let batch = flat.predict_all(&xs);
-        for (x, b) in xs.iter().zip(&batch) {
-            prop_assert_eq!(boxed.predict(x), flat.predict(x));
-            prop_assert_eq!(flat.predict(x), *b, "batch path must equal scalar path");
-        }
-    }
-
-    /// Bootstrap fits (the forest's base-learner configuration,
-    /// duplicate indices included) agree between the two growers.
-    #[test]
-    fn cart_fast_path_matches_reference_on_bootstrap_indices(
-        d in arb_dataset(),
-        seed in any::<u64>(),
-        picks in proptest::collection::vec(any::<u64>(), 10..40),
-    ) {
-        let indices: Vec<usize> = picks.iter().map(|&p| p as usize % d.len()).collect();
-        let params = CartParams { max_features: Some(2), ..CartParams::default() };
-        let fast = DecisionTree::fit_on_indices(&d, &indices, &params, seed);
-        let reference = ReferenceTree::fit_on_indices(&d, &indices, &params, seed);
-        prop_assert_eq!(&fast, &reference.flatten());
-        let fast_imp: Vec<u64> = fast.raw_importances().iter().map(|v| v.to_bits()).collect();
-        let ref_imp: Vec<u64> = reference.raw_importances().iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(fast_imp, ref_imp);
-    }
-
-    /// Forests grown by the two growers serialize to byte-identical
-    /// `bs-forest v1` text, and the persisted text round-trips to the
-    /// same canonical bytes — the wire format is unchanged by the
-    /// flat-arena representation.
-    #[test]
-    fn forest_persistence_is_grower_independent(
-        d in arb_dataset(),
-        seed in any::<u64>(),
-        n_trees in 1usize..=6,
-    ) {
-        let p = ForestParams { n_trees, ..ForestParams::default() };
-        let fast = Forest::fit(&d, &p, seed);
-        let reference = Forest::fit_reference(&d, &p, seed);
-        let text = fast.to_text();
-        prop_assert_eq!(&text, &reference.to_text(), "byte-identical persisted models");
-        let loaded = Forest::from_text(&text).expect("round-trip parses");
-        prop_assert_eq!(&loaded.to_text(), &text, "round-trip is byte-identical");
-        for s in &d.samples {
-            prop_assert_eq!(fast.predict(&s.features), loaded.predict(&s.features));
+        let mut rows: Vec<Vec<f64>> = d.samples.iter().map(|s| s.features.clone()).collect();
+        rows.truncate(40);
+        let n_probes = rng.gen_range(0..20usize);
+        rows.extend(boundary_probes(&mut rng, n_probes, d.n_features()));
+        let mut block = RowBlock::new(d.n_features());
+        block.fill(&rows);
+        let batch = flat.predict_block(&block);
+        assert_eq!(batch.len(), rows.len());
+        for (x, b) in rows.iter().zip(&batch) {
+            assert_eq!(boxed.predict(x), flat.predict(x), "seed {seed}");
+            assert_eq!(flat.predict(x), *b, "batch ≡ per-row, seed {seed}");
         }
     }
 }
 
-proptest! {
-    // SMO is the expensive fit; fewer cases keep the suite fast while
-    // still exercising full-Gram and lazy-row modes below.
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// Bootstrap fits (the forest's base-learner configuration, duplicate
+/// indices included) agree between the two growers.
+#[test]
+fn cart_fast_path_matches_reference_on_bootstrap_indices() {
+    for seed in 0..48u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xB007);
+        let d = grid_dataset(&mut rng);
+        let indices: Vec<usize> =
+            (0..rng.gen_range(10..40usize)).map(|_| rng.gen_range(0..d.len())).collect();
+        let params = CartParams { max_features: Some(2), ..CartParams::default() };
+        let fit_seed: u64 = rng.gen();
+        let fast = DecisionTree::fit_on_indices(&d, &indices, &params, fit_seed);
+        let reference = ReferenceTree::fit_on_indices(&d, &indices, &params, fit_seed);
+        assert_eq!(fast, reference.flatten(), "seed {seed}");
+        assert_eq!(bits(fast.raw_importances()), bits(reference.raw_importances()), "seed {seed}");
+    }
+}
 
-    /// Gram-cached SMO ≡ reference SMO: equal machines (support
-    /// vectors, coefficients, biases — `Svm` derives `PartialEq`), in
-    /// both full-matrix and lazy-row cache modes.
-    #[test]
-    fn svm_fast_path_matches_reference(d in arb_dataset(), seed in any::<u64>()) {
+/// Forests grown by the two growers serialize to byte-identical
+/// `bs-forest v1` text, and the persisted text round-trips to the same
+/// canonical bytes — `to_text(from_text(t)) == t`.
+#[test]
+fn forest_persistence_is_grower_independent() {
+    for seed in 0..48u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7E47);
+        let d = grid_dataset(&mut rng);
+        let p = ForestParams { n_trees: rng.gen_range(1..7usize), ..ForestParams::default() };
+        let fit_seed: u64 = rng.gen();
+        let fast = Forest::fit(&d, &p, fit_seed);
+        let reference = Forest::fit_reference(&d, &p, fit_seed);
+        let text = fast.to_text();
+        assert_eq!(text, reference.to_text(), "byte-identical persisted models, seed {seed}");
+        let loaded = Forest::from_text(&text).expect("round-trip parses");
+        assert_eq!(loaded.to_text(), text, "round-trip is byte-identical, seed {seed}");
+        for s in &d.samples {
+            assert_eq!(fast.predict(&s.features), loaded.predict(&s.features), "seed {seed}");
+        }
+    }
+}
+
+/// `Forest::predict_all` ≡ per-row `Forest::predict`, on boundary
+/// probes in batch sizes around the block and cursor-group boundaries. `scripts/ci.sh` runs
+/// this file at `BS_THREADS` 1 and 8: the fit is parallel, the verdicts
+/// must not depend on it.
+#[test]
+fn forest_predict_all_matches_per_row_predict() {
+    for seed in 0..12u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C);
+        let d = grid_dataset(&mut rng);
+        let p = ForestParams { n_trees: rng.gen_range(1..12usize), ..ForestParams::default() };
+        let forest = Forest::fit(&d, &p, rng.gen());
+        for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 130] {
+            let xs = boundary_probes(&mut rng, n, d.n_features());
+            let per_row: Vec<usize> = xs.iter().map(|x| forest.predict(x)).collect();
+            assert_eq!(forest.predict_all(&xs), per_row, "seed {seed}, {n} rows");
+        }
+    }
+}
+
+/// Gram-cached SMO ≡ reference SMO: equal machines (support vectors,
+/// coefficients, biases — `Svm` derives `PartialEq`), in both
+/// full-matrix and lazy-row cache modes. SMO is the expensive fit, so
+/// fewer cases.
+#[test]
+fn svm_fast_path_matches_reference() {
+    for seed in 0..12u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5A0);
+        let d = grid_dataset(&mut rng);
+        let fit_seed: u64 = rng.gen();
         let params = SvmParams { max_iters: 40, ..SvmParams::default() };
-        let fast = Svm::fit(&d, &params, seed);
-        let reference = Svm::fit_reference(&d, &params, seed);
-        prop_assert_eq!(&fast, &reference, "bit-identical machines");
+        let fast = Svm::fit(&d, &params, fit_seed);
+        let reference = Svm::fit_reference(&d, &params, fit_seed);
+        assert_eq!(fast, reference, "bit-identical machines, seed {seed}");
 
         // Force the bounded row cache: every pairwise problem exceeds
         // gram_limit, so rows are cached lazily and recomputed past the
         // cap. Same machines either way.
-        let lazy = Svm::fit(&d, &SvmParams { gram_limit: 4, ..params }, seed);
-        prop_assert_eq!(&fast, &lazy, "cache mode must not leak into results");
+        let lazy = Svm::fit(&d, &SvmParams { gram_limit: 4, ..params }, fit_seed);
+        assert_eq!(fast, lazy, "cache mode must not leak into results, seed {seed}");
     }
 }

@@ -1,198 +1,262 @@
-//! Flat pre-order tree arenas.
+//! Flat tree arenas with adjacent children, and the blocked batch
+//! descent over them.
 //!
-//! A `Box`-recursive tree costs a heap allocation, a pointer chase and
-//! unpredictable locality per level of every `predict`. The arena
-//! stores nodes in **pre-order** in one `Vec`: a split's left child is
-//! implicitly the next node, only the right child needs an offset, and
-//! descending a path walks mostly-forward through one allocation.
-//! Pre-order is also exactly the order of the `bs-forest v1` wire
-//! format, so serialization is a linear scan and the format stays
-//! byte-identical to the boxed original.
+//! A tree is one `Vec` of 16-byte nodes. A split's two children sit in
+//! **adjacent slots**, so a step down the tree is arithmetic on the
+//! compare result — `next = left + !(x[feature] <= threshold)` — with
+//! no select for the compiler to turn back into a conditional jump.
+//! Leaves **self-loop**: `left` is the leaf's own index, `threshold`
+//! is `+∞` and `feature` names a constant-0.0 column that a
+//! [`RowBlock`] carries after the real features, so stepping a cursor
+//! that already reached its leaf leaves it there. A batch therefore
+//! runs every cursor for exactly `depth` steps, with no leaf test and
+//! no data-dependent branch (DESIGN.md §16).
 
-use crate::block::LaneBlocks;
-use bs_simd::{F64x8, U32x8, LANES};
 use serde::{Deserialize, Serialize};
 
-/// Sentinel feature index marking a leaf node.
-pub const LEAF: u32 = u32::MAX;
+/// Rows per [`RowBlock`]: what one pass of the batch descent walks
+/// through every tree. 64 rows × 23 columns is 11.5 KB, so the block
+/// and a typical 2.6 KB tree stay in L1 together.
+pub const BLOCK_ROWS: usize = 64;
 
-/// One arena node.
-///
-/// Splits: `feature`/`threshold` describe the test (`x[feature] <=
-/// threshold` goes left), the left child sits at `index + 1`, and
-/// `right` is the right child's arena index. Leaves: `feature` is
-/// [`LEAF`], `right` holds the class, `threshold` is zero.
+/// Cursors stepped together in the batch descent's inner loop: eight
+/// independent dependency chains hide the load-compare-add latency of
+/// one step (four leave the core idle, sixteen spill registers).
+const CURSORS: usize = 8;
+
+/// The largest feature or class count a packed node can address: the
+/// feature index after the last real one names the zero column, and
+/// both fields are `u16`.
+pub const MAX_ARITY: usize = u16::MAX as usize - 1;
+
+/// One arena node (16 bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FlatNode {
-    /// Split feature, or [`LEAF`].
-    pub feature: u32,
-    /// Split threshold; zero for leaves.
+    /// Split threshold (`x[feature] <= threshold` goes left); `+∞` for
+    /// leaves.
     pub threshold: f64,
-    /// Right-child index for splits; class for leaves.
-    pub right: u32,
+    /// Index of the left child, the right child being `left + 1`; a
+    /// leaf's own index.
+    pub left: u32,
+    /// Split feature; the zero column for leaves.
+    pub feature: u16,
+    /// Class of a leaf; unused for splits.
+    pub class: u16,
 }
 
-/// A pre-order flat tree, grown through [`FlatTree::push_leaf`] /
-/// [`FlatTree::begin_split`] / [`FlatTree::finish_split`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// A place in a [`FlatTree`] under construction: the root, or a child
+/// handed out by [`FlatTree::split`]. It carries its depth so the tree
+/// knows how many steps the batch descent needs.
+#[derive(Debug, Clone, Copy)]
+pub struct Slot {
+    index: u32,
+    depth: u32,
+}
+
+impl Slot {
+    /// Splits between the root and this slot.
+    pub fn depth(self) -> usize {
+        self.depth as usize
+    }
+}
+
+/// A flat tree, built top-down: every slot starts as a leaf of class
+/// 0 and is either given its class with [`FlatTree::leaf`] or turned
+/// into a split with [`FlatTree::split`], which appends the two
+/// children.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlatTree {
     nodes: Vec<FlatNode>,
+    n_features: u16,
+    depth: u32,
 }
 
 impl FlatTree {
-    /// An empty tree.
-    pub fn new() -> Self {
-        FlatTree { nodes: Vec::new() }
+    /// A leaf-only tree of class 0 over `n_features` features.
+    ///
+    /// # Panics
+    /// If `n_features` exceeds [`MAX_ARITY`].
+    pub fn new(n_features: usize) -> Self {
+        assert!(n_features <= MAX_ARITY, "{n_features} features exceed the packed node's u16");
+        let n_features = n_features as u16;
+        FlatTree { nodes: vec![Self::leaf_node(0, n_features, 0)], n_features, depth: 0 }
     }
 
-    /// Append a leaf for `class`; returns its index.
-    pub fn push_leaf(&mut self, class: u32) -> usize {
-        self.nodes.push(FlatNode { feature: LEAF, threshold: 0.0, right: class });
-        self.nodes.len() - 1
+    fn leaf_node(index: u32, zero_column: u16, class: u16) -> FlatNode {
+        FlatNode { threshold: f64::INFINITY, left: index, feature: zero_column, class }
     }
 
-    /// Append a split whose left subtree will be built next (pre-order).
-    /// Returns the split's index for [`FlatTree::finish_split`].
-    pub fn begin_split(&mut self, feature: u32, threshold: f64) -> usize {
-        assert_ne!(feature, LEAF, "feature index collides with the leaf sentinel");
-        self.nodes.push(FlatNode { feature, threshold, right: 0 });
-        self.nodes.len() - 1
+    /// The root's slot.
+    pub fn root(&self) -> Slot {
+        Slot { index: 0, depth: 0 }
     }
 
-    /// Seal split `idx` after its left subtree is fully built: the next
-    /// node appended becomes its right child.
-    pub fn finish_split(&mut self, idx: usize) {
-        self.nodes[idx].right = self.nodes.len() as u32;
+    /// Make `slot` a leaf of `class`.
+    ///
+    /// # Panics
+    /// If `class` exceeds [`MAX_ARITY`].
+    pub fn leaf(&mut self, slot: Slot, class: usize) {
+        assert!(class <= MAX_ARITY, "class {class} exceeds the packed node's u16");
+        self.nodes[slot.index as usize] =
+            Self::leaf_node(slot.index, self.n_features, class as u16);
     }
 
-    /// Iterative root-to-leaf descent; returns the class.
-    pub fn predict(&self, x: &[f64]) -> u32 {
-        let mut i = 0usize;
+    /// Make `slot` a split on `x[feature] <= threshold` and append its
+    /// children; returns their slots, left then right.
+    ///
+    /// # Panics
+    /// If `feature` is not below the tree's feature count.
+    pub fn split(&mut self, slot: Slot, feature: usize, threshold: f64) -> (Slot, Slot) {
+        assert!(feature < self.n_features as usize, "split feature {feature} out of range");
+        let left = u32::try_from(self.nodes.len()).expect("a tree holds fewer than 2^32 nodes");
+        self.nodes[slot.index as usize] =
+            FlatNode { threshold, left, feature: feature as u16, class: 0 };
+        self.nodes.push(Self::leaf_node(left, self.n_features, 0));
+        self.nodes.push(Self::leaf_node(left + 1, self.n_features, 0));
+        let depth = slot.depth + 1;
+        self.depth = self.depth.max(depth);
+        (Slot { index: left, depth }, Slot { index: left + 1, depth })
+    }
+
+    /// Root-to-leaf descent for one row of `n_features` values;
+    /// returns the class. NaN compares false and goes right.
+    pub fn predict(&self, x: &[f64]) -> usize {
+        let mut i = 0u32;
         loop {
-            let node = &self.nodes[i];
-            if node.feature == LEAF {
-                return node.right;
+            let node = &self.nodes[i as usize];
+            if node.left == i {
+                return node.class as usize;
             }
-            i = if x[node.feature as usize] <= node.threshold {
-                i + 1
-            } else {
-                node.right as usize
-            };
+            i = node.left + u32::from(!(x[node.feature as usize] <= node.threshold));
         }
     }
 
-    /// Batch predict: one pass over the arena-resident tree per row.
-    pub fn predict_all<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<u32> {
-        rows.iter().map(|r| self.predict(r.as_ref())).collect()
-    }
-
-    /// Level-synchronous lane descent: [`LANES`] rows advance one tree
-    /// level per iteration with branchless node stepping.
+    /// Blocked batch descent: the class of every row of `block`, in
+    /// `out[..block.rows()]`. Bit-identical to [`FlatTree::predict`]
+    /// per row — each step is the same compare on the same bits.
     ///
-    /// `block` is one feature-major [`LaneBlocks`] block (feature `f`
-    /// of lane `l` at `f * LANES + l`). Each iteration gathers the
-    /// eight cursors' node fields, compares `x[feature] <= threshold`
-    /// lane-wise (IEEE `<=`, the exact scalar branch condition) and
-    /// selects `cursor + 1` or `right` — no per-lane branching, so the
-    /// eight dependency chains issue in parallel. Lanes that reach a
-    /// leaf are **parked** on it via a masked self-loop (the sentinel
-    /// self-loop: their cursor selects itself) until every lane is
-    /// done; parked lanes gather feature 0 harmlessly, which exists
-    /// whenever the tree contains any split.
+    /// Rows advance [`CURSORS`] at a time for exactly `depth` steps;
+    /// the rows past `block.rows()` that fill the last group hold
+    /// whatever the block held before, walk the tree like any other
+    /// (every index they follow is valid) and are not reported.
     ///
-    /// Bit-identical to eight [`FlatTree::predict`] calls: every
-    /// per-lane compare and index computation is the same expression on
-    /// the same bits, and no floating-point reduction is involved.
-    pub fn predict_lanes(&self, block: &[f64]) -> [u32; LANES] {
-        debug_assert_eq!(block.len() % LANES, 0, "block is feature-major × LANES");
+    /// # Panics
+    /// If the block's feature count differs from the tree's.
+    pub fn predict_block(&self, block: &RowBlock, out: &mut [u16; BLOCK_ROWS]) {
+        assert_eq!(block.n_features(), self.n_features as usize, "feature arity mismatch");
         let nodes = self.nodes.as_slice();
-        let leaf = U32x8::splat(LEAF);
-        let one = U32x8::splat(1);
-        let mut cur = U32x8::splat(0);
-        loop {
-            // One gather pass per level: read each lane's node exactly
-            // once and scatter its fields into lane-shaped arrays.
-            let mut feat_a = [0u32; LANES];
-            let mut thr_a = [0.0f64; LANES];
-            let mut right_a = [0u32; LANES];
-            for l in 0..LANES {
-                let n = &nodes[cur.get(l) as usize];
-                feat_a[l] = n.feature;
-                thr_a[l] = n.threshold;
-                right_a[l] = n.right;
+        let stride = block.stride;
+        let groups = block.data.chunks_exact(CURSORS * stride).zip(out.chunks_exact_mut(CURSORS));
+        for (rows, classes) in groups.take(block.rows.div_ceil(CURSORS)) {
+            let mut cur = [0u32; CURSORS];
+            for _ in 0..self.depth {
+                for (k, c) in cur.iter_mut().enumerate() {
+                    let node = &nodes[*c as usize];
+                    let x = rows[k * stride + node.feature as usize];
+                    *c = node.left + u32::from(!(x <= node.threshold));
+                }
             }
-            let feat = U32x8::from_array(feat_a);
-            let parked = feat.eq(leaf);
-            if parked.all() {
-                // For LEAF nodes `right` holds the class.
-                return right_a;
+            for (class, c) in classes.iter_mut().zip(cur) {
+                *class = nodes[c as usize].class;
             }
-            let gather_feat = parked.select_u32(U32x8::splat(0), feat);
-            let x = F64x8::from_fn(|l| block[gather_feat.get(l) as usize * LANES + l]);
-            let next = x
-                .le(F64x8::from_array(thr_a))
-                .select_u32(cur.wrapping_add(one), U32x8::from_array(right_a));
-            cur = parked.select_u32(cur, next);
         }
-    }
-
-    /// Predict every row of `blocks` through [`FlatTree::predict_lanes`],
-    /// appending classes in row order to `out` (padding-lane outputs of
-    /// a ragged final block are discarded).
-    pub fn predict_blocked_into(&self, blocks: &LaneBlocks, out: &mut Vec<u32>) {
-        out.reserve(blocks.n_rows());
-        for b in 0..blocks.n_blocks() {
-            let classes = self.predict_lanes(blocks.block(b));
-            let take = LANES.min(blocks.n_rows() - b * LANES);
-            out.extend_from_slice(&classes[..take]);
-        }
-    }
-
-    /// Predict every row of `blocks` through the lane path; classes in
-    /// row order.
-    pub fn predict_blocked(&self, blocks: &LaneBlocks) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.predict_blocked_into(blocks, &mut out);
-        out
     }
 
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub fn n_nodes(&self) -> usize {
         self.nodes.len()
     }
 
-    /// True when no nodes exist yet.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+    /// Number of features a row must have.
+    pub fn n_features(&self) -> usize {
+        self.n_features as usize
     }
 
-    /// The nodes in pre-order (serialization support).
+    /// The arena (serialization support). A node whose `left` is its
+    /// own index is a leaf.
     pub fn nodes(&self) -> &[FlatNode] {
         &self.nodes
     }
 
     /// Number of leaves.
     pub fn leaves(&self) -> usize {
-        self.nodes.iter().filter(|n| n.feature == LEAF).count()
+        self.nodes.iter().enumerate().filter(|(i, n)| n.left as usize == *i).count()
     }
 
     /// Depth (a leaf-only tree has depth 0).
     pub fn depth(&self) -> usize {
-        if self.nodes.is_empty() {
-            return 0;
+        self.depth as usize
+    }
+}
+
+/// Up to [`BLOCK_ROWS`] rows copied into one contiguous buffer for
+/// [`FlatTree::predict_block`]: row `r` occupies `stride = n_features
+/// + 1` values, the last of them the constant 0.0 that leaves compare
+/// against. One block is filled once and walked by every tree of
+/// every model that votes on it.
+#[derive(Debug, Clone)]
+pub struct RowBlock {
+    data: Vec<f64>,
+    stride: usize,
+    rows: usize,
+}
+
+impl RowBlock {
+    /// An empty block for rows of `n_features` values.
+    pub fn new(n_features: usize) -> Self {
+        let stride = n_features + 1;
+        RowBlock { data: vec![0.0; BLOCK_ROWS * stride], stride, rows: 0 }
+    }
+
+    /// Replace the block's rows with copies of `rows`; what the buffer
+    /// held beyond them stays as padding.
+    ///
+    /// # Panics
+    /// If there are more than [`BLOCK_ROWS`] rows, or one's length
+    /// differs from the block's feature count.
+    pub fn fill<R: AsRef<[f64]>>(&mut self, rows: &[R]) {
+        self.rows = 0;
+        for row in rows {
+            self.push_row(row.as_ref());
         }
-        let mut max = 0;
-        let mut stack = vec![(0usize, 0usize)];
-        while let Some((i, d)) = stack.pop() {
-            let node = &self.nodes[i];
-            if node.feature == LEAF {
-                max = max.max(d);
-            } else {
-                stack.push((i + 1, d + 1));
-                stack.push((node.right as usize, d + 1));
-            }
-        }
-        max
+    }
+
+    /// Append a row and return its `n_features` values for the caller
+    /// to fill (they hold an earlier row's values until then).
+    ///
+    /// # Panics
+    /// If the block already holds [`BLOCK_ROWS`] rows.
+    pub fn next_row(&mut self) -> &mut [f64] {
+        assert!(self.rows < BLOCK_ROWS, "row block is full");
+        let start = self.rows * self.stride;
+        self.rows += 1;
+        &mut self.data[start..start + self.stride - 1]
+    }
+
+    /// Append a copy of `row`.
+    ///
+    /// # Panics
+    /// If `row.len()` differs from the block's feature count, or the
+    /// block is full.
+    pub fn push_row(&mut self, row: &[f64]) {
+        assert_eq!(row.len(), self.n_features(), "feature arity mismatch");
+        self.next_row().copy_from_slice(row);
+    }
+
+    /// Rows held.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Features per row.
+    pub fn n_features(&self) -> usize {
+        self.stride - 1
+    }
+
+    /// The features of row `r`.
+    pub fn row(&self, r: usize) -> &[f64] {
+        assert!(r < self.rows, "row {r} of {}", self.rows);
+        &self.data[r * self.stride..(r + 1) * self.stride - 1]
     }
 }
 
@@ -202,47 +266,50 @@ mod tests {
 
     /// x0 <= 1.0 ? (x1 <= 5.0 ? A : B) : C
     fn two_level() -> FlatTree {
-        let mut t = FlatTree::new();
-        let root = t.begin_split(0, 1.0);
-        let inner = t.begin_split(1, 5.0);
-        t.push_leaf(0);
-        t.finish_split(inner);
-        t.push_leaf(1);
-        t.finish_split(root);
-        t.push_leaf(2);
+        let mut t = FlatTree::new(2);
+        let (inner, c) = t.split(t.root(), 0, 1.0);
+        let (a, b) = t.split(inner, 1, 5.0);
+        t.leaf(a, 0);
+        t.leaf(b, 1);
+        t.leaf(c, 2);
         t
     }
 
-    #[test]
-    fn builder_produces_preorder_layout() {
-        let t = two_level();
-        assert_eq!(t.len(), 5);
-        let n = t.nodes();
-        assert_eq!(n[0].feature, 0);
-        assert_eq!(n[0].right, 4, "right child after the whole left subtree");
-        assert_eq!(n[1].feature, 1);
-        assert_eq!(n[1].right, 3);
-        assert_eq!(n[2].feature, LEAF);
-        assert_eq!(n[4].right, 2, "leaf stores its class");
+    fn batch(t: &FlatTree, rows: &[Vec<f64>]) -> Vec<usize> {
+        let mut block = RowBlock::new(t.n_features());
+        let mut out = [0u16; BLOCK_ROWS];
+        let mut classes = Vec::new();
+        for chunk in rows.chunks(BLOCK_ROWS) {
+            block.fill(chunk);
+            t.predict_block(&block, &mut out);
+            classes.extend(out[..chunk.len()].iter().map(|&c| c as usize));
+        }
+        classes
     }
 
     #[test]
-    fn iterative_predict_follows_thresholds() {
+    fn split_puts_children_in_adjacent_slots_and_leaves_self_loop() {
+        let t = two_level();
+        assert_eq!(t.n_nodes(), 5);
+        let n = t.nodes();
+        assert_eq!((n[0].feature, n[0].left), (0, 1), "root's children are slots 1 and 2");
+        assert_eq!((n[1].feature, n[1].left), (1, 3), "inner split's children are slots 3 and 4");
+        for (i, class) in [(2usize, 2u16), (3, 0), (4, 1)] {
+            assert_eq!(n[i].left as usize, i, "leaf {i} loops on itself");
+            assert_eq!(n[i].class, class);
+            assert_eq!(n[i].threshold, f64::INFINITY);
+            assert_eq!(n[i].feature, 2, "leaves read the zero column");
+        }
+    }
+
+    #[test]
+    fn predict_follows_thresholds() {
         let t = two_level();
         assert_eq!(t.predict(&[0.0, 3.0]), 0);
         assert_eq!(t.predict(&[0.0, 9.0]), 1);
         assert_eq!(t.predict(&[2.0, 0.0]), 2);
         assert_eq!(t.predict(&[1.0, 5.0]), 0, "boundaries go left");
-    }
-
-    #[test]
-    fn predict_all_matches_predict() {
-        let t = two_level();
-        let rows: Vec<Vec<f64>> =
-            vec![vec![0.0, 3.0], vec![0.0, 9.0], vec![2.0, 0.0], vec![1.0, 5.0]];
-        let batch = t.predict_all(&rows);
-        let single: Vec<u32> = rows.iter().map(|r| t.predict(r)).collect();
-        assert_eq!(batch, single);
+        assert_eq!(t.predict(&[f64::NAN, 0.0]), 2, "NaN goes right");
     }
 
     #[test]
@@ -250,60 +317,109 @@ mod tests {
         let t = two_level();
         assert_eq!(t.depth(), 2);
         assert_eq!(t.leaves(), 3);
-        let mut stump = FlatTree::new();
-        stump.push_leaf(7);
+        let mut stump = FlatTree::new(0);
+        stump.leaf(stump.root(), 7);
         assert_eq!(stump.depth(), 0);
         assert_eq!(stump.leaves(), 1);
         assert_eq!(stump.predict(&[]), 7);
-        assert_eq!(FlatTree::new().depth(), 0);
+        assert_eq!(batch(&stump, &vec![vec![]; 3]), vec![7, 7, 7]);
     }
 
     #[test]
-    #[should_panic(expected = "leaf sentinel")]
-    fn split_on_sentinel_feature_is_rejected() {
-        FlatTree::new().begin_split(LEAF, 0.0);
+    #[should_panic(expected = "out of range")]
+    fn split_on_a_feature_the_tree_lacks_is_rejected() {
+        let mut t = FlatTree::new(2);
+        t.split(t.root(), 2, 0.0);
     }
 
     #[test]
-    fn predict_lanes_matches_scalar_on_mixed_depth_lanes() {
-        let t = two_level();
-        // Lanes park at different levels: some reach the depth-1 leaf C
-        // immediately, others descend to depth 2 — exercising the
-        // masked self-loop while live lanes keep stepping.
-        let rows: Vec<Vec<f64>> = vec![
-            vec![0.0, 3.0],
-            vec![2.0, 0.0],
-            vec![0.0, 9.0],
-            vec![1.0, 5.0],
-            vec![9.0, 9.0],
-            vec![0.5, 5.0],
-            vec![1.0, 5.1],
-            vec![-1.0, -1.0],
-        ];
-        let blocks = LaneBlocks::from_rows(&rows, 2);
-        let lanes = t.predict_lanes(blocks.block(0));
-        for (l, row) in rows.iter().enumerate() {
-            assert_eq!(lanes[l], t.predict(row), "lane {l}");
+    #[should_panic(expected = "feature arity mismatch")]
+    fn block_of_another_arity_is_rejected() {
+        two_level().predict_block(&RowBlock::new(3), &mut [0; BLOCK_ROWS]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row block is full")]
+    fn block_holds_at_most_block_rows() {
+        let mut b = RowBlock::new(1);
+        for _ in 0..=BLOCK_ROWS {
+            b.push_row(&[0.0]);
+        }
+    }
+
+    /// splitmix64: std-only, so this suite runs wherever the crate
+    /// builds.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut x = self.0;
+            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            x ^ (x >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    const THRESHOLDS: [f64; 6] = [-2.5, -0.0, 0.0, 0.5, 1.0, 3.0];
+
+    fn grow_random(t: &mut FlatTree, slot: Slot, levels_left: usize, rng: &mut Rng) {
+        // A quarter of the inner slots stop early, so leaves sit at
+        // every depth and cursors park while their neighbours descend.
+        if levels_left == 0 || rng.below(4) == 0 {
+            t.leaf(slot, rng.below(5));
+            return;
+        }
+        let feature = rng.below(t.n_features());
+        let (l, r) = t.split(slot, feature, THRESHOLDS[rng.below(THRESHOLDS.len())]);
+        grow_random(t, l, levels_left - 1, rng);
+        grow_random(t, r, levels_left - 1, rng);
+    }
+
+    fn random_value(rng: &mut Rng) -> f64 {
+        match rng.below(10) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            // Exactly on a threshold: must go left.
+            4 | 5 => THRESHOLDS[rng.below(THRESHOLDS.len())],
+            _ => rng.below(2000) as f64 / 250.0 - 4.0,
         }
     }
 
     #[test]
-    fn predict_blocked_matches_predict_all_on_ragged_tails() {
-        let t = two_level();
-        for n in [0usize, 1, 7, 8, 9, 16, 19] {
-            let rows: Vec<Vec<f64>> =
-                (0..n).map(|i| vec![i as f64 * 0.3 - 1.0, (i % 7) as f64]).collect();
-            let blocks = LaneBlocks::from_rows(&rows, 2);
-            assert_eq!(t.predict_blocked(&blocks), t.predict_all(&rows), "n = {n}");
+    fn block_descent_matches_per_row_predict_on_random_trees() {
+        for seed in 0..60u64 {
+            let mut rng = Rng(seed);
+            let n_features = 1 + rng.below(6);
+            let max_depth = rng.below(15);
+            let mut t = FlatTree::new(n_features);
+            let root = t.root();
+            if max_depth == 0 {
+                t.leaf(root, 3);
+            } else {
+                // A spine to the full depth, random growth off it.
+                let mut slot = root;
+                for level in 0..max_depth {
+                    let (l, r) = t.split(slot, rng.below(n_features), THRESHOLDS[rng.below(6)]);
+                    grow_random(&mut t, l, max_depth - level - 1, &mut rng);
+                    slot = r;
+                }
+                t.leaf(slot, 4);
+            }
+            assert_eq!(t.depth(), max_depth, "seed {seed}");
+            for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 130] {
+                let rows: Vec<Vec<f64>> = (0..n)
+                    .map(|_| (0..n_features).map(|_| random_value(&mut rng)).collect())
+                    .collect();
+                let per_row: Vec<usize> = rows.iter().map(|r| t.predict(r)).collect();
+                assert_eq!(batch(&t, &rows), per_row, "seed {seed}, {n} rows");
+            }
         }
-    }
-
-    #[test]
-    fn predict_lanes_handles_leaf_only_tree_without_features() {
-        let mut stump = FlatTree::new();
-        stump.push_leaf(7);
-        let rows: Vec<Vec<f64>> = vec![vec![]; 3];
-        let blocks = LaneBlocks::from_rows(&rows, 0);
-        assert_eq!(stump.predict_blocked(&blocks), vec![7, 7, 7]);
     }
 }

@@ -21,15 +21,15 @@
 //!   sorting happens **once per fit** (`O(features · n log n)`) and
 //!   each node costs `O(features · n)`, replacing the reference's
 //!   `O(nodes · features · n log n)` re-sort;
-//! * [`FlatTree`] — a pre-order `Vec<FlatNode>` arena with implicit
-//!   left children and `u32` right offsets: iterative `predict`, batch
-//!   [`FlatTree::predict_all`], no pointer chasing — plus the
-//!   lane-parallel [`FlatTree::predict_lanes`] /
-//!   [`FlatTree::predict_blocked`] level-synchronous descent
+//! * [`FlatTree`] — one `Vec<FlatNode>` arena per tree with a split's
+//!   children in adjacent slots and self-looping leaves, so a step is
+//!   `left + !(x[feature] <= threshold)` and a batch runs a fixed
+//!   `depth` steps: the single-row [`FlatTree::predict`] and the
+//!   blocked [`FlatTree::predict_block`] walk the same arena
 //!   (DESIGN.md §16);
-//! * [`LaneBlocks`] — transposed row blocks for the lane path: each
-//!   block of `bs_simd::LANES` rows stored feature-major so a
-//!   per-level gather reads eight contiguous values;
+//! * [`RowBlock`] — up to [`BLOCK_ROWS`] rows in one contiguous buffer
+//!   with a trailing constant-0.0 column, filled once and walked by
+//!   every tree that votes on it;
 //! * [`RowMatrix`] — flat row-major storage for kernel methods (one
 //!   allocation, contiguous rows);
 //! * [`GramCache`] — a per-machine kernel cache: full Gram matrix up
@@ -50,14 +50,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod block;
 mod flat;
 mod gram;
 mod matrix;
 mod presort;
 
-pub use block::LaneBlocks;
-pub use flat::{FlatNode, FlatTree, LEAF};
+pub use flat::{FlatNode, FlatTree, RowBlock, Slot, BLOCK_ROWS, MAX_ARITY};
 pub use gram::GramCache;
 pub use matrix::{ColumnarView, RowMatrix};
 pub use presort::PresortedColumns;

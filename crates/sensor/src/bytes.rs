@@ -27,7 +27,7 @@ fn lower(b: u8) -> u8 {
 /// # Panics
 /// If `dst` is shorter than `src`.
 #[inline]
-pub fn fold_ascii_lower(src: &[u8], dst: &mut [u8]) {
+pub(crate) fn fold_ascii_lower(src: &[u8], dst: &mut [u8]) {
     let n = src.len();
     let (src8, src_tail) = src.split_at(n - n % 8);
     let dst8 = &mut dst[..n - n % 8];
@@ -45,7 +45,7 @@ pub fn fold_ascii_lower(src: &[u8], dst: &mut [u8]) {
 /// `u64`, zero-padded — one load's worth of prefix for masked
 /// comparison against [`prefix_mask`]-masked keyword heads.
 #[inline]
-pub fn pack_prefix(bytes: &[u8]) -> u64 {
+pub(crate) fn pack_prefix(bytes: &[u8]) -> u64 {
     let mut buf = [0u8; 8];
     let n = bytes.len().min(8);
     buf[..n].copy_from_slice(&bytes[..n]);
@@ -56,7 +56,7 @@ pub fn pack_prefix(bytes: &[u8]) -> u64 {
 /// `pack_prefix(a) & prefix_mask(k) == pack_prefix(&a[..k])` whenever
 /// `a.len() >= k`.
 #[inline]
-pub fn prefix_mask(len: usize) -> u64 {
+pub(crate) fn prefix_mask(len: usize) -> u64 {
     if len >= 8 {
         u64::MAX
     } else {

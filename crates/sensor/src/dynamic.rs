@@ -62,9 +62,9 @@ impl DynamicFeatures {
         ]
     }
 
-    /// As a fixed-order vector.
-    pub fn to_vec(self) -> Vec<f64> {
-        vec![
+    /// As a fixed-order array.
+    pub fn to_array(self) -> [f64; 8] {
+        [
             self.queries_per_querier,
             self.persistence,
             self.local_entropy,
@@ -74,6 +74,11 @@ impl DynamicFeatures {
             self.countries_per_querier,
             self.ases_per_querier,
         ]
+    }
+
+    /// As a fixed-order vector.
+    pub fn to_vec(self) -> Vec<f64> {
+        self.to_array().to_vec()
     }
 
     /// Compute the features for one originator by consulting `info`
@@ -234,7 +239,7 @@ pub fn normalized_entropy(values: &[u32], alphabet: f64) -> f64 {
 /// The retained `BTreeMap`-histogram reference for
 /// [`normalized_entropy`] — the executable specification the sorted-run
 /// fast path is property-tested bit-identical to
-/// (`tests/simd_equivalence.rs`).
+/// (`tests/matcher_entropy_equivalence.rs`).
 pub fn normalized_entropy_reference(values: &[u32], alphabet: f64) -> f64 {
     if values.len() <= 1 || alphabet <= 1.0 {
         return 0.0;

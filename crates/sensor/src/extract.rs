@@ -37,7 +37,7 @@ pub struct FeatureVector {
 }
 
 impl FeatureVector {
-    /// Feature names, aligned with [`FeatureVector::to_vec`].
+    /// Feature names, aligned with [`FeatureVector::write_to`].
     pub fn names() -> Vec<String> {
         StaticFeature::ALL
             .iter()
@@ -46,11 +46,24 @@ impl FeatureVector {
             .collect()
     }
 
+    /// Number of features.
+    pub const LEN: usize = 22;
+
+    /// Write the features, in [`FeatureVector::names`] order, into
+    /// `out` — a caller-owned row of the ML crate's batch buffer.
+    ///
+    /// # Panics
+    /// If `out.len()` is not [`FeatureVector::LEN`].
+    pub fn write_to(&self, out: &mut [f64]) {
+        let (fractions, dynamic) = out.split_at_mut(self.static_fractions.len());
+        fractions.copy_from_slice(&self.static_fractions);
+        dynamic.copy_from_slice(&self.dynamic.to_array());
+    }
+
     /// Flatten to a 22-dimensional vector for the ML crate.
     pub fn to_vec(&self) -> Vec<f64> {
-        let mut v = Vec::with_capacity(22);
-        v.extend_from_slice(&self.static_fractions);
-        v.extend(self.dynamic.to_vec());
+        let mut v = vec![0.0; Self::LEN];
+        self.write_to(&mut v);
         v
     }
 

@@ -50,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bytes;
 pub mod dynamic;
 pub mod extract;
 pub mod ingest;

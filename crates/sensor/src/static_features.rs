@@ -6,9 +6,9 @@
 //! `mail.ns.example.com` and `mail-ns.example.com` are both `mail`,
 //! and `mail.google.sim` is `mail` rather than `google`.
 
+use crate::bytes::{fold_ascii_lower, pack_prefix, prefix_mask};
 use bs_dns::DomainName;
 use bs_netsim::types::NameOutcome;
-use bs_simd::bytes::{fold_ascii_lower, pack_prefix, prefix_mask};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -159,7 +159,7 @@ pub enum MatchOrder {
 /// The reference component classifier: keyword-at-a-time, byte-at-a-time
 /// case-insensitive comparison. Retained as the executable specification
 /// of the first-match rule the packed fast path below must reproduce
-/// (`tests/simd_equivalence.rs`).
+/// (`tests/matcher_entropy_equivalence.rs`).
 fn classify_component_reference(component: &[u8]) -> Option<StaticFeature> {
     for (feature, keywords) in RULES {
         for kw in *keywords {

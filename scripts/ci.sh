@@ -32,9 +32,6 @@ cargo clippy -p bs-sensor --all-targets -- -D warnings
 echo "=== cargo clippy bs-prof (the sampling profiler, separately)"
 cargo clippy -p bs-prof --all-targets -- -D warnings
 
-echo "=== cargo clippy bs-simd (the portable-lane core, separately)"
-cargo clippy -p bs-simd --all-targets -- -D warnings
-
 echo "=== cargo build --release"
 cargo build --release
 
@@ -43,9 +40,6 @@ cargo test -q -p bs-trace
 
 echo "=== cargo test bs-fastmap (standalone, zero-dep)"
 cargo test -q -p bs-fastmap
-
-echo "=== cargo test bs-simd (standalone, zero-dep)"
-cargo test -q -p bs-simd
 
 echo "=== cargo test bs-mlcore (standalone, zero-dep)"
 cargo test -q -p bs-mlcore
@@ -56,17 +50,17 @@ cargo test -q -p bs-live
 echo "=== cargo test bs-prof (sampler, cost attribution, counting allocator)"
 cargo test -q -p bs-prof
 
+echo "=== ML crates, offline through the benchmark's workspace (no registry needed)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml -p bs-mlcore -p bs-ml -p bs-classify
+
 echo "=== ML fast-path equivalence (sequential: BS_THREADS=1)"
 BS_THREADS=1 cargo test -q -p bs-ml --test mlcore_equivalence
 
 echo "=== ML fast-path equivalence (parallel: BS_THREADS=8)"
 BS_THREADS=8 cargo test -q -p bs-ml --test mlcore_equivalence
 
-echo "=== simd lane equivalence (sequential: BS_THREADS=1)"
-BS_THREADS=1 cargo test -q --test simd_equivalence
-
-echo "=== simd lane equivalence (parallel: BS_THREADS=8)"
-BS_THREADS=8 cargo test -q --test simd_equivalence
+echo "=== packed matcher + sorted-run entropy equivalence"
+cargo test -q --test matcher_entropy_equivalence
 
 echo "=== shard equivalence (sequential: BS_THREADS=1)"
 BS_THREADS=1 cargo test -q -p bs-sensor --test shard_equivalence
@@ -107,9 +101,9 @@ target/release/backscatter simulate --dataset JP-ditl --scale smoke \
 trace_out="$(target/release/backscatter trace --file "$trace_tmp/trace.json")"
 grep -q "cli.simulate" <<<"$trace_out"
 
-echo "=== CLI smoke: classify end-to-end through the lane-blocked predict path"
+echo "=== CLI smoke: classify end-to-end through the blocked forest descent"
 # The full pipeline (curate → train → classify_all) serves every
-# prediction through Forest::predict_all's bs-simd lane descent.
+# prediction through Forest::predict_block.
 classify_out="$(target/release/backscatter classify --log "$trace_tmp/jp.tsv" \
     --dataset JP-ditl --scale smoke --seed 5)"
 grep -q "originator" <<<"$classify_out"

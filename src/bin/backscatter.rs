@@ -549,8 +549,8 @@ metric naming: dotted crate.stage names, e.g.
   bench.ingest.scaling.*     sharded ingest rps at 1/2/4/8 lanes and
                              parallel efficiency (milli, 4 lanes)
   bench.ml.*                 perf_snapshot ML gauges: forest/SVM fit rps
-                             (fast vs reference) and forest predict rps
-                             (lane-blocked vs row batch vs per-row)
+                             (fast vs reference) and forest batch
+                             predict rps
   bench.sensor.*             perf_snapshot sensor gauges: static-feature
                              classification rps (packed matcher vs
                              byte-at-a-time reference) and extraction
