@@ -2,10 +2,20 @@
 //! ledger: for every profiled stage+window, the record count the cost
 //! row reports is exactly what the ledger booked there.
 
-use backscatter_core::stream::run_live_stream;
+use backscatter_core::stream::{run_live_stream, run_live_stream_extracting};
 use bs_dns::{Rcode, SimDuration, SimTime};
 use bs_netsim::log::QueryLogRecord;
-use bs_sensor::StreamConfig;
+use bs_netsim::types::{AsId, CountryCode, NameOutcome};
+use bs_sensor::{FeatureConfig, QuerierInfo, QuerierMetaCache, StreamConfig};
+use std::collections::BTreeSet;
+use std::sync::{Mutex, MutexGuard};
+
+/// Both tests switch the process-wide profiling flag and clear the
+/// process-wide ledger and cost table: one at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn rec(t: u64, q: u32, o: u32) -> QueryLogRecord {
     QueryLogRecord {
@@ -28,6 +38,7 @@ fn records() -> Vec<QueryLogRecord> {
 
 #[test]
 fn cost_table_reconciles_with_ledger_per_window() {
+    let _serial = serial();
     // Profiling only — no tracing, no sampler thread: the cost/ledger
     // join is exact bookkeeping, independent of sampling.
     bs_trace::enable_profiling();
@@ -67,6 +78,101 @@ fn cost_table_reconciles_with_ledger_per_window() {
     let table = bs_prof::cost::render();
     assert!(table.contains("sensor.stream"), "render names the stage:\n{table}");
 
+    bs_trace::ledger::reset();
+    bs_prof::cost::reset();
+}
+
+struct NoNames;
+impl QuerierInfo for NoNames {
+    fn querier_name(&self, _addr: std::net::Ipv4Addr) -> NameOutcome {
+        NameOutcome::NxDomain
+    }
+    fn querier_as(&self, addr: std::net::Ipv4Addr) -> Option<AsId> {
+        Some(AsId(addr.octets()[3] as u32 % 3))
+    }
+    fn querier_country(&self, _addr: std::net::Ipv4Addr) -> Option<CountryCode> {
+        None
+    }
+}
+
+/// Four windows wide enough that extraction fans out: 130 originators
+/// (three feature chunks) and 2 100 queriers new in every window
+/// (three resolution chunks, no cache hits).
+fn wide_records() -> Vec<QueryLogRecord> {
+    let mut out = Vec::new();
+    for w in 0..4u32 {
+        for i in 0..2_100u32 {
+            out.push(rec(w as u64 * 100 + (i % 90) as u64, w * 2_100 + i, i % 130));
+        }
+    }
+    out.sort_by_key(|r| r.time);
+    out
+}
+
+/// Extraction runs on the driver's closing thread and fans out to pool
+/// workers; its cost rows and ledger cells must still be filed under
+/// the window they belong to, as the sensor's are, at any pool width.
+#[test]
+fn extraction_cost_is_filed_by_window_like_the_sensors() {
+    let _serial = serial();
+    let cfg = StreamConfig { window: SimDuration::from_secs(100), ..Default::default() };
+    let features = FeatureConfig { min_queriers: 1, top_n: None };
+    for threads in [1, 4] {
+        bs_trace::enable_profiling();
+        bs_trace::ledger::reset();
+        bs_prof::cost::reset();
+        bs_par::set_threads(threads);
+        let mut cache = QuerierMetaCache::default();
+        let stats = run_live_stream_extracting(
+            &wide_records(),
+            cfg,
+            0,
+            None,
+            0,
+            &NoNames,
+            &features,
+            &mut cache,
+            |_, _| {},
+        );
+        bs_par::set_threads(0);
+        bs_trace::disable_profiling();
+        assert_eq!(stats.windows, 4);
+
+        let rows = bs_prof::cost::rows();
+        let windows_of = |stage: &str| -> BTreeSet<u64> {
+            rows.iter().filter(|r| r.stage == stage).map(|r| r.window).collect()
+        };
+        let sensor = windows_of("sensor.stream");
+        assert_eq!(sensor, BTreeSet::from([0, 100, 200, 300]), "threads={threads}");
+        for stage in [
+            "sensor.extract.lookup",
+            "sensor.extract.features",
+            "sensor.select",
+            "sensor.static.lanes",
+        ] {
+            assert_eq!(
+                windows_of(stage),
+                sensor,
+                "threads={threads}: {stage} cost rows are keyed by window"
+            );
+        }
+        let ledger = bs_trace::ledger::snapshot();
+        for stage in ["sensor.extract.lookup", "sensor.select"] {
+            let cells: BTreeSet<u64> =
+                ledger.keys().filter(|(s, _)| s == stage).map(|(_, w)| *w).collect();
+            assert_eq!(
+                cells, sensor,
+                "threads={threads}: {stage} ledger cells are keyed by window"
+            );
+        }
+        for r in rows.iter().filter(|r| r.stage == "sensor.extract.features") {
+            assert_eq!(r.calls, 3, "threads={threads}: one call a chunk of 64 originators");
+        }
+        for r in rows.iter().filter(|r| r.stage == "sensor.extract.lookup") {
+            assert_eq!(r.calls, 1, "one table build a window");
+            assert_eq!(r.records, 2_100, "joined with the ledger's unique queriers a window");
+        }
+    }
     bs_trace::ledger::reset();
     bs_prof::cost::reset();
 }

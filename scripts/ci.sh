@@ -11,27 +11,6 @@ cargo fmt --all -- --check
 echo "=== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "=== cargo clippy bs-par (the parallelism layer, separately)"
-cargo clippy -p bs-par --all-targets -- -D warnings
-
-echo "=== cargo clippy bs-trace (the tracing layer, separately)"
-cargo clippy -p bs-trace --all-targets -- -D warnings
-
-echo "=== cargo clippy bs-fastmap (the ingest hash engine, separately)"
-cargo clippy -p bs-fastmap --all-targets -- -D warnings
-
-echo "=== cargo clippy bs-mlcore (the ML fast-path core, separately)"
-cargo clippy -p bs-mlcore --all-targets -- -D warnings
-
-echo "=== cargo clippy bs-live (the live observability layer, separately)"
-cargo clippy -p bs-live --all-targets -- -D warnings
-
-echo "=== cargo clippy bs-sensor (the sensor + sharded streaming core, separately)"
-cargo clippy -p bs-sensor --all-targets -- -D warnings
-
-echo "=== cargo clippy bs-prof (the sampling profiler, separately)"
-cargo clippy -p bs-prof --all-targets -- -D warnings
-
 echo "=== cargo build --release"
 cargo build --release
 
@@ -50,8 +29,9 @@ cargo test -q -p bs-live
 echo "=== cargo test bs-prof (sampler, cost attribution, counting allocator)"
 cargo test -q -p bs-prof
 
-echo "=== ML crates, offline through the benchmark's workspace (no registry needed)"
-cargo test -q --offline --manifest-path benchmark/Cargo.toml -p bs-mlcore -p bs-ml -p bs-classify
+echo "=== ML, driver, pool and analysis crates, offline through the benchmark's workspace (no registry needed)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml \
+    -p bs-mlcore -p bs-ml -p bs-classify -p backscatter-core -p bs-par -p bs-analysis
 
 echo "=== ML fast-path equivalence (sequential: BS_THREADS=1)"
 BS_THREADS=1 cargo test -q -p bs-ml --test mlcore_equivalence

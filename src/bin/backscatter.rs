@@ -291,8 +291,10 @@ fn cmd_stream(
         }
     };
     let shards: usize = match flags.get("shards") {
-        None => 0, // auto-size from the bs-par pool (BS_THREADS / cores)
-        Some(s) => s.parse().map_err(|_| format!("bad --shards {s:?} (lanes, 0 = auto)"))?,
+        None => 0, // the single sensor
+        Some(s) => {
+            s.parse().map_err(|_| format!("bad --shards {s:?} (lanes, 0 = single sensor)"))?
+        }
     };
     // --extract N: run per-window feature extraction (analyzability
     // threshold N unique queriers) through the cross-window querier
@@ -544,6 +546,12 @@ metric naming: dotted crate.stage names, e.g.
   sensor.qmeta.cache_entries gauge: resolutions currently cached
   par.shard_backlog          gauge: records queued at the last shard
                              drain barrier (watchdog rules on runaway)
+  core.stream.ingest_wait_ns ns the sensor thread spent blocked handing
+                             a finished window over: closing windows
+                             (extract, classify) bounds the stream
+  core.stream.close_wait_ns  ns the closing thread spent waiting for a
+                             window: ingest bounds the stream (both
+                             booked once a window, pipelined runs only)
   bench.ingest.*             perf_snapshot ingest throughput gauges
                              (records/sec, fast path vs BTree reference)
   bench.ingest.scaling.*     sharded ingest rps at 1/2/4/8 lanes and
@@ -647,10 +655,13 @@ commands:
   stream    --log <log.tsv> [--window S] [--max-originators N]
             [--shards N] [--pace RPS] [--linger S] [--extract M]
             replay a log through the streaming sensor as a live
-            process; --shards fans ingest across N hash-sharded lanes
-            (0 = auto from BS_THREADS/cores, output identical at any
-            count), --pace throttles to records/sec, --linger keeps
-            the process (and any --serve endpoint) up after ingest,
+            process; --shards absent or 0 is the single sensor, which
+            ingests on a thread of its own while the previous window
+            is closed on the main one (whenever --threads, BS_THREADS
+            or the core count exceeds 1), --shards N >= 2 fans ingest
+            across N hash-sharded lanes instead (output identical
+            either way), --pace throttles to records/sec, --linger
+            keeps the process (and any --serve endpoint) up after ingest,
             --extract M additionally extracts features per window
             (analyzability threshold M unique queriers) through the
             cross-window querier metadata cache

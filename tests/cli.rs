@@ -241,9 +241,16 @@ fn stats_documents_the_metric_schema() {
     let out = bin().arg("stats").output().expect("stats");
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for needle in
-        ["--metrics", "--trace", "netsim.contacts", "sensor.records", "BS_LOG", "BS_LOG_FORMAT"]
-    {
+    for needle in [
+        "--metrics",
+        "--trace",
+        "netsim.contacts",
+        "sensor.records",
+        "core.stream.ingest_wait_ns",
+        "core.stream.close_wait_ns",
+        "BS_LOG",
+        "BS_LOG_FORMAT",
+    ] {
         assert!(stdout.contains(needle), "missing {needle:?}:\n{stdout}");
     }
     let out = bin().args(["stats", "--format", "json"]).output().expect("stats json");
