@@ -3,6 +3,9 @@
 //! row reports is exactly what the ledger booked there.
 
 use backscatter_core::stream::{run_live_stream, run_live_stream_extracting};
+use bs_activity::ApplicationClass;
+use bs_classify::pipeline::feature_map;
+use bs_classify::{ClassifierPipeline, LabeledExample, LabeledSet};
 use bs_dns::{Rcode, SimDuration, SimTime};
 use bs_netsim::log::QueryLogRecord;
 use bs_netsim::types::{AsId, CountryCode, NameOutcome};
@@ -109,14 +112,48 @@ fn wide_records() -> Vec<QueryLogRecord> {
     out
 }
 
-/// Extraction runs on the driver's closing thread and fans out to pool
-/// workers; its cost rows and ledger cells must still be filed under
-/// the window they belong to, as the sensor's are, at any pool width.
+/// Extraction and classification run on the driver's closing thread
+/// and fan out to pool workers; their cost rows and ledger cells must
+/// still be filed under the window they belong to, as the sensor's
+/// are, at any pool width.
 #[test]
 fn extraction_cost_is_filed_by_window_like_the_sensors() {
     let _serial = serial();
     let cfg = StreamConfig { window: SimDuration::from_secs(100), ..Default::default() };
     let features = FeatureConfig { min_queriers: 1, top_n: None };
+    // A forest over the first window's 130 originators (three row
+    // blocks a window, so prediction fans out too), fitted unprofiled.
+    let mut first = Vec::new();
+    run_live_stream_extracting(
+        &wide_records()[..2_100],
+        cfg,
+        0,
+        None,
+        0,
+        &NoNames,
+        &features,
+        &mut QuerierMetaCache::default(),
+        |_, rows| first.extend_from_slice(rows),
+    );
+    let labels = LabeledSet {
+        examples: first
+            .iter()
+            .enumerate()
+            .map(|(i, f)| LabeledExample {
+                originator: f.originator,
+                class: [ApplicationClass::Spam, ApplicationClass::Scan][i % 2],
+            })
+            .collect(),
+    };
+    let model = ClassifierPipeline {
+        algorithm: bs_ml::Algorithm::RandomForest(bs_ml::ForestParams {
+            n_trees: 3,
+            ..Default::default()
+        }),
+        runs: 1,
+    }
+    .train(&labels, &feature_map(&first), 1)
+    .expect("two classes with features");
     for threads in [1, 4] {
         bs_trace::enable_profiling();
         bs_trace::ledger::reset();
@@ -132,7 +169,7 @@ fn extraction_cost_is_filed_by_window_like_the_sensors() {
             &NoNames,
             &features,
             &mut cache,
-            |_, _| {},
+            |_, rows| assert_eq!(model.classify_all(&feature_map(rows)).len(), 130),
         );
         bs_par::set_threads(0);
         bs_trace::disable_profiling();
@@ -149,6 +186,7 @@ fn extraction_cost_is_filed_by_window_like_the_sensors() {
             "sensor.extract.features",
             "sensor.select",
             "sensor.static.lanes",
+            "ml.predict",
         ] {
             assert_eq!(
                 windows_of(stage),
@@ -165,8 +203,10 @@ fn extraction_cost_is_filed_by_window_like_the_sensors() {
                 "threads={threads}: {stage} ledger cells are keyed by window"
             );
         }
-        for r in rows.iter().filter(|r| r.stage == "sensor.extract.features") {
-            assert_eq!(r.calls, 3, "threads={threads}: one call a chunk of 64 originators");
+        for r in
+            rows.iter().filter(|r| ["sensor.extract.features", "ml.predict"].contains(&r.stage))
+        {
+            assert_eq!(r.calls, 3, "threads={threads}: {} once a chunk of 64 originators", r.stage);
         }
         for r in rows.iter().filter(|r| r.stage == "sensor.extract.lookup") {
             assert_eq!(r.calls, 1, "one table build a window");

@@ -8,7 +8,6 @@
 
 use crate::message::{Message, QClass, QType, Question, Rcode, RecordData, ResourceRecord};
 use crate::name::{DomainName, Label, MAX_NAME_LEN};
-use bytes::{Buf, BufMut, BytesMut};
 use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -58,16 +57,29 @@ impl std::error::Error for WireError {}
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// Incremental encoder with name compression.
+/// Incremental encoder with name compression, writing big-endian
+/// fields into a plain byte vector.
 struct Encoder {
-    buf: BytesMut,
+    buf: Vec<u8>,
     /// Lowercased dotted name → offset of its first encoding.
     seen: HashMap<String, u16>,
 }
 
 impl Encoder {
     fn new() -> Self {
-        Encoder { buf: BytesMut::with_capacity(512), seen: HashMap::new() }
+        Encoder { buf: Vec::with_capacity(512), seen: HashMap::new() }
+    }
+
+    fn put_u8(&mut self, n: u8) {
+        self.buf.push(n);
+    }
+
+    fn put_u16(&mut self, n: u16) {
+        self.buf.extend_from_slice(&n.to_be_bytes());
+    }
+
+    fn put_u32(&mut self, n: u32) {
+        self.buf.extend_from_slice(&n.to_be_bytes());
     }
 
     fn put_name(&mut self, name: &DomainName) {
@@ -76,12 +88,12 @@ impl Encoder {
         let mut suffix = name.clone();
         loop {
             if suffix.is_root() {
-                self.buf.put_u8(0);
+                self.put_u8(0);
                 return;
             }
             let key = suffix.to_lowercase_string();
             if let Some(&off) = self.seen.get(&key) {
-                self.buf.put_u16(0xC000 | off);
+                self.put_u16(0xC000 | off);
                 return;
             }
             let off = self.buf.len();
@@ -92,38 +104,38 @@ impl Encoder {
                 self.seen.insert(key, off as u16);
             }
             let label = suffix.labels()[0].clone();
-            self.buf.put_u8(label.as_str().len() as u8);
-            self.buf.put_slice(label.as_str().as_bytes());
+            self.put_u8(label.as_str().len() as u8);
+            self.buf.extend_from_slice(label.as_str().as_bytes());
             suffix = suffix.parent().expect("non-root has parent");
         }
     }
 
     fn put_question(&mut self, q: &Question) {
         self.put_name(&q.qname);
-        self.buf.put_u16(q.qtype.code());
-        self.buf.put_u16(q.qclass.code());
+        self.put_u16(q.qtype.code());
+        self.put_u16(q.qclass.code());
     }
 
     fn put_record(&mut self, rr: &ResourceRecord) {
         self.put_name(&rr.name);
-        self.buf.put_u16(rr.data.qtype().code());
-        self.buf.put_u16(QClass::In.code());
-        self.buf.put_u32(rr.ttl);
+        self.put_u16(rr.data.qtype().code());
+        self.put_u16(QClass::In.code());
+        self.put_u32(rr.ttl);
         // Reserve RDLENGTH, encode RDATA, then backfill.
         let len_pos = self.buf.len();
-        self.buf.put_u16(0);
+        self.put_u16(0);
         let start = self.buf.len();
         match &rr.data {
-            RecordData::A(a) => self.buf.put_slice(&a.octets()),
+            RecordData::A(a) => self.buf.extend_from_slice(&a.octets()),
             RecordData::Ns(n) | RecordData::Cname(n) | RecordData::Ptr(n) => self.put_name(n),
             RecordData::Soa { mname, rname, serial, minimum } => {
                 self.put_name(mname);
                 self.put_name(rname);
-                self.buf.put_u32(*serial);
-                self.buf.put_u32(0); // refresh
-                self.buf.put_u32(0); // retry
-                self.buf.put_u32(0); // expire
-                self.buf.put_u32(*minimum);
+                self.put_u32(*serial);
+                self.put_u32(0); // refresh
+                self.put_u32(0); // retry
+                self.put_u32(0); // expire
+                self.put_u32(*minimum);
             }
         }
         let rdlen = (self.buf.len() - start) as u16;
@@ -135,7 +147,7 @@ impl Message {
     /// Encode to wire format with name compression.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.buf.put_u16(self.id);
+        e.put_u16(self.id);
         let mut flags: u16 = 0;
         if self.is_response {
             flags |= 0x8000;
@@ -151,11 +163,11 @@ impl Message {
             flags |= 0x0080;
         }
         flags |= self.rcode.code() as u16;
-        e.buf.put_u16(flags);
-        e.buf.put_u16(self.questions.len() as u16);
-        e.buf.put_u16(self.answers.len() as u16);
-        e.buf.put_u16(self.authority.len() as u16);
-        e.buf.put_u16(self.additional.len() as u16);
+        e.put_u16(flags);
+        e.put_u16(self.questions.len() as u16);
+        e.put_u16(self.answers.len() as u16);
+        e.put_u16(self.authority.len() as u16);
+        e.put_u16(self.additional.len() as u16);
         for q in &self.questions {
             e.put_question(q);
         }
@@ -168,20 +180,12 @@ impl Message {
         for rr in &self.additional {
             e.put_record(rr);
         }
-        bs_telemetry::counter_add("dns.wire.encoded", 1);
-        e.buf.to_vec()
+        e.buf
     }
 
     /// Decode from wire format.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut d = Decoder { full: bytes, cur: bytes };
-        let msg = d.message();
-        if msg.is_ok() {
-            bs_telemetry::counter_add("dns.wire.decoded", 1);
-        } else {
-            bs_telemetry::counter_add("dns.wire.decode_errors", 1);
-        }
-        msg
+        Decoder { full: bytes, cur: bytes }.message()
     }
 }
 
@@ -189,9 +193,21 @@ impl Message {
 // Decoding
 // ---------------------------------------------------------------------------
 
+/// A cursor over the message: `cur` is always a suffix of `full`, and
+/// every read checks the remaining length first.
 struct Decoder<'a> {
     full: &'a [u8],
     cur: &'a [u8],
+}
+
+/// Split `n` bytes off the front of `view`, or fail as truncated.
+fn take<'a>(view: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
+    if view.len() < n {
+        return Err(WireError::Truncated);
+    }
+    let (head, rest) = view.split_at(n);
+    *view = rest;
+    Ok(head)
 }
 
 impl<'a> Decoder<'a> {
@@ -199,56 +215,43 @@ impl<'a> Decoder<'a> {
         self.full.len() - self.cur.len()
     }
 
-    fn need(&self, n: usize) -> Result<(), WireError> {
-        if self.cur.remaining() < n {
-            Err(WireError::Truncated)
-        } else {
-            Ok(())
-        }
-    }
-
     fn u16(&mut self) -> Result<u16, WireError> {
-        self.need(2)?;
-        Ok(self.cur.get_u16())
+        let b = take(&mut self.cur, 2)?;
+        Ok(u16::from_be_bytes([b[0], b[1]]))
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        self.need(4)?;
-        Ok(self.cur.get_u32())
+        let b = take(&mut self.cur, 4)?;
+        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Decode a (possibly compressed) name starting at the cursor.
     fn name(&mut self) -> Result<DomainName, WireError> {
         let mut labels: Vec<Label> = Vec::new();
-        let mut wire_len = 1usize; // terminating root byte
-                                   // Follow the label chain; once we take a pointer we read from
-                                   // `full` at decreasing offsets only, bounding the walk.
+        // Starts at the terminating root byte.
+        let mut wire_len = 1usize;
+        // Pointers must target strictly before here.
+        let mut limit_pos = self.pos();
+        // Follow the label chain in `view`; the cursor keeps in step
+        // until the first pointer, after which `view` reads from `full`
+        // at decreasing offsets only, bounding the walk.
         let mut jumped = false;
-        let mut limit_pos = self.pos(); // pointers must target strictly before here
         let mut view: &[u8] = self.cur;
         loop {
-            if view.remaining() < 1 {
-                return Err(WireError::Truncated);
-            }
-            let len = view.get_u8();
+            let len = take(&mut view, 1)?[0];
             if !jumped {
-                self.cur = view; // keep cursor in sync until first jump
+                self.cur = view;
             }
             match len & 0xC0 {
                 0x00 => {
                     if len == 0 {
                         break;
                     }
-                    let n = len as usize;
-                    if view.remaining() < n {
-                        return Err(WireError::Truncated);
-                    }
-                    let raw = &view[..n];
-                    view.advance(n);
+                    let raw = take(&mut view, len as usize)?;
                     if !jumped {
                         self.cur = view;
                     }
-                    wire_len += 1 + n;
+                    wire_len += 1 + raw.len();
                     if wire_len > MAX_NAME_LEN {
                         return Err(WireError::NameTooLong);
                     }
@@ -256,10 +259,7 @@ impl<'a> Decoder<'a> {
                     labels.push(Label::new(s).map_err(|_| WireError::BadLabel)?);
                 }
                 0xC0 => {
-                    if view.remaining() < 1 {
-                        return Err(WireError::Truncated);
-                    }
-                    let lo = view.get_u8();
+                    let lo = take(&mut view, 1)?[0];
                     if !jumped {
                         self.cur = view;
                     }
@@ -296,7 +296,9 @@ impl<'a> Decoder<'a> {
         let _class = self.u16()?;
         let ttl = self.u32()?;
         let rdlen = self.u16()? as usize;
-        self.need(rdlen)?;
+        if self.cur.len() < rdlen {
+            return Err(WireError::Truncated);
+        }
         let rd_end = self.pos() + rdlen;
         let qtype = QType::from_code(t).ok_or(WireError::UnknownType(t))?;
         let data = match qtype {
@@ -304,10 +306,8 @@ impl<'a> Decoder<'a> {
                 if rdlen != 4 {
                     return Err(WireError::BadRdLength);
                 }
-                let mut o = [0u8; 4];
-                o.copy_from_slice(&self.cur[..4]);
-                self.cur.advance(4);
-                RecordData::A(Ipv4Addr::from(o))
+                let o = take(&mut self.cur, 4)?;
+                RecordData::A(Ipv4Addr::new(o[0], o[1], o[2], o[3]))
             }
             QType::Ns => RecordData::Ns(self.name()?),
             QType::Cname => RecordData::Cname(self.name()?),

@@ -39,6 +39,11 @@ impl QueryLog {
         QueryLog::default()
     }
 
+    /// A log of `records`, taken as they are, in arrival order.
+    pub fn from_records(records: Vec<QueryLogRecord>) -> Self {
+        QueryLog { records }
+    }
+
     /// Append a record.
     pub fn push(&mut self, r: QueryLogRecord) {
         self.records.push(r);

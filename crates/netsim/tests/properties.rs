@@ -1,97 +1,110 @@
-//! Property-based tests for the world model and simulator.
+//! Seeded property tests for the world model and simulator. Every case
+//! derives from its seed alone, so a failure replays from the seed in
+//! its message.
 
 use bs_dns::SimTime;
-use bs_netsim::det::mix64;
+use bs_netsim::det::{bounded, hash1, mix64};
 use bs_netsim::hierarchy::AuthorityId;
 use bs_netsim::types::{Contact, ContactKind};
 use bs_netsim::world::{World, WorldConfig};
 use bs_netsim::{Simulator, SimulatorConfig};
-use proptest::prelude::*;
 use std::net::Ipv4Addr;
+
+const CASES: u64 = 64;
 
 fn world() -> World {
     World::new(WorldConfig::default())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// `lo..hi` words drawn from the case's seed.
+fn words(seed: u64, lo: u64, hi: u64) -> Vec<u64> {
+    (0..lo + bounded(hash1(seed, 0), hi - lo)).map(|i| hash1(seed, 1 + i)).collect()
+}
 
-    /// Every world fact is self-consistent at any address: roles imply
-    /// existence, shared resolvers live in usable space, AS implies
-    /// country.
-    #[test]
-    fn world_facts_are_consistent(raw in any::<u32>()) {
-        let w = world();
-        let addr = Ipv4Addr::from(raw);
+/// Every world fact is self-consistent at any address: roles imply
+/// existence, shared resolvers live in usable space, AS implies
+/// country.
+#[test]
+fn world_facts_are_consistent() {
+    let w = world();
+    for seed in 0..4 * CASES {
+        let addr = Ipv4Addr::from(mix64(seed) as u32);
         if w.host_role(addr).is_some() {
-            prop_assert!(w.host_exists(addr));
+            assert!(w.host_exists(addr), "seed {seed}");
         }
         if w.as_of(addr).is_some() {
-            prop_assert!(w.country_of(addr).is_some());
+            assert!(w.country_of(addr).is_some(), "seed {seed}");
         }
         if w.country_of(addr).is_some() {
             let r = w.shared_resolver_for(addr);
-            prop_assert!(w.country_of(r.0).is_some(), "resolver in unusable space: {r}");
+            assert!(w.country_of(r.0).is_some(), "seed {seed}: resolver in unusable space: {r}");
             let o = r.0.octets();
-            prop_assert_eq!(o[2], 0);
-            prop_assert!((10..14).contains(&o[3]));
+            assert_eq!(o[2], 0, "seed {seed}");
+            assert!((10..14).contains(&o[3]), "seed {seed}");
         }
     }
+}
 
-    /// Reactions are deterministic and independent of contact time.
-    #[test]
-    fn reactions_deterministic(orig in any::<u32>(), target in any::<u32>(), t in 0u64..1_000_000) {
-        let w = world();
+/// Reactions are deterministic and independent of contact time.
+#[test]
+fn reactions_deterministic() {
+    let w = world();
+    for seed in 0..CASES {
         let mk = |time| Contact {
             time: SimTime(time),
-            originator: Ipv4Addr::from(orig),
-            target: Ipv4Addr::from(target),
+            originator: Ipv4Addr::from(hash1(seed, 0) as u32),
+            target: Ipv4Addr::from(hash1(seed, 1) as u32),
             kind: ContactKind::ProbeTcp(22),
         };
-        prop_assert_eq!(w.reactions(&mk(t)), w.reactions(&mk(0)));
+        let t = bounded(hash1(seed, 2), 1_000_000);
+        assert_eq!(w.reactions(&mk(t)), w.reactions(&mk(0)), "seed {seed}");
     }
+}
 
-    /// The simulator never logs at unobserved authorities, and observed
-    /// logs stay within the contact time range.
-    #[test]
-    fn simulator_logs_are_scoped(seeds in proptest::collection::vec(any::<u64>(), 1..60)) {
-        let w = world();
-        let jp = bs_netsim::types::CountryCode::new("jp").unwrap();
-        let observed = AuthorityId::National(jp);
+/// The simulator never logs at unobserved authorities, and observed
+/// logs stay within the contact time range.
+#[test]
+fn simulator_logs_are_scoped() {
+    let w = world();
+    let jp = bs_netsim::types::CountryCode::new("jp").unwrap();
+    let observed = AuthorityId::National(jp);
+    for seed in 0..CASES {
         let mut sim = Simulator::new(&w, SimulatorConfig::observing([observed]));
         let mut max_t = 0;
-        for (i, s) in seeds.iter().enumerate() {
+        for (i, s) in words(seed, 1, 60).into_iter().enumerate() {
             let t = (i as u64) * 60;
             max_t = t;
             sim.contact(Contact {
                 time: SimTime(t),
-                originator: w.random_public_addr(*s),
-                target: w.random_public_addr(mix64(*s)),
+                originator: w.random_public_addr(s),
+                target: w.random_public_addr(mix64(s)),
                 kind: ContactKind::Smtp,
             });
         }
         let logs = sim.into_logs();
-        prop_assert_eq!(logs.len(), 1);
+        assert_eq!(logs.len(), 1, "seed {seed}");
         for r in logs[&observed].records() {
-            prop_assert!(r.time.secs() <= max_t);
+            assert!(r.time.secs() <= max_t, "seed {seed}");
             // National(jp) only ever sees JP-space originators.
-            prop_assert_eq!(w.country_of(r.originator), Some(jp));
+            assert_eq!(w.country_of(r.originator), Some(jp), "seed {seed}");
         }
     }
+}
 
-    /// Processing the same contacts twice through fresh simulators
-    /// yields identical logs (full determinism).
-    #[test]
-    fn simulation_is_reproducible(seeds in proptest::collection::vec(any::<u64>(), 1..40)) {
-        let w = world();
-        let observed = AuthorityId::final_for(Ipv4Addr::new(203, 0, 113, 9));
-        let contacts: Vec<Contact> = seeds
-            .iter()
+/// Processing the same contacts twice through fresh simulators
+/// yields identical logs (full determinism).
+#[test]
+fn simulation_is_reproducible() {
+    let w = world();
+    let observed = AuthorityId::final_for(Ipv4Addr::new(203, 0, 113, 9));
+    for seed in 0..CASES {
+        let contacts: Vec<Contact> = words(seed, 1, 40)
+            .into_iter()
             .enumerate()
             .map(|(i, s)| Contact {
                 time: SimTime(i as u64),
                 originator: Ipv4Addr::new(203, 0, 113, 9),
-                target: w.random_public_addr(*s),
+                target: w.random_public_addr(s),
                 kind: ContactKind::ProbeIcmp,
             })
             .collect();
@@ -100,6 +113,6 @@ proptest! {
             sim.process(contacts.iter().copied());
             sim.into_logs()
         };
-        prop_assert_eq!(run(&contacts), run(&contacts));
+        assert_eq!(run(&contacts), run(&contacts), "seed {seed}");
     }
 }

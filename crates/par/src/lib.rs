@@ -64,9 +64,13 @@
 //! the caller's [`bs_trace::TraceContext`] before spawning workers and
 //! enters it on each worker thread, so spans opened inside worker
 //! tasks parent under the span that started the parallel region — at
-//! any thread count. Workers also name their flight-recorder lanes
+//! any thread count. The caller's ledger window
+//! ([`bs_trace::ledger::window_scope`]) travels the same way, so a
+//! stage that books a ledger row or a `bs_prof` cost from inside a
+//! task files it under the window the spawner was working on, not
+//! under `NO_WINDOW`. Workers also name their flight-recorder lanes
 //! (`par-worker-N`), which become thread labels in the Chrome trace
-//! export. Disabled, all of this costs one relaxed atomic load per
+//! export. Disabled, all of this costs two relaxed atomic loads per
 //! spawned worker.
 
 #![forbid(unsafe_code)]
@@ -146,11 +150,15 @@ mod tests {
     fn inflight_gauge_returns_to_zero_after_region() {
         bs_telemetry::enable();
         let gauge = bs_telemetry::registry().gauge("par.inflight");
-        let before = gauge.get();
-        let _ = with_override(4, || par_map_range(500, |i| i * 2));
-        // Concurrent tests also run regions; the invariant is that each
-        // region nets to zero, so ours must not leave residue.
-        assert_eq!(gauge.get(), before, "par.inflight leaked after a region");
+        // Both reads under the lock: other tests' regions move the
+        // gauge too (a panicking one for good), and the invariant is
+        // only that a region nets to zero while nothing else runs.
+        let (before, after) = with_override(4, || {
+            let before = gauge.get();
+            par_map_range(500, |i| i * 2);
+            (before, gauge.get())
+        });
+        assert_eq!(after, before, "par.inflight leaked after a region");
     }
 
     #[test]
@@ -327,6 +335,22 @@ mod tests {
                 .unwrap_or_else(|| panic!("{child} recorded"));
             assert!(has_ancestor(&index, id, root_id), "{child} parents under the root");
         }
+    }
+
+    #[test]
+    fn spawned_threads_inherit_the_ledger_window() {
+        let seen = with_override(4, || {
+            bs_trace::enable_profiling();
+            let _w = bs_trace::ledger::window_scope(42);
+            let window = bs_trace::ledger::current_window;
+            let tasks = par_map_range(16, |_| window());
+            let (a, b) = join(window, window);
+            let spawned = scope(|s| s.spawn(window).join().expect("scoped thread"));
+            bs_trace::disable_profiling();
+            (tasks, a, b, spawned)
+        });
+        assert_eq!(seen, (vec![42; 16], 42, 42, 42));
+        assert_eq!(bs_trace::ledger::current_window(), bs_trace::ledger::NO_WINDOW);
     }
 
     #[test]

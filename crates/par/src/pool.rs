@@ -57,40 +57,63 @@ fn in_worker() -> bool {
     IN_WORKER.with(|f| f.get())
 }
 
+/// The spawning thread's `bs-trace` thread-locals, captured before a
+/// region spawns and entered on every thread it spawns: the trace
+/// context, so spans opened there parent under the span that fanned
+/// out, and the ledger window, so ledger rows and stage costs booked
+/// there file under the window the spawner was working on.
+#[derive(Clone, Copy)]
+struct Inherited {
+    ctx: Option<bs_trace::TraceContext>,
+    window: u64,
+}
+
+impl Inherited {
+    fn capture() -> Self {
+        Inherited { ctx: bs_trace::current_context(), window: bs_trace::ledger::current_window() }
+    }
+
+    /// Both guards are inert while tracing and profiling are off.
+    fn enter(self) -> (bs_trace::ContextGuard, bs_trace::ledger::WindowGuard) {
+        (bs_trace::enter_context(self.ctx), bs_trace::ledger::window_scope(self.window))
+    }
+}
+
 /// Like [`std::thread::scope`], for irregular task shapes the
 /// structured primitives don't fit, with one addition: the caller's
-/// `bs-trace` context is captured at entry and every [`Scope::spawn`]ed
-/// thread runs inside it, so spans opened in spawned closures parent
-/// under the span that was current when the scope began. Spawned
-/// threads are *not* counted against the pool size; prefer [`par_map`]
-/// / [`join`] where possible.
+/// `bs-trace` context and ledger window are captured at entry and
+/// every [`Scope::spawn`]ed thread runs inside them, so spans opened in
+/// spawned closures parent under the span that was current when the
+/// scope began. Spawned threads are *not* counted against the pool
+/// size; prefer [`par_map`] / [`join`] where possible.
 pub fn scope<'env, F, R>(f: F) -> R
 where
     F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
 {
-    let ctx = bs_trace::current_context();
-    std::thread::scope(|inner| f(&Scope { inner, ctx }))
+    let inherited = Inherited::capture();
+    std::thread::scope(|inner| f(&Scope { inner, inherited }))
 }
 
 /// The handle passed to [`scope`]'s closure; a thin wrapper over
 /// [`std::thread::Scope`] whose [`spawn`](Scope::spawn) enters the
-/// scope-entry trace context on the new thread.
+/// scope-entry trace context and ledger window on the new thread.
 pub struct Scope<'scope, 'env: 'scope> {
     inner: &'scope std::thread::Scope<'scope, 'env>,
-    ctx: Option<bs_trace::TraceContext>,
+    inherited: Inherited,
 }
 
 impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn a scoped thread running `f` under the trace context that
-    /// was current when the enclosing [`scope`] was entered.
+    /// Spawn a scoped thread running `f` under the trace context and
+    /// ledger window that were current when the enclosing [`scope`] was
+    /// entered.
     pub fn spawn<F, T>(&self, f: F) -> std::thread::ScopedJoinHandle<'scope, T>
     where
         F: FnOnce() -> T + Send + 'scope,
         T: Send + 'scope,
     {
-        let ctx = self.ctx;
+        let inherited = self.inherited;
         self.inner.spawn(move || {
-            let _ctx = bs_trace::enter_context(ctx);
+            let _inherited = inherited.enter();
             f()
         })
     }
@@ -152,13 +175,13 @@ where
     if threads() <= 1 || in_worker() {
         return (a(), b());
     }
-    let ctx = bs_trace::current_context();
+    let inherited = Inherited::capture();
     let base_frames =
         if bs_trace::is_profiling() { bs_trace::stack::snapshot_current() } else { Vec::new() };
     let base_frames = &base_frames;
     std::thread::scope(|s| {
         let hb = s.spawn(move || {
-            let _ctx = bs_trace::enter_context(ctx);
+            let _inherited = inherited.enter();
             let _base = if base_frames.is_empty() {
                 None
             } else {
@@ -188,7 +211,7 @@ where
     // capturing the context *after* it means worker child spans parent
     // under `par.run` → enclosing stage → root.
     let _span = bs_telemetry::span("par.run");
-    let ctx = bs_trace::current_context();
+    let inherited = Inherited::capture();
     // Base frames for the profiler: workers install the spawning
     // thread's frame stack so their samples nest under the stage that
     // fanned out (empty unless profiling is on).
@@ -216,7 +239,7 @@ where
             .map(|w| {
                 s.spawn(move || {
                     IN_WORKER.with(|flag| flag.set(true));
-                    let _ctx = bs_trace::enter_context(ctx);
+                    let _inherited = inherited.enter();
                     if bs_trace::is_enabled() {
                         bs_trace::name_lane(&format!("par-worker-{w}"));
                     }

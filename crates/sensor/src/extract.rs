@@ -134,15 +134,12 @@ pub fn extract_with_meta_cache(
     cache: Option<&mut QuerierMetaCache>,
 ) -> Vec<OriginatorFeatures> {
     let _span = bs_telemetry::span("sensor.extract");
-    // The ledger window is a thread-local of the calling thread: read
-    // it here, because pool workers inside `par_chunks` have none.
-    let window = bs_trace::ledger::current_window();
     let table = {
-        let _cost = bs_prof::stage("sensor.extract.lookup", window);
+        let _cost = bs_prof::stage("sensor.extract.lookup", bs_trace::ledger::current_window());
         QuerierMetaTable::build(obs, info, cache)
     };
     let selected = {
-        let _cost = bs_prof::stage("sensor.select", window);
+        let _cost = bs_prof::stage("sensor.select", bs_trace::ledger::current_window());
         let selected = select_analyzable(obs, config.min_queriers, config.top_n);
         if bs_trace::is_active() {
             // Conservation over the analyzability cut: every observed
@@ -169,7 +166,7 @@ pub fn extract_with_meta_cache(
     let out: Vec<OriginatorFeatures> = bs_par::par_chunks(&selected, EXTRACT_CHUNK, |_, chunk| {
         // One profiler ledger slot per chunk of originators, not one
         // per originator per window.
-        let _cost = bs_prof::stage("sensor.extract.features", window);
+        let _cost = bs_prof::stage("sensor.extract.features", bs_trace::ledger::current_window());
         chunk.iter().map(|&o| features_from_table(o, &table, obs)).collect::<Vec<_>>()
     })
     .concat();

@@ -95,13 +95,11 @@ pub fn resolve_querier(info: &impl QuerierInfo, addr: Ipv4Addr) -> RawQuerierMet
 /// `bs-par` pool. Output order matches input order (`par_chunks` is
 /// order-preserving), so downstream interning is deterministic.
 fn resolve_chunked(addrs: &[Ipv4Addr], info: &(impl QuerierInfo + Sync)) -> Vec<RawQuerierMeta> {
-    // Read on the calling thread: pool workers carry no ledger window.
-    let window = bs_trace::ledger::current_window();
     bs_par::par_chunks(addrs, RESOLVE_CHUNK, |_, chunk| {
         // One profiler ledger slot per chunk, not per originator (let
         // alone per querier): the static keyword matcher now runs
         // exactly here, once per unique querier.
-        let _cost = bs_prof::stage("sensor.static.lanes", window);
+        let _cost = bs_prof::stage("sensor.static.lanes", bs_trace::ledger::current_window());
         chunk.iter().map(|a| resolve_querier(info, *a)).collect::<Vec<_>>()
     })
     .concat()

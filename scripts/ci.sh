@@ -29,9 +29,9 @@ cargo test -q -p bs-live
 echo "=== cargo test bs-prof (sampler, cost attribution, counting allocator)"
 cargo test -q -p bs-prof
 
-echo "=== ML, driver, pool and analysis crates, offline through the benchmark's workspace (no registry needed)"
+echo "=== wire codec, capture, ML, driver, pool and analysis crates, offline through the benchmark's workspace (no registry needed)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml \
-    -p bs-mlcore -p bs-ml -p bs-classify -p backscatter-core -p bs-par -p bs-analysis
+    -p bs-dns -p bs-netsim -p bs-mlcore -p bs-ml -p bs-classify -p backscatter-core -p bs-par -p bs-analysis
 
 echo "=== ML fast-path equivalence (sequential: BS_THREADS=1)"
 BS_THREADS=1 cargo test -q -p bs-ml --test mlcore_equivalence

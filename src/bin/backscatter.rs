@@ -529,6 +529,14 @@ metric naming: dotted crate.stage names, e.g.
   netsim.cache.hit/.miss     leaf PTR-cache behavior
   netsim.queries.root/.national/.final   resolver fan-out
   netsim.log.parsed_records  TSV records parsed from --log
+  netsim.capture.frames      BSCAP1 frames read by capture --capture;
+                             .records/.filtered/.undecodable: response
+                             frames recovered, dropped by the PTR
+                             in-addr.arpa filter, failing wire decode
+                             (booked once a capture, never per frame)
+  dns.wire.decoded/.decode_errors/.encoded   messages through the RFC
+                             1035 codec on behalf of a capture read or
+                             write (totals a call, as above)
   sensor.records             deduplicated records accepted (batch path)
   sensor.dedup_suppressed    records dropped by the 30 s dedup window
   sensor.stream.*            streaming-sensor records/admissions/evictions
