@@ -1,12 +1,11 @@
 //! The twelve application classes of paper §III-D.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// An originator's application class: what kind of network-wide activity
 /// it carries out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ApplicationClass {
     /// Web-bug/advertising trackers.
     AdTracker,

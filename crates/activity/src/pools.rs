@@ -11,12 +11,11 @@
 use bs_netsim::det::{bounded, hash2, hash3, mix64};
 use bs_netsim::types::{CountryCode, HostRole};
 use bs_netsim::world::{BlockProfile, World};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// The kinds of pools activities draw targets from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoolKind {
     /// Live mail servers and anti-spam appliances (spam, mailing lists).
     MailServers,
@@ -79,7 +78,7 @@ impl PoolKind {
 }
 
 /// A sampled pool of target addresses with a per-country index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TargetPool {
     kind: PoolKind,
     addrs: Vec<Ipv4Addr>,

@@ -6,11 +6,10 @@ use crate::pools::{PoolKind, TargetPools};
 use bs_dns::{SimDuration, SimTime};
 use bs_netsim::det::{bounded, hash3, mix64, unit_f64};
 use bs_netsim::types::{Contact, ContactKind, CountryCode};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// How an originator selects targets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Targeting {
     /// Uniform random walk over public address space (scanners).
     UniformRandom,
@@ -25,7 +24,7 @@ pub enum Targeting {
 
 /// Time-of-day modulation of activity (paper Fig. 16: CDN, ad and mail
 /// traffic is strongly diurnal; ssh scanning and spam are flat).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiurnalPattern {
     /// Amplitude in `[0, 1]`: 0 = flat, 1 = full swing.
     pub amplitude: f64,
@@ -48,7 +47,7 @@ impl DiurnalPattern {
 }
 
 /// One originator's complete behaviour description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OriginatorProfile {
     /// The single source address (paper: "an originator is a single IP
     /// address that touches many targets").

@@ -21,12 +21,11 @@ use bs_dns::{SimDuration, SimTime};
 use bs_netsim::det::{hash3, mix64, unit_f64};
 use bs_netsim::types::{Contact, ContactKind, CountryCode};
 use bs_netsim::world::World;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// A scheduled overlay on the base population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioEvent {
     /// A burst of extra scanners (e.g. Heartbleed: TCP 443 scanning
     /// spikes days after disclosure).
@@ -43,7 +42,7 @@ pub enum ScenarioEvent {
 }
 
 /// Scenario parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Scenario seed (independent of the world seed).
     pub seed: u64,

@@ -9,10 +9,9 @@
 
 use crate::WindowClassification;
 use bs_activity::ApplicationClass;
-use serde::{Deserialize, Serialize};
 
 /// Detector configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstConfig {
     /// Trailing windows forming the baseline.
     pub baseline_windows: usize,
@@ -38,7 +37,7 @@ impl Default for BurstConfig {
 }
 
 /// A detected burst episode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Burst {
     /// First flagged window.
     pub start: usize,

@@ -7,7 +7,6 @@ use bs_datasets_types::{BlacklistView, DarknetView};
 use bs_netsim::hierarchy::PtrPolicy;
 use bs_netsim::world::World;
 use bs_sensor::OriginatorFeatures;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -33,7 +32,7 @@ pub mod bs_datasets_types {
 }
 
 /// One row of a top-originator table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CaseRow {
     /// Rank by unique queriers (1-based).
     pub rank: usize,
@@ -55,7 +54,7 @@ pub struct CaseRow {
 }
 
 /// The TTL column of Tables VII/VIII.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TtlColumn {
     /// A PTR record exists with this TTL.
     Positive(u32),

@@ -3,12 +3,11 @@
 
 use crate::WindowClassification;
 use bs_activity::ApplicationClass;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 /// One window's churn relative to the previous window.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChurnWeek {
     /// Window index.
     pub window: usize,

@@ -30,11 +30,10 @@ pub use topn::class_mix_top_n;
 pub use trends::{class_counts_per_window, footprint_boxes, BoxStats};
 
 use bs_activity::ApplicationClass;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// One classified originator in one window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassifiedOriginator {
     /// The originator.
     pub originator: Ipv4Addr,
@@ -45,7 +44,7 @@ pub struct ClassifiedOriginator {
 }
 
 /// All classified originators of one observation window.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowClassification {
     /// Window index in the dataset's window sequence.
     pub window: usize,

@@ -3,14 +3,13 @@
 
 use crate::WindowClassification;
 use bs_activity::ApplicationClass;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 /// Aggregate team statistics over a whole dataset (the §VI-B numbers:
 /// unique scan originators, /24 blocks, blocks with ≥ 4 scanners,
 /// single-class blocks among them).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TeamSummary {
     /// Distinct scan-classified originator addresses.
     pub scan_originators: usize,

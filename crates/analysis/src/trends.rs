@@ -2,7 +2,6 @@
 
 use crate::WindowClassification;
 use bs_activity::ApplicationClass;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -24,7 +23,7 @@ pub fn class_counts_per_window(
 
 /// Five-number-plus-whiskers summary of a footprint distribution
 /// (Fig. 12's box plot rows).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoxStats {
     /// Smallest footprint.
     pub min: usize,

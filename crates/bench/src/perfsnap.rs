@@ -17,6 +17,7 @@ use backscatter_core::netsim::log::{QueryLog, QueryLogRecord};
 use backscatter_core::prelude::*;
 use backscatter_core::sensor::ingest::Observations;
 use backscatter_core::sensor::{ReferenceStreamingSensor, StreamConfig, StreamingSensor};
+use bs_par::Rng;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -282,21 +283,19 @@ fn prof_overhead() -> [(&'static str, i64); 2] {
 /// speedup. Asserts bit-identical models before recording anything.
 fn ml_throughput() -> [(&'static str, i64); 6] {
     use backscatter_core::ml::{Dataset, Forest, ForestParams, Sample, Svm, SvmParams};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     const ROWS: usize = 2400;
-    let mut rng = StdRng::seed_from_u64(0xB007);
+    let mut rng = Rng::new(0xB007);
     let mut data = Dataset::new(
         (0..22).map(|i| format!("f{i}")).collect(),
         (0..12).map(|i| format!("c{i}")).collect(),
     );
     for _ in 0..ROWS {
-        let label = rng.gen_range(0..12usize);
+        let label = rng.range(0..12);
         let features: Vec<f64> = (0..22)
             .map(|j| {
                 let signal = if j % 12 == label { 1.0 } else { 0.0 };
-                signal + rng.gen_range(-0.3..0.3)
+                signal + rng.range_f64(-0.3..0.3)
             })
             .collect();
         data.push(Sample { features, label });

@@ -10,10 +10,9 @@
 
 use crate::labels::LabeledSet;
 use crate::pipeline::FeatureMap;
-use serde::{Deserialize, Serialize};
 
 /// Advisor thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdvisorConfig {
     /// Re-curate when the active fraction of malicious labels falls
     /// below this (the paper sees malicious halve within a month).
@@ -34,7 +33,7 @@ impl Default for AdvisorConfig {
 }
 
 /// One window's label-health reading.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LabelHealth {
     /// Curated malicious examples still active (re-appearing).
     pub malicious_active: usize,
@@ -88,7 +87,7 @@ impl LabelHealth {
 }
 
 /// The advisor's verdict for one window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CurationAdvice {
     /// The labeled set is healthy; keep retraining daily.
     Healthy,

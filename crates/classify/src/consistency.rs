@@ -6,12 +6,11 @@
 //! ≤ 0.5 suggests an originator doing two things or a weak classifier.
 
 use bs_activity::ApplicationClass;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// One week's classification of one originator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WeeklyVote {
     /// The originator.
     pub originator: Ipv4Addr,

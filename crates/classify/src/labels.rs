@@ -2,12 +2,11 @@
 
 use bs_activity::ApplicationClass;
 use bs_sensor::OriginatorFeatures;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// One expert-labeled originator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LabeledExample {
     /// The originator address.
     pub originator: Ipv4Addr,
@@ -16,7 +15,7 @@ pub struct LabeledExample {
 }
 
 /// A curated set of labeled examples.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LabeledSet {
     /// The examples, at most one per originator.
     pub examples: Vec<LabeledExample>,

@@ -22,7 +22,6 @@ use crate::labels::{LabeledExample, LabeledSet};
 use crate::pipeline::{ClassifierPipeline, FeatureMap};
 use bs_activity::ApplicationClass;
 use bs_ml::ConfusionMatrix;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -40,7 +39,7 @@ pub struct WindowData {
 }
 
 /// A training-over-time strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrainingStrategy {
     /// Train on window 0, reuse the model forever.
     TrainOnce,
@@ -70,7 +69,7 @@ impl TrainingStrategy {
 }
 
 /// Per-window evaluation result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowScore {
     /// Window index.
     pub window: usize,
@@ -85,7 +84,7 @@ pub struct WindowScore {
 }
 
 /// A full strategy replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StrategyEvaluation {
     /// The strategy evaluated.
     pub strategy: TrainingStrategy,

@@ -37,9 +37,9 @@
 //! [`StreamingSensor`], at every pool width; `N ≥ 2` asks for the
 //! hash-sharded [`ShardedStreamingSensor`] on `N` lanes. Output is
 //! identical either way — the shard topology guarantees it, and the
-//! proptests in `bs-sensor` pin it down — but the sharded engine
-//! measures slower than the single sensor on every benchmark workload
-//! (DESIGN §14), so nothing picks it unasked.
+//! seeded equivalence suites in `bs-sensor` pin it down — but the
+//! sharded engine measures slower than the single sensor on every
+//! benchmark workload (DESIGN §14), so nothing picks it unasked.
 
 use bs_netsim::log::QueryLogRecord;
 use bs_sensor::qmeta::QuerierMetaCache;
@@ -273,7 +273,8 @@ where
 ///
 /// Extraction output is cache-invariant and bit-identical to the
 /// batch fast path (and therefore to the retained per-pair
-/// reference); the proptests in `bs-sensor` pin this down.
+/// reference); the seeded equivalence suites in `bs-sensor` pin this
+/// down.
 #[allow(clippy::too_many_arguments)]
 pub fn run_live_stream_extracting<F>(
     records: &[QueryLogRecord],

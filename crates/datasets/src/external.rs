@@ -18,12 +18,11 @@
 use bs_activity::{ApplicationClass, Scenario, Targeting};
 use bs_netsim::det::{bernoulli, bounded, hash2, mix64};
 use bs_netsim::types::ContactKind;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// One blacklist record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlacklistEntry {
     /// Spam-list count (of 9 organizations).
     pub bls: u8,
@@ -34,7 +33,7 @@ pub struct BlacklistEntry {
 }
 
 /// A modeled aggregate of nine DNS blacklists.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Blacklist {
     entries: BTreeMap<Ipv4Addr, BlacklistEntry>,
 }
@@ -116,7 +115,7 @@ impl Blacklist {
 }
 
 /// A modeled pair of darknets (a /17 plus a /18: 98 304 addresses).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Darknet {
     /// Total dark addresses monitored.
     pub size: u64,

@@ -4,11 +4,10 @@ use bs_activity::{ApplicationClass, ScenarioConfig, ScenarioEvent};
 use bs_dns::{SimDuration, SimTime};
 use bs_netsim::hierarchy::{AuthorityId, RootServer};
 use bs_netsim::types::CountryCode;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The seven datasets of the paper's Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DatasetId {
     /// 50 hours at the JP national authority, unsampled.
     JpDitl,
@@ -54,7 +53,7 @@ impl DatasetId {
 
 /// Simulation scale: multipliers applied to the canonical configs so the
 /// same specs serve fast tests and full benchmark runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     /// Multiplier on per-class slot counts.
     pub slot_scale: f64,
@@ -77,7 +76,7 @@ impl Scale {
 }
 
 /// A fully resolved dataset recipe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Which paper dataset this replicates.
     pub id: DatasetId,

@@ -16,7 +16,6 @@
 use crate::message::QType;
 use crate::name::DomainName;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// What a cache lookup produced.
@@ -31,7 +30,7 @@ pub enum CacheOutcome {
 }
 
 /// Tuning knobs for a resolver cache.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CacheConfig {
     /// Floor applied to *positive* TTLs, in seconds. Zero honours TTL 0
     /// exactly; some real resolvers clamp to a few seconds.
@@ -73,7 +72,7 @@ enum CachedValue {
 
 /// Running hit/miss counters, exposed so experiments can report
 /// attenuation factors.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from cache (positive or negative).
     pub hits: u64,

@@ -8,12 +8,11 @@
 //! so the simulator needs the rest.
 
 use crate::name::DomainName;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Query type (a subset of RR types plus `ANY`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QType {
     /// IPv4 host address.
     A,
@@ -88,7 +87,7 @@ impl fmt::Display for QType {
 
 /// Query class. Only `IN` occurs in practice; we keep the field to stay
 /// honest to the wire format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QClass {
     /// The Internet.
     In,
@@ -116,7 +115,7 @@ impl QClass {
 }
 
 /// Response code (RCODE).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rcode {
     /// No error.
     NoError,
@@ -161,7 +160,7 @@ impl Rcode {
 }
 
 /// A question: name, type, class.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Question {
     /// The name being asked about (for backscatter: a reverse name).
     pub qname: DomainName,
@@ -172,7 +171,7 @@ pub struct Question {
 }
 
 /// Typed record data for the RR types the simulator produces.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecordData {
     /// IPv4 address.
     A(Ipv4Addr),
@@ -210,7 +209,7 @@ impl RecordData {
 }
 
 /// A resource record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceRecord {
     /// Owner name.
     pub name: DomainName,
@@ -223,7 +222,7 @@ pub struct ResourceRecord {
 }
 
 /// A DNS message: header fields plus the four record sections.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Transaction ID.
     pub id: u16,

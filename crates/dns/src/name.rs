@@ -8,7 +8,6 @@
 //! Length limits (labels ≤ 63 bytes, whole name ≤ 255 bytes on the wire)
 //! are enforced at construction time so that invalid names cannot exist.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -49,7 +48,7 @@ impl std::error::Error for NameError {}
 
 /// A single DNS label: 1–63 bytes of `[A-Za-z0-9_-]`, compared
 /// case-insensitively.
-#[derive(Debug, Clone, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Eq)]
 pub struct Label(String);
 
 impl Label {
@@ -109,7 +108,7 @@ impl fmt::Display for Label {
 ///
 /// The empty sequence of labels is the DNS root. Labels are ordered
 /// host-first: `mail.example.com` is `["mail", "example", "com"]`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct DomainName {
     labels: Vec<Label>,
 }

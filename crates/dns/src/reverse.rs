@@ -8,7 +8,6 @@
 //! authorities that the paper instruments (root, national, final).
 
 use crate::name::{DomainName, Label};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use std::str::FromStr;
@@ -126,7 +125,7 @@ pub fn parse_reverse_v6(name: &DomainName) -> Option<Ipv6Addr> {
 /// uses: the root effectively serves `/0` (i.e. `in-addr.arpa` itself), a
 /// national registry a set of `/8`s or `/16`s, and a final authority the
 /// `/24` (or `/16`) enclosing the originator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReverseZone {
     prefix: Ipv4Addr,
     plen: u8,

@@ -6,7 +6,6 @@
 //! dedicated newtype instead of `std::time` keeps simulations deterministic
 //! (no wall clock anywhere) and makes unit confusion a type error.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -15,15 +14,11 @@ use std::ops::{Add, AddAssign, Sub};
 /// The scenario epoch is whatever instant a dataset generator declares as
 /// second zero (e.g. `2014-04-15 11:00 UTC` for the JP-ditl replica).
 /// Ordering and arithmetic behave like plain integers.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 /// A span of simulated time in seconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(pub u64);
 
 impl SimTime {

@@ -10,10 +10,10 @@ use crate::dataset::Dataset;
 use crate::metrics::{ConfusionMatrix, Metrics};
 use crate::vote::MajorityEnsemble;
 use crate::Algorithm;
-use serde::{Deserialize, Serialize};
+use bs_par::Rng;
 
 /// Result of a repeated-holdout evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HoldoutReport {
     /// Mean metrics over the repetitions.
     pub mean: Metrics,
@@ -63,17 +63,14 @@ pub fn repeated_holdout(
 pub fn k_fold(algorithm: &Algorithm, data: &Dataset, k: usize, seed: u64) -> HoldoutReport {
     assert!(k >= 2, "k-fold needs at least two folds");
     assert!(!data.is_empty());
-    use rand::rngs::StdRng;
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
 
     // fold assignment per sample index, stratified by class.
     let mut fold_of = vec![0usize; data.len()];
     for class in 0..data.n_classes() {
         let mut idx: Vec<usize> =
             (0..data.len()).filter(|&i| data.samples[i].label == class).collect();
-        idx.shuffle(&mut rng);
+        rng.shuffle(&mut idx);
         for (j, i) in idx.into_iter().enumerate() {
             fold_of[i] = j % k;
         }
@@ -111,19 +108,16 @@ mod tests {
     use super::*;
     use crate::dataset::Sample;
     use crate::tree::CartParams;
-    use rand::rngs::StdRng;
-    use rand::Rng;
-    use rand::SeedableRng;
 
     fn blobs(seed: u64, n: usize) -> Dataset {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let mut d = Dataset::new(vec!["x".into(), "y".into()], vec!["a".into(), "b".into()]);
         for label in 0..2usize {
             for _ in 0..n {
                 d.push(Sample {
                     features: vec![
-                        label as f64 * 2.0 + rng.gen_range(-0.5..0.5),
-                        rng.gen_range(-1.0..1.0),
+                        label as f64 * 2.0 + rng.range_f64(-0.5..0.5),
+                        rng.range_f64(-1.0..1.0),
                     ],
                     label,
                 });

@@ -1,12 +1,9 @@
 //! Labeled datasets for training and evaluation.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use bs_par::Rng;
 
 /// One labeled example: a feature vector and a class index.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Feature values; length must match the dataset's feature names.
     pub features: Vec<f64>,
@@ -15,7 +12,7 @@ pub struct Sample {
 }
 
 /// A labeled dataset with named features and classes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
     /// Human-readable feature names (column headers).
     pub feature_names: Vec<String>,
@@ -83,7 +80,7 @@ impl Dataset {
     /// Classes with a single sample land in the training half.
     pub fn stratified_split(&self, train_frac: f64, seed: u64) -> (Dataset, Dataset) {
         assert!((0.0..=1.0).contains(&train_frac));
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let mut train = Dataset::new(self.feature_names.clone(), self.class_names.clone());
         let mut test = Dataset::new(self.feature_names.clone(), self.class_names.clone());
         for class in 0..self.n_classes() {
@@ -97,7 +94,7 @@ impl Dataset {
             if idx.is_empty() {
                 continue;
             }
-            idx.shuffle(&mut rng);
+            rng.shuffle(&mut idx);
             let n_train = ((idx.len() as f64) * train_frac).round().max(1.0) as usize;
             for (k, i) in idx.into_iter().enumerate() {
                 if k < n_train {
@@ -107,8 +104,8 @@ impl Dataset {
                 }
             }
         }
-        train.samples.shuffle(&mut rng);
-        test.samples.shuffle(&mut rng);
+        rng.shuffle(&mut train.samples);
+        rng.shuffle(&mut test.samples);
         (train, test)
     }
 

@@ -10,13 +10,10 @@
 use crate::dataset::Dataset;
 use crate::tree::{CartParams, DecisionTree, ReferenceTree};
 use bs_mlcore::{argmax_first, RowBlock, BLOCK_ROWS};
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use bs_par::Rng;
 
 /// Forest hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForestParams {
     /// Number of trees.
     pub n_trees: usize,
@@ -40,7 +37,7 @@ impl Default for ForestParams {
 }
 
 /// A trained random forest.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Forest {
     trees: Vec<DecisionTree>,
     n_classes: usize,
@@ -80,11 +77,10 @@ impl Forest {
         let tree_params = CartParams { max_features: Some(mtry), ..params.tree.clone() };
 
         let trees: Vec<DecisionTree> = bs_par::par_map_range(params.n_trees, |i| {
-            let mut rng = StdRng::seed_from_u64(bs_par::derive_seed(seed, i as u64));
+            let mut rng = Rng::new(bs_par::derive_seed(seed, i as u64));
             // Bootstrap sample with replacement, same size as the data.
-            let indices: Vec<usize> =
-                (0..data.len()).map(|_| rng.gen_range(0..data.len())).collect();
-            let tree_seed: u64 = rng.gen();
+            let indices: Vec<usize> = (0..data.len()).map(|_| rng.range(0..data.len())).collect();
+            let tree_seed: u64 = rng.next_u64();
             if reference {
                 ReferenceTree::fit_on_indices(data, &indices, &tree_params, tree_seed).flatten()
             } else {
@@ -182,11 +178,10 @@ impl Forest {
 mod tests {
     use super::*;
     use crate::dataset::Sample;
-    use rand::Rng;
 
     /// Three Gaussian-ish blobs in 4D where only dims 0 and 1 matter.
     fn blobs(seed: u64, n: usize) -> Dataset {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let mut d = Dataset::new(
             vec!["f0".into(), "f1".into(), "noise0".into(), "noise1".into()],
             vec!["a".into(), "b".into(), "c".into()],
@@ -196,10 +191,10 @@ mod tests {
             for _ in 0..n {
                 d.push(Sample {
                     features: vec![
-                        cx + rng.gen_range(-0.8..0.8),
-                        cy + rng.gen_range(-0.8..0.8),
-                        rng.gen_range(-1.0..1.0),
-                        rng.gen_range(-1.0..1.0),
+                        cx + rng.range_f64(-0.8..0.8),
+                        cy + rng.range_f64(-0.8..0.8),
+                        rng.range_f64(-1.0..1.0),
+                        rng.range_f64(-1.0..1.0),
                     ],
                     label,
                 });

@@ -50,10 +50,9 @@ pub use tree::{CartParams, DecisionTree, ReferenceTree};
 pub use vote::MajorityEnsemble;
 
 pub use bs_mlcore::{RowBlock, BLOCK_ROWS};
-use serde::{Deserialize, Serialize};
 
 /// The three algorithms the paper evaluates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Algorithm {
     /// Classification And Regression Tree.
     Cart(CartParams),

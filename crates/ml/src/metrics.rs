@@ -5,10 +5,8 @@
 //! negatives per class and macro-averaged over the classes that occur
 //! in the test data.
 
-use serde::{Deserialize, Serialize};
-
 /// A confusion matrix: `counts[truth][predicted]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     n_classes: usize,
     counts: Vec<Vec<usize>>,
@@ -105,7 +103,7 @@ impl ConfusionMatrix {
 
 /// Per-class metrics line: the material of the paper's §IV-C discussion
 /// of which classes suffer from sparse training data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerClassMetrics {
     /// Class index.
     pub class: usize,
@@ -147,7 +145,7 @@ impl ConfusionMatrix {
 }
 
 /// Macro-averaged summary metrics, all in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Metrics {
     /// Fraction of samples classified correctly.
     pub accuracy: f64,

@@ -3,9 +3,9 @@
 //! An operational deployment trains on curated data and then classifies
 //! new windows for months (paper §V-F recommends daily refits from a
 //! *stored* labeled set, but the fallback — shipping a frozen model —
-//! needs serialization). The sanctioned dependency set has no serde
-//! format crate, so this module defines a small, versioned,
-//! line-oriented text format:
+//! needs serialization). The workspace has no dependencies outside
+//! itself, so this module defines a small, versioned, line-oriented
+//! text format:
 //!
 //! ```text
 //! bs-forest v1
@@ -152,19 +152,18 @@ mod tests {
     use super::*;
     use crate::dataset::{Dataset, Sample};
     use crate::forest::ForestParams;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use bs_par::Rng;
 
     fn training_data(seed: u64) -> Dataset {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let mut d = Dataset::new(
             (0..5).map(|i| format!("f{i}")).collect(),
             (0..3).map(|i| format!("c{i}")).collect(),
         );
         for _ in 0..90 {
-            let label = rng.gen_range(0..3usize);
+            let label = rng.range(0..3);
             let features: Vec<f64> = (0..5)
-                .map(|j| if j == label { 1.0 } else { 0.0 } + rng.gen_range(-0.3..0.3))
+                .map(|j| if j == label { 1.0 } else { 0.0 } + rng.range_f64(-0.3..0.3))
                 .collect();
             d.push(Sample { features, label });
         }
@@ -180,9 +179,9 @@ mod tests {
         assert_eq!(loaded.importances(), forest.importances());
         assert_eq!(loaded.n_trees(), forest.n_trees());
         // Identical predictions over a probe grid.
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = Rng::new(9);
         for _ in 0..300 {
-            let x: Vec<f64> = (0..5).map(|_| rng.gen_range(-1.0..2.0)).collect();
+            let x: Vec<f64> = (0..5).map(|_| rng.range_f64(-1.0..2.0)).collect();
             assert_eq!(loaded.predict(&x), forest.predict(&x));
         }
         // Serialization is canonical.

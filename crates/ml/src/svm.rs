@@ -28,13 +28,10 @@
 
 use crate::dataset::Dataset;
 use bs_mlcore::{argmax_first, GramCache, RowMatrix};
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use bs_par::Rng;
 
 /// SVM hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SvmParams {
     /// Soft-margin penalty.
     pub c: f64,
@@ -66,7 +63,7 @@ impl Default for SvmParams {
 }
 
 /// One trained binary classifier (class_a vs class_b).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct BinarySvm {
     class_a: usize,
     class_b: usize,
@@ -94,7 +91,7 @@ fn rbf(a: &[f64], b: &[f64], gamma: f64) -> f64 {
 }
 
 /// A trained multi-class (one-vs-one) RBF SVM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Svm {
     machines: Vec<BinarySvm>,
     n_classes: usize,
@@ -149,7 +146,7 @@ impl Svm {
 
         let present = data.present_classes();
         let default_class = *present.first().expect("non-empty data has a class");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let mut machines = Vec::new();
         for (i, &ca) in present.iter().enumerate() {
             for &cb in &present[i + 1..] {
@@ -208,7 +205,7 @@ impl Svm {
 
         let present = data.present_classes();
         let default_class = *present.first().expect("non-empty data has a class");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let mut machines = Vec::new();
         for (i, &ca) in present.iter().enumerate() {
             for &cb in &present[i + 1..] {
@@ -309,7 +306,7 @@ fn smo_fast(
     class_a: usize,
     class_b: usize,
     p: &SvmParams,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> Option<BinarySvm> {
     let n = xs.rows();
     if n < 2 || y.iter().all(|&v| v == y[0]) {
@@ -334,7 +331,7 @@ fn smo_fast(
         for i in 0..n {
             let ei = decision_at(&mut k, &support, &coef, b, i) - y[i];
             if (y[i] * ei < -p.tol && alpha[i] < p.c) || (y[i] * ei > p.tol && alpha[i] > 0.0) {
-                let mut j = rng.gen_range(0..n - 1);
+                let mut j = rng.range(0..n - 1);
                 if j >= i {
                     j += 1;
                 }
@@ -412,7 +409,7 @@ fn smo_reference(
     class_a: usize,
     class_b: usize,
     p: &SvmParams,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> Option<BinarySvm> {
     let n = xs.len();
     if n < 2 || y.iter().all(|&v| v == y[0]) {
@@ -447,7 +444,7 @@ fn smo_reference(
         for i in 0..n {
             let ei = f(&alpha, b, i, &k) - y[i];
             if (y[i] * ei < -p.tol && alpha[i] < p.c) || (y[i] * ei > p.tol && alpha[i] > 0.0) {
-                let mut j = rng.gen_range(0..n - 1);
+                let mut j = rng.range(0..n - 1);
                 if j >= i {
                     j += 1;
                 }
@@ -510,14 +507,14 @@ mod tests {
 
     fn ring_dataset(seed: u64, n: usize) -> Dataset {
         // Inner disk vs outer ring: linearly inseparable, RBF-friendly.
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let mut d =
             Dataset::new(vec!["x".into(), "y".into()], vec!["inner".into(), "outer".into()]);
         for _ in 0..n {
-            let theta: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
-            let r_in: f64 = rng.gen_range(0.0..0.8);
+            let theta: f64 = rng.range_f64(0.0..std::f64::consts::TAU);
+            let r_in: f64 = rng.range_f64(0.0..0.8);
             d.push(Sample { features: vec![r_in * theta.cos(), r_in * theta.sin()], label: 0 });
-            let r_out: f64 = rng.gen_range(1.6..2.4);
+            let r_out: f64 = rng.range_f64(1.6..2.4);
             d.push(Sample { features: vec![r_out * theta.cos(), r_out * theta.sin()], label: 1 });
         }
         d

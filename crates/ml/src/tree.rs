@@ -30,13 +30,10 @@ use crate::dataset::Dataset;
 use bs_mlcore::{
     argmax_first, ColumnarView, FlatTree, PresortedColumns, RowBlock, Slot, BLOCK_ROWS,
 };
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use bs_par::Rng;
 
 /// Growth controls for a CART tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CartParams {
     /// Maximum tree depth.
     pub max_depth: usize,
@@ -62,7 +59,7 @@ enum Node {
 }
 
 /// A trained CART classifier (flat-arena representation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     flat: FlatTree,
     n_classes: usize,
@@ -97,7 +94,7 @@ impl DecisionTree {
             params,
             weights: &weights,
             n_classes: data.n_classes(),
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::new(seed),
             importances: vec![0.0; data.n_features()],
             flat: FlatTree::new(data.n_features()),
         };
@@ -269,7 +266,7 @@ impl ReferenceTree {
     ) -> Self {
         assert!(!indices.is_empty(), "cannot fit a tree on zero samples");
         assert!(data.n_classes() >= 1);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let mut importances = vec![0.0; data.n_features()];
         let root = grow(data, indices.to_vec(), params, 0, &mut rng, &mut importances);
         ReferenceTree {
@@ -429,7 +426,7 @@ struct ColumnarGrower<'a> {
     weights: &'a [usize],
     presort: Option<PresortedColumns>,
     n_classes: usize,
-    rng: StdRng,
+    rng: Rng,
     importances: Vec<f64>,
     flat: FlatTree,
 }
@@ -505,7 +502,7 @@ impl ColumnarGrower<'_> {
         // node (pre-order).
         let mut features: Vec<usize> = (0..self.view.n_features()).collect();
         if let Some(k) = self.params.max_features {
-            features.shuffle(&mut self.rng);
+            self.rng.shuffle(&mut features);
             features.truncate(k.max(1).min(self.view.n_features()));
         }
 
@@ -578,7 +575,7 @@ impl ColumnarGrower<'_> {
 
         let mut features: Vec<usize> = (0..self.view.n_features()).collect();
         if let Some(k) = self.params.max_features {
-            features.shuffle(&mut self.rng);
+            self.rng.shuffle(&mut features);
             features.truncate(k.max(1).min(self.view.n_features()));
         }
 
@@ -637,7 +634,7 @@ fn grow(
     indices: Vec<usize>,
     params: &CartParams,
     depth: usize,
-    rng: &mut StdRng,
+    rng: &mut Rng,
     importances: &mut [f64],
 ) -> Node {
     let mut counts = vec![0usize; data.n_classes()];
@@ -654,7 +651,7 @@ fn grow(
     // Candidate features (possibly a random subset).
     let mut features: Vec<usize> = (0..data.n_features()).collect();
     if let Some(k) = params.max_features {
-        features.shuffle(rng);
+        rng.shuffle(&mut features);
         features.truncate(k.max(1).min(data.n_features()));
     }
 

@@ -17,35 +17,34 @@ use bs_ml::forest::{Forest, ForestParams};
 use bs_ml::svm::{Svm, SvmParams};
 use bs_ml::tree::{CartParams, DecisionTree, ReferenceTree};
 use bs_ml::RowBlock;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use bs_par::Rng;
 
 /// 2–4 classes, 1–5 features, 10–49 samples; values drawn from a
 /// coarse grid so duplicate feature values (the stable-sort stress
 /// case) are common.
-fn grid_dataset(rng: &mut StdRng) -> Dataset {
-    let n_classes = rng.gen_range(2..5usize);
-    let n_features = rng.gen_range(1..6usize);
+fn grid_dataset(rng: &mut Rng) -> Dataset {
+    let n_classes = rng.range(2..5);
+    let n_features = rng.range(1..6);
     let mut d = Dataset::new(
         (0..n_features).map(|i| format!("f{i}")).collect(),
         (0..n_classes).map(|i| format!("c{i}")).collect(),
     );
-    for _ in 0..rng.gen_range(10..50usize) {
+    for _ in 0..rng.range(10..50) {
         d.push(Sample {
-            features: (0..n_features).map(|_| rng.gen_range(-8..8i64) as f64 * 0.5).collect(),
-            label: rng.gen_range(0..n_classes),
+            features: (0..n_features).map(|_| (rng.range(0..16) as f64 - 8.0) * 0.5).collect(),
+            label: rng.range(0..n_classes),
         });
     }
     d
 }
 
-fn cart_params(rng: &mut StdRng) -> CartParams {
+fn cart_params(rng: &mut Rng) -> CartParams {
     // `max_features` is drawn from 0..=3 with 0 meaning "no cap".
-    let cap = rng.gen_range(0..4usize);
+    let cap = rng.range(0..4);
     CartParams {
-        max_depth: rng.gen_range(1..13usize),
-        min_samples_split: rng.gen_range(2..7usize),
-        min_samples_leaf: rng.gen_range(1..4usize),
+        max_depth: rng.range(1..13),
+        min_samples_split: rng.range(2..7),
+        min_samples_leaf: rng.range(1..4),
         max_features: if cap == 0 { None } else { Some(cap) },
     }
 }
@@ -61,10 +60,10 @@ fn bits(values: &[f64]) -> Vec<u64> {
 #[test]
 fn cart_fast_path_matches_reference() {
     for seed in 0..48u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let d = grid_dataset(&mut rng);
         let params = cart_params(&mut rng);
-        let fit_seed: u64 = rng.gen();
+        let fit_seed: u64 = rng.next_u64();
         let fast = DecisionTree::fit(&d, &params, fit_seed);
         let reference = ReferenceTree::fit(&d, &params, fit_seed);
         assert_eq!(
@@ -85,9 +84,9 @@ fn cart_fast_path_matches_reference() {
 /// every CART threshold `(v + v_next) / 2` is on this one and probes
 /// land exactly on split boundaries — the `x == threshold` case, which
 /// must go left in every implementation.
-fn boundary_probes(rng: &mut StdRng, n: usize, n_features: usize) -> Vec<Vec<f64>> {
+fn boundary_probes(rng: &mut Rng, n: usize, n_features: usize) -> Vec<Vec<f64>> {
     (0..n)
-        .map(|_| (0..n_features).map(|_| rng.gen_range(-16..16i64) as f64 * 0.25).collect())
+        .map(|_| (0..n_features).map(|_| (rng.range(0..32) as f64 - 16.0) * 0.25).collect())
         .collect()
 }
 
@@ -97,14 +96,14 @@ fn boundary_probes(rng: &mut StdRng, n: usize, n_features: usize) -> Vec<Vec<f64
 #[test]
 fn flat_predict_matches_boxed_predict() {
     for seed in 0..48u64 {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xF1A7);
+        let mut rng = Rng::new(seed ^ 0xF1A7);
         let d = grid_dataset(&mut rng);
         let params = cart_params(&mut rng);
-        let boxed = ReferenceTree::fit(&d, &params, rng.gen());
+        let boxed = ReferenceTree::fit(&d, &params, rng.next_u64());
         let flat = boxed.flatten();
         let mut rows: Vec<Vec<f64>> = d.samples.iter().map(|s| s.features.clone()).collect();
         rows.truncate(40);
-        let n_probes = rng.gen_range(0..20usize);
+        let n_probes = rng.range(0..20);
         rows.extend(boundary_probes(&mut rng, n_probes, d.n_features()));
         let mut block = RowBlock::new(d.n_features());
         block.fill(&rows);
@@ -122,12 +121,11 @@ fn flat_predict_matches_boxed_predict() {
 #[test]
 fn cart_fast_path_matches_reference_on_bootstrap_indices() {
     for seed in 0..48u64 {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xB007);
+        let mut rng = Rng::new(seed ^ 0xB007);
         let d = grid_dataset(&mut rng);
-        let indices: Vec<usize> =
-            (0..rng.gen_range(10..40usize)).map(|_| rng.gen_range(0..d.len())).collect();
+        let indices: Vec<usize> = (0..rng.range(10..40)).map(|_| rng.range(0..d.len())).collect();
         let params = CartParams { max_features: Some(2), ..CartParams::default() };
-        let fit_seed: u64 = rng.gen();
+        let fit_seed: u64 = rng.next_u64();
         let fast = DecisionTree::fit_on_indices(&d, &indices, &params, fit_seed);
         let reference = ReferenceTree::fit_on_indices(&d, &indices, &params, fit_seed);
         assert_eq!(fast, reference.flatten(), "seed {seed}");
@@ -141,10 +139,10 @@ fn cart_fast_path_matches_reference_on_bootstrap_indices() {
 #[test]
 fn forest_persistence_is_grower_independent() {
     for seed in 0..48u64 {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x7E47);
+        let mut rng = Rng::new(seed ^ 0x7E47);
         let d = grid_dataset(&mut rng);
-        let p = ForestParams { n_trees: rng.gen_range(1..7usize), ..ForestParams::default() };
-        let fit_seed: u64 = rng.gen();
+        let p = ForestParams { n_trees: rng.range(1..7), ..ForestParams::default() };
+        let fit_seed: u64 = rng.next_u64();
         let fast = Forest::fit(&d, &p, fit_seed);
         let reference = Forest::fit_reference(&d, &p, fit_seed);
         let text = fast.to_text();
@@ -164,10 +162,10 @@ fn forest_persistence_is_grower_independent() {
 #[test]
 fn forest_predict_all_matches_per_row_predict() {
     for seed in 0..12u64 {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C);
+        let mut rng = Rng::new(seed ^ 0xBA7C);
         let d = grid_dataset(&mut rng);
-        let p = ForestParams { n_trees: rng.gen_range(1..12usize), ..ForestParams::default() };
-        let forest = Forest::fit(&d, &p, rng.gen());
+        let p = ForestParams { n_trees: rng.range(1..12), ..ForestParams::default() };
+        let forest = Forest::fit(&d, &p, rng.next_u64());
         for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 130] {
             let xs = boundary_probes(&mut rng, n, d.n_features());
             let per_row: Vec<usize> = xs.iter().map(|x| forest.predict(x)).collect();
@@ -183,9 +181,9 @@ fn forest_predict_all_matches_per_row_predict() {
 #[test]
 fn svm_fast_path_matches_reference() {
     for seed in 0..12u64 {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5A0);
+        let mut rng = Rng::new(seed ^ 0x5A0);
         let d = grid_dataset(&mut rng);
-        let fit_seed: u64 = rng.gen();
+        let fit_seed: u64 = rng.next_u64();
         let params = SvmParams { max_iters: 40, ..SvmParams::default() };
         let fast = Svm::fit(&d, &params, fit_seed);
         let reference = Svm::fit_reference(&d, &params, fit_seed);

@@ -5,23 +5,22 @@ use bs_ml::dataset::{Dataset, Sample};
 use bs_ml::forest::{Forest, ForestParams};
 use bs_ml::metrics::ConfusionMatrix;
 use bs_ml::tree::{CartParams, DecisionTree};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use bs_par::Rng;
 
 const CASES: u64 = 32;
 
 /// 2–4 classes, 2–5 features, 10–59 samples with finite values.
-fn dataset(rng: &mut StdRng) -> Dataset {
-    let n_classes = rng.gen_range(2..5usize);
-    let n_features = rng.gen_range(2..6usize);
+fn dataset(rng: &mut Rng) -> Dataset {
+    let n_classes = rng.range(2..5);
+    let n_features = rng.range(2..6);
     let mut d = Dataset::new(
         (0..n_features).map(|i| format!("f{i}")).collect(),
         (0..n_classes).map(|i| format!("c{i}")).collect(),
     );
-    for _ in 0..rng.gen_range(10..60usize) {
+    for _ in 0..rng.range(10..60) {
         d.push(Sample {
-            features: (0..n_features).map(|_| rng.gen_range(-100.0..100.0)).collect(),
-            label: rng.gen_range(0..n_classes),
+            features: (0..n_features).map(|_| rng.range_f64(-100.0..100.0)).collect(),
+            label: rng.range(0..n_classes),
         });
     }
     d
@@ -31,10 +30,10 @@ fn dataset(rng: &mut StdRng) -> Dataset {
 #[test]
 fn tree_predicts_seen_classes() {
     for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let d = dataset(&mut rng);
         let t = DecisionTree::fit(&d, &CartParams::default(), 0);
-        let x: Vec<f64> = (0..d.n_features()).map(|_| rng.gen_range(-200.0..200.0)).collect();
+        let x: Vec<f64> = (0..d.n_features()).map(|_| rng.range_f64(-200.0..200.0)).collect();
         assert!(d.present_classes().contains(&t.predict(&x)), "seed {seed}");
     }
 }
@@ -44,7 +43,7 @@ fn tree_predicts_seen_classes() {
 #[test]
 fn tree_beats_or_ties_majority_on_training_data() {
     for seed in 0..CASES {
-        let d = dataset(&mut StdRng::seed_from_u64(seed ^ 0x7EE));
+        let d = dataset(&mut Rng::new(seed ^ 0x7EE));
         let params = CartParams { max_depth: 30, min_samples_split: 2, ..CartParams::default() };
         let t = DecisionTree::fit(&d, &params, 0);
         let correct = d.samples.iter().filter(|s| t.predict(&s.features) == s.label).count();
@@ -57,7 +56,7 @@ fn tree_beats_or_ties_majority_on_training_data() {
 #[test]
 fn forest_importances_normalized() {
     for seed in 0..CASES {
-        let d = dataset(&mut StdRng::seed_from_u64(seed ^ 0xF0E));
+        let d = dataset(&mut Rng::new(seed ^ 0xF0E));
         let f = Forest::fit(&d, &ForestParams { n_trees: 10, ..Default::default() }, 1);
         let sum: f64 = f.importances().iter().sum();
         assert!(f.importances().iter().all(|v| *v >= 0.0), "seed {seed}");
@@ -69,10 +68,10 @@ fn forest_importances_normalized() {
 #[test]
 fn metrics_bounds() {
     for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x3E7);
-        let n = rng.gen_range(1..100usize);
-        let truth: Vec<usize> = (0..n).map(|_| rng.gen_range(0..4usize)).collect();
-        let pred: Vec<usize> = (0..n).map(|_| rng.gen_range(0..4usize)).collect();
+        let mut rng = Rng::new(seed ^ 0x3E7);
+        let n = rng.range(1..100);
+        let truth: Vec<usize> = (0..n).map(|_| rng.range(0..4)).collect();
+        let pred: Vec<usize> = (0..n).map(|_| rng.range(0..4)).collect();
         let cm = ConfusionMatrix::from_predictions(4, &truth, &pred);
         let m = cm.metrics();
         for v in [m.accuracy, m.precision, m.recall, m.f1] {
@@ -87,9 +86,9 @@ fn metrics_bounds() {
 #[test]
 fn split_partitions() {
     for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5B1);
+        let mut rng = Rng::new(seed ^ 0x5B1);
         let d = dataset(&mut rng);
-        let (train, test) = d.stratified_split(0.6, rng.gen());
+        let (train, test) = d.stratified_split(0.6, rng.next_u64());
         assert_eq!(train.len() + test.len(), d.len(), "seed {seed}");
         // Per-class totals preserved.
         let tc = train.class_counts();

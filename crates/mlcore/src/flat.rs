@@ -12,8 +12,6 @@
 //! runs every cursor for exactly `depth` steps, with no leaf test and
 //! no data-dependent branch (DESIGN.md §16).
 
-use serde::{Deserialize, Serialize};
-
 /// Rows per [`RowBlock`]: what one pass of the batch descent walks
 /// through every tree. 64 rows × 23 columns is 11.5 KB, so the block
 /// and a typical 2.6 KB tree stay in L1 together.
@@ -30,7 +28,7 @@ const CURSORS: usize = 8;
 pub const MAX_ARITY: usize = u16::MAX as usize - 1;
 
 /// One arena node (16 bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlatNode {
     /// Split threshold (`x[feature] <= threshold` goes left); `+∞` for
     /// leaves.
@@ -64,7 +62,7 @@ impl Slot {
 /// 0 and is either given its class with [`FlatTree::leaf`] or turned
 /// into a split with [`FlatTree::split`], which appends the two
 /// children.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlatTree {
     nodes: Vec<FlatNode>,
     n_features: u16,
@@ -127,7 +125,10 @@ impl FlatTree {
             if node.left == i {
                 return node.class as usize;
             }
-            i = node.left + u32::from(!(x[node.feature as usize] <= node.threshold));
+            // Not `>`: NaN must go right, exactly as in the reference tree.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            let right = !(x[node.feature as usize] <= node.threshold);
+            i = node.left + u32::from(right);
         }
     }
 
@@ -153,7 +154,10 @@ impl FlatTree {
                 for (k, c) in cur.iter_mut().enumerate() {
                     let node = &nodes[*c as usize];
                     let x = rows[k * stride + node.feature as usize];
-                    *c = node.left + u32::from(!(x <= node.threshold));
+                    // Not `>`: NaN must go right, exactly as in the reference tree.
+                    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                    let right = !(x <= node.threshold);
+                    *c = node.left + u32::from(right);
                 }
             }
             for (class, c) in classes.iter_mut().zip(cur) {
@@ -190,9 +194,9 @@ impl FlatTree {
 }
 
 /// Up to [`BLOCK_ROWS`] rows copied into one contiguous buffer for
-/// [`FlatTree::predict_block`]: row `r` occupies `stride = n_features
-/// + 1` values, the last of them the constant 0.0 that leaves compare
-/// against. One block is filled once and walked by every tree of
+/// [`FlatTree::predict_block`]: row `r` occupies `stride` values,
+/// `n_features + 1`, the last of them the constant 0.0 that leaves
+/// compare against. One block is filled once and walked by every tree of
 /// every model that votes on it.
 #[derive(Debug, Clone)]
 pub struct RowBlock {

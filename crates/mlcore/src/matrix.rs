@@ -1,7 +1,5 @@
 //! Column-major and flat row-major training matrices.
 
-use serde::{Deserialize, Serialize};
-
 /// Column-major training data: one contiguous `Vec<f64>` per feature
 /// plus a parallel label array.
 ///
@@ -63,7 +61,7 @@ impl ColumnarView {
 
 /// Flat row-major storage: all rows in one allocation with a fixed
 /// stride, for kernel methods that consume whole feature vectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RowMatrix {
     data: Vec<f64>,
     dim: usize,

@@ -7,15 +7,9 @@
 //! `e`'s identity, never on how many events preceded it — which keeps
 //! simulations stable under re-sharding and makes failures replayable.
 
-/// SplitMix64 finalizer: a bijective mixer with good avalanche behaviour.
-/// (Sebastiano Vigna's constants, as used by `rand` and JDK 17.)
-#[inline]
-pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// The workspace's one SplitMix64 step (add the increment, finalize),
+/// under the name the world model and the activity generators use.
+pub use bs_par::splitmix64 as mix64;
 
 /// Combine a seed with up to three keys into one well-mixed word.
 #[inline]

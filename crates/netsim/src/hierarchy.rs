@@ -16,12 +16,11 @@
 
 use crate::types::CountryCode;
 use bs_dns::ReverseZone;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// The two instrumented root-server identities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RootServer {
     /// Single site on the US west coast.
     B,
@@ -30,7 +29,7 @@ pub enum RootServer {
 }
 
 /// Coarse geography used for root-server affinity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Region {
     /// North and South America.
     Americas,
@@ -54,7 +53,7 @@ impl Region {
 }
 
 /// An authority whose query stream can be instrumented.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AuthorityId {
     /// One of the two modeled root servers.
     Root(RootServer),
@@ -95,7 +94,7 @@ impl fmt::Display for AuthorityId {
 }
 
 /// Position in the delegation chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AuthorityLevel {
     /// Serves `in-addr.arpa` and /8 delegations.
     Root,
@@ -107,7 +106,7 @@ pub enum AuthorityLevel {
 
 /// How the leaf PTR lookup for an originator resolves, as configured in
 /// its final authority's zone.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PtrPolicy {
     /// A PTR record exists with this TTL.
     Exists {
@@ -127,7 +126,7 @@ pub enum PtrPolicy {
 
 /// Delegation status of the /24 containing an originator: whether the
 /// walk down the tree even reaches a final authority.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Delegation {
     /// Normal: parent zones delegate down to a final /24 authority.
     Delegated {

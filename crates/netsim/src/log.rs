@@ -8,13 +8,12 @@
 
 use crate::hierarchy::AuthorityId;
 use bs_dns::{Rcode, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
 
 /// One reverse query as seen by one authority.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryLogRecord {
     /// Arrival time at the authority.
     pub time: SimTime,
@@ -28,7 +27,7 @@ pub struct QueryLogRecord {
 }
 
 /// An append-only query log for one authority.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryLog {
     records: Vec<QueryLogRecord>,
 }

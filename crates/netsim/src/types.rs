@@ -1,12 +1,11 @@
 //! Shared identifier and event types for the simulated Internet.
 
 use bs_dns::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// A two-letter country code. The world assigns one to every /8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CountryCode(pub [u8; 2]);
 
 impl CountryCode {
@@ -34,7 +33,7 @@ impl fmt::Display for CountryCode {
 
 /// An autonomous-system number. The world assigns one per /16-aligned
 /// allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AsId(pub u32);
 
 impl fmt::Display for AsId {
@@ -45,7 +44,7 @@ impl fmt::Display for AsId {
 
 /// A recursive resolver, identified by the IPv4 address it queries from.
 /// This address is what authorities log as the *querier*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ResolverId(pub Ipv4Addr);
 
 impl fmt::Display for ResolverId {
@@ -57,7 +56,7 @@ impl fmt::Display for ResolverId {
 /// The role a host plays in its network, which determines both its
 /// reverse name (paper §III-C's keyword classes) and how it reacts to
 /// traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostRole {
     /// Residential CPE / home machine with an auto-generated name like
     /// `home1-2-3-4.example.com`.
@@ -102,7 +101,7 @@ impl HostRole {
 /// The outcome of reverse-resolving a querier's own address, which feeds
 /// the sensor's static features: a name, a provable non-existence
 /// (`nxdomain`), or an unreachable authority (`unreach`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NameOutcome {
     /// The reverse lookup returned this name.
     Name(bs_dns::DomainName),
@@ -115,7 +114,7 @@ pub enum NameOutcome {
 /// The kind of traffic an originator sends a target. Application classes
 /// in `bs-activity` map to these network-level kinds; the target-side
 /// reaction model keys off them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContactKind {
     /// SMTP delivery (mailing lists, legitimate bulk mail).
     Smtp,
@@ -155,7 +154,7 @@ pub enum ContactKind {
 ///
 /// This is the unit of work the simulator consumes; activity models
 /// produce streams of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Contact {
     /// When the traffic arrives at the target.
     pub time: SimTime,

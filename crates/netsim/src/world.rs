@@ -23,11 +23,10 @@ use crate::hierarchy::{Delegation, PtrPolicy, Region};
 use crate::naming;
 use crate::types::{AsId, Contact, ContactKind, CountryCode, HostRole, NameOutcome, ResolverId};
 use bs_dns::DomainName;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// One country in the world specification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CountrySpec {
     /// Two-letter code.
     pub code: CountryCode,
@@ -51,7 +50,7 @@ fn spec(code: &str, weight: f64, region: Region, national: bool) -> CountrySpec 
 
 /// The broad business of an autonomous system, which conditions what its
 /// blocks look like.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AsType {
     /// Access ISP: mostly residential pools plus some infrastructure.
     Isp,
@@ -80,7 +79,7 @@ impl AsType {
 }
 
 /// What a /24 is used for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockProfile {
     /// Residential access pool (dense, home names).
     Residential,
@@ -102,7 +101,7 @@ pub enum BlockProfile {
 
 /// Tunable world parameters. Defaults are calibrated so the paper's
 /// shapes hold (occupancy, reaction rates, attenuation); see DESIGN.md.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorldConfig {
     /// Master seed; every fact derives from it.
     pub seed: u64,

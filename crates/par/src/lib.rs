@@ -16,7 +16,9 @@
 //! * [`scope`] — escape hatch: [`std::thread::scope`] semantics for
 //!   irregular task shapes, with trace-context propagation;
 //! * [`derive_seed`] — the splitmix64 seed-derivation scheme that makes
-//!   parallel runs bit-identical to sequential ones.
+//!   parallel runs bit-identical to sequential ones;
+//! * [`Rng`] — the workspace's one seeded generator (xoshiro256++),
+//!   one per task, seeded from `derive_seed`.
 //!
 //! # Determinism contract
 //!
@@ -80,7 +82,7 @@ mod pool;
 mod seed;
 
 pub use pool::{join, par_chunks, par_map, par_map_range, scope, set_threads, threads, Scope};
-pub use seed::derive_seed;
+pub use seed::{derive_seed, splitmix64, Rng};
 
 #[cfg(test)]
 mod tests {

@@ -20,14 +20,13 @@
 use crate::ingest::OriginatorObservation;
 use crate::QuerierInfo;
 use bs_dns::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Length of a persistence period in seconds (paper: 10 minutes).
 pub const PERSISTENCE_PERIOD: u64 = 600;
 
 /// The eight dynamic features of one originator.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DynamicFeatures {
     /// Mean deduplicated queries per unique querier (≥ 1).
     pub queries_per_querier: f64,

@@ -8,11 +8,10 @@ use crate::QuerierInfo;
 use bs_dns::SimTime;
 use bs_fastmap::DenseIdSet;
 use bs_netsim::log::QueryLog;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Extraction configuration (paper defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeatureConfig {
     /// Analyzability threshold on unique queriers.
     pub min_queriers: usize,
@@ -28,7 +27,7 @@ impl Default for FeatureConfig {
 
 /// A complete per-originator feature vector: 14 static fractions plus
 /// 8 dynamic features, in a fixed order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureVector {
     /// Fraction of queriers in each static category (sums to 1).
     pub static_fractions: [f64; 14],
@@ -74,7 +73,7 @@ impl FeatureVector {
 }
 
 /// An originator with its observed footprint and features.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OriginatorFeatures {
     /// The originator address.
     pub originator: Ipv4Addr,
@@ -106,8 +105,8 @@ pub fn extract_features(
 /// reduces to table lookups plus dense-id bitmap counting —
 /// O(unique queriers) metadata work instead of the reference's
 /// O(Σ footprints). Bit-identical to
-/// [`extract_from_observations_reference`] (proptest-pinned in
-/// `tests/qmeta_equivalence.rs` at both thread counts).
+/// [`extract_from_observations_reference`] (pinned by the seeded
+/// suite `tests/qmeta_equivalence.rs` at both thread counts).
 ///
 /// Originators are independent, so their feature vectors compute in
 /// parallel on the [`bs_par`] pool; the output keeps the footprint

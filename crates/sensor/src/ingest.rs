@@ -17,7 +17,6 @@
 use bs_dns::{SimDuration, SimTime};
 use bs_fastmap::{CompactSet, FastMap};
 use bs_netsim::log::QueryLog;
-use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -31,7 +30,7 @@ pub const DEDUP_WINDOW: SimDuration = SimDuration(30);
 pub const MIN_QUERIERS: usize = 20;
 
 /// One originator's deduplicated query stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OriginatorObservation {
     /// The originator address.
     pub originator: Ipv4Addr,
@@ -65,7 +64,7 @@ impl OriginatorObservation {
 
 /// All originators observed in a window, with window-global context the
 /// dynamic features need (total ASes and countries seen).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Observations {
     /// Window start (inclusive).
     pub window_start: SimTime,
@@ -197,8 +196,8 @@ impl Observations {
     /// The retained reference implementation of
     /// [`Observations::ingest_with_dedup`]: the original BTree-based
     /// ingestion, kept as the executable specification the fast path is
-    /// property-tested against (and benchmarked against in the `ingest`
-    /// Criterion group). No telemetry — it exists to define behavior,
+    /// property-tested against (and timed against by `bench`'s
+    /// `perfsnap`). No telemetry — it exists to define behavior,
     /// not to run in production.
     pub fn ingest_with_dedup_reference(
         log: &QueryLog,

@@ -28,7 +28,7 @@
 //! across shard counts and thread counts** — sharded output is
 //! bit-identical to the sequential single-lane reference
 //! ([`ReferenceShardedStreamingSensor`]) by construction, which the
-//! shard-equivalence proptests pin down. (A global sensor couples all
+//! seeded suite `tests/shard_equivalence.rs` pins down. (A global sensor couples all
 //! originators through one tracked-count/eviction-minimum/probation
 //! table, so its under-pressure decisions are inherently serial; the
 //! slice partition is what makes pressure semantics parallelizable at
@@ -183,7 +183,7 @@ struct LanePartial {
 /// The sharded streaming sensor (fast path): N parallel
 /// [`StreamingSensor`] lanes behind one window clock. See the module
 /// docs for topology and guarantees; semantics are defined by
-/// [`ReferenceShardedStreamingSensor`] and pinned by proptests.
+/// [`ReferenceShardedStreamingSensor`] and pinned by `tests/shard_equivalence.rs`.
 pub struct ShardedStreamingSensor {
     config: StreamConfig,
     window_start: SimTime,
@@ -389,7 +389,7 @@ impl ShardedStreamingSensor {
 /// no queues, no parallelism, no telemetry. Because the fast path's
 /// output is lane-count-invariant by construction, this single
 /// sequential implementation is the executable specification for
-/// *every* shard count; the proptests hold them equal.
+/// *every* shard count; `tests/shard_equivalence.rs` holds them equal.
 pub struct ReferenceShardedStreamingSensor {
     config: StreamConfig,
     window_start: SimTime,

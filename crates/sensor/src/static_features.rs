@@ -9,11 +9,10 @@
 use crate::bytes::{fold_ascii_lower, pack_prefix, prefix_mask};
 use bs_dns::DomainName;
 use bs_netsim::types::NameOutcome;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// The fourteen static querier categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StaticFeature {
     /// Auto-named residential hosts (`home1-2-3-4.example.com`).
     Home,

@@ -3,30 +3,19 @@
 //! arbitrary record streams — same per-originator query streams, same
 //! querier sets, same dedup decisions, same admissions and evictions.
 //!
-//! Stub-friendly like `tests/parallel_determinism.rs`: everything here
-//! runs under the offline proptest stand-in (deterministic generation,
-//! no shrinking) as well as real proptest.
+//! Seeded loops: every case derives from its seed alone, so a failure
+//! replays from the seed in its message.
 
-use bs_dns::{Rcode, SimDuration, SimTime};
+use bs_dns::{SimDuration, SimTime};
 use bs_netsim::log::{QueryLog, QueryLogRecord};
+use bs_par::Rng;
 use bs_sensor::ingest::Observations;
 use bs_sensor::{ReferenceStreamingSensor, StreamConfig, StreamingSensor, WindowSummary};
-use proptest::prelude::*;
-use std::net::Ipv4Addr;
 
-/// Arbitrary record streams over deliberately small address pools so
-/// dedup hits, repeat visits, and admission-filter pressure all occur.
-fn arb_records() -> impl Strategy<Value = Vec<QueryLogRecord>> {
-    proptest::collection::vec(
-        (0u64..5_000, any::<u16>(), any::<u8>()).prop_map(|(t, q, o)| QueryLogRecord {
-            time: SimTime(t),
-            querier: Ipv4Addr::new(10, (q >> 8) as u8, q as u8, (q % 61) as u8),
-            originator: Ipv4Addr::new(203, 0, 113, o % 37),
-            rcode: Rcode::NoError,
-        }),
-        0..400,
-    )
-}
+mod common;
+use common::{arb_records, sorted_records, SMALL};
+
+const CASES: u64 = 96;
 
 fn log_of(records: &[QueryLogRecord]) -> QueryLog {
     let mut log = QueryLog::new();
@@ -36,92 +25,85 @@ fn log_of(records: &[QueryLogRecord]) -> QueryLog {
     log
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Batch: the packed-key arena ingest equals the BTree reference —
-    /// identical `Observations` (per-originator streams in arrival
-    /// order, querier sets, window-global querier set) for every
-    /// stream and dedup width.
-    #[test]
-    fn batch_fast_path_matches_reference(
-        records in arb_records(),
-        dedup in 0u64..60,
-    ) {
-        let mut records = records;
-        records.sort_by_key(|r| r.time);
-        let log = log_of(&records);
-        let fast =
-            Observations::ingest_with_dedup(&log, SimTime(0), SimTime(5_000), SimDuration(dedup));
-        let reference = Observations::ingest_with_dedup_reference(
-            &log,
-            SimTime(0),
-            SimTime(5_000),
-            SimDuration(dedup),
+/// Push `records` through both sensors; every emitted window and the
+/// final flush must agree.
+fn assert_streams_agree(records: &[QueryLogRecord], cfg: StreamConfig, seed: u64) {
+    let mut fast = StreamingSensor::new(cfg);
+    let mut reference = ReferenceStreamingSensor::new(cfg);
+    for r in records {
+        assert_eq!(
+            fast.push(*r),
+            reference.push(*r),
+            "windows must agree per record (seed {seed})"
         );
-        prop_assert_eq!(fast, reference);
     }
+    assert_eq!(fast.finish(), reference.finish(), "final flush must agree (seed {seed})");
+}
 
-    /// Streaming: the arena/lazy-heap sensor equals the BTree/scan
-    /// reference window for window — including under memory pressure,
-    /// where both must hold the same probation counts, admit the same
-    /// newcomers, and evict the same victims in the same order.
-    #[test]
-    fn stream_fast_path_matches_reference(
-        records in arb_records(),
-        max_originators in 1usize..12,
-        admission_queries in 1usize..4,
-        probation_cap in 4usize..24,
-    ) {
-        let mut records = records;
-        records.sort_by_key(|r| r.time);
+/// Batch: the packed-key arena ingest equals the BTree reference —
+/// identical `Observations` (per-originator streams in arrival
+/// order, querier sets, window-global querier set) for every
+/// stream and dedup width.
+#[test]
+fn batch_fast_path_matches_reference() {
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed ^ 0xBA7C);
+        let log = log_of(&sorted_records(&mut rng, &SMALL));
+        let dedup = SimDuration(rng.below(60));
+        let fast = Observations::ingest_with_dedup(&log, SimTime(0), SimTime(5_000), dedup);
+        let reference =
+            Observations::ingest_with_dedup_reference(&log, SimTime(0), SimTime(5_000), dedup);
+        assert_eq!(fast, reference, "seed {seed}");
+    }
+}
+
+/// Streaming: the arena/lazy-heap sensor equals the BTree/scan
+/// reference window for window — including under memory pressure,
+/// where both must hold the same probation counts, admit the same
+/// newcomers, and evict the same victims in the same order.
+#[test]
+fn stream_fast_path_matches_reference() {
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed ^ 0x57E4);
+        let records = sorted_records(&mut rng, &SMALL);
         let cfg = StreamConfig {
             window: SimDuration::from_secs(1_000),
-            max_originators,
-            admission_queries,
-            probation_cap,
+            max_originators: rng.range(1..12),
+            admission_queries: rng.range(1..4),
+            probation_cap: rng.range(4..24),
             ..Default::default()
         };
-        let mut fast = StreamingSensor::new(cfg);
-        let mut reference = ReferenceStreamingSensor::new(cfg);
-        for r in &records {
-            prop_assert_eq!(fast.push(*r), reference.push(*r), "windows must agree per record");
-        }
-        prop_assert_eq!(fast.finish(), reference.finish(), "final flush must agree");
+        assert_streams_agree(&records, cfg, seed);
     }
+}
 
-    /// The same equivalence on *unsorted* streams: late records take
-    /// the out-of-order drop path in both implementations, so the
-    /// guard itself is part of the spec being held equal.
-    #[test]
-    fn stream_equivalence_with_out_of_order_records(
-        records in arb_records(),
-        max_originators in 1usize..12,
-    ) {
+/// The same equivalence on *unsorted* streams: late records take
+/// the out-of-order drop path in both implementations, so the
+/// guard itself is part of the spec being held equal.
+#[test]
+fn stream_equivalence_with_out_of_order_records() {
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed ^ 0x000D);
+        let records = arb_records(&mut rng, &SMALL);
         let cfg = StreamConfig {
             window: SimDuration::from_secs(500),
-            max_originators,
+            max_originators: rng.range(1..12),
             admission_queries: 2,
             ..Default::default()
         };
-        let mut fast = StreamingSensor::new(cfg);
-        let mut reference = ReferenceStreamingSensor::new(cfg);
-        for r in &records {
-            prop_assert_eq!(fast.push(*r), reference.push(*r), "windows must agree per record");
-        }
-        prop_assert_eq!(fast.finish(), reference.finish(), "final flush must agree");
+        assert_streams_agree(&records, cfg, seed);
     }
+}
 
-    /// Streaming with an unbounded table also equals *batch* ingestion
-    /// of the same window — the stream-equals-batch determinism
-    /// guarantee the pipeline's replay tests rely on, extended to
-    /// arbitrary streams.
-    #[test]
-    fn unbounded_stream_matches_batch(records in arb_records()) {
-        let mut records = records;
-        records.sort_by_key(|r| r.time);
-        let log = log_of(&records);
-        let batch = Observations::ingest(&log, SimTime(0), SimTime(5_000));
+/// Streaming with an unbounded table also equals *batch* ingestion
+/// of the same window — the stream-equals-batch determinism
+/// guarantee the pipeline's replay tests rely on, extended to
+/// arbitrary streams.
+#[test]
+fn unbounded_stream_matches_batch() {
+    for seed in 0..CASES {
+        let records = sorted_records(&mut Rng::new(seed ^ 0x0B0D), &SMALL);
+        let batch = Observations::ingest(&log_of(&records), SimTime(0), SimTime(5_000));
         let mut sensor = StreamingSensor::new(StreamConfig {
             window: SimDuration::from_secs(5_000),
             ..Default::default()
@@ -131,13 +113,13 @@ proptest! {
             emitted.extend(sensor.push(*r));
         }
         emitted.extend(sensor.finish());
-        prop_assert!(emitted.len() <= 1, "one window configured");
+        assert!(emitted.len() <= 1, "one window configured (seed {seed})");
         if let Some(w) = emitted.first() {
-            prop_assert_eq!(&w.observations.per_originator, &batch.per_originator);
-            prop_assert_eq!(&w.observations.all_queriers, &batch.all_queriers);
-            prop_assert_eq!(w.evicted, 0);
+            assert_eq!(w.observations.per_originator, batch.per_originator, "seed {seed}");
+            assert_eq!(w.observations.all_queriers, batch.all_queriers, "seed {seed}");
+            assert_eq!(w.evicted, 0, "seed {seed}");
         } else {
-            prop_assert!(batch.per_originator.is_empty());
+            assert!(batch.per_originator.is_empty(), "seed {seed}");
         }
     }
 }

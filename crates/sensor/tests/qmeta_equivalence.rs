@@ -7,21 +7,25 @@
 //! under `BS_THREADS=1` and `=8`, so the equivalences also pin
 //! thread-count independence.
 //!
-//! Stub-friendly like `tests/fastpath_equivalence.rs`: everything here
-//! runs under the offline proptest stand-in (deterministic generation,
-//! no shrinking) as well as real proptest.
+//! Seeded loops: every case derives from its seed alone, so a failure
+//! replays from the seed in its message.
 
 use bs_dns::{DomainName, Rcode, SimTime};
 use bs_netsim::log::{QueryLog, QueryLogRecord};
 use bs_netsim::types::{AsId, CountryCode, NameOutcome};
+use bs_par::Rng;
 use bs_sensor::ingest::Observations;
 use bs_sensor::qmeta::QuerierMetaCache;
 use bs_sensor::{
     extract_from_observations, extract_from_observations_reference, extract_with_meta_cache,
     FeatureConfig, OriginatorFeatures, QuerierInfo,
 };
-use proptest::prelude::*;
 use std::net::Ipv4Addr;
+
+mod common;
+use common::{arb_records, SMALL};
+
+const CASES: u64 = 64;
 
 /// Deterministic synthetic metadata spanning every code path the
 /// plane must memoize: all three `NameOutcome` variants, a mix of
@@ -76,97 +80,84 @@ fn ingest(records: &[QueryLogRecord], start: u64, end: u64) -> Observations {
     Observations::ingest(&log, SimTime(start), SimTime(end))
 }
 
-/// Arbitrary record streams over a small querier pool, so the same
-/// querier recurs under many originators and dedup windows overlap.
-fn arb_records() -> impl Strategy<Value = Vec<QueryLogRecord>> {
-    proptest::collection::vec(
-        (0u64..5_000, any::<u16>(), any::<u8>()).prop_map(|(t, q, o)| QueryLogRecord {
-            time: SimTime(t),
-            querier: Ipv4Addr::new(10, (q >> 8) as u8, q as u8, (q % 61) as u8),
-            originator: Ipv4Addr::new(203, 0, 113, o % 37),
-            rcode: Rcode::NoError,
-        }),
-        0..400,
-    )
-}
-
 /// High-overlap streams: a pool of just 48 queriers shared across up
 /// to 24 originators — the workload the metadata plane exists for.
-fn arb_high_overlap() -> impl Strategy<Value = Vec<QueryLogRecord>> {
-    proptest::collection::vec(
-        (0u64..5_000, 0u8..48, 0u8..24).prop_map(|(t, q, o)| QueryLogRecord {
-            time: SimTime(t),
-            querier: Ipv4Addr::new(10, 0, q / 13, q),
-            originator: Ipv4Addr::new(203, 0, 113, o),
-            rcode: Rcode::NoError,
-        }),
-        0..600,
-    )
+fn arb_high_overlap(rng: &mut Rng) -> Vec<QueryLogRecord> {
+    (0..rng.range(0..600))
+        .map(|_| {
+            let time = SimTime(rng.below(5_000));
+            let q = rng.below(48) as u8;
+            let o = rng.below(24) as u8;
+            QueryLogRecord {
+                time,
+                querier: Ipv4Addr::new(10, 0, q / 13, q),
+                originator: Ipv4Addr::new(203, 0, 113, o),
+                rcode: Rcode::NoError,
+            }
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Cold fast path ≡ reference on arbitrary logs, across the
-    /// analyzability knobs.
-    #[test]
-    fn fast_extraction_matches_reference(
-        records in arb_records(),
-        min_queriers in 1usize..6,
-        // 0 means "no cap": the offline proptest stand-in has no
-        // `option::of`, so encode Option in the integer.
-        top_n in (0usize..10).prop_map(|n| (n > 0).then_some(n)),
-    ) {
-        let obs = ingest(&records, 0, 5_000);
+/// Cold fast path ≡ reference on arbitrary logs, across the
+/// analyzability knobs.
+#[test]
+fn fast_extraction_matches_reference() {
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed ^ 0xC01D);
+        let obs = ingest(&arb_records(&mut rng, &SMALL), 0, 5_000);
+        let min_queriers = rng.range(1..6);
+        // 0 means "no cap".
+        let top_n = Some(rng.range(0..10)).filter(|&n| n > 0);
         let config = FeatureConfig { min_queriers, top_n };
         let fast = extract_from_observations(&obs, &SynthInfo, &config);
         let reference = extract_from_observations_reference(&obs, &SynthInfo, &config);
-        prop_assert_eq!(bits(&fast), bits(&reference));
+        assert_eq!(bits(&fast), bits(&reference), "seed {seed}");
     }
+}
 
-    /// The same equivalence when queriers are shared across many
-    /// originators — interned ids must count distinct metadata exactly
-    /// as the reference's per-originator BTree unions do.
-    #[test]
-    fn fast_extraction_matches_reference_on_shared_queriers(
-        records in arb_high_overlap(),
-        min_queriers in 1usize..4,
-    ) {
-        let obs = ingest(&records, 0, 5_000);
-        let config = FeatureConfig { min_queriers, top_n: None };
+/// The same equivalence when queriers are shared across many
+/// originators — interned ids must count distinct metadata exactly
+/// as the reference's per-originator BTree unions do.
+#[test]
+fn fast_extraction_matches_reference_on_shared_queriers() {
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed ^ 0x54A2);
+        let obs = ingest(&arb_high_overlap(&mut rng), 0, 5_000);
+        let config = FeatureConfig { min_queriers: rng.range(1..4), top_n: None };
         let fast = extract_from_observations(&obs, &SynthInfo, &config);
         let reference = extract_from_observations_reference(&obs, &SynthInfo, &config);
-        prop_assert_eq!(bits(&fast), bits(&reference));
+        assert_eq!(bits(&fast), bits(&reference), "seed {seed}");
     }
+}
 
-    /// Pre-window timestamps (a late-but-admitted query carrying a
-    /// time before the window open, as the streaming sensor can
-    /// produce) must clamp identically on both paths — the underflow
-    /// regression, at extraction level.
-    #[test]
-    fn fast_extraction_matches_reference_with_pre_window_timestamps(
-        records in arb_records(),
-        start in 1u64..2_000,
-    ) {
-        let mut obs = ingest(&records, 0, 5_000);
+/// Pre-window timestamps (a late-but-admitted query carrying a
+/// time before the window open, as the streaming sensor can
+/// produce) must clamp identically on both paths — the underflow
+/// regression, at extraction level.
+#[test]
+fn fast_extraction_matches_reference_with_pre_window_timestamps() {
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed ^ 0x94E0);
+        let mut obs = ingest(&arb_records(&mut rng, &SMALL), 0, 5_000);
         // Reopen the window after ingest so some retained queries
         // precede window_start.
-        obs.window_start = SimTime(start);
+        obs.window_start = SimTime(1 + rng.below(1_999));
         let config = FeatureConfig { min_queriers: 1, top_n: None };
         let fast = extract_from_observations(&obs, &SynthInfo, &config);
         let reference = extract_from_observations_reference(&obs, &SynthInfo, &config);
-        prop_assert_eq!(bits(&fast), bits(&reference));
+        assert_eq!(bits(&fast), bits(&reference), "seed {seed}");
     }
+}
 
-    /// A cache warmed by earlier windows must not change a later
-    /// window's output: warm extraction is bit-identical to cold and
-    /// to the reference.
-    #[test]
-    fn warm_cache_extraction_matches_cold_and_reference(
-        records in arb_high_overlap(),
-        keep_windows in 0u32..4,
-    ) {
-        let mut sorted = records;
+/// A cache warmed by earlier windows must not change a later
+/// window's output: warm extraction is bit-identical to cold and
+/// to the reference.
+#[test]
+fn warm_cache_extraction_matches_cold_and_reference() {
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed ^ 0x3A43);
+        let mut sorted = arb_high_overlap(&mut rng);
+        let keep_windows = rng.below(4) as u32;
         sorted.sort_by_key(|r| r.time);
         let w1: Vec<_> = sorted.iter().filter(|r| r.time.0 < 2_500).copied().collect();
         let w2: Vec<_> = sorted.iter().filter(|r| r.time.0 >= 2_500).copied().collect();
@@ -180,8 +171,8 @@ proptest! {
 
         let cold1 = extract_from_observations_reference(&obs1, &SynthInfo, &config);
         let cold2 = extract_from_observations_reference(&obs2, &SynthInfo, &config);
-        prop_assert_eq!(bits(&warm1), bits(&cold1));
-        prop_assert_eq!(bits(&warm2), bits(&cold2));
+        assert_eq!(bits(&warm1), bits(&cold1), "first window (seed {seed})");
+        assert_eq!(bits(&warm2), bits(&cold2), "second window (seed {seed})");
     }
 }
 

@@ -7,38 +7,28 @@
 //! ingestion. CI runs this file under `BS_THREADS=1` and `=8`, so the
 //! equivalences also pin thread-count independence.
 //!
-//! Stub-friendly like `tests/fastpath_equivalence.rs`: everything here
-//! runs under the offline proptest stand-in (deterministic generation,
-//! no shrinking) as well as real proptest.
+//! Seeded loops: every case derives from its seed alone, so a failure
+//! replays from the seed in its message.
 
 use bs_dns::{Rcode, SimDuration, SimTime};
 use bs_netsim::log::{QueryLog, QueryLogRecord};
+use bs_par::Rng;
 use bs_sensor::ingest::Observations;
 use bs_sensor::shard::{slice_of, ReferenceShardedStreamingSensor, ShardedStreamingSensor};
 use bs_sensor::{StreamConfig, StreamingSensor, WindowSummary};
-use proptest::prelude::*;
 use std::net::Ipv4Addr;
+
+mod common;
+use common::{arb_records, sorted_records, SMALL};
+
+const CASES: u64 = 64;
 
 const LANE_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Arbitrary record streams over deliberately small address pools so
-/// dedup hits, repeat visits, and admission-filter pressure all occur.
-fn arb_records() -> impl Strategy<Value = Vec<QueryLogRecord>> {
-    proptest::collection::vec(
-        (0u64..5_000, any::<u16>(), any::<u8>()).prop_map(|(t, q, o)| QueryLogRecord {
-            time: SimTime(t),
-            querier: Ipv4Addr::new(10, (q >> 8) as u8, q as u8, (q % 61) as u8),
-            originator: Ipv4Addr::new(203, 0, 113, o % 37),
-            rcode: Rcode::NoError,
-        }),
-        0..400,
-    )
-}
-
 /// Storm-burst specs: at time `t0`, a wave of one-shot originators
 /// from a distinct `198.18.<wave>.*` pool floods the probation tables.
-fn arb_bursts() -> impl Strategy<Value = Vec<(u64, u8)>> {
-    proptest::collection::vec((0u64..4_000, 0u8..8), 0..4)
+fn arb_bursts(rng: &mut Rng) -> Vec<(u64, u8)> {
+    (0..rng.range(0..4)).map(|_| (rng.below(4_000), rng.below(8) as u8)).collect()
 }
 
 /// Materialize background records plus storm bursts (80 one-shot
@@ -79,126 +69,110 @@ fn run_reference(records: &[QueryLogRecord], cfg: StreamConfig) -> Vec<WindowSum
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// Every lane count must produce exactly `expect`.
+fn assert_lanes_match(
+    records: &[QueryLogRecord],
+    cfg: StreamConfig,
+    expect: &[WindowSummary],
+    seed: u64,
+) {
+    for lanes in LANE_COUNTS {
+        assert_eq!(
+            run_sharded(records, cfg, lanes),
+            expect,
+            "lanes={lanes} must be invariant (seed {seed})"
+        );
+    }
+}
 
-    /// Under memory pressure (tiny per-slice tracked tables and
-    /// probation caps, so admission, eviction, and wholesale probation
-    /// resets all fire), every lane count produces exactly the
-    /// reference's window summaries.
-    #[test]
-    fn sharded_matches_reference_under_pressure(
-        records in arb_records(),
-        max_originators in 1usize..200,
-        admission_queries in 1usize..4,
-        probation_cap in 64usize..256,
-    ) {
-        let mut records = records;
-        records.sort_by_key(|r| r.time);
+/// Under memory pressure (tiny per-slice tracked tables and
+/// probation caps, so admission, eviction, and wholesale probation
+/// resets all fire), every lane count produces exactly the
+/// reference's window summaries.
+#[test]
+fn sharded_matches_reference_under_pressure() {
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed ^ 0x5A4D);
+        let records = sorted_records(&mut rng, &SMALL);
         let cfg = StreamConfig {
             window: SimDuration::from_secs(1_000),
-            max_originators,
-            admission_queries,
-            probation_cap,
+            max_originators: rng.range(1..200),
+            admission_queries: rng.range(1..4),
+            probation_cap: rng.range(64..256),
             ..Default::default()
         };
-        let expect = run_reference(&records, cfg);
-        for lanes in LANE_COUNTS {
-            prop_assert_eq!(
-                &run_sharded(&records, cfg, lanes), &expect,
-                "lanes={} must be invariant", lanes
-            );
-        }
+        assert_lanes_match(&records, cfg, &run_reference(&records, cfg), seed);
     }
+}
 
-    /// The same invariance on *unsorted* streams: the driver's
-    /// out-of-order drop path is part of the spec being held equal.
-    #[test]
-    fn sharded_matches_reference_with_out_of_order_records(
-        records in arb_records(),
-        max_originators in 1usize..100,
-    ) {
+/// The same invariance on *unsorted* streams: the driver's
+/// out-of-order drop path is part of the spec being held equal.
+#[test]
+fn sharded_matches_reference_with_out_of_order_records() {
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed ^ 0x000D);
+        let records = arb_records(&mut rng, &SMALL);
         let cfg = StreamConfig {
             window: SimDuration::from_secs(500),
-            max_originators,
+            max_originators: rng.range(1..100),
             admission_queries: 2,
             ..Default::default()
         };
-        let expect = run_reference(&records, cfg);
-        for lanes in LANE_COUNTS {
-            prop_assert_eq!(
-                &run_sharded(&records, cfg, lanes), &expect,
-                "lanes={} must be invariant", lanes
-            );
-        }
+        assert_lanes_match(&records, cfg, &run_reference(&records, cfg), seed);
     }
+}
 
-    /// Storm bursts of one-shot originators against tight probation
-    /// caps — the wholesale-reset path — still leave every lane count
-    /// identical to the reference.
-    #[test]
-    fn sharded_matches_reference_through_probation_storms(
-        background in arb_records(),
-        bursts in arb_bursts(),
-        probation_cap in 64usize..192,
-    ) {
-        let records = storm_records(&background, &bursts);
+/// Storm bursts of one-shot originators against tight probation
+/// caps — the wholesale-reset path — still leave every lane count
+/// identical to the reference.
+#[test]
+fn sharded_matches_reference_through_probation_storms() {
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed ^ 0x5708);
+        let background = arb_records(&mut rng, &SMALL);
+        let records = storm_records(&background, &arb_bursts(&mut rng));
         let cfg = StreamConfig {
             window: SimDuration::from_secs(1_000),
             max_originators: 64, // one tracked slot per slice
             admission_queries: 3,
-            probation_cap,
+            probation_cap: rng.range(64..192),
             ..Default::default()
         };
-        let expect = run_reference(&records, cfg);
-        for lanes in LANE_COUNTS {
-            prop_assert_eq!(
-                &run_sharded(&records, cfg, lanes), &expect,
-                "lanes={} must be invariant", lanes
-            );
-        }
+        assert_lanes_match(&records, cfg, &run_reference(&records, cfg), seed);
     }
+}
 
-    /// Above the memory caps the slice partition is unobservable:
-    /// sharded output equals the plain global sensor at every lane
-    /// count, and the single emitted window equals batch ingestion —
-    /// stream-equals-batch across shard counts.
-    #[test]
-    fn sharded_stream_equals_plain_sensor_and_batch(
-        background in arb_records(),
-        bursts in arb_bursts(),
-    ) {
-        let records = storm_records(&background, &bursts);
-        let cfg = StreamConfig {
-            window: SimDuration::from_secs(5_000),
-            ..Default::default()
-        };
+/// Above the memory caps the slice partition is unobservable:
+/// sharded output equals the plain global sensor at every lane
+/// count, and the single emitted window equals batch ingestion —
+/// stream-equals-batch across shard counts.
+#[test]
+fn sharded_stream_equals_plain_sensor_and_batch() {
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed ^ 0xBA7C);
+        let background = arb_records(&mut rng, &SMALL);
+        let records = storm_records(&background, &arb_bursts(&mut rng));
+        let cfg = StreamConfig { window: SimDuration::from_secs(5_000), ..Default::default() };
         let mut plain = StreamingSensor::new(cfg);
         let mut expect: Vec<WindowSummary> = Vec::new();
         for r in &records {
             expect.extend(plain.push(*r));
         }
         expect.extend(plain.finish());
-
-        for lanes in LANE_COUNTS {
-            prop_assert_eq!(
-                &run_sharded(&records, cfg, lanes), &expect,
-                "lanes={} must equal the plain global sensor", lanes
-            );
-        }
+        assert_lanes_match(&records, cfg, &expect, seed);
 
         let mut log = QueryLog::new();
         for r in &records {
             log.push(*r);
         }
         let batch = Observations::ingest(&log, SimTime(0), SimTime(5_000));
-        prop_assert!(expect.len() <= 1, "one window configured");
+        assert!(expect.len() <= 1, "one window configured (seed {seed})");
         if let Some(w) = expect.first() {
-            prop_assert_eq!(&w.observations.per_originator, &batch.per_originator);
-            prop_assert_eq!(&w.observations.all_queriers, &batch.all_queriers);
-            prop_assert_eq!(w.evicted, 0);
+            assert_eq!(w.observations.per_originator, batch.per_originator, "seed {seed}");
+            assert_eq!(w.observations.all_queriers, batch.all_queriers, "seed {seed}");
+            assert_eq!(w.evicted, 0, "seed {seed}");
         } else {
-            prop_assert!(batch.per_originator.is_empty());
+            assert!(batch.per_originator.is_empty(), "seed {seed}");
         }
     }
 }

@@ -1,12 +1,12 @@
 //! A minimal, dependency-free JSON parser.
 //!
-//! The workspace cannot pull `serde_json`, but the trace tooling needs
-//! to *validate* and *inspect* Chrome trace exports (tests, the
-//! `backscatter trace` subcommand, the CI smoke test). This parser
-//! accepts standard JSON — objects, arrays, strings with escapes
-//! (including `\uXXXX` and surrogate pairs), numbers, booleans, null —
-//! and rejects trailing garbage. It is a reader, not a writer; the
-//! exporters build their output directly.
+//! The workspace has no dependencies outside itself, and the trace
+//! tooling needs to *validate* and *inspect* Chrome trace exports
+//! (tests, the `backscatter trace` subcommand, the CI smoke test). This
+//! parser accepts standard JSON — objects, arrays, strings with
+//! escapes (including `\uXXXX` and surrogate pairs), numbers, booleans,
+//! null — and rejects trailing garbage. It is a reader, not a writer;
+//! the exporters build their output directly.
 
 /// A parsed JSON value. Object keys keep their source order.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,6 +1,7 @@
 #!/bin/bash
 # The repo's tier-1 gate, runnable locally and in CI:
-#   format check → lints as errors → release build → tests.
+#   format check → hermeticity → lints as errors → release build →
+#   tests → CLI smokes → perf gate.
 # Any step failing fails the script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -8,39 +9,29 @@ cd "$(dirname "$0")/.."
 echo "=== cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "=== hermeticity: every package resolves from this repository"
+# Path packages have a null `source`; anything else would need a
+# registry. --offline so a stray dependency fails here, not on a fetch.
+metadata="$(cargo metadata --offline --format-version 1)"
+if grep -o '"source":"[^"]*"' <<<"$metadata" | sort -u | grep .; then
+    echo "external dependency in the workspace graph (sources listed above)"
+    exit 1
+fi
+
 echo "=== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "=== cargo build --release"
 cargo build --release
 
-echo "=== cargo test bs-trace (standalone, zero-dep)"
-cargo test -q -p bs-trace
-
-echo "=== cargo test bs-fastmap (standalone, zero-dep)"
-cargo test -q -p bs-fastmap
-
-echo "=== cargo test bs-mlcore (standalone, zero-dep)"
-cargo test -q -p bs-mlcore
-
-echo "=== cargo test bs-live (the live observability layer)"
-cargo test -q -p bs-live
-
-echo "=== cargo test bs-prof (sampler, cost attribution, counting allocator)"
-cargo test -q -p bs-prof
-
-echo "=== wire codec, capture, ML, driver, pool and analysis crates, offline through the benchmark's workspace (no registry needed)"
-cargo test -q --offline --manifest-path benchmark/Cargo.toml \
-    -p bs-dns -p bs-netsim -p bs-mlcore -p bs-ml -p bs-classify -p backscatter-core -p bs-par -p bs-analysis
+echo "=== cargo test --workspace (every crate, default thread count)"
+cargo test --workspace -q
 
 echo "=== ML fast-path equivalence (sequential: BS_THREADS=1)"
 BS_THREADS=1 cargo test -q -p bs-ml --test mlcore_equivalence
 
 echo "=== ML fast-path equivalence (parallel: BS_THREADS=8)"
 BS_THREADS=8 cargo test -q -p bs-ml --test mlcore_equivalence
-
-echo "=== packed matcher + sorted-run entropy equivalence"
-cargo test -q --test matcher_entropy_equivalence
 
 echo "=== shard equivalence (sequential: BS_THREADS=1)"
 BS_THREADS=1 cargo test -q -p bs-sensor --test shard_equivalence
@@ -54,20 +45,8 @@ BS_THREADS=1 cargo test -q -p bs-sensor --test qmeta_equivalence
 echo "=== qmeta extraction equivalence (parallel: BS_THREADS=8)"
 BS_THREADS=8 cargo test -q -p bs-sensor --test qmeta_equivalence
 
-echo "=== cargo test (sequential: BS_THREADS=1)"
+echo "=== root integration tests (sequential: BS_THREADS=1)"
 BS_THREADS=1 cargo test -q
-
-echo "=== cargo test (parallel: default thread count)"
-cargo test -q
-
-echo "=== ingest bench smoke (fast vs reference, one pass per body)"
-cargo bench -q -p bench --bench ingest -- --test >/dev/null
-
-echo "=== ml bench smoke (columnar vs reference, one pass per body)"
-cargo bench -q -p bench --bench ml -- --test >/dev/null
-
-echo "=== extract bench smoke (qmeta plane vs reference, one pass per body)"
-cargo bench -q -p bench --bench extract -- --test >/dev/null
 
 echo "=== CLI smoke: --trace writes parseable Chrome trace JSON"
 trace_tmp="$(mktemp -d)"

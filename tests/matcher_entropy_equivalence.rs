@@ -1,4 +1,4 @@
-//! Property-tested equivalence between the sensor's two data-parallel
+//! Seeded property tests of the equivalence between the sensor's two data-parallel
 //! fast paths and their retained scalar references.
 //!
 //! The claims are **bit-identity**, not approximate agreement:
@@ -17,7 +17,9 @@ use bs_sensor::dynamic::{normalized_entropy, normalized_entropy_reference};
 use bs_sensor::static_features::{
     classify_name_with_order, classify_name_with_order_reference, MatchOrder,
 };
-use proptest::prelude::*;
+use dns_backscatter::par::Rng;
+
+const CASES: u64 = 256;
 
 /// Keyword fragments spliced into random names so rule hits, boundary
 /// cases and near-misses all occur in `static_matcher_equals_reference`.
@@ -42,51 +44,55 @@ const SPLICES: [&str; 14] = [
 /// the reference special-cases, plus an arbitrary positive draw.
 const ALPHABETS: [f64; 4] = [0.5, 1.0, 2.0, 256.0];
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// One label over the full DNS charset: `[A-Za-z0-9_-]{1,16}`.
+fn arb_label(rng: &mut Rng) -> String {
+    const CHARSET: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-";
+    (0..rng.range(1..17)).map(|_| CHARSET[rng.range(0..CHARSET.len())] as char).collect()
+}
 
-    /// The packed keyword matcher classifies every parseable name
-    /// identically to the byte-at-a-time reference, under both scan
-    /// orders. Labels draw from the full DNS charset (mixed case,
-    /// digits, `-`, `_`) with keyword fragments spliced in so rule
-    /// hits, boundary cases and near-misses all occur.
-    #[test]
-    fn static_matcher_equals_reference(
-        raw_labels in proptest::collection::vec("[A-Za-z0-9_-]{1,16}", 1..5),
-        splice_idx in 0usize..SPLICES.len(),
-        splice_at in 0usize..5,
-    ) {
-        let splice = SPLICES[splice_idx];
-        let mut labels = raw_labels;
+/// The packed keyword matcher classifies every parseable name
+/// identically to the byte-at-a-time reference, under both scan
+/// orders. Labels draw from the full DNS charset (mixed case,
+/// digits, `-`, `_`) with keyword fragments spliced in so rule
+/// hits, boundary cases and near-misses all occur.
+#[test]
+fn static_matcher_equals_reference() {
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed ^ 0x57A7);
+        let mut labels: Vec<String> = (0..rng.range(1..5)).map(|_| arb_label(&mut rng)).collect();
+        let splice = SPLICES[rng.range(0..SPLICES.len())];
+        let splice_at = rng.range(0..5);
         if !splice.is_empty() {
             labels.insert(splice_at.min(labels.len()), splice.to_string());
         }
         let name = labels.join(".");
         if let Ok(name) = DomainName::parse(&name) {
             for order in [MatchOrder::LeftmostFirst, MatchOrder::RightmostFirst] {
-                prop_assert_eq!(
+                assert_eq!(
                     classify_name_with_order(&name, order),
                     classify_name_with_order_reference(&name, order),
-                    "name {:?} under {:?}", name, order
+                    "name {name:?} under {order:?} (seed {seed})"
                 );
             }
         }
     }
+}
 
-    /// The sorted-run entropy fast path returns the same bits as the
-    /// `BTreeMap` histogram reference for every histogram shape and
-    /// alphabet, including the degenerate single-run case where the
-    /// sum is `-0.0`.
-    #[test]
-    fn entropy_equals_reference_bitwise(
-        values in proptest::collection::vec(0u32..64, 0..200),
-        alphabet in (0usize..=ALPHABETS.len(), 1.0f64..1e6)
-            .prop_map(|(i, free)| ALPHABETS.get(i).copied().unwrap_or(free)),
-    ) {
-        prop_assert_eq!(
+/// The sorted-run entropy fast path returns the same bits as the
+/// `BTreeMap` histogram reference for every histogram shape and
+/// alphabet, including the degenerate single-run case where the
+/// sum is `-0.0`.
+#[test]
+fn entropy_equals_reference_bitwise() {
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed ^ 0xE274);
+        let values: Vec<u32> = (0..rng.range(0..200)).map(|_| rng.below(64) as u32).collect();
+        let free = rng.range_f64(1.0..1e6);
+        let alphabet = ALPHABETS.get(rng.range(0..ALPHABETS.len() + 1)).copied().unwrap_or(free);
+        assert_eq!(
             normalized_entropy(&values, alphabet).to_bits(),
             normalized_entropy_reference(&values, alphabet).to_bits(),
-            "values {:?} alphabet {}", values, alphabet
+            "values {values:?} alphabet {alphabet} (seed {seed})"
         );
     }
 }
