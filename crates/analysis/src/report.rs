@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 
 /// Render a plain-text report over a classification series.
 pub fn render_report(windows: &[WindowClassification]) -> String {
-    let _span = bs_telemetry::span("analysis.report");
+    let _stage = bs_telemetry::stage("analysis.report");
     let mut out = String::new();
     let _ = writeln!(out, "# backscatter situation report");
     let _ = writeln!(out, "windows analyzed: {}", windows.len());

@@ -33,7 +33,7 @@ use std::process::ExitCode;
 /// profiler-overhead probe measures the wrapper the shipped CLI
 /// actually runs with.
 #[global_allocator]
-static ALLOC: backscatter_core::prof::CountingAlloc = backscatter_core::prof::CountingAlloc;
+static ALLOC: bs_telemetry::prof::CountingAlloc = bs_telemetry::prof::CountingAlloc;
 
 /// Throughput gauges may lose at most this fraction vs the baseline.
 const RPS_FLOOR: f64 = 0.8;
@@ -76,7 +76,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let baseline = match backscatter_core::trace::json::parse(&text) {
+    let baseline = match bs_telemetry::json::parse(&text) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("perf_gate: {} is not valid JSON: {e}", path.display());

@@ -24,7 +24,7 @@
 /// profiler-overhead probe measures the wrapper the shipped CLI
 /// actually runs with.
 #[global_allocator]
-static ALLOC: backscatter_core::prof::CountingAlloc = backscatter_core::prof::CountingAlloc;
+static ALLOC: bs_telemetry::prof::CountingAlloc = bs_telemetry::prof::CountingAlloc;
 
 fn main() {
     let summary = bench::perfsnap::measure_all();

@@ -224,7 +224,7 @@ fn prof_overhead() -> [(&'static str, i64); 2] {
     let run = || {
         // Inert one-branch guard while profiling is off (the cost under
         // test); keeps the whole loop on-stack for the 99 Hz sampler.
-        let _probe = backscatter_core::prof::stage("bench.prof.probe", 0);
+        let _probe = bs_telemetry::stage("bench.prof.probe");
         let mut s = StreamingSensor::new(cfg);
         let mut n = 0usize;
         for r in log.records() {
@@ -253,13 +253,13 @@ fn prof_overhead() -> [(&'static str, i64); 2] {
     let base_ns = time_min3(&run, expect);
     let disabled_ns = time_min3(&run, expect);
 
-    assert!(backscatter_core::prof::start(99), "sampler must start for the overhead probe");
+    assert!(bs_telemetry::prof::start(99), "sampler must start for the overhead probe");
     let hz99_ns = time_min3(&run, expect);
-    backscatter_core::prof::stop();
-    let (busy, _, _, ticks) = backscatter_core::prof::sample_counts();
+    bs_telemetry::prof::stop();
+    let (busy, _, _, ticks) = bs_telemetry::prof::sample_counts();
     assert!(ticks > 0, "the 99 Hz sampler must have ticked during the probe");
     assert!(busy > 0, "the sampler must have caught the ingest stage on-stack");
-    backscatter_core::prof::reset();
+    bs_telemetry::prof::reset();
 
     let disabled_pct = pct(disabled_ns, base_ns);
     let hz99_pct = pct(hz99_ns, base_ns);
@@ -543,19 +543,19 @@ pub fn measure_all() -> MeasureSummary {
     // conservation ledger on — bounds the cost of `--trace` itself
     // (compare wall_ms_trace_enabled against wall_ms_enabled).
     backscatter_core::par::set_threads(0);
-    backscatter_core::trace::enable();
-    backscatter_core::trace::drain();
-    backscatter_core::trace::ledger::reset();
+    bs_telemetry::trace::enable();
+    bs_telemetry::trace::drain();
+    bs_telemetry::ledger::reset();
     let t0 = Instant::now();
     let classified_traced = run_pipeline(&world);
     let traced_ms = t0.elapsed().as_millis() as i64;
-    let trace_events = backscatter_core::trace::drain().len();
+    let trace_events = bs_telemetry::trace::drain().len();
     assert!(
-        backscatter_core::trace::ledger::verify().is_empty(),
+        bs_telemetry::ledger::verify().is_empty(),
         "traced run must balance the drop-accounting ledger"
     );
-    backscatter_core::trace::ledger::reset();
-    backscatter_core::trace::disable();
+    bs_telemetry::ledger::reset();
+    bs_telemetry::trace::disable();
 
     // Parallel run: default width (BS_THREADS / all cores). This is
     // the snapshot that gets written, so its telemetry is the record.

@@ -56,11 +56,11 @@ impl ClassifierPipeline {
         features: &FeatureMap,
         seed: u64,
     ) -> Option<TrainedClassifier> {
-        let _span = bs_telemetry::span("classify.train");
+        let _stage = bs_telemetry::stage("classify.train");
         let data = Self::to_dataset(labeled, features);
         // Every labeled example is either trained on or dropped by
         // `to_dataset` for lacking features this window.
-        bs_trace::ledger::record(
+        bs_telemetry::ledger::record(
             "classify.train",
             labeled.examples.len() as u64,
             &[

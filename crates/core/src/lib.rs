@@ -25,10 +25,9 @@
 //! | [`classify`] | `bs-classify` | labels, training strategies, consistency |
 //! | [`datasets`] | `bs-datasets` | the seven paper datasets + oracles |
 //! | [`analysis`] | `bs-analysis` | footprints, trends, churn, teams |
-//! | [`telemetry`] | `bs-telemetry` | counters, spans, structured logging, exporters |
+//! | [`telemetry`] | `bs-telemetry` | one stage guard → metrics, causal trace, ledger, profiler; logging |
 //! | [`live`] | `bs-live` | windowed rates, scrape endpoint, health watchdog |
 //! | [`par`] | `bs-par` | deterministic work-stealing parallelism (`BS_THREADS`) |
-//! | [`trace`] | `bs-trace` | causal tracing, flight recorder, drop-accounting ledger |
 //!
 //! # Quickstart
 //!
@@ -58,10 +57,8 @@ pub use bs_live as live;
 pub use bs_ml as ml;
 pub use bs_netsim as netsim;
 pub use bs_par as par;
-pub use bs_prof as prof;
 pub use bs_sensor as sensor;
 pub use bs_telemetry as telemetry;
-pub use bs_trace as trace;
 
 pub mod pipeline;
 pub mod stream;

@@ -60,12 +60,12 @@ impl DatasetPipeline {
         // Expert curation, possibly merged over several dates.
         let mut labels = LabeledSet::default();
         {
-            let _span = bs_telemetry::span("core.curate");
+            let _stage = bs_telemetry::stage("core.curate");
             for &cw in &self.curation_windows {
                 let Some(window) = windows.get(cw) else { continue };
                 // Sensor-stage ledger entries from curation land in the
                 // curated window's cell, not the ambient one.
-                let _w = bs_trace::ledger::window_scope(cw as u64);
+                let _w = bs_telemetry::ledger::window_scope(cw as u64);
                 let feats = built.features_for_window(world, *window, &self.feature_config);
                 let truth = built.truth_for_window(*window);
                 labels.merge(&LabeledSet::curate(&truth, &feats, self.per_class_cap));
@@ -89,17 +89,17 @@ impl DatasetPipeline {
         // cross-window cache here; the streaming driver is the
         // cache's home).
         let out: Vec<WindowClassification> = bs_par::par_map(&windows, |w, window| {
-            let _wscope = bs_trace::ledger::window_scope(w as u64);
-            let _cost = bs_prof::stage("core.window", w as u64);
+            let _wscope = bs_telemetry::ledger::window_scope(w as u64);
+            let _stage = bs_telemetry::stage("core.window");
             let feats = built.features_for_window(world, *window, &self.feature_config);
             let fmap = feature_map(&feats);
             let model = {
-                let _span = bs_telemetry::span("core.retrain");
+                let _stage = bs_telemetry::stage("core.retrain");
                 self.classifier.train(&labels, &fmap, self.seed ^ (w as u64) << 16)
             };
             let entries = match model {
                 Some(model) => {
-                    let _span = bs_telemetry::span("core.classify");
+                    let _stage = bs_telemetry::stage("core.classify");
                     let entries: Vec<ClassifiedOriginator> =
                         bs_par::par_map(&feats, |_, f| ClassifiedOriginator {
                             originator: f.originator,
@@ -121,7 +121,7 @@ impl DatasetPipeline {
             bs_telemetry::counter_add("core.windows", 1);
             // Conservation per window: every analyzable originator is
             // either classified or lost to an untrainable window.
-            bs_trace::ledger::record(
+            bs_telemetry::ledger::record(
                 "core.window",
                 feats.len() as u64,
                 &[

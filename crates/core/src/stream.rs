@@ -39,7 +39,7 @@
 //! identical either way — the shard topology guarantees it, and the
 //! seeded equivalence suites in `bs-sensor` pin it down — but the
 //! sharded engine measures slower than the single sensor on every
-//! benchmark workload (DESIGN §14), so nothing picks it unasked.
+//! benchmark workload (DESIGN §13), so nothing picks it unasked.
 
 use bs_netsim::log::QueryLogRecord;
 use bs_sensor::qmeta::QuerierMetaCache;
@@ -201,7 +201,7 @@ pub fn run_live_stream<F>(
 where
     F: FnMut(&WindowSummary),
 {
-    let _span = bs_telemetry::span("core.stream");
+    let _stage = bs_telemetry::stage("core.stream");
     let pressure = live.map(|handle| handle.health_state());
     let started = Instant::now();
     let sample = || {
@@ -220,7 +220,7 @@ where
             // Held by the closing side for as long as it wants windows.
             let (_closing, closer) = mpsc::channel::<()>();
             let sensor = s.spawn(move || {
-                bs_trace::name_lane("stream-ingest");
+                bs_telemetry::trace::name_lane("stream-ingest");
                 let engine = Engine::new(config, shards, pressure);
                 ingest(records, engine, pace_rps, started, Some(&closer), |w| {
                     let blocked = Instant::now();
@@ -268,7 +268,7 @@ where
 /// restart-with-state — keep their warmth; `on_window` receives each
 /// window summary together with its extracted features. Extraction and
 /// `on_window` run on the calling thread inside the window's
-/// [`bs_trace::ledger::window_scope`], so their ledger rows and stage
+/// [`bs_telemetry::ledger::window_scope`], so their ledger rows and stage
 /// costs are filed under the same window key as the sensor's.
 ///
 /// Extraction output is cache-invariant and bit-identical to the
@@ -291,7 +291,7 @@ where
     F: FnMut(&WindowSummary, &[OriginatorFeatures]),
 {
     run_live_stream(records, config, shards, live, pace_rps, |w| {
-        let _window = bs_trace::ledger::window_scope(w.window.0.secs());
+        let _window = bs_telemetry::ledger::window_scope(w.window.0.secs());
         let features = extract_with_meta_cache(&w.observations, info, feature_config, Some(cache));
         on_window(w, &features);
     })

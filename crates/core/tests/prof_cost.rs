@@ -1,6 +1,9 @@
 //! The ns-per-record cost table must reconcile with the conservation
 //! ledger: for every profiled stage+window, the record count the cost
-//! row reports is exactly what the ledger booked there.
+//! row reports is exactly what the ledger booked there — and what a
+//! stage is charged must not depend on how wide the pool is. Runs with
+//! the counting allocator installed, the way the `backscatter` binary
+//! ships it.
 
 use backscatter_core::stream::{run_live_stream, run_live_stream_extracting};
 use bs_activity::ApplicationClass;
@@ -10,11 +13,15 @@ use bs_dns::{Rcode, SimDuration, SimTime};
 use bs_netsim::log::QueryLogRecord;
 use bs_netsim::types::{AsId, CountryCode, NameOutcome};
 use bs_sensor::{FeatureConfig, QuerierInfo, QuerierMetaCache, StreamConfig};
+use bs_telemetry::{ledger, prof};
 use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard};
 
-/// Both tests switch the process-wide profiling flag and clear the
-/// process-wide ledger and cost table: one at a time.
+#[global_allocator]
+static ALLOC: prof::CountingAlloc = prof::CountingAlloc;
+
+/// Every test switches the process-wide profiling flag and clears the
+/// process-wide ledger: one at a time.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -44,45 +51,44 @@ fn cost_table_reconciles_with_ledger_per_window() {
     let _serial = serial();
     // Profiling only — no tracing, no sampler thread: the cost/ledger
     // join is exact bookkeeping, independent of sampling.
-    bs_trace::enable_profiling();
-    bs_trace::ledger::reset();
-    bs_prof::cost::reset();
+    prof::enable();
+    ledger::reset();
 
     let cfg = StreamConfig { window: SimDuration::from_secs(100), ..Default::default() };
     let stats = run_live_stream(&records(), cfg, 1, None, 0, |_| {});
     assert_eq!(stats.records, 320);
     assert!(stats.windows >= 4);
 
-    bs_trace::disable_profiling();
+    prof::disable();
 
-    let ledger = bs_trace::ledger::snapshot();
+    let flows = ledger::snapshot();
     let rows: Vec<_> =
-        bs_prof::cost::rows().into_iter().filter(|r| r.stage == "sensor.stream").collect();
+        ledger::cost_rows().into_iter().filter(|r| r.stage == "sensor.stream").collect();
     assert!(rows.len() >= 4, "one cost row per flushed window, got {}", rows.len());
 
     let mut cost_records = 0u64;
     for r in &rows {
-        let flow = ledger
+        let flow = flows
             .get(&("sensor.stream".to_string(), r.window))
             .unwrap_or_else(|| panic!("ledger has no cell for window {}", r.window));
         assert_eq!(
-            r.records, flow.records_in,
+            r.records,
+            Some(flow.records_in),
             "window {}: cost row must carry the ledger's record count",
             r.window
         );
         assert_eq!(r.calls, 1, "each window flushes once");
         assert!(r.ns > 0, "wall time was measured");
-        assert!(r.records == 0 || r.ns_per_record == r.ns / r.records, "unit cost is ns/records");
-        cost_records += r.records;
+        assert_eq!(r.ns_per_record(), r.ns.checked_div(flow.records_in), "unit cost is ns/records");
+        cost_records += flow.records_in;
     }
     assert_eq!(cost_records, 320, "every streamed record appears in exactly one cost row");
 
     // The rendered table carries the same reconciliation.
-    let table = bs_prof::cost::render();
+    let table = ledger::cost_table();
     assert!(table.contains("sensor.stream"), "render names the stage:\n{table}");
 
-    bs_trace::ledger::reset();
-    bs_prof::cost::reset();
+    ledger::reset();
 }
 
 struct NoNames;
@@ -155,9 +161,8 @@ fn extraction_cost_is_filed_by_window_like_the_sensors() {
     .train(&labels, &feature_map(&first), 1)
     .expect("two classes with features");
     for threads in [1, 4] {
-        bs_trace::enable_profiling();
-        bs_trace::ledger::reset();
-        bs_prof::cost::reset();
+        prof::enable();
+        ledger::reset();
         bs_par::set_threads(threads);
         let mut cache = QuerierMetaCache::default();
         let stats = run_live_stream_extracting(
@@ -172,10 +177,10 @@ fn extraction_cost_is_filed_by_window_like_the_sensors() {
             |_, rows| assert_eq!(model.classify_all(&feature_map(rows)).len(), 130),
         );
         bs_par::set_threads(0);
-        bs_trace::disable_profiling();
+        prof::disable();
         assert_eq!(stats.windows, 4);
 
-        let rows = bs_prof::cost::rows();
+        let rows = ledger::cost_rows();
         let windows_of = |stage: &str| -> BTreeSet<u64> {
             rows.iter().filter(|r| r.stage == stage).map(|r| r.window).collect()
         };
@@ -194,25 +199,95 @@ fn extraction_cost_is_filed_by_window_like_the_sensors() {
                 "threads={threads}: {stage} cost rows are keyed by window"
             );
         }
-        let ledger = bs_trace::ledger::snapshot();
+        let flows = ledger::snapshot();
         for stage in ["sensor.extract.lookup", "sensor.select"] {
             let cells: BTreeSet<u64> =
-                ledger.keys().filter(|(s, _)| s == stage).map(|(_, w)| *w).collect();
+                flows.keys().filter(|(s, _)| s == stage).map(|(_, w)| *w).collect();
             assert_eq!(
                 cells, sensor,
                 "threads={threads}: {stage} ledger cells are keyed by window"
             );
         }
-        for r in
-            rows.iter().filter(|r| ["sensor.extract.features", "ml.predict"].contains(&r.stage))
+        for r in rows
+            .iter()
+            .filter(|r| ["sensor.extract.features", "ml.predict"].contains(&r.stage.as_str()))
         {
             assert_eq!(r.calls, 3, "threads={threads}: {} once a chunk of 64 originators", r.stage);
+            assert_eq!(r.records, None, "{} books no flow: no fabricated unit cost", r.stage);
         }
         for r in rows.iter().filter(|r| r.stage == "sensor.extract.lookup") {
             assert_eq!(r.calls, 1, "one table build a window");
-            assert_eq!(r.records, 2_100, "joined with the ledger's unique queriers a window");
+            assert_eq!(r.records, Some(2_100), "beside the window's unique queriers");
         }
     }
-    bs_trace::ledger::reset();
-    bs_prof::cost::reset();
+    ledger::reset();
+}
+
+/// Open `name` and stay inside it until the sampler has taken a
+/// whole tick (the first count to land may have begun before the stage
+/// opened).
+fn sampled(name: &'static str) {
+    let _stage = bs_telemetry::stage(name);
+    let ticks = || prof::sample_counts().3;
+    let t0 = ticks();
+    while ticks() < t0 + 2 {
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+}
+
+/// What a stage is charged must not depend on the pool width: threads
+/// the pool spawns — stealing workers, the far side of a `join`, a
+/// `scope` thread — inherit the opener's allocator slot and its frames
+/// as their stack base.
+#[test]
+fn attribution_is_the_same_at_every_pool_width() {
+    let _serial = serial();
+    for threads in [1, 2] {
+        bs_par::set_threads(threads);
+        assert!(prof::start(500), "sampler starts");
+        {
+            let _outer = bs_telemetry::stage("attr.outer");
+            let blocks = bs_par::par_map_range(64, |i| vec![i as u8; 4096]);
+            let spawned = bs_par::scope(|s| {
+                let fill = || (0..64u8).map(|i| vec![i; 8192]).collect::<Vec<_>>();
+                s.spawn(fill).join().expect("scoped thread")
+            });
+            std::hint::black_box((blocks, spawned));
+            bs_par::par_map_range(2, |_| sampled("attr.worker"));
+            bs_par::join(|| sampled("attr.join.a"), || sampled("attr.join.b"));
+            bs_par::scope(|s| s.spawn(|| sampled("attr.spawned")).join().expect("scoped thread"));
+        }
+        prof::stop();
+        bs_par::set_threads(0);
+
+        let bytes = |stage: &str| {
+            prof::alloc_rows().iter().find(|r| r.stage == stage).map_or(0, |r| r.bytes)
+        };
+        assert!(
+            bytes("attr.outer") >= 64 * 4096 + 64 * 8192,
+            "threads={threads}: the opener is charged what its threads allocate:\n{}",
+            prof::alloc_table()
+        );
+        assert!(
+            bytes("(unattributed)") < 64 * 1024,
+            "threads={threads}: nothing leaks to (unattributed):\n{}",
+            prof::alloc_table()
+        );
+        let folded = prof::folded();
+        for leaf in ["attr.worker", "attr.join.a", "attr.join.b", "attr.spawned"] {
+            let paths: Vec<&str> = folded
+                .lines()
+                .map(|l| l.rsplit_once(' ').expect("folded line").0)
+                .filter(|p| p.split(';').any(|f| f == leaf))
+                .collect();
+            assert!(!paths.is_empty(), "threads={threads}: {leaf} never sampled:\n{folded}");
+            for path in paths {
+                assert!(
+                    path.starts_with("attr.outer;"),
+                    "threads={threads}: {leaf} is not based on the opener's frame: {path}"
+                );
+            }
+        }
+    }
+    ledger::reset();
 }

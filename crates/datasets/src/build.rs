@@ -51,7 +51,7 @@ fn build_oracles(scenario: &Scenario, seed: u64) -> (Blacklist, Darknet) {
 /// Simulate a dataset end to end. Long recipes run day by day with
 /// cache sweeps so memory stays proportional to the live cache state.
 pub fn build_dataset(world: &World, spec: DatasetSpec) -> BuiltDataset {
-    let _span = bs_telemetry::span("datasets.build");
+    let _stage = bs_telemetry::stage("datasets.build");
     let scenario = Scenario::new(world, spec.scenario.clone());
     let mut sim_cfg = SimulatorConfig::observing([spec.authority]);
     if let Some(n) = spec.sampling {
@@ -73,7 +73,7 @@ pub fn build_dataset(world: &World, spec: DatasetSpec) -> BuiltDataset {
     bs_telemetry::counter_add("datasets.built", 1);
     // Simulation-side conservation: every contact either produced at
     // least one reverse lookup or stayed silent.
-    bs_trace::ledger::record(
+    bs_telemetry::ledger::record(
         "datasets.build",
         stats.contacts,
         &[

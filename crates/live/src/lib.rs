@@ -49,24 +49,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Escape a string for embedding in a JSON string literal (same rules
-/// as the bs-telemetry exporter: quotes, backslashes, control chars).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Process start anchor for the `/buildinfo` uptime field, pinned the
 /// first time anyone asks (LiveLoop creation touches it, so in
 /// practice it anchors when the live stack comes up).
@@ -81,9 +63,9 @@ fn process_origin() -> Instant {
 pub fn buildinfo_json() -> String {
     format!(
         "{{\n  \"git_hash\": \"{}\",\n  \"rustc\": \"{}\",\n  \"profile\": \"{}\",\n  \"uptime_secs\": {}\n}}",
-        json_escape(env!("BS_GIT_HASH")),
-        json_escape(env!("BS_RUSTC_VERSION")),
-        json_escape(env!("BS_BUILD_PROFILE")),
+        bs_telemetry::json::escape(env!("BS_GIT_HASH")),
+        bs_telemetry::json::escape(env!("BS_RUSTC_VERSION")),
+        bs_telemetry::json::escape(env!("BS_BUILD_PROFILE")),
         process_origin().elapsed().as_secs()
     )
 }
@@ -150,7 +132,7 @@ impl LiveLoop {
     /// `live.ledger.imbalances` gauge first so the conservation rule
     /// sees the current ledger state in the same sample.
     pub fn tick_global(&mut self, at_ms: u64) -> Health {
-        let imbalances = bs_trace::ledger::verify().len();
+        let imbalances = bs_telemetry::ledger::verify().len();
         bs_telemetry::gauge_set("live.ledger.imbalances", imbalances as i64);
         self.tick(at_ms, bs_telemetry::snapshot())
     }
@@ -319,7 +301,7 @@ mod tests {
         live.tick(0, mk(0));
         live.tick(1_000, mk(250));
         let json = live.snapshot_json();
-        let v = bs_trace::json::parse(&json).expect("snapshot JSON parses");
+        let v = bs_telemetry::json::parse(&json).expect("snapshot JSON parses");
         assert_eq!(v.get("health").and_then(|h| h.as_str()), Some("ok"));
         assert_eq!(v.get("at_ms").and_then(|t| t.as_f64()), Some(1_000.0));
         let bi = v.get("buildinfo").expect("buildinfo embedded in /snapshot");
@@ -343,7 +325,7 @@ mod tests {
 
     #[test]
     fn buildinfo_json_is_valid_and_complete() {
-        let v = bs_trace::json::parse(&buildinfo_json()).expect("buildinfo parses");
+        let v = bs_telemetry::json::parse(&buildinfo_json()).expect("buildinfo parses");
         for key in ["git_hash", "rustc", "profile"] {
             let s = v.get(key).and_then(|x| x.as_str()).unwrap_or_else(|| panic!("{key} present"));
             assert!(!s.is_empty(), "{key} is never empty (falls back to \"unknown\")");
@@ -355,11 +337,11 @@ mod tests {
     #[test]
     fn empty_loop_snapshot_is_still_valid_json() {
         let live = LiveLoop::new(LiveConfig::default());
-        let v = bs_trace::json::parse(&live.snapshot_json()).expect("parses");
+        let v = bs_telemetry::json::parse(&live.snapshot_json()).expect("parses");
         assert_eq!(v.get("at_ms").and_then(|t| t.as_f64()), Some(-1.0));
         assert_eq!(v.get("ticks").and_then(|t| t.as_f64()), Some(0.0));
         assert!(
-            matches!(v.get("shard_skew"), Some(bs_trace::json::Value::Null)),
+            matches!(v.get("shard_skew"), Some(bs_telemetry::json::Value::Null)),
             "no shard counters → shard_skew is null"
         );
     }
@@ -375,7 +357,7 @@ mod tests {
         };
         live.tick(0, mk(0, 0));
         live.tick(1_000, mk(300, 100));
-        let v = bs_trace::json::parse(&live.snapshot_json()).expect("parses");
+        let v = bs_telemetry::json::parse(&live.snapshot_json()).expect("parses");
         let skew = v.get("shard_skew").expect("shard counters → skew object");
         assert_eq!(skew.get("lanes").and_then(|l| l.as_f64()), Some(2.0));
         let max = skew.get("max_rps").and_then(|m| m.as_f64()).expect("max_rps");
@@ -405,7 +387,7 @@ mod tests {
         handle.sample_now(10_000);
         let (code, body) = http_get(addr, "/snapshot").expect("scrape");
         assert_eq!(code, 200);
-        let v = bs_trace::json::parse(&body).expect("valid JSON");
+        let v = bs_telemetry::json::parse(&body).expect("valid JSON");
         let ticks = v.get("ticks").and_then(|t| t.as_f64()).expect("ticks present");
         assert!(ticks >= 3.0, "sampler thread ticked: {ticks}");
         let total = v

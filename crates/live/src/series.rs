@@ -2,7 +2,7 @@
 //! quantile extraction over a bounded history of registry snapshots.
 //!
 //! [`Sampler::tick`] appends one timestamped [`Snapshot`] of the
-//! metrics registry to a fixed-size [`Ring`](crate::ring::Ring).
+//! metrics registry to a fixed-size [`Ring`].
 //! Derived series are computed *on read*, from the raw history:
 //!
 //! * **windowed rates** — for a counter `c` and window `w`,
@@ -255,7 +255,7 @@ impl Sampler {
             let _ = write!(
                 out,
                 "\n    \"{}\": {{ \"total\": {}, \"r1s\": {:.3}, \"r10s\": {:.3}, \"r60s\": {:.3}, \"ewma\": {:.3} }}",
-                crate::json_escape(name.as_str()),
+                bs_telemetry::json::escape(name.as_str()),
                 r.total,
                 r.r1s,
                 r.r10s,
@@ -364,7 +364,7 @@ mod tests {
         s.tick(0, snap_with("a\"weird\\name", 0));
         s.tick(1_000, snap_with("a\"weird\\name", 42));
         let json = s.rates_json();
-        let v = bs_trace::json::parse(&json).expect("rates JSON parses");
+        let v = bs_telemetry::json::parse(&json).expect("rates JSON parses");
         let r = v.get("a\"weird\\name").expect("escaped counter present");
         assert_eq!(r.get("total").and_then(|t| t.as_f64()), Some(42.0));
     }

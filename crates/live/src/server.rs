@@ -1,7 +1,7 @@
 //! A minimal std-only HTTP/1.1 scrape endpoint.
 //!
 //! This is deliberately not a web framework: one accept loop, one
-//! request per connection (`Connection: close`), four GET routes.
+//! request per connection (`Connection: close`), eight GET routes.
 //! It exists so an operator (or a Prometheus scraper, or `stats
 //! --watch`) can look inside a long-running sensor process without
 //! adding a single external dependency:
@@ -18,22 +18,41 @@
 //! | `/profile/alloc` | JSON per-stage allocation count/bytes    |
 //!
 //! The listener runs nonblocking with a short poll sleep so shutdown
-//! (a shared stop flag) is observed within ~25 ms; requests are read
-//! with a timeout and capped, so a stuck client can't wedge the loop.
+//! (a shared stop flag) is observed within ~25 ms. Connections are
+//! handled inline on the accept thread, so each one is bounded in size
+//! (the request head is capped) and in time: every read and write has
+//! a timeout, and the whole head — and then the whole response — must
+//! move within one deadline, however the client spaces its bytes. A
+//! client that stalls or drips is answered `408` and closed; it holds
+//! the endpoint for at most two deadlines, never until it has dripped
+//! the size cap.
 
 use crate::{Health, LiveLoop};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Largest request head we accept (method line + headers).
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
 /// Accept-loop poll interval while idle.
 const POLL_SLEEP: Duration = Duration::from_millis(25);
-/// Per-connection read/write timeout.
+/// Longest a single read or write may block.
 const IO_TIMEOUT: Duration = Duration::from_millis(500);
+/// Longest a connection may take to deliver its whole request head,
+/// and then to take its whole response.
+const DEADLINE: Duration = Duration::from_secs(1);
+
+/// The timeout for the next read or write: [`IO_TIMEOUT`], or what is
+/// left until `deadline` if that is less; `TimedOut` once it has passed.
+fn io_budget(deadline: Instant) -> std::io::Result<Duration> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(std::io::ErrorKind::TimedOut.into());
+    }
+    Ok(left.min(IO_TIMEOUT))
+}
 
 /// A running scrape server; dropping it (or calling
 /// [`ServerHandle::shutdown`]) stops the accept loop and joins the
@@ -89,7 +108,7 @@ fn accept_loop(listener: TcpListener, live: Arc<Mutex<LiveLoop>>, stop: Arc<Atom
         match listener.accept() {
             Ok((stream, _peer)) => {
                 // One short-lived request; handle it inline. A slow
-                // client only costs IO_TIMEOUT, not a wedged server.
+                // client costs at most two DEADLINEs, not a wedged server.
                 let _ = handle_connection(stream, &live);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -101,9 +120,7 @@ fn accept_loop(listener: TcpListener, live: Arc<Mutex<LiveLoop>>, stop: Arc<Atom
 }
 
 fn handle_connection(mut stream: TcpStream, live: &Arc<Mutex<LiveLoop>>) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-
+    let deadline = Instant::now() + DEADLINE;
     let mut head = Vec::with_capacity(512);
     let mut buf = [0u8; 512];
     // Read until the end of the request head; the routes are all GET,
@@ -112,14 +129,19 @@ fn handle_connection(mut stream: TcpStream, live: &Arc<Mutex<LiveLoop>>) -> std:
         if head.len() > MAX_REQUEST_BYTES {
             return respond(&mut stream, 431, "Request Header Fields Too Large", "text/plain", "");
         }
-        match stream.read(&mut buf) {
+        let read = io_budget(deadline).and_then(|budget| {
+            stream.set_read_timeout(Some(budget))?;
+            stream.read(&mut buf)
+        });
+        match read {
             Ok(0) => break,
             Ok(n) => head.extend_from_slice(&buf[..n]),
+            // Out of time, or silent for a whole read's budget.
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                break
+                return respond(&mut stream, 408, "Request Timeout", "text/plain", "");
             }
             Err(e) => return Err(e),
         }
@@ -165,15 +187,15 @@ fn handle_connection(mut stream: TcpStream, live: &Arc<Mutex<LiveLoop>>) -> std:
         "/profile/flame" => {
             // Empty until the sampler has run (started via --profile);
             // an empty 200 keeps scrapers simple.
-            let body = bs_prof::folded();
+            let body = bs_telemetry::prof::folded();
             respond(&mut stream, 200, "OK", "text/plain", &body)
         }
         "/profile/top" => {
-            let body = bs_prof::top_json();
+            let body = bs_telemetry::prof::top_json();
             respond(&mut stream, 200, "OK", "application/json", &body)
         }
         "/profile/alloc" => {
-            let body = bs_prof::alloc::alloc_json();
+            let body = bs_telemetry::prof::alloc_json();
             respond(&mut stream, 200, "OK", "application/json", &body)
         }
         _ => respond(&mut stream, 404, "Not Found", "text/plain", "not found\n"),
@@ -189,16 +211,16 @@ fn lock_live(live: &Arc<Mutex<LiveLoop>>) -> std::sync::MutexGuard<'_, LiveLoop>
 /// The `/trace/summary` body: conservation-ledger totals plus the
 /// human-readable table (escaped into one JSON string).
 fn trace_summary_json() -> String {
-    let imbalances = bs_trace::ledger::verify();
-    let cells = bs_trace::ledger::snapshot();
+    let imbalances = bs_telemetry::ledger::verify();
+    let cells = bs_telemetry::ledger::snapshot();
     format!(
         "{{\n  \"tracing_enabled\": {},\n  \"profiling_enabled\": {},\n  \"ledger_cells\": {},\n  \"imbalances\": {},\n  \"dropped_events\": {},\n  \"table\": \"{}\"\n}}",
-        bs_trace::is_enabled(),
-        bs_trace::is_profiling(),
+        bs_telemetry::trace::is_enabled(),
+        bs_telemetry::prof::is_enabled(),
         cells.len(),
         imbalances.len(),
-        bs_trace::dropped(),
-        crate::json_escape(&bs_trace::ledger::render())
+        bs_telemetry::trace::dropped(),
+        bs_telemetry::json::escape(&bs_telemetry::ledger::render())
     )
 }
 
@@ -209,13 +231,24 @@ fn respond(
     content_type: &str,
     body: &str,
 ) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    let response = format!(
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    // `write_all` would let a client that drains one segment per
+    // timeout hold the accept thread for as long as it likes.
+    let deadline = Instant::now() + DEADLINE;
+    let mut rest = response.as_bytes();
+    while !rest.is_empty() {
+        stream.set_write_timeout(Some(io_budget(deadline)?))?;
+        match stream.write(rest) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => rest = &rest[n..],
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// A tiny blocking HTTP GET client for tests and `stats --watch`:
@@ -278,34 +311,34 @@ mod tests {
 
         let (code, snap) = http_get(addr, "/snapshot").expect("scrape /snapshot");
         assert_eq!(code, 200);
-        let v = bs_trace::json::parse(&snap).expect("snapshot is valid JSON");
+        let v = bs_telemetry::json::parse(&snap).expect("snapshot is valid JSON");
         assert!(v.get("rates").is_some(), "derived rates present:\n{snap}");
 
         let (code, health) = http_get(addr, "/health").expect("scrape /health");
         assert_eq!(code, 200, "healthy process answers 200");
-        let v = bs_trace::json::parse(&health).expect("health is valid JSON");
+        let v = bs_telemetry::json::parse(&health).expect("health is valid JSON");
         assert_eq!(v.get("status").and_then(|s| s.as_str()), Some("ok"));
 
         let (code, trace) = http_get(addr, "/trace/summary").expect("scrape /trace/summary");
         assert_eq!(code, 200);
-        let v = bs_trace::json::parse(&trace).expect("trace summary is valid JSON");
+        let v = bs_telemetry::json::parse(&trace).expect("trace summary is valid JSON");
         assert!(v.get("imbalances").is_some());
         assert!(v.get("profiling_enabled").is_some());
 
         let (code, bi) = http_get(addr, "/buildinfo").expect("scrape /buildinfo");
         assert_eq!(code, 200);
-        let v = bs_trace::json::parse(&bi).expect("buildinfo is valid JSON");
+        let v = bs_telemetry::json::parse(&bi).expect("buildinfo is valid JSON");
         assert!(v.get("git_hash").and_then(|g| g.as_str()).is_some());
         assert!(v.get("uptime_secs").and_then(|u| u.as_f64()).is_some());
 
         let (code, top) = http_get(addr, "/profile/top").expect("scrape /profile/top");
         assert_eq!(code, 200);
-        let v = bs_trace::json::parse(&top).expect("profile top is valid JSON");
+        let v = bs_telemetry::json::parse(&top).expect("profile top is valid JSON");
         assert!(v.get("stages").is_some());
 
         let (code, alloc) = http_get(addr, "/profile/alloc").expect("scrape /profile/alloc");
         assert_eq!(code, 200);
-        let v = bs_trace::json::parse(&alloc).expect("profile alloc is valid JSON");
+        let v = bs_telemetry::json::parse(&alloc).expect("profile alloc is valid JSON");
         assert!(v.get("stages").is_some());
 
         // /profile/flame is folded text (possibly empty when the
@@ -345,7 +378,7 @@ mod tests {
         let server = spawn("127.0.0.1:0", Arc::clone(&live)).expect("bind");
         let (code, body) = http_get(server.addr(), "/health").expect("scrape");
         assert_eq!(code, 503, "critical process answers 503:\n{body}");
-        let v = bs_trace::json::parse(&body).expect("valid JSON");
+        let v = bs_telemetry::json::parse(&body).expect("valid JSON");
         assert_eq!(v.get("status").and_then(|s| s.as_str()), Some("critical"));
     }
 

@@ -378,7 +378,7 @@ impl Watchdog {
             let _ = write!(
                 out,
                 "\n    {{ \"rule\": \"{}\", \"tripped\": {}, \"value\": {}, \"threshold\": {:.3}, \"severity\": \"{}\" }}",
-                crate::json_escape(&rs.rule.name),
+                bs_telemetry::json::escape(&rs.rule.name),
                 rs.tripped,
                 value,
                 rs.rule.threshold,
@@ -514,7 +514,7 @@ mod tests {
         s.tick(1_000, snap(10, 1_000));
         wd.evaluate(&s);
         let json = wd.health_json();
-        let v = bs_trace::json::parse(&json).expect("health JSON parses");
+        let v = bs_telemetry::json::parse(&json).expect("health JSON parses");
         assert_eq!(v.get("status").and_then(|s| s.as_str()), Some("ok"));
         let rules = v.get("rules").and_then(|r| r.as_array()).expect("rules array");
         assert_eq!(rules.len(), 6, "all six default rules reported");

@@ -123,7 +123,7 @@ impl Forest {
     /// counts are exact integers, and ties resolve by the same
     /// [`argmax_first`].
     pub fn predict_block(&self, block: &RowBlock) -> Vec<usize> {
-        let _cost = bs_prof::stage("ml.predict", bs_trace::ledger::current_window());
+        let _stage = bs_telemetry::stage("ml.predict");
         let mut votes = vec![0u32; block.rows() * self.n_classes];
         let mut classes = [0u16; BLOCK_ROWS];
         for t in &self.trees {

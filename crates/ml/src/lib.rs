@@ -25,7 +25,7 @@
 //! original boxed/nested implementations are retained as executable
 //! references ([`tree::ReferenceTree`], [`Forest::fit_reference`],
 //! [`Svm::fit_reference`]) and the equivalence suite proves the fast
-//! paths bit-identical to them (DESIGN.md §12).
+//! paths bit-identical to them (DESIGN.md §11).
 //!
 //! Everything is deterministic given a seed.
 

@@ -8,7 +8,7 @@
 //! data) because RBF distances are scale-sensitive and the sensor's
 //! features mix fractions with counts.
 //!
-//! Two solvers live here (DESIGN.md §12):
+//! Two solvers live here (DESIGN.md §11):
 //!
 //! * [`Svm::fit`] — the **fast path**: scaled rows in one flat
 //!   [`RowMatrix`], the kernel behind a [`bs_mlcore::GramCache`]

@@ -5,7 +5,7 @@
 //! implementation serves stand-alone CART and the forest's base
 //! learners (which add per-split feature subsampling).
 //!
-//! Two implementations live here (DESIGN.md §12):
+//! Two implementations live here (DESIGN.md §11):
 //!
 //! * [`DecisionTree`] — the **columnar fast path**: training reads a
 //!   [`bs_mlcore::ColumnarView`] over the deduplicated, weighted
@@ -21,7 +21,7 @@
 //!   (`crates/ml/tests/mlcore_equivalence.rs`) prove the fast path
 //!   produces bit-identical splits, importances and predictions.
 //!
-//! Both share the split-quality arithmetic ([`gini`] in integer
+//! Both share the split-quality arithmetic (`gini` in integer
 //! sum-of-squares form) and the RNG discipline (one feature shuffle
 //! per candidate node, pre-order), which is what makes bit-equality
 //! achievable rather than merely approximate.

@@ -25,12 +25,12 @@ impl MajorityEnsemble {
     /// ensemble bit-identical at every thread count.
     pub fn fit(algorithm: &Algorithm, data: &Dataset, runs: usize, seed: u64) -> Self {
         assert!(runs >= 1);
-        let _span = bs_telemetry::span("ml.train");
+        let _stage = bs_telemetry::stage("ml.train");
         bs_telemetry::counter_add("ml.fits", runs as u64);
         let models = bs_par::par_map_range(runs, |i| {
-            // Trace-only span (no histogram): one per vote run, so the
-            // Chrome export shows which worker lane trained each model.
-            let _s = bs_trace::span("ml.fit_run");
+            // One per vote run, so the Chrome export shows which
+            // worker lane trained each model.
+            let _stage = bs_telemetry::stage("ml.fit_run");
             algorithm.fit(data, seed.wrapping_add((i as u64).wrapping_mul(0xA076_1D64_78BD_642F)))
         });
         MajorityEnsemble { models, n_classes: data.n_classes(), n_features: data.n_features() }

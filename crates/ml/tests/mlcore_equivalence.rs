@@ -1,5 +1,5 @@
 //! Seeded equivalence between the bs-mlcore fast paths and the
-//! retained reference implementations (DESIGN.md §12, §16).
+//! retained reference implementations (DESIGN.md §11, §14).
 //!
 //! The claims here are **bit-identity**, not approximate agreement:
 //! the columnar presorted-index CART must choose the same splits,

@@ -10,7 +10,7 @@
 //! [`RowBlock`] carries after the real features, so stepping a cursor
 //! that already reached its leaf leaves it there. A batch therefore
 //! runs every cursor for exactly `depth` steps, with no leaf test and
-//! no data-dependent branch (DESIGN.md §16).
+//! no data-dependent branch (DESIGN.md §14).
 
 /// Rows per [`RowBlock`]: what one pass of the batch descent walks
 /// through every tree. 64 rows × 23 columns is 11.5 KB, so the block
@@ -136,7 +136,7 @@ impl FlatTree {
     /// `out[..block.rows()]`. Bit-identical to [`FlatTree::predict`]
     /// per row — each step is the same compare on the same bits.
     ///
-    /// Rows advance [`CURSORS`] at a time for exactly `depth` steps;
+    /// Rows advance `CURSORS` (8) at a time for exactly `depth` steps;
     /// the rows past `block.rows()` that fill the last group hold
     /// whatever the block held before, walk the tree like any other
     /// (every index they follow is valid) and are not reported.

@@ -26,7 +26,7 @@
 //!   `left + !(x[feature] <= threshold)` and a batch runs a fixed
 //!   `depth` steps: the single-row [`FlatTree::predict`] and the
 //!   blocked [`FlatTree::predict_block`] walk the same arena
-//!   (DESIGN.md §16);
+//!   (DESIGN.md §14);
 //! * [`RowBlock`] — up to [`BLOCK_ROWS`] rows in one contiguous buffer
 //!   with a trailing constant-0.0 column, filled once and walked by
 //!   every tree that votes on it;

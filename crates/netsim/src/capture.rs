@@ -272,7 +272,7 @@ fn read_capture_chunked(
     bs_telemetry::counter_add("netsim.capture.filtered", stats.filtered);
     bs_telemetry::counter_add("netsim.capture.undecodable", stats.undecodable);
     // The scan counted the responses, the decode where each one went.
-    bs_trace::ledger::record(
+    bs_telemetry::ledger::record(
         "netsim.capture",
         stats.frames,
         &[
@@ -629,19 +629,19 @@ mod tests {
             "dns.wire.encoded",
         ];
         bs_telemetry::enable();
-        bs_trace::enable_profiling();
+        bs_telemetry::prof::enable();
         let before = counters(&names);
         // A window of this test's own: other tests' rows file elsewhere.
         let window = 0xCA97;
         {
-            let _w = bs_trace::ledger::window_scope(window);
+            let _w = bs_telemetry::ledger::window_scope(window);
             bs_par::set_threads(2);
             read_capture_chunked(&bytes, 512).unwrap();
             bs_par::set_threads(0);
         }
         write_capture(&sample_log());
         let after = counters(&names);
-        bs_trace::disable_profiling();
+        bs_telemetry::prof::disable();
         bs_telemetry::disable();
 
         let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
@@ -657,7 +657,7 @@ mod tests {
                 6,
             ]
         );
-        let flow = &bs_trace::ledger::snapshot()[&("netsim.capture".to_string(), window)];
+        let flow = &bs_telemetry::ledger::snapshot()[&("netsim.capture".to_string(), window)];
         assert_eq!(flow.records_in, ends.len() as u64);
         assert_eq!(flow.accounted(), flow.records_in, "{flow:?}");
         assert_eq!(flow.out["records"], expect.records);

@@ -60,20 +60,22 @@
 //! steals), `par.threads` (gauge: resolved pool size), and `par.run`
 //! (histogram: nanoseconds per parallel region).
 //!
-//! # Trace-context propagation
+//! # Position propagation
 //!
-//! When `bs-trace` causal tracing is enabled, every primitive captures
-//! the caller's [`bs_trace::TraceContext`] before spawning workers and
-//! enters it on each worker thread, so spans opened inside worker
-//! tasks parent under the span that started the parallel region — at
-//! any thread count. The caller's ledger window
-//! ([`bs_trace::ledger::window_scope`]) travels the same way, so a
-//! stage that books a ledger row or a `bs_prof` cost from inside a
-//! task files it under the window the spawner was working on, not
-//! under `NO_WINDOW`. Workers also name their flight-recorder lanes
-//! (`par-worker-N`), which become thread labels in the Chrome trace
-//! export. Disabled, all of this costs two relaxed atomic loads per
-//! spawned worker.
+//! Every spawn site — [`scope`]'s `spawn`, [`join`], the work-stealing
+//! workers — makes the same single call: capture the caller's
+//! [`bs_telemetry::Position`] before spawning, enter it on the spawned
+//! thread. The position carries the span context (so stages opened
+//! inside worker tasks parent under the stage that started the region,
+//! at any thread count), the ledger window (so a ledger row or stage
+//! cost booked from inside a task files under the window the spawner
+//! was working on, not under `NO_WINDOW`), the allocator slot and the
+//! profiler's base frames (so allocations and samples on workers are
+//! charged to the stage that fanned out). Entering also names the
+//! thread's flight-recorder lane (`par-worker-N`, `par-join`,
+//! `par-scope`), which becomes the thread label in the Chrome trace
+//! export. With tracing and profiling off, all of this costs one
+//! relaxed atomic load per region and one per spawned thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -225,10 +227,14 @@ mod tests {
     }
 
     /// span_id → (name, parent_id) for every SpanStart in `evs`.
-    fn span_index(evs: &[bs_trace::Event]) -> std::collections::BTreeMap<u64, (&'static str, u64)> {
+    fn span_index(
+        evs: &[bs_telemetry::trace::Event],
+    ) -> std::collections::BTreeMap<u64, (&'static str, u64)> {
         evs.iter()
             .filter_map(|e| match e.kind {
-                bs_trace::EventKind::SpanStart { name } => Some((e.span_id, (name, e.parent_id))),
+                bs_telemetry::trace::EventKind::SpanStart { name } => {
+                    Some((e.span_id, (name, e.parent_id)))
+                }
                 _ => None,
             })
             .collect()
@@ -255,30 +261,30 @@ mod tests {
     #[test]
     fn worker_spans_parent_under_the_spawning_stage() {
         let (root_ctx, root_lane, evs) = with_override(4, || {
-            bs_trace::enable();
-            bs_trace::drain();
-            let root = bs_trace::span("par.test.stage");
+            bs_telemetry::trace::enable();
+            bs_telemetry::trace::drain();
+            let root = bs_telemetry::stage("par.test.stage");
             let root_ctx = root.context().expect("root context");
             par_map_range(16, |i| {
-                let _s = bs_trace::span("par.test.task");
+                let _s = bs_telemetry::stage("par.test.task");
                 i
             });
             drop(root);
-            let evs = bs_trace::drain();
-            bs_trace::disable();
+            let evs = bs_telemetry::trace::drain();
+            bs_telemetry::trace::disable();
             let root_start = evs
                 .iter()
                 .find(|e| {
-                    matches!(e.kind, bs_trace::EventKind::SpanStart { name } if name == "par.test.stage")
+                    matches!(e.kind, bs_telemetry::trace::EventKind::SpanStart { name } if name == "par.test.stage")
                 })
                 .expect("root span recorded");
             (root_ctx, root_start.lane, evs)
         });
         let index = span_index(&evs);
-        let tasks: Vec<&bs_trace::Event> = evs
+        let tasks: Vec<&bs_telemetry::trace::Event> = evs
             .iter()
             .filter(|e| {
-                matches!(e.kind, bs_trace::EventKind::SpanStart { name } if name == "par.test.task")
+                matches!(e.kind, bs_telemetry::trace::EventKind::SpanStart { name } if name == "par.test.task")
             })
             .collect();
         assert_eq!(tasks.len(), 16, "every task recorded its span");
@@ -292,7 +298,7 @@ mod tests {
             );
             assert_ne!(t.lane, root_lane, "tasks ran on worker threads, not the caller's");
         }
-        let names = bs_trace::lane_names();
+        let names = bs_telemetry::trace::lane_names();
         assert!(
             names.iter().any(|(_, n)| n.starts_with("par-worker-")),
             "workers name their lanes, got {names:?}"
@@ -302,26 +308,26 @@ mod tests {
     #[test]
     fn join_and_scope_propagate_context() {
         let evs = with_override(2, || {
-            bs_trace::enable();
-            bs_trace::drain();
+            bs_telemetry::trace::enable();
+            bs_telemetry::trace::drain();
             {
-                let _root = bs_trace::span("par.test.jsroot");
+                let _root = bs_telemetry::stage("par.test.jsroot");
                 join(
                     || {
-                        let _a = bs_trace::span("par.test.join.a");
+                        let _a = bs_telemetry::stage("par.test.join.a");
                     },
                     || {
-                        let _b = bs_trace::span("par.test.join.b");
+                        let _b = bs_telemetry::stage("par.test.join.b");
                     },
                 );
                 scope(|s| {
                     s.spawn(|| {
-                        let _c = bs_trace::span("par.test.scope.child");
+                        let _c = bs_telemetry::stage("par.test.scope.child");
                     });
                 });
             }
-            let evs = bs_trace::drain();
-            bs_trace::disable();
+            let evs = bs_telemetry::trace::drain();
+            bs_telemetry::trace::disable();
             evs
         });
         let index = span_index(&evs);
@@ -342,17 +348,17 @@ mod tests {
     #[test]
     fn spawned_threads_inherit_the_ledger_window() {
         let seen = with_override(4, || {
-            bs_trace::enable_profiling();
-            let _w = bs_trace::ledger::window_scope(42);
-            let window = bs_trace::ledger::current_window;
+            bs_telemetry::prof::enable();
+            let _w = bs_telemetry::ledger::window_scope(42);
+            let window = bs_telemetry::ledger::current_window;
             let tasks = par_map_range(16, |_| window());
             let (a, b) = join(window, window);
             let spawned = scope(|s| s.spawn(window).join().expect("scoped thread"));
-            bs_trace::disable_profiling();
+            bs_telemetry::prof::disable();
             (tasks, a, b, spawned)
         });
         assert_eq!(seen, (vec![42; 16], 42, 42, 42));
-        assert_eq!(bs_trace::ledger::current_window(), bs_trace::ledger::NO_WINDOW);
+        assert_eq!(bs_telemetry::ledger::current_window(), bs_telemetry::ledger::NO_WINDOW);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! nested-region guard (a thread-local flag marking pool workers, under
 //! which nested regions degrade to sequential execution).
 
+use bs_telemetry::Position;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
@@ -57,32 +58,10 @@ fn in_worker() -> bool {
     IN_WORKER.with(|f| f.get())
 }
 
-/// The spawning thread's `bs-trace` thread-locals, captured before a
-/// region spawns and entered on every thread it spawns: the trace
-/// context, so spans opened there parent under the span that fanned
-/// out, and the ledger window, so ledger rows and stage costs booked
-/// there file under the window the spawner was working on.
-#[derive(Clone, Copy)]
-struct Inherited {
-    ctx: Option<bs_trace::TraceContext>,
-    window: u64,
-}
-
-impl Inherited {
-    fn capture() -> Self {
-        Inherited { ctx: bs_trace::current_context(), window: bs_trace::ledger::current_window() }
-    }
-
-    /// Both guards are inert while tracing and profiling are off.
-    fn enter(self) -> (bs_trace::ContextGuard, bs_trace::ledger::WindowGuard) {
-        (bs_trace::enter_context(self.ctx), bs_trace::ledger::window_scope(self.window))
-    }
-}
-
 /// Like [`std::thread::scope`], for irregular task shapes the
 /// structured primitives don't fit, with one addition: the caller's
-/// `bs-trace` context and ledger window are captured at entry and
-/// every [`Scope::spawn`]ed thread runs inside them, so spans opened in
+/// telemetry position is captured at entry and every
+/// [`Scope::spawn`]ed thread runs inside it, so stages opened in
 /// spawned closures parent under the span that was current when the
 /// scope began. Spawned threads are *not* counted against the pool
 /// size; prefer [`par_map`] / [`join`] where possible.
@@ -90,22 +69,21 @@ pub fn scope<'env, F, R>(f: F) -> R
 where
     F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
 {
-    let inherited = Inherited::capture();
+    let inherited = Position::capture();
     std::thread::scope(|inner| f(&Scope { inner, inherited }))
 }
 
 /// The handle passed to [`scope`]'s closure; a thin wrapper over
 /// [`std::thread::Scope`] whose [`spawn`](Scope::spawn) enters the
-/// scope-entry trace context and ledger window on the new thread.
+/// scope-entry telemetry position on the new thread.
 pub struct Scope<'scope, 'env: 'scope> {
     inner: &'scope std::thread::Scope<'scope, 'env>,
-    inherited: Inherited,
+    inherited: Position,
 }
 
 impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn a scoped thread running `f` under the trace context and
-    /// ledger window that were current when the enclosing [`scope`] was
-    /// entered.
+    /// Spawn a scoped thread running `f` under the telemetry position
+    /// that was current when the enclosing [`scope`] was entered.
     pub fn spawn<F, T>(&self, f: F) -> std::thread::ScopedJoinHandle<'scope, T>
     where
         F: FnOnce() -> T + Send + 'scope,
@@ -113,7 +91,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     {
         let inherited = self.inherited;
         self.inner.spawn(move || {
-            let _inherited = inherited.enter();
+            let _inherited = inherited.enter(format_args!("par-scope"));
             f()
         })
     }
@@ -175,18 +153,10 @@ where
     if threads() <= 1 || in_worker() {
         return (a(), b());
     }
-    let inherited = Inherited::capture();
-    let base_frames =
-        if bs_trace::is_profiling() { bs_trace::stack::snapshot_current() } else { Vec::new() };
-    let base_frames = &base_frames;
+    let inherited = Position::capture();
     std::thread::scope(|s| {
         let hb = s.spawn(move || {
-            let _inherited = inherited.enter();
-            let _base = if base_frames.is_empty() {
-                None
-            } else {
-                Some(bs_trace::stack::enter_base(base_frames, "par-join"))
-            };
+            let _inherited = inherited.enter(format_args!("par-join"));
             b()
         });
         let ra = a();
@@ -207,17 +177,11 @@ where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    // The telemetry span also opens a trace span on this thread, so
-    // capturing the context *after* it means worker child spans parent
-    // under `par.run` → enclosing stage → root.
-    let _span = bs_telemetry::span("par.run");
-    let inherited = Inherited::capture();
-    // Base frames for the profiler: workers install the spawning
-    // thread's frame stack so their samples nest under the stage that
-    // fanned out (empty unless profiling is on).
-    let base_frames =
-        if bs_trace::is_profiling() { bs_trace::stack::snapshot_current() } else { Vec::new() };
-    let base_frames = &base_frames;
+    // Capturing the position *after* opening the stage means worker
+    // child spans parent under `par.run` → enclosing stage → root;
+    // allocations stay charged to the enclosing stage, as at width 1.
+    let _stage = bs_telemetry::stage("par.run").charging_parent();
+    let inherited = Position::capture();
     bs_telemetry::gauge_set("par.threads", t as i64);
     // Region depth for the live watchdog's backlog rule: tasks still
     // queued or running across all concurrent regions. Net zero after
@@ -239,15 +203,7 @@ where
             .map(|w| {
                 s.spawn(move || {
                     IN_WORKER.with(|flag| flag.set(true));
-                    let _inherited = inherited.enter();
-                    if bs_trace::is_enabled() {
-                        bs_trace::name_lane(&format!("par-worker-{w}"));
-                    }
-                    let _base = if base_frames.is_empty() {
-                        None
-                    } else {
-                        Some(bs_trace::stack::enter_base(base_frames, &format!("par-worker-{w}")))
-                    };
+                    let _inherited = inherited.enter(format_args!("par-worker-{w}"));
                     let mut done = Vec::with_capacity(n / t + 1);
                     while let Some(i) = next_task(queues, w, steals) {
                         done.push((i, f(i)));

@@ -132,15 +132,15 @@ pub fn extract_with_meta_cache(
     config: &FeatureConfig,
     cache: Option<&mut QuerierMetaCache>,
 ) -> Vec<OriginatorFeatures> {
-    let _span = bs_telemetry::span("sensor.extract");
+    let _stage = bs_telemetry::stage("sensor.extract");
     let table = {
-        let _cost = bs_prof::stage("sensor.extract.lookup", bs_trace::ledger::current_window());
+        let _stage = bs_telemetry::stage("sensor.extract.lookup");
         QuerierMetaTable::build(obs, info, cache)
     };
     let selected = {
-        let _cost = bs_prof::stage("sensor.select", bs_trace::ledger::current_window());
+        let _stage = bs_telemetry::stage("sensor.select");
         let selected = select_analyzable(obs, config.min_queriers, config.top_n);
-        if bs_trace::is_active() {
+        if bs_telemetry::ledger::is_active() {
             // Conservation over the analyzability cut: every observed
             // originator is selected, below threshold, or ranked out.
             let total = obs.per_originator.len() as u64;
@@ -150,7 +150,7 @@ pub fn extract_with_meta_cache(
                 .filter(|o| o.querier_count() >= config.min_queriers)
                 .count() as u64;
             let kept = selected.len() as u64;
-            bs_trace::ledger::record(
+            bs_telemetry::ledger::record(
                 "sensor.select",
                 total,
                 &[
@@ -163,9 +163,9 @@ pub fn extract_with_meta_cache(
         selected
     };
     let out: Vec<OriginatorFeatures> = bs_par::par_chunks(&selected, EXTRACT_CHUNK, |_, chunk| {
-        // One profiler ledger slot per chunk of originators, not one
-        // per originator per window.
-        let _cost = bs_prof::stage("sensor.extract.features", bs_trace::ledger::current_window());
+        // One stage per chunk of originators, not one per originator
+        // per window.
+        let _stage = bs_telemetry::stage("sensor.extract.features");
         chunk.iter().map(|&o| features_from_table(o, &table, obs)).collect::<Vec<_>>()
     })
     .concat();

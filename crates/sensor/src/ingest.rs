@@ -178,7 +178,7 @@ impl Observations {
         }
         bs_telemetry::counter_add("sensor.records", accepted);
         bs_telemetry::counter_add("sensor.dedup_suppressed", suppressed);
-        bs_trace::ledger::record(
+        bs_telemetry::ledger::record(
             "sensor.ingest",
             seen,
             &[("kept", accepted), ("deduped", suppressed), ("out_of_window", out_of_window)],

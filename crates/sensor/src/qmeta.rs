@@ -96,10 +96,10 @@ pub fn resolve_querier(info: &impl QuerierInfo, addr: Ipv4Addr) -> RawQuerierMet
 /// order-preserving), so downstream interning is deterministic.
 fn resolve_chunked(addrs: &[Ipv4Addr], info: &(impl QuerierInfo + Sync)) -> Vec<RawQuerierMeta> {
     bs_par::par_chunks(addrs, RESOLVE_CHUNK, |_, chunk| {
-        // One profiler ledger slot per chunk, not per originator (let
-        // alone per querier): the static keyword matcher now runs
-        // exactly here, once per unique querier.
-        let _cost = bs_prof::stage("sensor.static.lanes", bs_trace::ledger::current_window());
+        // One stage per chunk, not per originator (let alone per
+        // querier): the static keyword matcher now runs exactly here,
+        // once per unique querier.
+        let _stage = bs_telemetry::stage("sensor.static.lanes");
         chunk.iter().map(|a| resolve_querier(info, *a)).collect::<Vec<_>>()
     })
     .concat()
@@ -161,11 +161,11 @@ impl QuerierMetaTable {
                 (raw, n_resolved, addrs.len() as u64 - n_resolved)
             }
         };
-        if bs_trace::is_active() {
+        if bs_telemetry::ledger::is_active() {
             // Conservation over the resolution pass: every unique
             // querier either reused a cached resolution or cost one
             // metadata lookup.
-            bs_trace::ledger::record(
+            bs_telemetry::ledger::record(
                 "sensor.extract.lookup",
                 addrs.len() as u64,
                 &[("resolved", resolved), ("cache_reused", reused)],

@@ -318,9 +318,9 @@ impl ShardedStreamingSensor {
     /// `next_start`) and merge the partials into one summary.
     fn flush_window(&mut self, next_start: SimTime) -> WindowSummary {
         self.drain_all();
-        let _span = bs_telemetry::span("sensor.shard.window_flush");
         let ws = self.window_start;
-        let _cost = bs_prof::stage("sensor.shard.merge", ws.secs());
+        let _window = bs_telemetry::ledger::window_scope(ws.secs());
+        let _stage = bs_telemetry::stage("sensor.shard.merge");
         let end = ws + self.config.window;
         let parts: Vec<(LanePartial, u64, u64)> = {
             let lanes: Vec<Mutex<&mut Lane>> = self.lanes.iter_mut().map(Mutex::new).collect();
@@ -347,15 +347,16 @@ impl ShardedStreamingSensor {
                 // Late records never reach a slice, so the slices'
                 // ledger rows don't cover them; book them into this
                 // lane's stage so per-shard conservation still closes.
-                if bs_trace::is_active() {
-                    let _w = bs_trace::ledger::window_scope(ws.secs());
-                    bs_trace::ledger::record(
+                if bs_telemetry::ledger::is_active() {
+                    bs_telemetry::ledger::record(
                         &format!("sensor.stream.shard.{i}"),
                         ooo,
                         &[("out_of_order", ooo)],
                     );
                 }
-                bs_telemetry::counter_add(&format!("sensor.shard.{i}.ingested"), ooo);
+                if bs_telemetry::is_enabled() || bs_telemetry::trace::is_enabled() {
+                    bs_telemetry::counter_add(&format!("sensor.shard.{i}.ingested"), ooo);
+                }
             }
         }
         // Driver-held tallies join the unchanged global rollups (the

@@ -330,14 +330,16 @@ impl StreamingSensor {
     }
 
     fn take_window(&mut self, end: SimTime) -> WindowSummary {
-        let _span = bs_telemetry::span("sensor.window_flush");
-        // Cost attribution: single sensors file under the exact ledger
-        // stage, sharded slices under the family prefix (bs-prof sums
-        // the per-shard ledger stages at join time).
-        let _cost = bs_prof::stage(
-            if self.shard_index.is_some() { "sensor.stream.shard" } else { "sensor.stream" },
-            self.window_start.secs(),
-        );
+        // The sensor knows its window better than the thread does.
+        // Single sensors file under the exact ledger stage, sharded
+        // slices under the family prefix (the cost table sums the
+        // per-shard ledger stages).
+        let _window = bs_telemetry::ledger::window_scope(self.window_start.secs());
+        let _stage = bs_telemetry::stage(if self.shard_index.is_some() {
+            "sensor.stream.shard"
+        } else {
+            "sensor.stream"
+        });
         // Convert the arena into the BTree-ordered representation the
         // rest of the pipeline consumes — the only ordered work in the
         // streaming sensor, and it happens once per window.
@@ -368,10 +370,12 @@ impl StreamingSensor {
         bs_telemetry::counter_add("sensor.stream.evictions", evicted as u64);
         bs_telemetry::counter_add("sensor.stream.out_of_order", t.out_of_order);
         bs_telemetry::counter_add("sensor.stream.probation_resets", t.probation_resets);
-        if let Some(i) = self.shard_index {
+        // Counter samples go to the registry and to the flight recorder.
+        let counted = bs_telemetry::is_enabled() || bs_telemetry::trace::is_enabled();
+        if let (Some(i), true) = (self.shard_index, counted) {
             // Per-shard counters next to the global rollups above,
             // so shard skew is observable without losing the merged
-            // totals.
+            // totals. The names are only built when a sink takes them.
             bs_telemetry::counter_add(&format!("sensor.shard.{i}.ingested"), t.records);
             bs_telemetry::counter_add(&format!("sensor.shard.{i}.evictions"), evicted as u64);
             bs_telemetry::counter_add(
@@ -379,7 +383,7 @@ impl StreamingSensor {
                 t.probation_resets,
             );
         }
-        if bs_trace::is_active() {
+        if bs_telemetry::ledger::is_active() {
             // Window conservation: every record this window was stored
             // (and survives in the emitted observations), deduped, held
             // in probation (still credited or dropped by a cap reset),
@@ -390,12 +394,11 @@ impl StreamingSensor {
             // per shard and summed across shards.
             let kept: u64 =
                 observations.per_originator.values().map(|o| o.queries.len() as u64).sum();
-            let stage = match self.shard_index {
-                Some(i) => format!("sensor.stream.shard.{i}"),
-                None => "sensor.stream".to_owned(),
+            let stage: std::borrow::Cow<'static, str> = match self.shard_index {
+                Some(i) => format!("sensor.stream.shard.{i}").into(),
+                None => "sensor.stream".into(),
             };
-            let _w = bs_trace::ledger::window_scope(observations.window_start.secs());
-            bs_trace::ledger::record(
+            bs_telemetry::ledger::record(
                 &stage,
                 t.records,
                 &[

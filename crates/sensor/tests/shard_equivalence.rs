@@ -182,7 +182,7 @@ fn sharded_stream_equals_plain_sensor_and_batch() {
 /// merged ledger still balances mid-storm (per shard and summed).
 #[test]
 fn probation_reset_rebooks_only_its_own_shard_stage() {
-    bs_trace::enable();
+    bs_telemetry::trace::enable();
     let lanes = 4usize;
     // Time base far outside every other test's windows: ledger cells
     // are keyed (stage, window), and the ledger is process-global.
@@ -223,8 +223,8 @@ fn probation_reset_rebooks_only_its_own_shard_stage() {
         .expect("boundary crossing flushes the stormed window");
     assert_eq!(w.window, (SimTime(base), SimTime(base + 1_000)));
 
-    assert!(bs_trace::ledger::verify().is_empty(), "merged ledger balances mid-storm");
-    let cells = bs_trace::ledger::snapshot();
+    assert!(bs_telemetry::ledger::verify().is_empty(), "merged ledger balances mid-storm");
+    let cells = bs_telemetry::ledger::snapshot();
     let dropped_in = |lane: usize| {
         cells
             .get(&(format!("sensor.stream.shard.{lane}"), base))

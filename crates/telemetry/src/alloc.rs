@@ -3,15 +3,17 @@
 //!
 //! [`CountingAlloc`] wraps [`System`]. While profiling is off every
 //! hook pays exactly one relaxed atomic load before forwarding. While
-//! on, it adds two relaxed `fetch_add`s against the slot picked by the
-//! thread-local stage id that [`crate::stage`] scopes maintain.
+//! on, it adds two relaxed `fetch_add`s against the slot in the
+//! thread's position — the interned id of the innermost open
+//! [`crate::stage`], inherited by spawned threads like the rest of the
+//! position.
 //!
-//! Caveats (also in DESIGN §15): attribution is by *allocating
-//! thread's current stage*, so allocations made by a stage but freed
-//! elsewhere still count where they were made (deallocations are not
-//! tracked at all — this is an allocation-pressure profile, not a live
-//! heap profile), and anything allocated outside any stage scope files
-//! under `(unattributed)`.
+//! Caveats (also in DESIGN): attribution is by *allocating thread's
+//! current stage*, so allocations made by a stage but freed elsewhere
+//! still count where they were made (deallocations are not tracked at
+//! all — this is an allocation-pressure profile, not a live heap
+//! profile), and anything allocated outside any stage files under
+//! `(unattributed)`.
 //!
 //! This module is the only place in the crate (and the workspace)
 //! allowed to use `unsafe`: the [`GlobalAlloc`] trait is unsafe to
@@ -19,54 +21,31 @@
 
 #![allow(unsafe_code)]
 
+use crate::json::escape;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
 
-/// Attribution slots: slot 0 is `(unattributed)`, slots `1..MAX_STAGES`
-/// are handed out by [`register`]. Overflow past the table falls back
-/// to slot 0 rather than failing.
-pub const MAX_STAGES: usize = 64;
+/// Attribution slots: slot 0 is `(unattributed)`, slot `i` belongs to
+/// the stage interned as id `i`. Stages interned past the table charge
+/// slot 0 rather than failing.
+const MAX_STAGES: usize = 64;
 
 static COUNTS: [AtomicU64; MAX_STAGES] = [const { AtomicU64::new(0) }; MAX_STAGES];
 static BYTES: [AtomicU64; MAX_STAGES] = [const { AtomicU64::new(0) }; MAX_STAGES];
 
-fn names() -> &'static Mutex<Vec<&'static str>> {
-    static NAMES: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    NAMES.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-thread_local! {
-    /// The slot current allocations on this thread attribute to.
-    static STAGE: Cell<u16> = const { Cell::new(0) };
-}
-
-/// Register (or look up) the attribution slot for a stage name.
-/// Returns slot 0 when the table is full.
-pub fn register(name: &'static str) -> u16 {
-    let mut table = names().lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(i) = table.iter().position(|n| *n == name) {
-        return (i + 1) as u16;
+/// The slot allocations under the stage interned as `id` charge to.
+pub(crate) fn slot_of(id: u32) -> u16 {
+    if (id as usize) < MAX_STAGES {
+        id as u16
+    } else {
+        0
     }
-    if table.len() + 1 >= MAX_STAGES {
-        return 0;
-    }
-    table.push(name);
-    table.len() as u16
-}
-
-/// Point the current thread's allocations at `slot`, returning the
-/// previous slot (restore it when the scope ends).
-pub fn set_stage(slot: u16) -> u16 {
-    STAGE.try_with(|c| c.replace(slot)).unwrap_or(0)
 }
 
 #[inline]
 fn charge(size: usize) {
-    if bs_trace::is_profiling() {
-        let slot = STAGE.try_with(|c| c.get()).unwrap_or(0) as usize;
-        let slot = if slot < MAX_STAGES { slot } else { 0 };
+    if crate::flags() & crate::PROF != 0 {
+        let slot = crate::stage::alloc_slot();
         COUNTS[slot].fetch_add(1, Ordering::Relaxed);
         BYTES[slot].fetch_add(size as u64, Ordering::Relaxed);
     }
@@ -78,14 +57,14 @@ fn charge(size: usize) {
 ///
 /// ```ignore
 /// #[global_allocator]
-/// static ALLOC: bs_prof::CountingAlloc = bs_prof::CountingAlloc;
+/// static ALLOC: bs_telemetry::prof::CountingAlloc = bs_telemetry::prof::CountingAlloc;
 /// ```
 pub struct CountingAlloc;
 
 // SAFETY: every method forwards the exact layout it was given to
 // `System`, which upholds the GlobalAlloc contract; the counting
-// side-effect touches only atomics and a const-initialized
-// thread-local (no allocation, no re-entrancy).
+// side-effect touches only atomics and a const-initialized,
+// destructor-free thread-local (no allocation, no re-entrancy).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         charge(layout.size());
@@ -118,9 +97,8 @@ pub struct AllocRow {
     pub bytes: u64,
 }
 
-/// Snapshot every slot with nonzero counts, largest byte total first.
-pub fn snapshot() -> Vec<AllocRow> {
-    let table = names().lock().unwrap_or_else(|e| e.into_inner()).clone();
+/// Every slot with nonzero counts, largest byte total first.
+pub fn alloc_rows() -> Vec<AllocRow> {
     let mut rows = Vec::new();
     for slot in 0..MAX_STAGES {
         let count = COUNTS[slot].load(Ordering::Relaxed);
@@ -128,8 +106,7 @@ pub fn snapshot() -> Vec<AllocRow> {
         if count == 0 {
             continue;
         }
-        let stage =
-            if slot == 0 { "(unattributed)" } else { table.get(slot - 1).copied().unwrap_or("?") };
+        let stage = if slot == 0 { "(unattributed)" } else { crate::stack::resolve(slot as u32) };
         rows.push(AllocRow { stage, count, bytes });
     }
     rows.sort_by(|a, b| b.bytes.cmp(&a.bytes).then(a.stage.cmp(b.stage)));
@@ -137,7 +114,7 @@ pub fn snapshot() -> Vec<AllocRow> {
 }
 
 /// Zero every slot (start of a profiling session).
-pub fn reset_counts() {
+pub(crate) fn reset_counts() {
     for slot in 0..MAX_STAGES {
         COUNTS[slot].store(0, Ordering::Relaxed);
         BYTES[slot].store(0, Ordering::Relaxed);
@@ -147,15 +124,16 @@ pub fn reset_counts() {
 /// JSON export for the `/profile/alloc` route:
 /// `{"stages":[{"stage":...,"count":...,"bytes":...},...]}`.
 pub fn alloc_json() -> String {
-    let rows = snapshot();
     let mut s = String::from("{\n  \"stages\": [");
-    for (i, r) in rows.iter().enumerate() {
+    for (i, r) in alloc_rows().iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
         s.push_str(&format!(
             "\n    {{\"stage\": \"{}\", \"count\": {}, \"bytes\": {}}}",
-            r.stage, r.count, r.bytes
+            escape(r.stage),
+            r.count,
+            r.bytes
         ));
     }
     s.push_str("\n  ]\n}");
@@ -163,12 +141,11 @@ pub fn alloc_json() -> String {
 }
 
 /// Human-readable allocation table for the CLI exit summary.
-pub fn render() -> String {
+pub fn alloc_table() -> String {
     use std::fmt::Write as _;
-    let rows = snapshot();
     let mut s = String::new();
     let _ = writeln!(s, "{:<28} {:>12} {:>14}", "stage", "allocs", "bytes");
-    for r in &rows {
+    for r in alloc_rows() {
         let _ = writeln!(s, "{:<28} {:>12} {:>14}", r.stage, r.count, r.bytes);
     }
     s
@@ -179,36 +156,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn register_is_stable_and_bounded() {
-        let a = register("alloc.test.a");
-        assert!(a > 0);
-        assert_eq!(register("alloc.test.a"), a);
-        let b = register("alloc.test.b");
-        assert_ne!(a, b);
+    fn slots_follow_interned_ids_and_overflow_to_unattributed() {
+        let id = crate::stack::intern("alloc.test.a");
+        assert_eq!(slot_of(id), id as u16);
+        assert_eq!(slot_of(MAX_STAGES as u32 - 1), MAX_STAGES as u16 - 1);
+        assert_eq!(slot_of(MAX_STAGES as u32), 0, "past the table: (unattributed)");
     }
 
     #[test]
-    fn charges_file_under_the_set_stage() {
+    fn charges_file_under_the_open_stage() {
         let _g = crate::testutil::serial();
-        let slot = register("alloc.test.charge");
-        bs_trace::enable_profiling();
-        let prev = set_stage(slot);
-        let before = COUNTS[slot as usize].load(Ordering::Relaxed);
-        charge(128);
-        charge(64);
-        set_stage(prev);
-        bs_trace::disable_profiling();
-        let after = COUNTS[slot as usize].load(Ordering::Relaxed);
-        assert_eq!(after - before, 2);
-        let rows = snapshot();
+        crate::prof::enable();
+        let slot = {
+            let _s = crate::stage("alloc.test.charge");
+            let slot = crate::stage::alloc_slot();
+            let before = COUNTS[slot].load(Ordering::Relaxed);
+            charge(128);
+            charge(64);
+            assert_eq!(COUNTS[slot].load(Ordering::Relaxed) - before, 2);
+            slot
+        };
+        crate::prof::disable();
+        assert_ne!(slot, 0);
+        assert_eq!(crate::stage::alloc_slot(), 0, "the stage restored the slot");
+        let rows = alloc_rows();
         let row = rows.iter().find(|r| r.stage == "alloc.test.charge").expect("row");
         assert!(row.bytes >= 192);
+        crate::ledger::reset();
     }
 
     #[test]
     fn disabled_charge_is_a_noop() {
         let _g = crate::testutil::serial();
-        bs_trace::disable_profiling();
+        crate::prof::disable();
         let before = COUNTS[0].load(Ordering::Relaxed);
         charge(1024);
         assert_eq!(COUNTS[0].load(Ordering::Relaxed), before);

@@ -1,32 +1,14 @@
 //! Exporters: Chrome trace-event JSON and a human-readable span tree.
 
+use crate::json::escape as json_escape;
 use crate::recorder::{lane_names, Event, EventKind};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Escape a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render events as Chrome trace-event JSON (the "JSON Object Format":
 /// a top-level object with a `traceEvents` array), loadable in
 /// `chrome://tracing` and Perfetto. Each recorder lane becomes a
-/// thread (`tid`); lanes named via [`crate::name_lane`] get
+/// thread (`tid`); lanes named via [`crate::trace::name_lane`] get
 /// `thread_name` metadata so pool workers are labelled in the UI.
 /// Span begin/end map to `ph:"B"`/`ph:"E"`, counters to `ph:"C"`, and
 /// log records to instant events (`ph:"i"`). Cross-thread parentage is
@@ -221,15 +203,15 @@ mod tests {
     #[test]
     fn chrome_export_parses_and_carries_lanes() {
         let _g = testutil::serial();
-        crate::enable();
-        crate::drain();
+        crate::trace::enable();
+        crate::trace::drain();
         {
-            let _root = crate::span("trace.test.export");
-            crate::record_counter("trace.test.export.count", 7);
-            crate::record_log("WARN", "trace.test", "a \"quoted\"\nmessage");
-            let _inner = crate::span("trace.test.export.inner");
+            let _root = crate::stage("trace.test.export");
+            crate::trace::record_counter("trace.test.export.count", 7);
+            crate::trace::record_log("WARN", "trace.test", "a \"quoted\"\nmessage");
+            let _inner = crate::stage("trace.test.export.inner");
         }
-        let evs = crate::drain();
+        let evs = crate::trace::drain();
         let json = chrome_trace_json(&evs);
         let value = crate::json::parse(&json).expect("export is valid JSON");
         let top = value.as_object().expect("top-level object");
@@ -249,30 +231,25 @@ mod tests {
         for ph in ["M", "B", "E", "C", "i"] {
             assert!(phases.contains(&ph), "missing phase {ph}");
         }
-        crate::disable();
+        crate::trace::disable();
     }
 
     #[test]
     fn tree_dump_nests_and_attaches() {
         let _g = testutil::serial();
-        crate::enable();
-        crate::drain();
+        crate::trace::enable();
+        crate::trace::drain();
         {
-            let _outer = crate::span("trace.test.tree.outer");
-            crate::record_counter("trace.test.tree.n", 3);
-            let _inner = crate::span("trace.test.tree.inner");
+            let _outer = crate::stage("trace.test.tree.outer");
+            crate::trace::record_counter("trace.test.tree.n", 3);
+            let _inner = crate::stage("trace.test.tree.inner");
         }
-        let evs = crate::drain();
+        let evs = crate::trace::drain();
         let dump = tree_dump(&evs);
         let outer_at = dump.find("trace.test.tree.outer").expect("outer rendered");
         let inner_at = dump.find("  trace.test.tree.inner").expect("inner indented under outer");
         assert!(outer_at < inner_at);
         assert!(dump.contains("+ trace.test.tree.n = 3"));
-        crate::disable();
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd\te\u{1}"), "a\\\"b\\\\c\\nd\\te\\u0001");
+        crate::trace::disable();
     }
 }

@@ -1,26 +1,8 @@
 //! Snapshot exporters: JSON and Prometheus text format.
 
+use crate::json::escape as json_escape;
 use crate::registry::Snapshot;
 use std::fmt::Write;
-
-/// Escape a string for a JSON document (shared with the JSON logger).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Turn a dotted metric name into a Prometheus-safe one: `bs_` prefix,
 /// every character outside `[a-zA-Z0-9_]` replaced by `_`.
@@ -183,7 +165,7 @@ mod tests {
             "hist\\path".into(),
             HistogramSnapshot { count: 0, sum: 0, max: 0, p50: 0, p90: 0, p99: 0 },
         );
-        let v = bs_trace::json::parse(&s.to_json()).expect("snapshot_json must be valid JSON");
+        let v = crate::json::parse(&s.to_json()).expect("snapshot_json must be valid JSON");
         let counters = v.get("counters").expect("counters object");
         assert_eq!(counters.get("quote\"back\\slash").and_then(|c| c.as_f64()), Some(1.0));
         assert_eq!(counters.get("newline\nand\ttab").and_then(|c| c.as_f64()), Some(2.0));
@@ -198,7 +180,7 @@ mod tests {
 
     #[test]
     fn empty_json_snapshot_parses_too() {
-        bs_trace::json::parse(&Snapshot::default().to_json()).expect("empty snapshot is valid");
+        crate::json::parse(&Snapshot::default().to_json()).expect("empty snapshot is valid");
     }
 
     #[test]
@@ -266,6 +248,7 @@ mod tests {
 
     #[test]
     fn global_snapshot_exports_via_free_functions() {
+        let _g = crate::testutil::serial();
         crate::enable();
         crate::counter_add("export.test.counter", 5);
         crate::observe("export.test.hist", 100);

@@ -1,12 +1,36 @@
-//! A minimal, dependency-free JSON parser.
+//! The workspace's one JSON module: the string [`escape`] every
+//! exporter shares, and a minimal dependency-free parser.
 //!
-//! The workspace has no dependencies outside itself, and the trace
-//! tooling needs to *validate* and *inspect* Chrome trace exports
-//! (tests, the `backscatter trace` subcommand, the CI smoke test). This
-//! parser accepts standard JSON — objects, arrays, strings with
-//! escapes (including `\uXXXX` and surrogate pairs), numbers, booleans,
-//! null — and rejects trailing garbage. It is a reader, not a writer;
-//! the exporters build their output directly.
+//! The workspace has no dependencies outside itself, and the tooling
+//! needs to *validate* and *inspect* what the exporters write (tests,
+//! the `backscatter trace` subcommand, `stats --watch`, the CI smoke
+//! test). The parser accepts standard JSON — objects, arrays, strings
+//! with escapes (including `\uXXXX` and surrogate pairs), numbers,
+//! booleans, null — and rejects trailing garbage. There is no generic
+//! writer: the exporters build their documents directly and pass every
+//! string through [`escape`].
+
+use std::fmt::Write as _;
+
+/// Escape a string for embedding in a JSON string literal: quotes,
+/// backslashes and control characters.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A parsed JSON value. Object keys keep their source order.
 #[derive(Debug, Clone, PartialEq)]
@@ -302,9 +326,14 @@ mod tests {
     }
 
     #[test]
+    fn json_escape_handles_specials() {
+        assert_eq!(escape("a\"b\\c\nd\te\u{1}"), "a\\\"b\\\\c\\nd\\te\\u0001");
+    }
+
+    #[test]
     fn escape_roundtrips_through_parser() {
         let nasty = "quote \" slash \\ newline \n tab \t ctrl \u{1} unicode \u{1F600}";
-        let doc = format!("\"{}\"", crate::export::json_escape(nasty));
+        let doc = format!("\"{}\"", escape(nasty));
         assert_eq!(parse(&doc).expect("parses").as_str(), Some(nasty));
     }
 }

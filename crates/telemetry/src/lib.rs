@@ -1,46 +1,60 @@
-//! `bs-telemetry` — observability for the dns-backscatter pipeline.
+//! `bs-telemetry` — the instrumentation plane of the dns-backscatter
+//! pipeline.
 //!
-//! The paper's system is itself a sensor; an operational deployment of
-//! it lives or dies on being able to watch drop rates, eviction
-//! pressure, and per-stage latency. This crate provides that
-//! introspection with **zero external dependencies**:
+//! The paper's system is itself a sensor that discards most of what it
+//! sees on purpose; an operational deployment lives or dies on telling
+//! "dropped by design" from "lost by a bug" and "slow window" from
+//! "storm". One crate, **zero external dependencies**, answers *how
+//! much*, *how long*, *which window, which stage, which worker* and
+//! *where did the time and memory go*:
 //!
-//! * a global [`Registry`] of named [`Counter`]s, [`Gauge`]s, and
-//!   log-bucketed [`Histogram`]s (p50/p90/p99/max), built on
-//!   `std::sync::atomic` plus a read-mostly `RwLock` name table;
-//! * a [`span`] timer guard that records wall-clock nanoseconds per
-//!   pipeline stage into a histogram named after the stage;
+//! * **metrics** — a global [`Registry`] of named [`Counter`]s,
+//!   [`Gauge`]s and log-bucketed [`Histogram`]s (p50/p90/p99/max),
+//!   exported as JSON ([`snapshot_json`]) or Prometheus text
+//!   ([`snapshot_prometheus`]);
+//! * **one stage guard** — [`stage`] times a pipeline stage once and
+//!   feeds every attached sink: the stage's latency histogram, a
+//!   causally-parented span in the [`trace`] flight recorder, and a
+//!   `(stage, window)` cost cell plus sampler frame and allocator slot
+//!   for the [`prof`] profiler;
+//! * **one thread position** — the span, window and allocator slot a
+//!   thread is working under; [`Position::capture`] /
+//!   [`Position::enter`] carry it (and the profiler's base frames)
+//!   onto spawned threads, which `bs-par` does at every spawn site;
+//! * **one `(stage, window)` table** — the conservation [`ledger`]:
+//!   records in = sum of outcome buckets, with the stage's wall time
+//!   beside the flow it paid for;
 //! * a leveled structured logger ([`error!`]/[`warn!`]/[`info!`]/
-//!   [`debug!`], `key=value` pairs, controlled by the `BS_LOG`
-//!   environment variable);
-//! * exporters: a JSON snapshot ([`snapshot_json`]) and a Prometheus
-//!   text-format dump ([`snapshot_prometheus`]).
-//!
-//! One instrumentation API, two sinks: when causal tracing is enabled
-//! (`bs_trace::enable`), every [`span`] also opens a hierarchical
-//! trace span, [`counter_add`] forwards samples to the flight
-//! recorder, and warn-or-worse log records become trace events — so
-//! the same call sites feed both aggregate metrics and the per-window
-//! causal trace.
+//!   [`debug!`], `key=value` pairs, `BS_LOG` / `BS_LOG_FORMAT`);
+//! * one [`json`] module: the escape every exporter shares and the
+//!   parser that validates what they write.
 //!
 //! # Cost model
 //!
-//! Telemetry is compiled in everywhere but **near-free when no sink is
-//! attached**: every recording entry point first checks a single
-//! relaxed atomic ([`is_enabled`]) and returns immediately when the
-//! registry is disabled. Attaching a sink (the CLI's `--metrics` flag,
-//! the bench harness, a test) calls [`enable`] first.
+//! Everything is compiled in everywhere and **near-free when no sink
+//! is attached**. One process-global flag word holds three bits —
+//! metrics ([`enable`], the CLI's `--metrics`), tracing
+//! ([`trace::enable`], `--trace`) and profiling ([`prof::start`],
+//! `--profile`) — and every recording entry point ([`stage`],
+//! [`counter_add`], [`ledger::record`], [`ledger::window_scope`],
+//! [`Position::capture`], each allocator hook, …) starts with one
+//! relaxed load of it and returns an inert value when its bits are
+//! clear: no clock read, no allocation, no lock, no thread-local
+//! write. The ledger and the thread position are live under tracing
+//! *or* profiling; the flight recorder only under tracing; histograms
+//! only under metrics.
 //!
 //! # Naming convention
 //!
-//! Metric and span names are dotted lowercase paths rooted at the crate
-//! that records them: `crate.stage` (for example `sensor.extract`,
-//! `core.retrain`, `ml.train`). Span histograms record **nanoseconds**.
+//! Metric and stage names are dotted lowercase paths rooted at the
+//! crate that records them: `crate.stage` (for example
+//! `sensor.extract`, `core.retrain`, `ml.train`). Stage histograms
+//! record **nanoseconds**.
 //!
 //! ```
 //! bs_telemetry::enable();
 //! {
-//!     let _guard = bs_telemetry::span("doc.stage");
+//!     let _guard = bs_telemetry::stage("doc.stage");
 //!     bs_telemetry::counter_add("doc.items", 3);
 //! }
 //! let snap = bs_telemetry::snapshot();
@@ -48,14 +62,23 @@
 //! assert_eq!(snap.histograms["doc.stage"].count, 1);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod alloc;
+mod chrome;
 mod export;
+pub mod json;
+pub mod ledger;
 mod logger;
 mod metrics;
+pub mod prof;
+mod recorder;
 mod registry;
-mod span;
+mod sampler;
+mod stack;
+mod stage;
+pub mod trace;
 
 pub use logger::{
     log_emit, log_enabled, set_log_format, set_max_log_level, Level, LogFormat, LogSite,
@@ -63,29 +86,74 @@ pub use logger::{
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{Registry, Snapshot};
-pub use span::Span;
+pub use stage::{stage, Entered, Position, Stage};
+
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::Instant;
+
+/// Flag bit: the metrics registry is recording.
+pub(crate) const METRICS: u8 = 1;
+/// Flag bit: the flight recorder is recording.
+pub(crate) const TRACE: u8 = 2;
+/// Flag bit: the profiler (frame stacks, cost cells, allocator slots)
+/// is recording.
+pub(crate) const PROF: u8 = 4;
+/// The bits under which the ledger and the thread position are live.
+pub(crate) const ACTIVE: u8 = TRACE | PROF;
+
+/// The one atomic every entry point reads. Zero means fully inert.
+static FLAGS: AtomicU8 = AtomicU8::new(0);
+
+pub(crate) fn flags() -> u8 {
+    FLAGS.load(Ordering::Relaxed)
+}
+
+pub(crate) fn set_flag(bit: u8, on: bool) {
+    if on {
+        FLAGS.fetch_or(bit, Ordering::Relaxed);
+    } else {
+        FLAGS.fetch_and(!bit, Ordering::Relaxed);
+    }
+}
+
+/// Lock `m`, surviving poison: everything guarded this way (event
+/// rings, ledger cells, sample aggregates, name tables) is valid
+/// wherever a panicking thread stopped.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The first instant anything here needed a clock: event timestamps
+/// and the log limiter count from it (a monotonic clock that fits an
+/// atomic, unlike `Instant` itself).
+pub(crate) fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
 
 /// The process-global registry every free function records into.
 pub fn registry() -> &'static Registry {
     registry::global()
 }
 
-/// Attach a sink: start recording metrics into the global registry.
+/// Attach a metrics sink: start recording into the global registry.
 pub fn enable() {
-    registry().enable();
+    set_flag(METRICS, true);
 }
 
-/// Detach the sink: recording entry points return immediately again.
+/// Detach the metrics sink: the metric entry points return
+/// immediately again (tracing and profiling, if on, stay on).
 pub fn disable() {
-    registry().disable();
+    set_flag(METRICS, false);
 }
 
-/// Whether a sink is attached (one relaxed atomic load).
+/// Whether a metrics sink is attached (one relaxed atomic load).
 pub fn is_enabled() -> bool {
-    registry().is_enabled()
+    flags() & METRICS != 0
 }
 
-/// Zero every metric in the global registry in place (the enabled flag
+/// Zero every metric in the global registry in place (the flag word
 /// and log level are untouched). Names stay registered, so metric
 /// handles cached before the reset keep recording into instances the
 /// next snapshot still sees. Used between CLI runs and in tests.
@@ -93,17 +161,19 @@ pub fn reset() {
     registry().reset();
 }
 
-/// Add to a named counter. Also forwards the sample to the `bs-trace`
-/// flight recorder (attributed to the current trace span) when tracing
-/// is enabled. No-op while both sinks are disabled.
+/// Add to a named counter, and — under tracing — record the sample in
+/// the flight recorder attributed to the current span. No-op while
+/// both sinks are detached.
 pub fn counter_add(name: &str, n: u64) {
-    if n == 0 {
+    let flags = flags();
+    if n == 0 || flags & (METRICS | TRACE) == 0 {
         return;
     }
-    bs_trace::record_counter(name, n);
-    let r = registry();
-    if r.is_enabled() {
-        r.counter(name).add(n);
+    if flags & TRACE != 0 {
+        recorder::push_counter(name, n);
+    }
+    if flags & METRICS != 0 {
+        registry().counter(name).add(n);
     }
 }
 
@@ -114,33 +184,23 @@ pub fn counter_inc(name: &str) {
 
 /// Set a named gauge. No-op while disabled.
 pub fn gauge_set(name: &str, value: i64) {
-    let r = registry();
-    if r.is_enabled() {
-        r.gauge(name).set(value);
+    if is_enabled() {
+        registry().gauge(name).set(value);
     }
 }
 
 /// Add (possibly negative) to a named gauge. No-op while disabled.
 pub fn gauge_add(name: &str, delta: i64) {
-    let r = registry();
-    if r.is_enabled() {
-        r.gauge(name).add(delta);
+    if is_enabled() {
+        registry().gauge(name).add(delta);
     }
 }
 
 /// Record one value into a named histogram. No-op while disabled.
 pub fn observe(name: &str, value: u64) {
-    let r = registry();
-    if r.is_enabled() {
-        r.histogram(name).record(value);
+    if is_enabled() {
+        registry().histogram(name).record(value);
     }
-}
-
-/// Start a span timer for a pipeline stage. When the returned guard
-/// drops, the elapsed wall-clock **nanoseconds** are recorded into the
-/// histogram named `name`. While disabled this never reads the clock.
-pub fn span(name: &'static str) -> Span {
-    Span::start(name)
 }
 
 /// A point-in-time copy of every metric in the global registry.
@@ -159,23 +219,39 @@ pub fn snapshot_prometheus() -> String {
 }
 
 #[cfg(test)]
+pub(crate) mod testutil {
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The flag word, registry, recorder, ledger and profiler
+    /// aggregates are process-global and the unit tests share one
+    /// process: every test that records through them holds this lock.
+    static LOCK: Mutex<()> = Mutex::new(());
+
+    pub fn serial() -> MutexGuard<'static, ()> {
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let r = Registry::new();
-        assert!(!r.is_enabled());
-        // Direct handle access works regardless; the free functions are
-        // the gated path, modeled here against a local registry.
-        if r.is_enabled() {
-            r.counter("x").inc();
-        }
-        assert!(r.snapshot().counters.is_empty());
+    fn detached_entry_points_record_nothing() {
+        let _g = testutil::serial();
+        disable();
+        counter_add("lib.test.detached", 2);
+        gauge_set("lib.test.detached", 2);
+        observe("lib.test.detached", 2);
+        let snap = snapshot();
+        assert!(!snap.counters.contains_key("lib.test.detached"));
+        assert!(!snap.gauges.contains_key("lib.test.detached"));
+        assert!(!snap.histograms.contains_key("lib.test.detached"));
     }
 
     #[test]
     fn global_free_functions_round_trip() {
+        let _g = testutil::serial();
         enable();
         counter_add("lib.test.counter", 2);
         counter_inc("lib.test.counter");
@@ -183,7 +259,7 @@ mod tests {
         gauge_add("lib.test.gauge", 3);
         observe("lib.test.hist", 1000);
         {
-            let _g = span("lib.test.span");
+            let _g = stage("lib.test.span");
         }
         let snap = snapshot();
         assert_eq!(snap.counters["lib.test.counter"], 3);

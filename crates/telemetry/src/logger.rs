@@ -10,9 +10,9 @@
 //! object per line (`ts_ms`, `level`, `target`, `message`, `kvs`) so
 //! logs are machine-ingestable alongside the trace export.
 //!
-//! Warn-or-worse records are additionally forwarded to the `bs-trace`
-//! flight recorder (when tracing is enabled), attributed to the
-//! current trace span.
+//! Warn-or-worse records are additionally forwarded to the flight
+//! recorder (when tracing is enabled), attributed to the current
+//! trace span.
 //!
 //! # Rate limiting
 //!
@@ -31,8 +31,6 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
-use std::time::Instant;
 
 /// Log severities, most severe first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -171,19 +169,15 @@ fn render(
             let mut line = format!(
                 "{{\"ts_ms\":{ts_ms},\"level\":\"{}\",\"target\":\"{}\",\"message\":\"{}\",\"kvs\":{{",
                 level.as_str(),
-                crate::export::json_escape(target),
-                crate::export::json_escape(message)
+                crate::json::escape(target),
+                crate::json::escape(message)
             );
             for (i, (k, v)) in kvs.iter().enumerate() {
                 if i > 0 {
                     line.push(',');
                 }
-                let _ = write!(
-                    line,
-                    "\"{}\":\"{}\"",
-                    crate::export::json_escape(k),
-                    crate::export::json_escape(v)
-                );
+                let _ =
+                    write!(line, "\"{}\":\"{}\"", crate::json::escape(k), crate::json::escape(v));
             }
             line.push_str("}}");
             line
@@ -199,12 +193,12 @@ pub fn log_emit(level: Level, target: &str, message: &str, kvs: &[(&str, String)
         .map(|d| d.as_millis())
         .unwrap_or(0);
     eprintln!("{}", render(current_format(), ts_ms, level, target, message, kvs));
-    if level <= Level::Warn && bs_trace::is_enabled() {
+    if level <= Level::Warn && crate::trace::is_enabled() {
         // The flight recorder keeps warn-or-worse records with their
         // key=value pairs rendered into the message.
         let traced = render(LogFormat::Text, ts_ms, level, target, message, kvs);
         let stripped = traced.split_once("] ").map(|(_, m)| m).unwrap_or(&traced);
-        bs_trace::record_log(level.as_str(), target, stripped);
+        crate::trace::record_log(level.as_str(), target, stripped);
     }
     crate::counter_add(level.counter_name(), 1);
 }
@@ -220,14 +214,7 @@ const MILLI: u64 = 1_000;
 const BURST_MILLI: u64 = SITE_BURST * MILLI;
 const REFILL_MILLI_PER_SEC: u64 = SITE_REFILL_PER_SEC * MILLI;
 
-/// Nanoseconds since the first call in this process — a monotonic
-/// clock that fits an atomic, unlike `Instant` itself.
-fn monotonic_ns() -> u64 {
-    static ORIGIN: OnceLock<Instant> = OnceLock::new();
-    ORIGIN.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-/// The per-call-site token bucket behind [`log_at!`]. One static
+/// The per-call-site token bucket behind [`log_at!`](crate::log_at!). One static
 /// instance is generated inside every macro expansion, so each textual
 /// call site is limited independently — a flooding loop cannot starve
 /// unrelated log lines elsewhere.
@@ -239,7 +226,7 @@ fn monotonic_ns() -> u64 {
 pub struct LogSite {
     /// Milli-tokens available (starts at the full burst).
     tokens_milli: AtomicU64,
-    /// `monotonic_ns` of the last refill credit.
+    /// Nanoseconds past `crate::epoch` of the last refill credit.
     last_refill_ns: AtomicU64,
     /// Lines suppressed since the last admitted line.
     suppressed: AtomicU64,
@@ -268,7 +255,7 @@ impl LogSite {
         if level == Level::Error {
             return Some(self.suppressed.swap(0, Ordering::Relaxed));
         }
-        let now = monotonic_ns();
+        let now = crate::epoch().elapsed().as_nanos() as u64;
         let last = self.last_refill_ns.load(Ordering::Relaxed);
         let refill = (now.saturating_sub(last) as u128 * REFILL_MILLI_PER_SEC as u128
             / 1_000_000_000) as u64;
@@ -380,6 +367,7 @@ mod tests {
 
     #[test]
     fn set_level_filters_and_macros_expand() {
+        let _g = crate::testutil::serial();
         set_max_log_level(Some(Level::Warn));
         assert!(log_enabled(Level::Error));
         assert!(log_enabled(Level::Warn));
@@ -427,7 +415,7 @@ mod tests {
             &[("path", "a\\b".to_string())],
         );
         assert!(!line.contains('\n'), "one object per line — escapes keep it single-line");
-        let v = bs_trace::json::parse(&line).expect("json log line parses");
+        let v = crate::json::parse(&line).expect("json log line parses");
         assert_eq!(v.get("ts_ms").and_then(|t| t.as_f64()), Some(1700000000123.0));
         assert_eq!(v.get("level").and_then(|l| l.as_str()), Some("ERROR"));
         assert_eq!(v.get("target").and_then(|t| t.as_str()), Some("core.pipeline"));
@@ -438,12 +426,13 @@ mod tests {
     #[test]
     fn json_render_empty_kvs_is_valid() {
         let line = render(LogFormat::Json, 0, Level::Info, "t", "m", &[]);
-        let v = bs_trace::json::parse(&line).expect("parses");
+        let v = crate::json::parse(&line).expect("parses");
         assert_eq!(v.get("kvs").and_then(|k| k.as_object()).map(<[_]>::len), Some(0));
     }
 
     #[test]
     fn set_log_format_overrides_env() {
+        let _g = crate::testutil::serial();
         set_log_format(LogFormat::Json);
         assert_eq!(current_format(), LogFormat::Json);
         set_log_format(LogFormat::Text);
@@ -452,6 +441,7 @@ mod tests {
 
     #[test]
     fn token_bucket_suppresses_floods_then_reports_the_gap() {
+        let _g = crate::testutil::serial();
         crate::enable();
         let counter_before = crate::registry().counter("telemetry.log.suppressed").get();
         let site_before = crate::registry().counter("telemetry.log.suppressed.test.bucket").get();
@@ -490,6 +480,7 @@ mod tests {
 
     #[test]
     fn token_bucket_refills_after_quiet_period() {
+        let _g = crate::testutil::serial();
         let site = LogSite::new();
         while site.admit(Level::Warn, "test.refill").is_some() {}
         assert!(site.admit(Level::Warn, "test.refill").is_none(), "bucket is dry");
@@ -500,6 +491,7 @@ mod tests {
 
     #[test]
     fn macro_call_sites_are_limited_independently() {
+        let _g = crate::testutil::serial();
         crate::enable();
         set_max_log_level(Some(Level::Info));
         let emitted_before = crate::registry().counter("log.warn").get();
@@ -515,6 +507,7 @@ mod tests {
 
     #[test]
     fn emitted_events_count_when_registry_enabled() {
+        let _g = crate::testutil::serial();
         crate::enable();
         set_max_log_level(Some(Level::Info));
         let before = crate::registry().counter("log.info").get();

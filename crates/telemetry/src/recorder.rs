@@ -2,8 +2,9 @@
 //! recent trace events.
 //!
 //! Events are pushed from any thread. Each thread is assigned a *lane*
-//! (a small dense id, named after the pool worker when `bs-par` calls
-//! [`name_lane`]); events route to one of [`STRIPES`] independent
+//! (a small dense id, named after the pool worker when `bs-par` enters
+//! the spawner's [`crate::Position`]); events route to one of
+//! [`STRIPES`] independent
 //! mutex-protected rings by `lane % STRIPES`, so threads on different
 //! stripes never contend. A process-global sequence number gives a
 //! total order for export. When a stripe fills, its oldest events are
@@ -11,11 +12,11 @@
 //! *most recent* history, which is what you want from a flight
 //! recorder after a crash.
 
-use crate::context;
+use crate::stage::current_context;
+use crate::{epoch, lock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Instant;
+use std::sync::{Mutex, OnceLock};
 
 /// Number of independently-locked rings. Power of two; lanes route by
 /// `lane % STRIPES`.
@@ -65,7 +66,7 @@ pub enum EventKind {
         /// Sampled value (delta or absolute — the producer decides).
         value: u64,
     },
-    /// A log record (warn or worse, forwarded from `bs-telemetry`).
+    /// A log record (warn or worse, forwarded by the logger).
     Log {
         /// Severity label, e.g. `"WARN"`.
         level: String,
@@ -99,17 +100,6 @@ fn recorder() -> &'static Recorder {
     })
 }
 
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-/// Survive a poisoned lock: the recorder's state is a plain event
-/// buffer, valid regardless of where a panicking thread stopped.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 static NEXT_LANE: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
@@ -132,7 +122,7 @@ pub(crate) fn lane() -> u64 {
 /// becomes the thread label in the Chrome trace export. Re-naming a
 /// lane replaces the previous name. Inert while tracing is disabled.
 pub fn name_lane(name: &str) {
-    if !crate::is_enabled() {
+    if !crate::trace::is_enabled() {
         return;
     }
     let id = lane();
@@ -149,7 +139,7 @@ pub fn lane_names() -> Vec<(u64, String)> {
 }
 
 /// Record an event on the current thread's lane. Callers have already
-/// checked [`crate::is_enabled`].
+/// checked [`crate::trace::is_enabled`].
 pub(crate) fn push(trace_id: u64, span_id: u64, parent_id: u64, kind: EventKind) {
     let rec = recorder();
     let lane = lane();
@@ -169,18 +159,22 @@ pub(crate) fn push(trace_id: u64, span_id: u64, parent_id: u64, kind: EventKind)
 /// Record a counter sample attributed to the current span (if any).
 /// Near-free when disabled: one relaxed atomic load, no allocation.
 pub fn record_counter(name: &str, value: u64) {
-    if !crate::is_enabled() {
-        return;
+    if crate::trace::is_enabled() {
+        push_counter(name, value);
     }
+}
+
+/// [`record_counter`] for callers that already checked the flag word.
+pub(crate) fn push_counter(name: &str, value: u64) {
     let (trace_id, span_id) = ids();
     push(trace_id, span_id, 0, EventKind::Counter { name: name.to_string(), value });
 }
 
 /// Record a log line attributed to the current span (if any).
-/// `bs-telemetry` forwards warn-or-worse records here. Near-free when
+/// The logger forwards warn-or-worse records here. Near-free when
 /// disabled: one relaxed atomic load, no allocation.
 pub fn record_log(level: &str, target: &str, message: &str) {
-    if !crate::is_enabled() {
+    if !crate::trace::is_enabled() {
         return;
     }
     let (trace_id, span_id) = ids();
@@ -197,7 +191,7 @@ pub fn record_log(level: &str, target: &str, message: &str) {
 }
 
 fn ids() -> (u64, u64) {
-    match context::current_context() {
+    match current_context() {
         Some(ctx) => (ctx.trace_id, ctx.span_id),
         None => (0, 0),
     }
@@ -256,11 +250,11 @@ pub fn install_panic_hook() {
     INSTALLED.get_or_init(|| {
         let default = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if crate::is_enabled() {
+            if crate::trace::is_enabled() {
                 let evs = events();
                 if !evs.is_empty() {
-                    eprintln!("--- bs-trace flight recorder ({} events) ---", evs.len());
-                    eprintln!("{}", crate::export::tree_dump(&evs));
+                    eprintln!("--- flight recorder ({} events) ---", evs.len());
+                    eprintln!("{}", crate::chrome::tree_dump(&evs));
                     eprintln!("--- end flight recorder ---");
                 }
             }
@@ -277,7 +271,7 @@ mod tests {
     #[test]
     fn ring_keeps_most_recent_and_counts_drops() {
         let _g = testutil::serial();
-        crate::enable();
+        crate::trace::enable();
         drain();
         // Tiny capacity: one event per stripe. All events from this
         // thread land on one stripe, so only the newest survives.
@@ -294,13 +288,13 @@ mod tests {
         }
         assert_eq!(dropped() - before_dropped, 9, "nine overwrites counted");
         set_capacity(DEFAULT_CAPACITY);
-        crate::disable();
+        crate::trace::disable();
     }
 
     #[test]
     fn drain_orders_across_lanes_by_seq() {
         let _g = testutil::serial();
-        crate::enable();
+        crate::trace::enable();
         drain();
         std::thread::scope(|s| {
             for t in 0..4 {
@@ -316,13 +310,13 @@ mod tests {
         for pair in evs.windows(2) {
             assert!(pair[0].seq < pair[1].seq, "drain is seq-sorted");
         }
-        crate::disable();
+        crate::trace::disable();
     }
 
     #[test]
     fn lane_names_register_and_rename() {
         let _g = testutil::serial();
-        crate::enable();
+        crate::trace::enable();
         let my_lane = lane();
         name_lane("trace-test-lane");
         assert!(lane_names().iter().any(|(l, n)| *l == my_lane && n == "trace-test-lane"));
@@ -331,6 +325,6 @@ mod tests {
         let mine: Vec<&(u64, String)> = names.iter().filter(|(l, _)| *l == my_lane).collect();
         assert_eq!(mine.len(), 1, "rename replaces, not appends");
         assert_eq!(mine[0].1, "trace-test-lane-2");
-        crate::disable();
+        crate::trace::disable();
     }
 }

@@ -2,18 +2,17 @@
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// A set of named metrics. One process-global instance backs the crate's
-/// free functions; tests may create private ones.
+/// free functions (gated by the crate's flag word; the registry itself
+/// always records); tests may create private ones.
 ///
 /// Lookups take a read lock on a `BTreeMap` (uncontended in practice:
 /// writers only appear the first time a name is seen). Hot paths that
 /// cannot afford even that should hold the returned [`Arc`] handle.
 #[derive(Debug, Default)]
 pub struct Registry {
-    enabled: AtomicBool,
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
@@ -27,32 +26,16 @@ pub(crate) fn global() -> &'static Registry {
 }
 
 impl Registry {
-    /// An empty, disabled registry.
+    /// An empty registry.
     pub const fn new() -> Self {
         Registry {
-            enabled: AtomicBool::new(false),
             counters: RwLock::new(BTreeMap::new()),
             gauges: RwLock::new(BTreeMap::new()),
             histograms: RwLock::new(BTreeMap::new()),
         }
     }
 
-    /// Start recording.
-    pub fn enable(&self) {
-        self.enabled.store(true, Ordering::Relaxed);
-    }
-
-    /// Stop recording.
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::Relaxed);
-    }
-
-    /// Whether a sink is attached.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Zero every metric **in place** (the enabled flag is untouched).
+    /// Zero every metric **in place**.
     /// Names stay registered and existing `Arc` handles stay connected:
     /// a caller that cached `registry.counter("x")` before the reset
     /// keeps recording into the same instance the next snapshot reads.
@@ -155,7 +138,6 @@ mod tests {
         r.counter("c").inc();
         r.gauge("g").set(5);
         r.histogram("h").record(9);
-        r.enable();
         r.reset();
         let snap = r.snapshot();
         assert_eq!(snap.counters["c"], 0, "names survive reset with zeroed values");
@@ -163,7 +145,6 @@ mod tests {
         assert_eq!(snap.histograms["h"].count, 0);
         assert_eq!(snap.histograms["h"].sum, 0);
         assert_eq!(snap.histograms["h"].max, 0);
-        assert!(r.is_enabled(), "reset keeps the enabled flag");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! live thread's shared frame stack at a fixed rate.
 //!
 //! Sampling is cooperative-free: workers never stop, never take a
-//! lock the sampler holds — the seqlock in `bs_trace::stack` means a
+//! lock the sampler holds — the seqlock in [`crate::stack`] means a
 //! concurrent update costs the sampler a retry (counted as *torn* and
 //! skipped past the retry budget, never misattributed). Aggregates
 //! are collapsed stacks — `path → sample count` — which is exactly
@@ -37,7 +37,7 @@ struct Aggregates {
 
 fn agg() -> MutexGuard<'static, Aggregates> {
     static AGG: OnceLock<Mutex<Aggregates>> = OnceLock::new();
-    AGG.get_or_init(|| Mutex::new(Aggregates::default())).lock().unwrap_or_else(|e| e.into_inner())
+    crate::lock(AGG.get_or_init(Default::default))
 }
 
 struct Running {
@@ -45,24 +45,21 @@ struct Running {
     thread: std::thread::JoinHandle<()>,
 }
 
-fn state() -> &'static Mutex<Option<Running>> {
-    static STATE: OnceLock<Mutex<Option<Running>>> = OnceLock::new();
-    STATE.get_or_init(|| Mutex::new(None))
-}
+static STATE: Mutex<Option<Running>> = Mutex::new(None);
 
 /// Start the sampler at `hz` samples/second (clamped to `1..=1000`).
-/// Enables `bs_trace` profiling mode, resets every profiler aggregate
-/// (sampler stacks, cost table, allocator counters), and spawns the
+/// Turns profiling on, resets every profiler aggregate (sampler
+/// stacks, ledger cells, allocator counters), and spawns the
 /// `bs-prof-sampler` thread. Returns `false` if already running.
 pub fn start(hz: u32) -> bool {
-    let mut st = state().lock().unwrap_or_else(|e| e.into_inner());
+    let mut st = crate::lock(&STATE);
     if st.is_some() {
         return false;
     }
-    crate::reset();
+    crate::prof::reset();
     let hz = hz.clamp(1, 1000);
     agg().hz = hz;
-    bs_trace::enable_profiling();
+    crate::prof::enable();
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = stop.clone();
     let thread = std::thread::Builder::new()
@@ -77,20 +74,21 @@ pub fn start(hz: u32) -> bool {
 /// off. Aggregates remain readable after stopping. No-op when not
 /// running.
 pub fn stop() {
-    let running = state().lock().unwrap_or_else(|e| e.into_inner()).take();
+    let running = crate::lock(&STATE).take();
     if let Some(r) = running {
         r.stop.store(true, Ordering::Relaxed);
         let _ = r.thread.join();
     }
-    bs_trace::disable_profiling();
+    crate::prof::disable();
 }
 
 /// Whether the sampler thread is live.
 pub fn is_running() -> bool {
-    state().lock().unwrap_or_else(|e| e.into_inner()).is_some()
+    crate::lock(&STATE).is_some()
 }
 
 fn run_loop(hz: u32, stop: &AtomicBool) {
+    crate::stage::charge_thread_to("prof.sampler");
     let period = Duration::from_nanos(1_000_000_000 / hz as u64);
     let mut next = Instant::now() + period;
     while !stop.load(Ordering::Relaxed) {
@@ -116,28 +114,31 @@ fn run_loop(hz: u32, stop: &AtomicBool) {
 }
 
 fn tick() {
-    let (snaps, torn) = bs_trace::stack::sample_all();
     let mut a = agg();
+    let mut threads = 0;
+    let torn = crate::stack::sample_all(|frames| {
+        threads += 1;
+        if frames.is_empty() {
+            a.idle += 1;
+        } else if let Some(n) = a.stacks.get_mut(frames) {
+            *n += 1;
+        } else {
+            a.stacks.insert(frames.to_vec(), 1);
+        }
+    });
     a.ticks += 1;
     a.torn += torn;
-    a.threads = snaps.len() as u64;
-    for snap in snaps {
-        if snap.frames.is_empty() {
-            a.idle += 1;
-        } else {
-            *a.stacks.entry(snap.frames).or_insert(0) += 1;
-        }
-    }
+    a.threads = threads;
     let (ticks, threads, torn_total, busy) =
         (a.ticks, a.threads, a.torn, a.stacks.values().sum::<u64>());
     drop(a);
-    bs_telemetry::gauge_set("prof.ticks", ticks as i64);
-    bs_telemetry::gauge_set("prof.threads", threads as i64);
-    bs_telemetry::gauge_set("prof.torn", torn_total as i64);
-    bs_telemetry::gauge_set("prof.samples.busy", busy as i64);
+    crate::gauge_set("prof.ticks", ticks as i64);
+    crate::gauge_set("prof.threads", threads as i64);
+    crate::gauge_set("prof.torn", torn_total as i64);
+    crate::gauge_set("prof.samples.busy", busy as i64);
 }
 
-/// Clear the collapsed-stack aggregates (called by [`crate::reset`]).
+/// Clear the collapsed-stack aggregates (called by [`crate::prof::reset`]).
 pub(crate) fn reset_aggregates() {
     let mut a = agg();
     let hz = a.hz;
@@ -162,7 +163,7 @@ pub fn folded() -> String {
     let mut lines: Vec<String> = paths
         .into_iter()
         .map(|(path, count)| {
-            let names: Vec<&str> = path.iter().map(|&id| bs_trace::stack::resolve(id)).collect();
+            let names: Vec<&str> = path.iter().map(|&id| crate::stack::resolve(id)).collect();
             format!("{} {}", names.join(";"), count)
         })
         .collect();
@@ -177,7 +178,7 @@ pub fn folded() -> String {
 /// Per-stage self/total sample counts, busiest first. *Total* counts
 /// samples where the stage appears anywhere on the path (once per
 /// sample); *self* counts samples where it is the leaf.
-pub fn stage_totals() -> Vec<(String, u64, u64)> {
+fn stage_totals() -> Vec<(String, u64, u64)> {
     let a = agg();
     let mut totals: HashMap<u32, (u64, u64)> = HashMap::new();
     for (path, count) in a.stacks.iter() {
@@ -195,7 +196,7 @@ pub fn stage_totals() -> Vec<(String, u64, u64)> {
     drop(a);
     let mut rows: Vec<(String, u64, u64)> = totals
         .into_iter()
-        .map(|(id, (selfc, total))| (bs_trace::stack::resolve(id).to_string(), selfc, total))
+        .map(|(id, (selfc, total))| (crate::stack::resolve(id).to_string(), selfc, total))
         .collect();
     rows.sort_by(|a, b| b.1.cmp(&a.1).then(b.2.cmp(&a.2)).then(a.0.cmp(&b.0)));
     rows
@@ -214,7 +215,8 @@ pub fn top_json() -> String {
             s.push(',');
         }
         s.push_str(&format!(
-            "\n    {{\"stage\": \"{name}\", \"self\": {selfc}, \"total\": {total}}}"
+            "\n    {{\"stage\": \"{}\", \"self\": {selfc}, \"total\": {total}}}",
+            crate::json::escape(name)
         ));
     }
     s.push_str("\n  ]\n}");
@@ -244,8 +246,8 @@ mod tests {
     fn folded_and_top_render_aggregates() {
         let _g = crate::testutil::serial();
         reset_aggregates();
-        let a_id = bs_trace::stack::intern("sampler.test.root");
-        let b_id = bs_trace::stack::intern("sampler.test.leaf");
+        let a_id = crate::stack::intern("sampler.test.root");
+        let b_id = crate::stack::intern("sampler.test.leaf");
         {
             let mut a = agg();
             a.stacks.insert(vec![a_id, b_id], 7);
@@ -274,7 +276,7 @@ mod tests {
         assert!(!start(200), "second start refused");
         assert!(is_running());
         {
-            let _s = bs_trace::span("sampler.test.busy");
+            let _s = crate::stage("sampler.test.busy");
             let t0 = Instant::now();
             while t0.elapsed() < Duration::from_millis(120) {
                 std::hint::black_box(0u64);
@@ -282,7 +284,7 @@ mod tests {
         }
         stop();
         assert!(!is_running());
-        assert!(!bs_trace::is_profiling(), "stop turns profiling off");
+        assert!(!crate::prof::is_enabled(), "stop turns profiling off");
         let (busy, _, _, ticks) = sample_counts();
         assert!(ticks > 0, "sampler ticked");
         assert!(busy > 0, "busy-loop span was sampled");

@@ -1,7 +1,7 @@
 #!/bin/bash
 # The repo's tier-1 gate, runnable locally and in CI:
-#   format check → hermeticity → lints as errors → release build →
-#   tests → CLI smokes → perf gate.
+#   format check → hermeticity → lints as errors → rustdoc as errors →
+#   release build → tests → CLI smokes → perf gate.
 # Any step failing fails the script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,6 +20,9 @@ fi
 
 echo "=== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "=== cargo doc (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "=== cargo build --release"
 cargo build --release
@@ -53,7 +56,7 @@ trace_tmp="$(mktemp -d)"
 trap 'rm -rf "$trace_tmp"' EXIT
 target/release/backscatter simulate --dataset JP-ditl --scale smoke \
     --seed 5 --out "$trace_tmp/jp.tsv" --trace "$trace_tmp/trace.json"
-# `backscatter trace` parses the file with the bs-trace JSON parser
+# `backscatter trace` parses the file with bs-telemetry's JSON parser
 # and fails on anything that is not a trace-event document. Capture
 # rather than pipe into grep -q: -q closes the pipe on first match
 # and the writer would die on EPIPE.

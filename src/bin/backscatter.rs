@@ -17,6 +17,7 @@ use dns_backscatter::netsim::capture::{read_capture, write_capture};
 use dns_backscatter::netsim::log::QueryLog;
 use dns_backscatter::prelude::*;
 use dns_backscatter::sensor::StreamConfig;
+use dns_backscatter::telemetry;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -25,7 +26,7 @@ use std::time::Duration;
 /// pipeline stages. One relaxed load per allocation while profiling is
 /// off — measured in the noise (see `bench.prof.overhead_pct`).
 #[global_allocator]
-static ALLOC: dns_backscatter::prof::CountingAlloc = dns_backscatter::prof::CountingAlloc;
+static ALLOC: telemetry::prof::CountingAlloc = telemetry::prof::CountingAlloc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,15 +58,15 @@ fn main() -> ExitCode {
     // up front, snapshot to the path on success.
     let metrics_path = flags.get("metrics").cloned();
     if metrics_path.is_some() {
-        dns_backscatter::telemetry::enable();
+        telemetry::enable();
     }
     // --trace <path> works on every subcommand: start the flight
     // recorder up front, write Chrome trace JSON on success. The panic
     // hook dumps the span tree to stderr if the run dies instead.
     let trace_path = flags.get("trace").cloned();
     if trace_path.is_some() {
-        dns_backscatter::trace::enable();
-        dns_backscatter::trace::install_panic_hook();
+        telemetry::trace::enable();
+        telemetry::trace::install_panic_hook();
     }
     // --profile <hz> works on every subcommand: start the wall-clock
     // sampling profiler up front; the command's span stacks, per-stage
@@ -83,7 +84,7 @@ fn main() -> ExitCode {
         },
     };
     if let Some(hz) = profile_hz {
-        dns_backscatter::prof::start(hz);
+        telemetry::prof::start(hz);
     }
     // --serve <addr> works on every subcommand: start the bs-live
     // stack (registry sampler + HTTP scrape endpoint + health
@@ -95,7 +96,7 @@ fn main() -> ExitCode {
             match dns_backscatter::live::serve(addr, dns_backscatter::live::LiveConfig::default()) {
                 Ok(h) => {
                     println!("live: listening on {}", h.addr());
-                    dns_backscatter::telemetry::info!(
+                    telemetry::info!(
                         "cli",
                         "live endpoint up";
                         addr = h.addr(),
@@ -115,7 +116,7 @@ fn main() -> ExitCode {
     let result = {
         // Root of the causal span tree (inert without --trace); must
         // drop before the export drains the recorder.
-        let _root = dns_backscatter::trace::span(root_span_name(command));
+        let _root = telemetry::stage(root_span_name(command));
         match command.as_str() {
             "simulate" => cmd_simulate(&flags),
             "features" => cmd_features(&flags),
@@ -135,21 +136,21 @@ fn main() -> ExitCode {
     };
     let result = result.and_then(|()| {
         if let Some(path) = metrics_path {
-            let json = dns_backscatter::telemetry::snapshot_json();
+            let json = telemetry::snapshot_json();
             std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
-            dns_backscatter::telemetry::info!("cli", "wrote metrics snapshot"; path = path);
+            telemetry::info!("cli", "wrote metrics snapshot"; path = path);
         }
         if let Some(path) = trace_path {
-            use dns_backscatter::trace::ledger;
-            let events = dns_backscatter::trace::drain();
-            let json = dns_backscatter::trace::chrome_trace_json(&events);
+            use telemetry::ledger;
+            let events = telemetry::trace::drain();
+            let json = telemetry::trace::chrome_trace_json(&events);
             std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
             for imb in ledger::verify() {
                 let win = match imb.window {
                     ledger::NO_WINDOW => "-".to_string(),
                     w => w.to_string(),
                 };
-                dns_backscatter::telemetry::warn!(
+                telemetry::warn!(
                     "cli",
                     "ledger imbalance at {} (window {win}): {} in, {} accounted",
                     imb.stage,
@@ -157,29 +158,28 @@ fn main() -> ExitCode {
                     imb.accounted
                 );
             }
-            dns_backscatter::telemetry::info!(
+            telemetry::info!(
                 "cli",
                 "wrote trace";
                 path = path,
                 events = events.len(),
-                dropped = dns_backscatter::trace::dropped(),
+                dropped = telemetry::trace::dropped(),
             );
         }
         Ok(())
     });
     // Stop the sampler and print the profile exit summary: ranked
-    // stages by sample count, the ns-per-record cost table joined
-    // against the conservation ledger, and allocation pressure by
-    // stage. Printed even when the command failed — the samples were
+    // stages by sample count, the ledger's ns-per-record cost table,
+    // and allocation pressure by stage. Printed even when the command failed — the samples were
     // still taken and often explain the failure.
     if profile_hz.is_some() {
-        dns_backscatter::prof::stop();
+        telemetry::prof::stop();
         println!("\n=== profile (top stages by self samples) ===");
-        print!("{}", dns_backscatter::prof::top_table());
+        print!("{}", telemetry::prof::top_table());
         println!("\n=== per-stage cost (ns per record) ===");
-        print!("{}", dns_backscatter::prof::cost::render());
+        print!("{}", telemetry::ledger::cost_table());
         println!("\n=== allocation pressure by stage ===");
-        print!("{}", dns_backscatter::prof::alloc::render());
+        print!("{}", telemetry::prof::alloc_table());
     }
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -212,8 +212,7 @@ fn root_span_name(command: &str) -> &'static str {
 fn cmd_trace(flags: &Flags) -> Result<(), String> {
     let path = flags.get("file").ok_or("--file is required")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let value =
-        dns_backscatter::trace::json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
+    let value = telemetry::json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
     let events = value
         .get("traceEvents")
         .and_then(|v| v.as_array())
@@ -311,7 +310,7 @@ fn cmd_stream(
     // The live view is useless without a recording registry; --serve
     // already enabled it, but `stream` records even when run bare so
     // --metrics output is always populated.
-    dns_backscatter::telemetry::enable();
+    telemetry::enable();
     let resolved_shards = dns_backscatter::stream::resolve_shards(shards);
     if resolved_shards > 1 {
         println!("stream: sharding ingest across {resolved_shards} lanes");
@@ -401,7 +400,7 @@ fn cmd_stats_watch(flags: &Flags, target: &str) -> Result<(), String> {
         if code != 200 {
             return Err(format!("{addr}/snapshot answered HTTP {code}"));
         }
-        let v = dns_backscatter::trace::json::parse(&body)
+        let v = telemetry::json::parse(&body)
             .map_err(|e| format!("bad /snapshot JSON from {addr}: {e}"))?;
         let health = v.get("health").and_then(|h| h.as_str()).unwrap_or("?");
         let ticks = v.get("ticks").and_then(|t| t.as_f64()).unwrap_or(0.0);
@@ -459,7 +458,7 @@ fn cmd_stats_top(flags: &Flags, target: &str) -> Result<(), String> {
         if code != 200 {
             return Err(format!("{addr}/profile/top answered HTTP {code}"));
         }
-        let v = dns_backscatter::trace::json::parse(&body)
+        let v = telemetry::json::parse(&body)
             .map_err(|e| format!("bad /profile/top JSON from {addr}: {e}"))?;
         let num = |k: &str| v.get(k).and_then(|x| x.as_f64()).unwrap_or(0.0);
         let busy = num("busy");
@@ -576,7 +575,19 @@ metric naming: dotted crate.stage names, e.g.
                              per-pair reference)
   ml.trees_built, ml.fits    learner effort
   classify.models_trained    windows with a trainable label set
-  core.curate/.retrain/.classify   per-stage latency histograms (ns)
+  <stage>                    every stage guard records its wall time
+                             (ns) in a histogram under its own name:
+                             core.curate/.window/.retrain/.classify,
+                             core.stream, datasets.build, sensor.extract
+                             (.lookup, .features), sensor.select,
+                             sensor.static.lanes, classify.train,
+                             ml.train/.fit_run/.predict, analysis.report
+  sensor.stream              histogram: one window close (ns), under the
+                             name of its ledger row (was
+                             sensor.window_flush); sensor.stream.shard
+                             for a slice of the sharded engine
+  sensor.shard.merge         histogram: sharded flush + merge (ns; was
+                             sensor.shard.window_flush)
   par.tasks/.steals          work-stealing pool tasks run and steals
   par.threads                gauge: resolved pool size
   par.inflight               gauge: tasks inside active parallel regions
@@ -607,8 +618,9 @@ live monitoring: add --serve <ip:port> to any command to scrape
 profiling: add --profile <hz> to any command to sample every worker's
 span stack at <hz> Hz (99 is a good default) and attribute exact
 per-stage wall time and allocation pressure; a ranked-stage table,
-the ns-per-record cost table (joined against the conservation
-ledger), and the allocation profile print on exit.
+the ns-per-record cost table (each stage's time beside the records
+its ledger row counted; `-` where a stage books none), and the
+allocation profile print on exit.
 logging: set BS_LOG=off|error|warn|info|debug (default info) and
 BS_LOG_FORMAT=text|json (default text; json emits one object per
 line: ts_ms, level, target, message, kvs).
@@ -628,13 +640,13 @@ results are bit-identical at any thread count."
             Ok(())
         }
         Some("json") => {
-            dns_backscatter::telemetry::enable();
-            print!("{}", dns_backscatter::telemetry::snapshot_json());
+            telemetry::enable();
+            print!("{}", telemetry::snapshot_json());
             Ok(())
         }
         Some("prometheus") => {
-            dns_backscatter::telemetry::enable();
-            print!("{}", dns_backscatter::telemetry::snapshot_prometheus());
+            telemetry::enable();
+            print!("{}", telemetry::snapshot_prometheus());
             Ok(())
         }
         Some(other) => Err(format!("unknown --format {other:?} (help|json|prometheus)")),
@@ -753,9 +765,9 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let out = flags.get("out").ok_or("--out is required")?;
     let world = World::new(WorldConfig::default());
     let spec = DatasetSpec::paper(id, scale(flags)?, seed(flags)?);
-    dns_backscatter::telemetry::info!("cli", "simulating {}…", id.name());
+    telemetry::info!("cli", "simulating {}…", id.name());
     let built = build_dataset(&world, spec);
-    dns_backscatter::telemetry::info!(
+    telemetry::info!(
         "cli",
         "{} contacts → {} reverse queries at {}",
         built.stats.contacts,
@@ -763,7 +775,7 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
         built.spec.authority
     );
     std::fs::write(out, built.log.to_tsv()).map_err(|e| format!("write {out}: {e}"))?;
-    dns_backscatter::telemetry::info!("cli", "wrote {out}");
+    telemetry::info!("cli", "wrote {out}");
     Ok(())
 }
 
@@ -827,7 +839,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     if data.is_empty() || data.present_classes().len() < 2 {
         return Err("not enough curated examples to train".into());
     }
-    dns_backscatter::telemetry::info!(
+    telemetry::info!(
         "cli",
         "training a random forest";
         examples = data.len(),
@@ -835,7 +847,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     );
     let forest = Forest::fit(&data, &ForestParams::default(), seed(flags)?);
     std::fs::write(save, forest.to_text()).map_err(|e| format!("write {save}: {e}"))?;
-    dns_backscatter::telemetry::info!("cli", "saved {save}"; trees = forest.n_trees());
+    telemetry::info!("cli", "saved {save}"; trees = forest.n_trees());
     Ok(())
 }
 
@@ -882,7 +894,7 @@ fn cmd_classify(flags: &Flags) -> Result<(), String> {
     let mut pipeline = DatasetPipeline::default();
     pipeline.feature_config.min_queriers = 10;
     let run = pipeline.run(&world, &built);
-    dns_backscatter::telemetry::info!(
+    telemetry::info!(
         "cli",
         "classification complete";
         labeled = run.labels.len(),
@@ -917,7 +929,7 @@ fn cmd_capture(flags: &Flags) -> Result<(), String> {
         (Some(_), None) => {
             let log = load_log(flags)?;
             std::fs::write(out, write_capture(&log)).map_err(|e| format!("write {out}: {e}"))?;
-            dns_backscatter::telemetry::info!(
+            telemetry::info!(
                 "cli",
                 "wrote packet capture {out}";
                 records = log.len(),
@@ -928,7 +940,7 @@ fn cmd_capture(flags: &Flags) -> Result<(), String> {
             let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
             let (log, stats) = read_capture(&bytes).map_err(|e| format!("parse {path}: {e}"))?;
             std::fs::write(out, log.to_tsv()).map_err(|e| format!("write {out}: {e}"))?;
-            dns_backscatter::telemetry::info!(
+            telemetry::info!(
                 "cli",
                 "decoded capture";
                 frames = stats.frames,

@@ -210,7 +210,7 @@ fn simulate_with_trace_writes_chrome_trace_json() {
     assert!(!stderr.contains("ledger imbalance"), "conservation violated:\n{stderr}");
 
     let text = std::fs::read_to_string(&trace_out).expect("trace file written");
-    let value = dns_backscatter::trace::json::parse(&text).expect("valid Chrome trace JSON");
+    let value = dns_backscatter::telemetry::json::parse(&text).expect("valid Chrome trace JSON");
     let events =
         value.get("traceEvents").and_then(|v| v.as_array()).expect("traceEvents array present");
     assert!(events.len() > 4, "only {} trace events", events.len());

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
 use dns_backscatter::live::http_get;
-use dns_backscatter::trace::json;
+use dns_backscatter::telemetry::json;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_backscatter"))

@@ -95,17 +95,17 @@ fn sensor_stages_conserve_every_record() {
     // deduped + out-of-window + below-threshold + truncated). Other
     // tests in this binary may record concurrently; that is safe
     // because each ledger record call is internally balanced.
-    bs_trace::enable();
-    bs_trace::ledger::reset();
+    bs_telemetry::trace::enable();
+    bs_telemetry::ledger::reset();
     let (features, _truth) = run_jp_pipeline();
     assert!(!features.is_empty(), "nothing analyzable — test is vacuous");
-    let imbalances = bs_trace::ledger::verify();
-    assert!(imbalances.is_empty(), "ledger imbalance:\n{}", bs_trace::ledger::render());
-    let snap = bs_trace::ledger::snapshot();
+    let imbalances = bs_telemetry::ledger::verify();
+    assert!(imbalances.is_empty(), "ledger imbalance:\n{}", bs_telemetry::ledger::render());
+    let snap = bs_telemetry::ledger::snapshot();
     for stage in ["sensor.ingest", "sensor.select"] {
         assert!(snap.keys().any(|(s, _)| s == stage), "{stage} filed no ledger flows");
     }
-    bs_trace::disable();
+    bs_telemetry::trace::disable();
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! End-to-end causal-tracing tests: the full dataset pipeline under
 //! `--trace` semantics.
 //!
-//! These cover the three promises `bs-trace` makes at system level:
+//! These cover the three promises tracing makes at system level:
 //! the Chrome export of a real run is valid and causally complete
 //! (worker spans chain back to the root at any thread count), the
 //! drop-accounting ledger balances over a whole pipeline run, and
@@ -12,7 +12,7 @@
 //! mutex, and no other test binary shares this process.
 
 use dns_backscatter::prelude::*;
-use dns_backscatter::trace;
+use dns_backscatter::telemetry::{self, json, ledger, trace};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 
@@ -70,11 +70,11 @@ fn traced_pipeline_exports_valid_causally_complete_chrome_json() {
     let _g = serial();
     trace::enable();
     trace::drain();
-    trace::ledger::reset();
+    ledger::reset();
 
     let world = World::new(WorldConfig::default());
     let (root_ctx, run, evs) = at_threads(4, || {
-        let root = trace::span("test.pipeline");
+        let root = telemetry::stage("test.pipeline");
         let root_ctx = root.context().expect("root span carries ids");
         let built = build_dataset(&world, DatasetSpec::paper(DatasetId::JpDitl, Scale::smoke(), 7));
         let run = smoke_pipeline().run(&world, &built);
@@ -87,7 +87,7 @@ fn traced_pipeline_exports_valid_causally_complete_chrome_json() {
 
     // The export is valid Chrome trace JSON with worker lanes labelled.
     let json = trace::chrome_trace_json(&evs);
-    let value = trace::json::parse(&json).expect("export parses");
+    let value = json::parse(&json).expect("export parses");
     let events = value.get("traceEvents").and_then(|v| v.as_array()).expect("traceEvents array");
     assert!(events.len() > 20, "only {} events", events.len());
     let thread_names: Vec<&str> = events
@@ -124,25 +124,25 @@ fn traced_pipeline_exports_valid_causally_complete_chrome_json() {
 
     // The ledger balanced: every record that entered every stage is
     // accounted for, and the expected stages all filed flows.
-    let imbalances = trace::ledger::verify();
-    assert!(imbalances.is_empty(), "ledger imbalance:\n{}", trace::ledger::render());
-    let snapshot = trace::ledger::snapshot();
+    let imbalances = ledger::verify();
+    assert!(imbalances.is_empty(), "ledger imbalance:\n{}", ledger::render());
+    let snapshot = ledger::snapshot();
     for stage in
         ["datasets.build", "sensor.ingest", "sensor.select", "classify.train", "core.window"]
     {
         assert!(
             snapshot.keys().any(|(s, _)| s == stage),
             "stage {stage} filed no ledger flows:\n{}",
-            trace::ledger::render()
+            ledger::render()
         );
     }
     // The per-window stages filed under window 0, not the ambient cell.
     assert!(
         snapshot.keys().any(|(s, w)| s == "sensor.ingest" && *w == 0),
         "sensor.ingest not scoped to window 0:\n{}",
-        trace::ledger::render()
+        ledger::render()
     );
-    trace::ledger::reset();
+    ledger::reset();
 }
 
 #[test]
@@ -156,13 +156,13 @@ fn tracing_does_not_perturb_determinism_at_any_thread_count() {
 
     trace::enable();
     trace::drain();
-    trace::ledger::reset();
+    ledger::reset();
     let seq = at_threads(1, || pipeline.run(&world, &built));
-    assert!(trace::ledger::verify().is_empty(), "sequential run imbalanced");
+    assert!(ledger::verify().is_empty(), "sequential run imbalanced");
     let par = at_threads(8, || pipeline.run(&world, &built));
-    assert!(trace::ledger::verify().is_empty(), "parallel run imbalanced");
+    assert!(ledger::verify().is_empty(), "parallel run imbalanced");
     trace::drain();
-    trace::ledger::reset();
+    ledger::reset();
     trace::disable();
 
     assert_eq!(baseline.windows, seq.windows, "tracing changed sequential results");
