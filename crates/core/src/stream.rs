@@ -272,7 +272,7 @@ where
 /// costs are filed under the same window key as the sensor's.
 ///
 /// Extraction output is cache-invariant and bit-identical to the
-/// batch fast path (and therefore to the retained per-pair
+/// batch fast path (and therefore to `bs-sensor`'s test-only per-pair
 /// reference); the seeded equivalence suites in `bs-sensor` pin this
 /// down.
 #[allow(clippy::too_many_arguments)]
@@ -303,7 +303,6 @@ mod tests {
     use bs_dns::{SimDuration, SimTime};
     use bs_netsim::log::QueryLogRecord;
     use bs_netsim::types::{AsId, CountryCode, NameOutcome};
-    use bs_sensor::{ReferenceShardedStreamingSensor, ReferenceStreamingSensor};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::{Mutex, MutexGuard};
 
@@ -428,16 +427,13 @@ mod tests {
         assert_eq!(stats.records, records.len() as u64);
         assert_eq!(stats.windows, driven.len());
 
-        let mut reference = ReferenceStreamingSensor::new(cfg);
+        // The same engine, pushed directly.
+        let mut sensor = StreamingSensor::new(cfg);
         let mut expect = Vec::new();
         for r in &records {
-            if let Some(w) = reference.push(*r) {
-                expect.push(w);
-            }
+            expect.extend(sensor.push(*r));
         }
-        if let Some(w) = reference.finish() {
-            expect.push(w);
-        }
+        expect.extend(sensor.finish());
         assert_eq!(driven, expect, "driver must not change sensor semantics");
     }
 
@@ -447,16 +443,14 @@ mod tests {
         let records = sample_records();
         let cfg = hundred_second_windows();
 
-        let mut reference = ReferenceShardedStreamingSensor::new(cfg);
+        // The sharded engine pushed directly, on one lane: its output
+        // is lane-count invariant (bs-sensor's `shard_equivalence`).
+        let mut sensor = ShardedStreamingSensor::new(cfg, 1);
         let mut expect = Vec::new();
         for r in &records {
-            if let Some(w) = reference.push(*r) {
-                expect.push(w);
-            }
+            expect.extend(sensor.push(*r));
         }
-        if let Some(w) = reference.finish() {
-            expect.push(w);
-        }
+        expect.extend(sensor.finish());
 
         for shards in [2, 4, 8] {
             let mut driven = Vec::new();
@@ -496,9 +490,11 @@ mod tests {
         );
 
         for (w, features) in &windows {
-            let expect =
-                bs_sensor::extract_from_observations_reference(&w.observations, &ToyInfo, &fc);
-            assert_eq!(features, &expect, "warm-cache extraction must equal the reference");
+            let expect = bs_sensor::extract_from_observations(&w.observations, &ToyInfo, &fc);
+            assert_eq!(
+                features, &expect,
+                "the driver's warm-cache extraction must equal a cold one"
+            );
         }
     }
 

@@ -8,7 +8,7 @@
 //! discriminative power").
 
 use crate::dataset::Dataset;
-use crate::tree::{CartParams, DecisionTree, ReferenceTree};
+use crate::tree::{CartParams, DecisionTree};
 use bs_mlcore::{argmax_first, RowBlock, BLOCK_ROWS};
 use bs_par::Rng;
 
@@ -53,19 +53,36 @@ impl Forest {
     /// in tree order after training so the float sum is too.
     pub fn fit(data: &Dataset, params: &ForestParams, seed: u64) -> Self {
         bs_telemetry::counter_add("ml.fit.forest", 1);
-        Self::fit_impl(data, params, seed, false)
+        let tree_params = Self::tree_params(data, params);
+        let trees = bs_par::par_map_range(params.n_trees, |i| {
+            let (indices, tree_seed) = Self::bootstrap(data, seed, i);
+            DecisionTree::fit_on_indices(data, &indices, &tree_params, tree_seed)
+        });
+        Self::from_trees(trees, data)
     }
 
-    /// Train every tree through the retained boxed-node
-    /// [`ReferenceTree`] grower instead of the columnar fast path.
-    /// Bit-identical to [`Forest::fit`] for the same data and seed
-    /// (identical RNG draws, identical importance accumulation);
-    /// kept as the executable specification for the equivalence suite.
-    pub fn fit_reference(data: &Dataset, params: &ForestParams, seed: u64) -> Self {
-        Self::fit_impl(data, params, seed, true)
+    /// [`Forest::fit`] with every tree grown by the boxed-node
+    /// [`crate::tree::ReferenceTree`] instead of the columnar fast
+    /// path; compiled for tests only. Bit-identical to `fit` for the
+    /// same data and seed (same bootstrap draws, same importance
+    /// accumulation): the executable specification for the equivalence
+    /// suite.
+    #[cfg(test)]
+    pub(crate) fn fit_reference(data: &Dataset, params: &ForestParams, seed: u64) -> Self {
+        use crate::tree::ReferenceTree;
+        let tree_params = Self::tree_params(data, params);
+        let trees = bs_par::par_map_range(params.n_trees, |i| {
+            let (indices, tree_seed) = Self::bootstrap(data, seed, i);
+            ReferenceTree::fit_on_indices(data, &indices, &tree_params, tree_seed).flatten()
+        });
+        Self::from_trees(trees, data)
     }
 
-    fn fit_impl(data: &Dataset, params: &ForestParams, seed: u64, reference: bool) -> Self {
+    /// The base learners' growth controls: `params.tree` with the
+    /// forest's `max_features` default (√d) resolved. Every fit starts
+    /// here, so this is also where an empty dataset or a forest of no
+    /// trees is refused.
+    fn tree_params(data: &Dataset, params: &ForestParams) -> CartParams {
         assert!(!data.is_empty(), "cannot fit a forest on an empty dataset");
         assert!(params.n_trees >= 1);
         let d = data.n_features();
@@ -74,20 +91,20 @@ impl Forest {
             .max_features
             .unwrap_or_else(|| (d as f64).sqrt().ceil() as usize)
             .clamp(1, d.max(1));
-        let tree_params = CartParams { max_features: Some(mtry), ..params.tree.clone() };
+        CartParams { max_features: Some(mtry), ..params.tree.clone() }
+    }
 
-        let trees: Vec<DecisionTree> = bs_par::par_map_range(params.n_trees, |i| {
-            let mut rng = Rng::new(bs_par::derive_seed(seed, i as u64));
-            // Bootstrap sample with replacement, same size as the data.
-            let indices: Vec<usize> = (0..data.len()).map(|_| rng.range(0..data.len())).collect();
-            let tree_seed: u64 = rng.next_u64();
-            if reference {
-                ReferenceTree::fit_on_indices(data, &indices, &tree_params, tree_seed).flatten()
-            } else {
-                DecisionTree::fit_on_indices(data, &indices, &tree_params, tree_seed)
-            }
-        });
-        let mut raw = vec![0.0; d];
+    /// Tree `i`'s bootstrap sample (with replacement, same size as the
+    /// data) and growth seed, drawn from `(seed, i)` alone.
+    fn bootstrap(data: &Dataset, seed: u64, i: usize) -> (Vec<usize>, u64) {
+        let mut rng = Rng::new(bs_par::derive_seed(seed, i as u64));
+        let indices = (0..data.len()).map(|_| rng.range(0..data.len())).collect();
+        (indices, rng.next_u64())
+    }
+
+    /// Assemble the forest: importances accumulate in tree order.
+    fn from_trees(trees: Vec<DecisionTree>, data: &Dataset) -> Self {
+        let mut raw = vec![0.0; data.n_features()];
         for tree in &trees {
             for (acc, v) in raw.iter_mut().zip(tree.raw_importances()) {
                 *acc += v;
@@ -95,7 +112,7 @@ impl Forest {
         }
         let total: f64 = raw.iter().sum();
         let importances = if total > 0.0 { raw.iter().map(|v| v / total).collect() } else { raw };
-        bs_telemetry::counter_add("ml.trees_built", params.n_trees as u64);
+        bs_telemetry::counter_add("ml.trees_built", trees.len() as u64);
         Forest { trees, n_classes: data.n_classes(), importances }
     }
 

@@ -22,10 +22,9 @@
 //!
 //! Training and prediction run on the `bs-mlcore` columnar fast paths
 //! (presorted-index CART, flat tree arenas, Gram-cached SMO); the
-//! original boxed/nested implementations are retained as executable
-//! references ([`tree::ReferenceTree`], [`Forest::fit_reference`],
-//! [`Svm::fit_reference`]) and the equivalence suite proves the fast
-//! paths bit-identical to them (DESIGN.md §11).
+//! original boxed/nested implementations are kept as executable
+//! references compiled for tests only, and the `mlcore_equivalence`
+//! suite proves the fast paths bit-identical to them (DESIGN.md §11).
 //!
 //! Everything is deterministic given a seed.
 
@@ -41,12 +40,15 @@ pub mod svm;
 pub mod tree;
 pub mod vote;
 
+#[cfg(test)]
+mod mlcore_equivalence;
+
 pub use crossval::{k_fold, repeated_holdout, HoldoutReport};
 pub use dataset::{Dataset, Sample};
 pub use forest::{Forest, ForestParams};
 pub use metrics::{ConfusionMatrix, Metrics};
 pub use svm::{Svm, SvmParams};
-pub use tree::{CartParams, DecisionTree, ReferenceTree};
+pub use tree::{CartParams, DecisionTree};
 pub use vote::MajorityEnsemble;
 
 pub use bs_mlcore::{RowBlock, BLOCK_ROWS};

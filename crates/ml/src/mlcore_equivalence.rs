@@ -12,11 +12,11 @@
 //! Every case derives from its loop index alone, so a failure replays
 //! from the seed in its message.
 
-use bs_ml::dataset::{Dataset, Sample};
-use bs_ml::forest::{Forest, ForestParams};
-use bs_ml::svm::{Svm, SvmParams};
-use bs_ml::tree::{CartParams, DecisionTree, ReferenceTree};
-use bs_ml::RowBlock;
+use crate::dataset::{Dataset, Sample};
+use crate::forest::{Forest, ForestParams};
+use crate::svm::{Svm, SvmParams};
+use crate::tree::{CartParams, DecisionTree, ReferenceTree};
+use crate::RowBlock;
 use bs_par::Rng;
 
 /// 2–4 classes, 1–5 features, 10–49 samples; values drawn from a
@@ -156,9 +156,9 @@ fn forest_persistence_is_grower_independent() {
 }
 
 /// `Forest::predict_all` ≡ per-row `Forest::predict`, on boundary
-/// probes in batch sizes around the block and cursor-group boundaries. `scripts/ci.sh` runs
-/// this file at `BS_THREADS` 1 and 8: the fit is parallel, the verdicts
-/// must not depend on it.
+/// probes in batch sizes around the block and cursor-group boundaries.
+/// (The fit is parallel; that the forest does not depend on the pool
+/// width is pinned by the root `tests/parallel_determinism.rs`.)
 #[test]
 fn forest_predict_all_matches_per_row_predict() {
     for seed in 0..12u64 {

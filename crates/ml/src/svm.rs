@@ -17,13 +17,14 @@
 //!   sorted support-index list so each KKT scan costs
 //!   `O(|support|)` contiguous reads instead of an `O(n)` skip-scan
 //!   over nested `Vec`s.
-//! * [`Svm::fit_reference`] — the retained reference: per-pair
-//!   `Vec<Vec<f64>>` Gram matrix and the textbook decision recompute.
+//! * `Svm::fit_reference` — the reference, compiled for tests only:
+//!   per-pair `Vec<Vec<f64>>` Gram matrix and the textbook decision
+//!   recompute.
 //!
 //! Every restructuring in the fast path is *exact*: the same kernel
 //! bits, the same addition order (support indices ascend exactly like
 //! the reference's skip-zero scan), the same RNG consumption. Property
-//! tests (`crates/ml/tests/mlcore_equivalence.rs`) assert the two fits
+//! tests (`crates/ml/src/mlcore_equivalence.rs`) assert the two fits
 //! produce equal machines, not merely similar accuracy.
 
 use crate::dataset::Dataset;
@@ -167,11 +168,13 @@ impl Svm {
         Svm { machines, n_classes: data.n_classes(), n_features: d, means, stds, default_class }
     }
 
-    /// Train via the retained reference solver (per-pair nested-`Vec`
-    /// Gram matrix, textbook decision recompute). Bit-identical to
-    /// [`Svm::fit`] for the same data and seed; kept as the executable
-    /// specification the fast path is property-tested against.
-    pub fn fit_reference(data: &Dataset, params: &SvmParams, seed: u64) -> Self {
+    /// Train via the reference solver (per-pair nested-`Vec` Gram
+    /// matrix, textbook decision recompute); compiled for tests only.
+    /// Bit-identical to [`Svm::fit`] for the same data and seed: the
+    /// executable specification the fast path is property-tested
+    /// against.
+    #[cfg(test)]
+    pub(crate) fn fit_reference(data: &Dataset, params: &SvmParams, seed: u64) -> Self {
         assert!(!data.is_empty(), "cannot fit an SVM on an empty dataset");
         let n = data.len();
         let d = data.n_features();
@@ -299,7 +302,7 @@ fn decision_at<F: Fn(usize, usize) -> f64>(
 }
 
 /// Simplified SMO over a [`GramCache`] — the fast path. Control flow,
-/// float expressions and RNG draws mirror [`smo_reference`] exactly.
+/// float expressions and RNG draws mirror `smo_reference` exactly.
 fn smo_fast(
     xs: &RowMatrix,
     y: &[f64],
@@ -402,7 +405,8 @@ fn smo_fast(
 
 /// Simplified SMO (Platt, 1998; the CS229 variant): optimize pairs of
 /// Lagrange multipliers until `max_passes` sweeps see no change. The
-/// retained reference solver.
+/// reference solver, compiled for tests only.
+#[cfg(test)]
 fn smo_reference(
     xs: &[&Vec<f64>],
     y: &[f64],

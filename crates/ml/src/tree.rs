@@ -16,9 +16,9 @@
 //!   are candidates, switching to node-local candidate sorts below a
 //!   cost crossover; the grown tree is a [`bs_mlcore::FlatTree`] arena
 //!   walked by `predict` and by the blocked batch descent.
-//! * [`ReferenceTree`] — the retained boxed-node reference: per-node
-//!   re-sorting, `Box` recursion. Property tests
-//!   (`crates/ml/tests/mlcore_equivalence.rs`) prove the fast path
+//! * `ReferenceTree` — the boxed-node reference, compiled for tests
+//!   only: per-node re-sorting, `Box` recursion. Property tests
+//!   (`crates/ml/src/mlcore_equivalence.rs`) prove the fast path
 //!   produces bit-identical splits, importances and predictions.
 //!
 //! Both share the split-quality arithmetic (`gini` in integer
@@ -52,6 +52,7 @@ impl Default for CartParams {
     }
 }
 
+#[cfg(test)]
 #[derive(Debug, Clone)]
 enum Node {
     Leaf { class: usize },
@@ -237,28 +238,31 @@ impl DecisionTree {
     }
 }
 
-/// The retained boxed-node reference implementation: per-node
-/// re-sorting during growth, `Box` recursion during prediction.
+/// The boxed-node reference implementation, compiled for tests only:
+/// per-node re-sorting during growth, `Box` recursion during
+/// prediction.
 ///
 /// This is the executable specification the columnar fast path is
 /// property-tested against; [`ReferenceTree::flatten`] converts to a
 /// [`DecisionTree`] for wire-format comparisons.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct ReferenceTree {
+pub(crate) struct ReferenceTree {
     root: Node,
     n_classes: usize,
     n_features: usize,
     importances: Vec<f64>,
 }
 
+#[cfg(test)]
 impl ReferenceTree {
     /// Grow a reference tree on `data`.
-    pub fn fit(data: &Dataset, params: &CartParams, seed: u64) -> Self {
+    pub(crate) fn fit(data: &Dataset, params: &CartParams, seed: u64) -> Self {
         Self::fit_on_indices(data, &(0..data.len()).collect::<Vec<_>>(), params, seed)
     }
 
     /// Grow a reference tree on a subset of sample indices.
-    pub fn fit_on_indices(
+    pub(crate) fn fit_on_indices(
         data: &Dataset,
         indices: &[usize],
         params: &CartParams,
@@ -278,7 +282,7 @@ impl ReferenceTree {
     }
 
     /// Predict by recursive descent through the boxed nodes.
-    pub fn predict(&self, x: &[f64]) -> usize {
+    pub(crate) fn predict(&self, x: &[f64]) -> usize {
         assert_eq!(x.len(), self.n_features, "feature arity mismatch");
         let mut node = &self.root;
         loop {
@@ -292,14 +296,14 @@ impl ReferenceTree {
     }
 
     /// Raw (unnormalized) per-feature impurity decreases.
-    pub fn raw_importances(&self) -> &[f64] {
+    pub(crate) fn raw_importances(&self) -> &[f64] {
         &self.importances
     }
 
     /// Convert to the flat-arena representation, allocating slots in
     /// the order the columnar grower does (pre-order, children at the
     /// split), so equal trees have equal arenas.
-    pub fn flatten(&self) -> DecisionTree {
+    pub(crate) fn flatten(&self) -> DecisionTree {
         fn rec(n: &Node, flat: &mut FlatTree, slot: Slot) {
             match n {
                 Node::Leaf { class } => flat.leaf(slot, *class),
@@ -447,7 +451,7 @@ impl ColumnarGrower<'_> {
     }
 
     /// Grow the node owning segment `[lo, hi)` of every presorted
-    /// feature array. Mirrors the reference [`grow`] decision for
+    /// feature array. Mirrors the reference `grow` decision for
     /// decision: same stop rule, same candidate order, same RNG
     /// consumption, same float expressions.
     fn grow(&mut self, slot: Slot, lo: usize, hi: usize) {
@@ -629,6 +633,7 @@ impl ColumnarGrower<'_> {
 }
 
 /// The reference grower: re-sorts the node's indices per feature.
+#[cfg(test)]
 fn grow(
     data: &Dataset,
     indices: Vec<usize>,

@@ -208,7 +208,7 @@ pub(crate) fn unique_by<V: Ord + Send>(
 /// lengths emerge in **ascending value order**, which is exactly the
 /// `BTreeMap` iteration order, so the `-p·ln p` accumulation visits
 /// identical terms in the identical order and the sum is bit-identical
-/// to [`normalized_entropy_reference`].
+/// to the test-only `BTreeMap`-histogram reference.
 pub fn normalized_entropy(values: &[u32], alphabet: f64) -> f64 {
     if values.len() <= 1 || alphabet <= 1.0 {
         return 0.0;
@@ -235,11 +235,12 @@ pub fn normalized_entropy(values: &[u32], alphabet: f64) -> f64 {
     (h / alphabet.ln()).clamp(0.0, 1.0)
 }
 
-/// The retained `BTreeMap`-histogram reference for
-/// [`normalized_entropy`] — the executable specification the sorted-run
-/// fast path is property-tested bit-identical to
-/// (`tests/matcher_entropy_equivalence.rs`).
-pub fn normalized_entropy_reference(values: &[u32], alphabet: f64) -> f64 {
+/// The `BTreeMap`-histogram reference for [`normalized_entropy`],
+/// compiled for tests only — the executable specification the
+/// sorted-run fast path is property-tested bit-identical to
+/// (`matcher_entropy_equivalence.rs`).
+#[cfg(test)]
+pub(crate) fn normalized_entropy_reference(values: &[u32], alphabet: f64) -> f64 {
     if values.len() <= 1 || alphabet <= 1.0 {
         return 0.0;
     }

@@ -3,7 +3,7 @@
 use crate::dynamic::DynamicFeatures;
 use crate::ingest::{select_analyzable, Observations, OriginatorObservation};
 use crate::qmeta::{QuerierMetaCache, QuerierMetaTable, NO_ID};
-use crate::static_features::{classify_querier_name, StaticFeature};
+use crate::static_features::StaticFeature;
 use crate::QuerierInfo;
 use bs_dns::SimTime;
 use bs_fastmap::DenseIdSet;
@@ -103,10 +103,9 @@ pub fn extract_features(
 /// This is the **fast path**: a [`QuerierMetaTable`] resolution pass
 /// visits each unique querier exactly once, then every originator
 /// reduces to table lookups plus dense-id bitmap counting —
-/// O(unique queriers) metadata work instead of the reference's
-/// O(Σ footprints). Bit-identical to
-/// [`extract_from_observations_reference`] (pinned by the seeded
-/// suite `tests/qmeta_equivalence.rs` at both thread counts).
+/// O(unique queriers) metadata work instead of the per-pair
+/// reference's O(Σ footprints). Bit-identical to that reference, which
+/// is test-only (pinned by the seeded suite in `qmeta_equivalence.rs`).
 ///
 /// Originators are independent, so their feature vectors compute in
 /// parallel on the [`bs_par`] pool; the output keeps the footprint
@@ -220,16 +219,18 @@ fn features_from_table(
     }
 }
 
-/// The retained per-pair reference: re-resolves querier metadata for
-/// every (originator, querier) pair, exactly as the seed did — the
-/// executable specification [`extract_from_observations`] is
-/// property-tested bit-identical to. Telemetry-free, like the other
-/// retained references.
-pub fn extract_from_observations_reference(
+/// The per-pair reference, compiled for tests only: re-resolves
+/// querier metadata for every (originator, querier) pair, exactly as
+/// the seed did — the executable specification
+/// [`extract_from_observations`] is property-tested bit-identical to.
+/// Telemetry-free, like the other references.
+#[cfg(test)]
+pub(crate) fn extract_from_observations_reference(
     obs: &Observations,
     info: &(impl QuerierInfo + Sync),
     config: &FeatureConfig,
 ) -> Vec<OriginatorFeatures> {
+    use crate::static_features::classify_querier_name;
     let total_ases = obs.total_ases(info);
     let total_countries = obs.total_countries(info);
     let selected = select_analyzable(obs, config.min_queriers, config.top_n);

@@ -6,14 +6,12 @@
 //! Seeded loops: every case derives from its seed alone, so a failure
 //! replays from the seed in its message.
 
+use crate::common::{arb_records, sorted_records, SMALL};
+use crate::ingest::Observations;
+use crate::stream::{ReferenceStreamingSensor, StreamConfig, StreamingSensor, WindowSummary};
 use bs_dns::{SimDuration, SimTime};
 use bs_netsim::log::{QueryLog, QueryLogRecord};
 use bs_par::Rng;
-use bs_sensor::ingest::Observations;
-use bs_sensor::{ReferenceStreamingSensor, StreamConfig, StreamingSensor, WindowSummary};
-
-mod common;
-use common::{arb_records, sorted_records, SMALL};
 
 const CASES: u64 = 96;
 

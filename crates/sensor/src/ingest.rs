@@ -10,14 +10,13 @@
 //! BTree-ordered [`Observations`] representation every downstream stage
 //! (extraction, classification, serialization) consumes is built once,
 //! at the end — ingestion order never influences it, so the fast path
-//! is observationally identical to the retained
-//! [`Observations::ingest_with_dedup_reference`] spec, and a property
-//! test holds the two equal on arbitrary record streams.
+//! is observationally identical to the test-only BTree reference
+//! (`ingest_with_dedup_reference`), and a property test holds the two
+//! equal on arbitrary record streams.
 
 use bs_dns::{SimDuration, SimTime};
 use bs_fastmap::{CompactSet, FastMap};
 use bs_netsim::log::QueryLog;
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
@@ -128,8 +127,8 @@ impl Observations {
     /// open-addressing table, per-originator state in a dense arena
     /// addressed through a `u32` slot map, and hybrid array/bitmap
     /// querier sets — converted to the BTree-ordered [`Observations`]
-    /// once, at the end. Results are identical to
-    /// [`Observations::ingest_with_dedup_reference`].
+    /// once, at the end. Results are identical to the test-only BTree
+    /// reference.
     pub fn ingest_with_dedup(
         log: &QueryLog,
         start: SimTime,
@@ -193,18 +192,20 @@ impl Observations {
         }
     }
 
-    /// The retained reference implementation of
-    /// [`Observations::ingest_with_dedup`]: the original BTree-based
-    /// ingestion, kept as the executable specification the fast path is
-    /// property-tested against (and timed against by `bench`'s
-    /// `perfsnap`). No telemetry — it exists to define behavior,
-    /// not to run in production.
-    pub fn ingest_with_dedup_reference(
+    /// The reference implementation of
+    /// [`Observations::ingest_with_dedup`], compiled for tests only:
+    /// the original BTree-based ingestion, kept as the executable
+    /// specification the fast path is property-tested against. No
+    /// telemetry — it exists to define behavior, not to run in
+    /// production.
+    #[cfg(test)]
+    pub(crate) fn ingest_with_dedup_reference(
         log: &QueryLog,
         start: SimTime,
         end: SimTime,
         dedup: SimDuration,
     ) -> Self {
+        use std::collections::btree_map::Entry;
         let mut per_originator: BTreeMap<Ipv4Addr, OriginatorObservation> = BTreeMap::new();
         let mut all_queriers = BTreeSet::new();
         // Last accepted time per (originator, querier).

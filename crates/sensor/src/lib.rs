@@ -27,9 +27,8 @@
 //! once per window (or reused across windows via
 //! [`qmeta::QuerierMetaCache`]), with AS/country interned into dense
 //! ids — so providers must answer deterministically for a given
-//! address within a window; the retained per-pair path
-//! ([`extract::extract_from_observations_reference`]) defines the
-//! semantics. The keyword matcher is an
+//! address within a window; a per-pair reference, compiled for tests
+//! only, defines the semantics. The keyword matcher is an
 //! independent implementation of the paper's tables — deliberately
 //! *not* shared with the name generator in `bs-netsim`, so matching
 //! here is a real test of the generator's realism rather than a
@@ -39,10 +38,10 @@
 //! runs on the `bs-fastmap` compact-key engine (packed integer keys,
 //! arena-indexed per-originator state, hybrid querier sets, lazy
 //! eviction heap) and converts to the BTree-ordered [`Observations`]
-//! representation only at window flush; the retained reference
-//! implementations ([`ingest::Observations::ingest_with_dedup_reference`],
-//! [`stream::ReferenceStreamingSensor`]) define the semantics and are
-//! property-tested equal on arbitrary record streams. For live traffic,
+//! representation only at window flush; BTree reference
+//! implementations, compiled for tests only, define the semantics and
+//! are property-tested equal on arbitrary record streams (the
+//! `*_equivalence` modules of this crate). For live traffic,
 //! [`shard::ShardedStreamingSensor`] hash-shards the originator space
 //! across N such sensors for multi-core scaling, with output invariant
 //! across shard counts.
@@ -59,16 +58,31 @@ pub mod shard;
 pub mod static_features;
 pub mod stream;
 
+// The fast-path ≡ reference suites. The references are `#[cfg(test)]`
+// items of this crate, so the suites are unit-test modules; the case
+// generator is the one `tests/properties.rs` uses.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+#[cfg(test)]
+mod fastpath_equivalence;
+#[cfg(test)]
+mod matcher_entropy_equivalence;
+#[cfg(test)]
+mod qmeta_equivalence;
+#[cfg(test)]
+mod shard_equivalence;
+
 pub use dynamic::DynamicFeatures;
 pub use extract::{
-    extract_features, extract_from_observations, extract_from_observations_reference,
-    extract_with_meta_cache, FeatureConfig, FeatureVector, OriginatorFeatures,
+    extract_features, extract_from_observations, extract_with_meta_cache, FeatureConfig,
+    FeatureVector, OriginatorFeatures,
 };
 pub use ingest::{select_analyzable, Observations, OriginatorObservation};
 pub use qmeta::{QuerierMetaCache, QuerierMetaTable};
-pub use shard::{ReferenceShardedStreamingSensor, ShardedStreamingSensor, SHARD_SLICES};
+pub use shard::{ShardedStreamingSensor, SHARD_SLICES};
 pub use static_features::{classify_querier_name, StaticFeature};
-pub use stream::{ReferenceStreamingSensor, StreamConfig, StreamingSensor, WindowSummary};
+pub use stream::{StreamConfig, StreamingSensor, WindowSummary};
 
 use bs_netsim::types::{AsId, CountryCode, NameOutcome};
 use std::net::Ipv4Addr;

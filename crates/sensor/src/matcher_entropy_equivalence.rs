@@ -9,15 +9,15 @@
 //!   reference, to the last bit of the float sum.
 //!
 //! (The forest's batch descent is pinned against per-row prediction in
-//! `crates/ml/tests/mlcore_equivalence.rs` and `bs-mlcore`'s unit
+//! `crates/ml/src/mlcore_equivalence.rs` and `bs-mlcore`'s unit
 //! tests.)
 
-use bs_dns::DomainName;
-use bs_sensor::dynamic::{normalized_entropy, normalized_entropy_reference};
-use bs_sensor::static_features::{
+use crate::dynamic::{normalized_entropy, normalized_entropy_reference};
+use crate::static_features::{
     classify_name_with_order, classify_name_with_order_reference, MatchOrder,
 };
-use dns_backscatter::par::Rng;
+use bs_dns::DomainName;
+use bs_par::Rng;
 
 const CASES: u64 = 256;
 

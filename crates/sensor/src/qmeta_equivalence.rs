@@ -3,27 +3,25 @@
 //! [`extract_from_observations_reference`] on arbitrary logs —
 //! queriers shared across many originators, out-of-order and
 //! pre-window timestamps, metadata gaps (no AS / no country), and
-//! cross-window cache reuse vs cold resolution. CI runs this file
-//! under `BS_THREADS=1` and `=8`, so the equivalences also pin
-//! thread-count independence.
+//! cross-window cache reuse vs cold resolution. (Width independence
+//! of extraction is pinned by the root `tests/parallel_determinism.rs`.)
 //!
 //! Seeded loops: every case derives from its seed alone, so a failure
 //! replays from the seed in its message.
 
+use crate::common::{arb_records, SMALL};
+use crate::extract::{
+    extract_from_observations, extract_from_observations_reference, extract_with_meta_cache,
+    FeatureConfig, OriginatorFeatures,
+};
+use crate::ingest::Observations;
+use crate::qmeta::QuerierMetaCache;
+use crate::QuerierInfo;
 use bs_dns::{DomainName, Rcode, SimTime};
 use bs_netsim::log::{QueryLog, QueryLogRecord};
 use bs_netsim::types::{AsId, CountryCode, NameOutcome};
 use bs_par::Rng;
-use bs_sensor::ingest::Observations;
-use bs_sensor::qmeta::QuerierMetaCache;
-use bs_sensor::{
-    extract_from_observations, extract_from_observations_reference, extract_with_meta_cache,
-    FeatureConfig, OriginatorFeatures, QuerierInfo,
-};
 use std::net::Ipv4Addr;
-
-mod common;
-use common::{arb_records, SMALL};
 
 const CASES: u64 = 64;
 

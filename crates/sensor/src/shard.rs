@@ -26,9 +26,9 @@
 //! the per-slice record subsequence is the arrival order regardless of
 //! how slices are grouped into lanes. Output is therefore **invariant
 //! across shard counts and thread counts** — sharded output is
-//! bit-identical to the sequential single-lane reference
-//! ([`ReferenceShardedStreamingSensor`]) by construction, which the
-//! seeded suite `tests/shard_equivalence.rs` pins down. (A global sensor couples all
+//! bit-identical to a sequential single-lane reference (test-only) by
+//! construction, which the seeded suite in `shard_equivalence.rs`
+//! pins down. (A global sensor couples all
 //! originators through one tracked-count/eviction-minimum/probation
 //! table, so its under-pressure decisions are inherently serial; the
 //! slice partition is what makes pressure semantics parallelizable at
@@ -63,7 +63,9 @@
 //! total so the watchdog can rule on runaway backlog.
 
 use crate::ingest::{Observations, OriginatorObservation};
-use crate::stream::{ReferenceStreamingSensor, StreamConfig, StreamingSensor, WindowSummary};
+#[cfg(test)]
+use crate::stream::ReferenceStreamingSensor;
+use crate::stream::{past_window, window_end, StreamConfig, StreamingSensor, WindowSummary};
 use bs_dns::SimTime;
 use bs_fastmap::FastKey;
 use bs_netsim::log::QueryLogRecord;
@@ -182,8 +184,8 @@ struct LanePartial {
 
 /// The sharded streaming sensor (fast path): N parallel
 /// [`StreamingSensor`] lanes behind one window clock. See the module
-/// docs for topology and guarantees; semantics are defined by
-/// [`ReferenceShardedStreamingSensor`] and pinned by `tests/shard_equivalence.rs`.
+/// docs for topology and guarantees; semantics are defined by the
+/// test-only sequential reference and pinned by `shard_equivalence.rs`.
 pub struct ShardedStreamingSensor {
     config: StreamConfig,
     window_start: SimTime,
@@ -263,7 +265,7 @@ impl ShardedStreamingSensor {
             return None;
         }
         let mut emitted = None;
-        if r.time >= self.window_start + self.config.window {
+        if past_window(self.window_start, self.config.window, r.time) {
             emitted = Some(self.rotate_to(r.time));
         }
         let lane = &mut self.lanes[slice_of(r.originator) % lane_count];
@@ -286,7 +288,7 @@ impl ShardedStreamingSensor {
         if self.tracked_originators() == 0 {
             return None;
         }
-        let end = self.window_start + self.config.window;
+        let end = window_end(self.window_start, self.config.window);
         Some(self.flush_window(end))
     }
 
@@ -321,7 +323,7 @@ impl ShardedStreamingSensor {
         let ws = self.window_start;
         let _window = bs_telemetry::ledger::window_scope(ws.secs());
         let _stage = bs_telemetry::stage("sensor.shard.merge");
-        let end = ws + self.config.window;
+        let end = window_end(ws, self.config.window);
         let parts: Vec<(LanePartial, u64, u64)> = {
             let lanes: Vec<Mutex<&mut Lane>> = self.lanes.iter_mut().map(Mutex::new).collect();
             bs_par::par_map_range(lanes.len(), |i| {
@@ -384,24 +386,27 @@ impl ShardedStreamingSensor {
     }
 }
 
-/// The retained sequential reference for [`ShardedStreamingSensor`]:
-/// the same fixed-slice partition and window clock driven one record
-/// at a time over per-slice [`ReferenceStreamingSensor`]s — no lanes,
-/// no queues, no parallelism, no telemetry. Because the fast path's
-/// output is lane-count-invariant by construction, this single
-/// sequential implementation is the executable specification for
-/// *every* shard count; `tests/shard_equivalence.rs` holds them equal.
-pub struct ReferenceShardedStreamingSensor {
+/// The sequential reference for [`ShardedStreamingSensor`], compiled
+/// for tests only: the same fixed-slice partition and window clock
+/// driven one record at a time over per-slice
+/// [`ReferenceStreamingSensor`]s — no lanes, no queues, no
+/// parallelism, no telemetry. Because the fast path's output is
+/// lane-count-invariant by construction, this single sequential
+/// implementation is the executable specification for *every* shard
+/// count; `shard_equivalence.rs` holds them equal.
+#[cfg(test)]
+pub(crate) struct ReferenceShardedStreamingSensor {
     config: StreamConfig,
     window_start: SimTime,
     started: bool,
     slices: Vec<ReferenceStreamingSensor>,
 }
 
+#[cfg(test)]
 impl ReferenceShardedStreamingSensor {
     /// Create a reference sharded sensor; the first record anchors the
     /// first window.
-    pub fn new(config: StreamConfig) -> Self {
+    pub(crate) fn new(config: StreamConfig) -> Self {
         assert!(config.window.secs() > 0);
         assert!(config.max_originators > 0);
         let slice_cfg = slice_config(&config);
@@ -415,7 +420,7 @@ impl ReferenceShardedStreamingSensor {
 
     /// Feed one record; semantics identical to
     /// [`ShardedStreamingSensor::push`].
-    pub fn push(&mut self, r: QueryLogRecord) -> Option<WindowSummary> {
+    pub(crate) fn push(&mut self, r: QueryLogRecord) -> Option<WindowSummary> {
         if !self.started {
             self.window_start = SimTime(r.time.secs() - r.time.secs() % self.config.window.secs());
             self.started = true;
@@ -424,7 +429,7 @@ impl ReferenceShardedStreamingSensor {
             return None; // out of order: dropped
         }
         let mut emitted = None;
-        if r.time >= self.window_start + self.config.window {
+        if past_window(self.window_start, self.config.window, r.time) {
             let w = self.config.window.secs();
             let next = SimTime(r.time.secs() - r.time.secs() % w);
             emitted = Some(self.flush_window(next));
@@ -436,11 +441,11 @@ impl ReferenceShardedStreamingSensor {
     }
 
     /// Flush the current (partial) window at end of stream.
-    pub fn finish(mut self) -> Option<WindowSummary> {
+    pub(crate) fn finish(mut self) -> Option<WindowSummary> {
         if !self.started {
             return None;
         }
-        let end = self.window_start + self.config.window;
+        let end = window_end(self.window_start, self.config.window);
         let summary = self.flush_window(end);
         if summary.observations.per_originator.is_empty() {
             return None;
@@ -450,7 +455,7 @@ impl ReferenceShardedStreamingSensor {
 
     fn flush_window(&mut self, next_start: SimTime) -> WindowSummary {
         let ws = self.window_start;
-        let end = ws + self.config.window;
+        let end = window_end(ws, self.config.window);
         let mut per_originator = BTreeMap::new();
         let mut all_queriers = BTreeSet::new();
         let mut evicted = 0usize;
@@ -590,6 +595,37 @@ mod tests {
         assert_eq!(w1.window, (SimTime(0), SimTime(100)));
         let w2 = s.finish().expect("final flush lands in now's window");
         assert_eq!(w2.window, (SimTime(700), SimTime(800)));
+    }
+
+    #[test]
+    fn a_window_at_the_clock_limit_holds_its_late_records() {
+        // `start + window` does not fit in a u64 for these timestamps:
+        // a wrapped end closes one window per record (and the add
+        // panics in a debug build).
+        let cfg = StreamConfig { window: SimDuration::from_secs(600), ..Default::default() };
+        for late in [u64::MAX, u64::MAX - 1] {
+            let records = [rec(100, 1, 1), rec(late, 2, 2), rec(late, 3, 2)];
+            macro_rules! windows {
+                ($sensor:expr) => {{
+                    let mut sensor = $sensor;
+                    let mut out: Vec<WindowSummary> = Vec::new();
+                    for r in records {
+                        out.extend(sensor.push(r));
+                    }
+                    out.extend(sensor.finish());
+                    out
+                }};
+            }
+            let fast = windows!(StreamingSensor::new(cfg));
+            assert_eq!(fast.len(), 2, "t={late}");
+            assert_eq!(fast[0].window, (SimTime(0), SimTime(600)));
+            assert_eq!(fast[1].window, (SimTime(late - late % 600), SimTime(u64::MAX)));
+            let held = &fast[1].observations.per_originator[&rec(0, 0, 2).originator];
+            assert_eq!(held.query_count(), 2, "t={late}: both late records in one window");
+            assert_eq!(windows!(ReferenceStreamingSensor::new(cfg)), fast, "t={late}");
+            assert_eq!(windows!(ShardedStreamingSensor::new(cfg, 2)), fast, "t={late}");
+            assert_eq!(windows!(ReferenceShardedStreamingSensor::new(cfg)), fast, "t={late}");
+        }
     }
 
     #[test]

@@ -4,22 +4,19 @@
 //! window summaries, in the same order, under storm bursts,
 //! out-of-order records, and probation-cap pressure — and, above the
 //! memory caps, identical to the plain global sensor and to batch
-//! ingestion. CI runs this file under `BS_THREADS=1` and `=8`, so the
-//! equivalences also pin thread-count independence.
+//! ingestion.
 //!
 //! Seeded loops: every case derives from its seed alone, so a failure
 //! replays from the seed in its message.
 
+use crate::common::{arb_records, sorted_records, SMALL};
+use crate::ingest::Observations;
+use crate::shard::{slice_of, ReferenceShardedStreamingSensor, ShardedStreamingSensor};
+use crate::stream::{StreamConfig, StreamingSensor, WindowSummary};
 use bs_dns::{Rcode, SimDuration, SimTime};
 use bs_netsim::log::{QueryLog, QueryLogRecord};
 use bs_par::Rng;
-use bs_sensor::ingest::Observations;
-use bs_sensor::shard::{slice_of, ReferenceShardedStreamingSensor, ShardedStreamingSensor};
-use bs_sensor::{StreamConfig, StreamingSensor, WindowSummary};
 use std::net::Ipv4Addr;
-
-mod common;
-use common::{arb_records, sorted_records, SMALL};
 
 const CASES: u64 = 64;
 

@@ -129,13 +129,12 @@ const CDN_SUFFIXES: &[&str] = &["akamai", "edgecast", "cdnetworks", "llnw", "chi
 /// Does `component` match `keyword`? Exact, keyword+digits, or
 /// keyword followed by `-`/digits (so `mail2`, `mail-ns`, `dsl1-2-3-4`
 /// all match, but `mailing` does not — a trailing letter means a
-/// different word).
+/// different word). The rule as the reference matcher spells it; the
+/// packed matcher applies the same boundary test to folded bytes.
 ///
-/// Operates on raw label bytes with ASCII-case-insensitive comparison:
-/// this runs once per querier label on the hot extraction path, and
-/// lowercasing into a fresh `String` per label dominated the matcher's
-/// profile. DNS labels are ASCII by construction ([`bs_dns::Label`]
-/// validates the character set), so byte-wise ASCII folding is exact.
+/// DNS labels are ASCII by construction ([`bs_dns::Label`] validates
+/// the character set), so byte-wise ASCII folding is exact.
+#[cfg(test)]
 fn component_matches(component: &[u8], keyword: &[u8]) -> bool {
     if component.len() < keyword.len() {
         return false;
@@ -155,10 +154,11 @@ pub enum MatchOrder {
     RightmostFirst,
 }
 
-/// The reference component classifier: keyword-at-a-time, byte-at-a-time
-/// case-insensitive comparison. Retained as the executable specification
-/// of the first-match rule the packed fast path below must reproduce
-/// (`tests/matcher_entropy_equivalence.rs`).
+/// The reference component classifier, compiled for tests only:
+/// keyword-at-a-time, byte-at-a-time case-insensitive comparison. The
+/// executable specification of the first-match rule the packed fast
+/// path below must reproduce (`matcher_entropy_equivalence.rs`).
+#[cfg(test)]
 fn classify_component_reference(component: &[u8]) -> Option<StaticFeature> {
     for (feature, keywords) in RULES {
         for kw in *keywords {
@@ -240,19 +240,18 @@ fn packed_rules() -> &'static [PackedKeyword] {
 /// eight bytes, then test each keyword with one masked `u64` equality
 /// (plus a short tail compare for the few keywords longer than eight
 /// bytes) instead of a byte-at-a-time case-insensitive loop per
-/// keyword. Identical first-match semantics to
-/// [`classify_component_reference`]: same table order, same boundary
-/// rule (`-`/digit continues a keyword, a letter does not).
+/// keyword. Identical first-match semantics to the test-only
+/// reference matcher: same table order, same boundary rule (`-`/digit
+/// continues a keyword, a letter does not).
 fn classify_component(component: &[u8]) -> Option<StaticFeature> {
     let n = component.len();
     let mut buf = [0u8; 64];
-    if n > buf.len() {
-        // DNS labels are ≤ 63 bytes; anything longer (not constructible
-        // through bs_dns) falls back to the reference.
-        return classify_component_reference(component);
-    }
-    let folded = &mut buf[..n];
-    fold_ascii_lower(component, folded);
+    // DNS labels are ≤ 63 bytes. Anything longer (not constructible
+    // through bs_dns) folds only its head: every test below reads the
+    // true length `n` and at most one byte past the longest keyword.
+    let head = n.min(buf.len());
+    let folded = &mut buf[..head];
+    fold_ascii_lower(&component[..head], folded);
     let packed = pack_prefix(folded);
     for e in packed_rules() {
         let fits = if e.exact { n == e.len } else { n >= e.len };
@@ -302,10 +301,14 @@ pub fn classify_name_with_order(name: &DomainName, order: MatchOrder) -> StaticF
     classify_with(name, order, classify_component)
 }
 
-/// [`classify_name_with_order`] through the retained byte-at-a-time
-/// reference matcher — the executable specification the packed fast
-/// path is property-tested against.
-pub fn classify_name_with_order_reference(name: &DomainName, order: MatchOrder) -> StaticFeature {
+/// [`classify_name_with_order`] through the byte-at-a-time reference
+/// matcher, compiled for tests only — the executable specification the
+/// packed fast path is property-tested against.
+#[cfg(test)]
+pub(crate) fn classify_name_with_order_reference(
+    name: &DomainName,
+    order: MatchOrder,
+) -> StaticFeature {
     classify_with(name, order, classify_component_reference)
 }
 
@@ -420,6 +423,11 @@ mod tests {
                     "{c} under {order:?}"
                 );
             }
+        }
+        // Longer than any DNS label, and than the matcher's fold buffer.
+        for head in ["Mail-", "mailx", "newsletter7", "chinacache", "zz"] {
+            let long = format!("{head}{}", "a".repeat(80)).into_bytes();
+            assert_eq!(classify_component(&long), classify_component_reference(&long), "{head}…");
         }
     }
 

@@ -38,9 +38,9 @@
 //! amortized instead of the O(n) full-table scan the seed performed.
 //! The BTree-ordered [`Observations`] the pipeline consumes is built
 //! once per window, at flush, which is what keeps the
-//! stream-equals-batch determinism guarantee intact; a retained
-//! BTree-based [`ReferenceStreamingSensor`] defines the semantics and
-//! a property test holds the two equal on arbitrary record streams.
+//! stream-equals-batch determinism guarantee intact; a test-only
+//! BTree-based reference sensor defines the semantics and a property
+//! test holds the two equal on arbitrary record streams.
 //!
 //! # Out-of-order records
 //!
@@ -49,9 +49,9 @@
 //! window, so it is counted (`sensor.stream.out_of_order`, plus an
 //! `out_of_order` conservation-ledger bucket) and dropped.
 
-use crate::ingest::{
-    pack_pair, set_to_btree, Observations, OriginatorObservation, SlotAccum, DEDUP_WINDOW,
-};
+#[cfg(test)]
+use crate::ingest::OriginatorObservation;
+use crate::ingest::{pack_pair, set_to_btree, Observations, SlotAccum, DEDUP_WINDOW};
 use bs_dns::{SimDuration, SimTime};
 use bs_fastmap::{CompactSet, FastMap};
 use bs_netsim::log::QueryLogRecord;
@@ -119,6 +119,22 @@ pub struct WindowSummary {
     /// bounds; anything that mattered was far above the analyzability
     /// bar before eviction could touch it).
     pub evicted: usize,
+}
+
+/// The window clock every sensor in this crate asks, so that they
+/// cannot disagree: is `t` at or past the end of the window starting
+/// at `start`? Decided by distance from the start — `start + window`
+/// overflows for a timestamp near `u64::MAX` (one hostile log line),
+/// and a wrapped end would close a window on every record after it.
+#[inline]
+pub(crate) fn past_window(start: SimTime, window: SimDuration, t: SimTime) -> bool {
+    t.since(start) >= window
+}
+
+/// The end a window reports, saturated at the clock's limit for the
+/// same reason [`past_window`] never computes it.
+pub(crate) fn window_end(start: SimTime, window: SimDuration) -> SimTime {
+    SimTime(start.secs().saturating_add(window.secs()))
 }
 
 /// One arena slot: an originator's in-window accumulation plus the
@@ -262,7 +278,7 @@ impl StreamingSensor {
             return None;
         }
         let mut emitted = None;
-        if r.time >= self.window_start + self.config.window {
+        if past_window(self.window_start, self.config.window, r.time) {
             emitted = Some(self.rotate(r.time));
         }
         self.ingest(r);
@@ -274,8 +290,7 @@ impl StreamingSensor {
         if !self.started || self.tracked_originators() == 0 {
             return None;
         }
-        let end = self.window_start + self.config.window;
-        Some(self.take_window(end))
+        Some(self.take_window())
     }
 
     /// Originators currently tracked (arena occupancy).
@@ -297,8 +312,7 @@ impl StreamingSensor {
     }
 
     fn rotate(&mut self, now: SimTime) -> WindowSummary {
-        let end = self.window_start + self.config.window;
-        let summary = self.take_window(end);
+        let summary = self.take_window();
         // Advance to the window containing `now` (possibly skipping
         // empty windows).
         let w = self.config.window.secs();
@@ -319,8 +333,7 @@ impl StreamingSensor {
         // it only ever receives in-window records from the driver, so
         // zero tracked originators means zero tallies too.
         let summary = if self.started && self.tracked_originators() > 0 {
-            let end = self.window_start + self.config.window;
-            Some(self.take_window(end))
+            Some(self.take_window())
         } else {
             None
         };
@@ -329,7 +342,8 @@ impl StreamingSensor {
         summary
     }
 
-    fn take_window(&mut self, end: SimTime) -> WindowSummary {
+    fn take_window(&mut self) -> WindowSummary {
+        let end = window_end(self.window_start, self.config.window);
         // The sensor knows its window better than the thread does.
         // Single sensors file under the exact ledger stage, sharded
         // slices under the family prefix (the cost table sums the
@@ -525,14 +539,15 @@ impl StreamingSensor {
     }
 }
 
-/// The retained reference implementation of [`StreamingSensor`]: the
-/// original BTree/std-container sensor, kept as the executable
-/// specification the fast path is property-tested against (same
-/// per-originator streams, querier sets, dedup decisions, probation
-/// accounting, and evictions — the eviction victim here is picked by
-/// the seed's O(n) `min_by_key` scan). No telemetry — it defines
-/// behavior, it does not run in production.
-pub struct ReferenceStreamingSensor {
+/// The reference implementation of [`StreamingSensor`], compiled for
+/// tests only: the original BTree/std-container sensor, kept as the
+/// executable specification the fast path is property-tested against
+/// (same per-originator streams, querier sets, dedup decisions,
+/// probation accounting, and evictions — the eviction victim here is
+/// picked by the seed's O(n) `min_by_key` scan). No telemetry — it
+/// defines behavior, it does not run in production.
+#[cfg(test)]
+pub(crate) struct ReferenceStreamingSensor {
     config: StreamConfig,
     probation_cap: usize,
     window_start: SimTime,
@@ -544,9 +559,10 @@ pub struct ReferenceStreamingSensor {
     started: bool,
 }
 
+#[cfg(test)]
 impl ReferenceStreamingSensor {
     /// Create a reference sensor; the first record anchors the window.
-    pub fn new(config: StreamConfig) -> Self {
+    pub(crate) fn new(config: StreamConfig) -> Self {
         assert!(config.window.secs() > 0);
         assert!(config.max_originators > 0);
         ReferenceStreamingSensor {
@@ -564,7 +580,7 @@ impl ReferenceStreamingSensor {
 
     /// Feed one record; semantics identical to
     /// [`StreamingSensor::push`].
-    pub fn push(&mut self, r: QueryLogRecord) -> Option<WindowSummary> {
+    pub(crate) fn push(&mut self, r: QueryLogRecord) -> Option<WindowSummary> {
         if !self.started {
             self.window_start = SimTime(r.time.secs() - r.time.secs() % self.config.window.secs());
             self.started = true;
@@ -573,7 +589,7 @@ impl ReferenceStreamingSensor {
             return None; // out of order: dropped
         }
         let mut emitted = None;
-        if r.time >= self.window_start + self.config.window {
+        if past_window(self.window_start, self.config.window, r.time) {
             emitted = Some(self.rotate(r.time));
         }
         self.ingest(r);
@@ -581,17 +597,15 @@ impl ReferenceStreamingSensor {
     }
 
     /// Flush the current (partial) window at end of stream.
-    pub fn finish(mut self) -> Option<WindowSummary> {
+    pub(crate) fn finish(mut self) -> Option<WindowSummary> {
         if !self.started || self.per_originator.is_empty() {
             return None;
         }
-        let end = self.window_start + self.config.window;
-        Some(self.take_window(end))
+        Some(self.take_window())
     }
 
     fn rotate(&mut self, now: SimTime) -> WindowSummary {
-        let end = self.window_start + self.config.window;
-        let summary = self.take_window(end);
+        let summary = self.take_window();
         let w = self.config.window.secs();
         self.window_start = SimTime(now.secs() - now.secs() % w);
         summary
@@ -600,10 +614,9 @@ impl ReferenceStreamingSensor {
     /// Flush the current window (if non-empty) and re-anchor at
     /// `next_start`; semantics identical to
     /// [`StreamingSensor::flush_to`].
-    pub fn flush_to(&mut self, next_start: SimTime) -> Option<WindowSummary> {
+    pub(crate) fn flush_to(&mut self, next_start: SimTime) -> Option<WindowSummary> {
         let summary = if self.started && !self.per_originator.is_empty() {
-            let end = self.window_start + self.config.window;
-            Some(self.take_window(end))
+            Some(self.take_window())
         } else {
             None
         };
@@ -612,7 +625,8 @@ impl ReferenceStreamingSensor {
         summary
     }
 
-    fn take_window(&mut self, end: SimTime) -> WindowSummary {
+    fn take_window(&mut self) -> WindowSummary {
+        let end = window_end(self.window_start, self.config.window);
         let observations = Observations {
             window_start: self.window_start,
             window_end: end,

@@ -1,8 +1,10 @@
-//! Case generation shared by the sensor's seeded property suites.
-//! Every case derives from its seed alone, so a failure replays from
-//! the seed in its message.
+//! Case generation shared by the sensor's seeded property suites:
+//! `tests/properties.rs` and, through a `#[path]` module in `lib.rs`,
+//! the `*_equivalence` unit-test modules in `src/`. Every case derives
+//! from its seed alone, so a failure replays from the seed in its
+//! message.
 
-// Each suite is its own crate and uses a different subset.
+// Each user compiles its own copy and uses a different subset.
 #![allow(dead_code)]
 
 use bs_dns::{Rcode, SimTime};

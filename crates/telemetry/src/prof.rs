@@ -17,9 +17,7 @@
 //!
 //! With the sampler running the hot-path cost is two relaxed stores
 //! per stage plus two relaxed `fetch_add`s per allocation; the sampler
-//! itself wakes `hz` times a second regardless of workload. The bench
-//! suite publishes `bench.prof.overhead_pct.{disabled,hz99}` to keep
-//! both numbers honest.
+//! itself wakes `hz` times a second regardless of workload.
 
 pub use crate::alloc::{alloc_json, alloc_rows, alloc_table, AllocRow, CountingAlloc};
 pub use crate::sampler::{folded, is_running, sample_counts, start, stop, top_json, top_table};

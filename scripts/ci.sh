@@ -1,7 +1,8 @@
 #!/bin/bash
 # The repo's tier-1 gate, runnable locally and in CI:
 #   format check → hermeticity → lints as errors → rustdoc as errors →
-#   release build → tests → CLI smokes → perf gate.
+#   release build → tests → CLI smokes.
+# Performance is not gated here: `bash benchmark/run.sh` measures it.
 # Any step failing fails the script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -23,30 +24,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "=== cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+# One public implementation per stage: the reference twins the fast
+# paths are tested against are #[cfg(test)] and must not resurface in
+# any crate's documented API.
+if grep -lE 'Reference|_reference' target/doc/*/all.html; then
+    echo "a reference implementation is public again (item lists above)"
+    exit 1
+fi
 
 echo "=== cargo build --release"
 cargo build --release
 
 echo "=== cargo test --workspace (every crate, default thread count)"
+# Runs every equivalence suite once. That results do not depend on the
+# pool width is pinned by tests/parallel_determinism.rs and by the
+# core::stream and netsim::capture tests that set the width themselves.
 cargo test --workspace -q
-
-echo "=== ML fast-path equivalence (sequential: BS_THREADS=1)"
-BS_THREADS=1 cargo test -q -p bs-ml --test mlcore_equivalence
-
-echo "=== ML fast-path equivalence (parallel: BS_THREADS=8)"
-BS_THREADS=8 cargo test -q -p bs-ml --test mlcore_equivalence
-
-echo "=== shard equivalence (sequential: BS_THREADS=1)"
-BS_THREADS=1 cargo test -q -p bs-sensor --test shard_equivalence
-
-echo "=== shard equivalence (parallel: BS_THREADS=8)"
-BS_THREADS=8 cargo test -q -p bs-sensor --test shard_equivalence
-
-echo "=== qmeta extraction equivalence (sequential: BS_THREADS=1)"
-BS_THREADS=1 cargo test -q -p bs-sensor --test qmeta_equivalence
-
-echo "=== qmeta extraction equivalence (parallel: BS_THREADS=8)"
-BS_THREADS=8 cargo test -q -p bs-sensor --test qmeta_equivalence
 
 echo "=== root integration tests (sequential: BS_THREADS=1)"
 BS_THREADS=1 cargo test -q
@@ -137,11 +130,5 @@ grep -q '"stages"' <<<"$alloc_json"
 top_view="$(target/release/backscatter stats --top "$addr" --iterations 1)"
 grep -q "profiler:" <<<"$top_view"
 wait "$prof_pid"
-
-echo "=== perf gate: fresh run vs committed BENCH_pipeline.json"
-# Baselines of -1 are placeholders (record, don't gate); the gate
-# still runs the full measurement suite, its equivalence asserts, and
-# the profiler-overhead budget asserts (idle and 99 Hz sampling).
-cargo run --release -q -p bench --bin perf_gate
 
 echo "=== ci: all green"

@@ -24,7 +24,7 @@ use std::time::Duration;
 
 /// Counting allocator so `--profile` attributes allocation pressure to
 /// pipeline stages. One relaxed load per allocation while profiling is
-/// off — measured in the noise (see `bench.prof.overhead_pct`).
+/// off.
 #[global_allocator]
 static ALLOC: telemetry::prof::CountingAlloc = telemetry::prof::CountingAlloc;
 
@@ -34,7 +34,12 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::from(2);
     };
-    let flags = match parse_flags(rest) {
+    let Some(&(_, root_span, known)) = COMMANDS.iter().find(|c| c.0 == command) else {
+        eprintln!("error: unknown command {command:?}");
+        usage();
+        return ExitCode::from(2);
+    };
+    let flags = match parse_flags(command, known, rest) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}");
@@ -116,7 +121,7 @@ fn main() -> ExitCode {
     let result = {
         // Root of the causal span tree (inert without --trace); must
         // drop before the export drains the recorder.
-        let _root = telemetry::stage(root_span_name(command));
+        let _root = telemetry::stage(root_span);
         match command.as_str() {
             "simulate" => cmd_simulate(&flags),
             "features" => cmd_features(&flags),
@@ -131,7 +136,7 @@ fn main() -> ExitCode {
                 usage();
                 Ok(())
             }
-            other => Err(format!("unknown command {other:?}")),
+            other => unreachable!("{other:?} is in COMMANDS and has no handler"),
         }
     };
     let result = result.and_then(|()| {
@@ -187,23 +192,6 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
-    }
-}
-
-/// The root span name for a subcommand (span names are `&'static str`,
-/// so unknown commands fall back to a generic root).
-fn root_span_name(command: &str) -> &'static str {
-    match command {
-        "simulate" => "cli.simulate",
-        "features" => "cli.features",
-        "classify" => "cli.classify",
-        "train" => "cli.train",
-        "report" => "cli.report",
-        "capture" => "cli.capture",
-        "stream" => "cli.stream",
-        "stats" => "cli.stats",
-        "trace" => "cli.trace",
-        _ => "cli.run",
     }
 }
 
@@ -559,20 +547,6 @@ metric naming: dotted crate.stage names, e.g.
   core.stream.close_wait_ns  ns the closing thread spent waiting for a
                              window: ingest bounds the stream (both
                              booked once a window, pipelined runs only)
-  bench.ingest.*             perf_snapshot ingest throughput gauges
-                             (records/sec, fast path vs BTree reference)
-  bench.ingest.scaling.*     sharded ingest rps at 1/2/4/8 lanes and
-                             parallel efficiency (milli, 4 lanes)
-  bench.ml.*                 perf_snapshot ML gauges: forest/SVM fit rps
-                             (fast vs reference) and forest batch
-                             predict rps
-  bench.sensor.*             perf_snapshot sensor gauges: static-feature
-                             classification rps (packed matcher vs
-                             byte-at-a-time reference) and extraction
-                             pairs/sec (bench.sensor.extract_fast_rps /
-                             extract_reference_rps / extract_warm_cache_rps
-                             — qmeta plane, cold and warm cache, vs the
-                             per-pair reference)
   ml.trees_built, ml.fits    learner effort
   classify.models_trained    windows with a trainable label set
   <stage>                    every stage guard records its wall time
@@ -598,8 +572,6 @@ metric naming: dotted crate.stage names, e.g.
                              rate-limited site (log target)
   prof.ticks/.threads/.torn  sampling-profiler progress gauges
   prof.samples.busy          samples that caught a stage on-stack
-  bench.prof.overhead_pct.*  profiler overhead vs the ingest benchmark
-                             (.disabled and .hz99, integer percent)
   live.ticks                 gauge: samples taken by the live sampler
   live.health.status         gauge: watchdog state (0 ok, 1 degraded,
                              2 critical; also served at /health)
@@ -716,17 +688,54 @@ datasets: JP-ditl, B-post-ditl, B-long, B-multi-year, M-ditl, M-ditl-2015, M-sam
     );
 }
 
+/// Every subcommand: its name, its root span (span names are
+/// `&'static str`) and the flags it reads beside [`COMMON_FLAGS`].
+const COMMANDS: &[(&str, &str, &[&str])] = &[
+    ("simulate", "cli.simulate", &["dataset", "scale", "seed", "out"]),
+    ("features", "cli.features", &["log", "min-queriers", "window-start", "window-end"]),
+    ("classify", "cli.classify", &["log", "dataset", "scale", "seed", "model", "min-queriers"]),
+    ("train", "cli.train", &["log", "dataset", "scale", "seed", "save"]),
+    ("report", "cli.report", &["log", "dataset", "scale", "seed"]),
+    ("capture", "cli.capture", &["log", "capture", "out"]),
+    (
+        "stream",
+        "cli.stream",
+        &["log", "window", "max-originators", "shards", "pace", "linger", "extract"],
+    ),
+    (
+        "stats",
+        "cli.stats",
+        &["format", "watch", "top", "fetch", "iterations", "interval-ms", "path"],
+    ),
+    ("trace", "cli.trace", &["file"]),
+    ("help", "cli.run", &[]),
+    ("--help", "cli.run", &[]),
+    ("-h", "cli.run", &[]),
+];
+
+/// The flags `main` reads for every subcommand.
+const COMMON_FLAGS: &[&str] = &["metrics", "trace", "serve", "profile", "threads"];
+
 type Flags = BTreeMap<String, String>;
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// Parse `--key value` pairs for `command`, which reads `known` and
+/// [`COMMON_FLAGS`]. A flag it does not read is an error, not a no-op:
+/// a misspelt `--min-querier` must not leave the threshold at its
+/// default and exit 0.
+fn parse_flags(command: &str, known: &[&str], args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(key) = a.strip_prefix("--") else {
             return Err(format!("expected --flag, got {a:?}"));
         };
+        if !known.contains(&key) && !COMMON_FLAGS.contains(&key) {
+            return Err(format!("`{command}` has no flag --{key}"));
+        }
         let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-        flags.insert(key.to_string(), value.clone());
+        if flags.insert(key.to_string(), value.clone()).is_some() {
+            return Err(format!("--{key} given twice to `{command}`"));
+        }
     }
     Ok(flags)
 }
@@ -858,6 +867,10 @@ fn cmd_classify_with_model(flags: &Flags) -> Result<(), String> {
     let text =
         std::fs::read_to_string(model_path).map_err(|e| format!("read {model_path}: {e}"))?;
     let forest = Forest::from_text(&text).map_err(|e| format!("parse {model_path}: {e}"))?;
+    let (model, sensor) = (forest.importances().len(), dns_backscatter::sensor::FeatureVector::LEN);
+    if model != sensor {
+        return Err(format!("model has {model} features, the sensor extracts {sensor}"));
+    }
     let world = World::new(WorldConfig::default());
     let min_queriers = flags
         .get("min-queriers")

@@ -266,3 +266,49 @@ fn missing_file_errors_without_panic() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("error:"), "{err}");
 }
+
+/// A flag the subcommand does not read is an error that names the flag
+/// and the subcommand — a typo must not silently leave a default in
+/// force — and so is a flag given twice.
+#[test]
+fn unknown_and_repeated_flags_are_rejected_by_name() {
+    let log = simulated_log();
+    let log = log.to_str().unwrap();
+    let cases: [(&[&str], &str, &str); 3] = [
+        // Misspelt: the threshold would stay at 20 and only the header print.
+        (&["features", "--log", log, "--min-querier", "1"], "--min-querier", "features"),
+        // Belongs to `stream`, not to `features`.
+        (&["features", "--log", log, "--window", "600"], "--window", "features"),
+        (&["simulate", "--seed", "1", "--seed", "2"], "--seed", "simulate"),
+    ];
+    for (args, flag, command) in cases {
+        let out = bin().args(args).output().expect("run");
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(out.stdout.is_empty(), "{args:?} must not run the command");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let first = err.lines().next().unwrap_or_default();
+        assert!(first.contains(flag) && first.contains(command), "{args:?}: {first:?}");
+    }
+    // The every-command flags stay valid everywhere.
+    let out = bin().args(["stats", "--threads", "1"]).output().expect("run");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+/// A well-formed model of the wrong arity is refused before any output,
+/// not discovered by an assertion inside the first prediction.
+#[test]
+fn classify_rejects_a_model_of_the_wrong_arity() {
+    let log = simulated_log();
+    let model = tmp("cli-one-feature.bsf");
+    let one_feature = "bs-forest v1\nclasses 2\nfeatures 1\nimportances 3ff0000000000000\n\
+                       tree 0\nL 0\nend\n";
+    std::fs::write(&model, one_feature).unwrap();
+    let out = bin()
+        .args(["classify", "--log", log.to_str().unwrap(), "--model", model.to_str().unwrap()])
+        .output()
+        .expect("classify");
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(out.stdout.is_empty(), "nothing may print before the model is checked");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("model has 1 features, the sensor extracts 22"), "{err}");
+}
