@@ -90,12 +90,6 @@ impl TrainedClassifier {
         ApplicationClass::from_index(idx).expect("model trained on class schema")
     }
 
-    /// Classify with the ensemble's vote confidence in `[0, 1]`.
-    pub fn classify_with_confidence(&self, fv: &FeatureVector) -> (ApplicationClass, f64) {
-        let (idx, conf) = self.ensemble.predict_with_confidence(&fv.to_vec());
-        (ApplicationClass::from_index(idx).expect("model trained on class schema"), conf)
-    }
-
     /// Classify every originator in a feature map.
     ///
     /// Originators classify in parallel chunks of one [`RowBlock`]:

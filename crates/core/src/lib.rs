@@ -63,6 +63,15 @@ pub use bs_telemetry as telemetry;
 pub mod pipeline;
 pub mod stream;
 
+/// The pool width, the telemetry flag word and the registry's counters
+/// are process-wide and the unit tests share one process: every test
+/// that sets or reads one holds this lock.
+#[cfg(test)]
+pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// The most commonly used types, one `use` away.
 pub mod prelude {
     pub use crate::pipeline::{DatasetPipeline, PipelineRun};

@@ -300,19 +300,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serial;
     use bs_dns::{SimDuration, SimTime};
     use bs_netsim::log::QueryLogRecord;
     use bs_netsim::types::{AsId, CountryCode, NameOutcome};
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::{Mutex, MutexGuard};
-
-    /// Every test here streams, and some set the process-wide pool
-    /// width or read the process-wide `sensor.stream.records` counter:
-    /// one at a time.
-    fn serial() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     /// Run `f` at pool width `n`; the override is cleared on the way
     /// out, also when `f` panics.

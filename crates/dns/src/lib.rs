@@ -2,9 +2,8 @@
 //!
 //! This crate implements the slice of the DNS that the backscatter sensor
 //! depends on: domain names and their syntax rules, the reverse
-//! (`in-addr.arpa`) namespace, query/response messages with an RFC 1035
-//! wire codec (including name compression), and a TTL-driven resolver
-//! cache with negative caching.
+//! (`in-addr.arpa`) namespace, and query/response messages with an
+//! RFC 1035 wire codec (including name compression).
 //!
 //! The backscatter paper observes *reverse DNS queries* (`QTYPE = PTR`
 //! against `in-addr.arpa`) arriving at authoritative servers. Everything
@@ -41,14 +40,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod message;
 pub mod name;
 pub mod reverse;
 pub mod time;
 pub mod wire;
 
-pub use cache::{Cache, CacheConfig, CacheOutcome, CacheStats};
 pub use message::{Message, QClass, QType, Rcode, RecordData, ResourceRecord};
 pub use name::{DomainName, Label, NameError};
 pub use reverse::{parse_reverse_v4, parse_reverse_v6, reverse_name, reverse_name_v6, ReverseZone};

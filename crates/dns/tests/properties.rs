@@ -5,7 +5,6 @@
 use bs_dns::message::{Message, QType, Rcode, RecordData, ResourceRecord};
 use bs_dns::name::{DomainName, Label};
 use bs_dns::reverse::{parse_reverse_v4, reverse_name, ReverseZone};
-use bs_dns::{Cache, CacheConfig, CacheOutcome, SimTime};
 use std::net::Ipv4Addr;
 
 const CASES: u64 = 256;
@@ -197,25 +196,6 @@ fn decoder_survives_mutated_messages() {
         }
     }
     assert!(rejected > 4 * CASES, "the mutations bite: {rejected} of {} rejected", 8 * CASES);
-}
-
-/// A cache never serves an entry at or past its expiry, and always
-/// serves it before.
-#[test]
-fn cache_respects_ttl() {
-    for seed in 0..CASES {
-        let mut rng = Rng(seed ^ 0x77C);
-        let ttl = 1 + rng.below(9_999) as u32;
-        let probe = rng.below(20_000);
-        let mut c = Cache::new(CacheConfig::default());
-        let n = reverse_name(rng.addr());
-        let t = DomainName::parse("x.example.com").unwrap();
-        c.insert_positive(&n, QType::Ptr, t.clone(), ttl, SimTime(0));
-        let got = c.lookup(&n, QType::Ptr, SimTime(probe));
-        let expect =
-            if probe < ttl as u64 { CacheOutcome::Positive(t) } else { CacheOutcome::Miss };
-        assert_eq!(got, expect, "seed {seed}: ttl {ttl} probe {probe}");
-    }
 }
 
 /// Zone containment is consistent: an address is in a /24 zone iff it

@@ -9,9 +9,9 @@
 //! per-node per-feature re-sorting inside CART's split search, and
 //! `Box`-recursive tree nodes that scatter `predict` across the heap.
 //! This crate provides the shared primitives the fast paths in `bs-ml`
-//! are built from — following the `bs-fastmap` house pattern of a fast
-//! engine whose behaviour is property-tested against a retained
-//! executable reference:
+//! are built from — following the house pattern of a fast engine
+//! whose behaviour is property-tested against a retained executable
+//! reference:
 //!
 //! * [`ColumnarView`] — column-major training data: one contiguous
 //!   `Vec<f64>` per feature plus a parallel label array, so a split

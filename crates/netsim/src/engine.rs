@@ -26,7 +26,7 @@ use crate::log::{AuthorityLogs, QueryLog, QueryLogRecord};
 use crate::resolver::{ReferralCheck, ReferralConfig, ReferralLevel, ResolverState};
 use crate::types::{Contact, ResolverId};
 use crate::world::World;
-use bs_dns::{CacheConfig, Rcode, SimTime};
+use bs_dns::{Rcode, SimTime};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 
@@ -40,8 +40,6 @@ pub struct SimulatorConfig {
     pub sampling: BTreeMap<AuthorityId, u32>,
     /// Referral-warmth parameters.
     pub referral: ReferralConfig,
-    /// Leaf PTR cache parameters applied to every resolver.
-    pub cache: CacheConfig,
     /// Fraction of *broken* resolvers that ignore DNS timeout rules:
     /// they never cache leaf answers and re-send each query several
     /// times within seconds. These are the queriers the paper's
@@ -66,7 +64,6 @@ impl SimulatorConfig {
             observed: authorities.into_iter().collect(),
             sampling: BTreeMap::new(),
             referral: ReferralConfig::default(),
-            cache: CacheConfig::default(),
             broken_resolver_fraction: 0.02,
             qname_minimization: 0.0,
         }
@@ -202,7 +199,6 @@ impl<'w> Simulator<'w> {
     fn lookup(&mut self, querier: ResolverId, shared: bool, originator: Ipv4Addr, now: SimTime) {
         let orig_key = u32::from(originator);
         let seed = self.world.seed();
-        let cache_cfg = self.config.cache;
         // A small population of broken resolvers ignores TTLs entirely
         // and stutters duplicates — the noise the sensor's 30-second
         // dedup was designed to absorb.
@@ -214,7 +210,7 @@ impl<'w> Simulator<'w> {
         let resolver = self
             .resolvers
             .entry(querier)
-            .or_insert_with(|| ResolverState::new(seed, querier, shared, cache_cfg));
+            .or_insert_with(|| ResolverState::new(seed, querier, shared));
 
         // 1. Leaf cache (positive and negative answers suppress alike).
         if !broken && resolver.ptr_cache.is_cached(orig_key, now) {

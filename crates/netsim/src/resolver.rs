@@ -4,8 +4,8 @@
 //!
 //! 1. **Leaf PTR caching.** Once a resolver has resolved (or negatively
 //!    resolved) an originator's reverse name, it answers from cache for
-//!    the record TTL. This is modeled *exactly*, with a real
-//!    [`bs_dns::Cache`] per resolver, because it controls per-querier
+//!    the record TTL. This is modeled *exactly*, with one
+//!    [`AddrPtrCache`] per resolver, because it controls per-querier
 //!    query counts at the final authority.
 //!
 //! 2. **Delegation caching.** Walking down from the root requires NS
@@ -39,18 +39,17 @@
 
 use crate::det::{bernoulli, hash2, log_normal, mix64, unit_f64};
 use crate::types::ResolverId;
-use bs_dns::{CacheConfig, SimDuration, SimTime};
+use bs_dns::{SimDuration, SimTime};
 use std::collections::HashMap;
 
 /// A compact leaf PTR cache keyed by originator address.
 ///
-/// Semantically this is `bs_dns::Cache` specialized to the one lookup
-/// the engine performs per reaction: positive and negative entries
-/// suppress upstream queries identically (the response code is decided
-/// by the authority's policy, not the cache), so only the expiry needs
-/// storing. Keying by `u32` instead of a lowercased QNAME string keeps
-/// the hot path allocation-free — the protocol-faithful cache remains
-/// in `bs-dns` for message-level use.
+/// A TTL cache specialized to the one lookup the engine performs per
+/// reaction: positive and negative entries suppress upstream queries
+/// identically (the response code is decided by the authority's
+/// policy, not the cache), so only the expiry needs storing. Keying by
+/// `u32` instead of a lowercased QNAME string keeps the hot path
+/// allocation-free.
 #[derive(Debug, Default)]
 pub struct AddrPtrCache {
     map: HashMap<u32, SimTime>,
@@ -177,7 +176,7 @@ impl ResolverState {
     /// Create state for `id`. `shared` resolvers (ISP caches) get
     /// heavier background rates than dedicated hosts doing their own
     /// lookups.
-    pub fn new(seed: u64, id: ResolverId, shared: bool, _cache_config: CacheConfig) -> Self {
+    pub fn new(seed: u64, id: ResolverId, shared: bool) -> Self {
         let h = hash2(seed ^ 0x5E50_1BE4, u32::from(id.0) as u64, shared as u64);
         // Median ≈ 3 q/s for shared resolvers, ≈ 0.002 q/s for hosts
         // resolving for themselves; both spread over orders of magnitude.
@@ -266,12 +265,7 @@ mod tests {
     use std::net::Ipv4Addr;
 
     fn resolver(shared: bool, ip: u8) -> ResolverState {
-        ResolverState::new(
-            1,
-            ResolverId(Ipv4Addr::new(198, 51, 100, ip)),
-            shared,
-            CacheConfig::default(),
-        )
+        ResolverState::new(1, ResolverId(Ipv4Addr::new(198, 51, 100, ip)), shared)
     }
 
     #[test]

@@ -6,7 +6,6 @@ use crate::qmeta::{QuerierMetaCache, QuerierMetaTable, NO_ID};
 use crate::static_features::StaticFeature;
 use crate::QuerierInfo;
 use bs_dns::SimTime;
-use bs_fastmap::DenseIdSet;
 use bs_netsim::log::QueryLog;
 use std::net::Ipv4Addr;
 
@@ -175,6 +174,27 @@ pub fn extract_with_meta_cache(
 /// Originators per parallel feature task on the fast path.
 const EXTRACT_CHUNK: usize = 64;
 
+/// Distinct count over one of the window's dense interned id spaces
+/// (`0..n_ids`, contiguous from zero): a bitmap sized to the space and
+/// a counter, usually a cache line or two.
+struct IdBitmap {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl IdBitmap {
+    fn new(n_ids: usize) -> Self {
+        IdBitmap { words: vec![0; n_ids.div_ceil(64)], len: 0 }
+    }
+
+    #[inline]
+    fn insert(&mut self, id: u32) {
+        let (word, bit) = ((id / 64) as usize, 1u64 << (id % 64));
+        self.len += usize::from(self.words[word] & bit == 0);
+        self.words[word] |= bit;
+    }
+}
+
 /// One originator's features from the interned metadata table: count
 /// static categories and distinct AS/country ids over the footprint
 /// (bitmap sets over dense ids), then share the float arithmetic with
@@ -185,8 +205,8 @@ fn features_from_table(
     obs: &Observations,
 ) -> OriginatorFeatures {
     let mut static_counts = [0usize; 14];
-    let mut ases = DenseIdSet::with_capacity(table.distinct_ases());
-    let mut countries = DenseIdSet::with_capacity(table.distinct_countries());
+    let mut ases = IdBitmap::new(table.distinct_ases());
+    let mut countries = IdBitmap::new(table.distinct_countries());
     for q in &o.queriers {
         let m = table.get(*q).expect("footprints are subsets of the window's querier set");
         static_counts[m.category as usize] += 1;
@@ -206,8 +226,8 @@ fn features_from_table(
         o,
         obs.window_start,
         obs.window_end,
-        ases.len(),
-        countries.len(),
+        ases.len,
+        countries.len,
         table.distinct_ases(),
         table.distinct_countries(),
     );

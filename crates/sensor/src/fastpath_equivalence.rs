@@ -1,4 +1,4 @@
-//! Fast-path ≡ reference: the `bs-fastmap` ingest engine must be
+//! Fast-path ≡ reference: the packed-key ingest engine must be
 //! observationally identical to the retained BTree implementations on
 //! arbitrary record streams — same per-originator query streams, same
 //! querier sets, same dedup decisions, same admissions and evictions.
@@ -6,7 +6,7 @@
 //! Seeded loops: every case derives from its seed alone, so a failure
 //! replays from the seed in its message.
 
-use crate::common::{arb_records, sorted_records, SMALL};
+use crate::common::{arb_records, sorted_records, Pools, AMPLIFIED, SMALL};
 use crate::ingest::Observations;
 use crate::stream::{ReferenceStreamingSensor, StreamConfig, StreamingSensor, WindowSummary};
 use bs_dns::{SimDuration, SimTime};
@@ -14,6 +14,13 @@ use bs_netsim::log::{QueryLog, QueryLogRecord};
 use bs_par::Rng;
 
 const CASES: u64 = 96;
+
+/// The inputs of the two fast-path suites as `(pools, cases, stream
+/// window)`: many small streams over five windows, and a few seeds of
+/// the shape that grows the tables, in one day-long window so the
+/// footprints accumulate.
+const INPUTS: [(&Pools, u64, u64); 2] =
+    [(&SMALL, CASES, 1_000), (&AMPLIFIED, 4, AMPLIFIED.horizon)];
 
 fn log_of(records: &[QueryLogRecord]) -> QueryLog {
     let mut log = QueryLog::new();
@@ -44,14 +51,16 @@ fn assert_streams_agree(records: &[QueryLogRecord], cfg: StreamConfig, seed: u64
 /// stream and dedup width.
 #[test]
 fn batch_fast_path_matches_reference() {
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed ^ 0xBA7C);
-        let log = log_of(&sorted_records(&mut rng, &SMALL));
-        let dedup = SimDuration(rng.below(60));
-        let fast = Observations::ingest_with_dedup(&log, SimTime(0), SimTime(5_000), dedup);
-        let reference =
-            Observations::ingest_with_dedup_reference(&log, SimTime(0), SimTime(5_000), dedup);
-        assert_eq!(fast, reference, "seed {seed}");
+    for (pools, cases, _) in INPUTS {
+        for seed in 0..cases {
+            let mut rng = Rng::new(seed ^ 0xBA7C);
+            let log = log_of(&sorted_records(&mut rng, pools));
+            let dedup = SimDuration(rng.below(60));
+            let end = SimTime(pools.horizon);
+            let fast = Observations::ingest_with_dedup(&log, SimTime(0), end, dedup);
+            let reference = Observations::ingest_with_dedup_reference(&log, SimTime(0), end, dedup);
+            assert_eq!(fast, reference, "seed {seed}");
+        }
     }
 }
 
@@ -61,17 +70,19 @@ fn batch_fast_path_matches_reference() {
 /// newcomers, and evict the same victims in the same order.
 #[test]
 fn stream_fast_path_matches_reference() {
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed ^ 0x57E4);
-        let records = sorted_records(&mut rng, &SMALL);
-        let cfg = StreamConfig {
-            window: SimDuration::from_secs(1_000),
-            max_originators: rng.range(1..12),
-            admission_queries: rng.range(1..4),
-            probation_cap: rng.range(4..24),
-            ..Default::default()
-        };
-        assert_streams_agree(&records, cfg, seed);
+    for (pools, cases, window) in INPUTS {
+        for seed in 0..cases {
+            let mut rng = Rng::new(seed ^ 0x57E4);
+            let records = sorted_records(&mut rng, pools);
+            let cfg = StreamConfig {
+                window: SimDuration::from_secs(window),
+                max_originators: rng.range(1..12),
+                admission_queries: rng.range(1..4),
+                probation_cap: rng.range(4..24),
+                ..Default::default()
+            };
+            assert_streams_agree(&records, cfg, seed);
+        }
     }
 }
 

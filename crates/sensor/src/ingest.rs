@@ -2,11 +2,12 @@
 //!
 //! Ingestion is the pipeline's hot path — every record the authority
 //! logs passes through exactly one dedup probe and one per-originator
-//! accumulation — so [`Observations::ingest_with_dedup`] runs on
-//! `bs-fastmap` compact-key structures: IPv4 addresses pack to `u32`,
+//! accumulation — so [`Observations::ingest_with_dedup`] runs on std
+//! `HashMap` / `HashSet` tables over packed integer keys behind the
+//! crate's one-multiply hasher: IPv4 addresses pack to `u32`,
 //! `(originator, querier)` dedup keys pack to one `u64`, per-originator
 //! state lives in a dense arena addressed by `u32` slot indices, and
-//! querier footprints accumulate in hybrid array/bitmap sets. The
+//! querier footprints accumulate as `u32` hash sets. The
 //! BTree-ordered [`Observations`] representation every downstream stage
 //! (extraction, classification, serialization) consumes is built once,
 //! at the end — ingestion order never influences it, so the fast path
@@ -14,10 +15,11 @@
 //! (`ingest_with_dedup_reference`), and a property test holds the two
 //! equal on arbitrary record streams.
 
+use crate::hash::IntHash;
 use bs_dns::{SimDuration, SimTime};
-use bs_fastmap::{CompactSet, FastMap};
 use bs_netsim::log::QueryLog;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 /// The deduplication window: duplicate queries from the same querier
@@ -83,13 +85,13 @@ pub(crate) fn pack_pair(originator: Ipv4Addr, querier: Ipv4Addr) -> u64 {
 }
 
 /// Fast-path per-originator accumulator: the querier footprint stays a
-/// compact `u32` set until flush, when it converts (already sorted)
-/// into the `BTreeSet` the pipeline representation uses.
+/// `u32` hash set until flush, when it is sorted once into the
+/// `BTreeSet` the pipeline representation uses.
 #[derive(Debug)]
 pub(crate) struct SlotAccum {
     pub(crate) originator: Ipv4Addr,
     pub(crate) queries: Vec<(SimTime, Ipv4Addr)>,
-    pub(crate) queriers: CompactSet,
+    pub(crate) queriers: HashSet<u32, IntHash>,
 }
 
 impl Default for SlotAccum {
@@ -97,7 +99,7 @@ impl Default for SlotAccum {
         SlotAccum {
             originator: Ipv4Addr::UNSPECIFIED,
             queries: Vec::new(),
-            queriers: CompactSet::new(),
+            queriers: HashSet::default(),
         }
     }
 }
@@ -105,15 +107,20 @@ impl Default for SlotAccum {
 impl SlotAccum {
     /// Convert into the BTree-ordered pipeline representation.
     pub(crate) fn into_observation(self) -> OriginatorObservation {
-        let queriers: BTreeSet<Ipv4Addr> =
-            self.queriers.sorted().into_iter().map(Ipv4Addr::from).collect();
-        OriginatorObservation { originator: self.originator, queries: self.queries, queriers }
+        OriginatorObservation {
+            originator: self.originator,
+            queries: self.queries,
+            queriers: set_to_btree(&self.queriers),
+        }
     }
 }
 
-/// Convert a compact querier set into the pipeline's `BTreeSet`.
-pub(crate) fn set_to_btree(set: &CompactSet) -> BTreeSet<Ipv4Addr> {
-    set.sorted().into_iter().map(Ipv4Addr::from).collect()
+/// Convert a packed querier set into the pipeline's `BTreeSet`: sorted
+/// as integers first, so the ordered build is one linear append.
+pub(crate) fn set_to_btree(set: &HashSet<u32, IntHash>) -> BTreeSet<Ipv4Addr> {
+    let mut sorted: Vec<u32> = set.iter().copied().collect();
+    sorted.sort_unstable();
+    sorted.into_iter().map(Ipv4Addr::from).collect()
 }
 
 impl Observations {
@@ -123,10 +130,10 @@ impl Observations {
     /// `dedup` is exposed for the ablation bench; the paper's pipeline
     /// always passes [`DEDUP_WINDOW`].
     ///
-    /// This is the fast path: packed `u64` dedup keys in an
-    /// open-addressing table, per-originator state in a dense arena
-    /// addressed through a `u32` slot map, and hybrid array/bitmap
-    /// querier sets — converted to the BTree-ordered [`Observations`]
+    /// This is the fast path: packed `u64` dedup keys in a hash
+    /// table, per-originator state in a dense arena addressed through
+    /// a `u32` slot map, and `u32` hash sets for the querier
+    /// footprints — converted to the BTree-ordered [`Observations`]
     /// once, at the end. Results are identical to the test-only BTree
     /// reference.
     pub fn ingest_with_dedup(
@@ -135,11 +142,11 @@ impl Observations {
         end: SimTime,
         dedup: SimDuration,
     ) -> Self {
-        let mut slot_of: FastMap<u32, u32> = FastMap::new();
+        let mut slot_of: HashMap<u32, u32, IntHash> = HashMap::default();
         let mut arena: Vec<SlotAccum> = Vec::new();
-        let mut all_queriers = CompactSet::new();
+        let mut all_queriers: HashSet<u32, IntHash> = HashSet::default();
         // Last accepted time per packed (originator, querier) pair.
-        let mut last_seen: FastMap<u64, u64> = FastMap::new();
+        let mut last_seen: HashMap<u64, u64, IntHash> = HashMap::default();
         let mut seen: u64 = 0;
         let mut accepted: u64 = 0;
         let mut suppressed: u64 = 0;
@@ -153,25 +160,21 @@ impl Observations {
                 out_of_window += 1;
                 continue;
             }
-            let key = pack_pair(r.originator, r.querier);
-            let (last, fresh) = last_seen.get_or_insert_with(key, || r.time.secs());
-            if !fresh {
-                if r.time.since(SimTime(*last)) < dedup {
+            match last_seen.entry(pack_pair(r.originator, r.querier)) {
+                Entry::Occupied(last) if r.time.since(SimTime(*last.get())) < dedup => {
                     suppressed += 1;
                     continue; // suppressed duplicate
                 }
-                *last = r.time.secs();
-            }
+                first_or_stale => first_or_stale.insert_entry(r.time.secs()),
+            };
             accepted += 1;
             let querier = u32::from(r.querier);
             all_queriers.insert(querier);
-            let (slot, new_originator) =
-                slot_of.get_or_insert_with(u32::from(r.originator), || arena.len() as u32);
-            let slot = *slot as usize;
-            if new_originator {
+            let slot = *slot_of.entry(u32::from(r.originator)).or_insert_with(|| {
                 arena.push(SlotAccum { originator: r.originator, ..Default::default() });
-            }
-            let obs = &mut arena[slot];
+                (arena.len() - 1) as u32
+            });
+            let obs = &mut arena[slot as usize];
             obs.queries.push((r.time, r.querier));
             obs.queriers.insert(querier);
         }

@@ -35,9 +35,10 @@
 //! tautology.
 //!
 //! Ingestion — both the batch path and [`stream::StreamingSensor`] —
-//! runs on the `bs-fastmap` compact-key engine (packed integer keys,
-//! arena-indexed per-originator state, hybrid querier sets, lazy
-//! eviction heap) and converts to the BTree-ordered [`Observations`]
+//! runs on std `HashMap` / `HashSet` tables behind one private
+//! one-multiply hasher (packed integer keys, arena-indexed
+//! per-originator state, `u32` querier sets, lazy eviction heap) and
+//! converts to the BTree-ordered [`Observations`]
 //! representation only at window flush; BTree reference
 //! implementations, compiled for tests only, define the semantics and
 //! are property-tested equal on arbitrary record streams (the
@@ -52,6 +53,7 @@
 mod bytes;
 pub mod dynamic;
 pub mod extract;
+mod hash;
 pub mod ingest;
 pub mod qmeta;
 pub mod shard;

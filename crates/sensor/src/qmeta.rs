@@ -15,13 +15,13 @@
 //!   `Observations::all_queriers` that visits each unique querier
 //!   exactly once (chunked across the `bs-par` pool) and memoizes
 //!   `(static category, AS, country)` into a dense table keyed by the
-//!   packed-u32 address via [`bs_fastmap::FastMap`]. AS numbers and
+//!   packed-u32 address via a std `HashMap`. AS numbers and
 //!   country codes are *interned* into dense id spaces `0..n` in
 //!   ascending-querier order (deterministic regardless of thread
 //!   count), so window totals fall out of the interner sizes and the
-//!   per-originator distinct-AS/country unions become
-//!   [`bs_fastmap::DenseIdSet`] bitmap counts instead of
-//!   `BTreeSet<AsId>` insertions per querier per originator.
+//!   per-originator distinct-AS/country unions become bitmap counts
+//!   over the id space instead of `BTreeSet<AsId>` insertions per
+//!   querier per originator.
 //! * [`QuerierMetaCache`] — an optional cross-window memo of
 //!   *resolved* (not interned — ids are per-window) metadata with
 //!   generation-based invalidation, so the live streaming path reuses
@@ -36,11 +36,12 @@
 //! authority can exceed 65 535 ASes per window. [`NO_ID`] marks a
 //! querier with no AS (or country) mapping.
 
+use crate::hash::IntHash;
 use crate::ingest::Observations;
 use crate::static_features::classify_querier_name;
 use crate::QuerierInfo;
-use bs_fastmap::FastMap;
 use bs_netsim::types::{AsId, CountryCode};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Sentinel dense id for "no AS / no country known for this querier".
@@ -110,7 +111,7 @@ fn resolve_chunked(addrs: &[Ipv4Addr], info: &(impl QuerierInfo + Sync)) -> Vec<
 #[derive(Debug, Clone)]
 pub struct QuerierMetaTable {
     /// Packed querier address → index into `meta`.
-    index: FastMap<u32, u32>,
+    index: HashMap<u32, u32, IntHash>,
     /// Interned metadata, in ascending querier-address order.
     meta: Vec<QuerierMeta>,
     /// Size of the interned AS id space (== the window's total
@@ -172,22 +173,22 @@ impl QuerierMetaTable {
             );
         }
 
-        let mut as_ids: FastMap<u32, u32> = FastMap::new();
-        let mut country_ids: FastMap<u32, u32> = FastMap::new();
-        let mut index: FastMap<u32, u32> = FastMap::with_capacity(addrs.len());
+        let mut as_ids: HashMap<u32, u32, IntHash> = HashMap::default();
+        let mut country_ids: HashMap<u32, u32, IntHash> = HashMap::default();
+        let mut index = HashMap::with_capacity_and_hasher(addrs.len(), IntHash::default());
         let mut meta = Vec::with_capacity(addrs.len());
         for (i, (a, r)) in addrs.iter().zip(&raw).enumerate() {
             let as_id = match r.asn {
                 Some(AsId(n)) => {
                     let next = as_ids.len() as u32;
-                    *as_ids.get_or_insert_with(n, || next).0
+                    *as_ids.entry(n).or_insert(next)
                 }
                 None => NO_ID,
             };
             let country_id = match r.country {
                 Some(CountryCode(b)) => {
                     let next = country_ids.len() as u32;
-                    *country_ids.get_or_insert_with(u16::from_be_bytes(b) as u32, || next).0
+                    *country_ids.entry(u16::from_be_bytes(b) as u32).or_insert(next)
                 }
                 None => NO_ID,
             };
@@ -241,7 +242,7 @@ impl QuerierMetaTable {
 /// unique queriers always fit.
 #[derive(Debug)]
 pub struct QuerierMetaCache {
-    entries: FastMap<u32, CacheEntry>,
+    entries: HashMap<u32, CacheEntry, IntHash>,
     generation: u32,
     keep_windows: u32,
     max_entries: usize,
@@ -274,7 +275,7 @@ impl QuerierMetaCache {
     /// generations since last use.
     pub fn new(max_entries: usize, keep_windows: u32) -> Self {
         QuerierMetaCache {
-            entries: FastMap::new(),
+            entries: HashMap::default(),
             generation: 0,
             keep_windows,
             max_entries,
@@ -290,20 +291,10 @@ impl QuerierMetaCache {
     pub fn begin_window(&mut self) {
         self.generation = self.generation.wrapping_add(1);
         if self.entries.len() > self.max_entries {
-            let gen = self.generation;
-            let keep = self.keep_windows;
-            let live: Vec<(u32, CacheEntry)> = self
-                .entries
-                .iter()
-                .filter(|(_, e)| gen.wrapping_sub(e.last_used) <= keep)
-                .map(|(k, e)| (k, *e))
-                .collect();
-            self.evicted += (self.entries.len() - live.len()) as u64;
-            let mut swept = FastMap::with_capacity(live.len());
-            for (k, e) in live {
-                swept.insert(k, e);
-            }
-            self.entries = swept;
+            let (gen, keep) = (self.generation, self.keep_windows);
+            let before = self.entries.len();
+            self.entries.retain(|_, e| gen.wrapping_sub(e.last_used) <= keep);
+            self.evicted += (before - self.entries.len()) as u64;
         }
     }
 

@@ -2,7 +2,7 @@
 //! sensor hot path.
 //!
 //! [`crate::stream::StreamingSensor`] is one instance behind one
-//! window, so everything the fastmap engine won single-core is capped
+//! window, so everything the packed-key engine won single-core is capped
 //! at one core on live traffic. [`ShardedStreamingSensor`] hash-shards
 //! the *originator* space across N per-core `StreamingSensor` lanes —
 //! each with its own arena, probation table, and eviction heap — and
@@ -14,8 +14,8 @@
 //! # Shard topology: fixed slices, variable lanes
 //!
 //! The originator space is partitioned into [`SHARD_SLICES`] fixed
-//! hash **slices** (the top bits of the `bs-fastmap` [`FastKey`]
-//! multiplicative hash), and every admission-control resource —
+//! hash **slices** (the top bits of the address multiplied by
+//! 2⁶⁴/φ), and every admission-control resource —
 //! tracked-table capacity, probation capacity — is divided evenly
 //! across the slices ([`slice_config`]). A run with N lanes assigns
 //! slice `j` to lane `j % N`; each lane drives one `StreamingSensor`
@@ -67,7 +67,6 @@ use crate::ingest::{Observations, OriginatorObservation};
 use crate::stream::ReferenceStreamingSensor;
 use crate::stream::{past_window, window_end, StreamConfig, StreamingSensor, WindowSummary};
 use bs_dns::SimTime;
-use bs_fastmap::FastKey;
 use bs_netsim::log::QueryLogRecord;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -86,10 +85,11 @@ pub const SHARD_SLICES: usize = 64;
 pub const SHARD_QUEUE_CAP: usize = 4096;
 
 /// The slice an originator address belongs to: the top 6 bits of the
-/// `bs-fastmap` multiplicative hash (entropy lives in the high bits).
+/// address times 2⁶⁴/φ (a bare multiply keeps its entropy in the high
+/// bits).
 #[inline]
 pub fn slice_of(originator: Ipv4Addr) -> usize {
-    (u32::from(originator).mix() >> 58) as usize
+    (u64::from(u32::from(originator)).wrapping_mul(crate::hash::PHI64) >> 58) as usize
 }
 
 /// The lane that owns `originator` when running `lanes` lanes.

@@ -27,12 +27,13 @@
 //!
 //! # The fast path
 //!
-//! Per-record work runs entirely on `bs-fastmap` compact-key
-//! structures: the dedup table keys packed `(originator, querier)`
+//! Per-record work runs entirely on std `HashMap` / `HashSet` tables
+//! over packed integer keys, behind the crate's one-multiply hasher:
+//! the dedup table keys packed `(originator, querier)`
 //! `u64` pairs, per-originator state lives in a dense arena addressed
 //! by `u32` slot indices (evicted slots recycle through a free list,
-//! keeping their allocations), querier footprints are hybrid
-//! array/bitmap sets, and eviction picks its victim from a **lazy
+//! keeping their allocations), querier footprints are `u32` hash
+//! sets, and eviction picks its victim from a **lazy
 //! min-heap** keyed by querier count — entries go stale as footprints
 //! grow and are refreshed on pop, so an admission costs O(log n)
 //! amortized instead of the O(n) full-table scan the seed performed.
@@ -49,14 +50,15 @@
 //! window, so it is counted (`sensor.stream.out_of_order`, plus an
 //! `out_of_order` conservation-ledger bucket) and dropped.
 
+use crate::hash::IntHash;
 #[cfg(test)]
 use crate::ingest::OriginatorObservation;
 use crate::ingest::{pack_pair, set_to_btree, Observations, SlotAccum, DEDUP_WINDOW};
 use bs_dns::{SimDuration, SimTime};
-use bs_fastmap::{CompactSet, FastMap};
 use bs_netsim::log::QueryLogRecord;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -169,7 +171,7 @@ pub struct StreamingSensor {
     probation_cap: usize,
     window_start: SimTime,
     /// Originator (packed IPv4) → arena slot index.
-    slot_of: FastMap<u32, u32>,
+    slot_of: HashMap<u32, u32, IntHash>,
     /// Dense per-originator state; evicted slots recycle via `free`.
     arena: Vec<Slot>,
     free: Vec<u32>,
@@ -178,10 +180,10 @@ pub struct StreamingSensor {
     /// evicted) are detected and refreshed/discarded on pop.
     evict_heap: BinaryHeap<Reverse<(usize, u32)>>,
     /// Admission filter: originator → queries seen while untracked.
-    probation: FastMap<u32, u32>,
+    probation: HashMap<u32, u32, IntHash>,
     /// Last accepted time per packed (originator, querier) pair.
-    last_seen: FastMap<u64, u64>,
-    all_queriers: CompactSet,
+    last_seen: HashMap<u64, u64, IntHash>,
+    all_queriers: HashSet<u32, IntHash>,
     evicted: usize,
     started: bool,
     tally: Tallies,
@@ -207,13 +209,13 @@ impl StreamingSensor {
             probation_cap: config.resolved_probation_cap(),
             config,
             window_start: SimTime::ZERO,
-            slot_of: FastMap::new(),
+            slot_of: HashMap::default(),
             arena: Vec::new(),
             free: Vec::new(),
             evict_heap: BinaryHeap::new(),
-            probation: FastMap::new(),
-            last_seen: FastMap::new(),
-            all_queriers: CompactSet::new(),
+            probation: HashMap::default(),
+            last_seen: HashMap::default(),
+            all_queriers: HashSet::default(),
             evicted: 0,
             started: false,
             tally: Tallies::default(),
@@ -441,15 +443,13 @@ impl StreamingSensor {
     fn ingest(&mut self, r: QueryLogRecord) {
         self.tally.records += 1;
         // Dedup identical querier/originator pairs inside the window.
-        let key = pack_pair(r.originator, r.querier);
-        let (last, fresh) = self.last_seen.get_or_insert_with(key, || r.time.secs());
-        if !fresh {
-            if r.time.since(SimTime(*last)) < self.config.dedup {
+        match self.last_seen.entry(pack_pair(r.originator, r.querier)) {
+            Entry::Occupied(last) if r.time.since(SimTime(*last.get())) < self.config.dedup => {
                 self.tally.deduped += 1;
                 return;
             }
-            *last = r.time.secs();
-        }
+            first_or_stale => first_or_stale.insert_entry(r.time.secs()),
+        };
         let querier = u32::from(r.querier);
         self.all_queriers.insert(querier);
 
@@ -476,7 +476,7 @@ impl StreamingSensor {
                 self.tally.probation_resets += 1;
                 self.probation.clear();
             }
-            let (hits, _) = self.probation.get_or_insert_with(originator, || 0);
+            let hits = self.probation.entry(originator).or_insert(0);
             *hits += 1;
             if (*hits as usize) < self.config.admission_queries {
                 self.tally.probation_held += 1;

@@ -28,6 +28,14 @@ pub struct Pools {
 /// shared across originators and admission-filter pressure all occur.
 pub const SMALL: Pools = Pools { horizon: 5_000, querier_mod: 61, originators: 37, max_len: 400 };
 
+/// The amplification-reflector shape (Fachkha et al.): three
+/// originators and a day's horizon, so dedup rarely fires and each
+/// footprint reaches ~10⁴ queriers, heavily overlapping the other two
+/// — every table grows several times, which `SMALL` (a few dozen
+/// entries a set) never makes one do.
+pub const AMPLIFIED: Pools =
+    Pools { horizon: 86_400, querier_mod: 251, originators: 3, max_len: 30_000 };
+
 /// An arbitrary (unsorted) record stream over `pools`.
 pub fn arb_records(rng: &mut Rng, pools: &Pools) -> Vec<QueryLogRecord> {
     (0..rng.range(0..pools.max_len))

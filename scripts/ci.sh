@@ -1,7 +1,7 @@
 #!/bin/bash
 # The repo's tier-1 gate, runnable locally and in CI:
-#   format check → hermeticity → lints as errors → rustdoc as errors →
-#   release build → tests → CLI smokes.
+#   format check → hermeticity → no unused dependency edge → lints as
+#   errors → rustdoc as errors → release build → tests → CLI smokes.
 # Performance is not gated here: `bash benchmark/run.sh` measures it.
 # Any step failing fails the script.
 set -euo pipefail
@@ -18,6 +18,42 @@ if grep -o '"source":"[^"]*"' <<<"$metadata" | sort -u | grep .; then
     echo "external dependency in the workspace graph (sources listed above)"
     exit 1
 fi
+
+echo "=== dependencies: every declared edge is named by the code that declares it"
+# A [dependencies] / [dev-dependencies] key (bs-x, read as bs_x) must
+# appear in the crate's own src/, tests/ or examples/, and every
+# [workspace.dependencies] entry must be some member's key.
+dep_keys() { # <manifest> <section header regex>
+    awk -v section="$2" '
+        /^\[/ { on = ($0 ~ section) }
+        on && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$1"
+}
+unused=0
+declared=""
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    dir="$(dirname "$manifest")"
+    roots=()
+    for d in src tests examples; do
+        if [ -d "$dir/$d" ]; then roots+=("$dir/$d"); fi
+    done
+    for dep in $(dep_keys "$manifest" '^\[(dev-)?dependencies\]$'); do
+        declared+=" $dep"
+        if ! grep -rqE "\b${dep//-/_}\b" "${roots[@]}"; then
+            echo "$manifest: $dep is declared and never named"
+            unused=1
+        fi
+    done
+done
+for dep in $(dep_keys Cargo.toml '^\[workspace\.dependencies\]$'); do
+    case " $declared " in
+    *" $dep "*) ;;
+    *)
+        echo "Cargo.toml [workspace.dependencies]: no member depends on $dep"
+        unused=1
+        ;;
+    esac
+done
+[ "$unused" = 0 ] || exit 1
 
 echo "=== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
