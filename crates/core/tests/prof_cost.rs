@@ -14,7 +14,7 @@ use bs_netsim::log::QueryLogRecord;
 use bs_netsim::types::{AsId, CountryCode, NameOutcome};
 use bs_sensor::{FeatureConfig, QuerierInfo, QuerierMetaCache, StreamConfig};
 use bs_telemetry::{ledger, prof};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, MutexGuard};
 
 #[global_allocator]
@@ -49,8 +49,7 @@ fn records() -> Vec<QueryLogRecord> {
 #[test]
 fn cost_table_reconciles_with_ledger_per_window() {
     let _serial = serial();
-    // Profiling only — no tracing, no sampler thread: the cost/ledger
-    // join is exact bookkeeping, independent of sampling.
+    // Profiling only, no tracing.
     prof::enable();
     ledger::reset();
 
@@ -223,28 +222,67 @@ fn extraction_cost_is_filed_by_window_like_the_sensors() {
     ledger::reset();
 }
 
-/// Open `name` and stay inside it until the sampler has taken a
-/// whole tick (the first count to land may have begun before the stage
-/// opened).
-fn sampled(name: &'static str) {
-    let _stage = bs_telemetry::stage(name);
-    let ticks = || prof::sample_counts().3;
-    let t0 = ticks();
-    while ticks() < t0 + 2 {
-        std::thread::sleep(std::time::Duration::from_micros(200));
+/// The flamegraph and the cost table are two projections of one
+/// booking: for every stage, what the paths ending in it total is what
+/// its cells total over windows, to the nanosecond and the call, however
+/// wide the pool that ran it.
+#[test]
+fn path_totals_reconcile_with_cost_cells_at_every_pool_width() {
+    let _serial = serial();
+    let cfg = StreamConfig { window: SimDuration::from_secs(100), ..Default::default() };
+    let features = FeatureConfig { min_queriers: 1, top_n: None };
+    for threads in [1, 2] {
+        prof::reset();
+        prof::enable();
+        bs_par::set_threads(threads);
+        run_live_stream_extracting(
+            &wide_records(),
+            cfg,
+            0,
+            None,
+            0,
+            &NoNames,
+            &features,
+            &mut QuerierMetaCache::default(),
+            |_, _| {},
+        );
+        bs_par::set_threads(0);
+        prof::disable();
+
+        let mut by_path = BTreeMap::new();
+        for (path, cost) in prof::path_rows() {
+            let stage = path.rsplit(';').next().expect("a path has a stage").to_string();
+            let (ns, calls) = by_path.entry(stage).or_insert((0, 0));
+            *ns += cost.total_ns;
+            *calls += cost.calls;
+        }
+        let mut by_cell = BTreeMap::new();
+        for r in ledger::cost_rows() {
+            let (ns, calls) = by_cell.entry(r.stage).or_insert((0, 0));
+            *ns += r.ns;
+            *calls += r.calls;
+        }
+        assert_eq!(by_path, by_cell, "threads={threads}");
+        assert_eq!(by_cell["sensor.stream"].1, 4, "threads={threads}: one close a window");
+        assert_eq!(
+            by_cell["sensor.extract.features"].1, 12,
+            "threads={threads}: three chunks each"
+        );
     }
+    ledger::reset();
 }
 
 /// What a stage is charged must not depend on the pool width: threads
 /// the pool spawns — stealing workers, the far side of a `join`, a
-/// `scope` thread — inherit the opener's allocator slot and its frames
-/// as their stack base.
+/// `scope` thread — inherit the opener's allocator slot and its path, so
+/// every stage they open is booked, once a call, under the opener.
 #[test]
 fn attribution_is_the_same_at_every_pool_width() {
     let _serial = serial();
     for threads in [1, 2] {
         bs_par::set_threads(threads);
-        assert!(prof::start(500), "sampler starts");
+        prof::reset();
+        prof::enable();
         {
             let _outer = bs_telemetry::stage("attr.outer");
             let blocks = bs_par::par_map_range(64, |i| vec![i as u8; 4096]);
@@ -253,11 +291,12 @@ fn attribution_is_the_same_at_every_pool_width() {
                 s.spawn(fill).join().expect("scoped thread")
             });
             std::hint::black_box((blocks, spawned));
-            bs_par::par_map_range(2, |_| sampled("attr.worker"));
-            bs_par::join(|| sampled("attr.join.a"), || sampled("attr.join.b"));
-            bs_par::scope(|s| s.spawn(|| sampled("attr.spawned")).join().expect("scoped thread"));
+            let open = |name| drop(bs_telemetry::stage(name));
+            bs_par::par_map_range(2, |_| open("attr.worker"));
+            bs_par::join(|| open("attr.join.a"), || open("attr.join.b"));
+            bs_par::scope(|s| s.spawn(|| open("attr.spawned")).join().expect("scoped thread"));
         }
-        prof::stop();
+        prof::disable();
         bs_par::set_threads(0);
 
         let bytes = |stage: &str| {
@@ -273,18 +312,18 @@ fn attribution_is_the_same_at_every_pool_width() {
             "threads={threads}: nothing leaks to (unattributed):\n{}",
             prof::alloc_table()
         );
-        let folded = prof::folded();
-        for leaf in ["attr.worker", "attr.join.a", "attr.join.b", "attr.spawned"] {
-            let paths: Vec<&str> = folded
-                .lines()
-                .map(|l| l.rsplit_once(' ').expect("folded line").0)
-                .filter(|p| p.split(';').any(|f| f == leaf))
-                .collect();
-            assert!(!paths.is_empty(), "threads={threads}: {leaf} never sampled:\n{folded}");
-            for path in paths {
+        let rows = prof::path_rows();
+        for (leaf, calls) in
+            [("attr.worker", 2), ("attr.join.a", 1), ("attr.join.b", 1), ("attr.spawned", 1)]
+        {
+            let on: Vec<_> =
+                rows.iter().filter(|(path, _)| path.rsplit(';').next() == Some(leaf)).collect();
+            let booked: u64 = on.iter().map(|(_, cost)| cost.calls).sum();
+            assert_eq!(booked, calls, "threads={threads}: {leaf} calls:\n{}", prof::folded());
+            for (path, _) in on {
                 assert!(
                     path.starts_with("attr.outer;"),
-                    "threads={threads}: {leaf} is not based on the opener's frame: {path}"
+                    "threads={threads}: {leaf} is not based on the opener's path: {path}"
                 );
             }
         }

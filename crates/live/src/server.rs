@@ -185,8 +185,8 @@ fn handle_connection(mut stream: TcpStream, live: &Arc<Mutex<LiveLoop>>) -> std:
             respond(&mut stream, 200, "OK", "application/json", &body)
         }
         "/profile/flame" => {
-            // Empty until the sampler has run (started via --profile);
-            // an empty 200 keeps scrapers simple.
+            // Empty until a profiled stage has closed (--profile); an
+            // empty 200 keeps scrapers simple.
             let body = bs_telemetry::prof::folded();
             respond(&mut stream, 200, "OK", "text/plain", &body)
         }
@@ -295,6 +295,9 @@ mod tests {
             l.tick(0, mk(0));
             l.tick(1_000, mk(500));
         }
+        bs_telemetry::prof::enable();
+        drop(bs_telemetry::stage("live.test.profiled"));
+        bs_telemetry::prof::disable();
         let server = spawn("127.0.0.1:0", Arc::clone(&live)).expect("bind ephemeral");
         let addr = server.addr();
 
@@ -334,22 +337,28 @@ mod tests {
         let (code, top) = http_get(addr, "/profile/top").expect("scrape /profile/top");
         assert_eq!(code, 200);
         let v = bs_telemetry::json::parse(&top).expect("profile top is valid JSON");
-        assert!(v.get("stages").is_some());
+        let stages = v.get("stages").and_then(|s| s.as_array()).expect("stages");
+        let row = stages
+            .iter()
+            .find(|s| s.get("stage").and_then(|n| n.as_str()) == Some("live.test.profiled"))
+            .expect("the closed stage is ranked");
+        assert_eq!(row.get("calls").and_then(|c| c.as_f64()), Some(1.0));
+        assert!(row.get("self_ns").is_some() && row.get("total_ns").is_some());
 
         let (code, alloc) = http_get(addr, "/profile/alloc").expect("scrape /profile/alloc");
         assert_eq!(code, 200);
         let v = bs_telemetry::json::parse(&alloc).expect("profile alloc is valid JSON");
         assert!(v.get("stages").is_some());
 
-        // /profile/flame is folded text (possibly empty when the
-        // sampler never ran): every non-empty line must be
-        // `frame[;frame...] <count>`.
+        // /profile/flame is folded text, there as soon as one profiled
+        // stage has closed: every line is `frame[;frame...] <ns>`.
         let (code, flame) = http_get(addr, "/profile/flame").expect("scrape /profile/flame");
         assert_eq!(code, 200);
-        for line in flame.lines().filter(|l| !l.is_empty()) {
-            let (path, count) = line.rsplit_once(' ').expect("folded line");
+        assert!(flame.lines().any(|l| l.starts_with("live.test.profiled ")), "got: {flame:?}");
+        for line in flame.lines() {
+            let (path, ns) = line.rsplit_once(' ').expect("folded line");
             assert!(!path.is_empty());
-            assert!(count.parse::<u64>().is_ok(), "bad folded count in {line:?}");
+            assert!(ns.parse::<u64>().is_ok(), "bad folded weight in {line:?}");
         }
 
         let (code, _) = http_get(addr, "/nope").expect("scrape unknown");

@@ -70,8 +70,8 @@
 //! at any thread count), the ledger window (so a ledger row or stage
 //! cost booked from inside a task files under the window the spawner
 //! was working on, not under `NO_WINDOW`), the allocator slot and the
-//! profiler's base frames (so allocations and samples on workers are
-//! charged to the stage that fanned out). Entering also names the
+//! stage path (so allocations and stage time on workers are charged
+//! under the stage that fanned out). Entering also names the
 //! thread's flight-recorder lane (`par-worker-N`, `par-join`,
 //! `par-scope`), which becomes the thread label in the Chrome trace
 //! export. With tracing and profiling off, all of this costs one

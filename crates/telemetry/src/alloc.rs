@@ -106,7 +106,7 @@ pub fn alloc_rows() -> Vec<AllocRow> {
         if count == 0 {
             continue;
         }
-        let stage = if slot == 0 { "(unattributed)" } else { crate::stack::resolve(slot as u32) };
+        let stage = if slot == 0 { "(unattributed)" } else { crate::intern::resolve(slot as u32) };
         rows.push(AllocRow { stage, count, bytes });
     }
     rows.sort_by(|a, b| b.bytes.cmp(&a.bytes).then(a.stage.cmp(b.stage)));
@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn slots_follow_interned_ids_and_overflow_to_unattributed() {
-        let id = crate::stack::intern("alloc.test.a");
+        let id = crate::intern::intern("alloc.test.a");
         assert_eq!(slot_of(id), id as u16);
         assert_eq!(slot_of(MAX_STAGES as u32 - 1), MAX_STAGES as u16 - 1);
         assert_eq!(slot_of(MAX_STAGES as u32), 0, "past the table: (unattributed)");

@@ -32,6 +32,12 @@
 //! `"sensor.stream.shard.0"`, `.1`, …) or has no record count at all;
 //! an exact cell always wins, so a family never double-counts.
 //!
+//! The same booking, under the same lock acquisition, files the stage's
+//! time under the *path* of stages it ran inside ([`PathCost`]), which
+//! is what [`crate::prof`] folds into the flamegraph and the
+//! ranked-stage table: per stage, the paths' totals and calls are the
+//! cells' by construction.
+//!
 //! The window comes from the thread's position, set by
 //! [`window_scope`]; stages running outside any window file under
 //! [`NO_WINDOW`]. The table is live under tracing *or* profiling.
@@ -94,7 +100,24 @@ struct Cell {
 /// allocating; static stage names are never copied.
 type Cells = BTreeMap<Cow<'static, str>, BTreeMap<u64, Cell>>;
 
-static CELLS: Mutex<Cells> = Mutex::new(BTreeMap::new());
+/// What the profiled stages that closed on one path cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PathCost {
+    /// Wall nanoseconds not spent in stages nested on the same thread.
+    pub self_ns: u64,
+    /// Wall nanoseconds from open to close.
+    pub total_ns: u64,
+    /// Stage invocations.
+    pub calls: u64,
+}
+
+struct Table {
+    cells: Cells,
+    /// Interned path (see [`crate::intern`]) → cost.
+    paths: BTreeMap<u32, PathCost>,
+}
+
+static TABLE: Mutex<Table> = Mutex::new(Table { cells: BTreeMap::new(), paths: BTreeMap::new() });
 
 /// Every cell that booked a flow, in `(stage, window)` order.
 fn flows(cells: &Cells) -> impl Iterator<Item = (&str, u64, &Flow)> {
@@ -120,7 +143,8 @@ pub fn record(stage: &str, records_in: u64, out: &[(&'static str, u64)]) {
         return;
     }
     let window = current_window();
-    let mut cells = crate::lock(&CELLS);
+    let mut table = crate::lock(&TABLE);
+    let cells = &mut table.cells;
     if !cells.contains_key(stage) {
         cells.insert(Cow::Owned(stage.to_owned()), BTreeMap::new());
     }
@@ -132,19 +156,29 @@ pub fn record(stage: &str, records_in: u64, out: &[(&'static str, u64)]) {
     }
 }
 
-/// File `ns` of wall time for one invocation of `stage` on `window`
-/// (a profiled [`crate::Stage`] dropping).
-pub(crate) fn book_cost(stage: &'static str, window: u64, ns: u64) {
-    let mut cells = crate::lock(&CELLS);
-    let cell = cells.entry(Cow::Borrowed(stage)).or_default().entry(window).or_default();
+/// File `ns` of wall time, `self_ns` of it outside nested stages, for
+/// one invocation of `stage` on `window` at the end of `path` (a
+/// profiled [`crate::Stage`] dropping).
+pub(crate) fn book_cost(stage: &'static str, window: u64, path: u32, ns: u64, self_ns: u64) {
+    let mut table = crate::lock(&TABLE);
+    let cell = table.cells.entry(Cow::Borrowed(stage)).or_default().entry(window).or_default();
     cell.ns += ns;
     cell.calls += 1;
+    let cost = table.paths.entry(path).or_default();
+    cost.self_ns += self_ns;
+    cost.total_ns += ns;
+    cost.calls += 1;
+}
+
+/// Every path a profiled stage closed on, by interned path id.
+pub(crate) fn path_costs() -> Vec<(u32, PathCost)> {
+    crate::lock(&TABLE).paths.iter().map(|(&path, &cost)| (path, cost)).collect()
 }
 
 /// Every `(stage, window)` cell where `records_in != sum(buckets)`.
 /// Empty means every record that entered every stage is accounted for.
 pub fn verify() -> Vec<Imbalance> {
-    flows(&crate::lock(&CELLS))
+    flows(&crate::lock(&TABLE).cells)
         .filter(|(_, _, flow)| flow.records_in != flow.accounted())
         .map(|(stage, window, flow)| Imbalance {
             stage: stage.to_owned(),
@@ -157,7 +191,7 @@ pub fn verify() -> Vec<Imbalance> {
 
 /// A copy of every `(stage, window)` cell that booked a flow.
 pub fn snapshot() -> BTreeMap<(String, u64), Flow> {
-    flows(&crate::lock(&CELLS))
+    flows(&crate::lock(&TABLE).cells)
         .map(|(stage, window, flow)| ((stage.to_owned(), window), flow.clone()))
         .collect()
 }
@@ -165,7 +199,9 @@ pub fn snapshot() -> BTreeMap<(String, u64), Flow> {
 /// Clear the table, flows and costs (tests, per-run CLI resets, the
 /// start of a profiling session).
 pub fn reset() {
-    crate::lock(&CELLS).clear();
+    let mut table = crate::lock(&TABLE);
+    table.cells.clear();
+    table.paths.clear();
 }
 
 fn window_label(window: u64) -> String {
@@ -179,10 +215,10 @@ fn window_label(window: u64) -> String {
 /// Human-readable table of every flow, one line per `(stage, window)`,
 /// with a trailing `IMBALANCE` marker on unbalanced lines.
 pub fn render() -> String {
-    let cells = crate::lock(&CELLS);
+    let table = crate::lock(&TABLE);
     let mut s = String::new();
     let _ = writeln!(s, "{:<24} {:>12} {:>10}  outcomes", "stage", "window", "in");
-    for (stage, window, flow) in flows(&cells) {
+    for (stage, window, flow) in flows(&table.cells) {
         let outs: Vec<String> = flow.out.iter().map(|(k, v)| format!("{k}={v}")).collect();
         let balance = if flow.records_in == flow.accounted() {
             String::new()
@@ -228,13 +264,14 @@ impl CostRow {
 /// Every cell a profiled stage filed time into, in `(stage, window)`
 /// order.
 pub fn cost_rows() -> Vec<CostRow> {
-    let cells = crate::lock(&CELLS);
+    let table = crate::lock(&TABLE);
+    let cells = &table.cells;
     let mut rows = Vec::new();
     for (stage, windows) in cells.iter() {
         for (&window, cell) in windows.iter().filter(|(_, c)| c.calls > 0) {
             let records = match &cell.flow {
                 Some(flow) => Some(flow.records_in),
-                None => family_records(&cells, stage, window),
+                None => family_records(cells, stage, window),
             };
             let (ns, calls) = (cell.ns, cell.calls);
             rows.push(CostRow { stage: stage.to_string(), window, ns, calls, records });
@@ -376,7 +413,7 @@ mod tests {
             record("cost.test.exact", 10, &[("kept", 10)]);
             record("cost.test.exact.sub", 99, &[("kept", 99)]);
         }
-        book_cost("cost.test.exact", 5, 1000);
+        book_cost("cost.test.exact", 5, 0, 1000, 1000);
         let r = cost_rows().into_iter().find(|r| r.stage == "cost.test.exact").expect("row");
         assert_eq!(r.records, Some(10), "exact cell, not 10+99");
         assert_eq!(r.ns_per_record(), Some(100));
@@ -396,9 +433,9 @@ mod tests {
             record("cost.test.fam.shard-x", 50, &[("kept", 50)]);
             record("cost.test.fam.sharded", 70, &[("kept", 70)]);
         }
-        book_cost("cost.test.fam.shard", 3, 2000);
-        book_cost("cost.test.fam.shard", 3, 500);
-        book_cost("cost.test.fam.shard", 4, 500);
+        book_cost("cost.test.fam.shard", 3, 0, 2000, 2000);
+        book_cost("cost.test.fam.shard", 3, 0, 500, 500);
+        book_cost("cost.test.fam.shard", 4, 0, 500, 500);
         let rows = cost_rows();
         let r =
             rows.iter().find(|r| r.stage == "cost.test.fam.shard" && r.window == 3).expect("row");
@@ -417,7 +454,7 @@ mod tests {
     fn flowless_stage_prints_a_dash_not_a_zero() {
         let _g = testutil::serial();
         reset();
-        book_cost("cost.test.flowless", NO_WINDOW, 1234);
+        book_cost("cost.test.flowless", NO_WINDOW, 0, 1234, 1234);
         let line =
             cost_table().lines().find(|l| l.starts_with("cost.test.flowless")).map(String::from);
         let cols: Vec<&str> = line.as_deref().expect("row rendered").split_whitespace().collect();

@@ -15,15 +15,16 @@
 //! * **one stage guard** — [`stage`] times a pipeline stage once and
 //!   feeds every attached sink: the stage's latency histogram, a
 //!   causally-parented span in the [`trace`] flight recorder, and a
-//!   `(stage, window)` cost cell plus sampler frame and allocator slot
-//!   for the [`prof`] profiler;
-//! * **one thread position** — the span, window and allocator slot a
-//!   thread is working under; [`Position::capture`] /
-//!   [`Position::enter`] carry it (and the profiler's base frames)
-//!   onto spawned threads, which `bs-par` does at every spawn site;
+//!   `(stage, window)` cost cell, a path cost and an allocator slot for
+//!   the [`prof`] profiler;
+//! * **one thread position** — the span, window, allocator slot and
+//!   stage path a thread is working under; [`Position::capture`] /
+//!   [`Position::enter`] carry it onto spawned threads, which `bs-par`
+//!   does at every spawn site;
 //! * **one `(stage, window)` table** — the conservation [`ledger`]:
 //!   records in = sum of outcome buckets, with the stage's wall time
-//!   beside the flow it paid for;
+//!   beside the flow it paid for, and the same time by path for the
+//!   flamegraph;
 //! * a leveled structured logger ([`error!`]/[`warn!`]/[`info!`]/
 //!   [`debug!`], `key=value` pairs, `BS_LOG` / `BS_LOG_FORMAT`);
 //! * one [`json`] module: the escape every exporter shares and the
@@ -34,13 +35,13 @@
 //! Everything is compiled in everywhere and **near-free when no sink
 //! is attached**. One process-global flag word holds three bits —
 //! metrics ([`enable`], the CLI's `--metrics`), tracing
-//! ([`trace::enable`], `--trace`) and profiling ([`prof::start`],
+//! ([`trace::enable`], `--trace`) and profiling ([`prof::enable`],
 //! `--profile`) — and every recording entry point ([`stage`],
 //! [`counter_add`], [`ledger::record`], [`ledger::window_scope`],
 //! [`Position::capture`], each allocator hook, …) starts with one
 //! relaxed load of it and returns an inert value when its bits are
 //! clear: no clock read, no allocation, no lock, no thread-local
-//! write. The ledger and the thread position are live under tracing
+//! write. The crate spawns no thread. The ledger and the thread position are live under tracing
 //! *or* profiling; the flight recorder only under tracing; histograms
 //! only under metrics.
 //!
@@ -68,6 +69,7 @@
 mod alloc;
 mod chrome;
 mod export;
+mod intern;
 pub mod json;
 pub mod ledger;
 mod logger;
@@ -75,8 +77,6 @@ mod metrics;
 pub mod prof;
 mod recorder;
 mod registry;
-mod sampler;
-mod stack;
 mod stage;
 pub mod trace;
 
@@ -96,8 +96,8 @@ use std::time::Instant;
 pub(crate) const METRICS: u8 = 1;
 /// Flag bit: the flight recorder is recording.
 pub(crate) const TRACE: u8 = 2;
-/// Flag bit: the profiler (frame stacks, cost cells, allocator slots)
-/// is recording.
+/// Flag bit: the profiler (cost cells, path costs, allocator slots) is
+/// recording.
 pub(crate) const PROF: u8 = 4;
 /// The bits under which the ledger and the thread position are live.
 pub(crate) const ACTIVE: u8 = TRACE | PROF;
@@ -118,7 +118,7 @@ pub(crate) fn set_flag(bit: u8, on: bool) {
 }
 
 /// Lock `m`, surviving poison: everything guarded this way (event
-/// rings, ledger cells, sample aggregates, name tables) is valid
+/// rings, ledger cells, path costs) is valid
 /// wherever a panicking thread stopped.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())

@@ -1,18 +1,18 @@
 //! The one stage guard and the thread position it reads.
 //!
 //! A thread's *position* is the span new stages parent under, the
-//! window its ledger rows and stage costs file under, and the
-//! allocator slot its allocations are charged to. It lives in one
-//! thread-local; every guard here remembers the position it replaced
-//! and restores it on drop, so guards must drop in LIFO order on a
-//! given thread (which scoped usage guarantees).
+//! window its ledger rows and stage costs file under, the allocator
+//! slot its allocations are charged to and the path of stages it is
+//! inside. It lives in one thread-local; every guard here remembers the
+//! position it replaced and restores it on drop, so guards must drop in
+//! LIFO order on a given thread (which scoped usage guarantees).
 //!
 //! Crossing threads is explicit: [`Position::capture`] on the spawning
 //! thread, [`Position::enter`] on the spawned one. `bs-par` does both
 //! at each of its spawn sites.
 
 use crate::recorder::{self, EventKind};
-use crate::{stack, ACTIVE, METRICS, PROF, TRACE};
+use crate::{intern, ACTIVE, METRICS, PROF, TRACE};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -41,14 +41,21 @@ struct Here {
     ctx: Option<TraceContext>,
     window: u64,
     slot: u16,
+    /// The interned path of profiled stages open around the thread.
+    path: u32,
 }
 
-const ROOT: Here = Here { ctx: None, window: NO_WINDOW, slot: 0 };
+const ROOT: Here = Here { ctx: None, window: NO_WINDOW, slot: 0, path: 0 };
 
 thread_local! {
     /// Const-initialised and destructor-free, so the allocator hook can
     /// read it at any point in a thread's life.
     static HERE: Cell<Here> = const { Cell::new(ROOT) };
+
+    /// Wall time of the profiled stages that have closed on this thread
+    /// inside the innermost one still open: what that stage subtracts
+    /// from its elapsed time to get its self time.
+    static CHILDREN_NS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Move the thread to `f(current position)`, returning where it was.
@@ -59,14 +66,6 @@ fn move_to(f: impl FnOnce(Here) -> Here) -> Here {
 /// The allocator slot the current thread's allocations charge to.
 pub(crate) fn alloc_slot() -> usize {
     HERE.try_with(|h| h.get().slot).unwrap_or(0) as usize
-}
-
-/// Charge the rest of this thread's allocations to `name` without
-/// opening a stage: the sampler thread owns up to its own overhead but
-/// must not put a frame of itself on a stack it samples.
-pub(crate) fn charge_thread_to(name: &'static str) {
-    let slot = crate::alloc::slot_of(stack::intern(name));
-    move_to(|here| Here { slot, ..here });
 }
 
 /// The current thread's span context. `None` while tracing and
@@ -89,10 +88,10 @@ pub fn current_window() -> u64 {
 /// and profiling are both off.
 pub fn window_scope(w: u64) -> Entered {
     if crate::flags() & ACTIVE == 0 {
-        return Entered { prev: None, frames: 0 };
+        return Entered { prev: None };
     }
     let prev = move_to(|here| Here { window: w, ..here });
-    Entered { prev: Some(prev), frames: 0 }
+    Entered { prev: Some(prev) }
 }
 
 /// Restores the thread position that was current when it was created
@@ -101,45 +100,31 @@ pub fn window_scope(w: u64) -> Entered {
 #[derive(Debug)]
 pub struct Entered {
     prev: Option<Here>,
-    /// Base frames pushed onto the profiler stack, popped on drop.
-    frames: u32,
 }
 
 impl Drop for Entered {
     fn drop(&mut self) {
         if let Some(prev) = self.prev {
-            for _ in 0..self.frames {
-                stack::pop_frame();
-            }
             HERE.with(|h| h.set(prev));
         }
     }
 }
 
 /// Everything a spawned thread inherits from its spawner: span context,
-/// ledger window, allocator slot and — under profiling — the spawner's
-/// frame stack, so worker samples nest under the stage that fanned out.
-/// `Copy`, so one capture serves every thread a region spawns.
+/// ledger window, allocator slot and stage path, so what a worker does
+/// nests under the stage that fanned out. `Copy`, so one capture serves
+/// every thread a region spawns.
 #[derive(Debug, Clone, Copy)]
 pub struct Position {
     here: Here,
-    depth: usize,
-    frames: [u32; stack::MAX_DEPTH],
 }
 
 impl Position {
     /// The calling thread's position. One relaxed load and nothing else
     /// while tracing and profiling are both off.
     pub fn capture() -> Position {
-        let flags = crate::flags();
-        let mut p = Position { here: ROOT, depth: 0, frames: [0; stack::MAX_DEPTH] };
-        if flags & ACTIVE != 0 {
-            p.here = HERE.with(|h| h.get());
-            if flags & PROF != 0 {
-                p.depth = stack::copy_current(&mut p.frames);
-            }
-        }
-        p
+        let active = crate::flags() & ACTIVE != 0;
+        Position { here: if active { HERE.with(|h| h.get()) } else { ROOT } }
     }
 
     /// Make this the current thread's position until the guard drops,
@@ -149,19 +134,13 @@ impl Position {
     pub fn enter(&self, label: std::fmt::Arguments<'_>) -> Entered {
         let flags = crate::flags();
         if flags & ACTIVE == 0 {
-            return Entered { prev: None, frames: 0 };
+            return Entered { prev: None };
         }
         let prev = move_to(|_| self.here);
         if flags & TRACE != 0 {
             recorder::name_lane(&label.to_string());
         }
-        let mut frames = 0;
-        if flags & PROF != 0 {
-            for &id in &self.frames[..self.depth] {
-                frames += u32::from(stack::push_frame(id));
-            }
-        }
-        Entered { prev: Some(prev), frames }
+        Entered { prev: Some(prev) }
     }
 }
 
@@ -170,9 +149,9 @@ impl Position {
 /// nests under the thread's current span, files under the thread's
 /// current window (read now, not at drop), and when the guard drops one
 /// elapsed time serves every attached sink: the histogram named `name`
-/// (metrics, nanoseconds), the span's end event (tracing) and the
-/// `(name, window)` cost cell (profiling). Under profiling the stage is
-/// also the top frame the sampler sees and the slot the thread's
+/// (metrics, nanoseconds), the span's end event (tracing), and the
+/// `(name, window)` cost cell and the cost of the path it extends
+/// (profiling). Under profiling the stage is also the slot the thread's
 /// allocations charge to.
 pub fn stage(name: &'static str) -> Stage {
     let flags = crate::flags();
@@ -190,18 +169,21 @@ pub fn stage(name: &'static str) -> Stage {
         if flags & TRACE != 0 {
             recorder::push(trace_id, ctx.span_id, parent_id, EventKind::SpanStart { name });
         }
-        let mut frames = 0;
+        let mut siblings_ns = 0;
         if flags & PROF != 0 {
-            let id = stack::intern(name);
+            let id = intern::intern(name);
             here.slot = crate::alloc::slot_of(id);
-            frames = u32::from(stack::push_frame(id));
+            here.path = intern::intern_path(prev.path, id);
+            siblings_ns = CHILDREN_NS.with(|c| c.replace(0));
         }
         HERE.with(|h| h.set(here));
         Opened {
             ctx,
             parent_id,
             window: prev.window,
-            restore: Entered { prev: Some(prev), frames },
+            path: here.path,
+            siblings_ns,
+            restore: Entered { prev: Some(prev) },
         }
     });
     Stage { name, live: Some(Live { flags, opened, start: Instant::now() }) }
@@ -222,7 +204,12 @@ struct Opened {
     parent_id: u64,
     /// The window the stage files under: the thread's when it opened.
     window: u64,
-    /// Pops the stage's frame and puts the thread back where it was.
+    /// The path ending in this stage (profiling only).
+    path: u32,
+    /// What the enclosing stage's children had spent on this thread
+    /// before this one opened (profiling only).
+    siblings_ns: u64,
+    /// Puts the thread back where it was.
     restore: Entered,
 }
 
@@ -278,7 +265,9 @@ impl Drop for Stage {
                 recorder::push(o.ctx.trace_id, o.ctx.span_id, o.parent_id, end);
             }
             if live.flags & PROF != 0 {
-                crate::ledger::book_cost(self.name, o.window, ns);
+                let children = CHILDREN_NS.with(|c| c.replace(o.siblings_ns.saturating_add(ns)));
+                let self_ns = ns.saturating_sub(children);
+                crate::ledger::book_cost(self.name, o.window, o.path, ns, self_ns);
             }
         }
         if live.flags & METRICS != 0 {
@@ -346,9 +335,10 @@ mod tests {
     }
 
     #[test]
-    fn position_carries_span_window_slot_and_frames() {
+    fn position_carries_span_window_slot_and_path() {
         let _g = testutil::serial();
         crate::prof::enable();
+        crate::ledger::reset();
         let (pos, outer_ctx) = {
             let _w = window_scope(5);
             let outer = stage("stage.test.pos.outer");
@@ -357,11 +347,7 @@ mod tests {
                 s.spawn(|| {
                     let _p = pos.enter(format_args!("stage-test"));
                     let _inner = stage("stage.test.pos.inner");
-                    let mut frames = [0; stack::MAX_DEPTH];
-                    let depth = stack::copy_current(&mut frames);
-                    let names: Vec<_> =
-                        frames[..depth].iter().map(|&id| stack::resolve(id)).collect();
-                    (current_window(), names)
+                    (current_window(), intern::path_names(HERE.with(|h| h.get().path)))
                 })
                 .join()
                 .expect("spawned")
@@ -371,10 +357,15 @@ mod tests {
             (pos, outer.context())
         };
         assert_eq!(pos.here.ctx, outer_ctx, "span context captured");
-        assert_eq!(pos.here.slot, crate::alloc::slot_of(stack::intern("stage.test.pos.outer")));
+        assert_eq!(pos.here.slot, crate::alloc::slot_of(intern::intern("stage.test.pos.outer")));
         assert_eq!(current_window(), NO_WINDOW, "guards restored the root position");
-        assert_eq!(alloc_slot(), 0);
+        assert_eq!((alloc_slot(), HERE.with(|h| h.get().path)), (0, 0));
         crate::prof::disable();
+        let rows = crate::prof::path_rows();
+        let cost = |path: &str| rows.iter().find(|r| r.0 == path).expect(path).1;
+        let outer = cost("stage.test.pos.outer");
+        assert_eq!(cost("stage.test.pos.outer;stage.test.pos.inner").calls, 1);
+        assert_eq!(outer.self_ns, outer.total_ns, "another thread's stage is not taken out");
         crate::ledger::reset();
     }
 }

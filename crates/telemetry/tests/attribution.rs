@@ -1,4 +1,4 @@
-//! Regression tests for sampler attribution and allocator accounting,
+//! Regression tests for time attribution and allocator accounting,
 //! run with the counting allocator actually installed as the global
 //! allocator (the way the `backscatter` binary ships it).
 
@@ -12,43 +12,46 @@ static ALLOC: prof::CountingAlloc = prof::CountingAlloc;
 /// Both tests toggle the process-global profiling flag; serialize.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// The sampler must attribute ≥95% of a synthetic busy-loop span's
-/// wall time to the correct stage: every busy (non-idle) sample taken
-/// while the only active span is `attr.test.busy` must land on it.
-/// Torn seqlock reads are skipped, never misattributed, so they don't
-/// dilute the ratio.
+/// A stage's wall time lands on the path it ran on, all of it and
+/// nowhere else: the moment the guard drops the folded output has the
+/// stage's line, call counts are exact, and a parent's self time is its
+/// total less its same-thread children's to the nanosecond.
 #[test]
-fn sampler_attributes_busy_loop_to_its_stage() {
+fn stage_time_is_attributed_to_its_path_exactly() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    assert!(prof::start(250), "sampler starts");
+    prof::reset();
+    prof::enable();
     {
         let _stage = bs_telemetry::stage("attr.test.busy");
-        let t0 = Instant::now();
-        // Long enough for dozens of ticks even on a loaded 1-core host.
-        while t0.elapsed() < Duration::from_millis(400) {
-            std::hint::black_box(t0.elapsed());
+        for _ in 0..3 {
+            let _inner = bs_telemetry::stage("attr.test.inner");
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_millis(1) {
+                std::hint::black_box(t0.elapsed());
+            }
         }
+        assert_eq!(
+            prof::path_rows().len(),
+            1,
+            "closed stages are visible at once, open ones not yet"
+        );
     }
-    prof::stop();
+    prof::disable();
 
-    let (busy, idle, torn, ticks) = prof::sample_counts();
-    assert!(ticks >= 10, "sampler barely ran: {ticks} ticks");
-    assert!(busy >= 5, "too few busy samples to judge attribution: {busy} (idle={idle})");
-
-    let mut on_stage = 0u64;
-    let mut total = 0u64;
-    for line in prof::folded().lines() {
-        let (path, count) = line.rsplit_once(' ').expect("folded line has a trailing count");
-        let count: u64 = count.parse().expect("folded count parses");
-        total += count;
-        if path.split(';').any(|f| f == "attr.test.busy") {
-            on_stage += count;
-        }
-    }
-    assert_eq!(total, busy, "folded output accounts for every busy sample");
-    assert!(
-        on_stage * 100 >= total * 95,
-        "attribution below 95%: {on_stage}/{total} busy samples on attr.test.busy (torn={torn})"
+    let rows = prof::path_rows();
+    let paths: Vec<&str> = rows.iter().map(|(p, _)| p.as_str()).collect();
+    assert_eq!(paths, ["attr.test.busy", "attr.test.busy;attr.test.inner"]);
+    let (busy, inner) = (rows[0].1, rows[1].1);
+    assert_eq!((busy.calls, inner.calls), (1, 3));
+    assert!(inner.total_ns >= 3_000_000, "three 1 ms loops: {}", inner.total_ns);
+    assert_eq!(inner.self_ns, inner.total_ns);
+    assert_eq!(busy.self_ns, busy.total_ns - inner.total_ns);
+    assert_eq!(
+        prof::folded(),
+        format!(
+            "attr.test.busy {}\nattr.test.busy;attr.test.inner {}\n",
+            busy.self_ns, inner.self_ns
+        )
     );
 }
 

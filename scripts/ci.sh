@@ -1,7 +1,8 @@
 #!/bin/bash
 # The repo's tier-1 gate, runnable locally and in CI:
-#   format check → hermeticity → no unused dependency edge → lints as
-#   errors → rustdoc as errors → release build → tests → CLI smokes.
+#   format check → hermeticity → no unused dependency edge → no thread
+#   in bs-telemetry → lints as errors → rustdoc as errors → release
+#   build → tests → CLI smokes.
 # Performance is not gated here: `bash benchmark/run.sh` measures it.
 # Any step failing fails the script.
 set -euo pipefail
@@ -54,6 +55,16 @@ for dep in $(dep_keys Cargo.toml '^\[workspace\.dependencies\]$'); do
     esac
 done
 [ "$unused" = 0 ] || exit 1
+
+echo "=== bs-telemetry owns no thread"
+# Everything it reports is booked by the thread that did the work; each
+# file's unit tests (which may spawn) follow its first #[cfg(test)].
+if awk 'FNR == 1 { tests = 0 } /^#\[cfg\(test\)\]/ { tests = 1 }
+        !tests && /thread::(spawn|Builder)/ { print FILENAME ": " $0; found = 1 }
+        END { exit !found }' crates/telemetry/src/*.rs; then
+    echo "bs-telemetry spawns a thread outside its tests (lines above)"
+    exit 1
+fi
 
 echo "=== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -133,38 +144,14 @@ watch_out="$(target/release/backscatter stats --watch "$addr" --iterations 1)"
 grep -q "health=" <<<"$watch_out"
 wait "$stream_pid"
 
-echo "=== CLI smoke: stream --profile 99 --serve exposes a live flamegraph"
+echo "=== CLI smoke: stream --profile writes an exact folded flamegraph"
 target/release/backscatter stream --log "$trace_tmp/jp.tsv" --window 600 \
-    --profile 99 --serve 127.0.0.1:0 --linger 8 > "$trace_tmp/prof.out" &
-prof_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr="$(sed -n 's/^live: listening on //p' "$trace_tmp/prof.out" | head -n1)"
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "stream --profile --serve never announced its address"; exit 1; }
-# The sampler needs a few ticks before the first busy sample lands, so
-# poll /profile/flame (through the CLI's own fetch path) until it is
-# non-empty rather than racing the first window flush.
-flame=""
-for _ in $(seq 1 60); do
-    flame="$(target/release/backscatter stats --fetch "$addr" --path /profile/flame || true)"
-    [ -n "$flame" ] && break
-    sleep 0.1
-done
-[ -n "$flame" ] || { echo "/profile/flame stayed empty under --profile 99"; exit 1; }
-# Folded collapsed-stack syntax: every line is `frame(;frame)* count`,
+    --profile "$trace_tmp/prof.folded" > /dev/null
+# Folded collapsed-stack syntax: every line is `frame(;frame)* ns`,
 # directly consumable by inferno / flamegraph.pl / speedscope.
-bad="$(grep -Ev '^[^ ;]+(;[^ ;]+)* [0-9]+$' <<<"$flame" || true)"
+bad="$(grep -Ev '^[^ ;]+(;[^ ;]+)* [0-9]+$' "$trace_tmp/prof.folded" || true)"
 [ -z "$bad" ] || { echo "malformed folded stack lines:"; echo "$bad"; exit 1; }
-top_json="$(target/release/backscatter stats --fetch "$addr" --path /profile/top)"
-grep -q '"stages"' <<<"$top_json"
-alloc_json="$(target/release/backscatter stats --fetch "$addr" --path /profile/alloc)"
-grep -q '"stages"' <<<"$alloc_json"
-# The human view over the same endpoint: stats --top.
-top_view="$(target/release/backscatter stats --top "$addr" --iterations 1)"
-grep -q "profiler:" <<<"$top_view"
-wait "$prof_pid"
+grep -q '^cli\.stream;core\.stream' "$trace_tmp/prof.folded" ||
+    { echo "no cli.stream;core.stream path in the profile"; exit 1; }
 
 echo "=== ci: all green"

@@ -73,23 +73,15 @@ fn main() -> ExitCode {
         telemetry::trace::enable();
         telemetry::trace::install_panic_hook();
     }
-    // --profile <hz> works on every subcommand: start the wall-clock
-    // sampling profiler up front; the command's span stacks, per-stage
-    // ns-per-record costs, and allocation pressure print on exit, and
-    // a --serve endpoint exposes the folded flamegraph live at
-    // /profile/flame while the command runs.
-    let profile_hz: Option<u32> = match flags.get("profile") {
-        None => None,
-        Some(s) => match s.parse::<u32>() {
-            Ok(hz) if hz > 0 => Some(hz),
-            _ => {
-                eprintln!("error: --profile expects a sample rate in Hz (1-1000), got {s:?}");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    if let Some(hz) = profile_hz {
-        telemetry::prof::start(hz);
+    // --profile <path> works on every subcommand: every stage files
+    // its exact wall time by path and by window; the folded flamegraph
+    // is written to the path and the ranked stages, per-stage
+    // ns-per-record costs and allocation pressure print on exit, and a
+    // --serve endpoint exposes the same numbers live at /profile/*
+    // while the command runs.
+    let profile_path = flags.get("profile").cloned();
+    if profile_path.is_some() {
+        telemetry::prof::enable();
     }
     // --serve <addr> works on every subcommand: start the bs-live
     // stack (registry sampler + HTTP scrape endpoint + health
@@ -173,19 +165,26 @@ fn main() -> ExitCode {
         }
         Ok(())
     });
-    // Stop the sampler and print the profile exit summary: ranked
-    // stages by sample count, the ledger's ns-per-record cost table,
-    // and allocation pressure by stage. Printed even when the command failed — the samples were
-    // still taken and often explain the failure.
-    if profile_hz.is_some() {
-        telemetry::prof::stop();
-        println!("\n=== profile (top stages by self samples) ===");
-        print!("{}", telemetry::prof::top_table());
-        println!("\n=== per-stage cost (ns per record) ===");
-        print!("{}", telemetry::ledger::cost_table());
-        println!("\n=== allocation pressure by stage ===");
-        print!("{}", telemetry::prof::alloc_table());
-    }
+    // The profile exit summary: the folded flamegraph to its file,
+    // then ranked stages by self time, the ledger's ns-per-record cost
+    // table and allocation pressure by stage. Written even when the
+    // command failed — what ran was still timed and often explains the
+    // failure.
+    let result = match profile_path {
+        None => result,
+        Some(path) => {
+            telemetry::prof::disable();
+            let written = std::fs::write(&path, telemetry::prof::folded())
+                .map_err(|e| format!("write {path}: {e}"));
+            println!("\n=== profile (top stages by self time) ===");
+            print!("{}", telemetry::prof::top_table());
+            println!("\n=== per-stage cost (ns per record) ===");
+            print!("{}", telemetry::ledger::cost_table());
+            println!("\n=== allocation pressure by stage ===");
+            print!("{}", telemetry::prof::alloc_table());
+            result.and(written)
+        }
+    };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -448,24 +447,19 @@ fn cmd_stats_top(flags: &Flags, target: &str) -> Result<(), String> {
         }
         let v = telemetry::json::parse(&body)
             .map_err(|e| format!("bad /profile/top JSON from {addr}: {e}"))?;
-        let num = |k: &str| v.get(k).and_then(|x| x.as_f64()).unwrap_or(0.0);
-        let busy = num("busy");
-        println!(
-            "profiler: hz={:.0} ticks={:.0} busy={busy:.0} idle={:.0} torn={:.0}",
-            num("hz"),
-            num("ticks"),
-            num("idle"),
-            num("torn"),
-        );
-        println!("  {:>8}  {:>8}  {:>6}  stage", "self", "total", "self%");
-        if let Some(stages) = v.get("stages").and_then(|s| s.as_array()) {
-            for st in stages.iter().take(15) {
-                let name = st.get("stage").and_then(|n| n.as_str()).unwrap_or("?");
-                let selfc = st.get("self").and_then(|n| n.as_f64()).unwrap_or(0.0);
-                let total = st.get("total").and_then(|n| n.as_f64()).unwrap_or(0.0);
-                let pct = if busy > 0.0 { selfc * 100.0 / busy } else { 0.0 };
-                println!("  {selfc:>8.0}  {total:>8.0}  {pct:>5.1}%  {name}");
-            }
+        let stages = v.get("stages").and_then(|s| s.as_array()).unwrap_or(&[]);
+        let num = |st: &telemetry::json::Value, k: &str| {
+            st.get(k).and_then(|x| x.as_f64()).unwrap_or(0.0)
+        };
+        let all_self: f64 = stages.iter().map(|st| num(st, "self_ns")).sum();
+        println!("profiler: {} stages, {:.1} ms of self time", stages.len(), all_self / 1e6);
+        println!("  {:>14}  {:>14}  {:>8}  {:>6}  stage", "self ns", "total ns", "calls", "self%");
+        for st in stages.iter().take(15) {
+            let name = st.get("stage").and_then(|n| n.as_str()).unwrap_or("?");
+            let (self_ns, total_ns, calls) =
+                (num(st, "self_ns"), num(st, "total_ns"), num(st, "calls"));
+            let pct = if all_self > 0.0 { self_ns * 100.0 / all_self } else { 0.0 };
+            println!("  {self_ns:>14.0}  {total_ns:>14.0}  {calls:>8.0}  {pct:>5.1}%  {name}");
         }
         done += 1;
         if iterations > 0 && done >= iterations {
@@ -570,8 +564,6 @@ metric naming: dotted crate.stage names, e.g.
   telemetry.log.suppressed   log lines dropped by per-site rate limits
   telemetry.log.suppressed.<site>  the same drops broken out by the
                              rate-limited site (log target)
-  prof.ticks/.threads/.torn  sampling-profiler progress gauges
-  prof.samples.busy          samples that caught a stage on-stack
   live.ticks                 gauge: samples taken by the live sampler
   live.health.status         gauge: watchdog state (0 ok, 1 degraded,
                              2 critical; also served at /health)
@@ -587,12 +579,13 @@ live monitoring: add --serve <ip:port> to any command to scrape
 `backscatter stats --watch <ip:port>` (rates) or
 `backscatter stats --top <ip:port>` (profiler's ranked stages).
 
-profiling: add --profile <hz> to any command to sample every worker's
-span stack at <hz> Hz (99 is a good default) and attribute exact
-per-stage wall time and allocation pressure; a ranked-stage table,
-the ns-per-record cost table (each stage's time beside the records
-its ledger row counted; `-` where a stage books none), and the
-allocation profile print on exit.
+profiling: add --profile <path> to any command to attribute every
+stage's exact wall time (by the path of stages it ran inside, across
+worker threads, and by window) and allocation pressure; the folded
+flamegraph (`frame;frame ns`) is written to <path>, and a ranked-stage
+table, the ns-per-record cost table (each stage's time beside the
+records its ledger row counted; `-` where a stage books none), and
+the allocation profile print on exit.
 logging: set BS_LOG=off|error|warn|info|debug (default info) and
 BS_LOG_FORMAT=text|json (default text; json emits one object per
 line: ts_ms, level, target, message, kvs).
@@ -663,7 +656,7 @@ commands:
             poll a --serve endpoint's /snapshot and print live rates
   stats     --top <ip:port> [--iterations N] [--interval-ms M]
             poll a --serve endpoint's /profile/top and print the
-            sampling profiler's ranked-stage view
+            profiler's ranked-stage view
   stats     --fetch <ip:port> [--path /route]
             one raw GET against a --serve endpoint, body to stdout
   trace     --file <trace.json>
@@ -673,9 +666,10 @@ every command accepts --serve <ip:port> to expose live observability
 over HTTP while it runs (/metrics Prometheus text, /snapshot JSON
 with windowed rates, /health with watchdog status, /trace/summary,
 /buildinfo, /profile/flame|top|alloc; port 0 picks an ephemeral
-port, printed on stdout), --profile <hz> to sample span stacks at
-<hz> Hz and print ranked stages, per-stage ns-per-record costs, and
-allocation pressure on exit, --metrics <path> to write a JSON
+port, printed on stdout), --profile <path> to write the folded
+flamegraph of exact per-stage wall time and print ranked stages,
+per-stage ns-per-record costs, and allocation pressure on exit,
+--metrics <path> to write a JSON
 telemetry snapshot (counters, gauges, latency histograms) on
 success, --trace <path> to record a causal trace and write Chrome
 trace-event JSON (open in Perfetto / chrome://tracing), and
@@ -788,30 +782,39 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// Extract features from `log` for `features` and `classify --model`.
+/// Without `--window-start` / `--window-end` the window is the log's
+/// own span, `[first record, last record + 1)`: persistence is the share
+/// of the window's periods an originator is active in, so a window wider
+/// than the log would shrink it toward zero.
+fn extract_over_log(
+    flags: &Flags,
+    log: &QueryLog,
+    default_min_queriers: usize,
+) -> Result<Vec<OriginatorFeatures>, String> {
+    let number = |key: &str| {
+        flags
+            .get(key)
+            .map(|s| s.parse::<u64>().map_err(|_| format!("bad --{key} {s:?}")))
+            .transpose()
+    };
+    let times = || log.records().iter().map(|r| r.time.0);
+    let start = number("window-start")?.or_else(|| times().min()).unwrap_or(0);
+    let end = number("window-end")?
+        .or_else(|| times().max().map(|last| last.saturating_add(1)))
+        .unwrap_or(0);
+    let min_queriers = number("min-queriers")?.map_or(default_min_queriers, |n| n as usize);
+    Ok(extract_features(
+        log,
+        &World::new(WorldConfig::default()),
+        SimTime(start),
+        SimTime(end),
+        &FeatureConfig { min_queriers, top_n: None },
+    ))
+}
+
 fn cmd_features(flags: &Flags) -> Result<(), String> {
-    let log = load_log(flags)?;
-    let world = World::new(WorldConfig::default());
-    let min_queriers = flags
-        .get("min-queriers")
-        .map(|s| s.parse().map_err(|_| format!("bad --min-queriers {s:?}")))
-        .transpose()?
-        .unwrap_or(20);
-    let start = SimTime(
-        flags
-            .get("window-start")
-            .map(|s| s.parse().map_err(|_| "bad --window-start".to_string()))
-            .transpose()?
-            .unwrap_or(0),
-    );
-    let end = SimTime(
-        flags
-            .get("window-end")
-            .map(|s| s.parse().map_err(|_| "bad --window-end".to_string()))
-            .transpose()?
-            .unwrap_or(u64::MAX),
-    );
-    let feats =
-        extract_features(&log, &world, start, end, &FeatureConfig { min_queriers, top_n: None });
+    let feats = extract_over_log(flags, &load_log(flags)?, 20)?;
     // Header, then one row per originator.
     let names = dns_backscatter::sensor::FeatureVector::names();
     println!("originator\tqueriers\tqueries\t{}", names.join("\t"));
@@ -871,22 +874,10 @@ fn cmd_classify_with_model(flags: &Flags) -> Result<(), String> {
     if model != sensor {
         return Err(format!("model has {model} features, the sensor extracts {sensor}"));
     }
-    let world = World::new(WorldConfig::default());
-    let min_queriers = flags
-        .get("min-queriers")
-        .map(|s| s.parse().map_err(|_| format!("bad --min-queriers {s:?}")))
-        .transpose()?
-        .unwrap_or(10);
-    let feats = extract_features(
-        &log,
-        &world,
-        SimTime(0),
-        SimTime(u64::MAX),
-        &FeatureConfig { min_queriers, top_n: None },
-    );
+    let feats = extract_over_log(flags, &log, 10)?;
+    let rows: Vec<Vec<f64>> = feats.iter().map(|f| f.features.to_vec()).collect();
     println!("originator	queriers	class");
-    for f in feats {
-        let idx = forest.predict(&f.features.to_vec());
+    for (f, idx) in feats.iter().zip(forest.predict_all(&rows)) {
         let class = ApplicationClass::from_index(idx)
             .map(|c| c.name().to_string())
             .unwrap_or_else(|| format!("class-{idx}"));
@@ -895,10 +886,9 @@ fn cmd_classify_with_model(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_classify(flags: &Flags) -> Result<(), String> {
-    if flags.contains_key("model") {
-        return cmd_classify_with_model(flags);
-    }
+/// `classify` and `report`: assemble the dataset the scenario flags name
+/// around `--log` and run the full pipeline over it.
+fn run_pipeline(flags: &Flags) -> Result<PipelineRun, String> {
     let log = load_log(flags)?;
     let id = dataset_id(flags)?;
     let world = World::new(WorldConfig::default());
@@ -906,7 +896,14 @@ fn cmd_classify(flags: &Flags) -> Result<(), String> {
     let built = dns_backscatter::datasets::build::assemble_with_log(&world, spec, log);
     let mut pipeline = DatasetPipeline::default();
     pipeline.feature_config.min_queriers = 10;
-    let run = pipeline.run(&world, &built);
+    Ok(pipeline.run(&world, &built))
+}
+
+fn cmd_classify(flags: &Flags) -> Result<(), String> {
+    if flags.contains_key("model") {
+        return cmd_classify_with_model(flags);
+    }
+    let run = run_pipeline(flags)?;
     telemetry::info!(
         "cli",
         "classification complete";
@@ -923,16 +920,7 @@ fn cmd_classify(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_report(flags: &Flags) -> Result<(), String> {
-    use dns_backscatter::analysis::render_report;
-    let log = load_log(flags)?;
-    let id = dataset_id(flags)?;
-    let world = World::new(WorldConfig::default());
-    let spec = DatasetSpec::paper(id, scale(flags)?, seed(flags)?);
-    let built = dns_backscatter::datasets::build::assemble_with_log(&world, spec, log);
-    let mut pipeline = DatasetPipeline::default();
-    pipeline.feature_config.min_queriers = 10;
-    let run = pipeline.run(&world, &built);
-    print!("{}", render_report(&run.windows));
+    print!("{}", dns_backscatter::analysis::render_report(&run_pipeline(flags)?.windows));
     Ok(())
 }
 

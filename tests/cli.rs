@@ -71,6 +71,39 @@ fn simulate_then_features_produces_tsv() {
     }
 }
 
+/// Without window flags `features` extracts over the log's own span, so
+/// `dyn:persistence` is the share of *that* span an originator is
+/// active in, not of all of time (where it rounds to zero).
+#[test]
+fn features_default_window_is_the_logs_span() {
+    let log = simulated_log();
+    let times: Vec<u64> = std::fs::read_to_string(&log)
+        .unwrap()
+        .lines()
+        .map(|l| l.split('\t').next().unwrap().parse().expect("timestamp column"))
+        .collect();
+    let (first, last) = (times.iter().min().unwrap(), times.iter().max().unwrap());
+    let features = |window: &[&str]| {
+        let out = bin()
+            .args(["features", "--log", log.to_str().unwrap()])
+            .args(window)
+            .output()
+            .expect("run features");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).expect("utf-8")
+    };
+    let default = features(&[]);
+    let (start, end) = (first.to_string(), (last + 1).to_string());
+    assert_eq!(default, features(&["--window-start", &start, "--window-end", &end]));
+    let mut lines = default.lines();
+    let column = lines
+        .next()
+        .and_then(|header| header.split('\t').position(|name| name == "dyn:persistence"))
+        .expect("a dyn:persistence column");
+    let top: f64 = lines.next().expect("a row").split('\t').nth(column).unwrap().parse().unwrap();
+    assert!(top > 0.5, "the busiest originator is active through most of the log: {top}");
+}
+
 #[test]
 fn capture_round_trip_preserves_log() {
     let log = simulated_log();

@@ -201,6 +201,8 @@ fn stats_watch_renders_a_live_rate_table() {
             "127.0.0.1:0",
             "--linger",
             "4",
+            "--profile",
+            tmp("live-watch.folded").to_str().unwrap(),
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -229,6 +231,22 @@ fn stats_watch_renders_a_live_rate_table() {
     assert!(text.contains("health="), "no health line:\n{text}");
     assert!(text.contains("counter"), "no rate table header:\n{text}");
     assert_eq!(text.matches("health=").count(), 2, "expected one header per iteration:\n{text}");
+
+    // The profile is exact, so once ingest is over (the summary line)
+    // the live routes hold every stage it closed: no tick to wait for.
+    assert!(
+        lines.by_ref().any(|l| l.expect("read stdout").starts_with("stream: ")),
+        "no stream summary line"
+    );
+    let stats = |args: &[&str]| {
+        let out = bin().arg("stats").args(args).output().expect("run stats");
+        assert!(out.status.success(), "stats {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).expect("utf-8")
+    };
+    let flame = stats(&["--fetch", &addr, "--path", "/profile/flame"]);
+    assert!(flame.lines().any(|l| l.starts_with("cli.stream;core.stream;")), "got:\n{flame}");
+    let top = stats(&["--top", &addr, "--iterations", "1"]);
+    assert!(top.starts_with("profiler: ") && top.contains("sensor.stream"), "got:\n{top}");
 
     let _ = child.kill();
     let _ = child.wait();
