@@ -9,7 +9,6 @@ use backscatter_core::classify::pipeline::feature_map;
 use backscatter_core::classify::{ClassifierPipeline, LabeledSet};
 use backscatter_core::ml::{repeated_holdout, Algorithm, ForestParams};
 use backscatter_core::prelude::*;
-use backscatter_core::sensor::extract_from_observations;
 use backscatter_core::sensor::ingest::Observations;
 use bench::table::{heading, print_table};
 use bench::{load_dataset, standard_world};
@@ -29,7 +28,7 @@ fn main() {
             end,
             SimDuration::from_secs(dedup_secs),
         );
-        let feats = extract_from_observations(&obs, &world, &FeatureConfig::default());
+        let feats = extract_with_meta_cache(&obs, &world, &FeatureConfig::default(), None);
         let mean_qpq = feats.iter().map(|f| f.features.dynamic.queries_per_querier).sum::<f64>()
             / feats.len().max(1) as f64;
         let labeled = LabeledSet::curate(&truth, &feats, 140);

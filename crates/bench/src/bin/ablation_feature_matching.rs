@@ -11,14 +11,12 @@ use backscatter_core::sensor::ingest::Observations;
 use backscatter_core::sensor::static_features::{
     classify_name_with_order, MatchOrder, StaticFeature,
 };
-use backscatter_core::sensor::{DynamicFeatures, FeatureVector};
 use bench::table::{heading, print_table};
 use bench::{load_dataset, standard_world};
 use std::collections::BTreeMap;
-use std::net::Ipv4Addr;
 
-/// Re-extract features with a chosen match order (re-implements the
-/// static step of the sensor on top of its public pieces).
+/// Extract features, then recount each originator's static fractions
+/// with a chosen match order (the dynamic features do not depend on it).
 fn extract_with_order(
     world: &World,
     built: &BuiltDataset,
@@ -26,35 +24,22 @@ fn extract_with_order(
 ) -> Vec<backscatter_core::sensor::OriginatorFeatures> {
     let (start, end) = built.windows()[0];
     let obs = Observations::ingest(&built.log, start, end);
-    let total_ases = obs.total_ases(world);
-    let total_countries = obs.total_countries(world);
-    backscatter_core::sensor::ingest::select_analyzable(&obs, 20, Some(10_000))
-        .into_iter()
-        .map(|o| {
-            let mut counts = [0usize; 14];
-            for q in &o.queriers {
-                let f = match world.reverse_name(*q) {
-                    NameOutcome::Name(n) => classify_name_with_order(&n, order),
-                    NameOutcome::NxDomain => StaticFeature::NxDomain,
-                    NameOutcome::Unreachable => StaticFeature::Unreach,
-                };
-                counts[f.index()] += 1;
-            }
-            let nq = o.querier_count().max(1) as f64;
-            let mut static_fractions = [0.0; 14];
-            for (frac, c) in static_fractions.iter_mut().zip(counts) {
-                *frac = c as f64 / nq;
-            }
-            let dynamic =
-                DynamicFeatures::compute(o, world, start, end, total_ases, total_countries);
-            backscatter_core::sensor::OriginatorFeatures {
-                originator: o.originator,
-                querier_count: o.querier_count(),
-                query_count: o.query_count(),
-                features: FeatureVector { static_fractions, dynamic },
-            }
-        })
-        .collect()
+    let mut feats = extract_with_meta_cache(&obs, world, &FeatureConfig::default(), None);
+    for f in &mut feats {
+        let queriers = &obs.per_originator[&f.originator].queriers;
+        let mut counts = [0usize; 14];
+        for q in queriers {
+            let category = match world.reverse_name(*q) {
+                NameOutcome::Name(n) => classify_name_with_order(&n, order),
+                NameOutcome::NxDomain => StaticFeature::NxDomain,
+                NameOutcome::Unreachable => StaticFeature::Unreach,
+            };
+            counts[category.index()] += 1;
+        }
+        let nq = queriers.len().max(1) as f64;
+        f.features.static_fractions = counts.map(|c| c as f64 / nq);
+    }
+    feats
 }
 
 fn main() {
@@ -112,5 +97,4 @@ fn main() {
             println!("  {name:20} leftmost {l:.3}  rightmost {r:.3}");
         }
     }
-    let _ = Ipv4Addr::UNSPECIFIED; // silence unused-import lint paths on some toolchains
 }

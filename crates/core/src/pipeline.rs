@@ -50,25 +50,38 @@ pub struct PipelineRun {
 }
 
 impl DatasetPipeline {
-    /// Run over every window of a built dataset: curate on window 0,
-    /// retrain per window on fresh features, classify all analyzable
+    /// Run over every window of a built dataset: sense each window
+    /// once, curate from the curation windows' features, then retrain
+    /// per window on the fixed labels and classify all analyzable
     /// originators.
     pub fn run(&self, world: &World, built: &BuiltDataset) -> PipelineRun {
         let windows = built.windows();
         assert!(!windows.is_empty());
+
+        // Every window goes through the sensor exactly once; curation
+        // and classification both read the stored features. Windows are
+        // independent, so they run in parallel on the bs-par pool; with
+        // a single window the parallelism moves down into extraction
+        // and training instead (nested regions run sequentially inside
+        // pool workers). Extraction goes through the qmeta metadata
+        // plane — each window builds its own per-window table (windows
+        // run concurrently, so no shared cross-window cache here; the
+        // streaming driver is the cache's home). Ledger rows and stage
+        // costs are keyed by the window's start second, the key the
+        // sensor files its own row under.
+        let features = bs_par::par_map(&windows, |_, window| {
+            let _w = bs_telemetry::ledger::window_scope(window.0.secs());
+            built.features_for_window(world, *window, &self.feature_config)
+        });
 
         // Expert curation, possibly merged over several dates.
         let mut labels = LabeledSet::default();
         {
             let _stage = bs_telemetry::stage("core.curate");
             for &cw in &self.curation_windows {
-                let Some(window) = windows.get(cw) else { continue };
-                // Sensor-stage ledger entries from curation land in the
-                // curated window's cell, not the ambient one.
-                let _w = bs_telemetry::ledger::window_scope(cw as u64);
-                let feats = built.features_for_window(world, *window, &self.feature_config);
-                let truth = built.truth_for_window(*window);
-                labels.merge(&LabeledSet::curate(&truth, &feats, self.per_class_cap));
+                let Some(feats) = features.get(cw) else { continue };
+                let truth = built.truth_for_window(windows[cw]);
+                labels.merge(&LabeledSet::curate(&truth, feats, self.per_class_cap));
             }
         }
         bs_telemetry::info!(
@@ -78,21 +91,13 @@ impl DatasetPipeline {
             windows = windows.len(),
         );
 
-        // Windows are independent given the fixed label set: each
-        // re-extracts features, retrains on a window-derived seed, and
-        // classifies its own originators. They run in parallel on the
-        // bs-par pool; with a single window the parallelism moves down
-        // into training and extraction instead (nested regions run
-        // sequentially inside pool workers). Extraction goes through
-        // the qmeta metadata plane — each window builds its own
-        // per-window table (windows run concurrently, so no shared
-        // cross-window cache here; the streaming driver is the
-        // cache's home).
+        // Given the fixed label set each window retrains on a
+        // window-derived seed and classifies its own originators.
         let out: Vec<WindowClassification> = bs_par::par_map(&windows, |w, window| {
-            let _wscope = bs_telemetry::ledger::window_scope(w as u64);
+            let _wscope = bs_telemetry::ledger::window_scope(window.0.secs());
             let _stage = bs_telemetry::stage("core.window");
-            let feats = built.features_for_window(world, *window, &self.feature_config);
-            let fmap = feature_map(&feats);
+            let feats = &features[w];
+            let fmap = feature_map(feats);
             let model = {
                 let _stage = bs_telemetry::stage("core.retrain");
                 self.classifier.train(&labels, &fmap, self.seed ^ (w as u64) << 16)

@@ -271,8 +271,8 @@ where
 /// [`bs_telemetry::ledger::window_scope`], so their ledger rows and stage
 /// costs are filed under the same window key as the sensor's.
 ///
-/// Extraction output is cache-invariant and bit-identical to the
-/// batch fast path (and therefore to `bs-sensor`'s test-only per-pair
+/// Extraction output is cache-invariant and bit-identical to a cold
+/// extraction (and therefore to `bs-sensor`'s test-only per-pair
 /// reference); the seeded equivalence suites in `bs-sensor` pin this
 /// down.
 #[allow(clippy::too_many_arguments)]
@@ -482,7 +482,7 @@ mod tests {
         );
 
         for (w, features) in &windows {
-            let expect = bs_sensor::extract_from_observations(&w.observations, &ToyInfo, &fc);
+            let expect = extract_with_meta_cache(&w.observations, &ToyInfo, &fc, None);
             assert_eq!(
                 features, &expect,
                 "the driver's warm-cache extraction must equal a cold one"

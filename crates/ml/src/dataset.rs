@@ -1,5 +1,6 @@
 //! Labeled datasets for training and evaluation.
 
+use crate::matrix::ColumnarView;
 use bs_par::Rng;
 
 /// One labeled example: a feature vector and a class index.
@@ -111,10 +112,10 @@ impl Dataset {
 
     /// Column-major copy of the samples at `indices` (duplicates
     /// allowed — bootstrap rows become distinct positions). This is
-    /// the entry point to the bs-mlcore fast paths: one contiguous
+    /// the entry point to the columnar fast paths: one contiguous
     /// `Vec<f64>` per feature plus a flat label array.
-    pub(crate) fn columnar(&self, indices: &[usize]) -> bs_mlcore::ColumnarView {
-        let mut view = bs_mlcore::ColumnarView::with_capacity(self.n_features(), indices.len());
+    pub(crate) fn columnar(&self, indices: &[usize]) -> ColumnarView {
+        let mut view = ColumnarView::with_capacity(self.n_features(), indices.len());
         for &i in indices {
             let s = &self.samples[i];
             view.push_row(&s.features, s.label as u32);
@@ -126,13 +127,10 @@ impl Dataset {
     /// with each row's multiplicity. A bootstrap sample repeats ~37% of
     /// its rows, so training on deduplicated rows with integer weights
     /// does the same arithmetic on substantially fewer entries.
-    pub(crate) fn columnar_weighted(
-        &self,
-        indices: &[usize],
-    ) -> (bs_mlcore::ColumnarView, Vec<usize>) {
+    pub(crate) fn columnar_weighted(&self, indices: &[usize]) -> (ColumnarView, Vec<usize>) {
         let mut sorted = indices.to_vec();
         sorted.sort_unstable();
-        let mut view = bs_mlcore::ColumnarView::with_capacity(self.n_features(), sorted.len());
+        let mut view = ColumnarView::with_capacity(self.n_features(), sorted.len());
         let mut weights = Vec::with_capacity(sorted.len());
         let mut run = 0usize;
         for (k, &i) in sorted.iter().enumerate() {

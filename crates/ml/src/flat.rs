@@ -194,7 +194,7 @@ impl FlatTree {
 }
 
 /// Up to [`BLOCK_ROWS`] rows copied into one contiguous buffer for
-/// [`FlatTree::predict_block`]: row `r` occupies `stride` values,
+/// the blocked tree descent: row `r` occupies `stride` values,
 /// `n_features + 1`, the last of them the constant 0.0 that leaves
 /// compare against. One block is filled once and walked by every tree of
 /// every model that votes on it.

@@ -7,9 +7,10 @@
 //! Table IV ranking ("larger Gini values indicate features with greater
 //! discriminative power").
 
+use crate::argmax_first;
 use crate::dataset::Dataset;
+use crate::flat::{RowBlock, BLOCK_ROWS};
 use crate::tree::{CartParams, DecisionTree};
-use bs_mlcore::{argmax_first, RowBlock, BLOCK_ROWS};
 use bs_par::Rng;
 
 /// Forest hyper-parameters.
@@ -134,11 +135,11 @@ impl Forest {
 
     /// Predict every row of `block`: tree-outer, so each tree's arena
     /// is walked once by all the block's rows
-    /// ([`bs_mlcore::FlatTree::predict_block`]), voting into a flat
+    /// (the blocked descent of DESIGN.md §14), voting into a flat
     /// per-row histogram. Identical to [`Forest::predict`] per row:
     /// each tree's classes come from the same IEEE compares, the vote
     /// counts are exact integers, and ties resolve by the same
-    /// [`argmax_first`].
+    /// first-maximum rule.
     pub fn predict_block(&self, block: &RowBlock) -> Vec<usize> {
         let _stage = bs_telemetry::stage("ml.predict");
         let mut votes = vec![0u32; block.rows() * self.n_classes];

@@ -51,16 +51,6 @@ impl<F: Fn(usize, usize) -> f64> GramCache<F> {
         GramCache { kernel, n, full, rows, cached: 0, cap: row_cap, scratch: Vec::new() }
     }
 
-    /// True when the whole matrix is resident.
-    pub fn is_full(&self) -> bool {
-        self.full.is_some()
-    }
-
-    /// Rows currently cached (lazy mode; 0 when full).
-    pub fn cached_rows(&self) -> usize {
-        self.cached
-    }
-
     /// Kernel row `i`: `K(i, j)` for every `j`, contiguous.
     pub fn row(&mut self, i: usize) -> &[f64] {
         let Self { kernel, n, full, rows, cached, cap, scratch } = self;
@@ -81,11 +71,6 @@ impl<F: Fn(usize, usize) -> f64> GramCache<F> {
             }
         }
     }
-
-    /// One kernel entry `K(i, j)`.
-    pub fn entry(&mut self, i: usize, j: usize) -> f64 {
-        self.row(i)[j]
-    }
 }
 
 #[cfg(test)]
@@ -103,13 +88,13 @@ mod tests {
         let mut full = GramCache::new(n, 64, 0, k);
         let mut lazy_cached = GramCache::new(n, 4, 8, k);
         let mut lazy_scratch = GramCache::new(n, 4, 2, k);
-        assert!(full.is_full());
-        assert!(!lazy_cached.is_full());
+        assert!(full.full.is_some());
+        assert!(lazy_cached.full.is_none());
         for i in 0..n {
             for j in 0..n {
-                let a = full.entry(i, j);
-                assert_eq!(a.to_bits(), lazy_cached.entry(i, j).to_bits());
-                assert_eq!(a.to_bits(), lazy_scratch.entry(i, j).to_bits());
+                let a = full.row(i)[j];
+                assert_eq!(a.to_bits(), lazy_cached.row(i)[j].to_bits());
+                assert_eq!(a.to_bits(), lazy_scratch.row(i)[j].to_bits());
                 assert_eq!(a.to_bits(), k(i, j).to_bits());
             }
         }
@@ -123,7 +108,7 @@ mod tests {
             let row = g.row(i).to_vec();
             assert_eq!(row.len(), n);
         }
-        assert_eq!(g.cached_rows(), 3, "only the first `cap` distinct rows stick");
+        assert_eq!(g.cached, 3, "only the first `cap` distinct rows stick");
         // Cached and scratch-computed rows read back identically.
         for i in 0..n {
             assert_eq!(g.row(i)[5].to_bits(), k(i, 5).to_bits());
@@ -136,7 +121,7 @@ mod tests {
         let mut g = GramCache::new(n, 64, 0, k);
         for i in 0..n {
             for j in 0..n {
-                assert_eq!(g.entry(i, j).to_bits(), g.entry(j, i).to_bits());
+                assert_eq!(g.row(i)[j].to_bits(), g.row(j)[i].to_bits());
             }
         }
     }

@@ -20,11 +20,21 @@
 //!   ("for non-deterministic algorithms we run each 10 times and take
 //!   the majority classification").
 //!
-//! Training and prediction run on the `bs-mlcore` columnar fast paths
-//! (presorted-index CART, flat tree arenas, Gram-cached SMO); the
-//! original boxed/nested implementations are kept as executable
+//! Training and prediction run on a columnar data layout the crate
+//! keeps to itself (DESIGN.md §11): column-major training views with
+//! per-feature index arrays arg-sorted once per fit and kept
+//! segment-partitioned by stable partition as the tree grows
+//! (`matrix`, `presort`); one flat arena per tree, a split's children
+//! in adjacent slots and leaves self-looping, walked one row at a time
+//! or [`BLOCK_ROWS`] rows at once through a [`RowBlock`] (`flat`,
+//! DESIGN.md §14); and a bounded Gram-matrix cache under SMO (`gram`).
+//! The original boxed/nested implementations are kept as executable
 //! references compiled for tests only, and the `mlcore_equivalence`
-//! suite proves the fast paths bit-identical to them (DESIGN.md §11).
+//! suite proves the fast paths bit-identical to them: stable argsort
+//! plus stable partition reproduce exactly the orderings the
+//! reference's per-node stable sorts produce, and the Gram cache
+//! returns the same bits whether full or lazy because the kernel is
+//! symmetric and evaluated identically either way.
 //!
 //! Everything is deterministic given a seed.
 
@@ -33,9 +43,13 @@
 
 pub mod crossval;
 pub mod dataset;
+mod flat;
 pub mod forest;
+mod gram;
+mod matrix;
 pub mod metrics;
 pub mod persist;
+mod presort;
 pub mod svm;
 pub mod tree;
 pub mod vote;
@@ -51,7 +65,23 @@ pub use svm::{Svm, SvmParams};
 pub use tree::{CartParams, DecisionTree};
 pub use vote::MajorityEnsemble;
 
-pub use bs_mlcore::{RowBlock, BLOCK_ROWS};
+pub use flat::{RowBlock, BLOCK_ROWS};
+
+/// Index of the **first** maximum of `values` (ties break to the
+/// smaller index). Returns 0 for an empty slice.
+///
+/// `std`'s `max_by_key` keeps the *last* maximum, which silently broke
+/// the documented "ties break to the smaller class index" contract in
+/// every voting path; this helper is the single place the rule lives.
+pub(crate) fn argmax_first<T: PartialOrd>(values: &[T]) -> usize {
+    let mut best = 0;
+    for (i, v) in values.iter().enumerate().skip(1) {
+        if *v > values[best] {
+            best = i;
+        }
+    }
+    best
+}
 
 /// The three algorithms the paper evaluates.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,4 +169,28 @@ pub(crate) fn predict_in_blocks(
         out.extend(predict(&block));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn argmax_first_takes_first_of_ties() {
+        assert_eq!(argmax_first(&[1, 3, 3, 2]), 1);
+        assert_eq!(argmax_first(&[5]), 0);
+        assert_eq!(argmax_first(&[2, 2, 2]), 0);
+        assert_eq!(argmax_first::<u32>(&[]), 0);
+        assert_eq!(argmax_first(&[0.5, 0.75, 0.75]), 1);
+    }
+
+    #[test]
+    fn argmax_first_disagrees_with_max_by_key_on_ties() {
+        // The regression this helper exists to pin down: std's
+        // max_by_key picks the *last* max.
+        let votes = [4, 7, 7, 1];
+        let last = votes.iter().enumerate().max_by_key(|(_, v)| **v).map(|(i, _)| i).unwrap();
+        assert_eq!(last, 2);
+        assert_eq!(argmax_first(&votes), 1);
+    }
 }

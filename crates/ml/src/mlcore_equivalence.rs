@@ -1,4 +1,4 @@
-//! Seeded equivalence between the bs-mlcore fast paths and the
+//! Seeded equivalence between the columnar fast paths and the
 //! retained reference implementations (DESIGN.md §11, §14).
 //!
 //! The claims here are **bit-identity**, not approximate agreement:

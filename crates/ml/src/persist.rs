@@ -20,9 +20,9 @@
 //!
 //! Floating-point values round-trip exactly (hex-float encoding).
 
+use crate::flat::MAX_ARITY;
 use crate::forest::Forest;
 use crate::tree::DecisionTree;
-use bs_mlcore::MAX_ARITY;
 use std::fmt;
 
 /// Errors from parsing a stored model.

@@ -11,7 +11,7 @@
 //! Two solvers live here (DESIGN.md §11):
 //!
 //! * [`Svm::fit`] — the **fast path**: scaled rows in one flat
-//!   [`RowMatrix`], the kernel behind a [`bs_mlcore::GramCache`]
+//!   `RowMatrix`, the kernel behind a `GramCache`
 //!   (flat symmetric matrix below [`SvmParams::gram_limit`] rows,
 //!   bounded lazy row cache above it), and decision sums driven by a
 //!   sorted support-index list so each KKT scan costs
@@ -27,8 +27,10 @@
 //! tests (`crates/ml/src/mlcore_equivalence.rs`) assert the two fits
 //! produce equal machines, not merely similar accuracy.
 
+use crate::argmax_first;
 use crate::dataset::Dataset;
-use bs_mlcore::{argmax_first, GramCache, RowMatrix};
+use crate::gram::GramCache;
+use crate::matrix::RowMatrix;
 use bs_par::Rng;
 
 /// SVM hyper-parameters.
@@ -229,7 +231,7 @@ impl Svm {
     }
 
     /// Predict by one-vs-one voting; ties break to the smaller index
-    /// (explicitly first-max, see [`argmax_first`]).
+    /// (explicitly first-max).
     pub fn predict(&self, xraw: &[f64]) -> usize {
         assert_eq!(xraw.len(), self.n_features, "feature arity mismatch");
         if self.machines.is_empty() {

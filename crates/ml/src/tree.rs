@@ -8,13 +8,13 @@
 //! Two implementations live here (DESIGN.md §11):
 //!
 //! * [`DecisionTree`] — the **columnar fast path**: training reads a
-//!   [`bs_mlcore::ColumnarView`] over the deduplicated, weighted
+//!   `ColumnarView` over the deduplicated, weighted
 //!   bootstrap rows, arg-sorts every feature column once per fit and
 //!   maintains per-node index segments by stable in-place partition
 //!   (`O(features · n log n + nodes · features · n)` instead of the
 //!   reference's `O(nodes · features · n log n)`) while many features
 //!   are candidates, switching to node-local candidate sorts below a
-//!   cost crossover; the grown tree is a [`bs_mlcore::FlatTree`] arena
+//!   cost crossover; the grown tree is a `FlatTree` arena
 //!   walked by `predict` and by the blocked batch descent.
 //! * `ReferenceTree` — the boxed-node reference, compiled for tests
 //!   only: per-node re-sorting, `Box` recursion. Property tests
@@ -26,10 +26,11 @@
 //! per candidate node, pre-order), which is what makes bit-equality
 //! achievable rather than merely approximate.
 
+use crate::argmax_first;
 use crate::dataset::Dataset;
-use bs_mlcore::{
-    argmax_first, ColumnarView, FlatTree, PresortedColumns, RowBlock, Slot, BLOCK_ROWS,
-};
+use crate::flat::{FlatTree, RowBlock, Slot, BLOCK_ROWS};
+use crate::matrix::ColumnarView;
+use crate::presort::PresortedColumns;
 use bs_par::Rng;
 
 /// Growth controls for a CART tree.
@@ -121,7 +122,7 @@ impl DecisionTree {
     }
 
     /// Predict every row of `block` through the blocked descent
-    /// ([`FlatTree::predict_block`]); identical to [`DecisionTree::predict`]
+    /// (DESIGN.md §14); identical to [`DecisionTree::predict`]
     /// per row.
     pub fn predict_block(&self, block: &RowBlock) -> Vec<usize> {
         let mut classes = [0u16; BLOCK_ROWS];
@@ -178,7 +179,7 @@ impl DecisionTree {
     /// straight into the arena. Raw importances are not persisted per
     /// tree (the forest stores the aggregate), so they reload as
     /// zeros. `n_classes` and `n_features` must not exceed
-    /// [`bs_mlcore::MAX_ARITY`]; the depth-64 refusal bounds the steps
+    /// `MAX_ARITY`; the depth-64 refusal bounds the steps
     /// the batch descent runs.
     pub(crate) fn read_nodes<'a>(
         lines: &mut impl Iterator<Item = (usize, &'a str)>,

@@ -4,9 +4,10 @@
 //! randomization), we run each 10 times and take the majority
 //! classification" (paper §III-D).
 
+use crate::argmax_first;
 use crate::dataset::Dataset;
+use crate::flat::RowBlock;
 use crate::{Algorithm, Model};
-use bs_mlcore::{argmax_first, RowBlock};
 
 /// A bag of independently trained models that predicts by majority.
 #[derive(Debug, Clone)]

@@ -18,6 +18,7 @@
 //!   footprint.
 
 use crate::ingest::OriginatorObservation;
+#[cfg(test)]
 use crate::QuerierInfo;
 use bs_dns::SimTime;
 use std::collections::BTreeSet;
@@ -81,15 +82,16 @@ impl DynamicFeatures {
     }
 
     /// Compute the features for one originator by consulting `info`
-    /// per querier — the reference path.
+    /// per querier — the per-pair reference's body, compiled for tests
+    /// only.
     ///
-    /// `total_ases` / `total_countries` are window-global totals (see
-    /// [`crate::Observations::total_ases`]). The fast extraction path
-    /// obtains the same AS/country cardinalities from the interned
-    /// [`crate::qmeta::QuerierMetaTable`] and funnels them through
-    /// [`DynamicFeatures::from_counts`], the shared arithmetic both
-    /// paths use — which is what makes them bit-identical.
-    pub fn compute(
+    /// `total_ases` / `total_countries` are window-global totals.
+    /// Extraction obtains the same AS/country cardinalities from the
+    /// interned [`crate::qmeta::QuerierMetaTable`] and funnels them
+    /// through [`DynamicFeatures::from_counts`], the shared arithmetic
+    /// both paths use — which is what makes them bit-identical.
+    #[cfg(test)]
+    pub(crate) fn compute(
         obs: &OriginatorObservation,
         info: &(impl QuerierInfo + Sync),
         window_start: SimTime,
@@ -121,11 +123,11 @@ impl DynamicFeatures {
     /// Compute the features for one originator given already-counted
     /// distinct-AS/country cardinalities for its footprint.
     ///
-    /// This is the arithmetic core shared by [`DynamicFeatures::compute`]
-    /// (which counts via per-querier `info` lookups) and the
-    /// qmeta-table fast path (which counts via dense-id bitmaps); all
-    /// float operations live here exactly once, so the two paths
-    /// cannot drift.
+    /// This is the arithmetic core shared by the qmeta-table extraction
+    /// (which counts via dense-id bitmaps) and the test-only per-pair
+    /// reference (which counts via per-querier `info` lookups); all
+    /// float operations live here exactly once, so the two cannot
+    /// drift.
     pub fn from_counts(
         obs: &OriginatorObservation,
         window_start: SimTime,
@@ -178,12 +180,14 @@ impl DynamicFeatures {
     }
 }
 
-/// Queriers per parallel metadata-lookup task; below one chunk the
-/// lookup runs sequentially with no task overhead.
+/// Queriers per parallel metadata-lookup task of the per-pair
+/// reference; below one chunk the lookup runs sequentially.
+#[cfg(test)]
 const LOOKUP_CHUNK: usize = 4096;
 
 /// The distinct non-`None` values of `f` over `queriers`, computed in
 /// [`LOOKUP_CHUNK`]-sized parallel tasks and merged as a set union.
+#[cfg(test)]
 pub(crate) fn unique_by<V: Ord + Send>(
     queriers: &[std::net::Ipv4Addr],
     f: impl Fn(std::net::Ipv4Addr) -> Option<V> + Sync,

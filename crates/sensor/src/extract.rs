@@ -94,36 +94,28 @@ pub fn extract_features(
     config: &FeatureConfig,
 ) -> Vec<OriginatorFeatures> {
     let obs = Observations::ingest(log, start, end);
-    extract_from_observations(&obs, info, config)
+    extract_with_meta_cache(&obs, info, config, None)
 }
 
-/// Extraction step reusable when the caller already ingested the log.
+/// Extraction over an already-ingested window.
 ///
-/// This is the **fast path**: a [`QuerierMetaTable`] resolution pass
-/// visits each unique querier exactly once, then every originator
-/// reduces to table lookups plus dense-id bitmap counting —
-/// O(unique queriers) metadata work instead of the per-pair
-/// reference's O(Σ footprints). Bit-identical to that reference, which
-/// is test-only (pinned by the seeded suite in `qmeta_equivalence.rs`).
+/// A [`QuerierMetaTable`] resolution pass visits each unique querier
+/// exactly once, then every originator reduces to table lookups plus
+/// dense-id bitmap counting — O(unique queriers) metadata work instead
+/// of the per-pair reference's O(Σ footprints). Bit-identical to that
+/// reference, which is test-only (pinned by the seeded suite in
+/// `qmeta_equivalence.rs`).
+///
+/// With `cache`, a cross-window [`QuerierMetaCache`]: the streaming
+/// path passes the same cache every window, so queriers that persist
+/// between windows skip the metadata provider entirely. `None`
+/// resolves everything cold. Output is cache-invariant (the cache
+/// memoizes resolutions, and interning happens per window either way).
 ///
 /// Originators are independent, so their feature vectors compute in
 /// parallel on the [`bs_par`] pool; the output keeps the footprint
 /// ranking of [`select_analyzable`] because results collect in task
 /// order.
-pub fn extract_from_observations(
-    obs: &Observations,
-    info: &(impl QuerierInfo + Sync),
-    config: &FeatureConfig,
-) -> Vec<OriginatorFeatures> {
-    extract_with_meta_cache(obs, info, config, None)
-}
-
-/// [`extract_from_observations`] with an optional cross-window
-/// [`QuerierMetaCache`]: the streaming path passes the same cache
-/// every window, so queriers that persist between windows skip the
-/// metadata provider entirely. `None` resolves everything cold.
-/// Output is cache-invariant (the cache memoizes resolutions, and
-/// interning happens per window either way).
 pub fn extract_with_meta_cache(
     obs: &Observations,
     info: &(impl QuerierInfo + Sync),
@@ -242,7 +234,7 @@ fn features_from_table(
 /// The per-pair reference, compiled for tests only: re-resolves
 /// querier metadata for every (originator, querier) pair, exactly as
 /// the seed did — the executable specification
-/// [`extract_from_observations`] is property-tested bit-identical to.
+/// [`extract_with_meta_cache`] is property-tested bit-identical to.
 /// Telemetry-free, like the other references.
 #[cfg(test)]
 pub(crate) fn extract_from_observations_reference(
@@ -325,7 +317,7 @@ mod tests {
         let log = make_log(40);
         let obs = Observations::ingest(&log, SimTime(0), SimTime(7200));
         let config = FeatureConfig { min_queriers: 5, top_n: None };
-        let fast = extract_from_observations(&obs, &ToyInfo, &config);
+        let fast = extract_with_meta_cache(&obs, &ToyInfo, &config, None);
         let reference = extract_from_observations_reference(&obs, &ToyInfo, &config);
         assert_eq!(fast, reference);
         let mut cache = crate::qmeta::QuerierMetaCache::default();

@@ -1,4 +1,5 @@
-//! Fast-path ≡ reference: the packed-key ingest engine must be
+//! Fast-path ≡ reference: the packed-key ingest engine — streaming,
+//! and run for one window as the batch form — must be
 //! observationally identical to the retained BTree implementations on
 //! arbitrary record streams — same per-originator query streams, same
 //! querier sets, same dedup decisions, same admissions and evictions.
@@ -7,7 +8,7 @@
 //! replays from the seed in its message.
 
 use crate::common::{arb_records, sorted_records, Pools, AMPLIFIED, SMALL};
-use crate::ingest::Observations;
+use crate::ingest::{Observations, DEDUP_WINDOW};
 use crate::stream::{ReferenceStreamingSensor, StreamConfig, StreamingSensor, WindowSummary};
 use bs_dns::{SimDuration, SimTime};
 use bs_netsim::log::{QueryLog, QueryLogRecord};
@@ -45,21 +46,35 @@ fn assert_streams_agree(records: &[QueryLogRecord], cfg: StreamConfig, seed: u64
     assert_eq!(fast.finish(), reference.finish(), "final flush must agree (seed {seed})");
 }
 
-/// Batch: the packed-key arena ingest equals the BTree reference —
+/// Batch: the sensor run for one window equals the BTree reference —
 /// identical `Observations` (per-originator streams in arrival
-/// order, querier sets, window-global querier set) for every
-/// stream and dedup width.
+/// order, querier sets, window-global querier set) — on what the batch
+/// callers feed it: logs sorted and not, windows that start off zero
+/// and are no multiple of their own length, records on both sides of
+/// the bounds, an inverted window, and the ablation's dedup widths
+/// beside an arbitrary one.
 #[test]
 fn batch_fast_path_matches_reference() {
     for (pools, cases, _) in INPUTS {
         for seed in 0..cases {
             let mut rng = Rng::new(seed ^ 0xBA7C);
-            let log = log_of(&sorted_records(&mut rng, pools));
-            let dedup = SimDuration(rng.below(60));
-            let end = SimTime(pools.horizon);
-            let fast = Observations::ingest_with_dedup(&log, SimTime(0), end, dedup);
-            let reference = Observations::ingest_with_dedup_reference(&log, SimTime(0), end, dedup);
-            assert_eq!(fast, reference, "seed {seed}");
+            let unsorted = arb_records(&mut rng, pools);
+            let mut sorted = unsorted.clone();
+            sorted.sort_by_key(|r| r.time);
+            let h = pools.horizon;
+            for log in [log_of(&sorted), log_of(&unsorted)] {
+                for (start, end) in [(0, h), (100, 237), (h / 3, h - 7), (237, 100)] {
+                    for dedup in [rng.below(60), 0, 30, 300] {
+                        let (start, end, dedup) =
+                            (SimTime(start), SimTime(end), SimDuration(dedup));
+                        assert_eq!(
+                            Observations::ingest_with_dedup(&log, start, end, dedup),
+                            Observations::ingest_with_dedup_reference(&log, start, end, dedup),
+                            "seed {seed}, window [{start:?}, {end:?}), dedup {dedup:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 }
@@ -104,15 +119,21 @@ fn stream_equivalence_with_out_of_order_records() {
     }
 }
 
-/// Streaming with an unbounded table also equals *batch* ingestion
-/// of the same window — the stream-equals-batch determinism
-/// guarantee the pipeline's replay tests rely on, extended to
-/// arbitrary streams.
+/// Streaming with an unbounded table also equals the BTree *batch*
+/// reference over the same window — the stream-equals-batch
+/// determinism guarantee the pipeline's replay tests rely on, extended
+/// to arbitrary streams. (The shipping batch form is this sensor, so
+/// the comparison is against the reference, not against itself.)
 #[test]
 fn unbounded_stream_matches_batch() {
     for seed in 0..CASES {
         let records = sorted_records(&mut Rng::new(seed ^ 0x0B0D), &SMALL);
-        let batch = Observations::ingest(&log_of(&records), SimTime(0), SimTime(5_000));
+        let batch = Observations::ingest_with_dedup_reference(
+            &log_of(&records),
+            SimTime(0),
+            SimTime(5_000),
+            DEDUP_WINDOW,
+        );
         let mut sensor = StreamingSensor::new(StreamConfig {
             window: SimDuration::from_secs(5_000),
             ..Default::default()

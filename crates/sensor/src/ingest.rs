@@ -1,25 +1,25 @@
 //! Query-log ingestion and originator selection (paper §III-A, §III-B).
 //!
-//! Ingestion is the pipeline's hot path — every record the authority
-//! logs passes through exactly one dedup probe and one per-originator
-//! accumulation — so [`Observations::ingest_with_dedup`] runs on std
-//! `HashMap` / `HashSet` tables over packed integer keys behind the
-//! crate's one-multiply hasher: IPv4 addresses pack to `u32`,
-//! `(originator, querier)` dedup keys pack to one `u64`, per-originator
-//! state lives in a dense arena addressed by `u32` slot indices, and
-//! querier footprints accumulate as `u32` hash sets. The
-//! BTree-ordered [`Observations`] representation every downstream stage
-//! (extraction, classification, serialization) consumes is built once,
-//! at the end — ingestion order never influences it, so the fast path
-//! is observationally identical to the test-only BTree reference
-//! (`ingest_with_dedup_reference`), and a property test holds the two
-//! equal on arbitrary record streams.
+//! The crate has one per-record loop — the dedup probe and the
+//! per-originator accumulation of [`StreamingSensor`] — and a window
+//! of a log in memory is that sensor run for one window:
+//! [`Observations::ingest_with_dedup`] anchors it at the window's
+//! start, makes the window as long as `[start, end)` and the
+//! originator table unbounded, pushes the records inside the bounds
+//! and takes the one flush. In-window disorder is tolerated (the dedup
+//! probe compares against the last *accepted* time, and a record
+//! behind it is simply a fast repeat), so the log need not be sorted.
+//! The BTree-ordered [`Observations`] every downstream stage
+//! (extraction, classification, serialization) consumes is built at
+//! that flush; a test-only BTree reference
+//! (`ingest_with_dedup_reference`) defines the semantics, and a
+//! property test holds the two equal on arbitrary record streams.
 
 use crate::hash::IntHash;
+use crate::stream::{StreamConfig, StreamingSensor};
 use bs_dns::{SimDuration, SimTime};
 use bs_netsim::log::QueryLog;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::net::Ipv4Addr;
 
 /// The deduplication window: duplicate queries from the same querier
@@ -78,14 +78,14 @@ pub struct Observations {
 }
 
 /// Pack the paper's dedup key — one `(originator, querier)` address
-/// pair — into a single integer for the fast-path tables.
+/// pair — into a single integer for the sensor's tables.
 #[inline]
 pub(crate) fn pack_pair(originator: Ipv4Addr, querier: Ipv4Addr) -> u64 {
     (u64::from(u32::from(originator)) << 32) | u64::from(u32::from(querier))
 }
 
-/// Fast-path per-originator accumulator: the querier footprint stays a
-/// `u32` hash set until flush, when it is sorted once into the
+/// The sensor's per-originator accumulator: the querier footprint
+/// stays a `u32` hash set until flush, when it is sorted once into the
 /// `BTreeSet` the pipeline representation uses.
 #[derive(Debug)]
 pub(crate) struct SlotAccum {
@@ -125,74 +125,34 @@ pub(crate) fn set_to_btree(set: &HashSet<u32, IntHash>) -> BTreeSet<Ipv4Addr> {
 
 impl Observations {
     /// Ingest a query log restricted to `[start, end)`, applying the
-    /// 30-second per-(originator, querier) deduplication.
+    /// per-(originator, querier) deduplication: the streaming sensor
+    /// anchored at `start` and run for the one window. An empty or
+    /// inverted window observes nothing.
     ///
     /// `dedup` is exposed for the ablation bench; the paper's pipeline
     /// always passes [`DEDUP_WINDOW`].
-    ///
-    /// This is the fast path: packed `u64` dedup keys in a hash
-    /// table, per-originator state in a dense arena addressed through
-    /// a `u32` slot map, and `u32` hash sets for the querier
-    /// footprints — converted to the BTree-ordered [`Observations`]
-    /// once, at the end. Results are identical to the test-only BTree
-    /// reference.
     pub fn ingest_with_dedup(
         log: &QueryLog,
         start: SimTime,
         end: SimTime,
         dedup: SimDuration,
     ) -> Self {
-        let mut slot_of: HashMap<u32, u32, IntHash> = HashMap::default();
-        let mut arena: Vec<SlotAccum> = Vec::new();
-        let mut all_queriers: HashSet<u32, IntHash> = HashSet::default();
-        // Last accepted time per packed (originator, querier) pair.
-        let mut last_seen: HashMap<u64, u64, IntHash> = HashMap::default();
-        let mut seen: u64 = 0;
-        let mut accepted: u64 = 0;
-        let mut suppressed: u64 = 0;
-        let mut out_of_window: u64 = 0;
-        for r in log.records() {
-            // `seen` counts every record independently of the outcome
-            // branches below, so the conservation ledger catches any
-            // path that silently discards one.
-            seen += 1;
-            if r.time < start || r.time >= end {
-                out_of_window += 1;
-                continue;
-            }
-            match last_seen.entry(pack_pair(r.originator, r.querier)) {
-                Entry::Occupied(last) if r.time.since(SimTime(*last.get())) < dedup => {
-                    suppressed += 1;
-                    continue; // suppressed duplicate
-                }
-                first_or_stale => first_or_stale.insert_entry(r.time.secs()),
-            };
-            accepted += 1;
-            let querier = u32::from(r.querier);
-            all_queriers.insert(querier);
-            let slot = *slot_of.entry(u32::from(r.originator)).or_insert_with(|| {
-                arena.push(SlotAccum { originator: r.originator, ..Default::default() });
-                (arena.len() - 1) as u32
-            });
-            let obs = &mut arena[slot as usize];
-            obs.queries.push((r.time, r.querier));
-            obs.queriers.insert(querier);
+        let nothing = Observations { window_start: start, window_end: end, ..Default::default() };
+        if end <= start {
+            return nothing;
         }
-        bs_telemetry::counter_add("sensor.records", accepted);
-        bs_telemetry::counter_add("sensor.dedup_suppressed", suppressed);
-        bs_telemetry::ledger::record(
-            "sensor.ingest",
-            seen,
-            &[("kept", accepted), ("deduped", suppressed), ("out_of_window", out_of_window)],
-        );
-        let per_originator: BTreeMap<Ipv4Addr, OriginatorObservation> =
-            arena.into_iter().map(|a| (a.originator, a.into_observation())).collect();
-        Observations {
-            window_start: start,
-            window_end: end,
-            per_originator,
-            all_queriers: set_to_btree(&all_queriers),
+        let mut sensor = StreamingSensor::new(StreamConfig {
+            window: end.since(start),
+            max_originators: usize::MAX,
+            dedup,
+            ..StreamConfig::default()
+        });
+        sensor.flush_to(start);
+        for r in log.records().iter().filter(|r| start <= r.time && r.time < end) {
+            let rotated = sensor.push(*r);
+            debug_assert!(rotated.is_none(), "a record inside the window cannot close it");
         }
+        sensor.finish().map_or(nothing, |w| w.observations)
     }
 
     /// The reference implementation of
@@ -245,16 +205,18 @@ impl Observations {
         Self::ingest_with_dedup(log, start, end, DEDUP_WINDOW)
     }
 
-    /// Unique ASes among all queriers in the window, given a resolver.
-    /// Chunked parallel lookup (set-union merge, order-independent).
-    pub fn total_ases(&self, info: &(impl crate::QuerierInfo + Sync)) -> usize {
+    /// Unique ASes among all queriers in the window, given a resolver
+    /// — the per-pair reference's count; extraction reads it off the
+    /// interned [`crate::qmeta::QuerierMetaTable`].
+    #[cfg(test)]
+    pub(crate) fn total_ases(&self, info: &(impl crate::QuerierInfo + Sync)) -> usize {
         let queriers: Vec<Ipv4Addr> = self.all_queriers.iter().copied().collect();
         crate::dynamic::unique_by(&queriers, |q| info.querier_as(q)).len()
     }
 
-    /// Unique countries among all queriers in the window.
-    /// Chunked parallel lookup (set-union merge, order-independent).
-    pub fn total_countries(&self, info: &(impl crate::QuerierInfo + Sync)) -> usize {
+    /// Unique countries among all queriers in the window (reference).
+    #[cfg(test)]
+    pub(crate) fn total_countries(&self, info: &(impl crate::QuerierInfo + Sync)) -> usize {
         let queriers: Vec<Ipv4Addr> = self.all_queriers.iter().copied().collect();
         crate::dynamic::unique_by(&queriers, |q| info.querier_country(q)).len()
     }

@@ -34,9 +34,10 @@
 //! here is a real test of the generator's realism rather than a
 //! tautology.
 //!
-//! Ingestion — both the batch path and [`stream::StreamingSensor`] —
-//! runs on std `HashMap` / `HashSet` tables behind one private
-//! one-multiply hasher (packed integer keys, arena-indexed
+//! Ingestion is one loop, [`stream::StreamingSensor`]'s — a window of
+//! a log in memory ([`Observations::ingest`]) is that sensor run for
+//! the one window. It runs on std `HashMap` / `HashSet` tables behind
+//! one private one-multiply hasher (packed integer keys, arena-indexed
 //! per-originator state, `u32` querier sets, lazy eviction heap) and
 //! converts to the BTree-ordered [`Observations`]
 //! representation only at window flush; BTree reference
@@ -77,8 +78,7 @@ mod shard_equivalence;
 
 pub use dynamic::DynamicFeatures;
 pub use extract::{
-    extract_features, extract_from_observations, extract_with_meta_cache, FeatureConfig,
-    FeatureVector, OriginatorFeatures,
+    extract_features, extract_with_meta_cache, FeatureConfig, FeatureVector, OriginatorFeatures,
 };
 pub use ingest::{select_analyzable, Observations, OriginatorObservation};
 pub use qmeta::{QuerierMetaCache, QuerierMetaTable};

@@ -115,7 +115,7 @@ pub struct QuerierMetaTable {
     /// Interned metadata, in ascending querier-address order.
     meta: Vec<QuerierMeta>,
     /// Size of the interned AS id space (== the window's total
-    /// distinct ASes, as `Observations::total_ases` computes it).
+    /// distinct ASes, as the per-pair reference counts them).
     n_ases: usize,
     /// Size of the interned country id space.
     n_countries: usize,
@@ -215,15 +215,14 @@ impl QuerierMetaTable {
         self.meta.is_empty()
     }
 
-    /// Distinct ASes across the window — equals
-    /// [`Observations::total_ases`] by construction (the interner
+    /// Distinct ASes across the window — what the per-pair reference
+    /// counts one lookup at a time, by construction (the interner
     /// admits exactly the distinct `Some(AsId)` values).
     pub fn distinct_ases(&self) -> usize {
         self.n_ases
     }
 
-    /// Distinct countries across the window — equals
-    /// [`Observations::total_countries`].
+    /// Distinct countries across the window, likewise.
     pub fn distinct_countries(&self) -> usize {
         self.n_countries
     }

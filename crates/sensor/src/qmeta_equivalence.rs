@@ -1,5 +1,5 @@
 //! Fast extraction ≡ per-pair reference: the qmeta-table path of
-//! [`extract_from_observations`] must be **bit-identical** to
+//! [`extract_with_meta_cache`] must be **bit-identical** to
 //! [`extract_from_observations_reference`] on arbitrary logs —
 //! queriers shared across many originators, out-of-order and
 //! pre-window timestamps, metadata gaps (no AS / no country), and
@@ -11,8 +11,7 @@
 
 use crate::common::{arb_records, SMALL};
 use crate::extract::{
-    extract_from_observations, extract_from_observations_reference, extract_with_meta_cache,
-    FeatureConfig, OriginatorFeatures,
+    extract_from_observations_reference, extract_with_meta_cache, FeatureConfig, OriginatorFeatures,
 };
 use crate::ingest::Observations;
 use crate::qmeta::QuerierMetaCache;
@@ -107,7 +106,7 @@ fn fast_extraction_matches_reference() {
         // 0 means "no cap".
         let top_n = Some(rng.range(0..10)).filter(|&n| n > 0);
         let config = FeatureConfig { min_queriers, top_n };
-        let fast = extract_from_observations(&obs, &SynthInfo, &config);
+        let fast = extract_with_meta_cache(&obs, &SynthInfo, &config, None);
         let reference = extract_from_observations_reference(&obs, &SynthInfo, &config);
         assert_eq!(bits(&fast), bits(&reference), "seed {seed}");
     }
@@ -122,7 +121,7 @@ fn fast_extraction_matches_reference_on_shared_queriers() {
         let mut rng = Rng::new(seed ^ 0x54A2);
         let obs = ingest(&arb_high_overlap(&mut rng), 0, 5_000);
         let config = FeatureConfig { min_queriers: rng.range(1..4), top_n: None };
-        let fast = extract_from_observations(&obs, &SynthInfo, &config);
+        let fast = extract_with_meta_cache(&obs, &SynthInfo, &config, None);
         let reference = extract_from_observations_reference(&obs, &SynthInfo, &config);
         assert_eq!(bits(&fast), bits(&reference), "seed {seed}");
     }
@@ -141,7 +140,7 @@ fn fast_extraction_matches_reference_with_pre_window_timestamps() {
         // precede window_start.
         obs.window_start = SimTime(1 + rng.below(1_999));
         let config = FeatureConfig { min_queriers: 1, top_n: None };
-        let fast = extract_from_observations(&obs, &SynthInfo, &config);
+        let fast = extract_with_meta_cache(&obs, &SynthInfo, &config, None);
         let reference = extract_from_observations_reference(&obs, &SynthInfo, &config);
         assert_eq!(bits(&fast), bits(&reference), "seed {seed}");
     }

@@ -10,7 +10,7 @@
 //! replays from the seed in its message.
 
 use crate::common::{arb_records, sorted_records, SMALL};
-use crate::ingest::Observations;
+use crate::ingest::{Observations, DEDUP_WINDOW};
 use crate::shard::{slice_of, ReferenceShardedStreamingSensor, ShardedStreamingSensor};
 use crate::stream::{StreamConfig, StreamingSensor, WindowSummary};
 use bs_dns::{Rcode, SimDuration, SimTime};
@@ -162,7 +162,12 @@ fn sharded_stream_equals_plain_sensor_and_batch() {
         for r in &records {
             log.push(*r);
         }
-        let batch = Observations::ingest(&log, SimTime(0), SimTime(5_000));
+        let batch = Observations::ingest_with_dedup_reference(
+            &log,
+            SimTime(0),
+            SimTime(5_000),
+            DEDUP_WINDOW,
+        );
         assert!(expect.len() <= 1, "one window configured (seed {seed})");
         if let Some(w) = expect.first() {
             assert_eq!(w.observations.per_originator, batch.per_originator, "seed {seed}");

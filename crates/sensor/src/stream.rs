@@ -1,11 +1,12 @@
-//! Streaming ingestion: the sensor as a long-running process.
+//! The ingest engine: the sensor as a long-running process.
 //!
-//! The batch path ([`crate::ingest::Observations`]) wants a whole
-//! window's log in memory — fine for research replay, wrong for a
-//! production tap at a busy authority. [`StreamingSensor`] consumes one
-//! record at a time, keeps per-originator state with a hard memory
-//! bound, and emits completed windows as the stream crosses window
-//! boundaries.
+//! [`StreamingSensor`] consumes one record at a time, keeps
+//! per-originator state with a hard memory bound, and emits completed
+//! windows as the stream crosses window boundaries — the shape a
+//! production tap at a busy authority needs. It is also the crate's
+//! only per-record loop: a window of a log already in memory
+//! ([`Observations::ingest_with_dedup`], research replay) is this
+//! sensor anchored at the window's start and run for that one window.
 //!
 //! # Memory bound
 //!
@@ -38,10 +39,10 @@
 //! grow and are refreshed on pop, so an admission costs O(log n)
 //! amortized instead of the O(n) full-table scan the seed performed.
 //! The BTree-ordered [`Observations`] the pipeline consumes is built
-//! once per window, at flush, which is what keeps the
-//! stream-equals-batch determinism guarantee intact; a test-only
-//! BTree-based reference sensor defines the semantics and a property
-//! test holds the two equal on arbitrary record streams.
+//! once per window, at flush, so nothing downstream depends on table
+//! order; a test-only BTree-based reference sensor defines the
+//! semantics and a property test holds the two equal on arbitrary
+//! record streams.
 //!
 //! # Out-of-order records
 //!
@@ -115,7 +116,7 @@ impl StreamConfig {
 pub struct WindowSummary {
     /// The window bounds.
     pub window: (SimTime, SimTime),
-    /// Per-originator observations, equivalent to the batch path's.
+    /// Per-originator observations of the window.
     pub observations: Observations,
     /// Originators evicted during the window (their counts are lower
     /// bounds; anything that mattered was far above the analyzability
@@ -714,7 +715,8 @@ mod tests {
 
     #[test]
     fn matches_batch_ingestion_when_unbounded() {
-        // Stream vs batch over the same records must agree exactly.
+        // Stream vs the BTree batch reference over the same records
+        // must agree exactly.
         let records: Vec<QueryLogRecord> =
             (0..500u32).map(|i| rec((i as u64 * 37) % 86_000, i % 40, i % 7)).collect();
         let mut sorted = records.clone();
@@ -724,7 +726,12 @@ mod tests {
         for r in &sorted {
             log.push(*r);
         }
-        let batch = Observations::ingest(&log, SimTime(0), SimTime(86_400));
+        let batch = Observations::ingest_with_dedup_reference(
+            &log,
+            SimTime(0),
+            SimTime(86_400),
+            DEDUP_WINDOW,
+        );
 
         let mut sensor = StreamingSensor::new(StreamConfig::default());
         for r in &sorted {

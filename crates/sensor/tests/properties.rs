@@ -7,7 +7,7 @@ use bs_netsim::types::{AsId, CountryCode, NameOutcome};
 use bs_par::Rng;
 use bs_sensor::ingest::Observations;
 use bs_sensor::static_features::{classify_name, classify_name_with_order, MatchOrder};
-use bs_sensor::{extract_from_observations, FeatureConfig, QuerierInfo};
+use bs_sensor::{extract_with_meta_cache, FeatureConfig, QuerierInfo};
 use std::net::Ipv4Addr;
 
 mod common;
@@ -50,7 +50,7 @@ fn static_fractions_sum_to_one() {
         let log = arb_log(&mut Rng::new(seed ^ 0x57A7));
         let obs = Observations::ingest(&log, SimTime(0), SimTime(10_000));
         let config = FeatureConfig { min_queriers: 1, top_n: None };
-        for f in extract_from_observations(&obs, &ToyInfo, &config) {
+        for f in extract_with_meta_cache(&obs, &ToyInfo, &config, None) {
             let sum: f64 = f.features.static_fractions.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "sum={sum} (seed {seed})");
             for v in f.features.to_vec() {

@@ -113,7 +113,7 @@ mod tests {
     fn sample() -> Snapshot {
         let mut s = Snapshot::default();
         s.counters.insert("netsim.contacts".into(), 42);
-        s.counters.insert("sensor.records".into(), 7);
+        s.counters.insert("sensor.stream.records".into(), 7);
         s.gauges.insert("sensor.window_evicted".into(), -1);
         s.histograms.insert(
             "core.retrain".into(),
@@ -126,7 +126,7 @@ mod tests {
     fn json_contains_every_metric_and_is_well_formed() {
         let j = sample().to_json();
         assert!(j.contains("\"netsim.contacts\": 42"));
-        assert!(j.contains("\"sensor.records\": 7"));
+        assert!(j.contains("\"sensor.stream.records\": 7"));
         assert!(j.contains("\"sensor.window_evicted\": -1"));
         assert!(j.contains("\"core.retrain\""));
         assert!(j.contains("\"p99\": 511"));

@@ -68,7 +68,7 @@ impl Flow {
 /// One conservation violation reported by [`verify`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Imbalance {
-    /// Stage name, e.g. `"sensor.ingest"`.
+    /// Stage name, e.g. `"sensor.stream"`.
     pub stage: String,
     /// Window key ([`NO_WINDOW`] when recorded outside any window).
     pub window: u64,

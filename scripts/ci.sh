@@ -1,8 +1,8 @@
 #!/bin/bash
 # The repo's tier-1 gate, runnable locally and in CI:
 #   format check → hermeticity → no unused dependency edge → no thread
-#   in bs-telemetry → lints as errors → rustdoc as errors → release
-#   build → tests → CLI smokes.
+#   in bs-telemetry → no retired batch-ingest metric name → lints as
+#   errors → rustdoc as errors → release build → tests → CLI smokes.
 # Performance is not gated here: `bash benchmark/run.sh` measures it.
 # Any step failing fails the script.
 set -euo pipefail
@@ -66,6 +66,15 @@ if awk 'FNR == 1 { tests = 0 } /^#\[cfg\(test\)\]/ { tests = 1 }
     exit 1
 fi
 
+echo "=== one ingest engine: the batch road's metric names stay retired"
+# Every subcommand's ingest is the streaming sensor's, booked as
+# sensor.stream.*; a second per-record loop would bring its own names
+# back.
+if grep -rnE 'sensor\.(ingest|records|dedup_suppressed)' crates src tests README.md DESIGN.md; then
+    echo "a retired batch-ingest stage or counter name is back (lines above)"
+    exit 1
+fi
+
 echo "=== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -76,6 +85,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # any crate's documented API.
 if grep -lE 'Reference|_reference' target/doc/*/all.html; then
     echo "a reference implementation is public again (item lists above)"
+    exit 1
+fi
+# Nor the per-pair reference's body: all.html lists items, the struct
+# pages their methods.
+if grep -lE 'unique_by|id="method\.(total_ases|total_countries|compute)"' \
+    target/doc/bs_sensor/all.html \
+    target/doc/bs_sensor/ingest/struct.Observations.html \
+    target/doc/bs_sensor/dynamic/struct.DynamicFeatures.html; then
+    echo "the per-pair reference's body is public again in bs-sensor (pages above)"
     exit 1
 fi
 

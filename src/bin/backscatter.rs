@@ -353,8 +353,11 @@ fn cmd_stream(
             stats
         }
     };
+    // Records behind their window are dropped, not reordered; say how
+    // many, so a log that is not in time order cannot lose them quietly.
+    let late = telemetry::registry().counter("sensor.stream.out_of_order").get();
     println!(
-        "stream: {} records in {} windows, {} evicted",
+        "stream: {} records in {} windows, {} evicted, {late} late",
         stats.records, stats.windows, stats.evicted
     );
     if let Some(linger) = flags.get("linger") {
@@ -518,9 +521,12 @@ metric naming: dotted crate.stage names, e.g.
   dns.wire.decoded/.decode_errors/.encoded   messages through the RFC
                              1035 codec on behalf of a capture read or
                              write (totals a call, as above)
-  sensor.records             deduplicated records accepted (batch path)
-  sensor.dedup_suppressed    records dropped by the 30 s dedup window
-  sensor.stream.*            streaming-sensor records/admissions/evictions
+  sensor.stream.records      records the sensor saw, on every subcommand
+                             (features, classify, train and report run
+                             it for one window at a time);
+                             .dedup_suppressed: dropped by the 30 s dedup
+                             window; .admissions, .evictions: originator
+                             table turnover
   sensor.stream.out_of_order records predating their window, dropped
   sensor.stream.probation_resets   probation-cap clears under storm load
   sensor.window_evicted      gauge: evictions in the last flushed window

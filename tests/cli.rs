@@ -1,7 +1,9 @@
 //! End-to-end tests of the `backscatter` CLI binary.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::Mutex;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_backscatter"))
@@ -13,28 +15,27 @@ fn tmp(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// Simulate once for the whole test file (smoke scale, ~seconds).
-fn simulated_log() -> PathBuf {
-    let path = tmp("cli-jp.tsv");
-    if path.exists() {
+/// Simulate `dataset` (smoke scale, seed 5) once per test process.
+fn simulated(dataset: &str) -> PathBuf {
+    static DONE: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
+    let path = tmp(&format!("cli-{dataset}.tsv"));
+    let mut done = DONE.lock().unwrap_or_else(|e| e.into_inner());
+    if done.contains(dataset) {
         return path;
     }
     let out = bin()
-        .args([
-            "simulate",
-            "--dataset",
-            "JP-ditl",
-            "--scale",
-            "smoke",
-            "--seed",
-            "5",
-            "--out",
-            path.to_str().expect("utf-8 path"),
-        ])
+        .args(["simulate", "--dataset", dataset, "--scale", "smoke", "--seed", "5", "--out"])
+        .arg(&path)
         .output()
         .expect("run simulate");
     assert!(out.status.success(), "simulate failed: {}", String::from_utf8_lossy(&out.stderr));
+    done.insert(dataset.to_string());
     path
+}
+
+/// The JP-ditl smoke log most tests here read.
+fn simulated_log() -> PathBuf {
+    simulated("JP-ditl")
 }
 
 #[test]
@@ -209,7 +210,7 @@ fn classify_with_metrics_writes_snapshot() {
     let json = std::fs::read_to_string(&metrics).expect("metrics file written");
     // At least one counter from each instrumented layer…
     assert!(json.contains("\"netsim.log.parsed_records\""), "netsim counter missing:\n{json}");
-    assert!(json.contains("\"sensor.records\""), "sensor counter missing:\n{json}");
+    assert!(json.contains("\"sensor.stream.records\""), "sensor counter missing:\n{json}");
     assert!(json.contains("\"ml.trees_built\""), "ml counter missing:\n{json}");
     // …and the per-stage latency histograms with quantiles.
     for stage in ["core.curate", "core.retrain", "core.classify"] {
@@ -278,7 +279,7 @@ fn stats_documents_the_metric_schema() {
         "--metrics",
         "--trace",
         "netsim.contacts",
-        "sensor.records",
+        "sensor.stream.records",
         "core.stream.ingest_wait_ns",
         "core.stream.close_wait_ns",
         "BS_LOG",
@@ -344,4 +345,186 @@ fn classify_rejects_a_model_of_the_wrong_arity() {
     assert!(out.stdout.is_empty(), "nothing may print before the model is checked");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("model has 1 features, the sensor extracts 22"), "{err}");
+}
+
+/// FNV-1a (64 bit): pins bytes without a dependency.
+fn digest(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// `(dataset, output, lines, FNV-1a of its bytes)` of every batch
+/// subcommand on the seed-5 smoke logs, recorded at the commit before
+/// the batch road became the streaming sensor run for one window. JP-ditl
+/// and B-post-ditl are one window each, B-long is eleven.
+const PINNED: &[(&str, &str, usize, u64)] = &[
+    ("JP-ditl", "features", 42, 0x5680f15f12c310f8),
+    ("JP-ditl", "features-window", 44, 0x54e5db6c3af3ada7),
+    ("JP-ditl", "classify", 44, 0x0597377a7abe8f70),
+    ("JP-ditl", "train", 2001, 0x3fbcd5e3bb31a6dd),
+    ("JP-ditl", "classify-model", 44, 0xdcd0a79bb5c791f0),
+    ("JP-ditl", "report", 35, 0x40f903368fdc91ba),
+    ("B-post-ditl", "features", 43, 0x4c2781a66d40835a),
+    ("B-post-ditl", "features-window", 54, 0xcd16c789387a661c),
+    ("B-post-ditl", "classify", 52, 0x85df972cde571d98),
+    ("B-post-ditl", "train", 2547, 0xd4c4ce3395f573c1),
+    ("B-post-ditl", "classify-model", 52, 0xa307347f5e4e3736),
+    ("B-post-ditl", "report", 33, 0x8d2a55e53c58df71),
+    ("B-long", "features", 32, 0xc50f2fa8074180f6),
+    ("B-long", "features-window", 22, 0xcc8867266bbfc324),
+    ("B-long", "classify", 185, 0x8ae548dba4757c50),
+    ("B-long", "train", 1009, 0x04013d9ec0fe461e),
+    ("B-long", "classify-model", 34, 0xdf6f8b0819dddb4e),
+    ("B-long", "report", 41, 0xfb8589185b5c3850),
+];
+
+/// The batch subcommands print — and `train --save` writes — the bytes
+/// pinned above, at one thread and at the default width. A refactor of
+/// the road behind them is checked here, byte for byte; a change that
+/// is meant to move them re-pins from the table this prints on failure.
+#[test]
+fn batch_subcommands_print_the_pinned_bytes() {
+    let mut got: Vec<(&str, &str, usize, u64)> = Vec::new();
+    for dataset in ["JP-ditl", "B-post-ditl", "B-long"] {
+        let log = simulated(dataset);
+        let log = log.to_str().unwrap();
+        let scenario = ["--log", log, "--dataset", dataset, "--scale", "smoke", "--seed", "5"];
+        let [mut one_thread, default_width] = [Some("1"), None].map(|threads| {
+            let run = |args: &[&str]| {
+                let mut cmd = bin();
+                match threads {
+                    Some(n) => cmd.env("BS_THREADS", n),
+                    None => cmd.env_remove("BS_THREADS"),
+                };
+                let out = cmd.args(args).output().expect("run");
+                assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+                out.stdout
+            };
+            let model = tmp(&format!("pin-{dataset}-{}.bsf", threads.unwrap_or("default")));
+            let model = model.to_str().unwrap();
+            run(&[&["train", "--save", model], &scenario[..]].concat());
+            let window = ["--min-queriers", "5", "--window-start", "3600", "--window-end", "90000"];
+            let outputs = [
+                ("features", run(&["features", "--log", log])),
+                ("features-window", run(&[&["features", "--log", log], &window[..]].concat())),
+                ("classify", run(&[&["classify"], &scenario[..]].concat())),
+                ("train", std::fs::read(model).expect("model written")),
+                ("classify-model", run(&["classify", "--log", log, "--model", model])),
+                ("report", run(&[&["report"], &scenario[..]].concat())),
+            ];
+            outputs
+                .map(|(name, bytes)| {
+                    (dataset, name, bytes.split(|b| *b == b'\n').count() - 1, digest(&bytes))
+                })
+                .to_vec()
+        });
+        assert_eq!(one_thread, default_width, "BS_THREADS=1 and the default width disagree");
+        got.append(&mut one_thread);
+    }
+    let table: String =
+        got.iter().map(|(d, o, n, h)| format!("    ({d:?}, {o:?}, {n}, {h:#018x}),\n")).collect();
+    assert!(got == PINNED, "outputs moved; what this build prints:\n{table}");
+}
+
+/// `classify` senses each window once — one `sensor.stream` close and
+/// one `sensor.extract` for JP-ditl's single window, which curation and
+/// classification share — and the ledger balances on every road the
+/// sensor is reached by.
+#[test]
+fn each_window_is_sensed_once_and_the_ledger_balances() {
+    let log = simulated_log();
+    let log = log.to_str().unwrap();
+    let metrics = tmp("cli-once-metrics.json");
+    let scenario = ["--log", log, "--dataset", "JP-ditl", "--scale", "smoke", "--seed", "5"];
+    let stream = ["stream", "--log", log, "--window", "600", "--extract", "1"];
+    for command in [
+        &[&["classify"], &scenario[..]].concat(),
+        &[&["report"], &scenario[..]].concat(),
+        &stream[..],
+    ] {
+        let out = bin()
+            .args(command)
+            .args(["--metrics", metrics.to_str().unwrap()])
+            .args(["--trace", tmp("cli-once-trace.json").to_str().unwrap()])
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{command:?}: {stderr}");
+        assert!(!stderr.contains("ledger imbalance"), "{command:?}: {stderr}");
+        if command[0] == "classify" {
+            let json = std::fs::read_to_string(&metrics).expect("metrics file written");
+            let snapshot = dns_backscatter::telemetry::json::parse(&json).expect("metrics JSON");
+            for stage in ["sensor.stream", "sensor.extract"] {
+                let closes = snapshot
+                    .get("histograms")
+                    .and_then(|h| h.get(stage))
+                    .and_then(|h| h.get("count"))
+                    .and_then(|c| c.as_f64());
+                assert_eq!(closes, Some(1.0), "{stage} calls for one window:\n{json}");
+            }
+        }
+    }
+}
+
+/// Window values that make no window — inverted, empty, ending at the
+/// clock's limit, or taken from a log with nothing in it — print the
+/// header and no rows; none reaches the sensor's assertions.
+#[test]
+fn hostile_window_values_print_the_header_and_no_rows() {
+    let log = simulated_log();
+    let log = log.to_str().unwrap();
+    let empty = tmp("cli-empty.tsv");
+    std::fs::write(&empty, "").unwrap();
+    let empty = empty.to_str().unwrap();
+    let far = u64::MAX.to_string();
+    let cases: [&[&str]; 5] = [
+        &["--log", log, "--window-start", "10", "--window-end", "5"],
+        &["--log", log, "--window-start", "7", "--window-end", "7"],
+        &["--log", log, "--window-start", &far, "--window-end", &far],
+        &["--log", empty],
+        &["--log", empty, "--window-end", &far],
+    ];
+    for args in cases {
+        let out = bin().arg("features").args(args).output().expect("run features");
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("originator\tqueriers\tqueries\t"), "{args:?}: {stdout}");
+        assert_eq!(stdout.lines().count(), 1, "{args:?} must print no rows:\n{stdout}");
+    }
+    // A window that ends at the clock's limit is still a window.
+    let out = bin()
+        .args(["features", "--log", log, "--window-end", &far])
+        .output()
+        .expect("run features");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).lines().count() > 1, "rows expected");
+}
+
+/// `simulate` does not write its log in time order and `stream` keeps
+/// arrival order, so some records arrive behind their window: the
+/// summary line says how many were dropped, with or without `--metrics`.
+#[test]
+fn stream_reports_the_late_records_it_dropped() {
+    let log = simulated_log();
+    let metrics = tmp("cli-late-metrics.json");
+    let out = bin()
+        .args(["stream", "--log", log.to_str().unwrap(), "--window", "600"])
+        .args(["--metrics", metrics.to_str().unwrap()])
+        .output()
+        .expect("run stream");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let summary = stdout.lines().last().expect("a summary line");
+    let late: u64 = summary
+        .strip_suffix(" late")
+        .and_then(|s| s.rsplit(", ").next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no late count in {summary:?}"));
+    assert!(late > 0, "the simulator's log is not time-ordered: {summary:?}");
+    let json = std::fs::read_to_string(&metrics).expect("metrics file written");
+    assert!(
+        json.contains(&format!("\"sensor.stream.out_of_order\": {late}")),
+        "{summary:?}\n{json}"
+    );
 }

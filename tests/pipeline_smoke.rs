@@ -91,10 +91,11 @@ fn classes_leave_distinct_static_fingerprints() {
 #[test]
 fn sensor_stages_conserve_every_record() {
     // With the ledger recording, the ingest and analyzability stages
-    // must account for every record they saw (records in == kept +
-    // deduped + out-of-window + below-threshold + truncated). Other
-    // tests in this binary may record concurrently; that is safe
-    // because each ledger record call is internally balanced.
+    // must account for everything they saw (records in == kept +
+    // deduped; originators in == selected + below-threshold +
+    // truncated). Other tests in this binary may record concurrently;
+    // that is safe because each ledger record call is internally
+    // balanced.
     bs_telemetry::trace::enable();
     bs_telemetry::ledger::reset();
     let (features, _truth) = run_jp_pipeline();
@@ -102,7 +103,7 @@ fn sensor_stages_conserve_every_record() {
     let imbalances = bs_telemetry::ledger::verify();
     assert!(imbalances.is_empty(), "ledger imbalance:\n{}", bs_telemetry::ledger::render());
     let snap = bs_telemetry::ledger::snapshot();
-    for stage in ["sensor.ingest", "sensor.select"] {
+    for stage in ["sensor.stream", "sensor.select"] {
         assert!(snap.keys().any(|(s, _)| s == stage), "{stage} filed no ledger flows");
     }
     bs_telemetry::trace::disable();

@@ -13,7 +13,7 @@
 
 use dns_backscatter::prelude::*;
 use dns_backscatter::telemetry::{self, json, ledger, trace};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, MutexGuard};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -128,7 +128,7 @@ fn traced_pipeline_exports_valid_causally_complete_chrome_json() {
     assert!(imbalances.is_empty(), "ledger imbalance:\n{}", ledger::render());
     let snapshot = ledger::snapshot();
     for stage in
-        ["datasets.build", "sensor.ingest", "sensor.select", "classify.train", "core.window"]
+        ["datasets.build", "sensor.stream", "sensor.select", "classify.train", "core.window"]
     {
         assert!(
             snapshot.keys().any(|(s, _)| s == stage),
@@ -136,12 +136,38 @@ fn traced_pipeline_exports_valid_causally_complete_chrome_json() {
             ledger::render()
         );
     }
-    // The per-window stages filed under window 0, not the ambient cell.
+    // The per-window stages filed under the window's start second (0
+    // for JP-ditl's one window), not the ambient cell.
     assert!(
-        snapshot.keys().any(|(s, w)| s == "sensor.ingest" && *w == 0),
-        "sensor.ingest not scoped to window 0:\n{}",
+        snapshot.keys().any(|(s, w)| s == "sensor.stream" && *w == 0),
+        "sensor.stream not scoped to window 0:\n{}",
         ledger::render()
     );
+    ledger::reset();
+}
+
+/// On a multi-window dataset every per-window ledger row — the
+/// sensor's own, the analyzability cut's, the pipeline's — is keyed by
+/// the window's start second, the key the streaming driver uses too.
+#[test]
+fn per_window_ledger_rows_are_keyed_by_the_windows_start_second() {
+    let _g = serial();
+    trace::enable();
+    ledger::reset();
+    let world = World::new(WorldConfig::default());
+    let built = build_dataset(&world, DatasetSpec::paper(DatasetId::BLong, Scale::smoke(), 7));
+    smoke_pipeline().run(&world, &built);
+    trace::disable();
+    trace::drain();
+
+    let starts: BTreeSet<u64> = built.windows().iter().map(|w| w.0.secs()).collect();
+    assert!(starts.len() > 1, "a multi-window dataset");
+    let snapshot = ledger::snapshot();
+    for stage in ["sensor.stream", "sensor.select", "core.window"] {
+        let keys: BTreeSet<u64> =
+            snapshot.keys().filter(|(s, _)| s == stage).map(|(_, w)| *w).collect();
+        assert_eq!(keys, starts, "{stage} rows:\n{}", ledger::render());
+    }
     ledger::reset();
 }
 
