@@ -1,58 +1,54 @@
-//! Plain-text table and series printers.
+//! Plain-text rendering: every experiment returns its artifact as a
+//! `String`, laid out like the paper's table or figure series.
 
-/// Print a header like `== Table III: ... ==` with a provenance note.
-pub fn heading(what: &str, paper_ref: &str) {
-    println!();
-    println!("== {what} ==");
-    println!(
-        "   (reproduces {paper_ref}; shapes comparable, absolute numbers are simulator-scale)"
-    );
-}
-
-/// Print a fixed-width table: a header row then data rows. Column
-/// widths adapt to content.
-pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
-    let cols = header.len();
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+/// A fixed-width table: `header` names the columns, separated by `|`;
+/// column widths adapt to content.
+pub fn table(header: &str, rows: &[Vec<String>]) -> String {
+    let header: Vec<String> = header.split('|').map(String::from).collect();
+    let mut widths: Vec<usize> = header.iter().map(String::len).collect();
     for r in rows {
-        assert_eq!(r.len(), cols, "row arity must match header");
+        assert_eq!(r.len(), header.len(), "row arity must match header");
         for (w, cell) in widths.iter_mut().zip(r) {
             *w = (*w).max(cell.len());
         }
     }
-    let fmt_row = |cells: &[String]| {
-        let mut line = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            if i > 0 {
-                line.push_str("  ");
-            }
-            line.push_str(&format!("{:<width$}", c, width = widths[i]));
-        }
-        println!("{}", line.trim_end());
+    let line = |cells: &[String]| {
+        let padded: Vec<String> =
+            cells.iter().zip(&widths).map(|(c, w)| format!("{c:<w$}")).collect();
+        format!("{}\n", padded.join("  ").trim_end())
     };
-    fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
-    for r in rows {
-        fmt_row(r);
-    }
+    let mut out = line(&header);
+    say!(out, "{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+    rows.iter().for_each(|r| out.push_str(&line(r)));
+    out
 }
 
-/// Print an `(x, y)` series, one point per line, for plotting.
-pub fn print_series(name: &str, points: &[(f64, f64)]) {
-    println!("# series: {name}");
-    for (x, y) in points {
-        println!("{x}\t{y}");
-    }
-}
-
-/// Format a float with three significant decimals.
+/// Format a float with three decimals.
 pub fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// Format a float with two decimals.
-pub fn f2(x: f64) -> String {
-    format!("{x:.2}")
+/// Arithmetic mean; 0 for an empty slice.
+pub fn mean(v: &[f64]) -> f64 {
+    v.iter().sum::<f64>() / v.len().max(1) as f64
+}
+
+/// The smallest of some floats; +∞ for none.
+pub fn lowest(v: impl IntoIterator<Item = f64>) -> f64 {
+    v.into_iter().fold(f64::INFINITY, f64::min)
+}
+
+/// The largest of some floats; −∞ for none.
+pub fn highest(v: impl IntoIterator<Item = f64>) -> f64 {
+    v.into_iter().fold(f64::NEG_INFINITY, f64::max)
+}
+
+/// Coefficient of variation (population standard deviation over mean)
+/// of non-negative values; 0 when they are all zero.
+pub fn cv(v: &[f64]) -> f64 {
+    let m = mean(v);
+    let var = mean(&v.iter().map(|x| (x - m) * (x - m)).collect::<Vec<_>>());
+    var.sqrt() / m.max(f64::MIN_POSITIVE)
 }
 
 #[cfg(test)]
@@ -60,24 +56,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_printing_does_not_panic() {
-        print_table(
-            &["a", "b"],
-            &[vec!["1".into(), "hello".into()], vec!["22".into(), "x".into()]],
-        );
-        print_series("s", &[(1.0, 2.0)]);
-        heading("Table X", "§0");
+    fn table_aligns_columns_under_a_rule() {
+        let t = table("a|b", &[row!["1", "hello"], row![22, "x"]]);
+        assert_eq!(t, "a   b\n---------\n1   hello\n22  x\n");
     }
 
     #[test]
     #[should_panic(expected = "row arity")]
     fn arity_mismatch_panics() {
-        print_table(&["a"], &[vec!["1".into(), "2".into()]]);
+        table("a", &[row![1, 2]]);
     }
 
     #[test]
-    fn float_formats() {
+    fn float_formats_and_moments() {
         assert_eq!(f3(0.12345), "0.123");
-        assert_eq!(f2(0.5), "0.50");
+        assert_eq!(mean(&[1.0, 3.0]), 2.0);
+        assert_eq!(cv(&[2.0, 2.0]), 0.0);
+        assert_eq!(cv(&[]), 0.0);
+        assert_eq!((lowest([2.0, 1.0]), highest([2.0, 1.0])), (1.0, 2.0));
     }
 }

@@ -1,0 +1,221 @@
+//! Figs. 5–7 and the §V-F curation advisor: training over time on
+//! B-multi-year, curated once at the midpoint of the span.
+
+use crate::ctx::PER_CLASS_CAP;
+use crate::table::table;
+use crate::{Ctx, Experiment, Run, Verdict};
+use backscatter_core::analysis::churn::persistence_series;
+use backscatter_core::classify::pipeline::feature_map;
+use backscatter_core::classify::{
+    advise, evaluate_strategy, AdvisorConfig, CurationAdvice, LabelHealth, WindowData,
+};
+use backscatter_core::ml::{Algorithm, CartParams, ForestParams};
+use backscatter_core::prelude::*;
+use DatasetId::BMultiYear;
+
+/// Re-appearing benign (or malicious) labeled examples per week:
+/// `(artifact, examples curated, retention at the horizons)`, the
+/// horizons being those of +4, +12 and +24 weeks after curation that
+/// the span reaches.
+fn persistence(ctx: &Ctx, malicious: bool) -> (String, usize, Vec<f64>) {
+    let series = ctx.truth_series(BMultiYear);
+    // Curate at the midpoint, like the paper's 2014-04-28..30 pass.
+    let curation = series.len() / 2;
+    let labeled = ctx.curate(BMultiYear, curation);
+    let pairs: Vec<_> = labeled.examples.iter().map(|e| (e.originator, e.class)).collect();
+    let counts = persistence_series(series, &pairs, malicious);
+
+    let kind = if malicious { "malicious" } else { "benign" };
+    let mut out = format!("curation at week {curation} of {}\n", series.len());
+    say!(out, "# week\tre-appearing {kind} examples");
+    for (w, n) in &counts {
+        say!(out, "{w}\t{n}");
+    }
+    let curated = counts[curation].1;
+    let horizons = [4, 12, 24].iter().filter_map(|h| counts.get(curation + h));
+    let retention: Vec<f64> = horizons.map(|(_, n)| *n as f64 / curated.max(1) as f64).collect();
+    say!(out, "# {curated} curated; retention at +4/+12/+24 weeks: {retention:.2?}");
+    (out, curated, retention)
+}
+
+pub(crate) const FIG5: Experiment = Experiment {
+    name: "fig5_benign_persistence",
+    title: "Fig. 5: re-appearing benign labeled examples over time",
+    paper_ref: "Figures 5-6 / §V-A",
+    claims: &[
+        "more than half of the benign examples still re-appear 4, 12 and 24 weeks after curation",
+    ],
+    body: |ctx| {
+        let (out, curated, retention) = persistence(ctx, false);
+        let slow = Verdict::of(retention.iter().all(|r| *r > 0.5), format!("{retention:.2?}"));
+        (out, vec![slow.given(curated >= 5, "needs 5 curated benign examples")])
+    },
+};
+
+pub(crate) const FIG6: Experiment = Experiment {
+    name: "fig6_malicious_persistence",
+    title: "Fig. 6: re-appearing malicious labeled examples over time",
+    paper_ref: "Figures 5-6 / §V-A",
+    claims: &[
+        "malicious retention is below benign retention 4, 12 and 24 weeks after curation",
+        "malicious examples fall to about half within a month: at most 70 % re-appear at +4 weeks",
+    ],
+    body: |ctx| {
+        let (out, curated, malicious) = persistence(ctx, true);
+        let (_, _, benign) = persistence(ctx, false);
+        let seen = format!("malicious {malicious:.2?} vs benign {benign:.2?}");
+        let churn = |ok| Verdict::of(ok, &seen).given(curated >= 5, "needs 5 curated examples");
+        (
+            out,
+            vec![
+                churn(malicious.iter().zip(&benign).all(|(m, b)| m < b)),
+                churn(malicious[0] <= 0.7),
+            ],
+        )
+    },
+};
+
+pub(crate) const FIG7: Experiment = Experiment {
+    name: "fig7_training_strategies",
+    title: "Fig. 7: training strategies over time (weekly F-score)",
+    paper_ref: "Figure 7 / §V",
+    claims: &[
+        "retraining daily on fresh features scores at least train-once's mean F1 and loses no usable window",
+        "auto-grow under a weak learner (the paper's ~30 % per-window error) collapses below half of train-daily's mean F1",
+        "full-strength auto-grow survives, within 0.15 of train-daily (known deviation: simulated features are cleaner than the paper's)",
+    ],
+    body: fig7,
+};
+
+fn fig7(ctx: &Ctx) -> Run {
+    let data = ctx.window_data(BMultiYear);
+    let curation = data.len() / 2;
+    // A lighter forest keeps 60 windows × 3 strategies affordable.
+    let pipeline = ClassifierPipeline {
+        algorithm: Algorithm::RandomForest(ForestParams { n_trees: 60, ..Default::default() }),
+        runs: 3,
+    };
+    // The paper's auto-grow collapse is driven by its ~30 % per-window
+    // classification error. Our simulated features are more separable
+    // (error ≈ 10 %), which slows the compounding — so auto-grow also
+    // runs under a deliberately weak learner at paper-like error levels
+    // to exhibit the §V-D mechanism.
+    let stump = CartParams {
+        max_depth: 3,
+        min_samples_split: 8,
+        min_samples_leaf: 4,
+        max_features: Some(3),
+    };
+    let weak = ClassifierPipeline {
+        algorithm: Algorithm::RandomForest(ForestParams { n_trees: 3, tree: stump }),
+        runs: 1,
+    };
+    // Decay is visible both before and after the curation point: run
+    // each strategy forward from curation, and backward over the weeks
+    // before it (the world is stationary, so reversed replay is a valid
+    // stand-in for the paper's backward evaluation).
+    let forward: Vec<WindowData> = data[curation..].to_vec();
+    let backward: Vec<WindowData> = data[..=curation].iter().rev().cloned().collect();
+    let strategies = [
+        ("train-once", TrainingStrategy::TrainOnce, &pipeline),
+        ("train-daily", TrainingStrategy::RetrainDaily, &pipeline),
+        ("auto-grow", TrainingStrategy::AutoGrow, &pipeline),
+        ("auto-grow(weak learner)", TrainingStrategy::AutoGrow, &weak),
+    ];
+    let replay = |seq: &[WindowData]| {
+        strategies.map(|(_, s, learner)| evaluate_strategy(s, seq, learner, PER_CLASS_CAP, 0x716))
+    };
+    let (fwd, bwd) = (replay(&forward), replay(&backward));
+
+    let mut out = format!("curation at week {curation}; scored on re-appearing curated examples\n");
+    say!(out, "# week\t{}", strategies.map(|(name, ..)| name).join("\t"));
+    // Backward half in chronological order (the curation window itself
+    // appears in the forward half), then the forward half.
+    let weeks = (1..backward.len()).rev().map(|k| (curation - k, &bwd, k));
+    for (week, half, k) in weeks.chain((0..forward.len()).map(|k| (curation + k, &fwd, k))) {
+        let f1 = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.2}"));
+        let cells: Vec<String> = half.iter().map(|s| f1(s.scores[k].f1)).collect();
+        say!(out, "{week}\t{}", cells.join("\t"));
+    }
+    say!(out);
+    for ((name, ..), s) in strategies.iter().zip(&fwd) {
+        let (f1, usable) = (s.mean_f1(), s.usable_windows());
+        say!(out, "# {name}: mean F1 forward {f1:.2}, usable windows {usable}/{}", forward.len());
+    }
+    // Auto-grow feeds on its own output: a label set this small can
+    // drift either way on one misclassification.
+    let seeded = fwd[0].scores[0].label_set_size >= 50;
+    let needs = "needs 50 curated examples at the curation window";
+    let [once, daily, grow, weak_grow] = fwd.map(|s| (s.mean_f1(), s.usable_windows()));
+    let verdicts = vec![
+        Verdict::of(daily.0 >= once.0 && daily.1 >= once.1, format!("{daily:.2?} vs {once:.2?}")),
+        judge!(weak_grow.0, <, 0.5 * daily.0).given(seeded, needs),
+        judge!(grow.0, >=, daily.0 - 0.15).given(seeded, needs),
+    ];
+    (out, verdicts)
+}
+
+pub(crate) const CURATION_ADVISOR: Experiment = Experiment {
+    name: "ext_curation_advisor",
+    title: "Extension: curation advisor on B-multi-year",
+    paper_ref: "§V-F recommendation",
+    claims: &[
+        "the advisor's first call is for the malicious labels alone: benign labels are still healthy",
+        "it comes 2 to 12 weeks after curation, about when Fig. 6 shows malicious labels halving",
+        "at the end of the watch a smaller share of the malicious labels than of the benign labels is still active",
+    ],
+    body: curation_advisor,
+};
+
+fn curation_advisor(ctx: &Ctx) -> Run {
+    let features = ctx.features(BMultiYear);
+    let curation = features.len() / 2;
+    // Expert curates once, at the midpoint; the advisor then watches
+    // label health week by week.
+    let labels = ctx.curate(BMultiYear, curation);
+    let config = AdvisorConfig::default();
+    let watch: Vec<(LabelHealth, CurationAdvice)> = features[curation..]
+        .iter()
+        .map(|feats| LabelHealth::measure(&labels, &feature_map(feats)))
+        .map(|health| (health, advise(&health, &config)))
+        .collect();
+    let rows: Vec<Vec<String>> = watch
+        .iter()
+        .enumerate()
+        .map(|(week, (h, advice))| {
+            let advice = match advice {
+                CurationAdvice::Healthy => "healthy",
+                CurationAdvice::RecurateMalicious => "RE-CURATE malicious",
+                CurationAdvice::RecurateAll => "RE-CURATE all",
+            };
+            row![
+                format!("+{week}"),
+                format!("{}/{}", h.malicious_active, h.malicious_total),
+                format!("{:.0}%", 100.0 * h.malicious_fraction()),
+                format!("{}/{}", h.benign_active, h.benign_total),
+                format!("{:.0}%", 100.0 * h.benign_fraction()),
+                advice,
+            ]
+        })
+        .collect();
+    let last = watch[watch.len() - 1].0;
+    let curated = (last.malicious_total, last.benign_total);
+    let mut out =
+        format!("curated at week {curation}: {curated:?} (malicious, benign) examples\n\n");
+    out += &table("weeks since curation|malicious active|%|benign active|%|advice", &rows);
+    let first_call = watch.iter().position(|(_, advice)| *advice != CurationAdvice::Healthy);
+    say!(out, "\nfirst re-curation call: {first_call:?} weeks after curation");
+    // Below twice the advisor's absolute floor, one lost example trips
+    // it and the fractions never get to time the call.
+    let floor_clear = curated.0.min(curated.1) >= 2 * config.min_active;
+    let needs = format!("needs {} curated examples of each group", 2 * config.min_active);
+    let verdicts = vec![
+        judge!(first_call.map(|w| watch[w].1), ==, Some(CurationAdvice::RecurateMalicious))
+            .given(floor_clear, &needs),
+        Verdict::of(first_call.is_some_and(|w| (2..=12).contains(&w)), format!("{first_call:?}"))
+            .given(floor_clear, &needs),
+        judge!(last.malicious_fraction(), <, last.benign_fraction())
+            .given(curated.0.min(curated.1) >= 5, "needs 5 curated examples of each group"),
+    ];
+    (out, verdicts)
+}

@@ -2,7 +2,8 @@
 # The repo's tier-1 gate, runnable locally and in CI:
 #   format check → hermeticity → no unused dependency edge → no thread
 #   in bs-telemetry → no retired batch-ingest metric name → lints as
-#   errors → rustdoc as errors → release build → tests → CLI smokes.
+#   errors → rustdoc as errors → release build → one experiments binary
+#   whose registry matches results/ → tests → CLI smokes.
 # Performance is not gated here: `bash benchmark/run.sh` measures it.
 # Any step failing fails the script.
 set -euo pipefail
@@ -99,6 +100,21 @@ fi
 
 echo "=== cargo build --release"
 cargo build --release
+
+echo "=== experiments: one binary, and its registry is what results/ holds"
+bins=(crates/bench/src/bin/*)
+if [ "${#bins[@]}" != 1 ]; then
+    echo "crates/bench/src/bin/ holds ${#bins[@]} files; the registry has one binary"
+    exit 1
+fi
+# Entry lines of --list start at column 0; claim lines are indented.
+listed="$(cargo run --release -q -p bench --bin experiments -- --list | grep -v '^ ' | cut -d' ' -f1 | sort)"
+committed="$(basename -s .txt results/*.txt | sort)"
+if [ "$listed" != "$committed" ]; then
+    echo "experiments --list and results/*.txt disagree (< registry, > results):"
+    diff <(echo "$listed") <(echo "$committed") || true
+    exit 1
+fi
 
 echo "=== cargo test --workspace (every crate, default thread count)"
 # Runs every equivalence suite once. That results do not depend on the

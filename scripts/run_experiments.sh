@@ -1,21 +1,8 @@
 #!/bin/bash
-# Regenerate every paper table/figure plus extensions and ablations.
-# Outputs land in results/; expensive simulations cache in bench-cache/.
-# Order matters only for speed: table3 builds and caches all datasets,
-# so it runs first; table1 reports cached volumes, so it runs last.
-set -u
+# Regenerate every paper table/figure plus extensions and ablations into
+# results/ (one <name>.txt per registry entry, claims and verdicts at
+# the end of each); progress and unmet claims go to stderr, simulated
+# logs cache in bench-cache/. Exits non-zero if a shape claim fails.
+set -eu
 cd "$(dirname "$0")/.."
-mkdir -p results
-BINS="table3_accuracy fig3_static_features table2_dynamic_features table4_gini \
-fig4_attenuation table5_class_counts table6_groundtruth fig5_benign_persistence \
-fig6_malicious_persistence fig7_training_strategies fig8_consistency fig9_footprint \
-fig10_topn_classes fig11_trends fig12_footprint_boxes fig13_example_scanners \
-fig14_scan_blocks fig15_churn fig16_diurnal table7_8_top_originators \
-ext_qname_minimization ext_per_class ext_curation_advisor ext_geography \
-ablation_dedup ablation_threshold ablation_forest_size ablation_feature_matching \
-ablation_fractions table1_datasets"
-for bin in $BINS; do
-  echo "=== running $bin"
-  cargo run --release -p bench --bin "$bin" > "results/$bin.txt" 2> "results/$bin.log" || echo "FAILED: $bin"
-done
-echo ALL_DONE
+exec cargo run --release -p bench --bin experiments -- "$@" --out results

@@ -1,89 +1,25 @@
-//! Integration: training-over-time behaviour on a compressed timeline
-//! (the §V story end to end, on a real simulated dataset).
+//! Integration: label-set mechanisms on a compressed multi-year
+//! timeline. The §V shape claims (malicious labels decay faster than
+//! benign, retrain-daily holds where train-once decays) are
+//! `fig6_malicious_persistence`'s and `fig7_training_strategies`', run
+//! by `tests/paper_shape.rs`.
 
-use dns_backscatter::classify::pipeline::feature_map;
-use dns_backscatter::classify::{
-    evaluate_strategy, ClassifierPipeline, LabeledSet, TrainingStrategy, WindowData,
-};
+use bench::Ctx;
+use dns_backscatter::classify::evaluate_strategy;
 use dns_backscatter::ml::{Algorithm, CartParams};
 use dns_backscatter::prelude::*;
+use std::sync::OnceLock;
+use DatasetId::BMultiYear;
 
-/// Build a multi-week dataset at B-Root with weekly windows.
-fn weekly_windows(weeks: usize, seed: u64) -> (World, Vec<WindowData>) {
-    let world = World::new(WorldConfig::default());
-    let mut spec = DatasetSpec::paper(DatasetId::BMultiYear, Scale::smoke(), seed);
-    spec.scenario.duration = SimDuration::from_days(weeks as u64 * 7);
-    // Smoke scale is sparse; simulate every seventh day as the window.
-    let built = build_dataset(&world, spec);
-    let config = FeatureConfig { min_queriers: 10, top_n: None };
-    let data = built
-        .windows()
-        .into_iter()
-        .take(weeks)
-        .map(|w| {
-            let feats = built.features_for_window(&world, w, &config);
-            WindowData {
-                features: feature_map(&feats),
-                truth: built.truth_for_window(w),
-                querier_counts: feats.iter().map(|f| (f.originator, f.querier_count)).collect(),
-            }
-        })
-        .collect();
-    (world, data)
-}
-
-#[test]
-fn malicious_examples_decay_faster_than_benign() {
-    let (_, windows) = weekly_windows(10, 5);
-    assert!(windows.len() >= 8, "got {} windows", windows.len());
-    // Curate at window 0 from ground truth.
-    let first = &windows[0];
-    let mut labeled: Vec<(std::net::Ipv4Addr, ApplicationClass)> = first
-        .truth
-        .iter()
-        .filter(|(ip, _)| first.features.contains_key(ip))
-        .map(|(ip, c)| (*ip, *c))
-        .collect();
-    labeled.sort();
-    let count_present = |w: &WindowData, malicious: bool| {
-        labeled
-            .iter()
-            .filter(|(ip, c)| c.is_malicious() == malicious && w.features.contains_key(ip))
-            .count()
-    };
-    let mal0 = count_present(&windows[0], true).max(1);
-    let ben0 = count_present(&windows[0], false).max(1);
-    let last = windows.last().expect("windows");
-    let mal_rate = count_present(last, true) as f64 / mal0 as f64;
-    let ben_rate = count_present(last, false) as f64 / ben0 as f64;
-    assert!(
-        mal_rate < ben_rate,
-        "malicious retention {mal_rate:.2} should fall below benign {ben_rate:.2}"
-    );
-    assert!(ben_rate > 0.5, "benign examples should largely persist: {ben_rate:.2}");
-}
-
-#[test]
-fn retrain_daily_is_at_least_as_good_as_train_once() {
-    let (_, windows) = weekly_windows(8, 6);
-    let pipeline =
-        ClassifierPipeline { algorithm: Algorithm::Cart(CartParams::default()), runs: 1 };
-    let once = evaluate_strategy(TrainingStrategy::TrainOnce, &windows, &pipeline, 60, 3);
-    let daily = evaluate_strategy(TrainingStrategy::RetrainDaily, &windows, &pipeline, 60, 3);
-    // Retraining with fresh features never loses usable windows and
-    // does not do worse on average (§V-C).
-    assert!(daily.usable_windows() >= once.usable_windows());
-    assert!(
-        daily.mean_f1() + 0.05 >= once.mean_f1(),
-        "daily {:.2} vs once {:.2}",
-        daily.mean_f1(),
-        once.mean_f1()
-    );
+/// Smoke-scale B-multi-year at B-Root: twelve weekly one-day windows.
+fn ctx() -> &'static Ctx {
+    static CTX: OnceLock<Ctx> = OnceLock::new();
+    CTX.get_or_init(|| Ctx::new(Scale::smoke(), 7, None))
 }
 
 #[test]
 fn curation_refresh_keeps_label_sets_from_starving() {
-    let (_, windows) = weekly_windows(8, 7);
+    let windows = ctx().window_data(BMultiYear);
     let pipeline =
         ClassifierPipeline { algorithm: Algorithm::Cart(CartParams::default()), runs: 1 };
     let recurring = evaluate_strategy(
@@ -105,20 +41,10 @@ fn curation_refresh_keeps_label_sets_from_starving() {
 
 #[test]
 fn labeled_set_curation_respects_caps_on_real_data() {
-    let (_, windows) = weekly_windows(2, 8);
-    let first = &windows[0];
-    // Rebuild OriginatorFeatures-shaped inputs from the window data.
-    let feats: Vec<dns_backscatter::sensor::OriginatorFeatures> = first
-        .features
-        .iter()
-        .map(|(ip, fv)| dns_backscatter::sensor::OriginatorFeatures {
-            originator: *ip,
-            querier_count: first.querier_counts.get(ip).copied().unwrap_or(0),
-            query_count: 0,
-            features: fv.clone(),
-        })
-        .collect();
-    let capped = LabeledSet::curate(&first.truth, &feats, 3);
+    let built = ctx().dataset(BMultiYear);
+    let truth = built.truth_for_window(built.windows()[0]);
+    let capped = LabeledSet::curate(&truth, &ctx().features(BMultiYear)[0], 3);
+    assert!(!capped.is_empty());
     for (_, n) in capped.class_counts() {
         assert!(n <= 3);
     }
