@@ -272,6 +272,47 @@ fn path_totals_reconcile_with_cost_cells_at_every_pool_width() {
     ledger::reset();
 }
 
+/// The path table says where a fit goes: what a forest's trees share
+/// (the column-major rows and their argsort) is prepared once per
+/// forest, each tree then weighs, filters and grows — both inside their
+/// vote run, however wide the pool.
+#[test]
+fn a_forest_fit_prepares_its_rows_once_and_each_tree_is_a_path_under_its_run() {
+    let _serial = serial();
+    let mut data =
+        bs_ml::Dataset::new(vec!["x".into(), "y".into()], vec!["a".into(), "b".into(), "c".into()]);
+    for i in 0..60usize {
+        let features = vec![(i % 7) as f64, (i * i % 11) as f64];
+        data.push(bs_ml::Sample { features, label: i % 3 });
+    }
+    let forest =
+        bs_ml::Algorithm::RandomForest(bs_ml::ForestParams { n_trees: 5, ..Default::default() });
+    for threads in [1, 2] {
+        bs_par::set_threads(threads);
+        prof::reset();
+        prof::enable();
+        let ensemble = bs_ml::MajorityEnsemble::fit(&forest, &data, 3, 1);
+        prof::disable();
+        bs_par::set_threads(0);
+        assert_eq!(ensemble.len(), 3);
+
+        let rows = prof::path_rows();
+        for (leaf, calls) in [("ml.fit.shared", 3), ("ml.fit.tree", 15)] {
+            let on: Vec<_> =
+                rows.iter().filter(|(path, _)| path.rsplit(';').next() == Some(leaf)).collect();
+            let booked: u64 = on.iter().map(|(_, cost)| cost.calls).sum();
+            assert_eq!(booked, calls, "threads={threads}: {leaf} calls:\n{}", prof::folded());
+            for (path, _) in on {
+                assert!(
+                    path.starts_with("ml.train;") && path.contains(";ml.fit_run;"),
+                    "threads={threads}: {leaf} is not inside a vote run: {path}"
+                );
+            }
+        }
+    }
+    ledger::reset();
+}
+
 /// What a stage is charged must not depend on the pool width: threads
 /// the pool spawns — stealing workers, the far side of a `join`, a
 /// `scope` thread — inherit the opener's allocator slot and its path, so

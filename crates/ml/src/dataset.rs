@@ -110,39 +110,15 @@ impl Dataset {
         (train, test)
     }
 
-    /// Column-major copy of the samples at `indices` (duplicates
-    /// allowed — bootstrap rows become distinct positions). This is
-    /// the entry point to the columnar fast paths: one contiguous
-    /// `Vec<f64>` per feature plus a flat label array.
-    pub(crate) fn columnar(&self, indices: &[usize]) -> ColumnarView {
-        let mut view = ColumnarView::with_capacity(self.n_features(), indices.len());
-        for &i in indices {
-            let s = &self.samples[i];
+    /// Column-major copy of every sample, in dataset order: one
+    /// contiguous `Vec<f64>` per feature plus a flat label array. This
+    /// is the entry point to the columnar fast paths.
+    pub(crate) fn columnar(&self) -> ColumnarView {
+        let mut view = ColumnarView::with_capacity(self.n_features(), self.len());
+        for s in &self.samples {
             view.push_row(&s.features, s.label as u32);
         }
         view
-    }
-
-    /// Columnar view over the **distinct** indices (ascending), paired
-    /// with each row's multiplicity. A bootstrap sample repeats ~37% of
-    /// its rows, so training on deduplicated rows with integer weights
-    /// does the same arithmetic on substantially fewer entries.
-    pub(crate) fn columnar_weighted(&self, indices: &[usize]) -> (ColumnarView, Vec<usize>) {
-        let mut sorted = indices.to_vec();
-        sorted.sort_unstable();
-        let mut view = ColumnarView::with_capacity(self.n_features(), sorted.len());
-        let mut weights = Vec::with_capacity(sorted.len());
-        let mut run = 0usize;
-        for (k, &i) in sorted.iter().enumerate() {
-            run += 1;
-            if k + 1 == sorted.len() || sorted[k + 1] != i {
-                let s = &self.samples[i];
-                view.push_row(&s.features, s.label as u32);
-                weights.push(run);
-                run = 0;
-            }
-        }
-        (view, weights)
     }
 
     /// Feature matrix and label vector views for evaluation helpers.

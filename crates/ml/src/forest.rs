@@ -10,6 +10,7 @@
 use crate::argmax_first;
 use crate::dataset::Dataset;
 use crate::flat::{RowBlock, BLOCK_ROWS};
+use crate::presort::SortedRows;
 use crate::tree::{CartParams, DecisionTree};
 use bs_par::Rng;
 
@@ -51,13 +52,16 @@ impl Forest {
     /// Trees grow in parallel on the [`bs_par`] pool. Each tree's RNG
     /// seeds from `(seed, tree index)` alone, so the forest is
     /// bit-identical at every thread count, and importances accumulate
-    /// in tree order after training so the float sum is too.
+    /// in tree order after training so the float sum is too. The
+    /// columnar copy of `data` and its per-feature argsort are built
+    /// once here; each tree reads them through its bootstrap's weights.
     pub fn fit(data: &Dataset, params: &ForestParams, seed: u64) -> Self {
         bs_telemetry::counter_add("ml.fit.forest", 1);
         let tree_params = Self::tree_params(data, params);
+        let shared = SortedRows::new(data);
         let trees = bs_par::par_map_range(params.n_trees, |i| {
             let (indices, tree_seed) = Self::bootstrap(data, seed, i);
-            DecisionTree::fit_on_indices(data, &indices, &tree_params, tree_seed)
+            DecisionTree::fit_on_shared(&shared, &indices, &tree_params, tree_seed)
         });
         Self::from_trees(trees, data)
     }

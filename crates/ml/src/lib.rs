@@ -22,8 +22,8 @@
 //!
 //! Training and prediction run on a columnar data layout the crate
 //! keeps to itself (DESIGN.md §11): column-major training views with
-//! per-feature index arrays arg-sorted once per fit and kept
-//! segment-partitioned by stable partition as the tree grows
+//! per-feature index arrays arg-sorted once per forest and kept
+//! segment-partitioned by stable partition as each tree grows
 //! (`matrix`, `presort`); one flat arena per tree, a split's children
 //! in adjacent slots and leaves self-looping, walked one row at a time
 //! or [`BLOCK_ROWS`] rows at once through a [`RowBlock`] (`flat`,

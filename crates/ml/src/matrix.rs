@@ -3,8 +3,8 @@
 /// Column-major training data: one contiguous `Vec<f64>` per feature
 /// plus a parallel label array.
 ///
-/// Rows are *positions*, not dataset indices: a bootstrap sample that
-/// repeats a dataset row occupies several positions. Split sweeps walk
+/// A row's *position* is its dataset index: a bootstrap sample is a
+/// weight per position, not a copy. Split sweeps walk
 /// [`ColumnarView::col`] linearly; labels are `u32` so the label array
 /// stays half the size of the `usize` original.
 #[derive(Debug, Clone, PartialEq)]

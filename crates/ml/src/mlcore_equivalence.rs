@@ -133,6 +133,96 @@ fn cart_fast_path_matches_reference_on_bootstrap_indices() {
     }
 }
 
+/// The benchmark's training shape (`retrain-daily`: 96 labelled rows ×
+/// 22 features × 12 classes), which [`grid_dataset`] never reaches:
+/// with 1–5 features every node stays in global mode. Every third
+/// column is ≥ 70 % exact zeros like the static name fractions, the
+/// rest sit on a coarse grid, so ties are everywhere.
+fn benchmark_shaped_dataset(rng: &mut Rng) -> Dataset {
+    let mut d = Dataset::new(
+        (0..22).map(|i| format!("f{i}")).collect(),
+        (0..12).map(|i| format!("c{i}")).collect(),
+    );
+    for _ in 0..96 {
+        let label = rng.range(0..12);
+        let features = (0..22)
+            .map(|f| {
+                if f % 3 == 0 && rng.range(0..10) < 7 {
+                    0.0
+                } else {
+                    // Loosely class-dependent, so trees have structure.
+                    (rng.range(0..12) + (label + f) % 4) as f64 * 0.125
+                }
+            })
+            .collect();
+        d.push(Sample { features, label });
+    }
+    d
+}
+
+/// The forest's base-learner controls at 22 features: `mtry = ⌈√22⌉`,
+/// so a node grows node-local below 16 in-bag rows and global from 16.
+fn forest_tree_params() -> CartParams {
+    CartParams { max_features: Some(5), ..ForestParams::default().tree }
+}
+
+/// Both growers on one bootstrap of a benchmark-shaped dataset: same
+/// arena, same importance bits.
+fn assert_bootstrap_fit_matches(d: &Dataset, indices: &[usize], fit_seed: u64, seed: u64) {
+    let fast = DecisionTree::fit_on_indices(d, indices, &forest_tree_params(), fit_seed);
+    let reference = ReferenceTree::fit_on_indices(d, indices, &forest_tree_params(), fit_seed);
+    assert_eq!(fast, reference.flatten(), "identical flat arenas, seed {seed}");
+    assert_eq!(bits(fast.raw_importances()), bits(reference.raw_importances()), "seed {seed}");
+}
+
+/// At the benchmark's shape a forest's trees start global and hand off
+/// to node-local growth below 16 rows, all reading one shared sort:
+/// same arenas, same importance bits, same persisted bytes as the
+/// per-node re-sorting reference.
+#[test]
+fn benchmark_shaped_forest_matches_reference() {
+    for seed in 0..6u64 {
+        let mut rng = Rng::new(seed ^ 0x5EED);
+        let d = benchmark_shaped_dataset(&mut rng);
+        let p = ForestParams { n_trees: 8, ..ForestParams::default() };
+        let fit_seed: u64 = rng.next_u64();
+        let fast = Forest::fit(&d, &p, fit_seed);
+        let reference = Forest::fit_reference(&d, &p, fit_seed);
+        assert_eq!(fast.trees(), reference.trees(), "identical arenas, seed {seed}");
+        assert_eq!(bits(fast.importances()), bits(reference.importances()), "seed {seed}");
+        assert_eq!(fast.to_text(), reference.to_text(), "seed {seed}");
+    }
+}
+
+/// Full-size bootstraps of the benchmark's shape: about 60 distinct
+/// rows in bag, so the root is global (it reads the shared order
+/// filtered by weight) and the hand-off happens below it.
+#[test]
+fn benchmark_shaped_bootstrap_with_global_root_matches_reference() {
+    for seed in 0..24u64 {
+        let mut rng = Rng::new(seed ^ 0x610B);
+        let d = benchmark_shaped_dataset(&mut rng);
+        let indices: Vec<usize> = (0..d.len()).map(|_| rng.range(0..d.len())).collect();
+        let distinct = indices.iter().collect::<std::collections::BTreeSet<_>>().len();
+        assert!((16..d.len()).contains(&distinct), "global root with rows out of bag");
+        assert_bootstrap_fit_matches(&d, &indices, rng.next_u64(), seed);
+    }
+}
+
+/// Bootstraps of at most 15 distinct rows: the root itself grows
+/// node-local, never builds the filtered arrays, and must take its
+/// position list from the weights — most dataset rows weigh 0.
+#[test]
+fn benchmark_shaped_bootstrap_with_local_root_matches_reference() {
+    for seed in 0..24u64 {
+        let mut rng = Rng::new(seed ^ 0x10CA);
+        let d = benchmark_shaped_dataset(&mut rng);
+        let pool: Vec<usize> = (0..rng.range(2..16)).map(|_| rng.range(0..d.len())).collect();
+        let indices: Vec<usize> = (0..d.len()).map(|_| pool[rng.range(0..pool.len())]).collect();
+        assert_bootstrap_fit_matches(&d, &indices, rng.next_u64(), seed);
+    }
+}
+
 /// Forests grown by the two growers serialize to byte-identical
 /// `bs-forest v1` text, and the persisted text round-trips to the same
 /// canonical bytes — `to_text(from_text(t)) == t`.

@@ -119,8 +119,7 @@ impl Svm {
         // samples in dataset order, so every per-feature float sum adds
         // the same terms in the same order as the reference's
         // sample-major loop.
-        let all: Vec<usize> = (0..n).collect();
-        let view = data.columnar(&all);
+        let view = data.columnar();
         let mut means = vec![0.0; d];
         for (m, col) in means.iter_mut().zip((0..d).map(|f| view.col(f))) {
             for v in col {

@@ -7,14 +7,15 @@
 //!
 //! Two implementations live here (DESIGN.md §11):
 //!
-//! * [`DecisionTree`] — the **columnar fast path**: training reads a
-//!   `ColumnarView` over the deduplicated, weighted
-//!   bootstrap rows, arg-sorts every feature column once per fit and
-//!   maintains per-node index segments by stable in-place partition
-//!   (`O(features · n log n + nodes · features · n)` instead of the
-//!   reference's `O(nodes · features · n log n)`) while many features
-//!   are candidates, switching to node-local candidate sorts below a
-//!   cost crossover; the grown tree is a `FlatTree` arena
+//! * [`DecisionTree`] — the **columnar fast path**: training reads
+//!   `SortedRows` (every dataset row column-major, every feature
+//!   arg-sorted, built once per forest) through a weight vector (a
+//!   row's bootstrap multiplicity, 0 = out of bag) and maintains
+//!   per-node index segments of the in-bag rows by stable partition
+//!   (`O(features · n log n)` once, `O(nodes · features · n)` a tree,
+//!   against the reference's `O(nodes · features · n log n)`) while many
+//!   features are candidates, switching to node-local candidate sorts
+//!   below a cost crossover; the grown tree is a `FlatTree` arena
 //!   walked by `predict` and by the blocked batch descent.
 //! * `ReferenceTree` — the boxed-node reference, compiled for tests
 //!   only: per-node re-sorting, `Box` recursion. Property tests
@@ -30,7 +31,7 @@ use crate::argmax_first;
 use crate::dataset::Dataset;
 use crate::flat::{FlatTree, RowBlock, Slot, BLOCK_ROWS};
 use crate::matrix::ColumnarView;
-use crate::presort::PresortedColumns;
+use crate::presort::{PresortedColumns, SortedRows};
 use bs_par::Rng;
 
 /// Growth controls for a CART tree.
@@ -87,30 +88,47 @@ impl DecisionTree {
         params: &CartParams,
         seed: u64,
     ) -> Self {
+        Self::fit_on_shared(&SortedRows::new(data), indices, params, seed)
+    }
+
+    /// Grow on the rows of `shared` that `indices` selects: the one
+    /// road every tree fit takes.
+    pub(crate) fn fit_on_shared(
+        shared: &SortedRows,
+        indices: &[usize],
+        params: &CartParams,
+        seed: u64,
+    ) -> Self {
+        let _stage = bs_telemetry::stage("ml.fit.tree");
         assert!(!indices.is_empty(), "cannot fit a tree on zero samples");
-        assert!(data.n_classes() >= 1);
-        let (view, weights) = data.columnar_weighted(indices);
+        assert!(shared.n_classes >= 1);
+        let view = &shared.view;
+        let mut weights = vec![0usize; view.rows()];
+        for &i in indices {
+            weights[i] += 1;
+        }
+        let in_bag = weights.iter().filter(|&&w| w > 0).count();
         let mut grower = ColumnarGrower {
             presort: None,
-            view: &view,
+            view,
             params,
             weights: &weights,
-            n_classes: data.n_classes(),
+            n_classes: shared.n_classes,
             rng: Rng::new(seed),
-            importances: vec![0.0; data.n_features()],
-            flat: FlatTree::new(data.n_features()),
+            importances: vec![0.0; view.n_features()],
+            flat: FlatTree::new(view.n_features()),
         };
-        // Arg-sorting every column only pays when the root itself will
-        // grow in global mode; a node-local root never reads it.
-        if view.n_features() > 0 && !grower.local_mode(view.rows()) {
-            grower.presort = Some(PresortedColumns::new(&view));
+        // Filtering every column only pays when the root itself will
+        // grow in global mode; a node-local root never reads them.
+        if view.n_features() > 0 && !grower.local_mode(in_bag) {
+            grower.presort = Some(PresortedColumns::filtered(shared, &weights));
         }
         let root = grower.flat.root();
-        grower.grow(root, 0, view.rows());
+        grower.grow(root, 0, in_bag);
         bs_telemetry::counter_add("ml.fit.nodes", grower.flat.n_nodes() as u64);
         DecisionTree {
             flat: grower.flat,
-            n_classes: data.n_classes(),
+            n_classes: shared.n_classes,
             importances: grower.importances,
         }
     }
@@ -352,13 +370,13 @@ fn majority(counts: &[usize]) -> usize {
 /// the global (presorted-segment) and node-local growers so both
 /// produce bit-identical split decisions.
 ///
-/// `seg` holds **distinct** rows; `weights[p]` is row `p`'s bootstrap
-/// multiplicity and `total` the node's weighted size. Moving a row of
-/// weight `w` whose class count is `c` across the split changes `Σc²`
-/// by `(2c ± w)·w` — exact integer arithmetic, so the result is
-/// bit-identical to sweeping the duplicate-materialized rows (the
-/// duplicates are value-adjacent, and no threshold lands between equal
-/// values).
+/// `seg` holds **distinct** in-bag rows; `weights[p]` is row `p`'s
+/// bootstrap multiplicity and `total` the node's weighted size. Moving
+/// a row of weight `w` whose class count is `c` across the split
+/// changes `Σc²` by `(2c ± w)·w` — exact integer arithmetic, so the
+/// result is bit-identical to sweeping the duplicate-materialized rows
+/// (the duplicates are value-adjacent, and no threshold lands between
+/// equal values).
 #[allow(clippy::too_many_arguments)]
 fn sweep_feature(
     view: &ColumnarView,
@@ -427,7 +445,7 @@ fn sweep_feature(
 struct ColumnarGrower<'a> {
     view: &'a ColumnarView,
     params: &'a CartParams,
-    /// Bootstrap multiplicity of each view row (all 1 for a plain fit).
+    /// Bootstrap multiplicity of each view row (0 = out of bag).
     weights: &'a [usize],
     presort: Option<PresortedColumns>,
     n_classes: usize,
@@ -439,11 +457,13 @@ struct ColumnarGrower<'a> {
 impl ColumnarGrower<'_> {
     /// Should the node of size `m` grow in node-local mode?
     ///
-    /// Pure function of the segment size and the parameters, so the
-    /// decision is identical across runs and thread counts. Global
-    /// partition maintenance costs ~`2·F·m` writes per split, while
-    /// node-local sorting costs ~`mtry·m·log₂(m)` comparisons; measured
-    /// on the bench workloads, an `F` budget is the crossover.
+    /// Pure function of the segment size (distinct in-bag rows) and
+    /// the parameters, so the decision is identical across runs and
+    /// thread counts. Global partition maintenance costs ~`2·F·m`
+    /// writes per split and node-local sorting ~`mtry·m·log₂(m)`
+    /// comparisons, hence an `F` budget. The rule is not tuned: with
+    /// the argsort shared per forest, forcing either mode reads within
+    /// noise of it on `benchmark/`.
     fn local_mode(&self, m: usize) -> bool {
         let f = self.view.n_features();
         let mtry = self.params.max_features.map_or(f, |k| k.max(1).min(f));
@@ -458,8 +478,7 @@ impl ColumnarGrower<'_> {
     fn grow(&mut self, slot: Slot, lo: usize, hi: usize) {
         if self.view.n_features() == 0 {
             // No columns to walk (and nothing to split on): count
-            // straight off the label array, which the degenerate
-            // zero-feature fit owns wholesale.
+            // straight off the label array; out-of-bag rows weigh 0.
             let mut counts = vec![0usize; self.n_classes];
             for (&l, &w) in self.view.labels().iter().zip(self.weights) {
                 counts[l as usize] += w;
@@ -479,8 +498,10 @@ impl ColumnarGrower<'_> {
                     v
                 }
                 // Only the root grows without global arrays; its
-                // position list is every row of the bootstrap view.
-                None => (lo as u32..hi as u32).collect(),
+                // position list is every in-bag row.
+                None => (0..self.weights.len() as u32)
+                    .filter(|&p| self.weights[p as usize] > 0)
+                    .collect(),
             };
             self.grow_local(slot, &positions);
             return;

@@ -555,7 +555,8 @@ metric naming: dotted crate.stage names, e.g.
                              core.stream, datasets.build, sensor.extract
                              (.lookup, .features), sensor.select,
                              sensor.static.lanes, classify.train,
-                             ml.train/.fit_run/.predict, analysis.report
+                             ml.train/.fit_run/.fit.shared/.fit.tree/
+                             .predict, analysis.report
   sensor.stream              histogram: one window close (ns), under the
                              name of its ledger row (was
                              sensor.window_flush); sensor.stream.shard
