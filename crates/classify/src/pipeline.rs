@@ -94,10 +94,11 @@ impl TrainedClassifier {
     ///
     /// Originators classify in parallel chunks of one [`RowBlock`]:
     /// each chunk's feature vectors are written once into a block that
-    /// every tree of every voting forest then walks
-    /// (`bs_ml::Forest::predict_block`). A window that fits one block
-    /// is classified on the calling thread — at ≈ 20 µs a row the work
-    /// is smaller than waking the pool. The result map is identical at
+    /// the voting forests then walk until each row's vote is decided
+    /// (`bs_ml::MajorityEnsemble::predict_block`). A window that fits
+    /// one block is classified on the calling thread — at ≈ 10 µs a row
+    /// (ten 100-tree forests, `verdict-wide`) the work is smaller than
+    /// waking the pool. The result map is identical at
     /// any thread count (it is keyed, and each prediction depends only
     /// on its own feature vector).
     pub fn classify_all(&self, features: &FeatureMap) -> BTreeMap<Ipv4Addr, ApplicationClass> {
@@ -107,9 +108,11 @@ impl TrainedClassifier {
             for (_, fv) in chunk {
                 fv.write_to(block.next_row());
             }
+            let mut classes = [0; BLOCK_ROWS];
+            self.ensemble.predict_block(&block, &mut classes);
             chunk
                 .iter()
-                .zip(self.ensemble.predict_block(&block))
+                .zip(classes)
                 .map(|((ip, _), idx)| {
                     (
                         **ip,
@@ -215,6 +218,47 @@ mod tests {
             assert_eq!(batch.len(), n);
             for (ip, fv) in &subset {
                 assert_eq!(batch[ip], model.classify(fv), "n = {n}, originator {ip}");
+            }
+        }
+    }
+
+    /// Forest ensembles on overlapping classes, so votes split and tie
+    /// at both levels: two classes, even and odd tree counts on both
+    /// sides of the forest's eight-tree check, 1, 2 and 10 runs. The
+    /// early-exiting batch vote must give every originator the class
+    /// of the per-row full vote, in every ragged batch size.
+    #[test]
+    fn classify_all_matches_per_row_classify_on_split_forest_votes() {
+        let mut features = FeatureMap::new();
+        let mut examples = Vec::new();
+        for i in 0..=255u8 {
+            let x = f64::from(i) / 255.0;
+            let ip = Ipv4Addr::new(10, 0, 3, i);
+            features.insert(ip, fv(x, (1.0 - x) / 2.0));
+            // Labels cross over twice, so bootstraps disagree near the
+            // crossings.
+            let spam = (i % 7 < 4) == (x < 0.5);
+            let class = if spam { ApplicationClass::Spam } else { ApplicationClass::Scan };
+            examples.push(LabeledExample { originator: ip, class });
+        }
+        let labeled = LabeledSet { examples };
+        for (n_trees, runs) in [(1, 10), (2, 2), (7, 1), (8, 10), (9, 2), (16, 1), (17, 10)] {
+            let pipe = ClassifierPipeline {
+                algorithm: Algorithm::RandomForest(bs_ml::ForestParams {
+                    n_trees,
+                    ..Default::default()
+                }),
+                runs,
+            };
+            let model = pipe.train(&labeled, &features, n_trees as u64).expect("trainable");
+            for n in [0usize, 1, 7, 8, 9, 63, 64, 65, features.len()] {
+                let subset: FeatureMap =
+                    features.iter().take(n).map(|(ip, fv)| (*ip, fv.clone())).collect();
+                let batch = model.classify_all(&subset);
+                assert_eq!(batch.len(), n);
+                for (ip, fv) in &subset {
+                    assert_eq!(batch[ip], model.classify(fv), "{n_trees} × {runs}, n = {n}, {ip}");
+                }
             }
         }
     }

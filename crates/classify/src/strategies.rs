@@ -169,10 +169,13 @@ pub fn evaluate_strategy(
         let f1 = match (&model, eval.is_empty()) {
             (Some(m), false) => {
                 let truth: Vec<usize> = eval.iter().map(|e| e.class.index()).collect();
-                let predicted: Vec<usize> = eval
+                let shown: FeatureMap = eval
                     .iter()
-                    .map(|e| m.classify(&data.features[&e.originator]).index())
+                    .map(|e| (e.originator, data.features[&e.originator].clone()))
                     .collect();
+                let verdicts = m.classify_all(&shown);
+                let predicted: Vec<usize> =
+                    eval.iter().map(|e| verdicts[&e.originator].index()).collect();
                 let cm = ConfusionMatrix::from_predictions(12, &truth, &predicted);
                 Some(cm.metrics().f1)
             }

@@ -158,7 +158,9 @@ mod tests {
         let _serial = crate::serial();
         bs_telemetry::enable();
         let predicted = bs_telemetry::registry().counter("ml.predict.samples");
+        let walked = bs_telemetry::registry().counter("ml.predict.tree_rows");
         let before = predicted.get();
+        let walked_before = walked.get();
         // Cheap learner for the test.
         pipeline.classifier = ClassifierPipeline {
             algorithm: bs_ml::Algorithm::Cart(bs_ml::CartParams::default()),
@@ -177,6 +179,41 @@ mod tests {
         assert!(hit * 10 >= run.windows[0].entries.len() * 9);
         // Every verdict came out of the blocked descent the benchmark
         // measures (`Model::predict_block` is what counts samples).
-        assert!(predicted.get() - before >= run.windows[0].entries.len() as u64);
+        let rows = run.windows[0].entries.len() as u64;
+        assert!(predicted.get() - before >= rows);
+        // One model of one tree walks every row once: nothing to exit.
+        assert_eq!(walked.get() - walked_before, predicted.get() - before);
+    }
+
+    /// The batch vote's early exit, counted: a confident forest
+    /// ensemble walks fewer tree descents than trees × rows, and asks
+    /// its member models about at most rows × runs rows.
+    #[test]
+    fn decided_rows_stop_walking_trees() {
+        let world = World::new(WorldConfig::default());
+        let built = build_dataset(&world, DatasetSpec::paper(DatasetId::JpDitl, Scale::smoke(), 9));
+        let mut pipeline = DatasetPipeline::default();
+        pipeline.feature_config.min_queriers = 10;
+        let (n_trees, runs) = (24, 4);
+        pipeline.classifier = ClassifierPipeline {
+            algorithm: bs_ml::Algorithm::RandomForest(bs_ml::ForestParams {
+                n_trees,
+                ..Default::default()
+            }),
+            runs,
+        };
+        let _serial = crate::serial();
+        bs_telemetry::enable();
+        let asked = bs_telemetry::registry().counter("ml.predict.samples");
+        let walked = bs_telemetry::registry().counter("ml.predict.tree_rows");
+        let (asked_before, walked_before) = (asked.get(), walked.get());
+        let run = pipeline.run(&world, &built);
+        bs_telemetry::disable();
+        let rows = run.windows[0].entries.len() as u64;
+        assert!(rows > 0);
+        let asked = asked.get() - asked_before;
+        let walked = walked.get() - walked_before;
+        assert!((rows..=rows * runs as u64).contains(&asked), "{asked} asked of {rows} rows");
+        assert!(walked < rows * (n_trees * runs) as u64, "{walked} descents for {rows} rows");
     }
 }

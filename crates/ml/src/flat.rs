@@ -132,28 +132,30 @@ impl FlatTree {
         }
     }
 
-    /// Blocked batch descent: the class of every row of `block`, in
-    /// `out[..block.rows()]`. Bit-identical to [`FlatTree::predict`]
-    /// per row — each step is the same compare on the same bits.
+    /// Blocked batch descent over the rows of `block` that `ids` names:
+    /// `out[j]` is row `ids[j]`'s class, bit-identical to
+    /// [`FlatTree::predict`] — each step is the same compare on the same bits.
     ///
     /// Rows advance `CURSORS` (8) at a time for exactly `depth` steps;
-    /// the rows past `block.rows()` that fill the last group hold
-    /// whatever the block held before, walk the tree like any other
-    /// (every index they follow is valid) and are not reported.
+    /// the cursors filling a short last group walk the buffer's first
+    /// row (every index they follow is valid) and are not reported.
     ///
     /// # Panics
-    /// If the block's feature count differs from the tree's.
-    pub fn predict_block(&self, block: &RowBlock, out: &mut [u16; BLOCK_ROWS]) {
+    /// If the block's feature count differs from the tree's, or `ids`
+    /// holds more than [`BLOCK_ROWS`] ids or one not below it.
+    pub fn predict_rows(&self, block: &RowBlock, ids: &[u8], out: &mut [u16; BLOCK_ROWS]) {
         assert_eq!(block.n_features(), self.n_features as usize, "feature arity mismatch");
+        assert!(ids.len() <= BLOCK_ROWS, "{} row ids for a block of {BLOCK_ROWS}", ids.len());
         let nodes = self.nodes.as_slice();
         let stride = block.stride;
-        let groups = block.data.chunks_exact(CURSORS * stride).zip(out.chunks_exact_mut(CURSORS));
-        for (rows, classes) in groups.take(block.rows.div_ceil(CURSORS)) {
+        for (group, classes) in ids.chunks(CURSORS).zip(out.chunks_exact_mut(CURSORS)) {
+            let base: [usize; CURSORS] =
+                std::array::from_fn(|k| group.get(k).map_or(0, |&id| usize::from(id) * stride));
             let mut cur = [0u32; CURSORS];
             for _ in 0..self.depth {
                 for (k, c) in cur.iter_mut().enumerate() {
                     let node = &nodes[*c as usize];
-                    let x = rows[k * stride + node.feature as usize];
+                    let x = block.data[base[k] + node.feature as usize];
                     // Not `>`: NaN must go right, exactly as in the reference tree.
                     #[allow(clippy::neg_cmp_op_on_partial_ord)]
                     let right = !(x <= node.threshold);
@@ -196,8 +198,8 @@ impl FlatTree {
 /// Up to [`BLOCK_ROWS`] rows copied into one contiguous buffer for
 /// the blocked tree descent: row `r` occupies `stride` values,
 /// `n_features + 1`, the last of them the constant 0.0 that leaves
-/// compare against. One block is filled once and walked by every tree of
-/// every model that votes on it.
+/// compare against. One block is filled once and walked by the trees of
+/// every model that votes on it, each row until its vote is decided.
 #[derive(Debug, Clone)]
 pub struct RowBlock {
     data: Vec<f64>,
@@ -266,6 +268,7 @@ impl RowBlock {
 
 #[cfg(test)]
 mod tests {
+    use super::random::{random_tree, random_value, Rng};
     use super::*;
 
     /// x0 <= 1.0 ? (x1 <= 5.0 ? A : B) : C
@@ -282,10 +285,11 @@ mod tests {
     fn batch(t: &FlatTree, rows: &[Vec<f64>]) -> Vec<usize> {
         let mut block = RowBlock::new(t.n_features());
         let mut out = [0u16; BLOCK_ROWS];
+        let ids: [u8; BLOCK_ROWS] = std::array::from_fn(|i| i as u8);
         let mut classes = Vec::new();
         for chunk in rows.chunks(BLOCK_ROWS) {
             block.fill(chunk);
-            t.predict_block(&block, &mut out);
+            t.predict_rows(&block, &ids[..chunk.len()], &mut out);
             classes.extend(out[..chunk.len()].iter().map(|&c| c as usize));
         }
         classes
@@ -339,7 +343,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "feature arity mismatch")]
     fn block_of_another_arity_is_rejected() {
-        two_level().predict_block(&RowBlock::new(3), &mut [0; BLOCK_ROWS]);
+        two_level().predict_rows(&RowBlock::new(3), &[], &mut [0; BLOCK_ROWS]);
     }
 
     #[test]
@@ -351,9 +355,73 @@ mod tests {
         }
     }
 
-    /// splitmix64: std-only, so this suite runs wherever the crate
+    #[test]
+    fn block_descent_matches_per_row_predict_on_random_trees() {
+        for seed in 0..60u64 {
+            let mut rng = Rng(seed);
+            let n_features = 1 + rng.below(6);
+            let max_depth = rng.below(15);
+            let t = random_tree(&mut rng, n_features, max_depth, 5);
+            assert_eq!(t.depth(), max_depth, "seed {seed}");
+            for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 130] {
+                let rows: Vec<Vec<f64>> = (0..n)
+                    .map(|_| (0..n_features).map(|_| random_value(&mut rng)).collect())
+                    .collect();
+                let per_row: Vec<usize> = rows.iter().map(|r| t.predict(r)).collect();
+                assert_eq!(batch(&t, &rows), per_row, "seed {seed}, {n} rows");
+            }
+        }
+    }
+
+    /// The descent over a list of row ids — ascending subsets as the
+    /// vote's early exit leaves them, and reversed or repeated ids — is
+    /// the per-row walk of the row each id names.
+    #[test]
+    fn row_id_descent_matches_per_row_predict_on_random_trees() {
+        for seed in 0..60u64 {
+            let mut rng = Rng(seed ^ 0x1D5);
+            let n_features = 1 + rng.below(6);
+            let max_depth = rng.below(15);
+            let t = random_tree(&mut rng, n_features, max_depth, 5);
+            let mut block = RowBlock::new(n_features);
+            let mut out = [0u16; BLOCK_ROWS];
+            for n in [1usize, 7, 8, 9, 17, 63, 64] {
+                let rows: Vec<Vec<f64>> = (0..n)
+                    .map(|_| (0..n_features).map(|_| random_value(&mut rng)).collect())
+                    .collect();
+                block.fill(&rows);
+                let subset: Vec<u8> = (0..n as u8).filter(|_| rng.below(2) == 0).collect();
+                let reversed: Vec<u8> = (0..n as u8).rev().collect();
+                let repeated: Vec<u8> = (0..n).map(|_| rng.below(n) as u8).collect();
+                for ids in [&[][..], &subset, &reversed, &repeated] {
+                    t.predict_rows(&block, ids, &mut out);
+                    for (j, &id) in ids.iter().enumerate() {
+                        let want = t.predict(&rows[usize::from(id)]);
+                        assert_eq!(usize::from(out[j]), want, "seed {seed}, {n} rows, id {id}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row ids for a block")]
+    fn more_ids_than_a_block_holds_are_rejected() {
+        let ids = [0u8; BLOCK_ROWS + 1];
+        two_level().predict_rows(&RowBlock::new(2), &ids, &mut [0; BLOCK_ROWS]);
+    }
+}
+
+/// Seeded generators shared by the descent and vote suites: random
+/// trees with leaves at every depth, and rows of NaN, ±∞, −0.0 and
+/// on-threshold values.
+#[cfg(test)]
+pub(crate) mod random {
+    use super::{FlatTree, Slot};
+
+    /// splitmix64: std-only, so these suites run wherever the crate
     /// builds.
-    struct Rng(u64);
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
         fn next(&mut self) -> u64 {
@@ -364,27 +432,53 @@ mod tests {
             x ^ (x >> 31)
         }
 
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             (self.next() % n as u64) as usize
         }
     }
 
     const THRESHOLDS: [f64; 6] = [-2.5, -0.0, 0.0, 0.5, 1.0, 3.0];
 
-    fn grow_random(t: &mut FlatTree, slot: Slot, levels_left: usize, rng: &mut Rng) {
+    fn grow_random(
+        t: &mut FlatTree,
+        slot: Slot,
+        levels_left: usize,
+        n_classes: usize,
+        rng: &mut Rng,
+    ) {
         // A quarter of the inner slots stop early, so leaves sit at
         // every depth and cursors park while their neighbours descend.
         if levels_left == 0 || rng.below(4) == 0 {
-            t.leaf(slot, rng.below(5));
+            t.leaf(slot, rng.below(n_classes));
             return;
         }
         let feature = rng.below(t.n_features());
         let (l, r) = t.split(slot, feature, THRESHOLDS[rng.below(THRESHOLDS.len())]);
-        grow_random(t, l, levels_left - 1, rng);
-        grow_random(t, r, levels_left - 1, rng);
+        grow_random(t, l, levels_left - 1, n_classes, rng);
+        grow_random(t, r, levels_left - 1, n_classes, rng);
     }
 
-    fn random_value(rng: &mut Rng) -> f64 {
+    /// A tree of exactly `max_depth` over `n_features` features (at
+    /// least one when `max_depth > 0`) with leaves of classes below
+    /// `n_classes`: a spine to the full depth, random growth off it.
+    pub(crate) fn random_tree(
+        rng: &mut Rng,
+        n_features: usize,
+        max_depth: usize,
+        n_classes: usize,
+    ) -> FlatTree {
+        let mut t = FlatTree::new(n_features);
+        let mut slot = t.root();
+        for level in 0..max_depth {
+            let (l, r) = t.split(slot, rng.below(n_features), THRESHOLDS[rng.below(6)]);
+            grow_random(&mut t, l, max_depth - level - 1, n_classes, rng);
+            slot = r;
+        }
+        t.leaf(slot, rng.below(n_classes));
+        t
+    }
+
+    pub(crate) fn random_value(rng: &mut Rng) -> f64 {
         match rng.below(10) {
             0 => f64::NAN,
             1 => f64::INFINITY,
@@ -393,37 +487,6 @@ mod tests {
             // Exactly on a threshold: must go left.
             4 | 5 => THRESHOLDS[rng.below(THRESHOLDS.len())],
             _ => rng.below(2000) as f64 / 250.0 - 4.0,
-        }
-    }
-
-    #[test]
-    fn block_descent_matches_per_row_predict_on_random_trees() {
-        for seed in 0..60u64 {
-            let mut rng = Rng(seed);
-            let n_features = 1 + rng.below(6);
-            let max_depth = rng.below(15);
-            let mut t = FlatTree::new(n_features);
-            let root = t.root();
-            if max_depth == 0 {
-                t.leaf(root, 3);
-            } else {
-                // A spine to the full depth, random growth off it.
-                let mut slot = root;
-                for level in 0..max_depth {
-                    let (l, r) = t.split(slot, rng.below(n_features), THRESHOLDS[rng.below(6)]);
-                    grow_random(&mut t, l, max_depth - level - 1, &mut rng);
-                    slot = r;
-                }
-                t.leaf(slot, 4);
-            }
-            assert_eq!(t.depth(), max_depth, "seed {seed}");
-            for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 130] {
-                let rows: Vec<Vec<f64>> = (0..n)
-                    .map(|_| (0..n_features).map(|_| random_value(&mut rng)).collect())
-                    .collect();
-                let per_row: Vec<usize> = rows.iter().map(|r| t.predict(r)).collect();
-                assert_eq!(batch(&t, &rows), per_row, "seed {seed}, {n} rows");
-            }
         }
     }
 }

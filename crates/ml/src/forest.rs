@@ -12,7 +12,11 @@ use crate::dataset::Dataset;
 use crate::flat::{RowBlock, BLOCK_ROWS};
 use crate::presort::SortedRows;
 use crate::tree::{CartParams, DecisionTree};
+use crate::vote::BlockVote;
 use bs_par::Rng;
+
+/// Trees walked between two checks for decided rows.
+const TREE_GROUP: usize = 8;
 
 /// Forest hyper-parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,27 +138,35 @@ impl Forest {
     /// Predict a batch, one [`RowBlock`] of rows at a time through
     /// [`Forest::predict_block`].
     pub fn predict_all(&self, xs: &[Vec<f64>]) -> Vec<usize> {
-        crate::predict_in_blocks(xs, self.trees[0].n_features(), |block| self.predict_block(block))
+        let ids: [u8; BLOCK_ROWS] = std::array::from_fn(|i| i as u8);
+        crate::predict_in_blocks(xs, self.trees[0].n_features(), |block, out| {
+            self.predict_block(block, &ids[..block.rows()], out)
+        })
     }
 
-    /// Predict every row of `block`: tree-outer, so each tree's arena
-    /// is walked once by all the block's rows
-    /// (the blocked descent of DESIGN.md §14), voting into a flat
-    /// per-row histogram. Identical to [`Forest::predict`] per row:
-    /// each tree's classes come from the same IEEE compares, the vote
-    /// counts are exact integers, and ties resolve by the same
-    /// first-maximum rule.
-    pub fn predict_block(&self, block: &RowBlock) -> Vec<usize> {
+    /// Predict the rows of `block` that `ids` names into `out[j]` for
+    /// row `ids[j]`: tree-outer, each arena walked by the rows whose
+    /// winner the trees left can still change (DESIGN.md §14).
+    /// Identical to [`Forest::predict`] per row.
+    pub fn predict_block(&self, block: &RowBlock, ids: &[u8], out: &mut [usize; BLOCK_ROWS]) {
         let _stage = bs_telemetry::stage("ml.predict");
-        let mut votes = vec![0u32; block.rows() * self.n_classes];
-        let mut classes = [0u16; BLOCK_ROWS];
-        for t in &self.trees {
-            t.classes_of_block(block, &mut classes);
-            for (row, &c) in classes[..block.rows()].iter().enumerate() {
-                votes[row * self.n_classes + c as usize] += 1;
+        let mut vote = BlockVote::new(ids.len(), self.n_classes);
+        let (mut rows, mut classes, mut walked) = ([0; BLOCK_ROWS], [0; BLOCK_ROWS], 0);
+        for (g, group) in self.trees.chunks(TREE_GROUP).enumerate() {
+            let live = vote.live().len();
+            if live == 0 {
+                break;
             }
+            rows.iter_mut().zip(vote.live()).for_each(|(r, &p)| *r = ids[usize::from(p)]);
+            for t in group {
+                t.predict_rows(block, &rows[..live], &mut classes);
+                vote.add(&classes);
+            }
+            walked += group.len() * live;
+            vote.settle(self.trees.len().saturating_sub((g + 1) * TREE_GROUP));
         }
-        votes.chunks_exact(self.n_classes.max(1)).map(argmax_first).collect()
+        bs_telemetry::counter_add("ml.predict.tree_rows", walked as u64);
+        vote.winners(out);
     }
 
     /// Normalized Gini importances (sum to 1 when any split occurred).

@@ -141,16 +141,24 @@ impl Model {
         }
     }
 
-    /// Predict class indices for every row of `block`, dispatching to
-    /// each model family's batch path (the forest walks every tree
-    /// arena once over the whole block).
-    pub fn predict_block(&self, block: &RowBlock) -> Vec<usize> {
+    /// Predict the rows of `block` that `ids` names into `out[j]` for
+    /// row `ids[j]`. `ml.predict.samples` counts rows asked about (at
+    /// most rows × runs in a vote) and `ml.predict.tree_rows` the tree
+    /// descents walked for them.
+    pub fn predict_block(&self, block: &RowBlock, ids: &[u8], out: &mut [usize; BLOCK_ROWS]) {
         bs_telemetry::counter_add("ml.predict.batches", 1);
-        bs_telemetry::counter_add("ml.predict.samples", block.rows() as u64);
+        bs_telemetry::counter_add("ml.predict.samples", ids.len() as u64);
         match self {
-            Model::Cart(m) => m.predict_block(block),
-            Model::Forest(m) => m.predict_block(block),
-            Model::Svm(m) => (0..block.rows()).map(|r| m.predict(block.row(r))).collect(),
+            Model::Cart(m) => {
+                bs_telemetry::counter_add("ml.predict.tree_rows", ids.len() as u64);
+                let mut classes = [0u16; BLOCK_ROWS];
+                m.predict_rows(block, ids, &mut classes);
+                out.iter_mut().zip(classes).for_each(|(o, c)| *o = c.into());
+            }
+            Model::Forest(m) => m.predict_block(block, ids, out),
+            Model::Svm(m) => {
+                out.iter_mut().zip(ids).for_each(|(o, &r)| *o = m.predict(block.row(r.into())))
+            }
         }
     }
 }
@@ -160,13 +168,15 @@ impl Model {
 pub(crate) fn predict_in_blocks(
     xs: &[Vec<f64>],
     n_features: usize,
-    predict: impl Fn(&RowBlock) -> Vec<usize>,
+    predict: impl Fn(&RowBlock, &mut [usize; BLOCK_ROWS]),
 ) -> Vec<usize> {
     let mut block = RowBlock::new(n_features);
+    let mut classes = [0; BLOCK_ROWS];
     let mut out = Vec::with_capacity(xs.len());
     for chunk in xs.chunks(BLOCK_ROWS) {
         block.fill(chunk);
-        out.extend(predict(&block));
+        predict(&block, &mut classes);
+        out.extend_from_slice(&classes[..chunk.len()]);
     }
     out
 }

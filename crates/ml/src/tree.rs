@@ -142,16 +142,26 @@ impl DecisionTree {
     /// Predict every row of `block` through the blocked descent
     /// (DESIGN.md §14); identical to [`DecisionTree::predict`]
     /// per row.
+    #[cfg(test)]
     pub fn predict_block(&self, block: &RowBlock) -> Vec<usize> {
+        let ids: [u8; BLOCK_ROWS] = std::array::from_fn(|i| i as u8);
         let mut classes = [0u16; BLOCK_ROWS];
-        self.classes_of_block(block, &mut classes);
+        self.predict_rows(block, &ids[..block.rows()], &mut classes);
         classes[..block.rows()].iter().map(|&c| c as usize).collect()
     }
 
-    /// The blocked descent into a caller-owned buffer (the forest
-    /// reuses one across its trees).
-    pub(crate) fn classes_of_block(&self, block: &RowBlock, out: &mut [u16; BLOCK_ROWS]) {
-        self.flat.predict_block(block, out);
+    /// The blocked descent over the rows `ids` names, into a
+    /// caller-owned buffer: `out[j]` is row `ids[j]`'s class.
+    pub(crate) fn predict_rows(&self, block: &RowBlock, ids: &[u8], out: &mut [u16; BLOCK_ROWS]) {
+        self.flat.predict_rows(block, ids, out);
+    }
+
+    /// A tree over an arena built by hand, for suites that need trees
+    /// no fit would grow.
+    #[cfg(test)]
+    pub(crate) fn from_flat(flat: FlatTree, n_classes: usize) -> Self {
+        let importances = vec![0.0; flat.n_features()];
+        DecisionTree { flat, n_classes, importances }
     }
 
     /// Feature arity this tree was trained on.

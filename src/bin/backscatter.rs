@@ -548,6 +548,9 @@ metric naming: dotted crate.stage names, e.g.
                              window: ingest bounds the stream (both
                              booked once a window, pipelined runs only)
   ml.trees_built, ml.fits    learner effort
+  ml.predict.samples         rows a member model was asked about (at
+                             most rows × runs: decided rows leave the vote)
+  ml.predict.tree_rows       tree descents walked for them
   classify.models_trained    windows with a trainable label set
   <stage>                    every stage guard records its wall time
                              (ns) in a histogram under its own name:
