@@ -130,7 +130,7 @@ fn forest_size(ctx: &Ctx) -> Run {
                 let (train, test) = data.stratified_split(0.6, 0xF0 + rep);
                 let ensemble = MajorityEnsemble::fit(&alg, &train, runs, 0x51 + rep);
                 let (xs, truth) = test.xy();
-                let predicted: Vec<usize> = xs.iter().map(|x| ensemble.predict(x)).collect();
+                let predicted = ensemble.predict_all(&xs);
                 ConfusionMatrix::from_predictions(12, &truth, &predicted).metrics()
             };
             let m = Metrics::mean(&(0..ctx.reps(10) as u64).map(holdout).collect::<Vec<_>>());

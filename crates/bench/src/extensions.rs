@@ -117,7 +117,7 @@ fn per_class(ctx: &Ctx) -> Run {
         let ensemble = MajorityEnsemble::fit(&forest, &train, 10, 0x11 + rep);
         let (xs, labels) = test.xy();
         truth.extend(labels);
-        predicted.extend(xs.iter().map(|x| ensemble.predict(x)));
+        predicted.extend(ensemble.predict_all(&xs));
     }
     let report = ConfusionMatrix::from_predictions(12, &truth, &predicted).per_class();
     let name = |class| ApplicationClass::from_index(class).map_or("?", |c| c.name());

@@ -84,8 +84,10 @@ pub struct TrainedClassifier {
 }
 
 impl TrainedClassifier {
-    /// Classify one feature vector.
-    pub fn classify(&self, fv: &FeatureVector) -> ApplicationClass {
+    /// Classify one feature vector: the per-row vote that
+    /// [`TrainedClassifier::classify_all`] is tested against.
+    #[cfg(test)]
+    pub(crate) fn classify(&self, fv: &FeatureVector) -> ApplicationClass {
         let idx = self.ensemble.predict(&fv.to_vec());
         ApplicationClass::from_index(idx).expect("model trained on class schema")
     }

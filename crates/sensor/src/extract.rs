@@ -99,12 +99,14 @@ pub fn extract_features(
 
 /// Extraction over an already-ingested window.
 ///
-/// A [`QuerierMetaTable`] resolution pass visits each unique querier
-/// exactly once, then every originator reduces to table lookups plus
-/// dense-id bitmap counting — O(unique queriers) metadata work instead
-/// of the per-pair reference's O(Σ footprints). Bit-identical to that
-/// reference, which is test-only (pinned by the seeded suite in
-/// `qmeta_equivalence.rs`).
+/// The analyzability cut runs first; a [`QuerierMetaTable`] then places
+/// (AS, country) each unique querier of the window exactly once and
+/// names (reverse name → category) only the queriers of the selected
+/// footprints — the only names a feature reads. Every originator then
+/// reduces to table lookups plus dense-id bitmap counting —
+/// O(unique queriers) metadata work instead of the per-pair
+/// reference's O(Σ footprints). Bit-identical to that reference, which
+/// is test-only (pinned by the seeded suite in `qmeta_equivalence.rs`).
 ///
 /// With `cache`, a cross-window [`QuerierMetaCache`]: the streaming
 /// path passes the same cache every window, so queriers that persist
@@ -123,10 +125,6 @@ pub fn extract_with_meta_cache(
     cache: Option<&mut QuerierMetaCache>,
 ) -> Vec<OriginatorFeatures> {
     let _stage = bs_telemetry::stage("sensor.extract");
-    let table = {
-        let _stage = bs_telemetry::stage("sensor.extract.lookup");
-        QuerierMetaTable::build(obs, info, cache)
-    };
     let selected = {
         let _stage = bs_telemetry::stage("sensor.select");
         let selected = select_analyzable(obs, config.min_queriers, config.top_n);
@@ -151,6 +149,11 @@ pub fn extract_with_meta_cache(
             );
         }
         selected
+    };
+    let table = {
+        let _stage = bs_telemetry::stage("sensor.extract.lookup");
+        let named = selected.iter().flat_map(|&o| &o.queriers);
+        QuerierMetaTable::build_naming(obs, named, info, cache)
     };
     let out: Vec<OriginatorFeatures> = bs_par::par_chunks(&selected, EXTRACT_CHUNK, |_, chunk| {
         // One stage per chunk of originators, not one per originator

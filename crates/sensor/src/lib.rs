@@ -23,10 +23,11 @@
 //! The sensor reads querier metadata (reverse name, AS, country) through
 //! the [`QuerierInfo`] trait, so it works identically against the
 //! simulated world and any other provider. Extraction consults it
-//! through the [`qmeta`] metadata plane — each unique querier resolved
-//! once per window (or reused across windows via
-//! [`qmeta::QuerierMetaCache`]), with AS/country interned into dense
-//! ids — so providers must answer deterministically for a given
+//! through the [`qmeta`] metadata plane — each unique querier's AS and
+//! country resolved once per window and interned into dense ids, its
+//! reverse name only when an analyzable originator's footprint holds
+//! it (both reused across windows via [`qmeta::QuerierMetaCache`]) —
+//! so providers must answer deterministically for a given
 //! address within a window; a per-pair reference, compiled for tests
 //! only, defines the semantics. The keyword matcher is an
 //! independent implementation of the paper's tables — deliberately

@@ -1,5 +1,5 @@
-//! The querier metadata plane: resolve each *unique* querier once per
-//! window, then let extraction work over small interned ids.
+//! The querier metadata plane: resolve each *unique* querier at most
+//! once per window, then let extraction work over small interned ids.
 //!
 //! The paper's central observation is that backscatter queriers are
 //! shared infrastructure — recursive resolvers, crawlers — that recur
@@ -11,25 +11,30 @@
 //!
 //! This module fixes the asymmetry in two layers:
 //!
-//! * [`QuerierMetaTable`] — a per-window resolution pass over
-//!   `Observations::all_queriers` that visits each unique querier
-//!   exactly once (chunked across the `bs-par` pool) and memoizes
-//!   `(static category, AS, country)` into a dense table keyed by the
-//!   packed-u32 address via a std `HashMap`. AS numbers and
-//!   country codes are *interned* into dense id spaces `0..n` in
-//!   ascending-querier order (deterministic regardless of thread
-//!   count), so window totals fall out of the interner sizes and the
-//!   per-originator distinct-AS/country unions become bitmap counts
+//! * [`QuerierMetaTable`] — one per-window table keyed by the
+//!   packed-u32 address, filled in two passes. The *place* pass visits
+//!   every unique querier of `Observations::all_queriers` once and
+//!   resolves its AS and country, *interned* into dense id spaces
+//!   `0..n` in ascending-querier order (deterministic regardless of
+//!   thread count), so window totals fall out of the interner sizes and
+//!   the per-originator distinct-AS/country unions become bitmap counts
 //!   over the id space instead of `BTreeSet<AsId>` insertions per
-//!   querier per originator.
+//!   querier per originator. The *name* pass resolves the reverse name
+//!   and keyword category (chunked across the `bs-par` pool) only for
+//!   queriers a feature reads: those of the selected (analyzable)
+//!   footprints. Static fractions are read over selected footprints
+//!   only, so naming the rest — most of a scan storm's queriers —
+//!   would feed nothing; in deployment each name is a PTR lookup.
 //! * [`QuerierMetaCache`] — an optional cross-window memo of
 //!   *resolved* (not interned — ids are per-window) metadata with
 //!   generation-based invalidation, so the live streaming path reuses
 //!   resolutions for queriers that persist between windows while
 //!   still re-resolving entries older than `keep_windows` generations
-//!   (blacklist-style metadata churns slowly but does churn). Hit /
-//!   miss / expiry / eviction counts flush to `sensor.qmeta.*`
-//!   telemetry, so live scrapes and the watchdog see cache health.
+//!   (blacklist-style metadata churns slowly but does churn). An entry
+//!   may be placed but not yet named; a later window names it the first
+//!   time a selected footprint holds it. Hit / miss / expiry /
+//!   eviction counts flush to `sensor.qmeta.*` telemetry, with the
+//!   names resolved, so live scrapes and the watchdog see cache health.
 //!
 //! Dense ids are `u32`, not `u16`: the id space is bounded by the
 //! number of distinct values actually observed, which at a busy
@@ -38,7 +43,7 @@
 
 use crate::hash::IntHash;
 use crate::ingest::Observations;
-use crate::static_features::classify_querier_name;
+use crate::static_features::{classify_querier_name, StaticFeature};
 use crate::QuerierInfo;
 use bs_netsim::types::{AsId, CountryCode};
 use std::collections::HashMap;
@@ -47,10 +52,18 @@ use std::net::Ipv4Addr;
 /// Sentinel dense id for "no AS / no country known for this querier".
 pub const NO_ID: u32 = u32::MAX;
 
-/// Queriers per parallel resolution task. Resolution consults external
-/// metadata (reverse name synthesis, whois/geo lookups), so tasks are
-/// coarse enough to amortize pool dispatch but fine enough to spread a
-/// storm's querier population across cores.
+/// Sentinel category for a querier the table did not name: no selected
+/// footprint holds it, so no feature reads its reverse name. Only
+/// [`QuerierMetaTable::build_naming`] leaves one; `build` names all.
+pub(crate) const UNNAMED: u8 = u8::MAX;
+
+/// A category slot claimed by the name pass's to-do list.
+const QUEUED: u8 = UNNAMED - 1;
+
+/// Queriers per parallel naming task. Naming consults external
+/// metadata (a reverse-name lookup, then the keyword matcher), so tasks
+/// are coarse enough to amortize pool dispatch but fine enough to
+/// spread a window's named queriers across cores.
 const RESOLVE_CHUNK: usize = 1024;
 
 /// One querier's metadata after per-window interning: the static
@@ -71,43 +84,35 @@ pub struct QuerierMeta {
 /// cached: the id spaces restart every window).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawQuerierMeta {
-    /// `StaticFeature::index()` of the classified reverse name.
-    pub category: u8,
+    /// The classified reverse name; `None` until a window whose selected
+    /// footprints hold the querier names it. (One byte, as a `u8` index
+    /// was: an `Option<u8>` would grow every cache entry by a third.)
+    pub category: Option<StaticFeature>,
     /// The querier's AS, if known.
     pub asn: Option<AsId>,
     /// The querier's country, if known.
     pub country: Option<CountryCode>,
 }
 
-/// Resolve one querier against the metadata provider: reverse name →
-/// keyword category, plus AS and country. This is the expensive call
-/// the metadata plane guarantees to make at most once per unique
-/// querier per window (and, with a warm cache, once per
-/// `keep_windows` generations).
-pub fn resolve_querier(info: &impl QuerierInfo, addr: Ipv4Addr) -> RawQuerierMeta {
-    RawQuerierMeta {
-        category: classify_querier_name(&info.querier_name(addr)).index() as u8,
-        asn: info.querier_as(addr),
-        country: info.querier_country(addr),
-    }
-}
-
-/// Resolve a slice of queriers in [`RESOLVE_CHUNK`]-sized tasks on the
-/// `bs-par` pool. Output order matches input order (`par_chunks` is
-/// order-preserving), so downstream interning is deterministic.
-fn resolve_chunked(addrs: &[Ipv4Addr], info: &(impl QuerierInfo + Sync)) -> Vec<RawQuerierMeta> {
-    bs_par::par_chunks(addrs, RESOLVE_CHUNK, |_, chunk| {
+/// Name queriers in [`RESOLVE_CHUNK`]-sized tasks on the `bs-par` pool:
+/// reverse name → keyword category. This is the expensive call the
+/// metadata plane makes at most once per named querier per window (and,
+/// with a warm cache, once per `keep_windows` generations). Output
+/// order matches input order (`par_chunks` is order-preserving).
+fn name_chunked(todo: &[(Ipv4Addr, u32)], info: &(impl QuerierInfo + Sync)) -> Vec<StaticFeature> {
+    bs_par::par_chunks(todo, RESOLVE_CHUNK, |_, chunk| {
         // One stage per chunk, not per originator (let alone per
-        // querier): the static keyword matcher now runs exactly here,
-        // once per unique querier.
+        // querier): the static keyword matcher runs exactly here, once
+        // per named querier.
         let _stage = bs_telemetry::stage("sensor.static.lanes");
-        chunk.iter().map(|a| resolve_querier(info, *a)).collect::<Vec<_>>()
+        chunk.iter().map(|(a, _)| classify_querier_name(&info.querier_name(*a))).collect::<Vec<_>>()
     })
     .concat()
 }
 
 /// The per-window metadata table: every unique querier of the window,
-/// resolved once and interned into dense id spaces.
+/// placed (AS, country) once and interned into dense id spaces, and
+/// named where a feature reads the name.
 #[derive(Debug, Clone)]
 pub struct QuerierMetaTable {
     /// Packed querier address → index into `meta`.
@@ -122,10 +127,10 @@ pub struct QuerierMetaTable {
 }
 
 impl QuerierMetaTable {
-    /// Build the table for one window. With `cache`, previously
-    /// resolved queriers skip the metadata provider entirely; only
-    /// misses (and entries stale past the cache's `keep_windows`) hit
-    /// `info`, in parallel chunks.
+    /// Build the table for one window, naming every querier. With
+    /// `cache`, previously resolved queriers skip the metadata provider
+    /// entirely; only misses (and entries stale past the cache's
+    /// `keep_windows`) hit `info`.
     ///
     /// Interning runs sequentially over the ascending
     /// `all_queriers` order, so dense ids — and everything computed
@@ -135,49 +140,47 @@ impl QuerierMetaTable {
         info: &(impl QuerierInfo + Sync),
         cache: Option<&mut QuerierMetaCache>,
     ) -> Self {
-        let addrs: Vec<Ipv4Addr> = obs.all_queriers.iter().copied().collect();
-        let (raw, resolved, reused) = match cache {
-            None => {
-                let n = addrs.len() as u64;
-                (resolve_chunked(&addrs, info), n, 0)
-            }
-            Some(cache) => {
-                cache.begin_window();
-                let mut raw: Vec<Option<RawQuerierMeta>> =
-                    addrs.iter().map(|a| cache.get(u32::from(*a))).collect();
-                let missing: Vec<Ipv4Addr> =
-                    addrs.iter().zip(&raw).filter(|(_, r)| r.is_none()).map(|(a, _)| *a).collect();
-                let resolved = resolve_chunked(&missing, info);
-                let n_resolved = resolved.len() as u64;
-                let mut fresh = resolved.into_iter();
-                for (a, slot) in addrs.iter().zip(raw.iter_mut()) {
-                    if slot.is_none() {
-                        let m = fresh.next().expect("one resolution per miss");
-                        cache.insert(u32::from(*a), m);
-                        *slot = Some(m);
-                    }
-                }
-                cache.publish_telemetry();
-                let raw = raw.into_iter().map(|r| r.expect("every slot filled")).collect();
-                (raw, n_resolved, addrs.len() as u64 - n_resolved)
-            }
-        };
-        if bs_telemetry::ledger::is_active() {
-            // Conservation over the resolution pass: every unique
-            // querier either reused a cached resolution or cost one
-            // metadata lookup.
-            bs_telemetry::ledger::record(
-                "sensor.extract.lookup",
-                addrs.len() as u64,
-                &[("resolved", resolved), ("cache_reused", reused)],
-            );
-        }
+        Self::build_naming(obs, &obs.all_queriers, info, cache)
+    }
 
+    /// [`QuerierMetaTable::build`], naming only the queriers `named`
+    /// yields (repeats allowed); every other querier is placed but
+    /// keeps [`UNNAMED`] unless the cache already holds its name.
+    pub(crate) fn build_naming<'a>(
+        obs: &Observations,
+        named: impl IntoIterator<Item = &'a Ipv4Addr>,
+        info: &(impl QuerierInfo + Sync),
+        mut cache: Option<&mut QuerierMetaCache>,
+    ) -> Self {
+        if let Some(cache) = cache.as_deref_mut() {
+            cache.begin_window();
+        }
+        // Place pass: probe the cache for every querier, resolve AS and
+        // country on a miss, intern in ascending-querier order. The
+        // index is built after the loop, so a cache resize inside it
+        // never coexists with the index.
+        let n = obs.all_queriers.len();
         let mut as_ids: HashMap<u32, u32, IntHash> = HashMap::default();
         let mut country_ids: HashMap<u32, u32, IntHash> = HashMap::default();
-        let mut index = HashMap::with_capacity_and_hasher(addrs.len(), IntHash::default());
-        let mut meta = Vec::with_capacity(addrs.len());
-        for (i, (a, r)) in addrs.iter().zip(&raw).enumerate() {
+        let mut meta = Vec::with_capacity(n);
+        let (mut resolved, mut unnamed) = (0u64, 0usize);
+        for a in &obs.all_queriers {
+            let key = u32::from(*a);
+            let r = match cache.as_deref_mut().and_then(|c| c.get(key)) {
+                Some(r) => r,
+                None => {
+                    resolved += 1;
+                    let r = RawQuerierMeta {
+                        category: None,
+                        asn: info.querier_as(*a),
+                        country: info.querier_country(*a),
+                    };
+                    if let Some(cache) = cache.as_deref_mut() {
+                        cache.insert(key, r);
+                    }
+                    r
+                }
+            };
             let as_id = match r.asn {
                 Some(AsId(n)) => {
                     let next = as_ids.len() as u32;
@@ -192,8 +195,47 @@ impl QuerierMetaTable {
                 }
                 None => NO_ID,
             };
-            index.insert(u32::from(*a), i as u32);
-            meta.push(QuerierMeta { category: r.category, as_id, country_id });
+            unnamed += usize::from(r.category.is_none());
+            let category = r.category.map_or(UNNAMED, |f| f.index() as u8);
+            meta.push(QuerierMeta { category, as_id, country_id });
+        }
+        let index: HashMap<u32, u32, IntHash> =
+            obs.all_queriers.iter().zip(0..).map(|(a, i)| (u32::from(*a), i)).collect();
+        if bs_telemetry::ledger::is_active() {
+            // Conservation over the place pass: every unique querier
+            // either reused a cached resolution or cost one metadata
+            // lookup.
+            bs_telemetry::ledger::record(
+                "sensor.extract.lookup",
+                n as u64,
+                &[("resolved", resolved), ("cache_reused", n as u64 - resolved)],
+            );
+        }
+
+        // Name pass: queue each `named` querier still unnamed, name the
+        // queue in parallel chunks, and write each name into the table
+        // and the cache entry.
+        let mut todo: Vec<(Ipv4Addr, u32)> = Vec::new();
+        for a in named {
+            if todo.len() == unnamed {
+                break;
+            }
+            let i = index[&u32::from(*a)];
+            let slot = &mut meta[i as usize].category;
+            if *slot == UNNAMED {
+                *slot = QUEUED;
+                todo.push((*a, i));
+            }
+        }
+        for (&(a, i), category) in todo.iter().zip(name_chunked(&todo, info)) {
+            meta[i as usize].category = category.index() as u8;
+            if let Some(cache) = cache.as_deref_mut() {
+                cache.name(u32::from(a), category);
+            }
+        }
+        bs_telemetry::counter_add("sensor.qmeta.names_resolved", todo.len() as u64);
+        if let Some(cache) = cache {
+            cache.publish_telemetry();
         }
         QuerierMetaTable { index, meta, n_ases: as_ids.len(), n_countries: country_ids.len() }
     }
@@ -325,6 +367,13 @@ impl QuerierMetaCache {
     /// Record a fresh resolution for the packed querier address.
     pub fn insert(&mut self, addr: u32, meta: RawQuerierMeta) {
         self.entries.insert(addr, CacheEntry { meta, last_used: self.generation });
+    }
+
+    /// Record the name pass's category for a querier probed this window.
+    fn name(&mut self, addr: u32, category: StaticFeature) {
+        if let Some(e) = self.entries.get_mut(&addr) {
+            e.meta.category = Some(category);
+        }
     }
 
     /// Cached resolutions currently held.
@@ -494,7 +543,7 @@ mod tests {
     #[test]
     fn cache_sweep_evicts_only_stale_entries() {
         let mut cache = QuerierMetaCache::new(2, 1);
-        let meta = RawQuerierMeta { category: 0, asn: None, country: None };
+        let meta = RawQuerierMeta { category: Some(StaticFeature::Home), asn: None, country: None };
         cache.begin_window();
         cache.insert(1, meta);
         cache.insert(2, meta);
@@ -506,5 +555,106 @@ mod tests {
         cache.begin_window(); // over cap → sweep
         assert_eq!(cache.evicted(), 2);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn an_unnamed_category_costs_no_cache_bytes() {
+        // A scan storm's cache holds every querier of the last windows:
+        // a wider entry is a wider peak heap.
+        assert_eq!(std::mem::size_of::<RawQuerierMeta>(), 12);
+    }
+
+    /// [`ToyInfo`] that counts reverse-name lookups.
+    #[derive(Default)]
+    struct CountingInfo(std::sync::atomic::AtomicUsize);
+    impl CountingInfo {
+        fn take(&self) -> usize {
+            self.0.swap(0, std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+    impl QuerierInfo for CountingInfo {
+        fn querier_name(&self, addr: Ipv4Addr) -> NameOutcome {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            ToyInfo.querier_name(addr)
+        }
+        fn querier_as(&self, addr: Ipv4Addr) -> Option<AsId> {
+            ToyInfo.querier_as(addr)
+        }
+        fn querier_country(&self, addr: Ipv4Addr) -> Option<CountryCode> {
+            ToyInfo.querier_country(addr)
+        }
+    }
+
+    /// One window of `(originator last octet, querier)` pairs.
+    fn footprints(pairs: &[(u8, [u8; 4])]) -> Observations {
+        let mut log = QueryLog::new();
+        for (i, (o, q)) in pairs.iter().enumerate() {
+            log.push(QueryLogRecord {
+                time: SimTime(i as u64 * 60),
+                querier: Ipv4Addr::from(*q),
+                originator: Ipv4Addr::new(203, 0, 113, *o),
+                rcode: Rcode::NoError,
+            });
+        }
+        Observations::ingest(&log, SimTime(0), SimTime(1_000_000))
+    }
+
+    const CUT: crate::FeatureConfig = crate::FeatureConfig { min_queriers: 3, top_n: None };
+
+    /// Originator 1 is analyzable (three queriers); originator 2 is not,
+    /// and its two queriers belong to no selected footprint.
+    fn cut_window() -> Observations {
+        footprints(&[
+            (1, [10, 1, 0, 1]),
+            (1, [10, 1, 0, 2]),
+            (1, [10, 2, 0, 3]),
+            (2, [11, 2, 0, 4]),
+            (2, [13, 9, 0, 5]),
+        ])
+    }
+
+    #[test]
+    fn extraction_names_only_the_selected_footprints() {
+        use crate::extract::{extract_from_observations_reference, extract_with_meta_cache};
+        let obs = cut_window();
+        let info = CountingInfo::default();
+        let cold = extract_with_meta_cache(&obs, &info, &CUT, None);
+        assert_eq!(obs.all_queriers.len(), 5);
+        assert_eq!(info.take(), 3, "one name per querier of the selected footprint");
+        assert_eq!(cold, extract_from_observations_reference(&obs, &ToyInfo, &CUT));
+        QuerierMetaTable::build(&obs, &info, None);
+        assert_eq!(info.take(), 5, "build names every querier");
+    }
+
+    #[test]
+    fn warm_replay_names_nothing() {
+        use crate::extract::extract_with_meta_cache;
+        let obs = cut_window();
+        let info = CountingInfo::default();
+        let mut cache = QuerierMetaCache::default();
+        let cold = extract_with_meta_cache(&obs, &info, &CUT, Some(&mut cache));
+        assert_eq!(info.take(), 3);
+        let warm = extract_with_meta_cache(&obs, &info, &CUT, Some(&mut cache));
+        assert_eq!(info.take(), 0, "every selected querier's name is cached");
+        assert_eq!(cold, warm);
+        assert_eq!(cache.hits(), 5, "the place pass probes every querier");
+    }
+
+    #[test]
+    fn a_querier_cached_unnamed_is_named_when_a_selected_footprint_holds_it() {
+        use crate::extract::{extract_from_observations_reference, extract_with_meta_cache};
+        let info = CountingInfo::default();
+        let mut cache = QuerierMetaCache::default();
+        extract_with_meta_cache(&cut_window(), &info, &CUT, Some(&mut cache));
+        assert_eq!(info.take(), 3);
+        // Originator 3 holds originator 2's two unnamed queriers and one
+        // new querier, and is analyzable.
+        let later = footprints(&[(3, [11, 2, 0, 4]), (3, [13, 9, 0, 5]), (3, [12, 3, 0, 6])]);
+        let features = extract_with_meta_cache(&later, &info, &CUT, Some(&mut cache));
+        assert_eq!(info.take(), 3, "two cached unnamed entries and one new querier");
+        assert_eq!(cache.hits(), 2);
+        assert_eq!(features, extract_from_observations_reference(&later, &ToyInfo, &CUT));
+        extract_with_meta_cache(&later, &info, &CUT, Some(&mut cache));
+        assert_eq!(info.take(), 0, "the names were written back into the cache");
     }
 }

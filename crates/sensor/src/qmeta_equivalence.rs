@@ -13,7 +13,7 @@ use crate::common::{arb_records, SMALL};
 use crate::extract::{
     extract_from_observations_reference, extract_with_meta_cache, FeatureConfig, OriginatorFeatures,
 };
-use crate::ingest::Observations;
+use crate::ingest::{select_analyzable, Observations};
 use crate::qmeta::QuerierMetaCache;
 use crate::QuerierInfo;
 use bs_dns::{DomainName, Rcode, SimTime};
@@ -148,9 +148,12 @@ fn fast_extraction_matches_reference_with_pre_window_timestamps() {
 
 /// A cache warmed by earlier windows must not change a later
 /// window's output: warm extraction is bit-identical to cold and
-/// to the reference.
+/// to the reference. Each window draws its own analyzability cut, so
+/// the first window leaves placed-but-unnamed entries that the second
+/// window's cut may select.
 #[test]
 fn warm_cache_extraction_matches_cold_and_reference() {
+    let mut cut_some = 0;
     for seed in 0..CASES {
         let mut rng = Rng::new(seed ^ 0x3A43);
         let mut sorted = arb_high_overlap(&mut rng);
@@ -160,17 +163,22 @@ fn warm_cache_extraction_matches_cold_and_reference() {
         let w2: Vec<_> = sorted.iter().filter(|r| r.time.0 >= 2_500).copied().collect();
         let obs1 = ingest(&w1, 0, 2_500);
         let obs2 = ingest(&w2, 2_500, 5_000);
-        let config = FeatureConfig { min_queriers: 1, top_n: None };
+        let config1 = FeatureConfig { min_queriers: rng.range(1..10), top_n: None };
+        let config2 = FeatureConfig { min_queriers: rng.range(1..10), top_n: None };
+        if select_analyzable(&obs1, config1.min_queriers, None).len() < obs1.originator_count() {
+            cut_some += 1;
+        }
 
         let mut cache = QuerierMetaCache::new(1 << 16, keep_windows);
-        let warm1 = extract_with_meta_cache(&obs1, &SynthInfo, &config, Some(&mut cache));
-        let warm2 = extract_with_meta_cache(&obs2, &SynthInfo, &config, Some(&mut cache));
+        let warm1 = extract_with_meta_cache(&obs1, &SynthInfo, &config1, Some(&mut cache));
+        let warm2 = extract_with_meta_cache(&obs2, &SynthInfo, &config2, Some(&mut cache));
 
-        let cold1 = extract_from_observations_reference(&obs1, &SynthInfo, &config);
-        let cold2 = extract_from_observations_reference(&obs2, &SynthInfo, &config);
+        let cold1 = extract_from_observations_reference(&obs1, &SynthInfo, &config1);
+        let cold2 = extract_from_observations_reference(&obs2, &SynthInfo, &config2);
         assert_eq!(bits(&warm1), bits(&cold1), "first window (seed {seed})");
         assert_eq!(bits(&warm2), bits(&cold2), "second window (seed {seed})");
     }
+    assert!(cut_some > CASES / 4, "only {cut_some} cases cut an originator in the first window");
 }
 
 /// Deterministic cache-behaviour pin: identical windows replayed
@@ -202,4 +210,31 @@ fn replayed_windows_hit_the_cache_and_stay_identical() {
 
     assert_eq!(bits(&first), bits(&reference));
     assert_eq!(bits(&second), bits(&reference));
+}
+
+/// Replays of one window whose cut leaves originators out: their
+/// queriers are cached placed but unnamed, and a later replay whose cut
+/// selects them names them. Every replay is bit-identical to the
+/// reference at its own cut, and only the first one misses the cache.
+#[test]
+fn replays_across_cuts_stay_identical() {
+    // Six originators of twenty queriers each; even ones share the even
+    // queriers, odd ones the odd.
+    let records: Vec<QueryLogRecord> = (0..240u32)
+        .map(|i| QueryLogRecord {
+            time: SimTime((i as u64 * 10) % 2_400),
+            querier: Ipv4Addr::new(10, 0, (i % 40 / 13) as u8, (i % 40) as u8),
+            originator: Ipv4Addr::new(203, 0, 113, (i % 6) as u8),
+            rcode: Rcode::NoError,
+        })
+        .collect();
+    let obs = ingest(&records, 0, 2_500);
+    let mut cache = QuerierMetaCache::default();
+    for (replay, top_n) in [Some(1), Some(1), None, Some(2), None].into_iter().enumerate() {
+        let config = FeatureConfig { min_queriers: 1, top_n };
+        let warm = extract_with_meta_cache(&obs, &SynthInfo, &config, Some(&mut cache));
+        let reference = extract_from_observations_reference(&obs, &SynthInfo, &config);
+        assert_eq!(bits(&warm), bits(&reference), "replay {replay} at top_n {top_n:?}");
+    }
+    assert_eq!(cache.misses(), obs.all_queriers.len() as u64);
 }

@@ -539,6 +539,9 @@ metric naming: dotted crate.stage names, e.g.
   sensor.qmeta.cache_expired souring entries re-resolved past the keep
                              horizon; .cache_evictions: swept over-cap
   sensor.qmeta.cache_entries gauge: resolutions currently cached
+  sensor.qmeta.names_resolved   reverse names looked up: only queriers of
+                             an analyzable originator, each once a window
+                             unless its name is cached
   par.shard_backlog          gauge: records queued at the last shard
                              drain barrier (watchdog rules on runaway)
   core.stream.ingest_wait_ns ns the sensor thread spent blocked handing
