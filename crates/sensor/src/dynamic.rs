@@ -106,9 +106,8 @@ impl DynamicFeatures {
         // large footprints (they consult external metadata). Chunked
         // parallel lookup is deterministic because the chunk results
         // merge into sets — order cannot matter.
-        let queriers: Vec<std::net::Ipv4Addr> = obs.queriers.iter().copied().collect();
-        let ases = unique_by(&queriers, |q| info.querier_as(q));
-        let countries = unique_by(&queriers, |q| info.querier_country(q));
+        let ases = unique_by(&obs.queriers, |q| info.querier_as(q));
+        let countries = unique_by(&obs.queriers, |q| info.querier_country(q));
         Self::from_counts(
             obs,
             window_start,
@@ -159,9 +158,8 @@ impl DynamicFeatures {
         let persistence = active_periods.len() as f64 / total_periods as f64;
 
         // Spatial.
-        let queriers: Vec<std::net::Ipv4Addr> = obs.queriers.iter().copied().collect();
-        let slash24s: Vec<u32> = queriers.iter().map(|q| u32::from(*q) >> 8).collect();
-        let slash8s: Vec<u32> = queriers.iter().map(|q| u32::from(*q) >> 24).collect();
+        let slash24s: Vec<u32> = obs.queriers.iter().map(|q| u32::from(*q) >> 8).collect();
+        let slash8s: Vec<u32> = obs.queriers.iter().map(|q| u32::from(*q) >> 24).collect();
         let local_entropy = normalized_entropy(&slash24s, nq as f64);
         let global_entropy = normalized_entropy(&slash8s, 256.0);
 
@@ -296,7 +294,7 @@ mod tests {
         for (t, q) in queries {
             let qa: Ipv4Addr = q.parse().unwrap();
             o.queries.push((SimTime(*t), qa));
-            o.queriers.insert(qa);
+            o.insert_querier(qa);
         }
         o
     }

@@ -9,17 +9,19 @@
 //! and takes the one flush. In-window disorder is tolerated (the dedup
 //! probe compares against the last *accepted* time, and a record
 //! behind it is simply a fast repeat), so the log need not be sorted.
-//! The BTree-ordered [`Observations`] every downstream stage
+//! The address-ordered [`Observations`] every downstream stage
 //! (extraction, classification, serialization) consumes is built at
-//! that flush; a test-only BTree reference
-//! (`ingest_with_dedup_reference`) defines the semantics, and a
-//! property test holds the two equal on arbitrary record streams.
+//! that flush, each footprint a sorted querier column; a test-only
+//! BTree reference (`ingest_with_dedup_reference`) defines the
+//! semantics, and a property test holds the two equal on arbitrary
+//! record streams.
 
-use crate::hash::IntHash;
-use crate::stream::{StreamConfig, StreamingSensor};
+use crate::stream::{window_end, StreamConfig, StreamingSensor, MAX_WINDOW};
 use bs_dns::{SimDuration, SimTime};
 use bs_netsim::log::QueryLog;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::BTreeMap;
+#[cfg(test)]
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 /// The deduplication window: duplicate queries from the same querier
@@ -37,8 +39,9 @@ pub struct OriginatorObservation {
     pub originator: Ipv4Addr,
     /// Deduplicated queries as `(time, querier)` pairs, in time order.
     pub queries: Vec<(SimTime, Ipv4Addr)>,
-    /// Unique querier addresses.
-    pub queriers: BTreeSet<Ipv4Addr>,
+    /// Unique querier addresses — the footprint as a column, ascending
+    /// and without repeats.
+    pub queriers: Vec<Ipv4Addr>,
 }
 
 impl Default for OriginatorObservation {
@@ -46,7 +49,7 @@ impl Default for OriginatorObservation {
         OriginatorObservation {
             originator: Ipv4Addr::UNSPECIFIED,
             queries: Vec::new(),
-            queriers: BTreeSet::new(),
+            queriers: Vec::new(),
         }
     }
 }
@@ -61,6 +64,15 @@ impl OriginatorObservation {
     pub fn querier_count(&self) -> usize {
         self.queriers.len()
     }
+
+    /// Add `querier` to the footprint, keeping the column ascending and
+    /// unique: the references' set insert, for tests only.
+    #[cfg(test)]
+    pub(crate) fn insert_querier(&mut self, querier: Ipv4Addr) {
+        if let Err(i) = self.queriers.binary_search(&querier) {
+            self.queriers.insert(i, querier);
+        }
+    }
 }
 
 /// All originators observed in a window, with window-global context the
@@ -73,8 +85,9 @@ pub struct Observations {
     pub window_end: SimTime,
     /// Per-originator deduplicated streams.
     pub per_originator: BTreeMap<Ipv4Addr, OriginatorObservation>,
-    /// All querier addresses seen in the window (across originators).
-    pub all_queriers: BTreeSet<Ipv4Addr>,
+    /// All querier addresses seen in the window (across originators),
+    /// ascending and without repeats.
+    pub all_queriers: Vec<Ipv4Addr>,
 }
 
 /// Pack the paper's dedup key — one `(originator, querier)` address
@@ -84,50 +97,14 @@ pub(crate) fn pack_pair(originator: Ipv4Addr, querier: Ipv4Addr) -> u64 {
     (u64::from(u32::from(originator)) << 32) | u64::from(u32::from(querier))
 }
 
-/// The sensor's per-originator accumulator: the querier footprint
-/// stays a `u32` hash set until flush, when it is sorted once into the
-/// `BTreeSet` the pipeline representation uses.
-#[derive(Debug)]
-pub(crate) struct SlotAccum {
-    pub(crate) originator: Ipv4Addr,
-    pub(crate) queries: Vec<(SimTime, Ipv4Addr)>,
-    pub(crate) queriers: HashSet<u32, IntHash>,
-}
-
-impl Default for SlotAccum {
-    fn default() -> Self {
-        SlotAccum {
-            originator: Ipv4Addr::UNSPECIFIED,
-            queries: Vec::new(),
-            queriers: HashSet::default(),
-        }
-    }
-}
-
-impl SlotAccum {
-    /// Convert into the BTree-ordered pipeline representation.
-    pub(crate) fn into_observation(self) -> OriginatorObservation {
-        OriginatorObservation {
-            originator: self.originator,
-            queries: self.queries,
-            queriers: set_to_btree(&self.queriers),
-        }
-    }
-}
-
-/// Convert a packed querier set into the pipeline's `BTreeSet`: sorted
-/// as integers first, so the ordered build is one linear append.
-pub(crate) fn set_to_btree(set: &HashSet<u32, IntHash>) -> BTreeSet<Ipv4Addr> {
-    let mut sorted: Vec<u32> = set.iter().copied().collect();
-    sorted.sort_unstable();
-    sorted.into_iter().map(Ipv4Addr::from).collect()
-}
-
 impl Observations {
     /// Ingest a query log restricted to `[start, end)`, applying the
     /// per-(originator, querier) deduplication: the streaming sensor
     /// anchored at `start` and run for the one window. An empty or
-    /// inverted window observes nothing.
+    /// inverted window observes nothing; a window longer than
+    /// [`MAX_WINDOW`] observes its first `MAX_WINDOW` and reports that
+    /// end, as the sensor cuts its own window
+    /// ([`StreamConfig::resolved_window`]).
     ///
     /// `dedup` is exposed for the ablation bench; the paper's pipeline
     /// always passes [`DEDUP_WINDOW`].
@@ -137,6 +114,7 @@ impl Observations {
         end: SimTime,
         dedup: SimDuration,
     ) -> Self {
+        let end = end.min(window_end(start, MAX_WINDOW));
         let nothing = Observations { window_start: start, window_end: end, ..Default::default() };
         if end <= start {
             return nothing;
@@ -195,8 +173,9 @@ impl Observations {
                 ..Default::default()
             });
             obs.queries.push((r.time, r.querier));
-            obs.queriers.insert(r.querier);
+            obs.insert_querier(r.querier);
         }
+        let all_queriers = all_queriers.into_iter().collect();
         Observations { window_start: start, window_end: end, per_originator, all_queriers }
     }
 
@@ -210,15 +189,13 @@ impl Observations {
     /// interned [`crate::qmeta::QuerierMetaTable`].
     #[cfg(test)]
     pub(crate) fn total_ases(&self, info: &(impl crate::QuerierInfo + Sync)) -> usize {
-        let queriers: Vec<Ipv4Addr> = self.all_queriers.iter().copied().collect();
-        crate::dynamic::unique_by(&queriers, |q| info.querier_as(q)).len()
+        crate::dynamic::unique_by(&self.all_queriers, |q| info.querier_as(q)).len()
     }
 
     /// Unique countries among all queriers in the window (reference).
     #[cfg(test)]
     pub(crate) fn total_countries(&self, info: &(impl crate::QuerierInfo + Sync)) -> usize {
-        let queriers: Vec<Ipv4Addr> = self.all_queriers.iter().copied().collect();
-        crate::dynamic::unique_by(&queriers, |q| info.querier_country(q)).len()
+        crate::dynamic::unique_by(&self.all_queriers, |q| info.querier_country(q)).len()
     }
 
     /// Number of originators observed at all.

@@ -509,7 +509,7 @@ mod tests {
             assert_eq!(a.get(*q), b.get(*q));
         }
         // First querier in ascending order interns id 0.
-        let first = *obs.all_queriers.iter().next().unwrap();
+        let first = obs.all_queriers[0];
         assert_eq!(a.get(first).unwrap().as_id, 0);
     }
 

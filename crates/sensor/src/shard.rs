@@ -68,7 +68,7 @@ use crate::stream::ReferenceStreamingSensor;
 use crate::stream::{past_window, window_end, StreamConfig, StreamingSensor, WindowSummary};
 use bs_dns::SimTime;
 use bs_netsim::log::QueryLogRecord;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::atomic::AtomicU8;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -173,12 +173,13 @@ impl Lane {
 
 /// One lane's contribution to a window: per-originator maps are
 /// disjoint across lanes (each originator hashes to exactly one
-/// slice), querier sets may overlap (a resolver can query for
-/// originators on different shards) and merge by union.
+/// slice), querier columns may overlap (a resolver can query for
+/// originators on different shards) and merge by union: concatenated,
+/// then sorted and deduplicated.
 #[derive(Default)]
 struct LanePartial {
     per_originator: BTreeMap<Ipv4Addr, OriginatorObservation>,
-    all_queriers: BTreeSet<Ipv4Addr>,
+    all_queriers: Vec<Ipv4Addr>,
     evicted: usize,
 }
 
@@ -200,6 +201,7 @@ impl ShardedStreamingSensor {
         assert!(config.window.secs() > 0);
         assert!(config.max_originators > 0);
         let lanes = lanes.clamp(1, SHARD_SLICES);
+        let config = StreamConfig { window: config.resolved_window(), ..config };
         let slice_cfg = slice_config(&config);
         ShardedStreamingSensor {
             config,
@@ -333,7 +335,7 @@ impl ShardedStreamingSensor {
             })
         };
         let mut per_originator = BTreeMap::new();
-        let mut all_queriers = BTreeSet::new();
+        let mut all_queriers = Vec::new();
         let mut evicted = 0usize;
         let mut ooo_total = 0u64;
         let (mut max_load, mut total_load) = (0u64, 0u64);
@@ -380,6 +382,8 @@ impl ShardedStreamingSensor {
         };
         bs_telemetry::gauge_set("sensor.shard.skew_milli", skew_milli);
         bs_telemetry::gauge_set("par.shard_backlog", 0);
+        all_queriers.sort_unstable();
+        all_queriers.dedup();
         let observations =
             Observations { window_start: ws, window_end: end, per_originator, all_queriers };
         WindowSummary { window: (ws, end), observations, evicted }
@@ -409,6 +413,7 @@ impl ReferenceShardedStreamingSensor {
     pub(crate) fn new(config: StreamConfig) -> Self {
         assert!(config.window.secs() > 0);
         assert!(config.max_originators > 0);
+        let config = StreamConfig { window: config.resolved_window(), ..config };
         let slice_cfg = slice_config(&config);
         ReferenceShardedStreamingSensor {
             config,
@@ -457,7 +462,7 @@ impl ReferenceShardedStreamingSensor {
         let ws = self.window_start;
         let end = window_end(ws, self.config.window);
         let mut per_originator = BTreeMap::new();
-        let mut all_queriers = BTreeSet::new();
+        let mut all_queriers = Vec::new();
         let mut evicted = 0usize;
         for s in &mut self.slices {
             if let Some(w) = s.flush_to(next_start) {
@@ -467,6 +472,8 @@ impl ReferenceShardedStreamingSensor {
                 all_queriers.extend(obs.all_queriers);
             }
         }
+        all_queriers.sort_unstable();
+        all_queriers.dedup();
         let observations =
             Observations { window_start: ws, window_end: end, per_originator, all_queriers };
         WindowSummary { window: (ws, end), observations, evicted }

@@ -29,20 +29,21 @@
 //! # The fast path
 //!
 //! Per-record work runs entirely on std `HashMap` / `HashSet` tables
-//! over packed integer keys, behind the crate's one-multiply hasher:
-//! the dedup table keys packed `(originator, querier)`
-//! `u64` pairs, per-originator state lives in a dense arena addressed
-//! by `u32` slot indices (evicted slots recycle through a free list,
-//! keeping their allocations), querier footprints are `u32` hash
-//! sets, and eviction picks its victim from a **lazy
-//! min-heap** keyed by querier count — entries go stale as footprints
+//! over packed integer keys, behind the crate's one-multiply hasher.
+//! The dedup table maps a packed `(originator, querier)` `u64` pair to
+//! its last accepted offset from the window start (63 bits, hence
+//! [`MAX_WINDOW`]) plus a footprint bit. Per-originator state lives in
+//! a dense arena addressed by `u32` slot indices (evicted slots recycle
+//! through a free list): stored queries and a querier `count`, bumped by
+//! a store that sets its pair's bit, the bits cleared at eviction — no
+//! per-originator set. Victims come from a **lazy min-heap** of
+//! `count << 32 | originator` words — entries go stale as footprints
 //! grow and are refreshed on pop, so an admission costs O(log n)
 //! amortized instead of the O(n) full-table scan the seed performed.
-//! The BTree-ordered [`Observations`] the pipeline consumes is built
-//! once per window, at flush, so nothing downstream depends on table
-//! order; a test-only BTree-based reference sensor defines the
-//! semantics and a property test holds the two equal on arbitrary
-//! record streams.
+//! Each footprint becomes a sorted querier column once, at flush, in the
+//! address-ordered [`Observations`]; a test-only BTree-based reference
+//! sensor defines the semantics and a property test holds the two equal
+//! on arbitrary record streams.
 //!
 //! # Out-of-order records
 //!
@@ -52,14 +53,12 @@
 //! `out_of_order` conservation-ledger bucket) and dropped.
 
 use crate::hash::IntHash;
-#[cfg(test)]
-use crate::ingest::OriginatorObservation;
-use crate::ingest::{pack_pair, set_to_btree, Observations, SlotAccum, DEDUP_WINDOW};
+use crate::ingest::{pack_pair, Observations, OriginatorObservation, DEDUP_WINDOW};
 use bs_dns::{SimDuration, SimTime};
 use bs_netsim::log::QueryLogRecord;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -69,10 +68,28 @@ use std::sync::Arc;
 /// critical-pressure storm.
 const MIN_PRESSURE_PROBATION_CAP: usize = 16;
 
+/// The longest window a sensor keeps: a dedup entry holds a record's
+/// offset from its window's start in 63 bits. A longer configured
+/// window is cut to this one ([`StreamConfig::resolved_window`]).
+pub const MAX_WINDOW: SimDuration = SimDuration(1 << 63);
+
+/// The dedup entry's footprint bit, above the 63-bit offset: set while
+/// the pair is stored under its originator's current admission.
+const IN_FOOTPRINT: u64 = 1 << 63;
+
+/// Drain packed addresses into a querier column: ascending, unique.
+fn sorted_column(scratch: &mut Vec<u32>) -> Vec<Ipv4Addr> {
+    scratch.sort_unstable();
+    scratch.dedup();
+    let column = scratch.iter().map(|&a| Ipv4Addr::from(a)).collect();
+    scratch.clear();
+    column
+}
+
 /// Streaming-sensor configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
-    /// Window length.
+    /// Window length; past [`MAX_WINDOW`] it is cut to that.
     pub window: SimDuration,
     /// Hard cap on tracked originators per window.
     pub max_originators: usize,
@@ -109,6 +126,14 @@ impl StreamConfig {
             self.probation_cap
         }
     }
+
+    /// The window with a length past [`MAX_WINDOW`] cut to it, as every
+    /// sensor runs it: such windows start on multiples of 2⁶³ s, and
+    /// [`Observations::ingest_with_dedup`] observes the first
+    /// `MAX_WINDOW` of a longer span.
+    pub fn resolved_window(&self) -> SimDuration {
+        SimDuration(self.window.secs().min(MAX_WINDOW.secs()))
+    }
 }
 
 /// A completed window emitted by the streaming sensor.
@@ -140,11 +165,14 @@ pub(crate) fn window_end(start: SimTime, window: SimDuration) -> SimTime {
     SimTime(start.secs().saturating_add(window.secs()))
 }
 
-/// One arena slot: an originator's in-window accumulation plus the
+/// One arena slot: an originator's stored queries and footprint size
+/// (the dedup entries whose [`IN_FOOTPRINT`] bit it set), plus the
 /// occupancy flag the free list needs.
 #[derive(Debug, Default)]
 struct Slot {
-    accum: SlotAccum,
+    originator: u32,
+    queries: Vec<(SimTime, Ipv4Addr)>,
+    count: u32,
     occupied: bool,
 }
 
@@ -176,21 +204,26 @@ pub struct StreamingSensor {
     /// Dense per-originator state; evicted slots recycle via `free`.
     arena: Vec<Slot>,
     free: Vec<u32>,
-    /// Lazy eviction heap: `(querier count at push, originator)`
+    /// Lazy eviction heap: `count at push << 32 | originator`
     /// min-entries. Stale entries (count grew, or originator already
     /// evicted) are detected and refreshed/discarded on pop.
-    evict_heap: BinaryHeap<Reverse<(usize, u32)>>,
+    evict_heap: BinaryHeap<Reverse<u64>>,
     /// Admission filter: originator → queries seen while untracked.
     probation: HashMap<u32, u32, IntHash>,
-    /// Last accepted time per packed (originator, querier) pair.
+    /// Packed (originator, querier) pair → the last accepted record's
+    /// offset from the window start, with the [`IN_FOOTPRINT`] bit.
     last_seen: HashMap<u64, u64, IntHash>,
     all_queriers: HashSet<u32, IntHash>,
+    /// Flush's sort buffer for querier columns, kept across windows.
+    scratch: Vec<u32>,
     evicted: usize,
     started: bool,
     tally: Tallies,
     /// Lifetime count of lazy-heap pops — the eviction-cost
     /// diagnostic the storm regression test bounds.
     heap_pops: u64,
+    /// Lifetime dedup-entry probes clearing victims' footprint bits.
+    footprint_probes: u64,
     /// Backpressure cell shared with the bs-live watchdog (`0` ok,
     /// `1` degraded, `2` critical). `None` = no watchdog attached.
     pressure: Option<Arc<AtomicU8>>,
@@ -208,7 +241,7 @@ impl StreamingSensor {
         assert!(config.max_originators > 0);
         StreamingSensor {
             probation_cap: config.resolved_probation_cap(),
-            config,
+            config: StreamConfig { window: config.resolved_window(), ..config },
             window_start: SimTime::ZERO,
             slot_of: HashMap::default(),
             arena: Vec::new(),
@@ -217,10 +250,12 @@ impl StreamingSensor {
             probation: HashMap::default(),
             last_seen: HashMap::default(),
             all_queriers: HashSet::default(),
+            scratch: Vec::new(),
             evicted: 0,
             started: false,
             tally: Tallies::default(),
             heap_pops: 0,
+            footprint_probes: 0,
             pressure: None,
             shard_index: None,
         }
@@ -357,28 +392,35 @@ impl StreamingSensor {
         } else {
             "sensor.stream"
         });
-        // Convert the arena into the BTree-ordered representation the
+        // Convert the arena into the address-ordered representation the
         // rest of the pipeline consumes — the only ordered work in the
-        // streaming sensor, and it happens once per window.
-        let mut per_originator = std::collections::BTreeMap::new();
-        for slot in self.arena.drain(..) {
-            if slot.occupied {
-                let obs = slot.accum.into_observation();
-                per_originator.insert(obs.originator, obs);
-            }
-        }
+        // streaming sensor, and it happens once per window: each
+        // footprint is its stored queriers, sorted and deduplicated.
+        let scratch = &mut self.scratch;
+        let per_originator: BTreeMap<Ipv4Addr, OriginatorObservation> = self
+            .arena
+            .drain(..)
+            .filter(|slot| slot.occupied)
+            .map(|slot| {
+                let originator = Ipv4Addr::from(slot.originator);
+                scratch.extend(slot.queries.iter().map(|&(_, q)| u32::from(q)));
+                let queriers = sorted_column(scratch);
+                debug_assert_eq!(queriers.len(), slot.count as usize, "{originator}");
+                (originator, OriginatorObservation { originator, queries: slot.queries, queriers })
+            })
+            .collect();
+        scratch.extend(self.all_queriers.drain());
         let observations = Observations {
             window_start: self.window_start,
             window_end: end,
             per_originator,
-            all_queriers: set_to_btree(&self.all_queriers),
+            all_queriers: sorted_column(scratch),
         };
         self.slot_of.clear();
         self.free.clear();
         self.evict_heap.clear();
         self.probation.clear();
         self.last_seen.clear();
-        self.all_queriers.clear();
         let evicted = std::mem::take(&mut self.evicted);
         let t = std::mem::take(&mut self.tally);
         bs_telemetry::counter_add("sensor.stream.records", t.records);
@@ -444,21 +486,32 @@ impl StreamingSensor {
     fn ingest(&mut self, r: QueryLogRecord) {
         self.tally.records += 1;
         // Dedup identical querier/originator pairs inside the window.
-        match self.last_seen.entry(pack_pair(r.originator, r.querier)) {
-            Entry::Occupied(last) if r.time.since(SimTime(*last.get())) < self.config.dedup => {
+        let key = pack_pair(r.originator, r.querier);
+        let offset = r.time.since(self.window_start).secs();
+        let seen = match self.last_seen.entry(key) {
+            Entry::Occupied(last)
+                if offset.saturating_sub(*last.get() & !IN_FOOTPRINT)
+                    < self.config.dedup.secs() =>
+            {
                 self.tally.deduped += 1;
                 return;
             }
-            first_or_stale => first_or_stale.insert_entry(r.time.secs()),
+            Entry::Occupied(last) => {
+                let seen = last.into_mut();
+                *seen = offset | (*seen & IN_FOOTPRINT);
+                seen
+            }
+            Entry::Vacant(first) => first.insert(offset),
         };
-        let querier = u32::from(r.querier);
-        self.all_queriers.insert(querier);
+        self.all_queriers.insert(u32::from(r.querier));
 
         let originator = u32::from(r.originator);
         if let Some(&slot) = self.slot_of.get(&originator) {
-            let accum = &mut self.arena[slot as usize].accum;
-            accum.queries.push((r.time, r.querier));
-            accum.queriers.insert(querier);
+            let s = &mut self.arena[slot as usize];
+            s.queries.push((r.time, r.querier));
+            // The pair's first store since the originator's admission.
+            s.count += u32::from(*seen & IN_FOOTPRINT == 0);
+            *seen |= IN_FOOTPRINT;
             return;
         }
         if self.slot_of.len() >= self.config.max_originators {
@@ -498,11 +551,14 @@ impl StreamingSensor {
         };
         let s = &mut self.arena[slot as usize];
         s.occupied = true;
-        s.accum.originator = r.originator;
-        s.accum.queries.push((r.time, r.querier));
-        s.accum.queriers.insert(querier);
+        s.originator = originator;
+        s.queries.push((r.time, r.querier));
+        s.count = 1;
         self.slot_of.insert(originator, slot);
-        self.evict_heap.push(Reverse((1, originator)));
+        self.evict_heap.push(Reverse((1 << 32) | u64::from(originator)));
+        if let Some(seen) = self.last_seen.get_mut(&key) {
+            *seen |= IN_FOOTPRINT;
+        }
     }
 
     /// Evict the tracked originator with the smallest
@@ -513,22 +569,30 @@ impl StreamingSensor {
     /// evict the first entry whose recorded count is current. Since
     /// footprints only grow, a refreshed entry can only move *later*
     /// in the order, so the first current entry is the true minimum.
+    /// The victim's stored queries leave its footprint: one probe each
+    /// clears their dedup entries' bits.
     fn evict_smallest(&mut self) {
-        while let Some(Reverse((count, originator))) = self.evict_heap.pop() {
+        while let Some(Reverse(entry)) = self.evict_heap.pop() {
             self.heap_pops += 1;
+            let (count, originator) = ((entry >> 32) as u32, entry as u32);
             let Some(&slot) = self.slot_of.get(&originator) else {
                 continue; // stale: originator already evicted
             };
-            let current = self.arena[slot as usize].accum.queriers.len();
-            if current != count {
-                self.evict_heap.push(Reverse((current, originator)));
+            let s = &mut self.arena[slot as usize];
+            if s.count != count {
+                self.evict_heap.push(Reverse((u64::from(s.count) << 32) | u64::from(originator)));
                 continue; // stale: footprint grew since the push
             }
             self.slot_of.remove(&originator);
-            let s = &mut self.arena[slot as usize];
-            self.tally.evicted_queries += s.accum.queries.len() as u64;
-            s.accum.queries.clear();
-            s.accum.queriers.clear();
+            for &(_, q) in &s.queries {
+                self.footprint_probes += 1;
+                if let Some(seen) = self.last_seen.get_mut(&pack_pair(originator.into(), q)) {
+                    *seen &= !IN_FOOTPRINT;
+                }
+            }
+            self.tally.evicted_queries += s.queries.len() as u64;
+            s.queries.clear();
+            s.count = 0;
             s.occupied = false;
             self.free.push(slot);
             self.evicted += 1;
@@ -568,7 +632,7 @@ impl ReferenceStreamingSensor {
         assert!(config.max_originators > 0);
         ReferenceStreamingSensor {
             probation_cap: config.resolved_probation_cap(),
-            config,
+            config: StreamConfig { window: config.resolved_window(), ..config },
             window_start: SimTime::ZERO,
             per_originator: std::collections::BTreeMap::new(),
             probation: std::collections::HashMap::new(),
@@ -632,7 +696,7 @@ impl ReferenceStreamingSensor {
             window_start: self.window_start,
             window_end: end,
             per_originator: std::mem::take(&mut self.per_originator),
-            all_queriers: std::mem::take(&mut self.all_queriers),
+            all_queriers: std::mem::take(&mut self.all_queriers).into_iter().collect(),
         };
         self.probation.clear();
         self.last_seen.clear();
@@ -660,7 +724,7 @@ impl ReferenceStreamingSensor {
             Entry::Occupied(mut e) => {
                 let o = e.get_mut();
                 o.queries.push((r.time, r.querier));
-                o.queriers.insert(r.querier);
+                o.insert_querier(r.querier);
             }
             Entry::Vacant(_) => {
                 if self.per_originator.len() >= self.config.max_originators {
@@ -692,7 +756,7 @@ impl ReferenceStreamingSensor {
                 let mut o =
                     OriginatorObservation { originator: r.originator, ..Default::default() };
                 o.queries.push((r.time, r.querier));
-                o.queriers.insert(r.querier);
+                o.insert_querier(r.querier);
                 self.per_originator.insert(r.originator, o);
             }
         }
@@ -1035,6 +1099,149 @@ mod tests {
             pops <= 8 * storm as u64 + max as u64,
             "lazy heap did too much work: {pops} pops for {storm} evictions"
         );
+    }
+
+    #[test]
+    fn clearing_footprint_bits_costs_at_most_the_stored_records() {
+        // Victims with one querier asked many times, 31 s apart: each
+        // repeat is a stored record, and eviction probes one dedup
+        // entry per stored record, never more.
+        let (max, repeats, storm) = (100u32, 10u64, 1_000u32);
+        let cfg = StreamConfig {
+            window: SimDuration::from_days(30),
+            max_originators: max as usize,
+            admission_queries: 2,
+            ..Default::default()
+        };
+        let mut sensor = StreamingSensor::new(cfg);
+        for k in 0..repeats {
+            for o in 0..max {
+                sensor.push(rec(k * 31, o, o));
+            }
+        }
+        // Each newcomer's first visit is held; its second admits it,
+        // evicting a single-querier originator, and the rest are stored.
+        let mut t = repeats * 31;
+        for o in 0..storm {
+            for _ in 0..=repeats {
+                sensor.push(rec(t, o, 10_000 + o));
+                t += 31;
+            }
+        }
+        let stored = u64::from(max + storm) * repeats;
+        let probes = sensor.footprint_probes;
+        assert_eq!(probes, sensor.tally.evicted_queries, "one probe per evicted stored query");
+        assert!(probes <= stored, "{probes} probes for {stored} stored records");
+        let w = sensor.finish().expect("window");
+        assert_eq!(w.evicted, storm as usize);
+    }
+
+    /// Feed `records` to the sensor and to the reference, which must
+    /// agree on every window; returns the sensor's footprint count for
+    /// originator `o` before the final flush, and that flush.
+    fn against_reference(
+        cfg: StreamConfig,
+        records: &[QueryLogRecord],
+        o: u32,
+    ) -> (Option<u32>, WindowSummary) {
+        let mut fast = StreamingSensor::new(cfg);
+        let mut reference = ReferenceStreamingSensor::new(cfg);
+        for r in records {
+            assert_eq!(fast.push(*r), reference.push(*r), "{r:?}");
+        }
+        let slot = fast.slot_of.get(&u32::from(rec(0, 0, o).originator));
+        let count = slot.map(|&s| fast.arena[s as usize].count);
+        let last = fast.finish().expect("a window");
+        assert_eq!(Some(&last), reference.finish().as_ref());
+        (count, last)
+    }
+
+    #[test]
+    fn a_pair_held_in_probation_counts_once_after_admission() {
+        let cfg = StreamConfig { max_originators: 1, admission_queries: 2, ..Default::default() };
+        let records = [
+            rec(0, 1, 1),   // originator 1 fills the table
+            rec(100, 7, 2), // held: (2, 7) must not join a footprint
+            rec(200, 8, 2), // admitted through querier 8
+            rec(300, 7, 2), // querier 7's first store: counts
+            rec(400, 7, 2), // stored again: does not
+        ];
+        let (count, w) = against_reference(cfg, &records, 2);
+        assert_eq!(count, Some(2));
+        let o = &w.observations.per_originator[&rec(0, 0, 2).originator];
+        assert_eq!((o.querier_count(), o.query_count()), (2, 3));
+    }
+
+    #[test]
+    fn a_readmitted_originator_counts_its_old_queriers_again() {
+        let cfg = StreamConfig { max_originators: 1, admission_queries: 1, ..Default::default() };
+        let records = [
+            rec(0, 1, 1),
+            rec(1, 2, 1),  // originator 1: queriers 1 and 2
+            rec(10, 5, 2), // originator 2 evicts it
+            rec(50, 3, 1), // re-admitted through querier 3, evicting 2
+            rec(60, 1, 1), // querier 1 is new to this admission
+        ];
+        let (count, w) = against_reference(cfg, &records, 1);
+        assert_eq!(count, Some(2));
+        let o = &w.observations.per_originator[&rec(0, 0, 1).originator];
+        assert_eq!(o.queriers, [rec(0, 1, 0).querier, rec(0, 3, 0).querier]);
+        assert_eq!(w.evicted, 2);
+    }
+
+    #[test]
+    fn repeats_past_the_dedup_window_never_double_count() {
+        let records = [
+            rec(0, 1, 1),
+            rec(30, 1, 1),
+            rec(45, 2, 1),
+            rec(60, 1, 1),
+            rec(90, 1, 1),
+            rec(100, 1, 1),
+        ];
+        let (count, w) = against_reference(StreamConfig::default(), &records, 1);
+        assert_eq!(count, Some(2));
+        let o = &w.observations.per_originator[&rec(0, 0, 1).originator];
+        assert_eq!((o.querier_count(), o.query_count()), (2, 5), "the repeat at 100 s is deduped");
+    }
+
+    #[test]
+    fn a_repeat_at_the_window_limit_dedups_as_the_reference_does() {
+        // A window of 2⁶³ s starting at 2⁶³: every timestamp has its top
+        // bit set, the offsets 2⁶³ − 31, 2⁶³ − 2 and 2⁶³ − 1 do not.
+        let cfg = StreamConfig { window: MAX_WINDOW, ..Default::default() };
+        let start = 1u64 << 63;
+        let records = [
+            rec(start + (start - 31), 1, 1),
+            rec(start + (start - 2), 1, 1), // 29 s later: deduped
+            rec(start + (start - 1), 1, 1), // 30 s after the first: kept
+        ];
+        let (count, w) = against_reference(cfg, &records, 1);
+        assert_eq!(count, Some(1));
+        assert_eq!(w.window, (SimTime(start), SimTime(u64::MAX)));
+        let o = &w.observations.per_originator[&rec(0, 0, 1).originator];
+        assert_eq!(
+            o.queries.iter().map(|q| q.0.secs()).collect::<Vec<_>>(),
+            [u64::MAX - 30, u64::MAX]
+        );
+    }
+
+    #[test]
+    fn windows_past_the_bound_are_cut_to_it() {
+        let long = StreamConfig { window: SimDuration(u64::MAX), ..Default::default() };
+        assert_eq!(long.resolved_window(), MAX_WINDOW);
+        let records = [rec(5, 1, 1), rec(1 << 63, 2, 2)];
+        let mut sensor = StreamingSensor::new(long);
+        assert!(sensor.push(records[0]).is_none());
+        let first = sensor.push(records[1]).expect("2⁶³ s opens the next window");
+        assert_eq!(first.window, (SimTime(0), SimTime(1 << 63)));
+        let second = sensor.finish().expect("window");
+        assert_eq!(second.window, (SimTime(1 << 63), SimTime(u64::MAX)));
+        // A batch window observes its first 2⁶³ s and says so.
+        let log = bs_netsim::log::QueryLog::from_records(records.to_vec());
+        let obs = Observations::ingest(&log, SimTime(0), SimTime(u64::MAX));
+        assert_eq!(obs.window_end, SimTime(1 << 63));
+        assert_eq!(obs.per_originator, first.observations.per_originator);
     }
 
     #[test]

@@ -268,7 +268,11 @@ fn cmd_stream(
     };
     let max_originators: usize = match flags.get("max-originators") {
         None => StreamConfig::default().max_originators,
-        Some(s) => s.parse().map_err(|_| format!("bad --max-originators {s:?}"))?,
+        Some(s) => match s.parse() {
+            Ok(0) => return Err("bad --max-originators 0 (at least 1)".into()),
+            Ok(n) => n,
+            Err(_) => return Err(format!("bad --max-originators {s:?}")),
+        },
     };
     let pace_rps: u64 = match flags.get("pace") {
         None => 0,

@@ -501,6 +501,49 @@ fn hostile_window_values_print_the_header_and_no_rows() {
     assert!(String::from_utf8_lossy(&out.stdout).lines().count() > 1, "rows expected");
 }
 
+/// A tracked table of zero originators is refused by name before the
+/// sensor starts, not by an assertion on its thread.
+#[test]
+fn stream_rejects_a_zero_originator_table() {
+    let log = simulated_log();
+    let out = bin()
+        .args(["stream", "--log", log.to_str().unwrap(), "--max-originators", "0"])
+        .output()
+        .expect("run stream");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("bad --max-originators 0 (at least 1)"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+/// `stream` with a five-originator table evicts in every window of the
+/// JP-ditl smoke log: its stdout is pinned (lines, FNV-1a) at one
+/// thread and at the default width, and the ledger balances.
+#[test]
+fn stream_under_eviction_prints_the_pinned_bytes() {
+    let log = simulated_log();
+    let args = ["stream", "--log", log.to_str().unwrap(), "--window", "600"];
+    let args = [&args[..], &["--max-originators", "5", "--extract", "1"]].concat();
+    for threads in [Some("1"), None] {
+        let mut cmd = bin();
+        match threads {
+            Some(n) => cmd.env("BS_THREADS", n),
+            None => cmd.env_remove("BS_THREADS"),
+        };
+        let out = cmd
+            .args(&args)
+            .args(["--trace", tmp("cli-evict-trace.json").to_str().unwrap()])
+            .output()
+            .expect("run stream");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{threads:?}: {stderr}");
+        assert!(!stderr.contains("ledger imbalance"), "{threads:?}: {stderr}");
+        let lines = out.stdout.split(|b| *b == b'\n').count() - 1;
+        let got = (lines, digest(&out.stdout));
+        assert_eq!(got, (302, 0x3011_909a_b5d1_03bb), "{threads:?}: {got:#x?}");
+    }
+}
+
 /// `simulate` does not write its log in time order and `stream` keeps
 /// arrival order, so some records arrive behind their window: the
 /// summary line says how many were dropped, with or without `--metrics`.
