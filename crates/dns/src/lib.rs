@@ -47,6 +47,6 @@ pub mod time;
 pub mod wire;
 
 pub use message::{Message, QClass, QType, Rcode, RecordData, ResourceRecord};
-pub use name::{DomainName, Label, NameError};
+pub use name::{DomainName, Label, LabelBytes, NameError};
 pub use reverse::{parse_reverse_v4, parse_reverse_v6, reverse_name, reverse_name_v6, ReverseZone};
 pub use time::{SimDuration, SimTime};

@@ -1,14 +1,16 @@
 //! Domain names.
 //!
-//! A [`DomainName`] is an ordered sequence of [`Label`]s, stored
-//! left-to-right (host-most label first), excluding the implicit root
-//! label. Names compare case-insensitively, as required by RFC 1035 §2.3.3
-//! and relied on throughout the sensor's keyword matching.
-//!
-//! Length limits (labels ≤ 63 bytes, whole name ≤ 255 bytes on the wire)
-//! are enforced at construction time so that invalid names cannot exist.
+//! A [`DomainName`] is one buffer: its labels, host-most first, in wire
+//! form (a length octet, then the bytes) without the root octet, so
+//! `mail.example.com` is `\x04mail\x07example\x03com` and the root is
+//! empty. It is validated where it is built — labels of 1–63 bytes of
+//! `[A-Za-z0-9_-]`, at most 255 bytes on the wire — so invalid names
+//! cannot exist. Names compare and hash case-insensitively (RFC 1035
+//! §2.3.3), as the sensor's keyword matching relies on, by folding the
+//! buffer's bytes: a length octet is below 64, so folding keeps it.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 /// Maximum length of a single label in bytes (RFC 1035 §2.3.4).
@@ -46,140 +48,151 @@ impl fmt::Display for NameError {
 
 impl std::error::Error for NameError {}
 
-/// A single DNS label: 1–63 bytes of `[A-Za-z0-9_-]`, compared
-/// case-insensitively.
-#[derive(Debug, Clone, Eq)]
+/// May a label hold `b`?
+pub(crate) fn is_label_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'-' || b == b'_'
+}
+
+/// Check one label: its length, then its first bad character.
+fn check_label(s: &str) -> Result<(), NameError> {
+    if s.is_empty() {
+        return Err(NameError::EmptyLabel);
+    }
+    if s.len() > MAX_LABEL_LEN {
+        return Err(NameError::LabelTooLong(s.len()));
+    }
+    match s.chars().find(|&c| !c.is_ascii() || !is_label_byte(c as u8)) {
+        Some(c) => Err(NameError::BadCharacter(c)),
+        None => Ok(()),
+    }
+}
+
+/// Append a checked label in wire form.
+fn push_label(wire: &mut Vec<u8>, label: &str) {
+    wire.push(label.len() as u8);
+    wire.extend_from_slice(label.as_bytes());
+}
+
+/// A single DNS label: 1–63 bytes of `[A-Za-z0-9_-]`, the validated input
+/// of [`DomainName::child`] and [`DomainName::from_labels`].
+#[derive(Debug, Clone)]
 pub struct Label(String);
 
 impl Label {
     /// Construct a label, validating length and character set.
     pub fn new(s: &str) -> Result<Self, NameError> {
-        if s.is_empty() {
-            return Err(NameError::EmptyLabel);
-        }
-        if s.len() > MAX_LABEL_LEN {
-            return Err(NameError::LabelTooLong(s.len()));
-        }
-        for c in s.chars() {
-            if !(c.is_ascii_alphanumeric() || c == '-' || c == '_') {
-                return Err(NameError::BadCharacter(c));
-            }
-        }
+        check_label(s)?;
         Ok(Label(s.to_string()))
-    }
-
-    /// The label text as given (original case preserved).
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-
-    /// The label lowercased, for canonical comparison and keyword matching.
-    pub fn to_lowercase(&self) -> String {
-        self.0.to_ascii_lowercase()
-    }
-
-    /// Wire length: one length octet plus the label bytes.
-    pub fn wire_len(&self) -> usize {
-        1 + self.0.len()
-    }
-}
-
-impl PartialEq for Label {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.eq_ignore_ascii_case(&other.0)
-    }
-}
-
-impl std::hash::Hash for Label {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for b in self.0.bytes() {
-            state.write_u8(b.to_ascii_lowercase());
-        }
-    }
-}
-
-impl fmt::Display for Label {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
     }
 }
 
 /// A fully-qualified domain name (without the trailing dot).
 ///
-/// The empty sequence of labels is the DNS root. Labels are ordered
+/// The name with no labels is the DNS root. Labels are ordered
 /// host-first: `mail.example.com` is `["mail", "example", "com"]`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Default)]
 pub struct DomainName {
-    labels: Vec<Label>,
+    /// The labels in wire form, host-most first, without the root octet.
+    wire: Box<[u8]>,
 }
 
 impl DomainName {
     /// The DNS root (zero labels).
     pub fn root() -> Self {
-        DomainName { labels: Vec::new() }
+        DomainName::default()
+    }
+
+    /// A name of checked labels in wire form (no root octet); fails if it
+    /// would exceed the 255-byte wire limit.
+    pub(crate) fn from_wire(wire: impl Into<Box<[u8]>>) -> Result<Self, NameError> {
+        let wire = wire.into();
+        match wire.len() + 1 {
+            wl if wl > MAX_NAME_LEN => Err(NameError::NameTooLong(wl)),
+            _ => Ok(DomainName { wire }),
+        }
     }
 
     /// Build a name from pre-validated labels.
     ///
     /// Fails if the resulting name would exceed the 255-byte wire limit.
     pub fn from_labels(labels: Vec<Label>) -> Result<Self, NameError> {
-        let name = DomainName { labels };
-        let wl = name.wire_len();
-        if wl > MAX_NAME_LEN {
-            return Err(NameError::NameTooLong(wl));
+        let mut wire = Vec::new();
+        for l in &labels {
+            push_label(&mut wire, &l.0);
         }
-        Ok(name)
+        Self::from_wire(wire)
     }
 
     /// Parse a dotted name such as `"mail.example.com"`.
     ///
     /// An empty string or `"."` parses as the root. A single trailing dot
-    /// is accepted and ignored.
+    /// is accepted and ignored. A bad label is reported before a name
+    /// that is too long.
     pub fn parse(s: &str) -> Result<Self, NameError> {
         let s = s.strip_suffix('.').unwrap_or(s);
         if s.is_empty() {
             return Ok(Self::root());
         }
-        let labels = s.split('.').map(Label::new).collect::<Result<Vec<_>, _>>()?;
-        Self::from_labels(labels)
+        // A length octet per dot, plus one: the buffer's exact size.
+        let mut wire = Vec::with_capacity(s.len() + 1);
+        for label in s.split('.') {
+            check_label(label)?;
+            push_label(&mut wire, label);
+        }
+        Self::from_wire(wire)
     }
 
     /// Number of labels (0 for the root).
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.labels().len()
     }
 
     /// True for the DNS root.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire.is_empty()
     }
 
-    /// The labels, host-most first.
-    pub fn labels(&self) -> &[Label] {
-        &self.labels
+    /// The labels, host-most first; `.rev()` walks them from the TLD.
+    pub fn labels(&self) -> impl DoubleEndedIterator<Item = &str> + ExactSizeIterator + Clone + '_ {
+        self.label_bytes().map(|l| std::str::from_utf8(l).expect("labels are ASCII"))
+    }
+
+    /// [`labels`](Self::labels) as bytes, not re-checked as UTF-8, for
+    /// the sensor's keyword matcher.
+    pub fn label_bytes(&self) -> LabelBytes<'_> {
+        LabelBytes { rest: &self.wire }
     }
 
     /// The left-most (host-most) label, if any.
     ///
     /// The sensor's static-feature matcher favours this label: the paper
     /// classifies `mail.ns.example.com` as `mail`, not `ns`.
-    pub fn leftmost(&self) -> Option<&Label> {
-        self.labels.first()
+    pub fn leftmost(&self) -> Option<&str> {
+        self.labels().next()
     }
 
-    /// Wire length: sum of label wire lengths plus the terminating root
-    /// octet.
+    /// Lowercased dotted representation, for canonical map keys.
+    pub fn to_lowercase_string(&self) -> String {
+        self.to_string().to_ascii_lowercase()
+    }
+
+    /// Wire length: the labels' length octets and bytes plus the
+    /// terminating root octet.
     pub fn wire_len(&self) -> usize {
-        self.labels.iter().map(Label::wire_len).sum::<usize>() + 1
+        self.wire.len() + 1
+    }
+
+    /// The label-aligned suffixes of the buffer, longest first: the whole
+    /// name, its parent, …, and last the root's empty buffer.
+    pub(crate) fn suffixes(&self) -> impl Iterator<Item = &[u8]> {
+        std::iter::successors(Some(&self.wire[..]), |w| {
+            w.split_first().map(|(&len, rest)| &rest[len as usize..])
+        })
     }
 
     /// The parent name (all but the left-most label); `None` at the root.
     pub fn parent(&self) -> Option<DomainName> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(DomainName { labels: self.labels[1..].to_vec() })
-        }
+        self.suffixes().nth(1).map(|w| DomainName { wire: w.into() })
     }
 
     /// True if `self` equals `suffix` or ends with `suffix`'s labels.
@@ -188,34 +201,33 @@ impl DomainName {
     /// case-insensitive. `example.com` is a subdomain of `com` and of
     /// itself, but not of `ample.com`.
     pub fn is_subdomain_of(&self, suffix: &DomainName) -> bool {
-        if suffix.labels.len() > self.labels.len() {
-            return false;
-        }
-        let skip = self.labels.len() - suffix.labels.len();
-        self.labels[skip..].iter().zip(suffix.labels.iter()).all(|(a, b)| a == b)
+        self.suffixes()
+            .find(|s| s.len() <= suffix.wire.len())
+            .is_some_and(|s| s.eq_ignore_ascii_case(&suffix.wire))
     }
 
     /// Prepend a label, producing a child name.
     pub fn child(&self, label: Label) -> Result<DomainName, NameError> {
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label);
-        labels.extend(self.labels.iter().cloned());
-        DomainName::from_labels(labels)
+        let mut wire = Vec::with_capacity(1 + label.0.len() + self.wire.len());
+        push_label(&mut wire, &label.0);
+        wire.extend_from_slice(&self.wire);
+        Self::from_wire(wire)
     }
+}
 
-    /// Lowercased dotted representation, for canonical map keys.
-    pub fn to_lowercase_string(&self) -> String {
-        if self.is_root() {
-            return ".".to_string();
-        }
-        let mut out = String::with_capacity(self.wire_len());
-        for (i, l) in self.labels.iter().enumerate() {
-            if i > 0 {
-                out.push('.');
-            }
-            out.push_str(&l.to_lowercase());
-        }
-        out
+impl PartialEq for DomainName {
+    fn eq(&self, other: &Self) -> bool {
+        self.wire.eq_ignore_ascii_case(&other.wire)
+    }
+}
+
+impl Eq for DomainName {}
+
+impl Hash for DomainName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // The length first, so no name's input is a prefix of another's.
+        state.write_usize(self.wire.len());
+        self.wire.iter().for_each(|b| state.write_u8(b.to_ascii_lowercase()));
     }
 }
 
@@ -224,13 +236,20 @@ impl fmt::Display for DomainName {
         if self.is_root() {
             return f.write_str(".");
         }
-        for (i, l) in self.labels.iter().enumerate() {
+        for (i, l) in self.labels().enumerate() {
             if i > 0 {
                 f.write_str(".")?;
             }
-            write!(f, "{l}")?;
+            f.write_str(l)?;
         }
         Ok(())
+    }
+}
+
+/// The dotted name, as [`fmt::Display`] prints it.
+impl fmt::Debug for DomainName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self, f)
     }
 }
 
@@ -240,6 +259,47 @@ impl FromStr for DomainName {
         DomainName::parse(s)
     }
 }
+
+/// The labels of a [`DomainName`] as bytes, host-most first, counted only
+/// when asked, so a forward walk never pays for the count. A step from
+/// the back re-walks the length octets from the front, so `.rev()` costs
+/// time quadratic in the label count (at most 127).
+#[derive(Debug, Clone)]
+pub struct LabelBytes<'a> {
+    /// The labels not yet yielded, in wire form.
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for LabelBytes<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (&n, tail) = self.rest.split_first()?;
+        let (label, rest) = tail.split_at(n as usize);
+        self.rest = rest;
+        Some(label)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.clone().count();
+        (n, Some(n))
+    }
+}
+
+impl<'a> DoubleEndedIterator for LabelBytes<'a> {
+    fn next_back(&mut self) -> Option<&'a [u8]> {
+        // Length octets lead their labels: step to the last one's.
+        let mut at = 0;
+        while at + 1 + *self.rest.get(at)? as usize != self.rest.len() {
+            at += 1 + self.rest[at] as usize;
+        }
+        let (head, last) = self.rest.split_at(at);
+        self.rest = head;
+        Some(&last[1..])
+    }
+}
+
+impl ExactSizeIterator for LabelBytes<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -318,7 +378,7 @@ mod tests {
     #[test]
     fn leftmost_and_parent() {
         let n = DomainName::parse("mail.ns.example.com").unwrap();
-        assert_eq!(n.leftmost().unwrap().as_str(), "mail");
+        assert_eq!(n.leftmost().unwrap(), "mail");
         let p = n.parent().unwrap();
         assert_eq!(p.to_string(), "ns.example.com");
         assert!(DomainName::root().parent().is_none());

@@ -7,44 +7,48 @@
 //! delegates portions of the reverse tree ([`ReverseZone`]) to the
 //! authorities that the paper instruments (root, national, final).
 
-use crate::name::{DomainName, Label};
+use crate::name::DomainName;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use std::str::FromStr;
 
+/// `in-addr.arpa` in wire form.
+const IN_ADDR_ARPA: &[u8] = b"\x07in-addr\x04arpa";
+
+/// The name under `in-addr.arpa` whose labels are `octets` in decimal,
+/// host-most first, written straight into the name's wire form.
+fn in_addr_name(octets: impl Iterator<Item = u8>) -> DomainName {
+    // At most four labels of a length octet and three digits.
+    let mut wire = [0u8; 16 + IN_ADDR_ARPA.len()];
+    let mut used = 0;
+    for o in octets {
+        let digits = [b'0' + o / 100, b'0' + o / 10 % 10, b'0' + o % 10];
+        let skip = (o < 100) as usize + (o < 10) as usize;
+        wire[used] = (3 - skip) as u8;
+        wire[used + 1..used + 4 - skip].copy_from_slice(&digits[skip..]);
+        used += 4 - skip;
+    }
+    wire[used..used + IN_ADDR_ARPA.len()].copy_from_slice(IN_ADDR_ARPA);
+    DomainName::from_wire(&wire[..used + IN_ADDR_ARPA.len()]).expect("reverse name fits")
+}
+
 /// Build the reverse name for an IPv4 address:
 /// `192.0.2.77` → `77.2.0.192.in-addr.arpa`.
 pub fn reverse_name(addr: Ipv4Addr) -> DomainName {
-    let o = addr.octets();
-    // Labels are at most 3 digits and the whole name is far below the
-    // 255-byte limit, so these constructions cannot fail.
-    let labels = vec![
-        Label::new(&o[3].to_string()).expect("octet label"),
-        Label::new(&o[2].to_string()).expect("octet label"),
-        Label::new(&o[1].to_string()).expect("octet label"),
-        Label::new(&o[0].to_string()).expect("octet label"),
-        Label::new("in-addr").expect("in-addr"),
-        Label::new("arpa").expect("arpa"),
-    ];
-    DomainName::from_labels(labels).expect("reverse name fits")
+    in_addr_name(addr.octets().into_iter().rev())
 }
 
 /// Parse a (possibly partial) reverse name back to the IPv4 address it
 /// refers to. Returns `None` unless the name is exactly a full 4-octet
 /// reverse name under `in-addr.arpa`.
 pub fn parse_reverse_v4(name: &DomainName) -> Option<Ipv4Addr> {
-    let labels = name.labels();
+    let mut labels = name.labels();
     if labels.len() != 6 {
-        return None;
-    }
-    if !labels[4].as_str().eq_ignore_ascii_case("in-addr")
-        || !labels[5].as_str().eq_ignore_ascii_case("arpa")
-    {
         return None;
     }
     let mut octets = [0u8; 4];
     for i in 0..4 {
-        let s = labels[i].as_str();
+        let s = labels.next()?;
         // Reject leading zeros ("01") and non-numeric labels outright;
         // real resolvers send them occasionally, but they never name a
         // canonical address.
@@ -57,6 +61,10 @@ pub fn parse_reverse_v4(name: &DomainName) -> Option<Ipv4Addr> {
         }
         // QNAME is reversed: first label is the last octet.
         octets[3 - i] = v as u8;
+    }
+    let (tree, tld) = (labels.next()?, labels.next()?);
+    if !tree.eq_ignore_ascii_case("in-addr") || !tld.eq_ignore_ascii_case("arpa") {
+        return None;
     }
     Some(Ipv4Addr::from(octets))
 }
@@ -73,34 +81,27 @@ pub fn parse_reverse_v4(name: &DomainName) -> Option<Ipv4Addr> {
 /// when dismissing IPv6 darknets — passive backscatter is one of the
 /// few network-wide sensors that still works in the huge v6 space.
 pub fn reverse_name_v6(addr: Ipv6Addr) -> DomainName {
-    let octets = addr.octets();
-    let mut labels: Vec<Label> = Vec::with_capacity(34);
-    for o in octets.iter().rev() {
+    const IP6_ARPA: &[u8] = b"\x03ip6\x04arpa";
+    let mut wire = Vec::with_capacity(64 + IP6_ARPA.len());
+    for o in addr.octets().iter().rev() {
         // Low nibble first, then high nibble.
         for nibble in [o & 0x0F, o >> 4] {
             let c = char::from_digit(nibble as u32, 16).expect("nibble is hex");
-            labels.push(Label::new(&c.to_string()).expect("hex label"));
+            wire.extend_from_slice(&[1, c as u8]);
         }
     }
-    labels.push(Label::new("ip6").expect("ip6"));
-    labels.push(Label::new("arpa").expect("arpa"));
-    DomainName::from_labels(labels).expect("ip6.arpa name fits in 255 bytes")
+    wire.extend_from_slice(IP6_ARPA);
+    DomainName::from_wire(wire).expect("ip6.arpa name fits in 255 bytes")
 }
 
 /// Parse a full 32-nibble `ip6.arpa` name back to its IPv6 address.
 pub fn parse_reverse_v6(name: &DomainName) -> Option<Ipv6Addr> {
-    let labels = name.labels();
+    let mut labels = name.labels();
     if labels.len() != 34 {
         return None;
     }
-    if !labels[32].as_str().eq_ignore_ascii_case("ip6")
-        || !labels[33].as_str().eq_ignore_ascii_case("arpa")
-    {
-        return None;
-    }
     let mut octets = [0u8; 16];
-    for (i, label) in labels.iter().enumerate().take(32) {
-        let s = label.as_str();
+    for (i, s) in labels.by_ref().take(32).enumerate() {
         if s.len() != 1 {
             return None;
         }
@@ -113,6 +114,10 @@ pub fn parse_reverse_v6(name: &DomainName) -> Option<Ipv6Addr> {
         } else {
             octets[byte] |= nibble << 4; // high nibble
         }
+    }
+    let (tree, tld) = (labels.next()?, labels.next()?);
+    if !tree.eq_ignore_ascii_case("ip6") || !tld.eq_ignore_ascii_case("arpa") {
+        return None;
     }
     Some(Ipv6Addr::from(octets))
 }
@@ -175,15 +180,8 @@ impl ReverseZone {
     /// The zone apex as a domain name, e.g. `2.0.192.in-addr.arpa` for
     /// `192.0.2.0/24`, or `in-addr.arpa` for `/0`.
     pub fn zone_name(&self) -> DomainName {
-        let o = self.prefix.octets();
-        let mut labels: Vec<Label> = Vec::new();
         let significant = (self.plen / 8) as usize;
-        for i in (0..significant).rev() {
-            labels.push(Label::new(&o[i].to_string()).expect("octet label"));
-        }
-        labels.push(Label::new("in-addr").expect("in-addr"));
-        labels.push(Label::new("arpa").expect("arpa"));
-        DomainName::from_labels(labels).expect("zone name fits")
+        in_addr_name(self.prefix.octets()[..significant].iter().rev().copied())
     }
 }
 

@@ -5,10 +5,14 @@
 //! defensive: truncated buffers, unknown type codes, compression-pointer
 //! loops, and over-long names all produce a typed [`WireError`] instead
 //! of a panic, because the sensor must survive malformed packets.
+//!
+//! A [`DomainName`] is its labels in wire form, so the decoder writes a
+//! name into one buffer as it validates it, and the encoder compresses by
+//! comparing label-aligned suffixes. [`Message::decode`] is the one
+//! decoder: the capture reader and every test go through it.
 
 use crate::message::{Message, QClass, QType, Question, Rcode, RecordData, ResourceRecord};
-use crate::name::{DomainName, Label, MAX_NAME_LEN};
-use std::collections::HashMap;
+use crate::name::{is_label_byte, DomainName, MAX_NAME_LEN};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -59,15 +63,16 @@ impl std::error::Error for WireError {}
 
 /// Incremental encoder with name compression, writing big-endian
 /// fields into a plain byte vector.
-struct Encoder {
+struct Encoder<'a> {
     buf: Vec<u8>,
-    /// Lowercased dotted name → offset of its first encoding.
-    seen: HashMap<String, u16>,
+    /// Label-aligned suffixes written so far (wire form) at their first
+    /// offsets; a message has few names, so a scan beats hashing keys.
+    seen: Vec<(&'a [u8], u16)>,
 }
 
-impl Encoder {
+impl<'a> Encoder<'a> {
     fn new() -> Self {
-        Encoder { buf: Vec::with_capacity(512), seen: HashMap::new() }
+        Encoder { buf: Vec::with_capacity(512), seen: Vec::new() }
     }
 
     fn put_u8(&mut self, n: u8) {
@@ -82,17 +87,16 @@ impl Encoder {
         self.buf.extend_from_slice(&n.to_be_bytes());
     }
 
-    fn put_name(&mut self, name: &DomainName) {
+    fn put_name(&mut self, name: &'a DomainName) {
         // Emit labels until we hit a suffix we've already encoded, then a
         // pointer; record offsets of each new suffix for later reuse.
-        let mut suffix = name.clone();
-        loop {
-            if suffix.is_root() {
+        for suffix in name.suffixes() {
+            let Some(&len) = suffix.first() else {
                 self.put_u8(0);
                 return;
-            }
-            let key = suffix.to_lowercase_string();
-            if let Some(&off) = self.seen.get(&key) {
+            };
+            if let Some(&(_, off)) = self.seen.iter().find(|(s, _)| s.eq_ignore_ascii_case(suffix))
+            {
                 self.put_u16(0xC000 | off);
                 return;
             }
@@ -101,22 +105,19 @@ impl Encoder {
             // 0x3FFF are not recorded (messages we build never get there,
             // but stay correct if they do).
             if off <= 0x3FFF {
-                self.seen.insert(key, off as u16);
+                self.seen.push((suffix, off as u16));
             }
-            let label = suffix.labels()[0].clone();
-            self.put_u8(label.as_str().len() as u8);
-            self.buf.extend_from_slice(label.as_str().as_bytes());
-            suffix = suffix.parent().expect("non-root has parent");
+            self.buf.extend_from_slice(&suffix[..1 + len as usize]);
         }
     }
 
-    fn put_question(&mut self, q: &Question) {
+    fn put_question(&mut self, q: &'a Question) {
         self.put_name(&q.qname);
         self.put_u16(q.qtype.code());
         self.put_u16(q.qclass.code());
     }
 
-    fn put_record(&mut self, rr: &ResourceRecord) {
+    fn put_record(&mut self, rr: &'a ResourceRecord) {
         self.put_name(&rr.name);
         self.put_u16(rr.data.qtype().code());
         self.put_u16(QClass::In.code());
@@ -225,11 +226,12 @@ impl<'a> Decoder<'a> {
         Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    /// Decode a (possibly compressed) name starting at the cursor.
+    /// Decode a (possibly compressed) name starting at the cursor,
+    /// writing each label into the name's buffer once it is validated.
     fn name(&mut self) -> Result<DomainName, WireError> {
-        let mut labels: Vec<Label> = Vec::new();
-        // Starts at the terminating root byte.
-        let mut wire_len = 1usize;
+        let mut wire = [0u8; MAX_NAME_LEN];
+        // Bytes of `wire` in use; `used + 1` with the root octet.
+        let mut used = 0usize;
         // Pointers must target strictly before here.
         let mut limit_pos = self.pos();
         // Follow the label chain in `view`; the cursor keeps in step
@@ -251,12 +253,16 @@ impl<'a> Decoder<'a> {
                     if !jumped {
                         self.cur = view;
                     }
-                    wire_len += 1 + raw.len();
-                    if wire_len > MAX_NAME_LEN {
+                    let end = used + 1 + raw.len();
+                    if end + 1 > MAX_NAME_LEN {
                         return Err(WireError::NameTooLong);
                     }
-                    let s = std::str::from_utf8(raw).map_err(|_| WireError::BadLabel)?;
-                    labels.push(Label::new(s).map_err(|_| WireError::BadLabel)?);
+                    if !raw.iter().all(|&b| is_label_byte(b)) {
+                        return Err(WireError::BadLabel);
+                    }
+                    wire[used] = len;
+                    wire[used + 1..end].copy_from_slice(raw);
+                    used = end;
                 }
                 0xC0 => {
                     let lo = take(&mut view, 1)?[0];
@@ -276,7 +282,7 @@ impl<'a> Decoder<'a> {
                 other => return Err(WireError::BadLabelType(other)),
             }
         }
-        DomainName::from_labels(labels).map_err(|_| WireError::NameTooLong)
+        DomainName::from_wire(&wire[..used]).map_err(|_| WireError::NameTooLong)
     }
 
     fn question(&mut self) -> Result<Question, WireError> {

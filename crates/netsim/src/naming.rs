@@ -93,9 +93,9 @@ pub fn org_domain(seed: u64, org_key: u64, country: CountryCode) -> DomainName {
     let label = org_label(h, 2 + (h % 2) as usize);
     let tld_h = mix64(h ^ 0x77);
     let tld = if !tld_h.is_multiple_of(3) {
-        country.as_str().to_string()
+        country.as_str()
     } else {
-        GTLDS[bounded(tld_h, GTLDS.len() as u64) as usize].to_string()
+        GTLDS[bounded(tld_h, GTLDS.len() as u64) as usize]
     };
     DomainName::parse(&format!("{label}.{tld}")).expect("generated org domain is valid")
 }
@@ -156,14 +156,14 @@ fn numbered(h: u64, kw: &str) -> String {
 pub fn provider_domain(seed: u64, addr: Ipv4Addr, role: HostRole) -> DomainName {
     let h = hash2(seed ^ 0x6E5A_1B00_77F0_0003, u32::from(addr) as u64 >> 8, role_tag(role));
     let suffix = match role {
-        HostRole::CdnNode => pick(h, CDN_SUFFIXES).to_string(),
+        HostRole::CdnNode => pick(h, CDN_SUFFIXES),
         HostRole::CloudNode => {
             // Weighted toward AWS like the real cloud market.
             match mix64(h) % 5 {
-                0 | 1 => AWS_SUFFIX.to_string(),
-                2 => MS_SUFFIX.to_string(),
-                3 => GOOGLE_SUFFIX.to_string(),
-                _ => AWS_SUFFIX.to_string(),
+                0 | 1 => AWS_SUFFIX,
+                2 => MS_SUFFIX,
+                3 => GOOGLE_SUFFIX,
+                _ => AWS_SUFFIX,
             }
         }
         _ => unreachable!("provider_domain only applies to CDN/cloud roles"),

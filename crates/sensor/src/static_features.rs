@@ -7,7 +7,7 @@
 //! and `mail.google.sim` is `mail` rather than `google`.
 
 use crate::bytes::{fold_ascii_lower, pack_prefix, prefix_mask};
-use bs_dns::DomainName;
+use bs_dns::{DomainName, LabelBytes};
 use bs_netsim::types::NameOutcome;
 use std::sync::OnceLock;
 
@@ -277,22 +277,21 @@ fn classify_with(
     order: MatchOrder,
     classify: impl Fn(&[u8]) -> Option<StaticFeature>,
 ) -> StaticFeature {
-    fn classify_seq<'a>(
-        iter: impl Iterator<Item = &'a [u8]>,
-        classify: impl Fn(&[u8]) -> Option<StaticFeature>,
-    ) -> StaticFeature {
-        for component in iter {
-            if let Some(f) = classify(component) {
-                return f;
-            }
-        }
-        StaticFeature::OtherUnclassified
+    /// The first label from the right that `classify` places: one forward
+    /// walk down, each label tested on the way back up.
+    fn rightmost(
+        mut labels: LabelBytes<'_>,
+        classify: &impl Fn(&[u8]) -> Option<StaticFeature>,
+    ) -> Option<StaticFeature> {
+        let label = labels.next()?;
+        rightmost(labels, classify).or_else(|| classify(label))
     }
-    let labels = name.labels().iter().map(|l| l.as_str().as_bytes());
+    let mut labels = name.label_bytes();
     match order {
-        MatchOrder::LeftmostFirst => classify_seq(labels, classify),
-        MatchOrder::RightmostFirst => classify_seq(labels.rev(), classify),
+        MatchOrder::LeftmostFirst => labels.find_map(&classify),
+        MatchOrder::RightmostFirst => rightmost(labels, &classify),
     }
+    .unwrap_or(StaticFeature::OtherUnclassified)
 }
 
 /// Classify a reverse name into a static category with an explicit
@@ -351,6 +350,14 @@ mod tests {
         assert_eq!(classify("mail.google.sim"), StaticFeature::Mail);
         // but a neutral host under google is google.
         assert_eq!(classify("a1-2-3-4.compute.google.sim"), StaticFeature::Google);
+    }
+
+    #[test]
+    fn rightmost_first_scans_from_the_tld() {
+        let by = |s: &str, order| classify_name_with_order(&DomainName::parse(s).unwrap(), order);
+        assert_eq!(by("mail.google.sim", MatchOrder::RightmostFirst), StaticFeature::Google);
+        assert_eq!(by("mail.dsl-1.example.com", MatchOrder::RightmostFirst), StaticFeature::Home);
+        assert_eq!(by("mail.dsl-1.example.com", MatchOrder::LeftmostFirst), StaticFeature::Mail);
     }
 
     #[test]

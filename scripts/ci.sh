@@ -3,8 +3,9 @@
 #   format check → hermeticity → no unused dependency edge → no thread
 #   in bs-telemetry → no retired batch-ingest metric name → lints as
 #   errors → rustdoc as errors → release build → one experiments binary
-#   whose registry matches results/ → bs-ml, bs-classify, bs-sensor and
-#   backscatter-core tests on the release build → tests → CLI smokes.
+#   whose registry matches results/ → bs-dns, bs-netsim, bs-ml,
+#   bs-classify, bs-sensor and backscatter-core tests on the release
+#   build → tests → CLI smokes.
 # Performance is not gated here: `bash benchmark/run.sh` measures it.
 # Any step failing fails the script.
 set -euo pipefail
@@ -117,14 +118,15 @@ if [ "$listed" != "$committed" ]; then
     exit 1
 fi
 
-echo "=== bs-ml, bs-classify, bs-sensor and backscatter-core suites on the optimised build"
+echo "=== bs-dns, bs-netsim, bs-ml, bs-classify, bs-sensor and backscatter-core suites on the optimised build"
 # Fast path ≡ reference is a claim about bits, and what the benchmark
-# and the binary run is the release build: its float code, the
+# and the binary run is the release build: the codec digests and the
+# hostile-capture suites at widths 1, 2 and 8, its float code, the
 # branch-free partition, the vote's early exit, the sensor's
 # *_equivalence suites and core::stream's pipelined ≡ inline suites
 # over eviction-heavy hostile streams as the optimiser compiles them.
 # The debug run below does not see that code.
-cargo test --release -p bs-ml -p bs-classify -p bs-sensor -p backscatter-core -q
+cargo test --release -p bs-dns -p bs-netsim -p bs-ml -p bs-classify -p bs-sensor -p backscatter-core -q
 
 echo "=== cargo test --workspace (every crate, default thread count)"
 # Runs every equivalence suite once. That results do not depend on the

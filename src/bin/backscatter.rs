@@ -264,7 +264,11 @@ fn cmd_stream(
     let log = load_log(flags)?;
     let window_secs: u64 = match flags.get("window") {
         None => 3600,
-        Some(s) => s.parse().map_err(|_| format!("bad --window {s:?} (seconds)"))?,
+        Some(s) => match s.parse() {
+            Ok(0) => return Err("bad --window 0 (at least 1 second)".into()),
+            Ok(n) => n,
+            Err(_) => return Err(format!("bad --window {s:?} (seconds)")),
+        },
     };
     let max_originators: usize = match flags.get("max-originators") {
         None => StreamConfig::default().max_originators,
@@ -294,7 +298,7 @@ fn cmd_stream(
         .map(|s| s.parse().map_err(|_| format!("bad --extract {s:?} (min unique queriers)")))
         .transpose()?;
     let config = StreamConfig {
-        window: SimDuration::from_secs(window_secs.max(1)),
+        window: SimDuration::from_secs(window_secs),
         max_originators,
         ..StreamConfig::default()
     };

@@ -516,6 +516,21 @@ fn stream_rejects_a_zero_originator_table() {
     assert!(!err.contains("panicked"), "{err}");
 }
 
+/// A zero-second window is refused by name, not run as one-second
+/// windows, and nothing reaches stdout.
+#[test]
+fn stream_rejects_a_zero_second_window() {
+    let log = simulated_log();
+    let out = bin()
+        .args(["stream", "--log", log.to_str().unwrap(), "--window", "0"])
+        .output()
+        .expect("run stream");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("bad --window 0 (at least 1 second)"), "{err}");
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+}
+
 /// `stream` with a five-originator table evicts in every window of the
 /// JP-ditl smoke log: its stdout is pinned (lines, FNV-1a) at one
 /// thread and at the default width, and the ledger balances.
