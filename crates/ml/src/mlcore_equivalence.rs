@@ -133,17 +133,18 @@ fn cart_fast_path_matches_reference_on_bootstrap_indices() {
     }
 }
 
-/// The benchmark's training shape (`retrain-daily`: 96 labelled rows ×
-/// 22 features × 12 classes), which [`grid_dataset`] never reaches:
-/// with 1–5 features every node stays in global mode. Every third
-/// column is ≥ 70 % exact zeros like the static name fractions, the
-/// rest sit on a coarse grid, so ties are everywhere.
-fn benchmark_shaped_dataset(rng: &mut Rng) -> Dataset {
+/// `rows` rows of the benchmark's training shape (`retrain-daily`
+/// trains on 96 labelled rows × 22 features × 12 classes), which
+/// [`grid_dataset`] never reaches: it has 1–5 features and under 50
+/// rows, so its trees partition few arrays over few, shallow segments.
+/// Every third column is ≥ 70 % exact zeros like the static name
+/// fractions, the rest sit on a coarse grid, so ties are everywhere.
+fn benchmark_shaped_dataset(rng: &mut Rng, rows: usize) -> Dataset {
     let mut d = Dataset::new(
         (0..22).map(|i| format!("f{i}")).collect(),
         (0..12).map(|i| format!("c{i}")).collect(),
     );
-    for _ in 0..96 {
+    for _ in 0..rows {
         let label = rng.range(0..12);
         let features = (0..22)
             .map(|f| {
@@ -161,7 +162,7 @@ fn benchmark_shaped_dataset(rng: &mut Rng) -> Dataset {
 }
 
 /// The forest's base-learner controls at 22 features: `mtry = ⌈√22⌉`,
-/// so a node grows node-local below 16 in-bag rows and global from 16.
+/// so each node sweeps 5 segments and partitions all 22.
 fn forest_tree_params() -> CartParams {
     CartParams { max_features: Some(5), ..ForestParams::default().tree }
 }
@@ -175,16 +176,18 @@ fn assert_bootstrap_fit_matches(d: &Dataset, indices: &[usize], fit_seed: u64, s
     assert_eq!(bits(fast.raw_importances()), bits(reference.raw_importances()), "seed {seed}");
 }
 
-/// At the benchmark's shape a forest's trees start global and hand off
-/// to node-local growth below 16 rows, all reading one shared sort:
-/// same arenas, same importance bits, same persisted bytes as the
-/// per-node re-sorting reference.
+/// At the benchmark's shape a forest's trees partition their presorted
+/// arrays at every node, all reading one shared sort: same arenas, same
+/// importance bits, same persisted bytes as the per-node re-sorting
+/// reference. The 1 000-row forests grow deep trees whose many small
+/// segments are partitioned too.
 #[test]
 fn benchmark_shaped_forest_matches_reference() {
-    for seed in 0..6u64 {
+    let cases = (0..6u64).map(|seed| (seed, 96, 8)).chain((6..8).map(|seed| (seed, 1_000, 3)));
+    for (seed, rows, n_trees) in cases {
         let mut rng = Rng::new(seed ^ 0x5EED);
-        let d = benchmark_shaped_dataset(&mut rng);
-        let p = ForestParams { n_trees: 8, ..ForestParams::default() };
+        let d = benchmark_shaped_dataset(&mut rng, rows);
+        let p = ForestParams { n_trees, ..ForestParams::default() };
         let fit_seed: u64 = rng.next_u64();
         let fast = Forest::fit(&d, &p, fit_seed);
         let reference = Forest::fit_reference(&d, &p, fit_seed);
@@ -195,28 +198,28 @@ fn benchmark_shaped_forest_matches_reference() {
 }
 
 /// Full-size bootstraps of the benchmark's shape: about 60 distinct
-/// rows in bag, so the root is global (it reads the shared order
-/// filtered by weight) and the hand-off happens below it.
+/// rows in bag, so the root reads the shared order filtered by weight
+/// with some positions dropped.
 #[test]
-fn benchmark_shaped_bootstrap_with_global_root_matches_reference() {
+fn benchmark_shaped_full_size_bootstrap_matches_reference() {
     for seed in 0..24u64 {
         let mut rng = Rng::new(seed ^ 0x610B);
-        let d = benchmark_shaped_dataset(&mut rng);
+        let d = benchmark_shaped_dataset(&mut rng, 96);
         let indices: Vec<usize> = (0..d.len()).map(|_| rng.range(0..d.len())).collect();
         let distinct = indices.iter().collect::<std::collections::BTreeSet<_>>().len();
-        assert!((16..d.len()).contains(&distinct), "global root with rows out of bag");
+        assert!((16..d.len()).contains(&distinct), "most rows in bag, some out");
         assert_bootstrap_fit_matches(&d, &indices, rng.next_u64(), seed);
     }
 }
 
-/// Bootstraps of at most 15 distinct rows: the root itself grows
-/// node-local, never builds the filtered arrays, and must take its
-/// position list from the weights — most dataset rows weigh 0.
+/// Bootstraps of at most 15 distinct rows: the filtered arrays drop
+/// most of the 96 positions — most dataset rows weigh 0 — and the
+/// root's segment is the few that are left.
 #[test]
-fn benchmark_shaped_bootstrap_with_local_root_matches_reference() {
+fn benchmark_shaped_bootstrap_of_few_distinct_rows_matches_reference() {
     for seed in 0..24u64 {
         let mut rng = Rng::new(seed ^ 0x10CA);
-        let d = benchmark_shaped_dataset(&mut rng);
+        let d = benchmark_shaped_dataset(&mut rng, 96);
         let pool: Vec<usize> = (0..rng.range(2..16)).map(|_| rng.range(0..d.len())).collect();
         let indices: Vec<usize> = (0..d.len()).map(|_| pool[rng.range(0..pool.len())]).collect();
         assert_bootstrap_fit_matches(&d, &indices, rng.next_u64(), seed);

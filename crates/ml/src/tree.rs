@@ -11,12 +11,11 @@
 //!   `SortedRows` (every dataset row column-major, every feature
 //!   arg-sorted, built once per forest) through a weight vector (a
 //!   row's bootstrap multiplicity, 0 = out of bag) and maintains
-//!   per-node index segments of the in-bag rows by stable partition
-//!   (`O(features · n log n)` once, `O(nodes · features · n)` a tree,
-//!   against the reference's `O(nodes · features · n log n)`) while many
-//!   features are candidates, switching to node-local candidate sorts
-//!   below a cost crossover; the grown tree is a `FlatTree` arena
-//!   walked by `predict` and by the blocked batch descent.
+//!   per-node index segments of the in-bag rows by stable partition at
+//!   every node (`O(features · n log n)` once, `O(nodes · features ·
+//!   n)` a tree, against the reference's `O(nodes · features · n log
+//!   n)`); the grown tree is a `FlatTree` arena walked by `predict` and
+//!   by the blocked batch descent.
 //! * `ReferenceTree` — the boxed-node reference, compiled for tests
 //!   only: per-node re-sorting, `Box` recursion. Property tests
 //!   (`crates/ml/src/mlcore_equivalence.rs`) prove the fast path
@@ -109,7 +108,7 @@ impl DecisionTree {
         }
         let in_bag = weights.iter().filter(|&&w| w > 0).count();
         let mut grower = ColumnarGrower {
-            presort: None,
+            presort: PresortedColumns::filtered(shared, &weights),
             view,
             params,
             weights: &weights,
@@ -118,11 +117,6 @@ impl DecisionTree {
             importances: vec![0.0; view.n_features()],
             flat: FlatTree::new(view.n_features()),
         };
-        // Filtering every column only pays when the root itself will
-        // grow in global mode; a node-local root never reads them.
-        if view.n_features() > 0 && !grower.local_mode(in_bag) {
-            grower.presort = Some(PresortedColumns::filtered(shared, &weights));
-        }
         let root = grower.flat.root();
         grower.grow(root, 0, in_bag);
         bs_telemetry::counter_add("ml.fit.nodes", grower.flat.n_nodes() as u64);
@@ -375,89 +369,18 @@ fn majority(counts: &[usize]) -> usize {
     argmax_first(counts)
 }
 
-/// Sweep one feature's value-sorted position list for the best
-/// threshold, maintaining `Σc²` on both sides incrementally. Shared by
-/// the global (presorted-segment) and node-local growers so both
-/// produce bit-identical split decisions.
-///
-/// `seg` holds **distinct** in-bag rows; `weights[p]` is row `p`'s
-/// bootstrap multiplicity and `total` the node's weighted size. Moving
-/// a row of weight `w` whose class count is `c` across the split
-/// changes `Σc²` by `(2c ± w)·w` — exact integer arithmetic, so the
-/// result is bit-identical to sweeping the duplicate-materialized rows
-/// (the duplicates are value-adjacent, and no threshold lands between
-/// equal values).
-#[allow(clippy::too_many_arguments)]
-fn sweep_feature(
-    view: &ColumnarView,
-    seg: &[u32],
-    f: usize,
-    weights: &[usize],
-    total: usize,
-    counts: &[usize],
-    node_sq: u64,
-    min_samples_leaf: usize,
-    left_counts: &mut [usize],
-    right_counts: &mut [usize],
-    best: &mut Option<(usize, f64, f64)>,
-) {
-    let n = total as f64;
-    let col = view.col(f);
-    left_counts.fill(0);
-    right_counts.copy_from_slice(counts);
-    let mut sq_left: u64 = 0;
-    let mut sq_right: u64 = node_sq;
-    let mut n_left = 0usize;
-    for k in 0..seg.len() - 1 {
-        let p = seg[k];
-        let label = view.label(p);
-        let rw = weights[p as usize];
-        let rwu = rw as u64;
-        let c = left_counts[label] as u64;
-        sq_left += (2 * c + rwu) * rwu;
-        left_counts[label] += rw;
-        let c = right_counts[label] as u64;
-        sq_right -= (2 * c - rwu) * rwu;
-        right_counts[label] -= rw;
-        n_left += rw;
-        let v = col[p as usize];
-        let v_next = col[seg[k + 1] as usize];
-        if v == v_next {
-            continue; // can't split between equal values
-        }
-        let n_right = total - n_left;
-        if n_left < min_samples_leaf || n_right < min_samples_leaf {
-            continue;
-        }
-        let w = (n_left as f64 / n) * gini_from_sq(sq_left, n_left)
-            + (n_right as f64 / n) * gini_from_sq(sq_right, n_right);
-        if best.map(|(_, _, bw)| w < bw).unwrap_or(true) {
-            *best = Some((f, (v + v_next) / 2.0, w));
-        }
-    }
-}
-
 /// The columnar fast-path grower: presorted feature segments, stable
 /// partition, incremental `Σc²` sweep, flat-arena output.
 ///
-/// Two regimes, chosen per node by [`ColumnarGrower::local_mode`]:
-///
-/// * **global** — every feature array stays partitioned into per-node
-///   segments ([`PresortedColumns`]), so candidate sweeps need no
-///   sorting at all. Splitting costs `O(features · m)` partition work
-///   per node, which pays off when most features are candidates.
-/// * **node-local** — below the cost crossover (small segments or a
-///   small `max_features` sample) the node owns a plain ascending
-///   position list and sorts it per *candidate* feature only. Sorting
-///   ascending positions by value with ties on position is exactly the
-///   order the stable global partition maintains, so the two regimes
-///   are bit-identical (see `mlcore_equivalence`).
+/// Every feature array stays partitioned into per-node segments
+/// ([`PresortedColumns`]), so candidate sweeps need no sorting at all;
+/// accepting a split costs `O(features · m)` partition work.
 struct ColumnarGrower<'a> {
     view: &'a ColumnarView,
     params: &'a CartParams,
     /// Bootstrap multiplicity of each view row (0 = out of bag).
     weights: &'a [usize],
-    presort: Option<PresortedColumns>,
+    presort: PresortedColumns,
     n_classes: usize,
     rng: Rng,
     importances: Vec<f64>,
@@ -465,22 +388,6 @@ struct ColumnarGrower<'a> {
 }
 
 impl ColumnarGrower<'_> {
-    /// Should the node of size `m` grow in node-local mode?
-    ///
-    /// Pure function of the segment size (distinct in-bag rows) and
-    /// the parameters, so the decision is identical across runs and
-    /// thread counts. Global partition maintenance costs ~`2·F·m`
-    /// writes per split and node-local sorting ~`mtry·m·log₂(m)`
-    /// comparisons, hence an `F` budget. The rule is not tuned: with
-    /// the argsort shared per forest, forcing either mode reads within
-    /// noise of it on `benchmark/`.
-    fn local_mode(&self, m: usize) -> bool {
-        let f = self.view.n_features();
-        let mtry = self.params.max_features.map_or(f, |k| k.max(1).min(f));
-        let log2m = (usize::BITS - m.leading_zeros()) as usize;
-        mtry * log2m <= f
-    }
-
     /// Grow the node owning segment `[lo, hi)` of every presorted
     /// feature array. Mirrors the reference `grow` decision for
     /// decision: same stop rule, same candidate order, same RNG
@@ -496,30 +403,9 @@ impl ColumnarGrower<'_> {
             self.flat.leaf(slot, majority(&counts));
             return;
         }
-        if self.presort.is_none() || self.local_mode(hi - lo) {
-            // Drop to node-local growth: materialize the node's
-            // ascending position list and never touch the global
-            // arrays below this point (the segment range is owned by
-            // this subtree alone, so leaving it stale is safe).
-            let positions: Vec<u32> = match &self.presort {
-                Some(ps) => {
-                    let mut v = ps.feature_segment(0, lo, hi).to_vec();
-                    v.sort_unstable();
-                    v
-                }
-                // Only the root grows without global arrays; its
-                // position list is every in-bag row.
-                None => (0..self.weights.len() as u32)
-                    .filter(|&p| self.weights[p as usize] > 0)
-                    .collect(),
-            };
-            self.grow_local(slot, &positions);
-            return;
-        }
 
         let mut counts = vec![0usize; self.n_classes];
-        let presort = self.presort.as_ref().expect("global mode has presorted arrays");
-        for &p in presort.feature_segment(0, lo, hi) {
+        for &p in self.presort.feature_segment(0, lo, hi) {
             counts[self.view.label(p)] += self.weights[p as usize];
         }
         // The node's weighted size — the reference's duplicate count.
@@ -542,23 +428,16 @@ impl ColumnarGrower<'_> {
             features.truncate(k.max(1).min(self.view.n_features()));
         }
 
-        let node_sq: u64 = counts.iter().map(|&c| (c as u64) * (c as u64)).sum();
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, weighted gini)
         let n = m as f64;
         let mut left_counts = vec![0usize; self.n_classes];
         let mut right_counts = vec![0usize; self.n_classes];
-        let presort = self.presort.as_ref().expect("global mode has presorted arrays");
         for &f in &features {
             // Already sorted: sweep thresholds between distinct values.
-            sweep_feature(
-                self.view,
-                presort.feature_segment(f, lo, hi),
+            self.sweep_feature(
+                self.presort.feature_segment(f, lo, hi),
                 f,
-                self.weights,
-                m,
                 &counts,
-                node_sq,
-                self.params.min_samples_leaf,
                 &mut left_counts,
                 &mut right_counts,
                 &mut best,
@@ -573,9 +452,8 @@ impl ColumnarGrower<'_> {
                 // Importance: impurity decrease weighted by node size.
                 self.importances[feature] += (node_gini - w) * n;
                 let col = self.view.col(feature);
-                let presort = self.presort.as_mut().expect("global mode has presorted arrays");
-                presort.mark_by_threshold(feature, lo, hi, col, threshold);
-                let n_left = presort.partition(lo, hi);
+                self.presort.mark_by_threshold(feature, lo, hi, col, threshold);
+                let n_left = self.presort.partition(lo, hi);
                 let (l, r) = self.flat.split(slot, feature, threshold);
                 self.grow(l, lo, lo + n_left);
                 self.grow(r, lo + n_left, hi);
@@ -586,79 +464,61 @@ impl ColumnarGrower<'_> {
         }
     }
 
-    /// Node-local growth: `positions` is the node's row set in
-    /// ascending order (the reference's own index-list order). Each
-    /// candidate feature sorts a scratch copy by `(value, position)` —
-    /// bit-identical to the global segment order — and sweeps with the
-    /// shared [`sweep_feature`]. Children partition the ascending list
-    /// by the split predicate, preserving ascending order, exactly as
-    /// the reference partitions its index list.
-    fn grow_local(&mut self, slot: Slot, positions: &[u32]) {
-        let mut counts = vec![0usize; self.n_classes];
-        for &p in positions {
-            counts[self.view.label(p)] += self.weights[p as usize];
-        }
-        // The node's weighted size — the reference's duplicate count.
-        let m: usize = counts.iter().sum();
-        let node_gini = gini(&counts, m);
-        let stop = slot.depth() >= self.params.max_depth
-            || m < self.params.min_samples_split
-            || node_gini == 0.0;
-        if stop {
-            self.flat.leaf(slot, majority(&counts));
-            return;
-        }
-
-        let mut features: Vec<usize> = (0..self.view.n_features()).collect();
-        if let Some(k) = self.params.max_features {
-            self.rng.shuffle(&mut features);
-            features.truncate(k.max(1).min(self.view.n_features()));
-        }
-
+    /// Sweep feature `f`'s node segment `seg` for the best threshold,
+    /// maintaining `Σc²` on both sides incrementally.
+    ///
+    /// `seg` holds **distinct** in-bag rows in value order and `counts`
+    /// the node's weighted class histogram; `weights[p]` is row `p`'s
+    /// bootstrap multiplicity. Moving a row of weight `w` whose class
+    /// count is `c` across the split changes `Σc²` by `(2c ± w)·w` —
+    /// exact integer arithmetic, so the result is bit-identical to
+    /// sweeping the duplicate-materialized rows (the duplicates are
+    /// value-adjacent, and no threshold lands between equal values).
+    fn sweep_feature(
+        &self,
+        seg: &[u32],
+        f: usize,
+        counts: &[usize],
+        left_counts: &mut [usize],
+        right_counts: &mut [usize],
+        best: &mut Option<(usize, f64, f64)>,
+    ) {
+        let min_samples_leaf = self.params.min_samples_leaf;
+        // The node's weighted size and `Σc²`.
+        let total: usize = counts.iter().sum();
         let node_sq: u64 = counts.iter().map(|&c| (c as u64) * (c as u64)).sum();
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, weighted gini)
-        let n = m as f64;
-        let mut left_counts = vec![0usize; self.n_classes];
-        let mut right_counts = vec![0usize; self.n_classes];
-        let mut by_value = positions.to_vec();
-        for &f in &features {
-            let col = self.view.col(f);
-            by_value.copy_from_slice(positions);
-            // Ascending positions sorted by value with ties on position
-            // == the stable order the global arrays maintain.
-            by_value.sort_unstable_by(|&a, &b| {
-                col[a as usize]
-                    .partial_cmp(&col[b as usize])
-                    .expect("finite features")
-                    .then(a.cmp(&b))
-            });
-            sweep_feature(
-                self.view,
-                &by_value,
-                f,
-                self.weights,
-                m,
-                &counts,
-                node_sq,
-                self.params.min_samples_leaf,
-                &mut left_counts,
-                &mut right_counts,
-                &mut best,
-            );
-        }
-
-        match best {
-            Some((feature, threshold, w)) if w <= node_gini + 1e-12 => {
-                self.importances[feature] += (node_gini - w) * n;
-                let col = self.view.col(feature);
-                let (left, right): (Vec<u32>, Vec<u32>) =
-                    positions.iter().partition(|&&p| col[p as usize] <= threshold);
-                let (l, r) = self.flat.split(slot, feature, threshold);
-                self.grow_local(l, &left);
-                self.grow_local(r, &right);
+        let n = total as f64;
+        let col = self.view.col(f);
+        left_counts.fill(0);
+        right_counts.copy_from_slice(counts);
+        let mut sq_left: u64 = 0;
+        let mut sq_right: u64 = node_sq;
+        let mut n_left = 0usize;
+        for k in 0..seg.len() - 1 {
+            let p = seg[k];
+            let label = self.view.label(p);
+            let rw = self.weights[p as usize];
+            let rwu = rw as u64;
+            let c = left_counts[label] as u64;
+            sq_left += (2 * c + rwu) * rwu;
+            left_counts[label] += rw;
+            let c = right_counts[label] as u64;
+            sq_right -= (2 * c - rwu) * rwu;
+            right_counts[label] -= rw;
+            n_left += rw;
+            let v = col[p as usize];
+            let v_next = col[seg[k + 1] as usize];
+            if v == v_next {
+                continue; // can't split between equal values
             }
-            _ => {
-                self.flat.leaf(slot, majority(&counts));
+            let n_right = total - n_left;
+            if n_left < min_samples_leaf || n_right < min_samples_leaf {
+                continue;
+            }
+            let w = (n_left as f64 / n) * gini_from_sq(sq_left, n_left)
+                + (n_right as f64 / n) * gini_from_sq(sq_right, n_right);
+            if best.map(|(_, _, bw)| w < bw).unwrap_or(true) {
+                *best = Some((f, (v + v_next) / 2.0, w));
             }
         }
     }

@@ -1,11 +1,11 @@
 #!/bin/bash
 # The repo's tier-1 gate, runnable locally and in CI:
 #   format check → hermeticity → no unused dependency edge → no thread
-#   in bs-telemetry → no retired batch-ingest metric name → lints as
-#   errors → rustdoc as errors → release build → one experiments binary
-#   whose registry matches results/ → bs-dns, bs-netsim, bs-ml,
-#   bs-classify, bs-sensor and backscatter-core tests on the release
-#   build → tests → CLI smokes.
+#   in bs-telemetry → no retired batch-ingest metric name → one CART
+#   growth regime → lints as errors → rustdoc as errors → release
+#   build → one experiments binary whose registry matches results/ →
+#   bs-dns, bs-netsim, bs-ml, bs-classify, bs-sensor and
+#   backscatter-core tests on the release build → tests → CLI smokes.
 # Performance is not gated here: `bash benchmark/run.sh` measures it.
 # Any step failing fails the script.
 set -euo pipefail
@@ -78,6 +78,15 @@ if grep -rnE 'sensor\.(ingest|records|dedup_suppressed)' crates src tests README
     exit 1
 fi
 
+echo "=== one CART growth regime: node-local tree growth stays deleted"
+# Every node partitions the presorted arrays (DESIGN.md §11); forcing
+# the node-local mode at every node ran retrain-daily at 0.63x, so a
+# second regime would be a fast path that does not win.
+if grep -rnE 'local_mode|grow_local' crates src; then
+    echo "a second CART growth regime is back (lines above)"
+    exit 1
+fi
+
 echo "=== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -135,7 +144,9 @@ echo "=== cargo test --workspace (every crate, default thread count)"
 cargo test --workspace -q
 
 echo "=== root integration tests (sequential: BS_THREADS=1)"
-BS_THREADS=1 cargo test -q
+# The root package only: `cargo test -q` alone now runs every default
+# member, and the workspace run above has already covered them.
+BS_THREADS=1 cargo test -q -p dns-backscatter
 
 echo "=== CLI smoke: --trace writes parseable Chrome trace JSON"
 trace_tmp="$(mktemp -d)"
