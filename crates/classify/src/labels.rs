@@ -34,21 +34,14 @@ impl LabeledSet {
         observed: &[OriginatorFeatures],
         per_class_cap: usize,
     ) -> Self {
-        let mut by_class: BTreeMap<ApplicationClass, Vec<(usize, Ipv4Addr)>> = BTreeMap::new();
-        for f in observed {
-            if let Some(class) = truth.get(&f.originator) {
-                by_class.entry(*class).or_default().push((f.querier_count, f.originator));
-            }
-        }
-        let mut examples = Vec::new();
-        for (class, mut v) in by_class {
-            v.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            v.truncate(per_class_cap);
-            examples
-                .extend(v.into_iter().map(|(_, originator)| LabeledExample { originator, class }));
-        }
-        bs_telemetry::counter_add("classify.curated_examples", examples.len() as u64);
-        LabeledSet { examples }
+        let set = ranked_by_footprint(
+            observed.iter().filter_map(|f| {
+                truth.get(&f.originator).map(|class| (*class, f.querier_count, f.originator))
+            }),
+            per_class_cap,
+        );
+        bs_telemetry::counter_add("classify.curated_examples", set.len() as u64);
+        set
     }
 
     /// Number of examples.
@@ -94,6 +87,27 @@ impl LabeledSet {
             }
         }
     }
+}
+
+/// The curation ranking every labeled set shares: group `(class,
+/// footprint, originator)` candidates by class, order each class by
+/// footprint (largest first, then address) and keep its first
+/// `per_class_cap`. Classes come out in class order.
+pub(crate) fn ranked_by_footprint(
+    candidates: impl IntoIterator<Item = (ApplicationClass, usize, Ipv4Addr)>,
+    per_class_cap: usize,
+) -> LabeledSet {
+    let mut by_class: BTreeMap<ApplicationClass, Vec<(usize, Ipv4Addr)>> = BTreeMap::new();
+    for (class, footprint, originator) in candidates {
+        by_class.entry(class).or_default().push((footprint, originator));
+    }
+    let mut examples = Vec::new();
+    for (class, mut v) in by_class {
+        v.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        v.truncate(per_class_cap);
+        examples.extend(v.into_iter().map(|(_, originator)| LabeledExample { originator, class }));
+    }
+    LabeledSet { examples }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! and scores each window on the re-appearing labeled examples, exactly
 //! how Fig. 7 is drawn.
 
-use crate::labels::{LabeledExample, LabeledSet};
+use crate::labels::{ranked_by_footprint, LabeledExample, LabeledSet};
 use crate::pipeline::{ClassifierPipeline, FeatureMap};
 use bs_activity::ApplicationClass;
 use bs_ml::ConfusionMatrix;
@@ -192,21 +192,13 @@ pub fn evaluate_strategy(
 }
 
 fn curate_from_window(data: &WindowData, per_class_cap: usize) -> LabeledSet {
-    // Build pseudo-OriginatorFeatures ranking from querier counts.
-    let mut by_class: BTreeMap<ApplicationClass, Vec<(usize, Ipv4Addr)>> = BTreeMap::new();
-    for (ip, class) in &data.truth {
-        if data.features.contains_key(ip) {
-            let q = data.querier_counts.get(ip).copied().unwrap_or(0);
-            by_class.entry(*class).or_default().push((q, *ip));
-        }
-    }
-    let mut examples = Vec::new();
-    for (class, mut v) in by_class {
-        v.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        v.truncate(per_class_cap);
-        examples.extend(v.into_iter().map(|(_, originator)| LabeledExample { originator, class }));
-    }
-    LabeledSet { examples }
+    ranked_by_footprint(
+        data.truth
+            .iter()
+            .filter(|(ip, _)| data.features.contains_key(*ip))
+            .map(|(ip, class)| (*class, data.querier_counts.get(ip).copied().unwrap_or(0), *ip)),
+        per_class_cap,
+    )
 }
 
 fn cap_labels(
@@ -214,18 +206,12 @@ fn cap_labels(
     querier_counts: &BTreeMap<Ipv4Addr, usize>,
     per_class_cap: usize,
 ) -> LabeledSet {
-    let mut by_class: BTreeMap<ApplicationClass, Vec<(usize, Ipv4Addr)>> = BTreeMap::new();
-    for (ip, class) in classified {
-        let q = querier_counts.get(ip).copied().unwrap_or(0);
-        by_class.entry(*class).or_default().push((q, *ip));
-    }
-    let mut examples = Vec::new();
-    for (class, mut v) in by_class {
-        v.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        v.truncate(per_class_cap);
-        examples.extend(v.into_iter().map(|(_, originator)| LabeledExample { originator, class }));
-    }
-    LabeledSet { examples }
+    ranked_by_footprint(
+        classified
+            .iter()
+            .map(|(ip, class)| (*class, querier_counts.get(ip).copied().unwrap_or(0), *ip)),
+        per_class_cap,
+    )
 }
 
 #[cfg(test)]

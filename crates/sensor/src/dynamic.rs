@@ -240,7 +240,7 @@ pub fn normalized_entropy(values: &[u32], alphabet: f64) -> f64 {
 /// The `BTreeMap`-histogram reference for [`normalized_entropy`],
 /// compiled for tests only — the executable specification the
 /// sorted-run fast path is property-tested bit-identical to
-/// (`matcher_entropy_equivalence.rs`).
+/// (`entropy_equivalence.rs`).
 #[cfg(test)]
 pub(crate) fn normalized_entropy_reference(values: &[u32], alphabet: f64) -> f64 {
     if values.len() <= 1 || alphabet <= 1.0 {

@@ -37,7 +37,8 @@ pub const MIN_QUERIERS: usize = 20;
 pub struct OriginatorObservation {
     /// The originator address.
     pub originator: Ipv4Addr,
-    /// Deduplicated queries as `(time, querier)` pairs, in time order.
+    /// Deduplicated queries as `(time, querier)` pairs, in arrival order
+    /// (time order when the input is).
     pub queries: Vec<(SimTime, Ipv4Addr)>,
     /// Unique querier addresses — the footprint as a column, ascending
     /// and without repeats.

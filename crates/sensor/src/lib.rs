@@ -29,8 +29,9 @@
 //! it (both reused across windows via [`qmeta::QuerierMetaCache`]) —
 //! so providers must answer deterministically for a given
 //! address within a window; a per-pair reference, compiled for tests
-//! only, defines the semantics. The keyword matcher is an
-//! independent implementation of the paper's tables — deliberately
+//! only, defines the semantics. The keyword matcher (one rule, tested
+//! keyword at a time and byte at a time) is an independent
+//! implementation of the paper's tables — deliberately
 //! *not* shared with the name generator in `bs-netsim`, so matching
 //! here is a real test of the generator's realism rather than a
 //! tautology.
@@ -52,7 +53,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bytes;
 pub mod dynamic;
 pub mod extract;
 mod hash;
@@ -69,9 +69,9 @@ pub mod stream;
 #[path = "../tests/common/mod.rs"]
 mod common;
 #[cfg(test)]
-mod fastpath_equivalence;
+mod entropy_equivalence;
 #[cfg(test)]
-mod matcher_entropy_equivalence;
+mod fastpath_equivalence;
 #[cfg(test)]
 mod qmeta_equivalence;
 #[cfg(test)]

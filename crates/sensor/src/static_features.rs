@@ -6,10 +6,8 @@
 //! `mail.ns.example.com` and `mail-ns.example.com` are both `mail`,
 //! and `mail.google.sim` is `mail` rather than `google`.
 
-use crate::bytes::{fold_ascii_lower, pack_prefix, prefix_mask};
 use bs_dns::{DomainName, LabelBytes};
 use bs_netsim::types::NameOutcome;
-use std::sync::OnceLock;
 
 /// The fourteen static querier categories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -129,12 +127,10 @@ const CDN_SUFFIXES: &[&str] = &["akamai", "edgecast", "cdnetworks", "llnw", "chi
 /// Does `component` match `keyword`? Exact, keyword+digits, or
 /// keyword followed by `-`/digits (so `mail2`, `mail-ns`, `dsl1-2-3-4`
 /// all match, but `mailing` does not — a trailing letter means a
-/// different word). The rule as the reference matcher spells it; the
-/// packed matcher applies the same boundary test to folded bytes.
+/// different word).
 ///
 /// DNS labels are ASCII by construction ([`bs_dns::Label`] validates
 /// the character set), so byte-wise ASCII folding is exact.
-#[cfg(test)]
 fn component_matches(component: &[u8], keyword: &[u8]) -> bool {
     if component.len() < keyword.len() {
         return false;
@@ -154,12 +150,10 @@ pub enum MatchOrder {
     RightmostFirst,
 }
 
-/// The reference component classifier, compiled for tests only:
-/// keyword-at-a-time, byte-at-a-time case-insensitive comparison. The
-/// executable specification of the first-match rule the packed fast
-/// path below must reproduce (`matcher_entropy_equivalence.rs`).
-#[cfg(test)]
-fn classify_component_reference(component: &[u8]) -> Option<StaticFeature> {
+/// The category of one dot-component: the first keyword rule it
+/// matches, keyword at a time and byte at a time, else an operator
+/// suffix it equals, else none.
+fn classify_component(component: &[u8]) -> Option<StaticFeature> {
     for (feature, keywords) in RULES {
         for kw in *keywords {
             if component_matches(component, kw.as_bytes()) {
@@ -183,132 +177,21 @@ fn classify_component_reference(component: &[u8]) -> Option<StaticFeature> {
     }
 }
 
-/// One keyword of the flattened rule table, with its first eight bytes
-/// packed for a single masked `u64` comparison.
-struct PackedKeyword {
-    /// First `min(8, len)` keyword bytes, little-endian, zero-padded.
-    prefix: u64,
-    /// `prefix_mask(len)` — selects the bytes `prefix` covers.
-    mask: u64,
-    /// Keyword bytes beyond the eighth (usually empty).
-    tail: &'static [u8],
-    /// Full keyword length.
-    len: usize,
-    /// Whole-component match (operator suffixes) vs. keyword-prefix
-    /// match with a `-`/digit boundary (the RULES table).
-    exact: bool,
-    feature: StaticFeature,
-}
-
-/// The flattened keyword table in **exactly** the reference's scan
-/// order: every RULES keyword (rule priority, then list order), then
-/// the whole-component operator suffixes. First match wins, so order
-/// is semantics.
-fn packed_rules() -> &'static [PackedKeyword] {
-    static TABLE: OnceLock<Vec<PackedKeyword>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = Vec::new();
-        let mut push = |kw: &'static str, exact: bool, feature: StaticFeature| {
-            let b = kw.as_bytes();
-            t.push(PackedKeyword {
-                prefix: pack_prefix(b),
-                mask: prefix_mask(b.len()),
-                tail: if b.len() > 8 { &b[8..] } else { &[] },
-                len: b.len(),
-                exact,
-                feature,
-            });
-        };
-        for (feature, keywords) in RULES {
-            for kw in *keywords {
-                push(kw, false, *feature);
-            }
-        }
-        for s in CDN_SUFFIXES {
-            push(s, true, StaticFeature::Cdn);
-        }
-        push("amazonaws", true, StaticFeature::Aws);
-        push("azure", true, StaticFeature::Ms);
-        push("msazure", true, StaticFeature::Ms);
-        push("google", true, StaticFeature::Google);
-        t
-    })
-}
-
-/// The packed fast component classifier: fold the component to
-/// lowercase **once** in branchless 8-byte blocks, pack its first
-/// eight bytes, then test each keyword with one masked `u64` equality
-/// (plus a short tail compare for the few keywords longer than eight
-/// bytes) instead of a byte-at-a-time case-insensitive loop per
-/// keyword. Identical first-match semantics to the test-only
-/// reference matcher: same table order, same boundary rule (`-`/digit
-/// continues a keyword, a letter does not).
-fn classify_component(component: &[u8]) -> Option<StaticFeature> {
-    let n = component.len();
-    let mut buf = [0u8; 64];
-    // DNS labels are ≤ 63 bytes. Anything longer (not constructible
-    // through bs_dns) folds only its head: every test below reads the
-    // true length `n` and at most one byte past the longest keyword.
-    let head = n.min(buf.len());
-    let folded = &mut buf[..head];
-    fold_ascii_lower(&component[..head], folded);
-    let packed = pack_prefix(folded);
-    for e in packed_rules() {
-        let fits = if e.exact { n == e.len } else { n >= e.len };
-        if !fits || packed & e.mask != e.prefix {
-            continue;
-        }
-        if e.len > 8 && folded[8..e.len] != *e.tail {
-            continue;
-        }
-        if !e.exact && n > e.len {
-            let next = folded[e.len];
-            if next != b'-' && !next.is_ascii_digit() {
-                continue;
-            }
-        }
-        return Some(e.feature);
-    }
-    None
-}
-
-fn classify_with(
-    name: &DomainName,
-    order: MatchOrder,
-    classify: impl Fn(&[u8]) -> Option<StaticFeature>,
-) -> StaticFeature {
-    /// The first label from the right that `classify` places: one forward
+/// Classify a reverse name into a static category with an explicit
+/// component-scan order.
+pub fn classify_name_with_order(name: &DomainName, order: MatchOrder) -> StaticFeature {
+    /// The first label from the right that classifies: one forward
     /// walk down, each label tested on the way back up.
-    fn rightmost(
-        mut labels: LabelBytes<'_>,
-        classify: &impl Fn(&[u8]) -> Option<StaticFeature>,
-    ) -> Option<StaticFeature> {
+    fn rightmost(mut labels: LabelBytes<'_>) -> Option<StaticFeature> {
         let label = labels.next()?;
-        rightmost(labels, classify).or_else(|| classify(label))
+        rightmost(labels).or_else(|| classify_component(label))
     }
     let mut labels = name.label_bytes();
     match order {
-        MatchOrder::LeftmostFirst => labels.find_map(&classify),
-        MatchOrder::RightmostFirst => rightmost(labels, &classify),
+        MatchOrder::LeftmostFirst => labels.find_map(classify_component),
+        MatchOrder::RightmostFirst => rightmost(labels),
     }
     .unwrap_or(StaticFeature::OtherUnclassified)
-}
-
-/// Classify a reverse name into a static category with an explicit
-/// component-scan order (packed fast matcher).
-pub fn classify_name_with_order(name: &DomainName, order: MatchOrder) -> StaticFeature {
-    classify_with(name, order, classify_component)
-}
-
-/// [`classify_name_with_order`] through the byte-at-a-time reference
-/// matcher, compiled for tests only — the executable specification the
-/// packed fast path is property-tested against.
-#[cfg(test)]
-pub(crate) fn classify_name_with_order_reference(
-    name: &DomainName,
-    order: MatchOrder,
-) -> StaticFeature {
-    classify_with(name, order, classify_component_reference)
 }
 
 /// Classify a reverse name into a static category (the paper's
@@ -329,6 +212,7 @@ pub fn classify_querier_name(outcome: &NameOutcome) -> StaticFeature {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bs_par::Rng;
 
     fn classify(s: &str) -> StaticFeature {
         classify_name(&DomainName::parse(s).unwrap())
@@ -401,41 +285,88 @@ mod tests {
         assert_eq!(classify_querier_name(&NameOutcome::Name(n)), StaticFeature::Mail);
     }
 
+    /// Names built to sit on the rule's edges — case, the `-`/digit
+    /// boundary, keywords of eight bytes and longer, whole-component
+    /// suffixes with a tail — with their category under each order, as
+    /// the packed matcher this one replaced classified them.
     #[test]
-    fn packed_matcher_matches_reference_on_adversarial_names() {
+    fn adversarial_names_keep_their_categories() {
+        use StaticFeature::*;
         let cases = [
-            "mail.ns.example.com",
-            "MAIL-NS.Example.COM",
-            "mailing.example.com",
-            "newsletter7.example.com", // >8-byte keyword with boundary digit
-            "newslettex.example.com",  // 8-byte prefix matches, tail differs
-            "NewsLetter.example.com",  // >8-byte keyword, mixed case
-            "chinacache.sim",          // >8-byte exact suffix
-            "chinacache1.sim",         // exact suffix must not take a digit tail
-            "amazonaws.sim",
-            "amazonaws1.sim",
-            "pop3.example.com",
-            "a96-7-4-2.deploy.akamai.sim",
-            "wallet.example.com",
-            "fw.example.com",     // keyword == whole component
-            "m.example.com",      // shorter than every keyword
-            "customer-1.isp.net", // exactly 8 bytes, dash boundary
+            ("mail.ns.example.com", Mail, Ns),
+            ("MAIL-NS.Example.COM", Mail, Mail),
+            ("mailing.example.com", OtherUnclassified, OtherUnclassified),
+            ("newsletter7.example.com", Mail, Mail), // >8-byte keyword, digit boundary
+            ("newslettex.example.com", OtherUnclassified, OtherUnclassified), // tail differs
+            ("NewsLetter.example.com", Mail, Mail),  // >8-byte keyword, mixed case
+            ("chinacache.sim", Cdn, Cdn),            // >8-byte whole-component suffix
+            ("chinacache1.sim", OtherUnclassified, OtherUnclassified), // suffix takes no tail
+            ("amazonaws.sim", Aws, Aws),
+            ("amazonaws1.sim", OtherUnclassified, OtherUnclassified),
+            ("pop3.example.com", Home, Home),
+            ("a96-7-4-2.deploy.akamai.sim", Cdn, Cdn),
+            ("wallet.example.com", OtherUnclassified, OtherUnclassified),
+            ("fw.example.com", Fw, Fw), // keyword == whole component
+            ("m.example.com", OtherUnclassified, OtherUnclassified), // shorter than every keyword
+            ("customer-1.isp.net", Home, Home), // 8-byte keyword, dash boundary
         ];
-        for c in cases {
+        for (c, leftmost, rightmost) in cases {
             let n = DomainName::parse(c).unwrap();
+            assert_eq!(classify_name_with_order(&n, MatchOrder::LeftmostFirst), leftmost, "{c}");
+            assert_eq!(classify_name_with_order(&n, MatchOrder::RightmostFirst), rightmost, "{c}");
+        }
+    }
+
+    /// Keyword fragments spliced into random names so rule hits,
+    /// boundary cases and near-misses all occur in
+    /// `seeded_names_keep_their_digest`.
+    const SPLICES: [&str; 14] = [
+        "",
+        "mail",
+        "MAIL",
+        "mailing",
+        "ns",
+        "pop3",
+        "newsletter",
+        "newsletter7",
+        "chinacache",
+        "amazonaws",
+        "google",
+        "customer-1",
+        "fw",
+        "wallet",
+    ];
+
+    /// One label over the full DNS charset: `[A-Za-z0-9_-]{1,16}`.
+    fn arb_label(rng: &mut Rng) -> String {
+        const CHARSET: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-";
+        (0..rng.range(1..17)).map(|_| CHARSET[rng.range(0..CHARSET.len())] as char).collect()
+    }
+
+    /// 256 seeded names (1–4 labels over the full DNS charset, mixed
+    /// case, with a keyword fragment spliced in) classified under both
+    /// orders fold to the FNV-1a of their category indices that the
+    /// packed matcher and its byte-at-a-time reference both gave
+    /// before the packed one was deleted.
+    #[test]
+    fn seeded_names_keep_their_digest() {
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for seed in 0..256 {
+            let mut rng = Rng::new(seed ^ 0x57A7);
+            let mut labels: Vec<String> =
+                (0..rng.range(1..5)).map(|_| arb_label(&mut rng)).collect();
+            let splice = SPLICES[rng.range(0..SPLICES.len())];
+            let splice_at = rng.range(0..5);
+            if !splice.is_empty() {
+                labels.insert(splice_at.min(labels.len()), splice.to_string());
+            }
+            let name = DomainName::parse(&labels.join(".")).expect("charset labels parse");
             for order in [MatchOrder::LeftmostFirst, MatchOrder::RightmostFirst] {
-                assert_eq!(
-                    classify_name_with_order(&n, order),
-                    classify_name_with_order_reference(&n, order),
-                    "{c} under {order:?}"
-                );
+                let index = classify_name_with_order(&name, order).index() as u64;
+                digest = (digest ^ index).wrapping_mul(0x100_0000_01b3);
             }
         }
-        // Longer than any DNS label, and than the matcher's fold buffer.
-        for head in ["Mail-", "mailx", "newsletter7", "chinacache", "zz"] {
-            let long = format!("{head}{}", "a".repeat(80)).into_bytes();
-            assert_eq!(classify_component(&long), classify_component_reference(&long), "{head}…");
-        }
+        assert_eq!(digest, 0xdc0a_c0ba_5f3b_95b2, "got {digest:#018x}");
     }
 
     #[test]

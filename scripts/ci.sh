@@ -2,10 +2,11 @@
 # The repo's tier-1 gate, runnable locally and in CI:
 #   format check → hermeticity → no unused dependency edge → no thread
 #   in bs-telemetry → no retired batch-ingest metric name → one CART
-#   growth regime → lints as errors → rustdoc as errors → release
-#   build → one experiments binary whose registry matches results/ →
-#   bs-dns, bs-netsim, bs-ml, bs-classify, bs-sensor and
-#   backscatter-core tests on the release build → tests → CLI smokes.
+#   growth regime → one keyword matcher → lints as errors → rustdoc as
+#   errors → release build → one experiments binary whose registry
+#   matches results/ → bs-dns, bs-netsim, bs-ml, bs-classify, bs-sensor
+#   and backscatter-core tests on the release build → tests → CLI
+#   smokes.
 # Performance is not gated here: `bash benchmark/run.sh` measures it.
 # Any step failing fails the script.
 set -euo pipefail
@@ -84,6 +85,16 @@ echo "=== one CART growth regime: node-local tree growth stays deleted"
 # second regime would be a fast path that does not win.
 if grep -rnE 'local_mode|grow_local' crates src; then
     echo "a second CART growth regime is back (lines above)"
+    exit 1
+fi
+
+echo "=== one keyword matcher: the packed matcher stays deleted"
+# Static features match a label keyword at a time and byte at a time
+# (DESIGN.md §14); shipping the packed u64 matcher instead read within
+# noise end to end, so a second matcher would be a fast path that does
+# not win.
+if grep -rnE 'PackedKeyword|packed_rules|fold_ascii_lower|pack_prefix' crates src; then
+    echo "a second keyword matcher is back (lines above)"
     exit 1
 fi
 
