@@ -112,10 +112,13 @@ impl DecisionTree {
             view,
             params,
             weights: &weights,
-            n_classes: shared.n_classes,
             rng: Rng::new(seed),
             importances: vec![0.0; view.n_features()],
             flat: FlatTree::new(view.n_features()),
+            counts: vec![0; shared.n_classes],
+            features: Vec::with_capacity(view.n_features()),
+            left_counts: vec![0; shared.n_classes],
+            right_counts: vec![0; shared.n_classes],
         };
         let root = grower.flat.root();
         grower.grow(root, 0, in_bag);
@@ -381,10 +384,17 @@ struct ColumnarGrower<'a> {
     /// Bootstrap multiplicity of each view row (0 = out of bag).
     weights: &'a [usize],
     presort: PresortedColumns,
-    n_classes: usize,
     rng: Rng,
     importances: Vec<f64>,
     flat: FlatTree,
+    /// Per-node scratch, reused node after node: the node's weighted
+    /// class histogram, its candidate features and the sweep's two
+    /// running histograms. A node is done with them before it grows
+    /// its children.
+    counts: Vec<usize>,
+    features: Vec<usize>,
+    left_counts: Vec<usize>,
+    right_counts: Vec<usize>,
 }
 
 impl ColumnarGrower<'_> {
@@ -396,15 +406,16 @@ impl ColumnarGrower<'_> {
         if self.view.n_features() == 0 {
             // No columns to walk (and nothing to split on): count
             // straight off the label array; out-of-bag rows weigh 0.
-            let mut counts = vec![0usize; self.n_classes];
+            self.counts.fill(0);
             for (&l, &w) in self.view.labels().iter().zip(self.weights) {
-                counts[l as usize] += w;
+                self.counts[l as usize] += w;
             }
-            self.flat.leaf(slot, majority(&counts));
+            self.flat.leaf(slot, majority(&self.counts));
             return;
         }
 
-        let mut counts = vec![0usize; self.n_classes];
+        let mut counts = std::mem::take(&mut self.counts);
+        counts.fill(0);
         for &p in self.presort.feature_segment(0, lo, hi) {
             counts[self.view.label(p)] += self.weights[p as usize];
         }
@@ -414,35 +425,8 @@ impl ColumnarGrower<'_> {
         let stop = slot.depth() >= self.params.max_depth
             || m < self.params.min_samples_split
             || node_gini == 0.0;
-        if stop {
-            self.flat.leaf(slot, majority(&counts));
-            return;
-        }
-
-        // Candidate features (possibly a random subset) — identical
-        // shuffle, so the RNG stream matches the reference node for
-        // node (pre-order).
-        let mut features: Vec<usize> = (0..self.view.n_features()).collect();
-        if let Some(k) = self.params.max_features {
-            self.rng.shuffle(&mut features);
-            features.truncate(k.max(1).min(self.view.n_features()));
-        }
-
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, weighted gini)
-        let n = m as f64;
-        let mut left_counts = vec![0usize; self.n_classes];
-        let mut right_counts = vec![0usize; self.n_classes];
-        for &f in &features {
-            // Already sorted: sweep thresholds between distinct values.
-            self.sweep_feature(
-                self.presort.feature_segment(f, lo, hi),
-                f,
-                &counts,
-                &mut left_counts,
-                &mut right_counts,
-                &mut best,
-            );
-        }
+        let best = if stop { None } else { self.best_split(&counts, lo, hi) };
+        self.counts = counts;
 
         // Accept zero-improvement splits (like scikit-learn): XOR-style
         // structure yields no first-level Gini gain, yet splitting still
@@ -450,7 +434,7 @@ impl ColumnarGrower<'_> {
         match best {
             Some((feature, threshold, w)) if w <= node_gini + 1e-12 => {
                 // Importance: impurity decrease weighted by node size.
-                self.importances[feature] += (node_gini - w) * n;
+                self.importances[feature] += (node_gini - w) * m as f64;
                 let col = self.view.col(feature);
                 self.presort.mark_by_threshold(feature, lo, hi, col, threshold);
                 let n_left = self.presort.partition(lo, hi);
@@ -459,9 +443,43 @@ impl ColumnarGrower<'_> {
                 self.grow(r, lo + n_left, hi);
             }
             _ => {
-                self.flat.leaf(slot, majority(&counts));
+                self.flat.leaf(slot, majority(&self.counts));
             }
         }
+    }
+
+    /// The best `(feature, threshold, weighted gini)` over the node's
+    /// candidate features, given its class histogram `counts`.
+    fn best_split(&mut self, counts: &[usize], lo: usize, hi: usize) -> Option<(usize, f64, f64)> {
+        // Candidate features (possibly a random subset) — identical
+        // shuffle, so the RNG stream matches the reference node for
+        // node (pre-order).
+        let mut features = std::mem::take(&mut self.features);
+        features.clear();
+        features.extend(0..self.view.n_features());
+        if let Some(k) = self.params.max_features {
+            self.rng.shuffle(&mut features);
+            features.truncate(k.max(1).min(self.view.n_features()));
+        }
+
+        let mut best = None;
+        let mut left_counts = std::mem::take(&mut self.left_counts);
+        let mut right_counts = std::mem::take(&mut self.right_counts);
+        for &f in &features {
+            // Already sorted: sweep thresholds between distinct values.
+            self.sweep_feature(
+                self.presort.feature_segment(f, lo, hi),
+                f,
+                counts,
+                &mut left_counts,
+                &mut right_counts,
+                &mut best,
+            );
+        }
+        self.features = features;
+        self.left_counts = left_counts;
+        self.right_counts = right_counts;
+        best
     }
 
     /// Sweep feature `f`'s node segment `seg` for the best threshold,

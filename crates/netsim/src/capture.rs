@@ -203,10 +203,10 @@ fn decode_chunk(frames: &[u8], out: &mut [QueryLogRecord]) -> CaptureStats {
 /// message is decoded — and cuts the stream into chunks of whole
 /// frames. The chunks are then decoded on the `bs-par` pool, each into
 /// its own range of one output buffer sized from the scan's response
-/// count, and the ranges are closed up in capture order. The result is
-/// the same at every pool width; a capture of one chunk, a one-thread
-/// pool and a call from inside a pool worker decode on the calling
-/// thread.
+/// count; the ranges are closed up in capture order and the buffer is
+/// shrunk to the records recovered. The result is the same at every
+/// pool width; a capture of one chunk, a one-thread pool and a call
+/// from inside a pool worker decode on the calling thread.
 pub fn read_capture(bytes: &[u8]) -> Result<(QueryLog, CaptureStats), CaptureError> {
     read_capture_chunked(bytes, CHUNK_BYTES)
 }
@@ -215,6 +215,16 @@ fn read_capture_chunked(
     bytes: &[u8],
     chunk_bytes: usize,
 ) -> Result<(QueryLog, CaptureStats), CaptureError> {
+    let (records, stats) = read_records(bytes, chunk_bytes)?;
+    Ok((QueryLog::from_records(records), stats))
+}
+
+/// The records a capture holds, in capture order, in a buffer no larger
+/// than they are.
+fn read_records(
+    bytes: &[u8],
+    chunk_bytes: usize,
+) -> Result<(Vec<QueryLogRecord>, CaptureStats), CaptureError> {
     let chunks = scan(bytes, chunk_bytes)?;
     let responses: usize = chunks.iter().map(|c| c.responses).sum();
     // One allocation, at most 24 B for each 15 B header of input. Every
@@ -262,7 +272,10 @@ fn read_capture_chunked(
         stats.filtered += decoded.filtered;
         stats.records += decoded.records;
     }
+    // The log lives as long as the capture's windows: keep only the
+    // records recovered, not a slot per response frame.
     records.truncate(stats.records as usize);
+    records.shrink_to_fit();
 
     // Once per call, never per frame.
     bs_telemetry::counter_add("dns.wire.decoded", stats.records + stats.filtered);
@@ -282,7 +295,7 @@ fn read_capture_chunked(
             ("undecodable", stats.undecodable),
         ],
     );
-    Ok((QueryLog::from_records(records), stats))
+    Ok((records, stats))
 }
 
 #[cfg(test)]
@@ -386,6 +399,24 @@ mod tests {
         let (log, stats) = read_capture(&out).unwrap();
         assert!(log.is_empty());
         assert_eq!(stats.filtered, 1);
+    }
+
+    #[test]
+    fn a_mostly_filtered_capture_keeps_only_its_records() {
+        let _serial = serial();
+        let mut out = MAGIC.to_vec();
+        let fwd_q = Message::query(1, DomainName::parse("www.example.com").unwrap(), QType::A);
+        let fwd_r = Message::response(&fwd_q, Rcode::NoError, vec![]).encode();
+        for i in 0..64 {
+            put_frame(&mut out, 1, "192.0.2.1".parse().unwrap(), SimTime(i), &fwd_r);
+        }
+        out.extend_from_slice(&write_capture(&sample_log())[MAGIC.len()..]);
+        for chunk_bytes in [97, CHUNK_BYTES] {
+            let (records, stats) = read_records(&out, chunk_bytes).unwrap();
+            assert_eq!((stats.filtered, stats.records), (64, 3));
+            assert_eq!(records, sample_log().records());
+            assert_eq!(records.capacity(), records.len(), "chunks of {chunk_bytes} B");
+        }
     }
 
     /// The one-pass, one-thread reader `read_capture` used to be, kept

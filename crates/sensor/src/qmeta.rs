@@ -30,11 +30,14 @@
 //!   generation-based invalidation, so the live streaming path reuses
 //!   resolutions for queriers that persist between windows while
 //!   still re-resolving entries older than `keep_windows` generations
-//!   (blacklist-style metadata churns slowly but does churn). An entry
+//!   (blacklist-style metadata churns slowly but does churn). Each
+//!   window boundary drops the entries past that horizon, so the cache
+//!   is bounded by the queriers of the last `keep_windows + 1` windows
+//!   — what it can still serve — not by stream history. An entry
 //!   may be placed but not yet named; a later window names it the first
-//!   time a selected footprint holds it. Hit / miss / expiry /
-//!   eviction counts flush to `sensor.qmeta.*` telemetry, with the
-//!   names resolved, so live scrapes and the watchdog see cache health.
+//!   time a selected footprint holds it. Hit / miss / expiry counts
+//!   flush to `sensor.qmeta.*` telemetry, with the names resolved, so
+//!   live scrapes and the watchdog see cache health.
 //!
 //! Dense ids are `u32`, not `u16`: the id space is bounded by the
 //! number of distinct values actually observed, which at a busy
@@ -85,8 +88,7 @@ pub struct QuerierMeta {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawQuerierMeta {
     /// The classified reverse name; `None` until a window whose selected
-    /// footprints hold the querier names it. (One byte, as a `u8` index
-    /// was: an `Option<u8>` would grow every cache entry by a third.)
+    /// footprints hold the querier names it.
     pub category: Option<StaticFeature>,
     /// The querier's AS, if known.
     pub asn: Option<AsId>,
@@ -129,8 +131,8 @@ pub struct QuerierMetaTable {
 impl QuerierMetaTable {
     /// Build the table for one window, naming every querier. With
     /// `cache`, previously resolved queriers skip the metadata provider
-    /// entirely; only misses (and entries stale past the cache's
-    /// `keep_windows`) hit `info`.
+    /// entirely; only misses (including queriers last seen more than
+    /// the cache's `keep_windows` generations ago) hit `info`.
     ///
     /// Interning runs sequentially over the ascending
     /// `all_queriers` order, so dense ids — and everything computed
@@ -275,87 +277,102 @@ impl QuerierMetaTable {
 ///
 /// Each [`QuerierMetaTable::build`] with a cache opens a new
 /// *generation*. A cached entry is served while it is at most
-/// `keep_windows` generations old; older entries count as expired and
-/// re-resolve (metadata churns — slowly — so resolutions must not
-/// live forever). When the cache exceeds `max_entries` at a window
-/// boundary, stale entries are swept out; the cap is soft — entries
-/// touched within the keep horizon are never dropped, so one window's
-/// unique queriers always fit.
+/// `keep_windows` generations old (metadata churns — slowly — so
+/// resolutions must not live forever). Every window boundary drops the
+/// entries past that horizon, so the cache holds at most the queriers
+/// of the last `keep_windows + 1` windows, however long the stream.
 #[derive(Debug)]
 pub struct QuerierMetaCache {
     entries: HashMap<u32, CacheEntry, IntHash>,
     generation: u32,
     keep_windows: u32,
-    max_entries: usize,
     hits: u64,
     misses: u64,
     expired: u64,
-    evicted: u64,
     /// Counter values already pushed to telemetry (hits, misses,
-    /// expired, evicted), so each publish adds only the delta.
-    published: [u64; 4],
+    /// expired), so each publish adds only the delta.
+    published: [u64; 3],
 }
 
+/// [`RawQuerierMeta`] packed beside its generation: with the key, a
+/// 16-byte bucket.
 #[derive(Debug, Clone, Copy)]
 struct CacheEntry {
-    meta: RawQuerierMeta,
+    asn: u32,
+    country: [u8; 2],
+    /// `StaticFeature::index()`, or [`UNNAMED`].
+    category: u8,
+    /// [`HAS_ASN`] | [`HAS_COUNTRY`]: which of `asn`, `country` is known.
+    present: u8,
     last_used: u32,
 }
 
+const HAS_ASN: u8 = 1;
+const HAS_COUNTRY: u8 = 2;
+
+impl CacheEntry {
+    fn pack(meta: RawQuerierMeta, last_used: u32) -> Self {
+        CacheEntry {
+            asn: meta.asn.map_or(0, |AsId(n)| n),
+            country: meta.country.map_or([0; 2], |CountryCode(b)| b),
+            category: meta.category.map_or(UNNAMED, |f| f.index() as u8),
+            present: if meta.asn.is_some() { HAS_ASN } else { 0 }
+                | if meta.country.is_some() { HAS_COUNTRY } else { 0 },
+            last_used,
+        }
+    }
+
+    fn unpack(&self) -> RawQuerierMeta {
+        RawQuerierMeta {
+            category: StaticFeature::ALL.get(self.category as usize).copied(),
+            asn: (self.present & HAS_ASN != 0).then_some(AsId(self.asn)),
+            country: (self.present & HAS_COUNTRY != 0).then_some(CountryCode(self.country)),
+        }
+    }
+}
+
 impl Default for QuerierMetaCache {
-    /// Defaults sized for the live stream: up to ~1M resolutions kept
-    /// for 8 windows.
+    /// Defaults sized for the live stream: resolutions kept for 8
+    /// windows since last use.
     fn default() -> Self {
-        QuerierMetaCache::new(1 << 20, 8)
+        QuerierMetaCache::new(8)
     }
 }
 
 impl QuerierMetaCache {
-    /// A cache holding up to `max_entries` resolutions (soft cap,
-    /// enforced at window boundaries), each valid for `keep_windows`
+    /// A cache whose resolutions stay valid for `keep_windows`
     /// generations since last use.
-    pub fn new(max_entries: usize, keep_windows: u32) -> Self {
+    pub fn new(keep_windows: u32) -> Self {
         QuerierMetaCache {
             entries: HashMap::default(),
             generation: 0,
             keep_windows,
-            max_entries,
             hits: 0,
             misses: 0,
             expired: 0,
-            evicted: 0,
-            published: [0; 4],
+            published: [0; 3],
         }
     }
 
-    /// Open a new generation; sweeps stale entries when over the cap.
+    /// Open a new generation, dropping every entry now past the keep
+    /// horizon.
     pub fn begin_window(&mut self) {
         self.generation = self.generation.wrapping_add(1);
-        if self.entries.len() > self.max_entries {
-            let (gen, keep) = (self.generation, self.keep_windows);
-            let before = self.entries.len();
-            self.entries.retain(|_, e| gen.wrapping_sub(e.last_used) <= keep);
-            self.evicted += (before - self.entries.len()) as u64;
-        }
+        let (gen, keep) = (self.generation, self.keep_windows);
+        let before = self.entries.len();
+        self.entries.retain(|_, e| gen.wrapping_sub(e.last_used) <= keep);
+        self.expired += (before - self.entries.len()) as u64;
     }
 
-    /// Look up a cached resolution for the packed querier address.
-    /// Fresh entries are hits (and have their age reset); stale
-    /// entries count as expired misses and must be re-resolved via
-    /// [`QuerierMetaCache::insert`].
+    /// Look up a cached resolution for the packed querier address. A
+    /// hit resets the entry's age; a miss must be resolved and recorded
+    /// via [`QuerierMetaCache::insert`].
     pub fn get(&mut self, addr: u32) -> Option<RawQuerierMeta> {
-        let gen = self.generation;
-        let keep = self.keep_windows;
         match self.entries.get_mut(&addr) {
-            Some(e) if gen.wrapping_sub(e.last_used) <= keep => {
-                e.last_used = gen;
+            Some(e) => {
+                e.last_used = self.generation;
                 self.hits += 1;
-                Some(e.meta)
-            }
-            Some(_) => {
-                self.expired += 1;
-                self.misses += 1;
-                None
+                Some(e.unpack())
             }
             None => {
                 self.misses += 1;
@@ -366,13 +383,13 @@ impl QuerierMetaCache {
 
     /// Record a fresh resolution for the packed querier address.
     pub fn insert(&mut self, addr: u32, meta: RawQuerierMeta) {
-        self.entries.insert(addr, CacheEntry { meta, last_used: self.generation });
+        self.entries.insert(addr, CacheEntry::pack(meta, self.generation));
     }
 
     /// Record the name pass's category for a querier probed this window.
     fn name(&mut self, addr: u32, category: StaticFeature) {
         if let Some(e) = self.entries.get_mut(&addr) {
-            e.meta.category = Some(category);
+            e.category = category.index() as u8;
         }
     }
 
@@ -391,32 +408,23 @@ impl QuerierMetaCache {
         self.hits
     }
 
-    /// Lifetime misses (including expirations).
+    /// Lifetime misses.
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
-    /// Lifetime entries that aged past `keep_windows` and re-resolved.
+    /// Lifetime entries dropped at the keep horizon.
     pub fn expired(&self) -> u64 {
         self.expired
-    }
-
-    /// Lifetime entries dropped by the over-cap sweep.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
     }
 
     /// Flush counter deltas since the last publish into the telemetry
     /// registry (plus the current size as a gauge), so live scrapes
     /// and the watchdog see cache health per window.
     pub fn publish_telemetry(&mut self) {
-        let now = [self.hits, self.misses, self.expired, self.evicted];
-        let names = [
-            "sensor.qmeta.cache_hits",
-            "sensor.qmeta.cache_misses",
-            "sensor.qmeta.cache_expired",
-            "sensor.qmeta.cache_evictions",
-        ];
+        let now = [self.hits, self.misses, self.expired];
+        let names =
+            ["sensor.qmeta.cache_hits", "sensor.qmeta.cache_misses", "sensor.qmeta.cache_expired"];
         for ((name, total), published) in names.iter().zip(now).zip(self.published) {
             bs_telemetry::counter_add(name, total - published);
         }
@@ -516,7 +524,7 @@ mod tests {
     #[test]
     fn cache_serves_hits_within_keep_horizon() {
         let obs = observations(&[[10, 1, 0, 1], [10, 2, 0, 2]]);
-        let mut cache = QuerierMetaCache::new(1024, 2);
+        let mut cache = QuerierMetaCache::new(2);
         let cold = QuerierMetaTable::build(&obs, &ToyInfo, Some(&mut cache));
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 2);
@@ -531,7 +539,7 @@ mod tests {
     #[test]
     fn cache_expires_entries_past_keep_windows() {
         let obs = observations(&[[10, 1, 0, 1]]);
-        let mut cache = QuerierMetaCache::new(1024, 0);
+        let mut cache = QuerierMetaCache::new(0);
         QuerierMetaTable::build(&obs, &ToyInfo, Some(&mut cache));
         // keep_windows = 0: the next generation already re-resolves.
         QuerierMetaTable::build(&obs, &ToyInfo, Some(&mut cache));
@@ -542,26 +550,72 @@ mod tests {
 
     #[test]
     fn cache_sweep_evicts_only_stale_entries() {
-        let mut cache = QuerierMetaCache::new(2, 1);
+        let mut cache = QuerierMetaCache::new(1);
         let meta = RawQuerierMeta { category: Some(StaticFeature::Home), asn: None, country: None };
         cache.begin_window();
         cache.insert(1, meta);
         cache.insert(2, meta);
         cache.insert(3, meta);
-        // Age entries 1 and 2 past the keep horizon; 3 stays fresh.
+        // One generation old: all three are still within the horizon.
         cache.begin_window();
+        assert_eq!(cache.len(), 3);
         assert!(cache.get(3).is_some());
+        // Entries 1 and 2 age past the horizon; 3 was used last window.
         cache.begin_window();
-        cache.begin_window(); // over cap → sweep
-        assert_eq!(cache.evicted(), 2);
+        assert_eq!(cache.expired(), 2);
         assert_eq!(cache.len(), 1);
+        assert_eq!(cache.get(3), Some(meta));
+        assert_eq!(cache.get(1), None);
+    }
+
+    #[test]
+    fn a_storm_of_fresh_queriers_holds_only_the_last_keep_windows() {
+        const KEEP: u32 = 4;
+        const PER_WINDOW: usize = 5;
+        let mut cache = QuerierMetaCache::new(KEEP);
+        for w in 0..3 * KEEP as usize {
+            let fresh: Vec<[u8; 4]> = (0..PER_WINDOW).map(|i| [10, w as u8, 0, i as u8]).collect();
+            QuerierMetaTable::build(&observations(&fresh), &ToyInfo, Some(&mut cache));
+            let live_windows = (w + 1).min(KEEP as usize + 1);
+            assert!(cache.len() <= live_windows * PER_WINDOW, "window {w}: {}", cache.len());
+            assert_eq!(cache.len() + cache.expired() as usize, (w + 1) * PER_WINDOW);
+        }
+        assert_eq!(cache.hits(), 0);
+    }
+
+    #[test]
+    fn recurring_queriers_hit_exactly_within_the_horizon() {
+        // 12 windows: one querier in every window, another in windows
+        // 0, 1, 3, 6 and 10 (gaps of 1, 2, 3 and 4 generations). A
+        // probe hits when the gap since the last probe is at most keep.
+        let gapped = [0, 1, 3, 6, 10];
+        for (keep, hits, misses) in [(0, 0, 12 + 5), (1, 11 + 1, 1 + 4), (8, 11 + 4, 1 + 1)] {
+            let mut cache = QuerierMetaCache::new(keep);
+            for w in 0..12 {
+                let mut queriers = vec![[10, 1, 0, 1]];
+                if gapped.contains(&w) {
+                    queriers.push([10, 2, 0, 2]);
+                }
+                QuerierMetaTable::build(&observations(&queriers), &ToyInfo, Some(&mut cache));
+            }
+            assert_eq!((cache.hits(), cache.misses()), (hits, misses), "keep {keep}");
+        }
     }
 
     #[test]
     fn an_unnamed_category_costs_no_cache_bytes() {
         // A scan storm's cache holds every querier of the last windows:
-        // a wider entry is a wider peak heap.
-        assert_eq!(std::mem::size_of::<RawQuerierMeta>(), 12);
+        // a wider bucket is a wider peak heap.
+        assert_eq!(std::mem::size_of::<(u32, CacheEntry)>(), 16);
+        let us = CountryCode::new("us").unwrap();
+        for category in [None, Some(StaticFeature::Home), Some(StaticFeature::NxDomain)] {
+            for asn in [None, Some(AsId(0)), Some(AsId(u32::MAX))] {
+                for country in [None, Some(us)] {
+                    let meta = RawQuerierMeta { category, asn, country };
+                    assert_eq!(CacheEntry::pack(meta, 7).unpack(), meta);
+                }
+            }
+        }
     }
 
     /// [`ToyInfo`] that counts reverse-name lookups.

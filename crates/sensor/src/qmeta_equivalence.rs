@@ -169,7 +169,7 @@ fn warm_cache_extraction_matches_cold_and_reference() {
             cut_some += 1;
         }
 
-        let mut cache = QuerierMetaCache::new(1 << 16, keep_windows);
+        let mut cache = QuerierMetaCache::new(keep_windows);
         let warm1 = extract_with_meta_cache(&obs1, &SynthInfo, &config1, Some(&mut cache));
         let warm2 = extract_with_meta_cache(&obs2, &SynthInfo, &config2, Some(&mut cache));
 

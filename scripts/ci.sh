@@ -2,11 +2,12 @@
 # The repo's tier-1 gate, runnable locally and in CI:
 #   format check → hermeticity → no unused dependency edge → no thread
 #   in bs-telemetry → no retired batch-ingest metric name → one CART
-#   growth regime → one keyword matcher → lints as errors → rustdoc as
-#   errors → release build → one experiments binary whose registry
-#   matches results/ → bs-dns, bs-netsim, bs-ml, bs-classify, bs-sensor
-#   and backscatter-core tests on the release build → tests → CLI
-#   smokes.
+#   growth regime → one keyword matcher → no soft cap on the metadata
+#   cache → lints as errors → rustdoc as errors → release build → one
+#   experiments binary whose registry matches results/ → bs-dns,
+#   bs-netsim, bs-ml, bs-classify, bs-sensor and backscatter-core tests
+#   on the release build → tests → CLI smokes (stream --extract holds
+#   fewer cache entries than the log has queriers).
 # Performance is not gated here: `bash benchmark/run.sh` measures it.
 # Any step failing fails the script.
 set -euo pipefail
@@ -95,6 +96,15 @@ echo "=== one keyword matcher: the packed matcher stays deleted"
 # not win.
 if grep -rnE 'PackedKeyword|packed_rules|fold_ascii_lower|pack_prefix' crates src; then
     echo "a second keyword matcher is back (lines above)"
+    exit 1
+fi
+
+echo "=== bounded metadata cache: the soft cap stays deleted"
+# QuerierMetaCache drops every entry past its keep horizon at each
+# window boundary (DESIGN.md §15), so it holds only what it can still
+# serve; a size cap beside that would be a second bound on one cache.
+if grep -rnE 'max_entries|cache_evictions|fn evicted' crates src; then
+    echo "the metadata cache's soft cap is back (lines above)"
     exit 1
 fi
 
@@ -187,11 +197,16 @@ grep -q "dyn:queries-per-querier" <<<"$features_out"
 echo "=== CLI smoke: stream --extract reuses the cross-window qmeta cache"
 # Per-window extraction inside the streaming driver, sharing one
 # QuerierMetaCache across windows; the summary line reports its
-# hit/miss telemetry.
+# hit/miss telemetry and the entries it ends holding, which the keep
+# horizon holds below the log's distinct queriers.
 extract_out="$(target/release/backscatter stream --log "$trace_tmp/jp.tsv" \
     --window 600 --extract 1)"
 grep -q "analyzable" <<<"$extract_out"
-grep -q "qmeta cache:" <<<"$extract_out"
+held="$(sed -n 's/^qmeta cache: .*, \([0-9]*\) entries held$/\1/p' <<<"$extract_out")"
+queriers="$(cut -f2 "$trace_tmp/jp.tsv" | sort -u | wc -l)"
+[ -n "$held" ] || { echo "no qmeta cache summary line"; exit 1; }
+[ "$held" -lt "$queriers" ] ||
+    { echo "qmeta cache holds $held entries, the log has $queriers queriers"; exit 1; }
 
 echo "=== CLI smoke: sharded stream --serve answers a live scrape"
 target/release/backscatter stream --log "$trace_tmp/jp.tsv" --window 600 \

@@ -352,7 +352,7 @@ fn cmd_stream(
                 },
             );
             println!(
-                "qmeta cache: {} hits, {} misses ({} expired), {} entries held",
+                "qmeta cache: {} hits, {} misses, {} expired at the keep horizon, {} entries held",
                 cache.hits(),
                 cache.misses(),
                 cache.expired(),
@@ -544,8 +544,8 @@ metric naming: dotted crate.stage names, e.g.
   sensor.shard.skew_milli    gauge: 1000 × max/mean shard load (1000 = even)
   sensor.qmeta.cache_hits/.cache_misses   querier-metadata cache probes
                              served from / missing the cross-window cache
-  sensor.qmeta.cache_expired souring entries re-resolved past the keep
-                             horizon; .cache_evictions: swept over-cap
+  sensor.qmeta.cache_expired entries dropped at a window boundary for
+                             going unused past the keep horizon
   sensor.qmeta.cache_entries gauge: resolutions currently cached
   sensor.qmeta.names_resolved   reverse names looked up: only queriers of
                              an analyzable originator, each once a window

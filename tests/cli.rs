@@ -555,7 +555,7 @@ fn stream_under_eviction_prints_the_pinned_bytes() {
         assert!(!stderr.contains("ledger imbalance"), "{threads:?}: {stderr}");
         let lines = out.stdout.split(|b| *b == b'\n').count() - 1;
         let got = (lines, digest(&out.stdout));
-        assert_eq!(got, (302, 0x3011_909a_b5d1_03bb), "{threads:?}: {got:#x?}");
+        assert_eq!(got, (302, 0xcf60_0bf7_c672_8fac), "{threads:?}: {got:#x?}");
     }
 }
 
