@@ -160,8 +160,10 @@ fn fig16(ctx: &Ctx) -> Run {
         .iter()
         .map(|(_, f)| {
             let mut per_hour: BTreeMap<u64, BTreeSet<_>> = BTreeMap::new();
-            for (t, q) in obs.per_originator.get(&f.originator).iter().flat_map(|o| &o.queries) {
-                per_hour.entry(t.secs() / 3600).or_default().insert(*q);
+            for (offset, q) in obs.per_originator.get(&f.originator).iter().flat_map(|o| &o.queries)
+            {
+                let t = obs.window_start.secs() + u64::from(*offset);
+                per_hour.entry(t / 3600).or_default().insert(*q);
             }
             (0..hours).map(|h| per_hour.get(&h).map_or(0, |s| s.len()) as f64).collect()
         })

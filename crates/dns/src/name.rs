@@ -163,6 +163,12 @@ impl DomainName {
         LabelBytes { rest: &self.wire }
     }
 
+    /// The labels in wire form (length octet, then bytes; no root
+    /// octet), as checked where the name was built.
+    pub(crate) fn wire(&self) -> &[u8] {
+        &self.wire
+    }
+
     /// The left-most (host-most) label, if any.
     ///
     /// The sensor's static-feature matcher favours this label: the paper

@@ -40,8 +40,40 @@ pub fn reverse_name(addr: Ipv4Addr) -> DomainName {
 
 /// Parse a (possibly partial) reverse name back to the IPv4 address it
 /// refers to. Returns `None` unless the name is exactly a full 4-octet
-/// reverse name under `in-addr.arpa`.
+/// reverse name under `in-addr.arpa`: four labels of one to three ASCII
+/// digits with no leading zero ("01" never names a canonical address,
+/// though real resolvers send such names now and then) and a value of
+/// at most 255, then `in-addr.arpa` in any case.
+///
+/// Reads the name's wire form, the inverse of [`reverse_name`]: the
+/// digits are folded as they pass, the suffix is one comparison.
 pub fn parse_reverse_v4(name: &DomainName) -> Option<Ipv4Addr> {
+    let mut rest = name.wire();
+    let mut octets = [0u8; 4];
+    for i in 0..4 {
+        let (&len, tail) = rest.split_first()?;
+        let digits = tail.get(..len as usize).filter(|d| (1..=3).contains(&d.len()))?;
+        if digits.len() > 1 && digits[0] == b'0' {
+            return None;
+        }
+        let mut v = 0u16;
+        for &d in digits {
+            if !d.is_ascii_digit() {
+                return None;
+            }
+            v = v * 10 + u16::from(d - b'0');
+        }
+        // QNAME is reversed: first label is the last octet.
+        octets[3 - i] = u8::try_from(v).ok()?;
+        rest = &tail[digits.len()..];
+    }
+    rest.eq_ignore_ascii_case(IN_ADDR_ARPA).then(|| Ipv4Addr::from(octets))
+}
+
+/// [`parse_reverse_v4`] over the labels as `&str`, compiled for tests
+/// only: the oracle of the wire-form parser.
+#[cfg(test)]
+fn parse_reverse_v4_reference(name: &DomainName) -> Option<Ipv4Addr> {
     let mut labels = name.labels();
     if labels.len() != 6 {
         return None;
@@ -239,6 +271,58 @@ mod tests {
             let n = DomainName::parse(s).unwrap();
             assert_eq!(parse_reverse_v4(&n), None, "should reject {s}");
         }
+    }
+
+    /// The wire-form parser answers as the label-based oracle on the
+    /// reverse names of seeded addresses and on their mutants: leading
+    /// zeros, `256`, four-digit labels, upper case, five and seven
+    /// labels, a letter among the digits, the root and bare
+    /// `in-addr.arpa`.
+    #[test]
+    fn parse_matches_the_label_reference_on_seeded_names() {
+        let mut state = 0x4E7_u64;
+        let mut next = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut accepted = 0;
+        let mut names = vec![String::new(), "in-addr.arpa".to_string(), "IN-ADDR.ARPA".to_string()];
+        for _ in 0..512 {
+            let r = next();
+            let [a, b, c, d] = (r as u32).to_be_bytes();
+            let host = (r >> 32) % 1000;
+            names.extend([
+                format!("{d}.{c}.{b}.{a}.in-addr.arpa"),
+                format!("{d}.{c}.{b}.{a}.IN-ADDR.ARPA"),
+                format!("{d}.{c}.{b}.{a}.In-Addr.Arpa"),
+                format!("0{d}.{c}.{b}.{a}.in-addr.arpa"),
+                format!("{d}.{c}.00{b}.{a}.in-addr.arpa"),
+                format!("{host}.{c}.{b}.{a}.in-addr.arpa"),
+                format!("256.{c}.{b}.{a}.in-addr.arpa"),
+                format!("{d}.{c}.{b}.1{a:03}.in-addr.arpa"),
+                format!("{c}.{b}.{a}.in-addr.arpa"),
+                format!("{host}.{d}.{c}.{b}.{a}.in-addr.arpa"),
+                format!("{d}.{c}.{b}.{a}.in-addr.arpa.{host}"),
+                format!("{d}.{c}x.{b}.{a}.in-addr.arpa"),
+                format!("{d}.{c}.{b}.a{a}.in-addr.arpa"),
+                format!("{d}.{c}.{b}.{a}.ip6.arpa"),
+                format!("{d}.{c}.{b}.{a}.in-addr.arpb"),
+                format!("{d}.{c}.{b}.{a}"),
+            ]);
+        }
+        for s in &names {
+            let name = DomainName::parse(s).unwrap();
+            let parsed = parse_reverse_v4(&name);
+            assert_eq!(parsed, parse_reverse_v4_reference(&name), "{s:?}");
+            accepted += usize::from(parsed.is_some());
+        }
+        // Each address's three spellings parse: a run that accepts
+        // nothing would prove nothing.
+        assert!(accepted >= 3 * 512, "{accepted} of {} names accepted", names.len());
     }
 
     #[test]

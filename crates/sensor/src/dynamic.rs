@@ -21,7 +21,9 @@ use crate::ingest::OriginatorObservation;
 #[cfg(test)]
 use crate::QuerierInfo;
 use bs_dns::SimTime;
+#[cfg(test)]
 use std::collections::BTreeSet;
+use std::net::Ipv4Addr;
 
 /// Length of a persistence period in seconds (paper: 10 minutes).
 pub const PERSISTENCE_PERIOD: u64 = 600;
@@ -127,6 +129,13 @@ impl DynamicFeatures {
     /// reference (which counts via per-querier `info` lookups); all
     /// float operations live here exactly once, so the two cannot
     /// drift.
+    ///
+    /// Two preconditions, which every observation the sensor builds
+    /// meets: `obs.queriers` is ascending and unique (the entropies
+    /// count its prefix runs in place; debug builds assert it), and
+    /// `obs.queries` holds offsets in seconds from this `window_start`
+    /// (persistence divides them into periods as they are). An
+    /// observation built otherwise gives wrong features, not an error.
     pub fn from_counts(
         obs: &OriginatorObservation,
         window_start: SimTime,
@@ -141,27 +150,16 @@ impl DynamicFeatures {
             return DynamicFeatures::default();
         }
 
-        // Temporal. Both subtractions saturate: the streaming sensor
-        // assigns a record to the window that was open when it
-        // *arrived*, so a late-but-admitted query can carry a
-        // timestamp just before `window_start` — that must clamp to
-        // period 0, not underflow.
+        // Temporal: a query's period is its offset from the window
+        // start over the period length.
         let queries_per_querier = obs.query_count() as f64 / nq as f64;
         let total_periods = ((window_end.secs().saturating_sub(window_start.secs()))
             .div_ceil(PERSISTENCE_PERIOD))
         .max(1);
-        let active_periods: BTreeSet<u64> = obs
-            .queries
-            .iter()
-            .map(|(t, _)| t.secs().saturating_sub(window_start.secs()) / PERSISTENCE_PERIOD)
-            .collect();
-        let persistence = active_periods.len() as f64 / total_periods as f64;
+        let persistence = active_periods(&obs.queries) as f64 / total_periods as f64;
 
         // Spatial.
-        let slash24s: Vec<u32> = obs.queriers.iter().map(|q| u32::from(*q) >> 8).collect();
-        let slash8s: Vec<u32> = obs.queriers.iter().map(|q| u32::from(*q) >> 24).collect();
-        let local_entropy = normalized_entropy(&slash24s, nq as f64);
-        let global_entropy = normalized_entropy(&slash8s, 256.0);
+        let (local_entropy, global_entropy) = prefix_entropies(&obs.queriers);
 
         let ratio = |num: usize, den: usize| if den == 0 { 0.0 } else { num as f64 / den as f64 };
 
@@ -200,47 +198,69 @@ pub(crate) fn unique_by<V: Ord + Send>(
     all
 }
 
-/// Shannon entropy of the value histogram, normalized by `ln(alphabet)`
-/// so results land in `[0, 1]`. `alphabet` is the size of the
-/// meaningful value space (number of queriers for /24s, 256 for /8s).
+/// The number of distinct persistence periods among `queries`' offsets,
+/// in any order.
+fn active_periods(queries: &[(u32, Ipv4Addr)]) -> usize {
+    let mut periods: Vec<u64> =
+        queries.iter().map(|&(offset, _)| u64::from(offset) / PERSISTENCE_PERIOD).collect();
+    periods.sort_unstable();
+    periods.dedup();
+    periods.len()
+}
+
+/// The local (/24, alphabet = footprint size) and global (/8, alphabet
+/// 256) entropies of an ascending, unique querier column, normalized by
+/// `ln(alphabet)` so both land in `[0, 1]`.
 ///
-/// Fast path: instead of a `BTreeMap` histogram (one allocation and a
-/// tree probe per value), sort a scratch copy ascending and count runs
-/// in one linear sweep — branch-light, cache-linear, and the run
-/// lengths emerge in **ascending value order**, which is exactly the
-/// `BTreeMap` iteration order, so the `-p·ln p` accumulation visits
-/// identical terms in the identical order and the sum is bit-identical
-/// to the test-only `BTreeMap`-histogram reference.
-pub fn normalized_entropy(values: &[u32], alphabet: f64) -> f64 {
-    if values.len() <= 1 || alphabet <= 1.0 {
-        return 0.0;
+/// One pass and no allocation: an ascending column has ascending
+/// prefixes, so each prefix's runs are counted as they pass and the run
+/// lengths emerge in **ascending prefix order** — exactly the iteration
+/// order of the test-only `BTreeMap`-histogram reference — so the
+/// `-p·ln p` accumulation visits identical terms in the identical order
+/// and both sums are bit-identical to it.
+pub(crate) fn prefix_entropies(queriers: &[Ipv4Addr]) -> (f64, f64) {
+    debug_assert!(
+        queriers.windows(2).all(|w| w[0] < w[1]),
+        "the querier column must be ascending and unique"
+    );
+    if queriers.len() <= 1 {
+        return (0.0, 0.0);
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_unstable();
-    let n = values.len() as f64;
+    let n = queriers.len() as f64;
+    let term = |run: usize| {
+        let p = run as f64 / n;
+        -p * p.ln()
+    };
     // -0.0 is `Sum`'s float identity: a pure-run histogram contributes
     // only -1·ln 1 = -0.0 terms, and the reference's `.sum()` keeps
     // that sign where a +0.0 seed would flush it.
-    let mut h = -0.0f64;
-    let mut run = 1usize;
-    for k in 1..sorted.len() {
-        if sorted[k] == sorted[k - 1] {
-            run += 1;
+    let (mut h24, mut h8) = (-0.0f64, -0.0f64);
+    let (mut run24, mut run8) = (1usize, 1usize);
+    for pair in queriers.windows(2) {
+        let (a, b) = (u32::from(pair[0]), u32::from(pair[1]));
+        if a >> 8 == b >> 8 {
+            run24 += 1;
         } else {
-            let p = run as f64 / n;
-            h += -p * p.ln();
-            run = 1;
+            h24 += term(run24);
+            run24 = 1;
+        }
+        if a >> 24 == b >> 24 {
+            run8 += 1;
+        } else {
+            h8 += term(run8);
+            run8 = 1;
         }
     }
-    let p = run as f64 / n;
-    h += -p * p.ln();
-    (h / alphabet.ln()).clamp(0.0, 1.0)
+    h24 += term(run24);
+    h8 += term(run8);
+    let normalize = |h: f64, alphabet: f64| (h / alphabet.ln()).clamp(0.0, 1.0);
+    (normalize(h24, n), normalize(h8, 256.0))
 }
 
-/// The `BTreeMap`-histogram reference for [`normalized_entropy`],
-/// compiled for tests only — the executable specification the
-/// sorted-run fast path is property-tested bit-identical to
-/// (`entropy_equivalence.rs`).
+/// Shannon entropy of the value histogram, normalized by `ln(alphabet)`,
+/// through a `BTreeMap` histogram — compiled for tests only, the
+/// executable specification [`prefix_entropies`] is property-tested
+/// bit-identical to (`entropy_equivalence.rs`).
 #[cfg(test)]
 pub(crate) fn normalized_entropy_reference(values: &[u32], alphabet: f64) -> f64 {
     if values.len() <= 1 || alphabet <= 1.0 {
@@ -286,14 +306,15 @@ mod tests {
         }
     }
 
-    fn obs(queries: &[(u64, &str)]) -> OriginatorObservation {
+    /// An observation of `(offset, querier)` queries.
+    fn obs(queries: &[(u32, &str)]) -> OriginatorObservation {
         let mut o = OriginatorObservation {
             originator: "203.0.113.9".parse().unwrap(),
             ..Default::default()
         };
         for (t, q) in queries {
             let qa: Ipv4Addr = q.parse().unwrap();
-            o.queries.push((SimTime(*t), qa));
+            o.queries.push((*t, qa));
             o.insert_querier(qa);
         }
         o
@@ -347,14 +368,20 @@ mod tests {
     }
 
     #[test]
-    fn pre_window_timestamp_clamps_instead_of_underflowing() {
-        // A late-but-admitted query can carry a timestamp before the
-        // open window's start; in debug builds the old code panicked
-        // on `t - window_start` underflow. It must clamp to period 0.
+    fn persistence_counts_distinct_periods_in_any_order() {
+        // Offsets count from the window start, whatever it is: offsets
+        // 50 and 700 of a window at 100 s are periods 0 and 1 of 6.
         let o = obs(&[(50, "10.0.0.1"), (700, "10.0.0.2")]);
         let f = DynamicFeatures::compute(&o, &ToyInfo, SimTime(100), SimTime(3700), 10, 5);
-        // Periods: clamp(50-100)=0 and (700-100)/600=1 → 2 of 6.
         assert!((f.persistence - 2.0 / 6.0).abs() < 1e-12);
+        // A query behind its predecessor (a log out of time order) is
+        // counted once per period all the same: periods 3, 0 and 1.
+        let o = obs(&[(1900, "10.0.0.1"), (10, "10.0.0.2"), (50, "10.0.0.3"), (1910, "10.0.0.1")]);
+        let f = DynamicFeatures::compute(&o, &ToyInfo, SimTime(0), SimTime(3600), 10, 5);
+        assert!((f.persistence - 2.0 / 6.0).abs() < 1e-12);
+        let o = obs(&[(1900, "10.0.0.1"), (10, "10.0.0.2"), (700, "10.0.0.3")]);
+        let f = DynamicFeatures::compute(&o, &ToyInfo, SimTime(0), SimTime(3600), 10, 5);
+        assert!((f.persistence - 3.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -369,20 +396,41 @@ mod tests {
 
     #[test]
     fn entropy_fast_path_is_bit_identical_to_reference() {
+        // Each case lists prefix values; the k-th occurrence of `v`
+        // becomes host k of prefix `v`, at /24 and at /8 width, so the
+        // column's prefix histogram is the case's value histogram.
         let cases: Vec<Vec<u32>> = vec![
             vec![],
             vec![5],
             vec![1, 1, 1],
             vec![3, 1, 2, 1, 3, 3, 7],
             (0..100).map(|i| i * i % 17).collect(),
-            (0..1000).map(|i| i % 3).collect(),
+            (0..600).map(|i| i % 3).collect(),
         ];
         for values in &cases {
-            for alphabet in [0.5, 1.0, 2.0, 17.0, 256.0, 1e6] {
+            for shift in [8, 24] {
+                let mut column: Vec<u32> = values
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| {
+                        v << shift | values[..i].iter().filter(|&&w| w == v).count() as u32
+                    })
+                    .collect();
+                column.sort_unstable();
+                let queriers: Vec<Ipv4Addr> = column.iter().map(|&a| Ipv4Addr::from(a)).collect();
+                let slash24s: Vec<u32> = column.iter().map(|a| a >> 8).collect();
+                let slash8s: Vec<u32> = column.iter().map(|a| a >> 24).collect();
+                let (local, global) = prefix_entropies(&queriers);
+                let n = queriers.len() as f64;
                 assert_eq!(
-                    normalized_entropy(values, alphabet).to_bits(),
-                    normalized_entropy_reference(values, alphabet).to_bits(),
-                    "values {values:?} alphabet {alphabet}"
+                    local.to_bits(),
+                    normalized_entropy_reference(&slash24s, n).to_bits(),
+                    "/24 of {values:?} at shift {shift}"
+                );
+                assert_eq!(
+                    global.to_bits(),
+                    normalized_entropy_reference(&slash8s, 256.0).to_bits(),
+                    "/8 of {values:?} at shift {shift}"
                 );
             }
         }

@@ -2,13 +2,15 @@
 //! and run for one window as the batch form — must be
 //! observationally identical to the retained BTree implementations on
 //! arbitrary record streams — same per-originator query streams, same
-//! querier sets, same dedup decisions, same admissions and evictions.
+//! querier sets, same dedup decisions, same admissions and evictions —
+//! and every stored query's `window_start + offset` must be the time
+//! the reference recorded for it.
 //!
 //! Seeded loops: every case derives from its seed alone, so a failure
 //! replays from the seed in its message.
 
 use crate::common::{arb_records, sorted_records, Pools, AMPLIFIED, SMALL};
-use crate::ingest::{Observations, DEDUP_WINDOW};
+use crate::ingest::{assert_offsets_are_times, Observations, DEDUP_WINDOW};
 use crate::stream::{ReferenceStreamingSensor, StreamConfig, StreamingSensor, WindowSummary};
 use bs_dns::{SimDuration, SimTime};
 use bs_netsim::log::{QueryLog, QueryLogRecord};
@@ -32,18 +34,24 @@ fn log_of(records: &[QueryLogRecord]) -> QueryLog {
 }
 
 /// Push `records` through both sensors; every emitted window and the
-/// final flush must agree.
+/// final flush must agree, and each window's offsets must give the
+/// times the reference recorded.
 fn assert_streams_agree(records: &[QueryLogRecord], cfg: StreamConfig, seed: u64) {
     let mut fast = StreamingSensor::new(cfg);
     let mut reference = ReferenceStreamingSensor::new(cfg);
+    let mut windows: Vec<WindowSummary> = Vec::new();
     for r in records {
-        assert_eq!(
-            fast.push(*r),
-            reference.push(*r),
-            "windows must agree per record (seed {seed})"
-        );
+        let emitted = fast.push(*r);
+        assert_eq!(emitted, reference.push(*r), "windows must agree per record (seed {seed})");
+        windows.extend(emitted);
     }
-    assert_eq!(fast.finish(), reference.finish(), "final flush must agree (seed {seed})");
+    let last = fast.finish();
+    assert_eq!(last, reference.finish(), "final flush must agree (seed {seed})");
+    windows.extend(last);
+    assert_eq!(windows.len(), reference.recorded().len(), "seed {seed}");
+    for (w, times) in windows.iter().zip(reference.recorded()) {
+        assert_offsets_are_times(&w.observations, times);
+    }
 }
 
 /// Batch: the sensor run for one window equals the BTree reference —
@@ -67,11 +75,14 @@ fn batch_fast_path_matches_reference() {
                     for dedup in [rng.below(60), 0, 30, 300] {
                         let (start, end, dedup) =
                             (SimTime(start), SimTime(end), SimDuration(dedup));
+                        let fast = Observations::ingest_with_dedup(&log, start, end, dedup);
+                        let (reference, times) =
+                            Observations::ingest_with_dedup_reference(&log, start, end, dedup);
                         assert_eq!(
-                            Observations::ingest_with_dedup(&log, start, end, dedup),
-                            Observations::ingest_with_dedup_reference(&log, start, end, dedup),
+                            fast, reference,
                             "seed {seed}, window [{start:?}, {end:?}), dedup {dedup:?}"
                         );
+                        assert_offsets_are_times(&fast, &times);
                     }
                 }
             }
@@ -128,7 +139,7 @@ fn stream_equivalence_with_out_of_order_records() {
 fn unbounded_stream_matches_batch() {
     for seed in 0..CASES {
         let records = sorted_records(&mut Rng::new(seed ^ 0x0B0D), &SMALL);
-        let batch = Observations::ingest_with_dedup_reference(
+        let (batch, times) = Observations::ingest_with_dedup_reference(
             &log_of(&records),
             SimTime(0),
             SimTime(5_000),
@@ -147,6 +158,7 @@ fn unbounded_stream_matches_batch() {
         if let Some(w) = emitted.first() {
             assert_eq!(w.observations.per_originator, batch.per_originator, "seed {seed}");
             assert_eq!(w.observations.all_queriers, batch.all_queriers, "seed {seed}");
+            assert_offsets_are_times(&w.observations, &times);
             assert_eq!(w.evicted, 0, "seed {seed}");
         } else {
             assert!(batch.per_originator.is_empty(), "seed {seed}");

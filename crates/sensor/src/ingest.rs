@@ -37,9 +37,13 @@ pub const MIN_QUERIERS: usize = 20;
 pub struct OriginatorObservation {
     /// The originator address.
     pub originator: Ipv4Addr,
-    /// Deduplicated queries as `(time, querier)` pairs, in arrival order
-    /// (time order when the input is).
-    pub queries: Vec<(SimTime, Ipv4Addr)>,
+    /// Deduplicated queries as `(offset, querier)` pairs, in arrival
+    /// order (time order when the input is). The offset is the query's
+    /// time in seconds after [`Observations::window_start`]: a sensor
+    /// keeps no record behind its window, and no window is longer than
+    /// [`MAX_WINDOW`], so every query's time is `window_start + offset`
+    /// exactly.
+    pub queries: Vec<(u32, Ipv4Addr)>,
     /// Unique querier addresses — the footprint as a column, ascending
     /// and without repeats.
     pub queriers: Vec<Ipv4Addr>,
@@ -91,11 +95,29 @@ pub struct Observations {
     pub all_queriers: Vec<Ipv4Addr>,
 }
 
-/// Pack the paper's dedup key — one `(originator, querier)` address
-/// pair — into a single integer for the sensor's tables.
-#[inline]
-pub(crate) fn pack_pair(originator: Ipv4Addr, querier: Ipv4Addr) -> u64 {
-    (u64::from(u32::from(originator)) << 32) | u64::from(u32::from(querier))
+/// The time of every stored query of a window, per originator, in the
+/// order of its stored queries: what the test-only references record
+/// beside the offsets they store.
+#[cfg(test)]
+pub(crate) type QueryTimes = BTreeMap<Ipv4Addr, Vec<SimTime>>;
+
+/// Check that every stored query of `obs` sits at `window_start +
+/// offset` = the time the reference recorded for it.
+#[cfg(test)]
+pub(crate) fn assert_offsets_are_times(obs: &Observations, times: &QueryTimes) {
+    assert_eq!(
+        obs.per_originator.keys().collect::<Vec<_>>(),
+        times.keys().collect::<Vec<_>>(),
+        "originators with stored queries"
+    );
+    for (originator, o) in &obs.per_originator {
+        let at: Vec<SimTime> = o
+            .queries
+            .iter()
+            .map(|&(offset, _)| obs.window_start + SimDuration(offset.into()))
+            .collect();
+        assert_eq!(at, times[originator], "{originator}: window_start + offset");
+    }
 }
 
 impl Observations {
@@ -137,18 +159,20 @@ impl Observations {
     /// The reference implementation of
     /// [`Observations::ingest_with_dedup`], compiled for tests only:
     /// the original BTree-based ingestion, kept as the executable
-    /// specification the fast path is property-tested against. No
-    /// telemetry — it exists to define behavior, not to run in
-    /// production.
+    /// specification the fast path is property-tested against, with the
+    /// time of every query it stores. No telemetry — it exists to
+    /// define behavior, not to run in production.
     #[cfg(test)]
     pub(crate) fn ingest_with_dedup_reference(
         log: &QueryLog,
         start: SimTime,
         end: SimTime,
         dedup: SimDuration,
-    ) -> Self {
+    ) -> (Self, QueryTimes) {
         use std::collections::btree_map::Entry;
+        let end = end.min(window_end(start, MAX_WINDOW));
         let mut per_originator: BTreeMap<Ipv4Addr, OriginatorObservation> = BTreeMap::new();
+        let mut times = QueryTimes::new();
         let mut all_queriers = BTreeSet::new();
         // Last accepted time per (originator, querier).
         let mut last_seen: BTreeMap<(Ipv4Addr, Ipv4Addr), SimTime> = BTreeMap::new();
@@ -173,11 +197,12 @@ impl Observations {
                 originator: r.originator,
                 ..Default::default()
             });
-            obs.queries.push((r.time, r.querier));
+            obs.queries.push((r.time.since(start).secs() as u32, r.querier));
             obs.insert_querier(r.querier);
+            times.entry(r.originator).or_default().push(r.time);
         }
         let all_queriers = all_queriers.into_iter().collect();
-        Observations { window_start: start, window_end: end, per_originator, all_queriers }
+        (Observations { window_start: start, window_end: end, per_originator, all_queriers }, times)
     }
 
     /// Standard ingestion with the paper's 30-second window.

@@ -127,17 +127,16 @@ fn fast_extraction_matches_reference_on_shared_queriers() {
     }
 }
 
-/// Pre-window timestamps (a late-but-admitted query carrying a
-/// time before the window open, as the streaming sensor can
-/// produce) must clamp identically on both paths — the underflow
-/// regression, at extraction level.
+/// A window whose start moved after ingest — fewer periods, the
+/// stored offsets unchanged — reads its persistence identically on
+/// both paths.
 #[test]
-fn fast_extraction_matches_reference_with_pre_window_timestamps() {
+fn fast_extraction_matches_reference_on_a_shortened_window() {
     for seed in 0..CASES {
         let mut rng = Rng::new(seed ^ 0x94E0);
         let mut obs = ingest(&arb_records(&mut rng, &SMALL), 0, 5_000);
-        // Reopen the window after ingest so some retained queries
-        // precede window_start.
+        // Move the start after ingest: the window has fewer periods
+        // than its offsets span.
         obs.window_start = SimTime(1 + rng.below(1_999));
         let config = FeatureConfig { min_queriers: 1, top_n: None };
         let fast = extract_with_meta_cache(&obs, &SynthInfo, &config, None);

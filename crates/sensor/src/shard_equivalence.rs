@@ -10,7 +10,7 @@
 //! replays from the seed in its message.
 
 use crate::common::{arb_records, sorted_records, SMALL};
-use crate::ingest::{Observations, DEDUP_WINDOW};
+use crate::ingest::{assert_offsets_are_times, Observations, DEDUP_WINDOW};
 use crate::shard::{slice_of, ReferenceShardedStreamingSensor, ShardedStreamingSensor};
 use crate::stream::{StreamConfig, StreamingSensor, WindowSummary};
 use bs_dns::{Rcode, SimDuration, SimTime};
@@ -162,7 +162,7 @@ fn sharded_stream_equals_plain_sensor_and_batch() {
         for r in &records {
             log.push(*r);
         }
-        let batch = Observations::ingest_with_dedup_reference(
+        let (batch, times) = Observations::ingest_with_dedup_reference(
             &log,
             SimTime(0),
             SimTime(5_000),
@@ -172,6 +172,7 @@ fn sharded_stream_equals_plain_sensor_and_batch() {
         if let Some(w) = expect.first() {
             assert_eq!(w.observations.per_originator, batch.per_originator, "seed {seed}");
             assert_eq!(w.observations.all_queriers, batch.all_queriers, "seed {seed}");
+            assert_offsets_are_times(&w.observations, &times);
             assert_eq!(w.evicted, 0, "seed {seed}");
         } else {
             assert!(batch.per_originator.is_empty(), "seed {seed}");

@@ -30,16 +30,18 @@
 //!
 //! Per-record work runs entirely on std `HashMap` / `HashSet` tables
 //! over packed integer keys, behind the crate's one-multiply hasher.
-//! The dedup table maps a packed `(originator, querier)` `u64` pair to
-//! its last accepted offset from the window start (63 bits, hence
-//! [`MAX_WINDOW`]) plus a footprint bit. Per-originator state lives in
-//! a dense arena addressed by `u32` slot indices (evicted slots recycle
-//! through a free list): stored queries and a querier `count`, bumped by
-//! a store that sets its pair's bit, the bits cleared at eviction — no
-//! per-originator set. Victims come from a **lazy min-heap** of
-//! `count << 32 | originator` words — entries go stale as footprints
-//! grow and are refreshed on pop, so an admission costs O(log n)
-//! amortized instead of the O(n) full-table scan the seed performed.
+//! The dedup table maps an `(originator, querier)` `PairKey` (two
+//! `u32`s) to its last accepted offset from the window start (31 bits,
+//! hence [`MAX_WINDOW`]) plus a footprint bit, a 12-byte entry.
+//! Per-originator state lives in a dense arena addressed by `u32` slot
+//! indices (evicted slots recycle through a free list): stored queries,
+//! 8 bytes each — the seconds after the window start and the querier —
+//! and a querier `count`, bumped by a store that sets its pair's bit,
+//! the bits cleared at eviction — no per-originator set. Victims come
+//! from a **lazy min-heap** of `count << 32 | originator` words —
+//! entries go stale as footprints grow and are refreshed on pop, so an
+//! admission costs O(log n) amortized instead of the O(n) full-table
+//! scan the seed performed.
 //! Each footprint becomes a sorted querier column once, at flush, in the
 //! address-ordered [`Observations`]; a test-only BTree-based reference
 //! sensor defines the semantics and a property test holds the two equal
@@ -53,12 +55,15 @@
 //! `out_of_order` conservation-ledger bucket) and dropped.
 
 use crate::hash::IntHash;
-use crate::ingest::{pack_pair, Observations, OriginatorObservation, DEDUP_WINDOW};
+#[cfg(test)]
+use crate::ingest::QueryTimes;
+use crate::ingest::{Observations, OriginatorObservation, DEDUP_WINDOW};
 use bs_dns::{SimDuration, SimTime};
 use bs_netsim::log::QueryLogRecord;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -68,14 +73,49 @@ use std::sync::Arc;
 /// critical-pressure storm.
 const MIN_PRESSURE_PROBATION_CAP: usize = 16;
 
-/// The longest window a sensor keeps: a dedup entry holds a record's
-/// offset from its window's start in 63 bits. A longer configured
-/// window is cut to this one ([`StreamConfig::resolved_window`]).
-pub const MAX_WINDOW: SimDuration = SimDuration(1 << 63);
+/// The longest window a sensor keeps (2³¹ s, 68 years): a dedup entry
+/// and a stored query hold a record's offset from its window's start in
+/// 31 bits. A longer configured window is cut to this one
+/// ([`StreamConfig::resolved_window`]).
+pub const MAX_WINDOW: SimDuration = SimDuration(1 << 31);
 
-/// The dedup entry's footprint bit, above the 63-bit offset: set while
+/// The dedup entry's footprint bit, above the 31-bit offset: set while
 /// the pair is stored under its originator's current admission.
-const IN_FOOTPRINT: u64 = 1 << 63;
+const IN_FOOTPRINT: u32 = 1 << 31;
+
+/// The paper's dedup key, one `(originator, querier)` address pair, as
+/// two words: 4-aligned, so a dedup entry is 12 bytes, not 16. It
+/// hashes as the packed `originator << 32 | querier`, so the table's
+/// bucket and tag bits are those of a `u64` key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PairKey([u32; 2]);
+
+impl PairKey {
+    #[inline]
+    fn new(originator: u32, querier: Ipv4Addr) -> Self {
+        PairKey([originator, u32::from(querier)])
+    }
+}
+
+impl Hash for PairKey {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let [originator, querier] = self.0;
+        state.write_u64(u64::from(originator) << 32 | u64::from(querier));
+    }
+}
+
+/// A record's offset from its window's start: below 2³¹ for every
+/// record a sensor keeps, since it drops records behind its window and
+/// the window is at most [`MAX_WINDOW`] long. Checked in every build:
+/// bit 31 is the footprint bit, so a longer offset would corrupt the
+/// dedup entry it is stored in.
+#[inline]
+fn offset_in(window_start: SimTime, t: SimTime) -> u32 {
+    let offset = t.since(window_start).secs();
+    assert!(offset < MAX_WINDOW.secs(), "{t:?} is past its window at {window_start:?}");
+    offset as u32
+}
 
 /// Drain packed addresses into a querier column: ascending, unique.
 fn sorted_column(scratch: &mut Vec<u32>) -> Vec<Ipv4Addr> {
@@ -128,7 +168,7 @@ impl StreamConfig {
     }
 
     /// The window with a length past [`MAX_WINDOW`] cut to it, as every
-    /// sensor runs it: such windows start on multiples of 2⁶³ s, and
+    /// sensor runs it: such windows start on multiples of 2³¹ s, and
     /// [`Observations::ingest_with_dedup`] observes the first
     /// `MAX_WINDOW` of a longer span.
     pub fn resolved_window(&self) -> SimDuration {
@@ -165,13 +205,14 @@ pub(crate) fn window_end(start: SimTime, window: SimDuration) -> SimTime {
     SimTime(start.secs().saturating_add(window.secs()))
 }
 
-/// One arena slot: an originator's stored queries and footprint size
-/// (the dedup entries whose [`IN_FOOTPRINT`] bit it set), plus the
-/// occupancy flag the free list needs.
+/// One arena slot: an originator's stored queries (offset from the
+/// window start, querier) and footprint size (the dedup entries whose
+/// [`IN_FOOTPRINT`] bit it set), plus the occupancy flag the free list
+/// needs.
 #[derive(Debug, Default)]
 struct Slot {
     originator: u32,
-    queries: Vec<(SimTime, Ipv4Addr)>,
+    queries: Vec<(u32, Ipv4Addr)>,
     count: u32,
     occupied: bool,
 }
@@ -210,9 +251,9 @@ pub struct StreamingSensor {
     evict_heap: BinaryHeap<Reverse<u64>>,
     /// Admission filter: originator → queries seen while untracked.
     probation: HashMap<u32, u32, IntHash>,
-    /// Packed (originator, querier) pair → the last accepted record's
-    /// offset from the window start, with the [`IN_FOOTPRINT`] bit.
-    last_seen: HashMap<u64, u64, IntHash>,
+    /// (originator, querier) pair → the last accepted record's offset
+    /// from the window start, with the [`IN_FOOTPRINT`] bit.
+    last_seen: HashMap<PairKey, u32, IntHash>,
     all_queriers: HashSet<u32, IntHash>,
     /// Flush's sort buffer for querier columns, kept across windows.
     scratch: Vec<u32>,
@@ -486,11 +527,12 @@ impl StreamingSensor {
     fn ingest(&mut self, r: QueryLogRecord) {
         self.tally.records += 1;
         // Dedup identical querier/originator pairs inside the window.
-        let key = pack_pair(r.originator, r.querier);
-        let offset = r.time.since(self.window_start).secs();
+        let originator = u32::from(r.originator);
+        let key = PairKey::new(originator, r.querier);
+        let offset = offset_in(self.window_start, r.time);
         let seen = match self.last_seen.entry(key) {
             Entry::Occupied(last)
-                if offset.saturating_sub(*last.get() & !IN_FOOTPRINT)
+                if u64::from(offset.saturating_sub(*last.get() & !IN_FOOTPRINT))
                     < self.config.dedup.secs() =>
             {
                 self.tally.deduped += 1;
@@ -505,10 +547,9 @@ impl StreamingSensor {
         };
         self.all_queriers.insert(u32::from(r.querier));
 
-        let originator = u32::from(r.originator);
         if let Some(&slot) = self.slot_of.get(&originator) {
             let s = &mut self.arena[slot as usize];
-            s.queries.push((r.time, r.querier));
+            s.queries.push((offset, r.querier));
             // The pair's first store since the originator's admission.
             s.count += u32::from(*seen & IN_FOOTPRINT == 0);
             *seen |= IN_FOOTPRINT;
@@ -552,7 +593,7 @@ impl StreamingSensor {
         let s = &mut self.arena[slot as usize];
         s.occupied = true;
         s.originator = originator;
-        s.queries.push((r.time, r.querier));
+        s.queries.push((offset, r.querier));
         s.count = 1;
         self.slot_of.insert(originator, slot);
         self.evict_heap.push(Reverse((1 << 32) | u64::from(originator)));
@@ -586,7 +627,7 @@ impl StreamingSensor {
             self.slot_of.remove(&originator);
             for &(_, q) in &s.queries {
                 self.footprint_probes += 1;
-                if let Some(seen) = self.last_seen.get_mut(&pack_pair(originator.into(), q)) {
+                if let Some(seen) = self.last_seen.get_mut(&PairKey::new(originator, q)) {
                     *seen &= !IN_FOOTPRINT;
                 }
             }
@@ -609,14 +650,19 @@ impl StreamingSensor {
 /// executable specification the fast path is property-tested against
 /// (same per-originator streams, querier sets, dedup decisions,
 /// probation accounting, and evictions — the eviction victim here is
-/// picked by the seed's O(n) `min_by_key` scan). No telemetry — it
-/// defines behavior, it does not run in production.
+/// picked by the seed's O(n) `min_by_key` scan). Beside each stored
+/// query's offset it records the query's time, one [`QueryTimes`] per
+/// window taken ([`recorded`](Self::recorded)), for the suites to check
+/// the offsets against. No telemetry — it defines behavior, it does not
+/// run in production.
 #[cfg(test)]
 pub(crate) struct ReferenceStreamingSensor {
     config: StreamConfig,
     probation_cap: usize,
     window_start: SimTime,
     per_originator: std::collections::BTreeMap<Ipv4Addr, OriginatorObservation>,
+    times: QueryTimes,
+    recorded: Vec<QueryTimes>,
     probation: std::collections::HashMap<Ipv4Addr, usize>,
     last_seen: std::collections::HashMap<(Ipv4Addr, Ipv4Addr), SimTime>,
     all_queriers: std::collections::BTreeSet<Ipv4Addr>,
@@ -635,6 +681,8 @@ impl ReferenceStreamingSensor {
             config: StreamConfig { window: config.resolved_window(), ..config },
             window_start: SimTime::ZERO,
             per_originator: std::collections::BTreeMap::new(),
+            times: QueryTimes::new(),
+            recorded: Vec::new(),
             probation: std::collections::HashMap::new(),
             last_seen: std::collections::HashMap::new(),
             all_queriers: std::collections::BTreeSet::new(),
@@ -662,11 +710,17 @@ impl ReferenceStreamingSensor {
     }
 
     /// Flush the current (partial) window at end of stream.
-    pub(crate) fn finish(mut self) -> Option<WindowSummary> {
+    pub(crate) fn finish(&mut self) -> Option<WindowSummary> {
         if !self.started || self.per_originator.is_empty() {
             return None;
         }
         Some(self.take_window())
+    }
+
+    /// The times of the stored queries of every window taken so far, in
+    /// order, each originator's in the order of its stored queries.
+    pub(crate) fn recorded(&self) -> &[QueryTimes] {
+        &self.recorded
     }
 
     fn rotate(&mut self, now: SimTime) -> WindowSummary {
@@ -698,6 +752,7 @@ impl ReferenceStreamingSensor {
             per_originator: std::mem::take(&mut self.per_originator),
             all_queriers: std::mem::take(&mut self.all_queriers).into_iter().collect(),
         };
+        self.recorded.push(std::mem::take(&mut self.times));
         self.probation.clear();
         self.last_seen.clear();
         let evicted = std::mem::take(&mut self.evicted);
@@ -720,11 +775,13 @@ impl ReferenceStreamingSensor {
         }
         self.all_queriers.insert(r.querier);
 
+        let offset = r.time.since(self.window_start).secs() as u32;
         match self.per_originator.entry(r.originator) {
             Entry::Occupied(mut e) => {
                 let o = e.get_mut();
-                o.queries.push((r.time, r.querier));
+                o.queries.push((offset, r.querier));
                 o.insert_querier(r.querier);
+                self.times.entry(r.originator).or_default().push(r.time);
             }
             Entry::Vacant(_) => {
                 if self.per_originator.len() >= self.config.max_originators {
@@ -749,15 +806,17 @@ impl ReferenceStreamingSensor {
                         .map(|(ip, _)| *ip)
                     {
                         self.per_originator.remove(&victim);
+                        self.times.remove(&victim);
                         self.evicted += 1;
                     }
                     self.probation.remove(&r.originator);
                 }
                 let mut o =
                     OriginatorObservation { originator: r.originator, ..Default::default() };
-                o.queries.push((r.time, r.querier));
+                o.queries.push((offset, r.querier));
                 o.insert_querier(r.querier);
                 self.per_originator.insert(r.originator, o);
+                self.times.insert(r.originator, vec![r.time]);
             }
         }
     }
@@ -790,7 +849,7 @@ mod tests {
         for r in &sorted {
             log.push(*r);
         }
-        let batch = Observations::ingest_with_dedup_reference(
+        let (batch, times) = Observations::ingest_with_dedup_reference(
             &log,
             SimTime(0),
             SimTime(86_400),
@@ -804,6 +863,7 @@ mod tests {
         let window = sensor.finish().expect("one window");
         assert_eq!(window.observations.per_originator, batch.per_originator);
         assert_eq!(window.observations.all_queriers, batch.all_queriers);
+        crate::ingest::assert_offsets_are_times(&window.observations, &times);
         assert_eq!(window.evicted, 0);
     }
 
@@ -1137,7 +1197,8 @@ mod tests {
     }
 
     /// Feed `records` to the sensor and to the reference, which must
-    /// agree on every window; returns the sensor's footprint count for
+    /// agree on every window, the last one's offsets giving the times
+    /// the reference recorded; returns the sensor's footprint count for
     /// originator `o` before the final flush, and that flush.
     fn against_reference(
         cfg: StreamConfig,
@@ -1153,6 +1214,8 @@ mod tests {
         let count = slot.map(|&s| fast.arena[s as usize].count);
         let last = fast.finish().expect("a window");
         assert_eq!(Some(&last), reference.finish().as_ref());
+        let times = reference.recorded().last().expect("the reference took the window");
+        crate::ingest::assert_offsets_are_times(&last.observations, times);
         (count, last)
     }
 
@@ -1207,10 +1270,10 @@ mod tests {
 
     #[test]
     fn a_repeat_at_the_window_limit_dedups_as_the_reference_does() {
-        // A window of 2⁶³ s starting at 2⁶³: every timestamp has its top
-        // bit set, the offsets 2⁶³ − 31, 2⁶³ − 2 and 2⁶³ − 1 do not.
+        // A window of 2³¹ s starting at 2³¹: every timestamp has bit 31
+        // set, the offsets 2³¹ − 31, 2³¹ − 2 and 2³¹ − 1 do not.
         let cfg = StreamConfig { window: MAX_WINDOW, ..Default::default() };
-        let start = 1u64 << 63;
+        let start = 1u64 << 31;
         let records = [
             rec(start + (start - 31), 1, 1),
             rec(start + (start - 2), 1, 1), // 29 s later: deduped
@@ -1218,11 +1281,11 @@ mod tests {
         ];
         let (count, w) = against_reference(cfg, &records, 1);
         assert_eq!(count, Some(1));
-        assert_eq!(w.window, (SimTime(start), SimTime(u64::MAX)));
+        assert_eq!(w.window, (SimTime(start), SimTime(2 * start)));
         let o = &w.observations.per_originator[&rec(0, 0, 1).originator];
         assert_eq!(
-            o.queries.iter().map(|q| q.0.secs()).collect::<Vec<_>>(),
-            [u64::MAX - 30, u64::MAX]
+            o.queries.iter().map(|q| q.0).collect::<Vec<_>>(),
+            [(1 << 31) - 31, u32::MAX >> 1]
         );
     }
 
@@ -1230,18 +1293,32 @@ mod tests {
     fn windows_past_the_bound_are_cut_to_it() {
         let long = StreamConfig { window: SimDuration(u64::MAX), ..Default::default() };
         assert_eq!(long.resolved_window(), MAX_WINDOW);
-        let records = [rec(5, 1, 1), rec(1 << 63, 2, 2)];
+        let records = [rec(5, 1, 1), rec(1 << 31, 2, 2)];
         let mut sensor = StreamingSensor::new(long);
         assert!(sensor.push(records[0]).is_none());
-        let first = sensor.push(records[1]).expect("2⁶³ s opens the next window");
-        assert_eq!(first.window, (SimTime(0), SimTime(1 << 63)));
+        let first = sensor.push(records[1]).expect("2³¹ s opens the next window");
+        assert_eq!(first.window, (SimTime(0), SimTime(1 << 31)));
         let second = sensor.finish().expect("window");
-        assert_eq!(second.window, (SimTime(1 << 63), SimTime(u64::MAX)));
-        // A batch window observes its first 2⁶³ s and says so.
+        assert_eq!(second.window, (SimTime(1 << 31), SimTime(1 << 32)));
+        // A batch window observes its first 2³¹ s and says so.
         let log = bs_netsim::log::QueryLog::from_records(records.to_vec());
         let obs = Observations::ingest(&log, SimTime(0), SimTime(u64::MAX));
-        assert_eq!(obs.window_end, SimTime(1 << 63));
+        assert_eq!(obs.window_end, SimTime(1 << 31));
         assert_eq!(obs.per_originator, first.observations.per_originator);
+    }
+
+    #[test]
+    fn a_dedup_entry_is_12_bytes_and_a_stored_query_8() {
+        fn entry_size<K, V, S>(_: &HashMap<K, V, S>) -> usize {
+            std::mem::size_of::<(K, V)>()
+        }
+        fn element_size<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
+        let sensor = StreamingSensor::new(StreamConfig::default());
+        assert_eq!(entry_size(&sensor.last_seen), 12);
+        assert_eq!(element_size(&Slot::default().queries), 8);
+        assert_eq!(element_size(&OriginatorObservation::default().queries), 8);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 #   format check → hermeticity → no unused dependency edge → no thread
 #   in bs-telemetry → no retired batch-ingest metric name → one CART
 #   growth regime → one keyword matcher → no soft cap on the metadata
-#   cache → lints as errors → rustdoc as errors → release build → one
+#   cache → compact window (no 16-byte dedup entry or stored query) →
+#   lints as errors → rustdoc as errors → release build → one
 #   experiments binary whose registry matches results/ → bs-dns,
 #   bs-netsim, bs-ml, bs-classify, bs-sensor and backscatter-core tests
 #   on the release build → tests → CLI smokes (stream --extract holds
@@ -105,6 +106,16 @@ echo "=== bounded metadata cache: the soft cap stays deleted"
 # serve; a size cap beside that would be a second bound on one cache.
 if grep -rnE 'max_entries|cache_evictions|fn evicted' crates src; then
     echo "the metadata cache's soft cap is back (lines above)"
+    exit 1
+fi
+
+echo "=== compact window: the 16-byte dedup entry and stored query stay gone"
+# A dedup entry is a [u32; 2] pair key and a 31-bit window offset with
+# the footprint bit, 12 bytes; a stored query is its offset from the
+# window start and the querier, 8 (DESIGN.md §10). A u64 offset or an
+# absolute time beside the querier would be 16 again.
+if grep -rnE 'HashMap<u64, u64|Vec<\(SimTime, Ipv4Addr\)>' crates/sensor/src crates/bench/src; then
+    echo "a 16-byte dedup entry or stored query is back (lines above)"
     exit 1
 fi
 
