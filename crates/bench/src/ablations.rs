@@ -1,9 +1,9 @@
 //! The five design-choice ablations of DESIGN.md §6, all on JP-ditl.
 
-use crate::ctx::PER_CLASS_CAP;
 use crate::table::{f3, highest, lowest, mean, table};
 use crate::{Ctx, Experiment, Run, Verdict};
 use backscatter_core::classify::pipeline::feature_map;
+use backscatter_core::classify::PER_CLASS_CAP;
 use backscatter_core::ml::{
     repeated_holdout, ConfusionMatrix, ForestParams, MajorityEnsemble, Metrics,
 };
@@ -91,7 +91,8 @@ fn threshold(ctx: &Ctx) -> Run {
     let (mut coverage, mut accuracies, mut fewest) = (Vec::new(), Vec::new(), usize::MAX);
     for min_queriers in [5usize, 10, 20, 50, 100] {
         let config = FeatureConfig { min_queriers, top_n: None };
-        let feats = built.features_for_window(&ctx.world, built.windows()[0], &config);
+        let (start, end) = built.windows()[0];
+        let feats = extract_features(&built.log, &ctx.world, start, end, &config);
         let (labeled, m) = rf_holdout(ctx, &feats, 0x7823);
         rows.push(row![min_queriers, feats.len(), labeled, f3(m.accuracy), f3(m.f1)]);
         coverage.push(feats.len());

@@ -4,7 +4,7 @@
 //! ground-truth series), so a full run builds each of them once.
 
 use backscatter_core::classify::pipeline::feature_map;
-use backscatter_core::classify::WindowData;
+use backscatter_core::classify::{WindowData, PER_CLASS_CAP};
 use backscatter_core::datasets::build::assemble_with_log;
 use backscatter_core::ml::Dataset;
 use backscatter_core::netsim::log::QueryLog;
@@ -21,9 +21,6 @@ type Memo<T> = [OnceLock<T>; DatasetId::ALL.len()];
 
 /// The six case-study roles of the paper's §IV-A (Fig. 3 / Table II).
 pub const CASE_STUDIES: [&str; 6] = ["scan-icmp", "scan-ssh", "ad-track", "cdn", "mail", "spam"];
-
-/// Per-class cap at every expert curation.
-pub const PER_CLASS_CAP: usize = 140;
 
 /// Shared state of one experiment run.
 pub struct Ctx {
@@ -90,12 +87,8 @@ impl Ctx {
 
     /// Default-threshold features of every window of a dataset.
     pub fn features(&self, id: DatasetId) -> &[Vec<OriginatorFeatures>] {
-        self.features[id as usize].get_or_init(|| {
-            let built = self.dataset(id);
-            backscatter_core::par::par_map(&built.windows(), |_, w| {
-                built.features_for_window(&self.world, *w, &FeatureConfig::default())
-            })
-        })
+        self.features[id as usize]
+            .get_or_init(|| self.dataset(id).features(&self.world, &FeatureConfig::default()))
     }
 
     /// Windows the expert curates from: the first for short datasets;
@@ -131,7 +124,7 @@ impl Ctx {
         self.series[id as usize].get_or_init(|| {
             let curation_windows = self.curation_windows(id);
             let pipeline = DatasetPipeline { curation_windows, ..Default::default() };
-            let windows = pipeline.run(&self.world, self.dataset(id)).windows;
+            let windows = pipeline.run(self.dataset(id), self.features(id)).windows;
             bs_telemetry::info!("bench", "{}: classified", id.name(); windows = windows.len());
             windows
         })

@@ -1,13 +1,13 @@
 //! Figs. 5–7 and the §V-F curation advisor: training over time on
 //! B-multi-year, curated once at the midpoint of the span.
 
-use crate::ctx::PER_CLASS_CAP;
 use crate::table::table;
 use crate::{Ctx, Experiment, Run, Verdict};
 use backscatter_core::analysis::churn::persistence_series;
 use backscatter_core::classify::pipeline::feature_map;
 use backscatter_core::classify::{
     advise, evaluate_strategy, AdvisorConfig, CurationAdvice, LabelHealth, WindowData,
+    PER_CLASS_CAP,
 };
 use backscatter_core::ml::{Algorithm, CartParams, ForestParams};
 use backscatter_core::prelude::*;

@@ -5,6 +5,10 @@ use bs_sensor::OriginatorFeatures;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
+/// Per-class cap at every expert curation of the paper's operation:
+/// the pipeline's, the experiment registry's and the CLI's.
+pub const PER_CLASS_CAP: usize = 140;
+
 /// One expert-labeled originator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LabeledExample {
@@ -61,11 +65,6 @@ impl LabeledSet {
             *counts.entry(e.class).or_insert(0) += 1;
         }
         counts
-    }
-
-    /// Classes with at least `min` examples.
-    pub fn classes_with_at_least(&self, min: usize) -> Vec<ApplicationClass> {
-        self.class_counts().into_iter().filter(|(_, n)| *n >= min).map(|(c, _)| c).collect()
     }
 
     /// The examples whose originators appear in `features` — the
@@ -199,17 +198,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.examples[0].class, ApplicationClass::Spam);
-    }
-
-    #[test]
-    fn classes_with_at_least_threshold() {
-        let t = truth(&[
-            ("10.0.0.1", ApplicationClass::Spam),
-            ("10.0.0.2", ApplicationClass::Spam),
-            ("10.0.0.3", ApplicationClass::Scan),
-        ]);
-        let observed = vec![feat("10.0.0.1", 9), feat("10.0.0.2", 8), feat("10.0.0.3", 7)];
-        let set = LabeledSet::curate(&t, &observed, 10);
-        assert_eq!(set.classes_with_at_least(2), vec![ApplicationClass::Spam]);
     }
 }

@@ -27,7 +27,7 @@ pub mod strategies;
 
 pub use advisor::{advise, advise_series, AdvisorConfig, CurationAdvice, LabelHealth};
 pub use consistency::{consistency_cdf, consistency_ratios, vote_entropy, WeeklyVote};
-pub use labels::{LabeledExample, LabeledSet};
+pub use labels::{LabeledExample, LabeledSet, PER_CLASS_CAP};
 pub use pipeline::{ClassifierPipeline, FeatureMap, TrainedClassifier};
 pub use strategies::{
     evaluate_strategy, StrategyEvaluation, TrainingStrategy, WindowData, WindowScore,

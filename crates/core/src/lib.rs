@@ -10,8 +10,9 @@
 //!
 //! This crate re-exports the whole system and adds the high-level
 //! [`pipeline::DatasetPipeline`] that runs the paper's recommended
-//! operation end to end: curate labels once, retrain daily on fresh
-//! features, classify every analyzable originator per window.
+//! operation end to end over a dataset's sensed windows: curate labels
+//! once, retrain daily on fresh features, classify every analyzable
+//! originator per window.
 //!
 //! # Crate map
 //!
@@ -39,9 +40,9 @@
 //! let spec = DatasetSpec::paper(DatasetId::JpDitl, Scale::smoke(), 7);
 //! let built = build_dataset(&world, spec);
 //!
-//! // Sense, curate, train, classify.
-//! let pipeline = DatasetPipeline::default();
-//! let run = pipeline.run(&world, &built);
+//! // Sense every window once, then curate, train, classify.
+//! let features = built.features(&world, &FeatureConfig::default());
+//! let run = DatasetPipeline::default().run(&built, &features);
 //! assert!(!run.windows.is_empty());
 //! ```
 

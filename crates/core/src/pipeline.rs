@@ -1,42 +1,36 @@
 //! The end-to-end operational pipeline.
 //!
-//! This is the paper's recommended deployment (§V-F): curate a labeled
-//! set from expert knowledge once, then, window by window, recompute
-//! feature vectors, retrain on the fixed labels with fresh features,
-//! and classify every analyzable originator.
+//! This is the paper's recommended deployment (§V-F): sense each
+//! window once ([`BuiltDataset::features`]), curate a labeled set from
+//! expert knowledge once, then, window by window, retrain on the fixed
+//! labels with that window's fresh features and classify every
+//! analyzable originator.
 
 use bs_analysis::{ClassifiedOriginator, WindowClassification};
-use bs_classify::{pipeline::feature_map, ClassifierPipeline, LabeledSet};
+use bs_classify::{pipeline::feature_map, ClassifierPipeline, LabeledSet, PER_CLASS_CAP};
 use bs_datasets::BuiltDataset;
-use bs_netsim::world::World;
-use bs_sensor::FeatureConfig;
+use bs_sensor::OriginatorFeatures;
+
+/// Training seed; window `w` retrains on `SEED ^ w << 16`.
+const SEED: u64 = 0x9_0210;
 
 /// Configuration of the end-to-end pipeline.
 pub struct DatasetPipeline {
-    /// Sensor thresholds.
-    pub feature_config: FeatureConfig,
     /// Learner configuration (defaults to the paper's RF with 10-run
     /// majority voting).
     pub classifier: ClassifierPipeline,
-    /// Per-class cap at curation.
-    pub per_class_cap: usize,
     /// Which windows the expert curates from. `[0]` is the single-pass
     /// default; for long feeds the paper merges several curations
     /// ("a single labeled dataset with candidates taken from three
     /// dates, each about a month apart").
     pub curation_windows: Vec<usize>,
-    /// Training seed.
-    pub seed: u64,
 }
 
 impl Default for DatasetPipeline {
     fn default() -> Self {
         DatasetPipeline {
-            feature_config: FeatureConfig::default(),
             classifier: ClassifierPipeline::random_forest(),
-            per_class_cap: 140,
             curation_windows: vec![0],
-            seed: 0x9_0210,
         }
     }
 }
@@ -50,29 +44,15 @@ pub struct PipelineRun {
 }
 
 impl DatasetPipeline {
-    /// Run over every window of a built dataset: sense each window
-    /// once, curate from the curation windows' features, then retrain
-    /// per window on the fixed labels and classify all analyzable
+    /// Run over every window of a built dataset, given its sensed
+    /// `features` (one set per window, from [`BuiltDataset::features`]):
+    /// curate from the curation windows' features, then retrain per
+    /// window on the fixed labels and classify all analyzable
     /// originators.
-    pub fn run(&self, world: &World, built: &BuiltDataset) -> PipelineRun {
+    pub fn run(&self, built: &BuiltDataset, features: &[Vec<OriginatorFeatures>]) -> PipelineRun {
         let windows = built.windows();
         assert!(!windows.is_empty());
-
-        // Every window goes through the sensor exactly once; curation
-        // and classification both read the stored features. Windows are
-        // independent, so they run in parallel on the bs-par pool; with
-        // a single window the parallelism moves down into extraction
-        // and training instead (nested regions run sequentially inside
-        // pool workers). Extraction goes through the qmeta metadata
-        // plane — each window builds its own per-window table (windows
-        // run concurrently, so no shared cross-window cache here; the
-        // streaming driver is the cache's home). Ledger rows and stage
-        // costs are keyed by the window's start second, the key the
-        // sensor files its own row under.
-        let features = bs_par::par_map(&windows, |_, window| {
-            let _w = bs_telemetry::ledger::window_scope(window.0.secs());
-            built.features_for_window(world, *window, &self.feature_config)
-        });
+        assert_eq!(features.len(), windows.len(), "one feature set per window");
 
         // Expert curation, possibly merged over several dates.
         let mut labels = LabeledSet::default();
@@ -81,7 +61,7 @@ impl DatasetPipeline {
             for &cw in &self.curation_windows {
                 let Some(feats) = features.get(cw) else { continue };
                 let truth = built.truth_for_window(windows[cw]);
-                labels.merge(&LabeledSet::curate(&truth, feats, self.per_class_cap));
+                labels.merge(&LabeledSet::curate(&truth, feats, PER_CLASS_CAP));
             }
         }
         bs_telemetry::info!(
@@ -92,7 +72,9 @@ impl DatasetPipeline {
         );
 
         // Given the fixed label set each window retrains on a
-        // window-derived seed and classifies its own originators.
+        // window-derived seed and classifies its own originators. With
+        // a single window the parallelism moves down into training
+        // (nested regions run sequentially inside pool workers).
         let out: Vec<WindowClassification> = bs_par::par_map(&windows, |w, window| {
             let _wscope = bs_telemetry::ledger::window_scope(window.0.secs());
             let _stage = bs_telemetry::stage("core.window");
@@ -100,7 +82,7 @@ impl DatasetPipeline {
             let fmap = feature_map(feats);
             let model = {
                 let _stage = bs_telemetry::stage("core.retrain");
-                self.classifier.train(&labels, &fmap, self.seed ^ (w as u64) << 16)
+                self.classifier.train(&labels, &fmap, SEED ^ (w as u64) << 16)
             };
             let entries = match model {
                 Some(model) => {
@@ -147,14 +129,16 @@ impl DatasetPipeline {
 mod tests {
     use super::*;
     use bs_datasets::{build_dataset, DatasetId, DatasetSpec, Scale};
-    use bs_netsim::world::WorldConfig;
+    use bs_netsim::world::{World, WorldConfig};
+    use bs_sensor::FeatureConfig;
 
     #[test]
     fn pipeline_classifies_a_smoke_dataset() {
         let world = World::new(WorldConfig::default());
         let built = build_dataset(&world, DatasetSpec::paper(DatasetId::JpDitl, Scale::smoke(), 9));
+        let features =
+            built.features(&world, &FeatureConfig { min_queriers: 10, ..Default::default() });
         let mut pipeline = DatasetPipeline::default();
-        pipeline.feature_config.min_queriers = 10;
         let _serial = crate::serial();
         bs_telemetry::enable();
         let predicted = bs_telemetry::registry().counter("ml.predict.samples");
@@ -166,7 +150,7 @@ mod tests {
             algorithm: bs_ml::Algorithm::Cart(bs_ml::CartParams::default()),
             runs: 1,
         };
-        let run = pipeline.run(&world, &built);
+        let run = pipeline.run(&built, &features);
         bs_telemetry::disable();
         assert_eq!(run.windows.len(), 1);
         assert!(!run.labels.is_empty());
@@ -192,8 +176,9 @@ mod tests {
     fn decided_rows_stop_walking_trees() {
         let world = World::new(WorldConfig::default());
         let built = build_dataset(&world, DatasetSpec::paper(DatasetId::JpDitl, Scale::smoke(), 9));
+        let features =
+            built.features(&world, &FeatureConfig { min_queriers: 10, ..Default::default() });
         let mut pipeline = DatasetPipeline::default();
-        pipeline.feature_config.min_queriers = 10;
         let (n_trees, runs) = (24, 4);
         pipeline.classifier = ClassifierPipeline {
             algorithm: bs_ml::Algorithm::RandomForest(bs_ml::ForestParams {
@@ -207,7 +192,7 @@ mod tests {
         let asked = bs_telemetry::registry().counter("ml.predict.samples");
         let walked = bs_telemetry::registry().counter("ml.predict.tree_rows");
         let (asked_before, walked_before) = (asked.get(), walked.get());
-        let run = pipeline.run(&world, &built);
+        let run = pipeline.run(&built, &features);
         bs_telemetry::disable();
         let rows = run.windows[0].entries.len() as u64;
         assert!(rows > 0);

@@ -1,11 +1,11 @@
 //! Calibration probe: timings, footprints, and classification accuracy
 //! on standard-scale datasets. Run with `--release`.
 
-use bs_classify::{ClassifierPipeline, LabeledSet};
+use bs_classify::{ClassifierPipeline, LabeledSet, PER_CLASS_CAP};
 use bs_datasets::{build_dataset, DatasetId, DatasetSpec, Scale};
 use bs_ml::{repeated_holdout, Algorithm, CartParams, ForestParams, SvmParams};
 use bs_netsim::world::{World, WorldConfig};
-use bs_sensor::FeatureConfig;
+use bs_sensor::{extract_features, FeatureConfig};
 use std::time::Instant;
 
 fn main() {
@@ -22,7 +22,8 @@ fn main() {
         let build_t = t0.elapsed();
         let window = built.windows()[0];
         let t1 = Instant::now();
-        let feats = built.features_for_window(&world, window, &FeatureConfig::default());
+        let feats =
+            extract_features(&built.log, &world, window.0, window.1, &FeatureConfig::default());
         let extract_t = t1.elapsed();
         let truth = built.truth_for_window(window);
         let stats = built.stats;
@@ -57,7 +58,7 @@ fn main() {
         println!("  class mix: {mix:?}");
 
         // Curate and evaluate the three algorithms.
-        let labeled = LabeledSet::curate(&truth, &feats, 140);
+        let labeled = LabeledSet::curate(&truth, &feats, PER_CLASS_CAP);
         println!(
             "  labeled: {} examples, per class {:?}",
             labeled.len(),

@@ -91,14 +91,23 @@ pub fn build_dataset(world: &World, spec: DatasetSpec) -> BuiltDataset {
 }
 
 impl BuiltDataset {
-    /// Extract features for one window of this dataset.
-    pub fn features_for_window(
-        &self,
-        world: &World,
-        window: (SimTime, SimTime),
-        config: &FeatureConfig,
-    ) -> Vec<OriginatorFeatures> {
-        extract_features(&self.log, world, window.0, window.1, config)
+    /// Sense every window of this dataset once: one feature set per
+    /// window of [`BuiltDataset::windows`], in window order.
+    ///
+    /// Windows are independent, so they run in parallel on the bs-par
+    /// pool; with a single window the parallelism moves down into
+    /// extraction instead (nested regions run sequentially inside pool
+    /// workers). Extraction goes through the qmeta metadata plane —
+    /// each window builds its own per-window table (windows run
+    /// concurrently, so no shared cross-window cache here; the
+    /// streaming driver is the cache's home). Ledger rows and stage
+    /// costs are keyed by the window's start second, the key the
+    /// sensor files its own row under.
+    pub fn features(&self, world: &World, config: &FeatureConfig) -> Vec<Vec<OriginatorFeatures>> {
+        bs_par::par_map(&self.windows(), |_, window| {
+            let _w = bs_telemetry::ledger::window_scope(window.0.secs());
+            extract_features(&self.log, world, window.0, window.1, config)
+        })
     }
 
     /// Ground truth for originators active during a window. When the
@@ -147,11 +156,9 @@ mod tests {
         assert!(built.log.len() > 200, "log has {} records", built.log.len());
         let windows = built.windows();
         assert_eq!(windows.len(), 1);
-        let feats = built.features_for_window(
-            &w,
-            windows[0],
-            &FeatureConfig { min_queriers: 10, top_n: None },
-        );
+        let features = built.features(&w, &FeatureConfig { min_queriers: 10, top_n: None });
+        assert_eq!(features.len(), 1);
+        let feats = &features[0];
         assert!(!feats.is_empty(), "no analyzable originators");
         let truth = built.truth_for_window(windows[0]);
         // Most analyzable originators have ground truth.

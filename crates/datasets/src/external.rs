@@ -166,12 +166,6 @@ impl Darknet {
     pub fn dark_ips(&self, ip: Ipv4Addr) -> u64 {
         self.expected.get(&ip).copied().unwrap_or(0)
     }
-
-    /// Sources the darknet confirms as scanners: more than `min` dark
-    /// addresses touched (paper: 1024).
-    pub fn confirmed_scanners(&self, min: u64) -> impl Iterator<Item = Ipv4Addr> + '_ {
-        self.expected.iter().filter(move |(_, n)| **n >= min).map(|(ip, _)| *ip)
-    }
 }
 
 #[cfg(test)]

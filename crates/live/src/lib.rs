@@ -5,7 +5,7 @@
 //! diurnal load swings. `bs-telemetry` answers "what happened over the
 //! whole run"; this crate answers "what is happening *right now*":
 //!
-//! * [`series::Sampler`] — a fixed-size ring of registry snapshots
+//! * [`series::Sampler`] — a bounded history of registry snapshots
 //!   taken on a configurable tick, exposing windowed per-second rates
 //!   (1 s / 10 s / 60 s), EWMA smoothing, and histogram quantiles;
 //! * [`server`] — a std-only HTTP/1.1 scrape endpoint (`/metrics`,
@@ -35,12 +35,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ring;
 pub mod series;
 pub mod server;
 pub mod watchdog;
 
-pub use ring::Ring;
 pub use series::{CounterRates, Sample, Sampler, SeriesConfig, ShardSkew};
 pub use server::{http_get, spawn as spawn_server, ServerHandle};
 pub use watchdog::{health_state, Health, HealthState, Rule, Severity, Signal, Watchdog};
@@ -81,17 +79,7 @@ pub struct LiveConfig {
 
 impl Default for LiveConfig {
     fn default() -> Self {
-        // Storm thresholds for the default single-process sensor:
-        // sustained evictions above 2000/s or probation resets above
-        // 100/s mean the working set no longer fits; a par backlog of
-        // 256 queued tasks means workers are drowning; 100k records
-        // parked at a shard drain barrier means the lanes have stopped
-        // keeping up with the reader (the BSP design bounds backlog at
-        // lanes × queue cap, so this only trips on misconfiguration).
-        LiveConfig {
-            series: SeriesConfig::default(),
-            rules: Watchdog::default_rules(2_000.0, 100.0, 256.0, 100_000.0),
-        }
+        LiveConfig { series: SeriesConfig::default(), rules: Watchdog::default_rules() }
     }
 }
 

@@ -2,7 +2,8 @@
 //! quantile extraction over a bounded history of registry snapshots.
 //!
 //! [`Sampler::tick`] appends one timestamped [`Snapshot`] of the
-//! metrics registry to a fixed-size [`Ring`].
+//! metrics registry to a bounded history that drops its oldest sample
+//! once it holds `capacity`.
 //! Derived series are computed *on read*, from the raw history:
 //!
 //! * **windowed rates** — for a counter `c` and window `w`,
@@ -19,9 +20,8 @@
 //! itself never reads a clock, which is what makes the windowed-rate
 //! math deterministic under test.
 
-use crate::ring::Ring;
 use bs_telemetry::Snapshot;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
 /// Sampler configuration.
@@ -86,7 +86,9 @@ pub struct ShardSkew {
 #[derive(Debug)]
 pub struct Sampler {
     config: SeriesConfig,
-    ring: Ring<Sample>,
+    /// Oldest → newest, at most `capacity` samples.
+    history: VecDeque<Sample>,
+    capacity: usize,
     /// Counter name → EWMA of the per-tick rate (per second).
     ewma: BTreeMap<String, f64>,
     ticks: u64,
@@ -101,7 +103,8 @@ impl Sampler {
             "ewma_alpha must be in (0, 1]"
         );
         let capacity = config.capacity.max(2);
-        Sampler { ring: Ring::new(capacity), config, ewma: BTreeMap::new(), ticks: 0 }
+        let history = VecDeque::with_capacity(capacity);
+        Sampler { history, capacity, config, ewma: BTreeMap::new(), ticks: 0 }
     }
 
     /// The sampler's configuration.
@@ -118,7 +121,7 @@ impl Sampler {
     /// time; equal timestamps replace nothing and are simply stored).
     /// Updates every counter's EWMA from the per-tick delta.
     pub fn tick(&mut self, at_ms: u64, snapshot: Snapshot) {
-        if let Some(prev) = self.ring.latest() {
+        if let Some(prev) = self.history.back() {
             let dt_s = (at_ms.saturating_sub(prev.at_ms)) as f64 / 1_000.0;
             if dt_s > 0.0 {
                 let alpha = self.config.ewma_alpha;
@@ -133,7 +136,10 @@ impl Sampler {
                 }
             }
         }
-        self.ring.push(Sample { at_ms, snapshot });
+        if self.history.len() == self.capacity {
+            self.history.pop_front();
+        }
+        self.history.push_back(Sample { at_ms, snapshot });
         self.ticks += 1;
     }
 
@@ -145,22 +151,22 @@ impl Sampler {
 
     /// The newest sample, if any tick has happened.
     pub fn latest(&self) -> Option<&Sample> {
-        self.ring.latest()
+        self.history.back()
     }
 
     /// Average per-second rate of counter `name` over the trailing
     /// `window_ms` of history. Returns `None` until two samples span
     /// any time, `Some(0.0)` for unknown counters.
     pub fn rate(&self, name: &str, window_ms: u64) -> Option<f64> {
-        let newest = self.ring.latest()?;
+        let newest = self.history.back()?;
         let cutoff = newest.at_ms.saturating_sub(window_ms);
         // Oldest retained sample at or after the cutoff; fall back to
         // the oldest we have (the window is clamped to history).
         let base = self
-            .ring
+            .history
             .iter()
             .find(|s| s.at_ms >= cutoff)
-            .or_else(|| self.ring.oldest())
+            .or_else(|| self.history.front())
             .filter(|s| s.at_ms < newest.at_ms)?;
         let dt_s = (newest.at_ms - base.at_ms) as f64 / 1_000.0;
         let now = newest.snapshot.counters.get(name).copied().unwrap_or(0);
@@ -185,7 +191,7 @@ impl Sampler {
 
     /// The latest value of gauge `name` (0 when unknown).
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        let newest = self.ring.latest()?;
+        let newest = self.history.back()?;
         Some(newest.snapshot.gauges.get(name).copied().unwrap_or(0))
     }
 
@@ -194,7 +200,7 @@ impl Sampler {
     /// sensor emits at each window flush. `None` until a sample shows
     /// at least one shard counter (i.e. the process runs unsharded).
     pub fn shard_skew(&self, window_ms: u64) -> Option<ShardSkew> {
-        let newest = self.ring.latest()?;
+        let newest = self.history.back()?;
         let lanes: Vec<&String> = newest
             .snapshot
             .counters
@@ -218,7 +224,7 @@ impl Sampler {
 
     /// The full windowed view of every counter at the newest sample.
     pub fn counter_rates(&self) -> BTreeMap<String, CounterRates> {
-        let Some(newest) = self.ring.latest() else {
+        let Some(newest) = self.history.back() else {
             return BTreeMap::new();
         };
         newest
@@ -314,11 +320,12 @@ mod tests {
     #[test]
     fn window_clamps_to_available_history() {
         let mut s = Sampler::new(SeriesConfig { tick_ms: 1_000, capacity: 4, ewma_alpha: 0.3 });
+        // Flat until t = 5, then 10/s.
         for t in 0..10u64 {
-            s.tick(t * 1_000, snap_with("c", t * 10));
+            s.tick(t * 1_000, snap_with("c", t.saturating_sub(5) * 10));
         }
         // Only 4 samples retained (t=6..9): the "60 s" rate is really
-        // the 3 s rate, still 10/s.
+        // the 3 s rate, 10/s. Had t=0..5 been kept it would read 40/9.
         assert!((s.rate("c", 60_000).unwrap() - 10.0).abs() < 1e-9);
     }
 

@@ -207,32 +207,32 @@ impl Watchdog {
         Watchdog { rules, health: Health::Ok, state, transitions: 0 }
     }
 
-    /// The sensor-facing rules for the streaming pipeline. Thresholds
-    /// are deliberately loose — they mark *storms*, not busy periods:
+    /// The sensor-facing rules for the streaming pipeline, with storm
+    /// thresholds for the default single-process sensor. They are
+    /// deliberately loose — they mark *storms*, not busy periods:
     ///
-    /// * eviction rate (10 s) above `evict_per_s` → degraded;
-    /// * probation resets (10 s) above `resets_per_s` → degraded;
+    /// * eviction rate (10 s) above 2000/s → degraded: the working set
+    ///   no longer fits;
+    /// * probation resets (10 s) above 100/s → degraded: the same;
     /// * out-of-order fraction (10 s) above 20% → degraded;
     /// * any ledger conservation imbalance → critical;
-    /// * par pool backlog (`par.inflight`) above 10× threads → degraded;
-    /// * shard queue backlog (`par.shard_backlog`) above
-    ///   `shard_backlog` records parked at a drain barrier → degraded.
+    /// * par pool backlog (`par.inflight`) above 256 queued tasks →
+    ///   degraded: workers are drowning;
+    /// * shard queue backlog (`par.shard_backlog`) above 100k records
+    ///   parked at a drain barrier → degraded: the lanes have stopped
+    ///   keeping up with the reader (the BSP design bounds backlog at
+    ///   lanes × queue cap, so this only trips on misconfiguration).
     ///
     /// The eviction and probation-reset counters are rollups summed
     /// across shard lanes, so the same two rules cover the single and
     /// sharded sensors; a trip tightens probation decay on *every*
     /// shard through the broadcast pressure hook.
-    pub fn default_rules(
-        evict_per_s: f64,
-        resets_per_s: f64,
-        par_backlog: f64,
-        shard_backlog: f64,
-    ) -> Vec<Rule> {
+    pub fn default_rules() -> Vec<Rule> {
         vec![
             Rule::new(
                 "eviction_storm",
                 Signal::CounterRate { name: "sensor.stream.evictions".into(), window_ms: 10_000 },
-                evict_per_s,
+                2_000.0,
                 Severity::Degraded,
             ),
             Rule::new(
@@ -241,7 +241,7 @@ impl Watchdog {
                     name: "sensor.stream.probation_resets".into(),
                     window_ms: 10_000,
                 },
-                resets_per_s,
+                100.0,
                 Severity::Degraded,
             ),
             Rule::new(
@@ -264,13 +264,13 @@ impl Watchdog {
             Rule::new(
                 "par_backlog",
                 Signal::GaugeValue { name: "par.inflight".into() },
-                par_backlog,
+                256.0,
                 Severity::Degraded,
             ),
             Rule::new(
                 "shard_backlog",
                 Signal::GaugeValue { name: "par.shard_backlog".into() },
-                shard_backlog,
+                100_000.0,
                 Severity::Degraded,
             ),
         ]
@@ -507,8 +507,7 @@ mod tests {
 
     #[test]
     fn health_json_is_parseable_and_complete() {
-        let mut wd =
-            Watchdog::new(Watchdog::default_rules(1_000.0, 50.0, 64.0, 100_000.0), health_state());
+        let mut wd = Watchdog::new(Watchdog::default_rules(), health_state());
         let mut s = sampler();
         s.tick(0, snap(0, 0));
         s.tick(1_000, snap(10, 1_000));

@@ -252,11 +252,6 @@ impl World {
             .map(|ci| self.config.countries[ci as usize].region)
     }
 
-    /// All countries operating national reverse registries.
-    pub fn national_registries(&self) -> impl Iterator<Item = CountryCode> + '_ {
-        self.config.countries.iter().filter(|c| c.national_authority).map(|c| c.code)
-    }
-
     /// The /8s belonging to `code`, for dataset generators that place
     /// originators inside one country.
     pub fn slash8s_of(&self, code: CountryCode) -> Vec<u8> {

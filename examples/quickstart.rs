@@ -24,11 +24,12 @@ fn main() {
         built.spec.authority
     );
 
-    // 2. The full pipeline: curate labels, train a random forest with
-    //    majority voting, classify every analyzable originator.
-    let mut pipeline = DatasetPipeline::default();
-    pipeline.feature_config.min_queriers = 10; // smoke scale is small
-    let run = pipeline.run(&world, &built);
+    // 2. The full pipeline: sense every window once, curate labels,
+    //    train a random forest with majority voting, classify every
+    //    analyzable originator.
+    let config = FeatureConfig { min_queriers: 10, ..Default::default() }; // smoke scale is small
+    let features = built.features(&world, &config);
+    let run = DatasetPipeline::default().run(&built, &features);
     let window = &run.windows[0];
     println!(
         "  curated {} labeled examples; classified {} originators",

@@ -23,9 +23,9 @@ fn main() {
     println!("simulating {} with scanner teams…", spec.id.name());
     let built = build_dataset(&world, spec);
 
-    let mut pipeline = DatasetPipeline::default();
-    pipeline.feature_config.min_queriers = 10;
-    let run = pipeline.run(&world, &built);
+    let features =
+        built.features(&world, &FeatureConfig { min_queriers: 10, ..Default::default() });
+    let run = DatasetPipeline::default().run(&built, &features);
     let windows: Vec<WindowClassification> = run.windows;
     let n_scan: usize = windows[0].of_class(ApplicationClass::Scan).map(|_| 1usize).sum();
     println!("  classified {n_scan} scan originators from backscatter");

@@ -4,7 +4,8 @@
 #   in bs-telemetry → no retired batch-ingest metric name → one CART
 #   growth regime → one keyword matcher → no soft cap on the metadata
 #   cache → compact window (no 16-byte dedup entry or stored query) →
-#   lints as errors → rustdoc as errors → release build → one
+#   one sensing pass per dataset (no per-window wrapper, no pipeline
+#   feature config, no bs-live ring) → lints as errors → rustdoc as errors → release build → one
 #   experiments binary whose registry matches results/ → bs-dns,
 #   bs-netsim, bs-ml, bs-classify, bs-sensor and backscatter-core tests
 #   on the release build → tests → CLI smokes (stream --extract holds
@@ -116,6 +117,21 @@ echo "=== compact window: the 16-byte dedup entry and stored query stay gone"
 # absolute time beside the querier would be 16 again.
 if grep -rnE 'HashMap<u64, u64|Vec<\(SimTime, Ipv4Addr\)>' crates/sensor/src crates/bench/src; then
     echo "a 16-byte dedup entry or stored query is back (lines above)"
+    exit 1
+fi
+
+echo "=== one sensing pass per dataset"
+# BuiltDataset::features senses every window of a dataset and
+# DatasetPipeline::run classifies the features it is given (DESIGN.md
+# §10): a per-window wrapper or a sensor config inside the pipeline
+# would be a second sensing road. The live sampler caps its own
+# VecDeque, so bs-live needs no ring type.
+if grep -rnE 'features_for_window|\.feature_config\b' crates src tests examples; then
+    echo "a second road that senses a dataset is back (lines above)"
+    exit 1
+fi
+if [ -e crates/live/src/ring.rs ]; then
+    echo "crates/live/src/ring.rs is back"
     exit 1
 fi
 

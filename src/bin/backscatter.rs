@@ -851,12 +851,12 @@ fn curated_training_data(
     built: &dns_backscatter::datasets::BuiltDataset,
 ) -> dns_backscatter::ml::Dataset {
     use dns_backscatter::classify::pipeline::feature_map;
-    use dns_backscatter::classify::{ClassifierPipeline, LabeledSet};
-    let window = built.windows()[0];
-    let feats =
-        built.features_for_window(world, window, &FeatureConfig { min_queriers: 10, top_n: None });
-    let truth = built.truth_for_window(window);
-    let labeled = LabeledSet::curate(&truth, &feats, 140);
+    use dns_backscatter::classify::{ClassifierPipeline, LabeledSet, PER_CLASS_CAP};
+    let (start, end) = built.windows()[0];
+    let config = FeatureConfig { min_queriers: 10, top_n: None };
+    let feats = extract_features(&built.log, world, start, end, &config);
+    let truth = built.truth_for_window((start, end));
+    let labeled = LabeledSet::curate(&truth, &feats, PER_CLASS_CAP);
     ClassifierPipeline::to_dataset(&labeled, &feature_map(&feats))
 }
 
@@ -915,9 +915,9 @@ fn run_pipeline(flags: &Flags) -> Result<PipelineRun, String> {
     let world = World::new(WorldConfig::default());
     let spec = DatasetSpec::paper(id, scale(flags)?, seed(flags)?);
     let built = dns_backscatter::datasets::build::assemble_with_log(&world, spec, log);
-    let mut pipeline = DatasetPipeline::default();
-    pipeline.feature_config.min_queriers = 10;
-    Ok(pipeline.run(&world, &built))
+    let features =
+        built.features(&world, &FeatureConfig { min_queriers: 10, ..Default::default() });
+    Ok(DatasetPipeline::default().run(&built, &features))
 }
 
 fn cmd_classify(flags: &Flags) -> Result<(), String> {

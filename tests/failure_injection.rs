@@ -81,8 +81,13 @@ fn single_class_labels_cannot_train_but_do_not_panic() {
     let world = World::new(WorldConfig::default());
     let built = build_dataset(&world, DatasetSpec::paper(DatasetId::JpDitl, Scale::smoke(), 33));
     let window = built.windows()[0];
-    let feats =
-        built.features_for_window(&world, window, &FeatureConfig { min_queriers: 5, top_n: None });
+    let feats = extract_features(
+        &built.log,
+        &world,
+        window.0,
+        window.1,
+        &FeatureConfig { min_queriers: 5, top_n: None },
+    );
     let truth = built.truth_for_window(window);
     // Keep only spam labels.
     let spam_only: std::collections::BTreeMap<_, _> =

@@ -122,17 +122,23 @@ fn full_dataset_pipeline_is_identical_at_1_and_8_threads() {
     let world = World::new(WorldConfig::default());
     let spec = DatasetSpec::paper(DatasetId::JpDitl, Scale::smoke(), 7);
     let built = build_dataset(&world, spec);
-    let mut pipeline = DatasetPipeline::default();
-    pipeline.feature_config.min_queriers = 10;
     // A small forest voted over a few runs keeps the test quick while
     // still nesting window → ensemble → tree parallelism three deep.
-    pipeline.classifier = ClassifierPipeline {
-        algorithm: Algorithm::RandomForest(ForestParams { n_trees: 8, ..Default::default() }),
-        runs: 3,
+    let pipeline = DatasetPipeline {
+        classifier: ClassifierPipeline {
+            algorithm: Algorithm::RandomForest(ForestParams { n_trees: 8, ..Default::default() }),
+            runs: 3,
+        },
+        ..Default::default()
+    };
+    let run = || {
+        let features =
+            built.features(&world, &FeatureConfig { min_queriers: 10, ..Default::default() });
+        pipeline.run(&built, &features)
     };
 
-    let seq = at_threads(1, || pipeline.run(&world, &built));
-    let par = at_threads(8, || pipeline.run(&world, &built));
+    let seq = at_threads(1, run);
+    let par = at_threads(8, run);
     assert!(
         seq.windows.iter().any(|w| !w.entries.is_empty()),
         "pipeline classified nothing — test is vacuous"

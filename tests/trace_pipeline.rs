@@ -30,15 +30,18 @@ fn at_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     r
 }
 
-/// A quick smoke pipeline: one window, small voted forest.
-fn smoke_pipeline() -> DatasetPipeline {
-    let mut pipeline = DatasetPipeline::default();
-    pipeline.feature_config.min_queriers = 10;
-    pipeline.classifier = ClassifierPipeline {
-        algorithm: Algorithm::RandomForest(ForestParams { n_trees: 4, ..Default::default() }),
-        runs: 3,
+/// A quick smoke pipeline: every window sensed at the smoke threshold,
+/// then classified by a small voted forest.
+fn smoke_run(world: &World, built: &BuiltDataset) -> PipelineRun {
+    let features = built.features(world, &FeatureConfig { min_queriers: 10, ..Default::default() });
+    let pipeline = DatasetPipeline {
+        classifier: ClassifierPipeline {
+            algorithm: Algorithm::RandomForest(ForestParams { n_trees: 4, ..Default::default() }),
+            runs: 3,
+        },
+        ..Default::default()
     };
-    pipeline
+    pipeline.run(built, &features)
 }
 
 /// span_id → (name, parent_id) for every SpanStart in `evs`.
@@ -77,7 +80,7 @@ fn traced_pipeline_exports_valid_causally_complete_chrome_json() {
         let root = telemetry::stage("test.pipeline");
         let root_ctx = root.context().expect("root span carries ids");
         let built = build_dataset(&world, DatasetSpec::paper(DatasetId::JpDitl, Scale::smoke(), 7));
-        let run = smoke_pipeline().run(&world, &built);
+        let run = smoke_run(&world, &built);
         drop(root);
         (root_ctx, run, trace::drain())
     });
@@ -156,7 +159,7 @@ fn per_window_ledger_rows_are_keyed_by_the_windows_start_second() {
     ledger::reset();
     let world = World::new(WorldConfig::default());
     let built = build_dataset(&world, DatasetSpec::paper(DatasetId::BLong, Scale::smoke(), 7));
-    smoke_pipeline().run(&world, &built);
+    smoke_run(&world, &built);
     trace::disable();
     trace::drain();
 
@@ -176,16 +179,15 @@ fn tracing_does_not_perturb_determinism_at_any_thread_count() {
     let _g = serial();
     let world = World::new(WorldConfig::default());
     let built = build_dataset(&world, DatasetSpec::paper(DatasetId::JpDitl, Scale::smoke(), 7));
-    let pipeline = smoke_pipeline();
 
-    let baseline = at_threads(1, || pipeline.run(&world, &built));
+    let baseline = at_threads(1, || smoke_run(&world, &built));
 
     trace::enable();
     trace::drain();
     ledger::reset();
-    let seq = at_threads(1, || pipeline.run(&world, &built));
+    let seq = at_threads(1, || smoke_run(&world, &built));
     assert!(ledger::verify().is_empty(), "sequential run imbalanced");
-    let par = at_threads(8, || pipeline.run(&world, &built));
+    let par = at_threads(8, || smoke_run(&world, &built));
     assert!(ledger::verify().is_empty(), "parallel run imbalanced");
     trace::drain();
     ledger::reset();
