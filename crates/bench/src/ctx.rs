@@ -88,7 +88,7 @@ impl Ctx {
     /// Default-threshold features of every window of a dataset.
     pub fn features(&self, id: DatasetId) -> &[Vec<OriginatorFeatures>] {
         self.features[id as usize]
-            .get_or_init(|| self.dataset(id).features(&self.world, &FeatureConfig::default()))
+            .get_or_init(|| sense_dataset(self.dataset(id), &self.world, &FeatureConfig::default()))
     }
 
     /// Windows the expert curates from: the first for short datasets;

@@ -1,10 +1,12 @@
-//! The registry senses every window of a dataset once: the features
-//! [`Ctx::features`] memoizes are the ones [`Ctx::series`] classifies.
+//! The registry senses every window of a dataset once, in one pass over
+//! its log: the features [`Ctx::features`] memoizes are the ones
+//! [`Ctx::series`] classifies, and each equals that window's anchored
+//! extraction.
 //!
 //! The metrics registry is process-global, so every test in this binary
 //! serializes on one mutex.
 
-use backscatter_core::prelude::{DatasetId, Scale};
+use backscatter_core::prelude::{extract_features, DatasetId, FeatureConfig, Scale};
 use bench::Ctx;
 use std::sync::{Mutex, MutexGuard};
 
@@ -24,7 +26,14 @@ fn the_registry_senses_each_window_once() {
     let _g = serial();
     let ctx = Ctx::new(Scale::smoke(), 5, None);
     bs_telemetry::enable();
-    for id in [DatasetId::JpDitl, DatasetId::BPostDitl, DatasetId::MDitl, DatasetId::MSampled] {
+    let ids = [
+        DatasetId::JpDitl,
+        DatasetId::BPostDitl,
+        DatasetId::MDitl,
+        DatasetId::MSampled,
+        DatasetId::BMultiYear,
+    ];
+    for id in ids {
         let windows = ctx.dataset(id).windows().len() as u64;
         let before = extracts();
         ctx.features(id);
@@ -34,4 +43,25 @@ fn the_registry_senses_each_window_once() {
         assert_eq!(extracts(), sensed, "{}: series senses nothing again", id.name());
     }
     bs_telemetry::disable();
+
+    // Both long feeds log records outside their spec windows (B-multi-
+    // year between its weekly days, M-sampled after its last full
+    // week), so the one pass closes windows it does not extract; what
+    // it does extract is the anchored single-window extraction.
+    for id in [DatasetId::BMultiYear, DatasetId::MSampled] {
+        let built = ctx.dataset(id);
+        let spec_windows = built.windows();
+        let outside = built
+            .log
+            .records()
+            .iter()
+            .filter(|r| !spec_windows.iter().any(|(start, end)| (*start..*end).contains(&r.time)))
+            .count();
+        assert!(outside > 0, "{}: every record lies in a spec window", id.name());
+        for (w, (start, end)) in spec_windows.into_iter().enumerate() {
+            let anchored =
+                extract_features(&built.log, &ctx.world, start, end, &FeatureConfig::default());
+            assert_eq!(ctx.features(id)[w], anchored, "{}: window {w}", id.name());
+        }
+    }
 }

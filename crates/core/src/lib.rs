@@ -10,9 +10,9 @@
 //!
 //! This crate re-exports the whole system and adds the high-level
 //! [`pipeline::DatasetPipeline`] that runs the paper's recommended
-//! operation end to end over a dataset's sensed windows: curate labels
-//! once, retrain daily on fresh features, classify every analyzable
-//! originator per window.
+//! operation end to end over a dataset's windows, sensed in one pass
+//! ([`pipeline::sense_dataset`]): curate labels once, retrain daily on
+//! fresh features, classify every analyzable originator per window.
 //!
 //! # Crate map
 //!
@@ -40,8 +40,8 @@
 //! let spec = DatasetSpec::paper(DatasetId::JpDitl, Scale::smoke(), 7);
 //! let built = build_dataset(&world, spec);
 //!
-//! // Sense every window once, then curate, train, classify.
-//! let features = built.features(&world, &FeatureConfig::default());
+//! // Sense every window in one pass, then curate, train, classify.
+//! let features = sense_dataset(&built, &world, &FeatureConfig::default());
 //! let run = DatasetPipeline::default().run(&built, &features);
 //! assert!(!run.windows.is_empty());
 //! ```
@@ -75,7 +75,7 @@ pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
 
 /// The most commonly used types, one `use` away.
 pub mod prelude {
-    pub use crate::pipeline::{DatasetPipeline, PipelineRun};
+    pub use crate::pipeline::{sense_dataset, DatasetPipeline, PipelineRun};
     pub use bs_activity::{ApplicationClass, Scenario, ScenarioConfig, ScenarioEvent};
     pub use bs_analysis::{ClassifiedOriginator, WindowClassification};
     pub use bs_classify::{ClassifierPipeline, LabeledSet, TrainingStrategy};

@@ -1,15 +1,47 @@
 //! The end-to-end operational pipeline.
 //!
-//! This is the paper's recommended deployment (§V-F): sense each
-//! window once ([`BuiltDataset::features`]), curate a labeled set from
-//! expert knowledge once, then, window by window, retrain on the fixed
-//! labels with that window's fresh features and classify every
-//! analyzable originator.
+//! This is the paper's recommended deployment (§V-F): sense every
+//! window in one pass over the log ([`sense_dataset`]), curate a
+//! labeled set from expert knowledge once, then, window by window,
+//! retrain on the fixed labels with that window's fresh features and
+//! classify every analyzable originator.
 
+use crate::stream::run_live_stream;
 use bs_analysis::{ClassifiedOriginator, WindowClassification};
 use bs_classify::{pipeline::feature_map, ClassifierPipeline, LabeledSet, PER_CLASS_CAP};
 use bs_datasets::BuiltDataset;
-use bs_sensor::OriginatorFeatures;
+use bs_netsim::world::World;
+use bs_sensor::{extract_with_meta_cache, FeatureConfig, OriginatorFeatures, StreamConfig};
+
+/// Sense every window of `built` once, in order: one [`run_live_stream`]
+/// pass over the time-ordered log with the spec's window length and an
+/// unbounded table. Windows the spec does not observe (a tail, the gaps
+/// of a strided spec) are not extracted, a spec window the stream never
+/// emits gets an empty set, and extraction shares one metadata cache
+/// across windows, each under its own ledger scope.
+pub fn sense_dataset(
+    built: &BuiltDataset,
+    world: &World,
+    config: &FeatureConfig,
+) -> Vec<Vec<OriginatorFeatures>> {
+    let windows = built.windows();
+    let mut features = vec![Vec::new(); windows.len()];
+    let Some(&(start, end)) = windows.first() else { return features };
+    let window = end.since(start);
+    let stream = StreamConfig { window, max_originators: usize::MAX, ..Default::default() };
+    let grid = stream.resolved_window().secs();
+    assert!(
+        windows.iter().all(|(s, e)| e.since(*s).secs() == grid && s.secs().is_multiple_of(grid)),
+        "a spec window is not a window of the sensor's {grid} s grid"
+    );
+    let mut cache = bs_sensor::QuerierMetaCache::default();
+    run_live_stream(built.log.records(), stream, 0, None, 0, |w| {
+        let Ok(i) = windows.binary_search(&w.window) else { return };
+        let _window = bs_telemetry::ledger::window_scope(w.window.0.secs());
+        features[i] = extract_with_meta_cache(&w.observations, world, config, Some(&mut cache));
+    });
+    features
+}
 
 /// Training seed; window `w` retrains on `SEED ^ w << 16`.
 const SEED: u64 = 0x9_0210;
@@ -45,7 +77,7 @@ pub struct PipelineRun {
 
 impl DatasetPipeline {
     /// Run over every window of a built dataset, given its sensed
-    /// `features` (one set per window, from [`BuiltDataset::features`]):
+    /// `features` (one set per window, from [`sense_dataset`]):
     /// curate from the curation windows' features, then retrain per
     /// window on the fixed labels and classify all analyzable
     /// originators.
@@ -129,17 +161,20 @@ impl DatasetPipeline {
 mod tests {
     use super::*;
     use bs_datasets::{build_dataset, DatasetId, DatasetSpec, Scale};
-    use bs_netsim::world::{World, WorldConfig};
-    use bs_sensor::FeatureConfig;
+    use bs_netsim::world::WorldConfig;
 
     #[test]
     fn pipeline_classifies_a_smoke_dataset() {
+        // Sensing streams on the shared pool and books sensor counters.
+        let _serial = crate::serial();
         let world = World::new(WorldConfig::default());
         let built = build_dataset(&world, DatasetSpec::paper(DatasetId::JpDitl, Scale::smoke(), 9));
-        let features =
-            built.features(&world, &FeatureConfig { min_queriers: 10, ..Default::default() });
+        let features = sense_dataset(
+            &built,
+            &world,
+            &FeatureConfig { min_queriers: 10, ..Default::default() },
+        );
         let mut pipeline = DatasetPipeline::default();
-        let _serial = crate::serial();
         bs_telemetry::enable();
         let predicted = bs_telemetry::registry().counter("ml.predict.samples");
         let walked = bs_telemetry::registry().counter("ml.predict.tree_rows");
@@ -174,10 +209,14 @@ mod tests {
     /// its member models about at most rows × runs rows.
     #[test]
     fn decided_rows_stop_walking_trees() {
+        let _serial = crate::serial();
         let world = World::new(WorldConfig::default());
         let built = build_dataset(&world, DatasetSpec::paper(DatasetId::JpDitl, Scale::smoke(), 9));
-        let features =
-            built.features(&world, &FeatureConfig { min_queriers: 10, ..Default::default() });
+        let features = sense_dataset(
+            &built,
+            &world,
+            &FeatureConfig { min_queriers: 10, ..Default::default() },
+        );
         let mut pipeline = DatasetPipeline::default();
         let (n_trees, runs) = (24, 4);
         pipeline.classifier = ClassifierPipeline {
@@ -187,7 +226,6 @@ mod tests {
             }),
             runs,
         };
-        let _serial = crate::serial();
         bs_telemetry::enable();
         let asked = bs_telemetry::registry().counter("ml.predict.samples");
         let walked = bs_telemetry::registry().counter("ml.predict.tree_rows");

@@ -8,7 +8,6 @@ use bs_netsim::engine::SimStats;
 use bs_netsim::log::QueryLog;
 use bs_netsim::world::World;
 use bs_netsim::{Simulator, SimulatorConfig};
-use bs_sensor::{extract_features, FeatureConfig, OriginatorFeatures};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -17,7 +16,7 @@ use std::net::Ipv4Addr;
 pub struct BuiltDataset {
     /// The recipe.
     pub spec: DatasetSpec,
-    /// The query log at the observed authority (post-sampling).
+    /// The query log at the observed authority (post-sampling, time-ordered).
     pub log: QueryLog,
     /// The generating scenario (ground truth source).
     pub scenario: Scenario,
@@ -30,10 +29,11 @@ pub struct BuiltDataset {
 }
 
 /// Assemble a [`BuiltDataset`] around an already-simulated log (e.g.
-/// one loaded from a cache file). The scenario and oracles are
-/// recomputed deterministically from the spec — only the simulation
+/// one loaded from a cache file), time-ordered. The scenario and oracles
+/// are recomputed deterministically from the spec — only the simulation
 /// itself is skipped.
-pub fn assemble_with_log(world: &World, spec: DatasetSpec, log: QueryLog) -> BuiltDataset {
+pub fn assemble_with_log(world: &World, spec: DatasetSpec, mut log: QueryLog) -> BuiltDataset {
+    log.sort_by_time();
     let scenario = Scenario::new(world, spec.scenario.clone());
     let (blacklist, darknet) = build_oracles(&scenario, spec.scenario.seed);
     BuiltDataset { spec, log, scenario, blacklist, darknet, stats: SimStats::default() }
@@ -50,6 +50,8 @@ fn build_oracles(scenario: &Scenario, seed: u64) -> (Blacklist, Darknet) {
 
 /// Simulate a dataset end to end. Long recipes run day by day with
 /// cache sweeps so memory stays proportional to the live cache state.
+/// Broken resolvers' stutter is logged late, so the log is put in time
+/// order, the order an authority's captures are read in (§III-A).
 pub fn build_dataset(world: &World, spec: DatasetSpec) -> BuiltDataset {
     let _stage = bs_telemetry::stage("datasets.build");
     let scenario = Scenario::new(world, spec.scenario.clone());
@@ -68,7 +70,8 @@ pub fn build_dataset(world: &World, spec: DatasetSpec) -> BuiltDataset {
     }
     let stats = sim.stats();
     let mut logs = sim.into_logs();
-    let log = logs.remove(&spec.authority).expect("observed authority");
+    let mut log = logs.remove(&spec.authority).expect("observed authority");
+    log.sort_by_time();
     let (blacklist, darknet) = build_oracles(&scenario, spec.scenario.seed);
     bs_telemetry::counter_add("datasets.built", 1);
     // Simulation-side conservation: every contact either produced at
@@ -91,25 +94,6 @@ pub fn build_dataset(world: &World, spec: DatasetSpec) -> BuiltDataset {
 }
 
 impl BuiltDataset {
-    /// Sense every window of this dataset once: one feature set per
-    /// window of [`BuiltDataset::windows`], in window order.
-    ///
-    /// Windows are independent, so they run in parallel on the bs-par
-    /// pool; with a single window the parallelism moves down into
-    /// extraction instead (nested regions run sequentially inside pool
-    /// workers). Extraction goes through the qmeta metadata plane —
-    /// each window builds its own per-window table (windows run
-    /// concurrently, so no shared cross-window cache here; the
-    /// streaming driver is the cache's home). Ledger rows and stage
-    /// costs are keyed by the window's start second, the key the
-    /// sensor files its own row under.
-    pub fn features(&self, world: &World, config: &FeatureConfig) -> Vec<Vec<OriginatorFeatures>> {
-        bs_par::par_map(&self.windows(), |_, window| {
-            let _w = bs_telemetry::ledger::window_scope(window.0.secs());
-            extract_features(&self.log, world, window.0, window.1, config)
-        })
-    }
-
     /// Ground truth for originators active during a window. When the
     /// same address hosted two different activities in the window (IP
     /// reuse), it is dropped — experts "strive for accuracy over
@@ -143,6 +127,7 @@ mod tests {
     use super::*;
     use crate::spec::{DatasetId, Scale};
     use bs_netsim::world::WorldConfig;
+    use bs_sensor::{extract_features, FeatureConfig};
 
     fn world() -> World {
         World::new(WorldConfig::default())
@@ -156,9 +141,14 @@ mod tests {
         assert!(built.log.len() > 200, "log has {} records", built.log.len());
         let windows = built.windows();
         assert_eq!(windows.len(), 1);
-        let features = built.features(&w, &FeatureConfig { min_queriers: 10, top_n: None });
-        assert_eq!(features.len(), 1);
-        let feats = &features[0];
+        let (start, end) = windows[0];
+        let feats = &extract_features(
+            &built.log,
+            &w,
+            start,
+            end,
+            &FeatureConfig { min_queriers: 10, top_n: None },
+        );
         assert!(!feats.is_empty(), "no analyzable originators");
         let truth = built.truth_for_window(windows[0]);
         // Most analyzable originators have ground truth.
@@ -184,5 +174,20 @@ mod tests {
         let b = build_dataset(&w, DatasetSpec::paper(DatasetId::JpDitl, Scale::smoke(), 3));
         assert_eq!(a.log, b.log);
         assert_eq!(a.stats, b.stats);
+        // The simulator logs stutter late; the built log is time-ordered.
+        assert!(a.log.records().windows(2).all(|p| p[0].time <= p[1].time));
+        // A log read back in any order is assembled time-ordered too,
+        // with the same records.
+        let mut reversed = a.log.records().to_vec();
+        reversed.reverse();
+        let spec = DatasetSpec::paper(DatasetId::JpDitl, Scale::smoke(), 3);
+        let c = assemble_with_log(&w, spec, QueryLog::from_records(reversed));
+        assert!(c.log.records().windows(2).all(|p| p[0].time <= p[1].time));
+        let key =
+            |r: &bs_netsim::log::QueryLogRecord| (r.time, r.querier, r.originator, r.rcode as u8);
+        let (mut got, mut want) = (c.log.records().to_vec(), a.log.records().to_vec());
+        got.sort_by_key(key);
+        want.sort_by_key(key);
+        assert_eq!(got, want);
     }
 }

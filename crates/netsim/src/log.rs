@@ -48,7 +48,7 @@ impl QueryLog {
         self.records.push(r);
     }
 
-    /// All records in arrival order.
+    /// All records in arrival order, or in time order after [`QueryLog::sort_by_time`].
     pub fn records(&self) -> &[QueryLogRecord] {
         &self.records
     }
@@ -63,27 +63,9 @@ impl QueryLog {
         self.records.is_empty()
     }
 
-    /// Merge another log into this one, preserving time order if both
-    /// inputs were ordered.
-    pub fn merge(&mut self, other: QueryLog) {
-        let mut merged = Vec::with_capacity(self.records.len() + other.records.len());
-        let mut a = std::mem::take(&mut self.records).into_iter().peekable();
-        let mut b = other.records.into_iter().peekable();
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => {
-                    if x.time <= y.time {
-                        merged.push(a.next().expect("peeked"));
-                    } else {
-                        merged.push(b.next().expect("peeked"));
-                    }
-                }
-                (Some(_), None) => merged.push(a.next().expect("peeked")),
-                (None, Some(_)) => merged.push(b.next().expect("peeked")),
-                (None, None) => break,
-            }
-        }
-        self.records = merged;
+    /// Put the records in time order; stable, so equal times keep arrival order.
+    pub fn sort_by_time(&mut self) {
+        self.records.sort_by_key(|r| r.time);
     }
 
     /// Serialize to the TSV text format, one record per line:
@@ -235,19 +217,6 @@ mod tests {
             assert_eq!(err.what, what, "for {line:?}");
             assert_eq!(err.line, 1);
         }
-    }
-
-    #[test]
-    fn merge_interleaves_by_time() {
-        let mut a = QueryLog::new();
-        a.push(rec(0, "192.0.2.1", "203.0.113.9", Rcode::NoError));
-        a.push(rec(100, "192.0.2.1", "203.0.113.9", Rcode::NoError));
-        let mut b = QueryLog::new();
-        b.push(rec(50, "192.0.2.2", "203.0.113.9", Rcode::NoError));
-        b.push(rec(150, "192.0.2.2", "203.0.113.9", Rcode::NoError));
-        a.merge(b);
-        let times: Vec<u64> = a.records().iter().map(|r| r.time.secs()).collect();
-        assert_eq!(times, vec![0, 50, 100, 150]);
     }
 
     #[test]

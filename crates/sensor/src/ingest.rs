@@ -9,6 +9,7 @@
 //! and takes the one flush. In-window disorder is tolerated (the dedup
 //! probe compares against the last *accepted* time, and a record
 //! behind it is simply a fast repeat), so the log need not be sorted.
+//! Each call filters the whole log: a dataset's windows stream instead.
 //! The address-ordered [`Observations`] every downstream stage
 //! (extraction, classification, serialization) consumes is built at
 //! that flush, each footprint a sorted querier column; a test-only

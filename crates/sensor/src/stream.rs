@@ -3,10 +3,10 @@
 //! [`StreamingSensor`] consumes one record at a time, keeps
 //! per-originator state with a hard memory bound, and emits completed
 //! windows as the stream crosses window boundaries — the shape a
-//! production tap at a busy authority needs. It is also the crate's
-//! only per-record loop: a window of a log already in memory
-//! ([`Observations::ingest_with_dedup`], research replay) is this
-//! sensor anchored at the window's start and run for that one window.
+//! production tap at a busy authority needs, and how a dataset's
+//! time-ordered log is sensed. It is also the crate's only per-record
+//! loop: a window of a log in memory ([`Observations::ingest_with_dedup`])
+//! is this sensor anchored at the window's start and run for that window.
 //!
 //! # Memory bound
 //!
@@ -52,7 +52,8 @@
 //! Records must arrive in time order. A record behind the current
 //! window's start would otherwise be silently credited to the wrong
 //! window, so it is counted (`sensor.stream.out_of_order`, plus an
-//! `out_of_order` conservation-ledger bucket) and dropped.
+//! `out_of_order` conservation-ledger bucket) and dropped. Dataset logs
+//! are time-ordered (`QueryLog::sort_by_time`): sensing one drops none.
 
 use crate::hash::IntHash;
 #[cfg(test)]

@@ -24,11 +24,11 @@ fn main() {
         built.spec.authority
     );
 
-    // 2. The full pipeline: sense every window once, curate labels,
+    // 2. The full pipeline: sense every window in one pass, curate labels,
     //    train a random forest with majority voting, classify every
     //    analyzable originator.
     let config = FeatureConfig { min_queriers: 10, ..Default::default() }; // smoke scale is small
-    let features = built.features(&world, &config);
+    let features = sense_dataset(&built, &world, &config);
     let run = DatasetPipeline::default().run(&built, &features);
     let window = &run.windows[0];
     println!(

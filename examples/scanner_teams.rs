@@ -24,7 +24,7 @@ fn main() {
     let built = build_dataset(&world, spec);
 
     let features =
-        built.features(&world, &FeatureConfig { min_queriers: 10, ..Default::default() });
+        sense_dataset(&built, &world, &FeatureConfig { min_queriers: 10, ..Default::default() });
     let run = DatasetPipeline::default().run(&built, &features);
     let windows: Vec<WindowClassification> = run.windows;
     let n_scan: usize = windows[0].of_class(ApplicationClass::Scan).map(|_| 1usize).sum();

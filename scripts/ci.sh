@@ -5,7 +5,8 @@
 #   growth regime → one keyword matcher → no soft cap on the metadata
 #   cache → compact window (no 16-byte dedup entry or stored query) →
 #   one sensing pass per dataset (no per-window wrapper, no pipeline
-#   feature config, no bs-live ring) → lints as errors → rustdoc as errors → release build → one
+#   feature config, no per-window rescan, no log merge, no bs-live
+#   ring) → lints as errors → rustdoc as errors → release build → one
 #   experiments binary whose registry matches results/ → bs-dns,
 #   bs-netsim, bs-ml, bs-classify, bs-sensor and backscatter-core tests
 #   on the release build → tests → CLI smokes (stream --extract holds
@@ -28,8 +29,9 @@ if grep -o '"source":"[^"]*"' <<<"$metadata" | sort -u | grep .; then
 fi
 
 echo "=== dependencies: every declared edge is named by the code that declares it"
-# A [dependencies] / [dev-dependencies] key (bs-x, read as bs_x) must
-# appear in the crate's own src/, tests/ or examples/, and every
+# A [dependencies] key (bs-x, read as bs_x) must appear in the crate's
+# own src/, a [dev-dependencies] key in its src/, tests/ or examples/:
+# an edge only tests or examples use is a dev-dependency. Every
 # [workspace.dependencies] entry must be some member's key.
 dep_keys() { # <manifest> <section header regex>
     awk -v section="$2" '
@@ -40,16 +42,22 @@ unused=0
 declared=""
 for manifest in Cargo.toml crates/*/Cargo.toml; do
     dir="$(dirname "$manifest")"
-    roots=()
-    for d in src tests examples; do
-        if [ -d "$dir/$d" ]; then roots+=("$dir/$d"); fi
-    done
-    for dep in $(dep_keys "$manifest" '^\[(dev-)?dependencies\]$'); do
-        declared+=" $dep"
-        if ! grep -rqE "\b${dep//-/_}\b" "${roots[@]}"; then
-            echo "$manifest: $dep is declared and never named"
-            unused=1
-        fi
+    for section in dependencies dev-dependencies; do
+        roots=()
+        case "$section" in
+        dependencies) dirs="src" ;;
+        *) dirs="src tests examples" ;;
+        esac
+        for d in $dirs; do
+            if [ -d "$dir/$d" ]; then roots+=("$dir/$d"); fi
+        done
+        for dep in $(dep_keys "$manifest" "^\\[$section\\]\$"); do
+            declared+=" $dep"
+            if ! grep -rqE "\b${dep//-/_}\b" "${roots[@]}"; then
+                echo "$manifest: [$section] $dep is never named under $dirs"
+                unused=1
+            fi
+        done
     done
 done
 for dep in $(dep_keys Cargo.toml '^\[workspace\.dependencies\]$'); do
@@ -121,12 +129,17 @@ if grep -rnE 'HashMap<u64, u64|Vec<\(SimTime, Ipv4Addr\)>' crates/sensor/src cra
 fi
 
 echo "=== one sensing pass per dataset"
-# BuiltDataset::features senses every window of a dataset and
-# DatasetPipeline::run classifies the features it is given (DESIGN.md
-# §10): a per-window wrapper or a sensor config inside the pipeline
-# would be a second sensing road. The live sampler caps its own
-# VecDeque, so bs-live needs no ring type.
-if grep -rnE 'features_for_window|\.feature_config\b' crates src tests examples; then
+# sense_dataset senses every window of a dataset in one streaming pass
+# over its time-ordered log, and DatasetPipeline::run classifies the
+# features it is given (DESIGN.md §10): a per-window wrapper, a sensor
+# config inside the pipeline, a per-window sensing method on
+# BuiltDataset or a second way to order a log would be a second
+# sensing road. The live sampler caps its own VecDeque, so bs-live
+# needs no ring type.
+if grep -rnE 'features_for_window|\.feature_config\b|par_map\(&self\.windows\(\)' \
+    crates src tests examples ||
+    grep -rn 'fn features(' crates/datasets/src ||
+    grep -n 'fn merge' crates/netsim/src/log.rs; then
     echo "a second road that senses a dataset is back (lines above)"
     exit 1
 fi

@@ -916,7 +916,7 @@ fn run_pipeline(flags: &Flags) -> Result<PipelineRun, String> {
     let spec = DatasetSpec::paper(id, scale(flags)?, seed(flags)?);
     let built = dns_backscatter::datasets::build::assemble_with_log(&world, spec, log);
     let features =
-        built.features(&world, &FeatureConfig { min_queriers: 10, ..Default::default() });
+        sense_dataset(&built, &world, &FeatureConfig { min_queriers: 10, ..Default::default() });
     Ok(DatasetPipeline::default().run(&built, &features))
 }
 

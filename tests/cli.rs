@@ -1,7 +1,7 @@
 //! End-to-end tests of the `backscatter` CLI binary.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Mutex;
 
@@ -533,7 +533,10 @@ fn stream_rejects_a_zero_second_window() {
 
 /// `stream` with a five-originator table evicts in every window of the
 /// JP-ditl smoke log: its stdout is pinned (lines, FNV-1a) at one
-/// thread and at the default width, and the ledger balances.
+/// thread and at the default width, and the ledger balances. Pinned on
+/// the time-ordered log `simulate` writes: ordering it moved only the
+/// summary's late count (to 0) and the `qmeta cache:` line, since the
+/// records that used to arrive late are now queried in their window.
 #[test]
 fn stream_under_eviction_prints_the_pinned_bytes() {
     let log = simulated_log();
@@ -555,34 +558,44 @@ fn stream_under_eviction_prints_the_pinned_bytes() {
         assert!(!stderr.contains("ledger imbalance"), "{threads:?}: {stderr}");
         let lines = out.stdout.split(|b| *b == b'\n').count() - 1;
         let got = (lines, digest(&out.stdout));
-        assert_eq!(got, (302, 0xcf60_0bf7_c672_8fac), "{threads:?}: {got:#x?}");
+        assert_eq!(got, (302, 0xfc9a_b74a_002c_93a5), "{threads:?}: {got:#x?}");
     }
 }
 
-/// `simulate` does not write its log in time order and `stream` keeps
-/// arrival order, so some records arrive behind their window: the
-/// summary line says how many were dropped, with or without `--metrics`.
+/// `simulate` writes its log in time order, and `stream` keeps arrival
+/// order: on a copy with `k` records moved behind their window exactly
+/// those `k` arrive late, and the summary line says they were dropped,
+/// as `sensor.stream.out_of_order` does in `--metrics`.
 #[test]
 fn stream_reports_the_late_records_it_dropped() {
+    let late_in = |log: &Path, metrics: Option<&Path>| -> u64 {
+        let mut cmd = bin();
+        cmd.args(["stream", "--log", log.to_str().unwrap(), "--window", "600"]);
+        if let Some(metrics) = metrics {
+            cmd.args(["--metrics", metrics.to_str().unwrap()]);
+        }
+        let out = cmd.output().expect("run stream");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let summary = stdout.lines().last().expect("a summary line");
+        summary
+            .strip_suffix(" late")
+            .and_then(|s| s.rsplit(", ").next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no late count in {summary:?}"))
+    };
     let log = simulated_log();
+    assert_eq!(late_in(&log, None), 0, "the simulated log is in time order");
+
+    // The first k records, from the log's first window, moved to its end.
+    let k = 7;
+    let text = std::fs::read_to_string(&log).expect("read the simulated log");
+    let lines: Vec<&str> = text.lines().collect();
+    let moved = [&lines[k..], &lines[..k]].concat().join("\n") + "\n";
+    let shuffled = tmp("cli-late.tsv");
+    std::fs::write(&shuffled, moved).expect("write the reordered log");
     let metrics = tmp("cli-late-metrics.json");
-    let out = bin()
-        .args(["stream", "--log", log.to_str().unwrap(), "--window", "600"])
-        .args(["--metrics", metrics.to_str().unwrap()])
-        .output()
-        .expect("run stream");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let summary = stdout.lines().last().expect("a summary line");
-    let late: u64 = summary
-        .strip_suffix(" late")
-        .and_then(|s| s.rsplit(", ").next())
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(|| panic!("no late count in {summary:?}"));
-    assert!(late > 0, "the simulator's log is not time-ordered: {summary:?}");
+    assert_eq!(late_in(&shuffled, Some(&metrics)), k as u64);
     let json = std::fs::read_to_string(&metrics).expect("metrics file written");
-    assert!(
-        json.contains(&format!("\"sensor.stream.out_of_order\": {late}")),
-        "{summary:?}\n{json}"
-    );
+    assert!(json.contains(&format!("\"sensor.stream.out_of_order\": {k}")), "{json}");
 }

@@ -132,8 +132,11 @@ fn full_dataset_pipeline_is_identical_at_1_and_8_threads() {
         ..Default::default()
     };
     let run = || {
-        let features =
-            built.features(&world, &FeatureConfig { min_queriers: 10, ..Default::default() });
+        let features = sense_dataset(
+            &built,
+            &world,
+            &FeatureConfig { min_queriers: 10, ..Default::default() },
+        );
         pipeline.run(&built, &features)
     };
 

@@ -33,7 +33,8 @@ fn at_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 /// A quick smoke pipeline: every window sensed at the smoke threshold,
 /// then classified by a small voted forest.
 fn smoke_run(world: &World, built: &BuiltDataset) -> PipelineRun {
-    let features = built.features(world, &FeatureConfig { min_queriers: 10, ..Default::default() });
+    let features =
+        sense_dataset(built, world, &FeatureConfig { min_queriers: 10, ..Default::default() });
     let pipeline = DatasetPipeline {
         classifier: ClassifierPipeline {
             algorithm: Algorithm::RandomForest(ForestParams { n_trees: 4, ..Default::default() }),
