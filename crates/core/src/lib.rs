@@ -28,7 +28,7 @@
 //! | [`analysis`] | `bs-analysis` | footprints, trends, churn, teams |
 //! | [`telemetry`] | `bs-telemetry` | one stage guard → metrics, causal trace, ledger, profiler; logging |
 //! | [`live`] | `bs-live` | windowed rates, scrape endpoint, health watchdog |
-//! | [`par`] | `bs-par` | deterministic work-stealing parallelism (`BS_THREADS`) |
+//! | [`par`] | `bs-par` | deterministic scoped parallelism (`BS_THREADS`) |
 //!
 //! # Quickstart
 //!

@@ -314,7 +314,7 @@ fn a_forest_fit_prepares_its_rows_once_and_each_tree_is_a_path_under_its_run() {
 }
 
 /// What a stage is charged must not depend on the pool width: threads
-/// the pool spawns — stealing workers, the far side of a `join`, a
+/// the pool spawns — region workers, the far side of a `join`, a
 /// `scope` thread — inherit the opener's allocator slot and its path, so
 /// every stage they open is booked, once a call, under the opener.
 #[test]

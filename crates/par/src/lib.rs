@@ -1,4 +1,4 @@
-//! `bs-par` — deterministic work-stealing parallelism for the
+//! `bs-par` — deterministic scoped parallelism for the
 //! dns-backscatter pipeline.
 //!
 //! The paper's workload is embarrassingly parallel at three levels:
@@ -42,28 +42,28 @@
 //!
 //! # Scheduling
 //!
-//! Tasks are dealt to per-worker deques in contiguous index blocks;
-//! each worker pops from the front of its own deque and, when empty,
-//! steals the back half of a victim's. (The classic Chase–Lev deque —
-//! `crossbeam` — is unavailable in the offline build environment, so
-//! stealing uses `Mutex<VecDeque>`; with block-granularity tasks the
-//! lock is cold.) Nested parallel regions run sequentially inside pool
-//! workers, so the thread count stays bounded by the pool size at any
-//! nesting depth: when the core pipeline parallelizes over windows,
-//! the forests inside each window train sequentially, and when there
-//! is only one window, the forest level parallelizes instead.
+//! A region of `n` tasks spawns `t = min(threads(), n)` workers, and
+//! each claims the next task index from one shared atomic counter until
+//! the indices run out, so a worker that draws short tasks simply
+//! claims more of them. Every region is a flat index range and nothing
+//! inside a task adds tasks: nested parallel regions run sequentially
+//! inside pool workers, so the thread count stays bounded by the pool
+//! size at any nesting depth. When the core pipeline parallelizes over
+//! windows, the forests inside each window train sequentially, and
+//! when there is only one window, the forest level parallelizes
+//! instead.
 //!
 //! # Telemetry
 //!
 //! Parallel regions publish through `bs-telemetry`: `par.tasks`
-//! (counter: tasks executed), `par.steals` (counter: successful
-//! steals), `par.threads` (gauge: resolved pool size), and `par.run`
-//! (histogram: nanoseconds per parallel region).
+//! (counter: tasks executed), `par.threads` (gauge: workers in the
+//! latest region), `par.inflight` (gauge: tasks of open regions) and
+//! `par.run` (histogram: nanoseconds per parallel region).
 //!
 //! # Position propagation
 //!
-//! Every spawn site — [`scope`]'s `spawn`, [`join`], the work-stealing
-//! workers — makes the same single call: capture the caller's
+//! Every spawn site — [`scope`]'s `spawn`, [`join`], the pool workers —
+//! makes the same single call: capture the caller's
 //! [`bs_telemetry::Position`] before spawning, enter it on the spawned
 //! thread. The position carries the span context (so stages opened
 //! inside worker tasks parent under the stage that started the region,
@@ -183,11 +183,21 @@ mod tests {
 
     #[test]
     fn every_task_runs_exactly_once() {
-        let hits: Vec<AtomicUsize> = (0..500).map(|_| AtomicUsize::new(0)).collect();
-        with_override(8, || {
-            par_map_range(500, |i| hits[i].fetch_add(1, Ordering::Relaxed));
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        // Sizes around the width leave workers whose first claim is
+        // already past `n`; none of them may run or skip a task.
+        for t in [2, 8] {
+            for n in [0, 1, t - 1, t, t + 1, 500] {
+                let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let got = with_override(t, || {
+                    par_map_range(n, |i| {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                        i
+                    })
+                });
+                assert_eq!(got, (0..n).collect::<Vec<_>>(), "t={t} n={n}");
+                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "t={t} n={n}");
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The scoped work-stealing pool.
+//! The scoped pool: one shared task counter per parallel region.
 //!
 //! There are no persistent worker threads: each parallel region spawns
 //! its workers inside [`std::thread::scope`], so closures may borrow
@@ -9,10 +9,9 @@
 
 use bs_telemetry::Position;
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Explicit override (0 = none). Set by [`set_threads`] / `--threads`.
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -122,7 +121,7 @@ where
         bs_telemetry::counter_add("par.tasks", n as u64);
         return (0..n).map(f).collect();
     }
-    run_stealing(n, t, &f)
+    run_shared(n, t, &f)
 }
 
 /// Map `f` over `chunk_size`-sized chunks of `items` in parallel; `f`
@@ -164,15 +163,12 @@ where
     })
 }
 
-/// The work-stealing execution of `n` tasks on `t` workers.
-///
-/// Indices are dealt to per-worker deques in contiguous blocks; a
-/// worker pops its own front (preserving cache-friendly sweep order)
-/// and steals the back half of a victim's deque when dry. Tasks are
-/// never duplicated: ownership moves under the victim's lock. A worker
-/// retires after one full failed steal sweep — any work it missed is
-/// in the hands of the thief that took it.
-fn run_stealing<U, F>(n: usize, t: usize, f: &F) -> Vec<U>
+/// Run `n` tasks on `t` workers that claim indices from one shared
+/// counter: each `fetch_add` hands out the next unclaimed index, so no
+/// task runs twice and a worker retires at the first index past `n`.
+/// Every region is a flat index range and a nested region runs inline,
+/// so no task ever creates a task and there is nothing to rebalance.
+fn run_shared<U, F>(n: usize, t: usize, f: &F) -> Vec<U>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
@@ -187,16 +183,9 @@ where
     // queued or running across all concurrent regions. Net zero after
     // every region, so a scrape seeing it high means work in flight.
     bs_telemetry::gauge_add("par.inflight", n as i64);
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..t)
-        .map(|w| {
-            let lo = w * n / t;
-            let hi = (w + 1) * n / t;
-            Mutex::new((lo..hi).collect())
-        })
-        .collect();
-    let steals = AtomicU64::new(0);
-    let queues = &queues;
-    let steals = &steals;
+    // Relaxed is enough: the counter publishes no data, and results
+    // reach this thread through the workers' joins.
+    let next = &AtomicUsize::new(0);
 
     let parts: Vec<Vec<(usize, U)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..t)
@@ -205,10 +194,13 @@ where
                     IN_WORKER.with(|flag| flag.set(true));
                     let _inherited = inherited.enter(format_args!("par-worker-{w}"));
                     let mut done = Vec::with_capacity(n / t + 1);
-                    while let Some(i) = next_task(queues, w, steals) {
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break done;
+                        }
                         done.push((i, f(i)));
                     }
-                    done
                 })
             })
             .collect();
@@ -216,7 +208,6 @@ where
     });
 
     bs_telemetry::counter_add("par.tasks", n as u64);
-    bs_telemetry::counter_add("par.steals", steals.load(Ordering::Relaxed));
     bs_telemetry::gauge_add("par.inflight", -(n as i64));
 
     // Reassemble in task-index order, independent of execution order.
@@ -229,38 +220,4 @@ where
         }
     }
     out.into_iter().map(|u| u.expect("every task index executed")).collect()
-}
-
-/// Pop the worker's own deque, or steal the back half of another's.
-fn next_task(queues: &[Mutex<VecDeque<usize>>], w: usize, steals: &AtomicU64) -> Option<usize> {
-    if let Some(i) = lock(&queues[w]).pop_front() {
-        return Some(i);
-    }
-    let t = queues.len();
-    for k in 1..t {
-        let victim = (w + k) % t;
-        let mut vq = lock(&queues[victim]);
-        if vq.is_empty() {
-            continue;
-        }
-        // Take the back half (at least one task), release the victim,
-        // then stock our own (empty — only we push to it) deque.
-        let keep = vq.len() / 2;
-        let stolen = vq.split_off(keep);
-        drop(vq);
-        steals.fetch_add(1, Ordering::Relaxed);
-        let mut own = lock(&queues[w]);
-        debug_assert!(own.is_empty());
-        *own = stolen;
-        if let Some(i) = own.pop_front() {
-            return Some(i);
-        }
-    }
-    None
-}
-
-/// Lock a deque, surviving poison: a panicked worker aborts the region
-/// anyway (its join handle propagates), so the queue state is moot.
-fn lock(q: &Mutex<VecDeque<usize>>) -> std::sync::MutexGuard<'_, VecDeque<usize>> {
-    q.lock().unwrap_or_else(|e| e.into_inner())
 }

@@ -80,10 +80,7 @@ mod registry;
 mod stage;
 pub mod trace;
 
-pub use logger::{
-    log_emit, log_enabled, set_log_format, set_max_log_level, Level, LogFormat, LogSite,
-    SITE_BURST, SITE_REFILL_PER_SEC,
-};
+pub use logger::{log_emit, log_enabled, set_log_format, set_max_log_level, Level, LogFormat};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{Registry, Snapshot};
 pub use stage::{stage, Entered, Position, Stage};
@@ -124,9 +121,8 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The first instant anything here needed a clock: event timestamps
-/// and the log limiter count from it (a monotonic clock that fits an
-/// atomic, unlike `Instant` itself).
+/// The first instant anything here needed a clock: flight-recorder
+/// event timestamps count from it.
 pub(crate) fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)

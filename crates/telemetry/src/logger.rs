@@ -13,24 +13,9 @@
 //! Warn-or-worse records are additionally forwarded to the flight
 //! recorder (when tracing is enabled), attributed to the current
 //! trace span.
-//!
-//! # Rate limiting
-//!
-//! Hot-path call sites can flood stderr under storm scenarios (one
-//! eviction warning per record is a self-inflicted denial of service).
-//! Every `log_at!` expansion therefore owns a per-call-site token
-//! bucket ([`LogSite`]): a site may burst [`SITE_BURST`] lines, then
-//! refills at [`SITE_REFILL_PER_SEC`] lines per second. Suppressed
-//! lines are counted globally (`telemetry.log.suppressed`) and per
-//! target (`telemetry.log.suppressed.<target>`, so `stats` can name
-//! the flooding site), and the next line that passes is preceded by a
-//! one-line summary of how many were
-//! dropped, so floods stay diagnosable without being replayed.
-//! `Error` lines always pass, and direct [`log_emit`] calls are never
-//! limited.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Log severities, most severe first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -203,103 +188,6 @@ pub fn log_emit(level: Level, target: &str, message: &str, kvs: &[(&str, String)
     crate::counter_add(level.counter_name(), 1);
 }
 
-/// Lines a call site may emit back-to-back before the limiter engages.
-pub const SITE_BURST: u64 = 32;
-/// Steady-state lines per second a call site refills at.
-pub const SITE_REFILL_PER_SEC: u64 = 16;
-
-/// Milli-token scale: refill math stays in integers with sub-line
-/// resolution (one line costs 1000 milli-tokens).
-const MILLI: u64 = 1_000;
-const BURST_MILLI: u64 = SITE_BURST * MILLI;
-const REFILL_MILLI_PER_SEC: u64 = SITE_REFILL_PER_SEC * MILLI;
-
-/// The per-call-site token bucket behind [`log_at!`](crate::log_at!). One static
-/// instance is generated inside every macro expansion, so each textual
-/// call site is limited independently — a flooding loop cannot starve
-/// unrelated log lines elsewhere.
-///
-/// All state is relaxed atomics: a racing pair of threads may briefly
-/// over- or under-count by a line, which is an acceptable price for
-/// keeping the limiter lock-free on the logging hot path.
-#[derive(Debug)]
-pub struct LogSite {
-    /// Milli-tokens available (starts at the full burst).
-    tokens_milli: AtomicU64,
-    /// Nanoseconds past `crate::epoch` of the last refill credit.
-    last_refill_ns: AtomicU64,
-    /// Lines suppressed since the last admitted line.
-    suppressed: AtomicU64,
-}
-
-impl LogSite {
-    /// A fresh bucket holding a full burst. `const` so `log_at!` can
-    /// put one in a `static`.
-    pub const fn new() -> Self {
-        LogSite {
-            tokens_milli: AtomicU64::new(BURST_MILLI),
-            last_refill_ns: AtomicU64::new(0),
-            suppressed: AtomicU64::new(0),
-        }
-    }
-
-    /// Decide whether this site may emit a line right now. On
-    /// admission returns `Some(n)` where `n` is the number of lines
-    /// suppressed at this site since the previous admission (so the
-    /// caller can surface the gap); on suppression returns `None`,
-    /// bumps the site's tally, and advances both the global
-    /// `telemetry.log.suppressed` counter and the per-site
-    /// `telemetry.log.suppressed.<target>` counter. `Error` lines
-    /// always pass.
-    pub fn admit(&self, level: Level, target: &str) -> Option<u64> {
-        if level == Level::Error {
-            return Some(self.suppressed.swap(0, Ordering::Relaxed));
-        }
-        let now = crate::epoch().elapsed().as_nanos() as u64;
-        let last = self.last_refill_ns.load(Ordering::Relaxed);
-        let refill = (now.saturating_sub(last) as u128 * REFILL_MILLI_PER_SEC as u128
-            / 1_000_000_000) as u64;
-        // Claim the elapsed window only when it is worth at least one
-        // milli-token — claiming shorter windows would discard the
-        // accumulated fraction on every tight-loop iteration and the
-        // bucket would never refill under sustained load.
-        if refill > 0
-            && self
-                .last_refill_ns
-                .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            let _ = self.tokens_milli.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| {
-                Some((t + refill).min(BURST_MILLI))
-            });
-        }
-        let took = self.tokens_milli.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| {
-            if t >= MILLI {
-                Some(t - MILLI)
-            } else {
-                None
-            }
-        });
-        match took {
-            Ok(_) => Some(self.suppressed.swap(0, Ordering::Relaxed)),
-            Err(_) => {
-                self.suppressed.fetch_add(1, Ordering::Relaxed);
-                crate::counter_add("telemetry.log.suppressed", 1);
-                // Already on the slow (suppressed) path, so the
-                // per-site name allocation is acceptable.
-                crate::counter_add(&format!("telemetry.log.suppressed.{target}"), 1);
-                None
-            }
-        }
-    }
-}
-
-impl Default for LogSite {
-    fn default() -> Self {
-        LogSite::new()
-    }
-}
-
 /// Log at an explicit [`Level`]: `log_at!(level, target, fmt, args…;
 /// key = value, …)`. The level macros are the usual entry points.
 #[macro_export]
@@ -307,25 +195,12 @@ macro_rules! log_at {
     ($lvl:expr, $target:expr, $fmt:literal $(, $arg:expr)* $(; $($k:ident = $v:expr),+ $(,)?)?) => {{
         let lvl = $lvl;
         if $crate::log_enabled(lvl) {
-            static __BS_LOG_SITE: $crate::LogSite = $crate::LogSite::new();
-            if let ::core::option::Option::Some(suppressed) = __BS_LOG_SITE.admit(lvl, $target) {
-                if suppressed > 0 {
-                    $crate::log_emit(
-                        lvl,
-                        $target,
-                        &::std::format!(
-                            "(rate limiter: {suppressed} earlier lines from this call site suppressed)"
-                        ),
-                        &[],
-                    );
-                }
-                $crate::log_emit(
-                    lvl,
-                    $target,
-                    &::std::format!($fmt $(, $arg)*),
-                    &[$($((::core::stringify!($k), ::std::format!("{}", $v))),+)?],
-                );
-            }
+            $crate::log_emit(
+                lvl,
+                $target,
+                &::std::format!($fmt $(, $arg)*),
+                &[$($((::core::stringify!($k), ::std::format!("{}", $v))),+)?],
+            );
         }
     }};
 }
@@ -440,72 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn token_bucket_suppresses_floods_then_reports_the_gap() {
-        let _g = crate::testutil::serial();
-        crate::enable();
-        let counter_before = crate::registry().counter("telemetry.log.suppressed").get();
-        let site_before = crate::registry().counter("telemetry.log.suppressed.test.bucket").get();
-        let site = LogSite::new();
-        let (mut admitted, mut suppressed) = (0u64, 0u64);
-        for _ in 0..10_000 {
-            match site.admit(Level::Warn, "test.bucket") {
-                Some(_) => admitted += 1,
-                None => suppressed += 1,
-            }
-        }
-        // The burst plus whatever refills during the loop; even a slow
-        // machine spends well under a second here.
-        assert!(admitted >= SITE_BURST, "the burst must pass: {admitted}");
-        assert!(admitted <= SITE_BURST + 2 * SITE_REFILL_PER_SEC, "flood leaked: {admitted}");
-        assert_eq!(admitted + suppressed, 10_000);
-        let counter_after = crate::registry().counter("telemetry.log.suppressed").get();
-        assert!(
-            counter_after - counter_before >= suppressed,
-            "every suppression must be counted (delta={})",
-            counter_after - counter_before
-        );
-        let site_after = crate::registry().counter("telemetry.log.suppressed.test.bucket").get();
-        assert_eq!(
-            site_after - site_before,
-            suppressed,
-            "the per-site counter tallies exactly this site's suppressions"
-        );
-        // Errors bypass the limiter and drain the gap report.
-        let gap = site.admit(Level::Error, "test.bucket").expect("errors always pass");
-        assert_eq!(gap, suppressed, "the next admitted line learns the gap size");
-        // The gap was drained: an immediately following admission
-        // (error again, bucket is empty) reports zero.
-        assert_eq!(site.admit(Level::Error, "test.bucket"), Some(0));
-    }
-
-    #[test]
-    fn token_bucket_refills_after_quiet_period() {
-        let _g = crate::testutil::serial();
-        let site = LogSite::new();
-        while site.admit(Level::Warn, "test.refill").is_some() {}
-        assert!(site.admit(Level::Warn, "test.refill").is_none(), "bucket is dry");
-        // One refill quantum at SITE_REFILL_PER_SEC lines/s.
-        std::thread::sleep(std::time::Duration::from_millis(1_000 / SITE_REFILL_PER_SEC + 50));
-        assert!(site.admit(Level::Warn, "test.refill").is_some(), "a token refilled while quiet");
-    }
-
-    #[test]
-    fn macro_call_sites_are_limited_independently() {
-        let _g = crate::testutil::serial();
-        crate::enable();
-        set_max_log_level(Some(Level::Info));
-        let emitted_before = crate::registry().counter("log.warn").get();
-        for i in 0..5_000 {
-            crate::warn!("test.flood", "storm line {i}");
-        }
-        let emitted = crate::registry().counter("log.warn").get() - emitted_before;
-        // This site may burst, refill a little, and prepend gap
-        // summaries; other tests also log warns concurrently, so the
-        // bound is generous — without limiting it would be ≥ 5000.
-        assert!(emitted <= 500, "flooding site emitted {emitted} lines");
-    }
-
-    #[test]
     fn emitted_events_count_when_registry_enabled() {
         let _g = crate::testutil::serial();
         crate::enable();
@@ -514,5 +323,12 @@ mod tests {
         crate::info!("test", "counted event");
         let after = crate::registry().counter("log.info").get();
         assert!(after > before);
+        // One call site in a loop: every line is emitted and counted.
+        let warned_before = crate::registry().counter("log.warn").get();
+        for i in 0..100 {
+            crate::warn!("test.loop", "line {i}");
+        }
+        let warned = crate::registry().counter("log.warn").get() - warned_before;
+        assert!(warned >= 100, "a loop of 100 warnings emitted {warned}");
     }
 }

@@ -6,7 +6,8 @@
 #   cache → compact window (no 16-byte dedup entry or stored query) →
 #   one sensing pass per dataset (no per-window wrapper, no pipeline
 #   feature config, no per-window rescan, no log merge, no bs-live
-#   ring) → lints as errors → rustdoc as errors → release build → one
+#   ring) → traffic-sized machinery (no work-stealing queue, no log
+#   rate limiter) → lints as errors → rustdoc as errors → release build → one
 #   experiments binary whose registry matches results/ → bs-dns,
 #   bs-netsim, bs-ml, bs-classify, bs-sensor and backscatter-core tests
 #   on the release build → tests → CLI smokes (stream --extract holds
@@ -145,6 +146,20 @@ if grep -rnE 'features_for_window|\.feature_config\b|par_map\(&self\.windows\(\)
 fi
 if [ -e crates/live/src/ring.rs ]; then
     echo "crates/live/src/ring.rs is back"
+    exit 1
+fi
+
+echo "=== traffic-sized machinery: work-stealing queues and the log rate limiter stay deleted"
+# Every parallel region is a flat index range whose workers claim tasks
+# from one shared counter, and no task creates a task, so per-worker
+# deques would balance nothing (DESIGN.md §9). No log call site fires
+# more than once per command, dataset or window, and the watchdog logs
+# only on a hysteresis edge, so a per-site token bucket would limit
+# nothing (DESIGN.md §8, §12).
+if grep -rnE 'VecDeque|next_task|par\.steals' crates/par/src ||
+    grep -rnE 'LogSite|SITE_BURST|SITE_REFILL_PER_SEC|log\.suppressed' \
+        crates src README.md DESIGN.md; then
+    echo "work-stealing queues or the log rate limiter are back (lines above)"
     exit 1
 fi
 

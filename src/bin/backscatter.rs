@@ -577,14 +577,11 @@ metric naming: dotted crate.stage names, e.g.
                              for a slice of the sharded engine
   sensor.shard.merge         histogram: sharded flush + merge (ns; was
                              sensor.shard.window_flush)
-  par.tasks/.steals          work-stealing pool tasks run and steals
-  par.threads                gauge: resolved pool size
+  par.tasks                  pool tasks run
+  par.threads                gauge: workers in the latest region
   par.inflight               gauge: tasks inside active parallel regions
   par.run                    latency histogram per parallel region (ns)
   log.error/.warn/.info/.debug     logger event counts
-  telemetry.log.suppressed   log lines dropped by per-site rate limits
-  telemetry.log.suppressed.<site>  the same drops broken out by the
-                             rate-limited site (log target)
   live.ticks                 gauge: samples taken by the live sampler
   live.health.status         gauge: watchdog state (0 ok, 1 degraded,
                              2 critical; also served at /health)

@@ -5,7 +5,7 @@
 //! test serializes on one mutex and restores the default before
 //! releasing it. The interesting comparisons are 1 thread (the pure
 //! sequential fallback, no pool at all) versus 8 (more workers than
-//! this container has cores, so queues drain by stealing).
+//! a small host has cores, so tasks finish out of index order).
 
 use dns_backscatter::ml::{Algorithm, Dataset, Forest, ForestParams, MajorityEnsemble, Sample};
 use dns_backscatter::prelude::*;
