@@ -175,7 +175,7 @@ fn feature_matching(ctx: &Ctx) -> Run {
         // match order (the dynamic features do not depend on it).
         let mut feats = ctx.features(JpDitl)[0].clone();
         for f in &mut feats {
-            let queriers = &obs.per_originator[&f.originator].queriers;
+            let queriers = obs.originator(f.originator).expect("a sensed originator").queriers();
             let mut counts = [0usize; 14];
             for q in queriers {
                 let category = match ctx.world.reverse_name(*q) {

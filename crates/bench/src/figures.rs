@@ -160,8 +160,7 @@ fn fig16(ctx: &Ctx) -> Run {
         .iter()
         .map(|(_, f)| {
             let mut per_hour: BTreeMap<u64, BTreeSet<_>> = BTreeMap::new();
-            for (offset, q) in obs.per_originator.get(&f.originator).iter().flat_map(|o| &o.queries)
-            {
+            for (offset, q) in obs.originator(f.originator).iter().flat_map(|o| o.queries()) {
                 let t = obs.window_start.secs() + u64::from(*offset);
                 per_hour.entry(t / 3600).or_default().insert(*q);
             }

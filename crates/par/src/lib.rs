@@ -35,10 +35,10 @@
 //!
 //! The pool size resolves, in priority order: [`set_threads`] (the
 //! CLI's `--threads` flag) → the `BS_THREADS` environment variable →
-//! [`std::thread::available_parallelism`]. Workers are scoped threads
-//! spawned per parallel region — there is no persistent pool to keep
-//! alive or shut down, so borrows of stack data just work and a
-//! panicking task propagates to the caller.
+//! [`std::thread::available_parallelism`], capped at 256. Workers are
+//! scoped threads spawned per parallel region — there is no persistent
+//! pool to keep alive or shut down, so borrows of stack data just work
+//! and a panicking task propagates to the caller.
 //!
 //! # Scheduling
 //!
@@ -222,6 +222,8 @@ mod tests {
         assert!(threads() >= 1);
         set_threads(3);
         assert_eq!(threads(), 3);
+        set_threads(usize::MAX);
+        assert_eq!(threads(), pool::MAX_THREADS);
         set_threads(0);
     }
 

@@ -25,13 +25,17 @@ thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
+/// The widest pool [`threads`] resolves to: a region spawns one thread
+/// per task up to the width, so an unbounded width is one per task.
+pub(crate) const MAX_THREADS: usize = 256;
+
 /// The resolved pool size: [`set_threads`] override → `BS_THREADS`
 /// environment variable → [`std::thread::available_parallelism`].
-/// Always at least 1.
+/// Always at least 1 and at most 256.
 pub fn threads() -> usize {
     let o = OVERRIDE.load(Ordering::Relaxed);
     if o > 0 {
-        return o;
+        return o.min(MAX_THREADS);
     }
     *DEFAULT.get_or_init(|| {
         std::env::var("BS_THREADS")
@@ -41,6 +45,7 @@ pub fn threads() -> usize {
             .unwrap_or_else(|| {
                 std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
             })
+            .min(MAX_THREADS)
     })
 }
 

@@ -108,8 +108,8 @@ impl DynamicFeatures {
         // large footprints (they consult external metadata). Chunked
         // parallel lookup is deterministic because the chunk results
         // merge into sets — order cannot matter.
-        let ases = unique_by(&obs.queriers, |q| info.querier_as(q));
-        let countries = unique_by(&obs.queriers, |q| info.querier_country(q));
+        let ases = unique_by(obs.queriers(), |q| info.querier_as(q));
+        let countries = unique_by(obs.queriers(), |q| info.querier_country(q));
         Self::from_counts(
             obs,
             window_start,
@@ -131,9 +131,9 @@ impl DynamicFeatures {
     /// drift.
     ///
     /// Two preconditions, which every observation the sensor builds
-    /// meets: `obs.queriers` is ascending and unique (the entropies
+    /// meets: `obs.queriers()` is ascending and unique (the entropies
     /// count its prefix runs in place; debug builds assert it), and
-    /// `obs.queries` holds offsets in seconds from this `window_start`
+    /// `obs.queries()` holds offsets in seconds from this `window_start`
     /// (persistence divides them into periods as they are). An
     /// observation built otherwise gives wrong features, not an error.
     pub fn from_counts(
@@ -156,10 +156,10 @@ impl DynamicFeatures {
         let total_periods = ((window_end.secs().saturating_sub(window_start.secs()))
             .div_ceil(PERSISTENCE_PERIOD))
         .max(1);
-        let persistence = active_periods(&obs.queries) as f64 / total_periods as f64;
+        let persistence = active_periods(obs.queries()) as f64 / total_periods as f64;
 
         // Spatial.
-        let (local_entropy, global_entropy) = prefix_entropies(&obs.queriers);
+        let (local_entropy, global_entropy) = prefix_entropies(obs.queriers());
 
         let ratio = |num: usize, den: usize| if den == 0 { 0.0 } else { num as f64 / den as f64 };
 
@@ -285,6 +285,9 @@ pub(crate) fn normalized_entropy_reference(values: &[u32], alphabet: f64) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::Observations;
+    use bs_dns::{Rcode, SimDuration};
+    use bs_netsim::log::{QueryLog, QueryLogRecord};
     use bs_netsim::types::{AsId, CountryCode, NameOutcome};
     use std::net::Ipv4Addr;
 
@@ -306,18 +309,24 @@ mod tests {
         }
     }
 
-    /// An observation of `(offset, querier)` queries.
+    /// An observation of `(offset, querier)` queries: one originator
+    /// sensed over a window from time zero with no dedup, so every
+    /// query is kept at its offset.
     fn obs(queries: &[(u32, &str)]) -> OriginatorObservation {
-        let mut o = OriginatorObservation {
-            originator: "203.0.113.9".parse().unwrap(),
-            ..Default::default()
-        };
+        let originator: Ipv4Addr = "203.0.113.9".parse().unwrap();
+        let mut log = QueryLog::new();
         for (t, q) in queries {
-            let qa: Ipv4Addr = q.parse().unwrap();
-            o.queries.push((*t, qa));
-            o.insert_querier(qa);
+            let time = SimTime((*t).into());
+            log.push(QueryLogRecord {
+                time,
+                querier: q.parse().unwrap(),
+                originator,
+                rcode: Rcode::NoError,
+            });
         }
-        o
+        let window =
+            Observations::ingest_with_dedup(&log, SimTime(0), SimTime(u64::MAX), SimDuration(0));
+        window.originator(originator).expect("every query names it").clone()
     }
 
     #[test]
@@ -386,10 +395,7 @@ mod tests {
 
     #[test]
     fn empty_observation_is_all_zero() {
-        let o = OriginatorObservation {
-            originator: "203.0.113.9".parse().unwrap(),
-            ..Default::default()
-        };
+        let o = OriginatorObservation::default();
         let f = DynamicFeatures::compute(&o, &ToyInfo, SimTime(0), SimTime(3600), 4, 2);
         assert_eq!(f, DynamicFeatures::default());
     }

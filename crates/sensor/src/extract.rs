@@ -131,12 +131,10 @@ pub fn extract_with_meta_cache(
         if bs_telemetry::ledger::is_active() {
             // Conservation over the analyzability cut: every observed
             // originator is selected, below threshold, or ranked out.
-            let total = obs.per_originator.len() as u64;
-            let passing = obs
-                .per_originator
-                .values()
-                .filter(|o| o.querier_count() >= config.min_queriers)
-                .count() as u64;
+            let total = obs.originator_count() as u64;
+            let passing =
+                obs.originators().filter(|o| o.querier_count() >= config.min_queriers).count()
+                    as u64;
             let kept = selected.len() as u64;
             bs_telemetry::ledger::record(
                 "sensor.select",
@@ -152,7 +150,7 @@ pub fn extract_with_meta_cache(
     };
     let table = {
         let _stage = bs_telemetry::stage("sensor.extract.lookup");
-        let named = selected.iter().flat_map(|&o| &o.queriers);
+        let named = selected.iter().flat_map(|&o| o.queriers());
         QuerierMetaTable::build_naming(obs, named, info, cache)
     };
     let out: Vec<OriginatorFeatures> = bs_par::par_chunks(&selected, EXTRACT_CHUNK, |_, chunk| {
@@ -202,7 +200,7 @@ fn features_from_table(
     let mut static_counts = [0usize; 14];
     let mut ases = IdBitmap::new(table.distinct_ases());
     let mut countries = IdBitmap::new(table.distinct_countries());
-    for q in &o.queriers {
+    for q in o.queriers() {
         let m = table.get(*q).expect("footprints are subsets of the window's querier set");
         static_counts[m.category as usize] += 1;
         if m.as_id != NO_ID {
@@ -227,7 +225,7 @@ fn features_from_table(
         table.distinct_countries(),
     );
     OriginatorFeatures {
-        originator: o.originator,
+        originator: o.originator(),
         querier_count: o.querier_count(),
         query_count: o.query_count(),
         features: FeatureVector { static_fractions, dynamic },
@@ -251,7 +249,7 @@ pub(crate) fn extract_from_observations_reference(
     let selected = select_analyzable(obs, config.min_queriers, config.top_n);
     bs_par::par_map(&selected, |_, &o| {
         let mut static_counts = [0usize; 14];
-        for q in &o.queriers {
+        for q in o.queriers() {
             let f = classify_querier_name(&info.querier_name(*q));
             static_counts[f.index()] += 1;
         }
@@ -269,7 +267,7 @@ pub(crate) fn extract_from_observations_reference(
             total_countries,
         );
         OriginatorFeatures {
-            originator: o.originator,
+            originator: o.originator(),
             querier_count: o.querier_count(),
             query_count: o.query_count(),
             features: FeatureVector { static_fractions, dynamic },

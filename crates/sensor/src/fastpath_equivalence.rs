@@ -15,6 +15,7 @@ use crate::stream::{ReferenceStreamingSensor, StreamConfig, StreamingSensor, Win
 use bs_dns::{SimDuration, SimTime};
 use bs_netsim::log::{QueryLog, QueryLogRecord};
 use bs_par::Rng;
+use std::net::Ipv4Addr;
 
 const CASES: u64 = 96;
 
@@ -51,7 +52,28 @@ fn assert_streams_agree(records: &[QueryLogRecord], cfg: StreamConfig, seed: u64
     assert_eq!(windows.len(), reference.recorded().len(), "seed {seed}");
     for (w, times) in windows.iter().zip(reference.recorded()) {
         assert_offsets_are_times(&w.observations, times);
+        assert_view_agrees(&w.observations, seed);
     }
+}
+
+/// The window view agrees with itself: originators strictly ascending
+/// and as many as `originator_count`, `originator(a)` the iterator's
+/// entry for every observed `a` and `None` for an absent one, and the
+/// querier column as long as `unique_querier_count`.
+fn assert_view_agrees(obs: &Observations, seed: u64) {
+    let addrs: Vec<Ipv4Addr> = obs.originators().map(|o| o.originator()).collect();
+    assert!(addrs.windows(2).all(|p| p[0] < p[1]), "originators ascend (seed {seed})");
+    assert_eq!(obs.originators().len(), obs.originator_count(), "seed {seed}");
+    assert_eq!(addrs.len(), obs.originator_count(), "seed {seed}");
+    for o in obs.originators() {
+        let found = obs.originator(o.originator()).expect("an iterated originator is found");
+        assert_eq!(found.originator(), o.originator(), "seed {seed}");
+        assert_eq!(found.queriers(), o.queriers(), "seed {seed}");
+        assert_eq!(found.queries(), o.queries(), "seed {seed}");
+    }
+    let absent = (0u32..).map(Ipv4Addr::from).find(|a| addrs.binary_search(a).is_err());
+    assert!(obs.originator(absent.expect("some address is absent")).is_none(), "seed {seed}");
+    assert_eq!(obs.unique_querier_count(), obs.queriers().len(), "seed {seed}");
 }
 
 /// Batch: the sensor run for one window equals the BTree reference —
@@ -83,6 +105,7 @@ fn batch_fast_path_matches_reference() {
                             "seed {seed}, window [{start:?}, {end:?}), dedup {dedup:?}"
                         );
                         assert_offsets_are_times(&fast, &times);
+                        assert_view_agrees(&fast, seed);
                     }
                 }
             }
@@ -156,12 +179,11 @@ fn unbounded_stream_matches_batch() {
         emitted.extend(sensor.finish());
         assert!(emitted.len() <= 1, "one window configured (seed {seed})");
         if let Some(w) = emitted.first() {
-            assert_eq!(w.observations.per_originator, batch.per_originator, "seed {seed}");
-            assert_eq!(w.observations.all_queriers, batch.all_queriers, "seed {seed}");
+            assert_eq!(w.observations, batch, "seed {seed}");
             assert_offsets_are_times(&w.observations, &times);
             assert_eq!(w.evicted, 0, "seed {seed}");
         } else {
-            assert!(batch.per_originator.is_empty(), "seed {seed}");
+            assert_eq!(batch.originator_count(), 0, "seed {seed}");
         }
     }
 }

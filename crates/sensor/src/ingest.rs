@@ -33,20 +33,16 @@ pub const DEDUP_WINDOW: SimDuration = SimDuration(30);
 /// unique queriers to be classified.
 pub const MIN_QUERIERS: usize = 20;
 
-/// One originator's deduplicated query stream.
+/// One originator's deduplicated query stream, read through its methods.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OriginatorObservation {
     /// The originator address.
     pub originator: Ipv4Addr,
-    /// Deduplicated queries as `(offset, querier)` pairs, in arrival
-    /// order (time order when the input is). The offset is the query's
-    /// time in seconds after [`Observations::window_start`]: a sensor
-    /// keeps no record behind its window, and no window is longer than
-    /// [`MAX_WINDOW`], so every query's time is `window_start + offset`
-    /// exactly.
+    /// See [`OriginatorObservation::queries`]. Public because the
+    /// benchmark reads it until ROADMAP 1(c) (item 16(b)).
     pub queries: Vec<(u32, Ipv4Addr)>,
-    /// Unique querier addresses — the footprint as a column, ascending
-    /// and without repeats.
+    /// See [`OriginatorObservation::queriers`]. Public because the
+    /// benchmark reads it until ROADMAP 1(c) (item 16(b)).
     pub queriers: Vec<Ipv4Addr>,
 }
 
@@ -61,6 +57,27 @@ impl Default for OriginatorObservation {
 }
 
 impl OriginatorObservation {
+    /// The originator address.
+    pub fn originator(&self) -> Ipv4Addr {
+        self.originator
+    }
+
+    /// Unique querier addresses — the footprint as a column, ascending
+    /// and without repeats.
+    pub fn queriers(&self) -> &[Ipv4Addr] {
+        &self.queriers
+    }
+
+    /// Deduplicated queries as `(offset, querier)` pairs, in arrival
+    /// order (time order when the input is). The offset is the query's
+    /// time in seconds after [`Observations::window_start`]: a sensor
+    /// keeps no record behind its window, and no window is longer than
+    /// [`MAX_WINDOW`], so every query's time is `window_start + offset`
+    /// exactly.
+    pub fn queries(&self) -> &[(u32, Ipv4Addr)] {
+        &self.queries
+    }
+
     /// Total deduplicated queries.
     pub fn query_count(&self) -> usize {
         self.queries.len()
@@ -82,17 +99,20 @@ impl OriginatorObservation {
 }
 
 /// All originators observed in a window, with window-global context the
-/// dynamic features need (total ASes and countries seen).
+/// dynamic features need (total ASes and countries seen). Read it through
+/// its accessors: only this module, [`crate::stream`] and [`crate::shard`]
+/// build a window and know how it is stored.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Observations {
     /// Window start (inclusive).
     pub window_start: SimTime,
     /// Window end (exclusive).
     pub window_end: SimTime,
-    /// Per-originator deduplicated streams.
+    /// Per-originator deduplicated streams. Public because the
+    /// benchmark reads it until ROADMAP 1(c) (item 16(b)).
     pub per_originator: BTreeMap<Ipv4Addr, OriginatorObservation>,
-    /// All querier addresses seen in the window (across originators),
-    /// ascending and without repeats.
+    /// See [`Observations::queriers`]. Public because the benchmark
+    /// reads it until ROADMAP 1(c) (item 16(b)).
     pub all_queriers: Vec<Ipv4Addr>,
 }
 
@@ -107,17 +127,17 @@ pub(crate) type QueryTimes = BTreeMap<Ipv4Addr, Vec<SimTime>>;
 #[cfg(test)]
 pub(crate) fn assert_offsets_are_times(obs: &Observations, times: &QueryTimes) {
     assert_eq!(
-        obs.per_originator.keys().collect::<Vec<_>>(),
-        times.keys().collect::<Vec<_>>(),
+        obs.originators().map(|o| o.originator()).collect::<Vec<_>>(),
+        times.keys().copied().collect::<Vec<_>>(),
         "originators with stored queries"
     );
-    for (originator, o) in &obs.per_originator {
+    for o in obs.originators() {
         let at: Vec<SimTime> = o
-            .queries
+            .queries()
             .iter()
             .map(|&(offset, _)| obs.window_start + SimDuration(offset.into()))
             .collect();
-        assert_eq!(at, times[originator], "{originator}: window_start + offset");
+        assert_eq!(at, times[&o.originator()], "{}: window_start + offset", o.originator());
     }
 }
 
@@ -216,18 +236,39 @@ impl Observations {
     /// interned [`crate::qmeta::QuerierMetaTable`].
     #[cfg(test)]
     pub(crate) fn total_ases(&self, info: &(impl crate::QuerierInfo + Sync)) -> usize {
-        crate::dynamic::unique_by(&self.all_queriers, |q| info.querier_as(q)).len()
+        crate::dynamic::unique_by(self.queriers(), |q| info.querier_as(q)).len()
     }
 
     /// Unique countries among all queriers in the window (reference).
     #[cfg(test)]
     pub(crate) fn total_countries(&self, info: &(impl crate::QuerierInfo + Sync)) -> usize {
-        crate::dynamic::unique_by(&self.all_queriers, |q| info.querier_country(q)).len()
+        crate::dynamic::unique_by(self.queriers(), |q| info.querier_country(q)).len()
+    }
+
+    /// Every observed originator, in ascending address order.
+    pub fn originators(&self) -> impl ExactSizeIterator<Item = &OriginatorObservation> {
+        self.per_originator.values()
+    }
+
+    /// The originator at `addr`, if the window observed it.
+    pub fn originator(&self, addr: Ipv4Addr) -> Option<&OriginatorObservation> {
+        self.per_originator.get(&addr)
     }
 
     /// Number of originators observed at all.
     pub fn originator_count(&self) -> usize {
         self.per_originator.len()
+    }
+
+    /// All querier addresses seen in the window (across originators),
+    /// ascending and without repeats.
+    pub fn queriers(&self) -> &[Ipv4Addr] {
+        &self.all_queriers
+    }
+
+    /// Number of distinct queriers seen in the window.
+    pub fn unique_querier_count(&self) -> usize {
+        self.all_queriers.len()
     }
 }
 
@@ -240,9 +281,9 @@ pub fn select_analyzable(
     top_n: Option<usize>,
 ) -> Vec<&OriginatorObservation> {
     let mut v: Vec<&OriginatorObservation> =
-        obs.per_originator.values().filter(|o| o.querier_count() >= min_queriers).collect();
+        obs.originators().filter(|o| o.querier_count() >= min_queriers).collect();
     v.sort_by(|a, b| {
-        b.querier_count().cmp(&a.querier_count()).then_with(|| a.originator.cmp(&b.originator))
+        b.querier_count().cmp(&a.querier_count()).then_with(|| a.originator().cmp(&b.originator()))
     });
     if let Some(n) = top_n {
         v.truncate(n);
@@ -274,7 +315,7 @@ mod tests {
         log.push(rec(31, "192.0.2.1", "203.0.113.9")); // 31s after t=0: kept
         log.push(rec(40, "192.0.2.2", "203.0.113.9")); // different querier: kept
         let obs = Observations::ingest(&log, SimTime(0), SimTime(1000));
-        let o = &obs.per_originator[&"203.0.113.9".parse::<Ipv4Addr>().unwrap()];
+        let o = obs.originator("203.0.113.9".parse().unwrap()).unwrap();
         assert_eq!(o.query_count(), 3);
         assert_eq!(o.querier_count(), 2);
     }
@@ -287,7 +328,7 @@ mod tests {
         log.push(rec(60, "192.0.2.1", "203.0.113.9")); // 29s after t=31: dropped
         log.push(rec(62, "192.0.2.1", "203.0.113.9")); // 31s after t=31: accepted
         let obs = Observations::ingest(&log, SimTime(0), SimTime(1000));
-        let o = &obs.per_originator[&"203.0.113.9".parse::<Ipv4Addr>().unwrap()];
+        let o = obs.originator("203.0.113.9".parse().unwrap()).unwrap();
         assert_eq!(o.query_count(), 3);
     }
 
@@ -298,7 +339,7 @@ mod tests {
         log.push(rec(5, "192.0.2.1", "203.0.113.10")); // same querier, other originator
         let obs = Observations::ingest(&log, SimTime(0), SimTime(1000));
         assert_eq!(obs.originator_count(), 2);
-        assert_eq!(obs.all_queriers.len(), 1);
+        assert_eq!(obs.unique_querier_count(), 1);
     }
 
     #[test]
@@ -309,7 +350,7 @@ mod tests {
         log.push(rec(199, "192.0.2.3", "203.0.113.9"));
         log.push(rec(200, "192.0.2.4", "203.0.113.9"));
         let obs = Observations::ingest(&log, SimTime(100), SimTime(200));
-        let o = &obs.per_originator[&"203.0.113.9".parse::<Ipv4Addr>().unwrap()];
+        let o = obs.originator("203.0.113.9".parse().unwrap()).unwrap();
         assert_eq!(o.query_count(), 2);
     }
 
@@ -329,8 +370,8 @@ mod tests {
         let obs = Observations::ingest(&log, SimTime(0), SimTime(10_000));
         let selected = select_analyzable(&obs, MIN_QUERIERS, None);
         assert_eq!(selected.len(), 2);
-        assert_eq!(selected[0].originator, "203.0.113.1".parse::<Ipv4Addr>().unwrap());
-        assert_eq!(selected[1].originator, "203.0.113.2".parse::<Ipv4Addr>().unwrap());
+        assert_eq!(selected[0].originator(), "203.0.113.1".parse::<Ipv4Addr>().unwrap());
+        assert_eq!(selected[1].originator(), "203.0.113.2".parse::<Ipv4Addr>().unwrap());
         let top1 = select_analyzable(&obs, MIN_QUERIERS, Some(1));
         assert_eq!(top1.len(), 1);
         assert_eq!(top1[0].querier_count(), 25);

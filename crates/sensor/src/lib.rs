@@ -42,7 +42,10 @@
 //! one private one-multiply hasher (packed integer keys, arena-indexed
 //! per-originator state, `u32` querier sets, lazy eviction heap) and
 //! converts to the BTree-ordered [`Observations`]
-//! representation only at window flush; BTree reference
+//! representation only at window flush. Every reader sees that window
+//! through [`Observations`]' accessors and [`OriginatorObservation`]'s
+//! methods, so only the code that builds it ([`ingest`], [`stream`],
+//! [`shard`]) knows how it is stored. BTree reference
 //! implementations, compiled for tests only, define the semantics and
 //! are property-tested equal on arbitrary record streams (the
 //! `*_equivalence` modules of this crate). For live traffic,

@@ -13,7 +13,7 @@
 //!
 //! * [`QuerierMetaTable`] — one per-window table keyed by the
 //!   packed-u32 address, filled in two passes. The *place* pass visits
-//!   every unique querier of `Observations::all_queriers` once and
+//!   every unique querier of [`Observations::queriers`] once and
 //!   resolves its AS and country, *interned* into dense id spaces
 //!   `0..n` in ascending-querier order (deterministic regardless of
 //!   thread count), so window totals fall out of the interner sizes and
@@ -135,14 +135,15 @@ impl QuerierMetaTable {
     /// the cache's `keep_windows` generations ago) hit `info`.
     ///
     /// Interning runs sequentially over the ascending
-    /// `all_queriers` order, so dense ids — and everything computed
-    /// from them — are independent of thread count and cache state.
+    /// [`Observations::queriers`] order, so dense ids — and everything
+    /// computed from them — are independent of thread count and cache
+    /// state.
     pub fn build(
         obs: &Observations,
         info: &(impl QuerierInfo + Sync),
         cache: Option<&mut QuerierMetaCache>,
     ) -> Self {
-        Self::build_naming(obs, &obs.all_queriers, info, cache)
+        Self::build_naming(obs, obs.queriers(), info, cache)
     }
 
     /// [`QuerierMetaTable::build`], naming only the queriers `named`
@@ -161,12 +162,12 @@ impl QuerierMetaTable {
         // country on a miss, intern in ascending-querier order. The
         // index is built after the loop, so a cache resize inside it
         // never coexists with the index.
-        let n = obs.all_queriers.len();
+        let n = obs.unique_querier_count();
         let mut as_ids: HashMap<u32, u32, IntHash> = HashMap::default();
         let mut country_ids: HashMap<u32, u32, IntHash> = HashMap::default();
         let mut meta = Vec::with_capacity(n);
         let (mut resolved, mut unnamed) = (0u64, 0usize);
-        for a in &obs.all_queriers {
+        for a in obs.queriers() {
             let key = u32::from(*a);
             let r = match cache.as_deref_mut().and_then(|c| c.get(key)) {
                 Some(r) => r,
@@ -202,7 +203,7 @@ impl QuerierMetaTable {
             meta.push(QuerierMeta { category, as_id, country_id });
         }
         let index: HashMap<u32, u32, IntHash> =
-            obs.all_queriers.iter().zip(0..).map(|(a, i)| (u32::from(*a), i)).collect();
+            obs.queriers().iter().zip(0..).map(|(a, i)| (u32::from(*a), i)).collect();
         if bs_telemetry::ledger::is_active() {
             // Conservation over the place pass: every unique querier
             // either reused a cached resolution or cost one metadata
@@ -502,7 +503,7 @@ mod tests {
     fn table_categories_match_direct_classification() {
         let obs = observations(&[[10, 1, 0, 1], [10, 1, 0, 2]]);
         let table = QuerierMetaTable::build(&obs, &ToyInfo, None);
-        for q in &obs.all_queriers {
+        for q in obs.queriers() {
             let direct = classify_querier_name(&ToyInfo.querier_name(*q)).index() as u8;
             assert_eq!(table.get(*q).unwrap().category, direct);
         }
@@ -513,11 +514,11 @@ mod tests {
         let obs = observations(&[[10, 1, 0, 1], [10, 2, 0, 2], [11, 3, 0, 3]]);
         let a = QuerierMetaTable::build(&obs, &ToyInfo, None);
         let b = QuerierMetaTable::build(&obs, &ToyInfo, None);
-        for q in &obs.all_queriers {
+        for q in obs.queriers() {
             assert_eq!(a.get(*q), b.get(*q));
         }
         // First querier in ascending order interns id 0.
-        let first = obs.all_queriers[0];
+        let first = obs.queriers()[0];
         assert_eq!(a.get(first).unwrap().as_id, 0);
     }
 
@@ -531,7 +532,7 @@ mod tests {
         let warm = QuerierMetaTable::build(&obs, &ToyInfo, Some(&mut cache));
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.misses(), 2);
-        for q in &obs.all_queriers {
+        for q in obs.queriers() {
             assert_eq!(cold.get(*q), warm.get(*q), "cache must not change interning");
         }
     }
@@ -673,7 +674,7 @@ mod tests {
         let obs = cut_window();
         let info = CountingInfo::default();
         let cold = extract_with_meta_cache(&obs, &info, &CUT, None);
-        assert_eq!(obs.all_queriers.len(), 5);
+        assert_eq!(obs.unique_querier_count(), 5);
         assert_eq!(info.take(), 3, "one name per querier of the selected footprint");
         assert_eq!(cold, extract_from_observations_reference(&obs, &ToyInfo, &CUT));
         QuerierMetaTable::build(&obs, &info, None);

@@ -200,7 +200,7 @@ fn replayed_windows_hit_the_cache_and_stay_identical() {
     let mut cache = QuerierMetaCache::default();
     let first = extract_with_meta_cache(&obs, &SynthInfo, &config, Some(&mut cache));
     assert_eq!(cache.hits(), 0, "cold cache serves nothing");
-    let unique = obs.all_queriers.len() as u64;
+    let unique = obs.unique_querier_count() as u64;
     assert_eq!(cache.misses(), unique, "one resolution per unique querier");
 
     let second = extract_with_meta_cache(&obs, &SynthInfo, &config, Some(&mut cache));
@@ -235,5 +235,5 @@ fn replays_across_cuts_stay_identical() {
         let reference = extract_from_observations_reference(&obs, &SynthInfo, &config);
         assert_eq!(bits(&warm), bits(&reference), "replay {replay} at top_n {top_n:?}");
     }
-    assert_eq!(cache.misses(), obs.all_queriers.len() as u64);
+    assert_eq!(cache.misses(), obs.unique_querier_count() as u64);
 }

@@ -170,12 +170,11 @@ fn sharded_stream_equals_plain_sensor_and_batch() {
         );
         assert!(expect.len() <= 1, "one window configured (seed {seed})");
         if let Some(w) = expect.first() {
-            assert_eq!(w.observations.per_originator, batch.per_originator, "seed {seed}");
-            assert_eq!(w.observations.all_queriers, batch.all_queriers, "seed {seed}");
+            assert_eq!(w.observations, batch, "seed {seed}");
             assert_offsets_are_times(&w.observations, &times);
             assert_eq!(w.evicted, 0, "seed {seed}");
         } else {
-            assert!(batch.per_originator.is_empty(), "seed {seed}");
+            assert_eq!(batch.originator_count(), 0, "seed {seed}");
         }
     }
 }

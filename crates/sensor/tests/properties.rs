@@ -71,10 +71,10 @@ fn dedup_only_removes_repeats() {
         };
         let (strict, none) = (ingest(30), ingest(0));
         assert_eq!(strict.originator_count(), none.originator_count(), "seed {seed}");
-        for (ip, o) in &strict.per_originator {
-            let raw = &none.per_originator[ip];
+        for o in strict.originators() {
+            let raw = none.originator(o.originator()).expect("both widths observe it");
             assert!(o.query_count() <= raw.query_count(), "seed {seed}");
-            assert_eq!(o.queriers, raw.queriers, "dedup must not drop queriers (seed {seed})");
+            assert_eq!(o.queriers(), raw.queriers(), "dedup must not drop queriers (seed {seed})");
         }
     }
 }

@@ -7,11 +7,13 @@
 #   one sensing pass per dataset (no per-window wrapper, no pipeline
 #   feature config, no per-window rescan, no log merge, no bs-live
 #   ring) → traffic-sized machinery (no work-stealing queue, no log
-#   rate limiter) → lints as errors → rustdoc as errors → release build → one
-#   experiments binary whose registry matches results/ → bs-dns,
-#   bs-netsim, bs-ml, bs-classify, bs-sensor and backscatter-core tests
-#   on the release build → tests → CLI smokes (stream --extract holds
-#   fewer cache entries than the log has queriers).
+#   rate limiter) → one window view (only the code that builds a
+#   window reads its storage) → lints as errors → rustdoc as errors →
+#   release build → one experiments binary whose registry matches
+#   results/ → bs-dns, bs-netsim, bs-ml, bs-classify, bs-sensor and
+#   backscatter-core tests on the release build → tests → CLI smokes
+#   (stream --extract holds fewer cache entries than the log has
+#   queriers).
 # Performance is not gated here: `bash benchmark/run.sh` measures it.
 # Any step failing fails the script.
 set -euo pipefail
@@ -160,6 +162,17 @@ if grep -rnE 'VecDeque|next_task|par\.steals' crates/par/src ||
     grep -rnE 'LogSite|SITE_BURST|SITE_REFILL_PER_SEC|log\.suppressed' \
         crates src README.md DESIGN.md; then
     echo "work-stealing queues or the log rate limiter are back (lines above)"
+    exit 1
+fi
+
+echo "=== one window view: only the code that builds a window reads its storage"
+# Every reader sees a sensed window through Observations' accessors and
+# OriginatorObservation's methods (DESIGN.md §10), so only ingest.rs,
+# stream.rs and shard.rs, with their own unit tests, know how it is
+# stored. The benchmark reads the fields until ROADMAP 1(c).
+if grep -rnE '\.per_originator|\.all_queriers' crates src tests examples |
+    grep -vE '^crates/sensor/src/(ingest|stream|shard)\.rs:'; then
+    echo "a window's storage is read outside the code that builds it (lines above)"
     exit 1
 fi
 

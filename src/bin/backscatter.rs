@@ -322,7 +322,7 @@ fn cmd_stream(
                     "window [{}s, {}s): {} originators, {} evicted",
                     w.window.0.secs(),
                     w.window.1.secs(),
-                    w.observations.per_originator.len(),
+                    w.observations.originator_count(),
                     w.evicted,
                 );
             },
@@ -345,7 +345,7 @@ fn cmd_stream(
                         "window [{}s, {}s): {} originators, {} evicted, {} analyzable",
                         w.window.0.secs(),
                         w.window.1.secs(),
-                        w.observations.per_originator.len(),
+                        w.observations.originator_count(),
                         w.evicted,
                         features.len(),
                     );
@@ -572,11 +572,9 @@ metric naming: dotted crate.stage names, e.g.
                              ml.train/.fit_run/.fit.shared/.fit.tree/
                              .predict, analysis.report
   sensor.stream              histogram: one window close (ns), under the
-                             name of its ledger row (was
-                             sensor.window_flush); sensor.stream.shard
+                             name of its ledger row; sensor.stream.shard
                              for a slice of the sharded engine
-  sensor.shard.merge         histogram: sharded flush + merge (ns; was
-                             sensor.shard.window_flush)
+  sensor.shard.merge         histogram: sharded flush + merge (ns)
   par.tasks                  pool tasks run
   par.threads                gauge: workers in the latest region
   par.inflight               gauge: tasks inside active parallel regions
@@ -617,8 +615,8 @@ Perfetto or chrome://tracing, or summarize it with
 (records in == sum of outcome buckets, per stage and window) is
 verified at exit; imbalances are logged as warnings.
 
-parallelism: --threads <N> or BS_THREADS (default all cores);
-results are bit-identical at any thread count."
+parallelism: --threads <N> or BS_THREADS (default all cores, at most
+256); results are bit-identical at any thread count."
             );
             Ok(())
         }
@@ -692,9 +690,9 @@ telemetry snapshot (counters, gauges, latency histograms) on
 success, --trace <path> to record a causal trace and write Chrome
 trace-event JSON (open in Perfetto / chrome://tracing), and
 --threads <N> to size the worker pool (default: BS_THREADS env, else
-all cores; results are bit-identical at any thread count); set
-BS_LOG=off|error|warn|info|debug to control log verbosity and
-BS_LOG_FORMAT=json for one JSON object per log line.
+all cores, at most 256; results are bit-identical at any thread
+count); set BS_LOG=off|error|warn|info|debug to control log verbosity
+and BS_LOG_FORMAT=json for one JSON object per log line.
 
 datasets: JP-ditl, B-post-ditl, B-long, B-multi-year, M-ditl, M-ditl-2015, M-sampled"
     );
