@@ -2,7 +2,7 @@
 
 use crate::labels::LabeledSet;
 use bs_activity::ApplicationClass;
-use bs_ml::{Algorithm, Dataset, MajorityEnsemble, RowBlock, Sample, BLOCK_ROWS};
+use bs_ml::{Algorithm, Dataset, Forest, MajorityEnsemble, RowBlock, Sample, BLOCK_ROWS};
 use bs_sensor::{FeatureVector, OriginatorFeatures};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -126,6 +126,26 @@ impl TrainedClassifier {
         .into_iter()
         .flatten()
         .collect()
+    }
+}
+
+impl TryFrom<Forest> for TrainedClassifier {
+    type Error = String;
+
+    /// A saved forest, classifying through the same blocked vote as a
+    /// trained ensemble. It must read the sensor's feature vector and
+    /// vote only for classes of the schema: a forest from a file is
+    /// outside input, and a class past the schema has no name.
+    fn try_from(forest: Forest) -> Result<Self, String> {
+        let (features, sensor) = (forest.importances().len(), FeatureVector::LEN);
+        if features != sensor {
+            return Err(format!("model has {features} features, the sensor extracts {sensor}"));
+        }
+        let (classes, schema) = (forest.n_classes(), ApplicationClass::ALL.len());
+        if classes > schema {
+            return Err(format!("model has {classes} classes, the class schema has {schema}"));
+        }
+        Ok(TrainedClassifier { ensemble: forest.into() })
     }
 }
 

@@ -7,6 +7,7 @@
 use crate::argmax_first;
 use crate::dataset::Dataset;
 use crate::flat::{RowBlock, BLOCK_ROWS};
+use crate::forest::Forest;
 use crate::{Algorithm, Model};
 
 /// A bag of independently trained models that predicts by majority.
@@ -87,6 +88,16 @@ impl MajorityEnsemble {
     /// True when no members exist (never, by construction).
     pub fn is_empty(&self) -> bool {
         self.models.is_empty()
+    }
+}
+
+impl From<Forest> for MajorityEnsemble {
+    /// A single forest (a saved model, say) as a one-member vote, so
+    /// its batch verdicts take [`MajorityEnsemble::predict_block`] like
+    /// a trained ensemble's do.
+    fn from(forest: Forest) -> Self {
+        let (n_classes, n_features) = (forest.n_classes(), forest.importances().len());
+        MajorityEnsemble { models: vec![Model::Forest(forest)], n_classes, n_features }
     }
 }
 
@@ -268,7 +279,6 @@ mod tests {
 
     use crate::flat::random::{random_tree, random_value, Rng};
     use crate::flat::FlatTree;
-    use crate::forest::Forest;
     use crate::tree::DecisionTree;
 
     fn forest_of(trees: Vec<FlatTree>, n_classes: usize) -> Forest {
@@ -346,7 +356,8 @@ mod tests {
 
     /// Two classes and an even number of trees: a row can tie on the
     /// last tree, and the tie must go to class 0 however late the lead
-    /// changed hands.
+    /// changed hands. Each forest votes alone, as a saved model does
+    /// (`MajorityEnsemble::from`).
     #[test]
     fn two_class_forests_with_even_tree_counts_tie_on_the_last_tree() {
         let mut ties = 0;
@@ -355,7 +366,7 @@ mod tests {
             let n_trees = [2, 4, 8, 10, 16, 18][seed as usize % 6];
             let n_features = 1 + rng.below(3);
             let forest = random_forest(&mut rng, n_trees, n_features, 2);
-            let e = ensemble_of(vec![forest]);
+            let e = MajorityEnsemble::from(forest);
             for x in assert_batch_is_the_full_vote(&e, &mut rng, &format!("seed {seed}")) {
                 let Model::Forest(f) = &e.models[0] else { unreachable!() };
                 let ones = f.trees().iter().filter(|t| t.predict(&x) == 1).count();
@@ -366,7 +377,7 @@ mod tests {
         // Class 1 leads by up to m votes until the last m trees vote 0.
         for m in [1, 4, 7, 8, 9, 17] {
             let trees = (0..2 * m).map(|i| constant(2, usize::from(i < m))).collect();
-            let e = ensemble_of(vec![forest_of(trees, 2)]);
+            let e = MajorityEnsemble::from(forest_of(trees, 2));
             let rows = assert_batch_is_the_full_vote(&e, &mut Rng(m as u64), &format!("{m} + {m}"));
             assert!(rows.iter().all(|x| e.predict(x) == 0), "{m} + {m} ties to class 0");
         }

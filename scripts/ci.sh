@@ -8,12 +8,14 @@
 #   feature config, no per-window rescan, no log merge, no bs-live
 #   ring) → traffic-sized machinery (no work-stealing queue, no log
 #   rate limiter) → one window view (only the code that builds a
-#   window reads its storage) → lints as errors → rustdoc as errors →
-#   release build → one experiments binary whose registry matches
-#   results/ → bs-dns, bs-netsim, bs-ml, bs-classify, bs-sensor and
-#   backscatter-core tests on the release build → tests → CLI smokes
-#   (stream --extract holds fewer cache entries than the log has
-#   queriers).
+#   window reads its storage) → one road from bytes to verdicts (no
+#   classify --model, no --shards, --capture or --format flag) → lints
+#   as errors → rustdoc as errors → release build → one experiments
+#   binary whose registry matches results/ → bs-dns, bs-netsim, bs-ml,
+#   bs-classify, bs-sensor and backscatter-core tests on the release
+#   build → tests → CLI smokes (stream --extract holds fewer cache
+#   entries than the log has queriers; stream --model prints verdict
+#   rows from a capture).
 # Performance is not gated here: `bash benchmark/run.sh` measures it.
 # Any step failing fails the script.
 set -euo pipefail
@@ -176,6 +178,20 @@ if grep -rnE '\.per_originator|\.all_queriers' crates src tests examples |
     exit 1
 fi
 
+echo "=== one road from bytes to verdicts: the retired CLI roads and flags stay deleted"
+# A saved model classifies through `stream --model` only, every --log
+# is read by its bytes (a capture needs no flag of its own), the
+# sharded engine is not a user's switch, and `stats` snapshots no idle
+# process (README "The backscatter CLI").
+commands="$(sed -n '/^const COMMANDS/,/^];/p' src/bin/backscatter.rs | tr '\n' ' ' |
+    grep -o '&\[[^]]*\]' || true)"
+[ -n "$commands" ] || { echo "no COMMANDS flag lists in src/bin/backscatter.rs"; exit 1; }
+if grep -n 'cmd_classify_with_model' src/bin/backscatter.rs ||
+    grep -E '"(shards|capture|format)"' <<<"$commands"; then
+    echo "a retired CLI road or flag is back (lines above)"
+    exit 1
+fi
+
 echo "=== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -276,9 +292,22 @@ queriers="$(cut -f2 "$trace_tmp/jp.tsv" | sort -u | wc -l)"
 [ "$held" -lt "$queriers" ] ||
     { echo "qmeta cache holds $held entries, the log has $queriers queriers"; exit 1; }
 
-echo "=== CLI smoke: sharded stream --serve answers a live scrape"
+echo "=== CLI smoke: stream --model classifies a capture window by window"
+# Capture bytes → sensor → extract → classify_all: the chain the
+# benchmark measures, as one command.
+target/release/backscatter capture --log "$trace_tmp/jp.tsv" --out "$trace_tmp/jp.bscap"
+target/release/backscatter train --log "$trace_tmp/jp.bscap" --dataset JP-ditl \
+    --scale smoke --seed 5 --save "$trace_tmp/jp.bsf"
+model_out="$(target/release/backscatter stream --log "$trace_tmp/jp.bscap" \
+    --model "$trace_tmp/jp.bsf")"
+[ "$(head -n1 <<<"$model_out")" = $'window\toriginator\tqueriers\tclass' ] ||
+    { echo "stream --model printed no verdict header"; exit 1; }
+rows="$(awk -F'\t' 'NR > 1 && NF == 4 && $1 ~ /^[0-9]+$/' <<<"$model_out" | wc -l)"
+[ "$rows" -gt 0 ] || { echo "stream --model printed no verdict rows"; exit 1; }
+
+echo "=== CLI smoke: stream --serve answers a live scrape"
 target/release/backscatter stream --log "$trace_tmp/jp.tsv" --window 600 \
-    --shards 4 --serve 127.0.0.1:0 --linger 6 > "$trace_tmp/stream.out" &
+    --serve 127.0.0.1:0 --linger 6 > "$trace_tmp/stream.out" &
 stream_pid=$!
 # The binary prints the ephemeral port before ingest starts.
 addr=""

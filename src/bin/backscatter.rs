@@ -6,16 +6,22 @@
 //! backscatter features --log jp.tsv [--min-queriers 20]
 //! backscatter classify --log jp.tsv --dataset JP-ditl --scale smoke --seed 7
 //! backscatter capture  --log jp.tsv --out jp.bscap      # TSV → packet capture
-//! backscatter capture  --capture jp.bscap --out jp.tsv  # packet capture → TSV
+//! backscatter capture  --log jp.bscap --out jp.tsv      # packet capture → TSV
+//! backscatter stream   --log jp.bscap --model jp.bsf    # per-window verdicts
 //! ```
 //!
-//! The world is deterministic per seed, so `classify` can re-derive the
-//! generating scenario (for label curation) from the same dataset,
-//! scale, and seed that produced the log.
+//! Every `--log` is read by its bytes: a BSCAP1 packet capture or a TSV
+//! query log. The world is deterministic per seed, so `classify` can
+//! re-derive the generating scenario (for label curation) from the same
+//! dataset, scale, and seed that produced the log.
 
-use dns_backscatter::netsim::capture::{read_capture, write_capture};
+use dns_backscatter::classify::pipeline::feature_map;
+use dns_backscatter::classify::TrainedClassifier;
+use dns_backscatter::ml::Forest;
+use dns_backscatter::netsim::capture::{self, read_capture, write_capture};
 use dns_backscatter::netsim::log::QueryLog;
 use dns_backscatter::prelude::*;
+use dns_backscatter::sensor::ingest::MIN_QUERIERS;
 use dns_backscatter::sensor::StreamConfig;
 use dns_backscatter::telemetry;
 use std::collections::BTreeMap;
@@ -256,12 +262,17 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
 /// `backscatter stream`: replay a query log through the streaming
 /// sensor as a long-running process — optionally paced to a target
 /// records/second — with the bs-live observability stack attached via
-/// the global `--serve` flag.
+/// the global `--serve` flag. With `--model` it is the road from capture
+/// bytes to verdicts: every window is extracted and its analyzable
+/// originators classified as the window closes.
 fn cmd_stream(
     flags: &Flags,
     live: Option<&dns_backscatter::live::LiveHandle>,
 ) -> Result<(), String> {
-    let log = load_log(flags)?;
+    // Checked before anything prints: a model of the wrong arity would
+    // otherwise fail inside the first window's prediction.
+    let model = flags.get("model").map(|path| load_model(path)).transpose()?;
+    let (log, _) = load_log(flags)?;
     let window_secs: u64 = match flags.get("window") {
         None => 3600,
         Some(s) => match s.parse() {
@@ -284,19 +295,16 @@ fn cmd_stream(
             s.parse().map_err(|_| format!("bad --pace {s:?} (records/sec, 0 = flat out)"))?
         }
     };
-    let shards: usize = match flags.get("shards") {
-        None => 0, // the single sensor
-        Some(s) => {
-            s.parse().map_err(|_| format!("bad --shards {s:?} (lanes, 0 = single sensor)"))?
-        }
-    };
     // --extract N: run per-window feature extraction (analyzability
     // threshold N unique queriers) through the cross-window querier
-    // metadata cache — the online-serving posture.
-    let extract: Option<usize> = flags
-        .get("extract")
-        .map(|s| s.parse().map_err(|_| format!("bad --extract {s:?} (min unique queriers)")))
-        .transpose()?;
+    // metadata cache — the online-serving posture. A model needs the
+    // features, so it extracts at the sensor's default threshold.
+    let extract: Option<usize> = match flags.get("extract") {
+        Some(s) => {
+            Some(s.parse().map_err(|_| format!("bad --extract {s:?} (min unique queriers)"))?)
+        }
+        None => model.is_some().then_some(MIN_QUERIERS),
+    };
     let config = StreamConfig {
         window: SimDuration::from_secs(window_secs),
         max_originators,
@@ -306,15 +314,11 @@ fn cmd_stream(
     // already enabled it, but `stream` records even when run bare so
     // --metrics output is always populated.
     telemetry::enable();
-    let resolved_shards = dns_backscatter::stream::resolve_shards(shards);
-    if resolved_shards > 1 {
-        println!("stream: sharding ingest across {resolved_shards} lanes");
-    }
     let stats = match extract {
         None => dns_backscatter::stream::run_live_stream(
             log.records(),
             config,
-            shards,
+            0,
             live,
             pace_rps,
             |w| {
@@ -328,13 +332,16 @@ fn cmd_stream(
             },
         ),
         Some(min_queriers) => {
+            if model.is_some() {
+                println!("window\toriginator\tqueriers\tclass");
+            }
             let world = World::new(WorldConfig::default());
             let feature_config = FeatureConfig { min_queriers, top_n: None };
             let mut cache = dns_backscatter::sensor::QuerierMetaCache::default();
             let stats = dns_backscatter::stream::run_live_stream_extracting(
                 log.records(),
                 config,
-                shards,
+                0,
                 live,
                 pace_rps,
                 &world,
@@ -349,6 +356,18 @@ fn cmd_stream(
                         w.evicted,
                         features.len(),
                     );
+                    if let Some(model) = &model {
+                        let verdicts = model.classify_all(&feature_map(features));
+                        for f in features {
+                            let class = verdicts[&f.originator];
+                            println!(
+                                "{}\t{}\t{}\t{class}",
+                                w.window.0.secs(),
+                                f.originator,
+                                f.querier_count
+                            );
+                        }
+                    }
                 },
             );
             println!(
@@ -378,13 +397,28 @@ fn cmd_stream(
     Ok(())
 }
 
-/// `backscatter stats --watch <addr>`: poll a live `/snapshot`
-/// endpoint and print a refreshing rate table.
-fn cmd_stats_watch(flags: &Flags, target: &str) -> Result<(), String> {
+/// A saved `bs-forest v1` model that reads the sensor's features.
+fn load_model(path: &str) -> Result<TrainedClassifier, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let forest = Forest::from_text(&text).map_err(|e| format!("parse {path}: {e}"))?;
+    TrainedClassifier::try_from(forest)
+}
+
+/// `backscatter stats --watch|--top <addr>`: GET `route` from `target`
+/// (the value of `--<flag>`) every `--interval-ms` (default 1000) for
+/// `--iterations` rounds (0 polls forever), rendering each answer with
+/// `render`, a blank line between rounds.
+fn cmd_stats_poll(
+    flags: &Flags,
+    (flag, target): (&str, &str),
+    route: &str,
+    default_iterations: u64,
+    render: fn(&telemetry::json::Value),
+) -> Result<(), String> {
     let addr: std::net::SocketAddr =
-        target.parse().map_err(|_| format!("bad --watch address {target:?} (ip:port)"))?;
+        target.parse().map_err(|_| format!("bad --{flag} address {target:?} (ip:port)"))?;
     let iterations: u64 = match flags.get("iterations") {
-        None => 0, // 0 = poll forever
+        None => default_iterations,
         Some(s) => s.parse().map_err(|_| format!("bad --iterations {s:?}"))?,
     };
     let interval_ms: u64 = match flags.get("interval-ms") {
@@ -393,40 +427,14 @@ fn cmd_stats_watch(flags: &Flags, target: &str) -> Result<(), String> {
     };
     let mut done = 0u64;
     loop {
-        let (code, body) = dns_backscatter::live::http_get(addr, "/snapshot")
+        let (code, body) = dns_backscatter::live::http_get(addr, route)
             .map_err(|e| format!("scrape {addr}: {e}"))?;
         if code != 200 {
-            return Err(format!("{addr}/snapshot answered HTTP {code}"));
+            return Err(format!("{addr}{route} answered HTTP {code}"));
         }
         let v = telemetry::json::parse(&body)
-            .map_err(|e| format!("bad /snapshot JSON from {addr}: {e}"))?;
-        let health = v.get("health").and_then(|h| h.as_str()).unwrap_or("?");
-        let ticks = v.get("ticks").and_then(|t| t.as_f64()).unwrap_or(0.0);
-        let mut rates: Vec<(String, f64, f64, f64)> = v
-            .get("rates")
-            .and_then(|r| r.as_object())
-            .map(|pairs| {
-                pairs
-                    .iter()
-                    .filter_map(|(name, rv)| {
-                        Some((
-                            name.clone(),
-                            rv.get("r10s")?.as_f64()?,
-                            rv.get("ewma")?.as_f64()?,
-                            rv.get("total")?.as_f64()?,
-                        ))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        rates.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then_with(|| a.0.cmp(&b.0))
-        });
-        println!("health={health} ticks={ticks:.0} counters={}", rates.len());
-        println!("  {:>12}  {:>12}  {:>12}  counter", "r10s/s", "ewma/s", "total");
-        for (name, r10, ewma, total) in rates.iter().take(12) {
-            println!("  {r10:>12.1}  {ewma:>12.1}  {total:>12.0}  {name}");
-        }
+            .map_err(|e| format!("bad {route} JSON from {addr}: {e}"))?;
+        render(&v);
         done += 1;
         if iterations > 0 && done >= iterations {
             return Ok(());
@@ -436,48 +444,51 @@ fn cmd_stats_watch(flags: &Flags, target: &str) -> Result<(), String> {
     }
 }
 
-/// `backscatter stats --top <addr>`: poll a live `/profile/top`
-/// endpoint and print the profiler's ranked-stage view.
-fn cmd_stats_top(flags: &Flags, target: &str) -> Result<(), String> {
-    let addr: std::net::SocketAddr =
-        target.parse().map_err(|_| format!("bad --top address {target:?} (ip:port)"))?;
-    let iterations: u64 = match flags.get("iterations") {
-        None => 1,
-        Some(s) => s.parse().map_err(|_| format!("bad --iterations {s:?}"))?,
-    };
-    let interval_ms: u64 = match flags.get("interval-ms") {
-        None => 1000,
-        Some(s) => s.parse().map_err(|_| format!("bad --interval-ms {s:?}"))?,
-    };
-    let mut done = 0u64;
-    loop {
-        let (code, body) = dns_backscatter::live::http_get(addr, "/profile/top")
-            .map_err(|e| format!("scrape {addr}: {e}"))?;
-        if code != 200 {
-            return Err(format!("{addr}/profile/top answered HTTP {code}"));
-        }
-        let v = telemetry::json::parse(&body)
-            .map_err(|e| format!("bad /profile/top JSON from {addr}: {e}"))?;
-        let stages = v.get("stages").and_then(|s| s.as_array()).unwrap_or(&[]);
-        let num = |st: &telemetry::json::Value, k: &str| {
-            st.get(k).and_then(|x| x.as_f64()).unwrap_or(0.0)
-        };
-        let all_self: f64 = stages.iter().map(|st| num(st, "self_ns")).sum();
-        println!("profiler: {} stages, {:.1} ms of self time", stages.len(), all_self / 1e6);
-        println!("  {:>14}  {:>14}  {:>8}  {:>6}  stage", "self ns", "total ns", "calls", "self%");
-        for st in stages.iter().take(15) {
-            let name = st.get("stage").and_then(|n| n.as_str()).unwrap_or("?");
-            let (self_ns, total_ns, calls) =
-                (num(st, "self_ns"), num(st, "total_ns"), num(st, "calls"));
-            let pct = if all_self > 0.0 { self_ns * 100.0 / all_self } else { 0.0 };
-            println!("  {self_ns:>14.0}  {total_ns:>14.0}  {calls:>8.0}  {pct:>5.1}%  {name}");
-        }
-        done += 1;
-        if iterations > 0 && done >= iterations {
-            return Ok(());
-        }
-        std::thread::sleep(Duration::from_millis(interval_ms));
-        println!();
+/// `stats --watch`: a `/snapshot` as a rate table, busiest counter first.
+fn render_rates(v: &telemetry::json::Value) {
+    let health = v.get("health").and_then(|h| h.as_str()).unwrap_or("?");
+    let ticks = v.get("ticks").and_then(|t| t.as_f64()).unwrap_or(0.0);
+    let mut rates: Vec<(String, f64, f64, f64)> = v
+        .get("rates")
+        .and_then(|r| r.as_object())
+        .map(|pairs| {
+            pairs
+                .iter()
+                .filter_map(|(name, rv)| {
+                    Some((
+                        name.clone(),
+                        rv.get("r10s")?.as_f64()?,
+                        rv.get("ewma")?.as_f64()?,
+                        rv.get("total")?.as_f64()?,
+                    ))
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    rates.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then_with(|| a.0.cmp(&b.0))
+    });
+    println!("health={health} ticks={ticks:.0} counters={}", rates.len());
+    println!("  {:>12}  {:>12}  {:>12}  counter", "r10s/s", "ewma/s", "total");
+    for (name, r10, ewma, total) in rates.iter().take(12) {
+        println!("  {r10:>12.1}  {ewma:>12.1}  {total:>12.0}  {name}");
+    }
+}
+
+/// `stats --top`: a `/profile/top` as the profiler's ranked-stage view.
+fn render_top(v: &telemetry::json::Value) {
+    let stages = v.get("stages").and_then(|s| s.as_array()).unwrap_or(&[]);
+    let num =
+        |st: &telemetry::json::Value, k: &str| st.get(k).and_then(|x| x.as_f64()).unwrap_or(0.0);
+    let all_self: f64 = stages.iter().map(|st| num(st, "self_ns")).sum();
+    println!("profiler: {} stages, {:.1} ms of self time", stages.len(), all_self / 1e6);
+    println!("  {:>14}  {:>14}  {:>8}  {:>6}  stage", "self ns", "total ns", "calls", "self%");
+    for st in stages.iter().take(15) {
+        let name = st.get("stage").and_then(|n| n.as_str()).unwrap_or("?");
+        let (self_ns, total_ns, calls) =
+            (num(st, "self_ns"), num(st, "total_ns"), num(st, "calls"));
+        let pct = if all_self > 0.0 { self_ns * 100.0 / all_self } else { 0.0 };
+        println!("  {self_ns:>14.0}  {total_ns:>14.0}  {calls:>8.0}  {pct:>5.1}%  {name}");
     }
 }
 
@@ -498,22 +509,20 @@ fn cmd_stats_fetch(flags: &Flags, target: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `backscatter stats`: describe the telemetry surface, or dump a live
-/// snapshot of the current process (mostly useful with --format).
+/// `backscatter stats`: follow a `--serve` endpoint, or describe the
+/// telemetry surface.
 fn cmd_stats(flags: &Flags) -> Result<(), String> {
     if let Some(target) = flags.get("watch") {
-        return cmd_stats_watch(flags, target);
+        return cmd_stats_poll(flags, ("watch", target), "/snapshot", 0, render_rates);
     }
     if let Some(target) = flags.get("top") {
-        return cmd_stats_top(flags, target);
+        return cmd_stats_poll(flags, ("top", target), "/profile/top", 1, render_top);
     }
     if let Some(target) = flags.get("fetch") {
         return cmd_stats_fetch(flags, target);
     }
-    match flags.get("format").map(String::as_str) {
-        None | Some("help") => {
-            println!(
-                "telemetry — every subcommand accepts --metrics <path> to write a JSON
+    println!(
+        "telemetry — every subcommand accepts --metrics <path> to write a JSON
 snapshot of all counters, gauges, and latency histograms on success.
 
 metric naming: dotted crate.stage names, e.g.
@@ -521,7 +530,7 @@ metric naming: dotted crate.stage names, e.g.
   netsim.cache.hit/.miss     leaf PTR-cache behavior
   netsim.queries.root/.national/.final   resolver fan-out
   netsim.log.parsed_records  TSV records parsed from --log
-  netsim.capture.frames      BSCAP1 frames read by capture --capture;
+  netsim.capture.frames      BSCAP1 frames read from a --log capture;
                              .records/.filtered/.undecodable: response
                              frames recovered, dropped by the PTR
                              in-addr.arpa filter, failing wire decode
@@ -538,10 +547,6 @@ metric naming: dotted crate.stage names, e.g.
   sensor.stream.out_of_order records predating their window, dropped
   sensor.stream.probation_resets   probation-cap clears under storm load
   sensor.window_evicted      gauge: evictions in the last flushed window
-  sensor.shard.<i>.*         per-shard ingested/evictions/probation_resets
-                             counters (sensor.stream.* stays the rollup)
-  sensor.shard.load.*        gauges: max/mean per-shard records last window
-  sensor.shard.skew_milli    gauge: 1000 × max/mean shard load (1000 = even)
   sensor.qmeta.cache_hits/.cache_misses   querier-metadata cache probes
                              served from / missing the cross-window cache
   sensor.qmeta.cache_expired entries dropped at a window boundary for
@@ -550,8 +555,6 @@ metric naming: dotted crate.stage names, e.g.
   sensor.qmeta.names_resolved   reverse names looked up: only queriers of
                              an analyzable originator, each once a window
                              unless its name is cached
-  par.shard_backlog          gauge: records queued at the last shard
-                             drain barrier (watchdog rules on runaway)
   core.stream.ingest_wait_ns ns the sensor thread spent blocked handing
                              a finished window over: closing windows
                              (extract, classify) bounds the stream
@@ -572,9 +575,7 @@ metric naming: dotted crate.stage names, e.g.
                              ml.train/.fit_run/.fit.shared/.fit.tree/
                              .predict, analysis.report
   sensor.stream              histogram: one window close (ns), under the
-                             name of its ledger row; sensor.stream.shard
-                             for a slice of the sharded engine
-  sensor.shard.merge         histogram: sharded flush + merge (ns)
+                             name of its ledger row
   par.tasks                  pool tasks run
   par.threads                gauge: workers in the latest region
   par.inflight               gauge: tasks inside active parallel regions
@@ -617,21 +618,8 @@ verified at exit; imbalances are logged as warnings.
 
 parallelism: --threads <N> or BS_THREADS (default all cores, at most
 256); results are bit-identical at any thread count."
-            );
-            Ok(())
-        }
-        Some("json") => {
-            telemetry::enable();
-            print!("{}", telemetry::snapshot_json());
-            Ok(())
-        }
-        Some("prometheus") => {
-            telemetry::enable();
-            print!("{}", telemetry::snapshot_prometheus());
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown --format {other:?} (help|json|prometheus)")),
-    }
+    );
+    Ok(())
 }
 
 fn usage() {
@@ -641,33 +629,31 @@ fn usage() {
 commands:
   simulate  --dataset <name> [--scale smoke|standard] [--seed N] --out <log.tsv>
             simulate a paper-dataset replica and write its query log
-  features  --log <log.tsv> [--min-queriers N] [--window-start S --window-end S]
+  features  --log <log> [--min-queriers N] [--window-start S --window-end S]
             extract per-originator feature vectors as TSV
   classify  --log <log.tsv> --dataset <name> [--scale …] [--seed N]
             curate labels from the generating scenario, train RF, classify
-  classify  --log <log.tsv> --model <model.bsf> [--min-queriers N]
-            classify with a saved model (no scenario needed)
   train     --log <log.tsv> --dataset <name> [--scale …] [--seed N] --save <model.bsf>
             curate, train a random forest, and save it
   report    --log <log.tsv> --dataset <name> [--scale …] [--seed N]
             classify all windows and print a situation report
-  capture   --log <log.tsv> --out <file.bscap>   convert TSV → packet capture
-  capture   --capture <file.bscap> --out <log.tsv>   and back
-  stream    --log <log.tsv> [--window S] [--max-originators N]
-            [--shards N] [--pace RPS] [--linger S] [--extract M]
+  capture   --log <log> --out <file>
+            write the log in the other format: a TSV log as a BSCAP1
+            packet capture, a capture as a TSV log
+  stream    --log <log> [--window S] [--max-originators N] [--pace RPS]
+            [--linger S] [--extract M] [--model <model.bsf>]
             replay a log through the streaming sensor as a live
-            process; --shards absent or 0 is the single sensor, which
-            ingests on a thread of its own while the previous window
-            is closed on the main one (whenever --threads, BS_THREADS
-            or the core count exceeds 1), --shards N >= 2 fans ingest
-            across N hash-sharded lanes instead (output identical
-            either way), --pace throttles to records/sec, --linger
-            keeps the process (and any --serve endpoint) up after ingest,
-            --extract M additionally extracts features per window
-            (analyzability threshold M unique queriers) through the
-            cross-window querier metadata cache
-  stats     [--format help|json|prometheus]
-            describe the telemetry metrics, or dump a snapshot
+            process; the sensor ingests on a thread of its own while
+            the previous window is closed on the main one (whenever
+            --threads, BS_THREADS or the core count exceeds 1; output
+            identical either way), --pace throttles to records/sec,
+            --linger keeps the process (and any --serve endpoint) up
+            after ingest, --extract M additionally extracts features
+            per window (analyzability threshold M unique queriers)
+            through the cross-window querier metadata cache, --model
+            classifies each window's analyzable originators with a
+            saved model (threshold M, or 20 without --extract)
+  stats     describe the telemetry metrics
   stats     --watch <ip:port> [--iterations N] [--interval-ms M]
             poll a --serve endpoint's /snapshot and print live rates
   stats     --top <ip:port> [--iterations N] [--interval-ms M]
@@ -694,6 +680,9 @@ all cores, at most 256; results are bit-identical at any thread
 count); set BS_LOG=off|error|warn|info|debug to control log verbosity
 and BS_LOG_FORMAT=json for one JSON object per log line.
 
+every --log is a TSV query log or a BSCAP1 packet capture, told apart
+by its first bytes.
+
 datasets: JP-ditl, B-post-ditl, B-long, B-multi-year, M-ditl, M-ditl-2015, M-sampled"
     );
 }
@@ -703,20 +692,16 @@ datasets: JP-ditl, B-post-ditl, B-long, B-multi-year, M-ditl, M-ditl-2015, M-sam
 const COMMANDS: &[(&str, &str, &[&str])] = &[
     ("simulate", "cli.simulate", &["dataset", "scale", "seed", "out"]),
     ("features", "cli.features", &["log", "min-queriers", "window-start", "window-end"]),
-    ("classify", "cli.classify", &["log", "dataset", "scale", "seed", "model", "min-queriers"]),
+    ("classify", "cli.classify", &["log", "dataset", "scale", "seed"]),
     ("train", "cli.train", &["log", "dataset", "scale", "seed", "save"]),
     ("report", "cli.report", &["log", "dataset", "scale", "seed"]),
-    ("capture", "cli.capture", &["log", "capture", "out"]),
+    ("capture", "cli.capture", &["log", "out"]),
     (
         "stream",
         "cli.stream",
-        &["log", "window", "max-originators", "shards", "pace", "linger", "extract"],
+        &["log", "window", "max-originators", "pace", "linger", "extract", "model"],
     ),
-    (
-        "stats",
-        "cli.stats",
-        &["format", "watch", "top", "fetch", "iterations", "interval-ms", "path"],
-    ),
+    ("stats", "cli.stats", &["watch", "top", "fetch", "iterations", "interval-ms", "path"]),
     ("trace", "cli.trace", &["file"]),
     ("help", "cli.run", &[]),
     ("--help", "cli.run", &[]),
@@ -773,10 +758,26 @@ fn seed(flags: &Flags) -> Result<u64, String> {
     }
 }
 
-fn load_log(flags: &Flags) -> Result<QueryLog, String> {
+/// Read `--log` by its bytes: one that starts with the BSCAP1 magic is
+/// decoded as a packet capture (the second value is then `true`), any
+/// other is parsed as a TSV query log.
+fn load_log(flags: &Flags) -> Result<(QueryLog, bool), String> {
     let path = flags.get("log").ok_or("--log is required")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    QueryLog::from_tsv(&text).map_err(|e| format!("parse {path}: {e}"))
+    let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
+    if bytes.starts_with(capture::MAGIC) {
+        let (log, stats) = read_capture(&bytes).map_err(|e| format!("parse {path}: {e}"))?;
+        telemetry::info!(
+            "cli",
+            "decoded capture {path}";
+            frames = stats.frames,
+            records = stats.records,
+            undecodable = stats.undecodable,
+            filtered = stats.filtered,
+        );
+        return Ok((log, true));
+    }
+    let text = std::str::from_utf8(&bytes).map_err(|e| format!("read {path}: {e}"))?;
+    QueryLog::from_tsv(text).map(|log| (log, false)).map_err(|e| format!("parse {path}: {e}"))
 }
 
 fn cmd_simulate(flags: &Flags) -> Result<(), String> {
@@ -798,16 +799,12 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Extract features from `log` for `features` and `classify --model`.
-/// Without `--window-start` / `--window-end` the window is the log's
-/// own span, `[first record, last record + 1)`: persistence is the share
-/// of the window's periods an originator is active in, so a window wider
-/// than the log would shrink it toward zero.
-fn extract_over_log(
-    flags: &Flags,
-    log: &QueryLog,
-    default_min_queriers: usize,
-) -> Result<Vec<OriginatorFeatures>, String> {
+/// Extract features from `log` for `features`. Without `--window-start`
+/// / `--window-end` the window is the log's own span, `[first record,
+/// last record + 1)`: persistence is the share of the window's periods
+/// an originator is active in, so a window wider than the log would
+/// shrink it toward zero.
+fn extract_over_log(flags: &Flags, log: &QueryLog) -> Result<Vec<OriginatorFeatures>, String> {
     let number = |key: &str| {
         flags
             .get(key)
@@ -819,7 +816,7 @@ fn extract_over_log(
     let end = number("window-end")?
         .or_else(|| times().max().map(|last| last.saturating_add(1)))
         .unwrap_or(0);
-    let min_queriers = number("min-queriers")?.map_or(default_min_queriers, |n| n as usize);
+    let min_queriers = number("min-queriers")?.map_or(MIN_QUERIERS, |n| n as usize);
     Ok(extract_features(
         log,
         &World::new(WorldConfig::default()),
@@ -830,7 +827,7 @@ fn extract_over_log(
 }
 
 fn cmd_features(flags: &Flags) -> Result<(), String> {
-    let feats = extract_over_log(flags, &load_log(flags)?, 20)?;
+    let feats = extract_over_log(flags, &load_log(flags)?.0)?;
     // Header, then one row per originator.
     let names = dns_backscatter::sensor::FeatureVector::names();
     println!("originator\tqueriers\tqueries\t{}", names.join("\t"));
@@ -856,8 +853,8 @@ fn curated_training_data(
 }
 
 fn cmd_train(flags: &Flags) -> Result<(), String> {
-    use dns_backscatter::ml::{Forest, ForestParams};
-    let log = load_log(flags)?;
+    use dns_backscatter::ml::ForestParams;
+    let (log, _) = load_log(flags)?;
     let id = dataset_id(flags)?;
     let save = flags.get("save").ok_or("--save is required")?;
     let world = World::new(WorldConfig::default());
@@ -879,33 +876,10 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_classify_with_model(flags: &Flags) -> Result<(), String> {
-    use dns_backscatter::ml::Forest;
-    let log = load_log(flags)?;
-    let model_path = flags.get("model").expect("checked by caller");
-    let text =
-        std::fs::read_to_string(model_path).map_err(|e| format!("read {model_path}: {e}"))?;
-    let forest = Forest::from_text(&text).map_err(|e| format!("parse {model_path}: {e}"))?;
-    let (model, sensor) = (forest.importances().len(), dns_backscatter::sensor::FeatureVector::LEN);
-    if model != sensor {
-        return Err(format!("model has {model} features, the sensor extracts {sensor}"));
-    }
-    let feats = extract_over_log(flags, &log, 10)?;
-    let rows: Vec<Vec<f64>> = feats.iter().map(|f| f.features.to_vec()).collect();
-    println!("originator	queriers	class");
-    for (f, idx) in feats.iter().zip(forest.predict_all(&rows)) {
-        let class = ApplicationClass::from_index(idx)
-            .map(|c| c.name().to_string())
-            .unwrap_or_else(|| format!("class-{idx}"));
-        println!("{}	{}	{}", f.originator, f.querier_count, class);
-    }
-    Ok(())
-}
-
 /// `classify` and `report`: assemble the dataset the scenario flags name
 /// around `--log` and run the full pipeline over it.
 fn run_pipeline(flags: &Flags) -> Result<PipelineRun, String> {
-    let log = load_log(flags)?;
+    let (log, _) = load_log(flags)?;
     let id = dataset_id(flags)?;
     let world = World::new(WorldConfig::default());
     let spec = DatasetSpec::paper(id, scale(flags)?, seed(flags)?);
@@ -916,9 +890,6 @@ fn run_pipeline(flags: &Flags) -> Result<PipelineRun, String> {
 }
 
 fn cmd_classify(flags: &Flags) -> Result<(), String> {
-    if flags.contains_key("model") {
-        return cmd_classify_with_model(flags);
-    }
     let run = run_pipeline(flags)?;
     telemetry::info!(
         "cli",
@@ -940,33 +911,12 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// `backscatter capture`: write `--log` in the other format.
 fn cmd_capture(flags: &Flags) -> Result<(), String> {
     let out = flags.get("out").ok_or("--out is required")?;
-    match (flags.get("log"), flags.get("capture")) {
-        (Some(_), None) => {
-            let log = load_log(flags)?;
-            std::fs::write(out, write_capture(&log)).map_err(|e| format!("write {out}: {e}"))?;
-            telemetry::info!(
-                "cli",
-                "wrote packet capture {out}";
-                records = log.len(),
-            );
-            Ok(())
-        }
-        (None, Some(path)) => {
-            let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
-            let (log, stats) = read_capture(&bytes).map_err(|e| format!("parse {path}: {e}"))?;
-            std::fs::write(out, log.to_tsv()).map_err(|e| format!("write {out}: {e}"))?;
-            telemetry::info!(
-                "cli",
-                "decoded capture";
-                frames = stats.frames,
-                records = stats.records,
-                undecodable = stats.undecodable,
-                filtered = stats.filtered,
-            );
-            Ok(())
-        }
-        _ => Err("capture needs exactly one of --log (to encode) or --capture (to decode)".into()),
-    }
+    let (log, from_capture) = load_log(flags)?;
+    let bytes = if from_capture { log.to_tsv().into_bytes() } else { write_capture(&log) };
+    std::fs::write(out, bytes).map_err(|e| format!("write {out}: {e}"))?;
+    telemetry::info!("cli", "wrote {out}"; records = log.len());
+    Ok(())
 }
