@@ -48,5 +48,5 @@ pub mod wire;
 
 pub use message::{Message, QClass, QType, Rcode, RecordData, ResourceRecord};
 pub use name::{DomainName, Label, LabelBytes, NameError};
-pub use reverse::{parse_reverse_v4, parse_reverse_v6, reverse_name, reverse_name_v6, ReverseZone};
+pub use reverse::{parse_reverse_v4, reverse_name, ReverseZone};
 pub use time::{SimDuration, SimTime};

@@ -9,7 +9,7 @@
 
 use crate::name::DomainName;
 use std::fmt;
-use std::net::{Ipv4Addr, Ipv6Addr};
+use std::net::Ipv4Addr;
 use std::str::FromStr;
 
 /// `in-addr.arpa` in wire form.
@@ -99,59 +99,6 @@ fn parse_reverse_v4_reference(name: &DomainName) -> Option<Ipv4Addr> {
         return None;
     }
     Some(Ipv4Addr::from(octets))
-}
-
-/// Build the reverse name for an IPv6 address under `ip6.arpa`:
-/// thirty-two nibble labels, least-significant first (RFC 3596 §2.5).
-///
-/// `2001:db8::1` →
-/// `1.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.8.b.d.0.1.0.0.2.ip6.arpa`.
-///
-/// The paper's sensor is IPv4-only (its vantage points saw 2014-era
-/// traffic), but the technique carries over directly: IPv6 backscatter
-/// arrives as PTR queries against `ip6.arpa`, and — as the paper notes
-/// when dismissing IPv6 darknets — passive backscatter is one of the
-/// few network-wide sensors that still works in the huge v6 space.
-pub fn reverse_name_v6(addr: Ipv6Addr) -> DomainName {
-    const IP6_ARPA: &[u8] = b"\x03ip6\x04arpa";
-    let mut wire = Vec::with_capacity(64 + IP6_ARPA.len());
-    for o in addr.octets().iter().rev() {
-        // Low nibble first, then high nibble.
-        for nibble in [o & 0x0F, o >> 4] {
-            let c = char::from_digit(nibble as u32, 16).expect("nibble is hex");
-            wire.extend_from_slice(&[1, c as u8]);
-        }
-    }
-    wire.extend_from_slice(IP6_ARPA);
-    DomainName::from_wire(wire).expect("ip6.arpa name fits in 255 bytes")
-}
-
-/// Parse a full 32-nibble `ip6.arpa` name back to its IPv6 address.
-pub fn parse_reverse_v6(name: &DomainName) -> Option<Ipv6Addr> {
-    let mut labels = name.labels();
-    if labels.len() != 34 {
-        return None;
-    }
-    let mut octets = [0u8; 16];
-    for (i, s) in labels.by_ref().take(32).enumerate() {
-        if s.len() != 1 {
-            return None;
-        }
-        let nibble = s.chars().next()?.to_digit(16)? as u8;
-        // Label i is nibble 31-i of the address (low nibble first).
-        let pos = 31 - i;
-        let byte = pos / 2;
-        if pos % 2 == 1 {
-            octets[byte] |= nibble; // low nibble of the byte
-        } else {
-            octets[byte] |= nibble << 4; // high nibble
-        }
-    }
-    let (tree, tld) = (labels.next()?, labels.next()?);
-    if !tree.eq_ignore_ascii_case("ip6") || !tld.eq_ignore_ascii_case("arpa") {
-        return None;
-    }
-    Some(Ipv6Addr::from(octets))
 }
 
 /// A delegated slice of the reverse tree: all reverse names for addresses
@@ -323,50 +270,6 @@ mod tests {
         // Each address's three spellings parse: a run that accepts
         // nothing would prove nothing.
         assert!(accepted >= 3 * 512, "{accepted} of {} names accepted", names.len());
-    }
-
-    #[test]
-    fn reverse_v6_matches_rfc3596_example() {
-        // RFC 3596 §2.5's worked example.
-        let addr: Ipv6Addr = "4321:0:1:2:3:4:567:89ab".parse().unwrap();
-        assert_eq!(
-            reverse_name_v6(addr).to_string(),
-            "b.a.9.8.7.6.5.0.4.0.0.0.3.0.0.0.2.0.0.0.1.0.0.0.0.0.0.0.1.2.3.4.ip6.arpa"
-        );
-    }
-
-    #[test]
-    fn reverse_v6_round_trips() {
-        for s in [
-            "::",
-            "::1",
-            "2001:db8::1",
-            "fe80::dead:beef",
-            "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff",
-        ] {
-            let addr: Ipv6Addr = s.parse().unwrap();
-            assert_eq!(parse_reverse_v6(&reverse_name_v6(addr)), Some(addr), "{s}");
-        }
-    }
-
-    #[test]
-    fn parse_v6_rejects_malformed() {
-        for s in [
-            "b.a.9.8.ip6.arpa",     // too short
-            "4.3.2.1.in-addr.arpa", // wrong tree
-            "mail.example.com",
-        ] {
-            let n = DomainName::parse(s).unwrap();
-            assert_eq!(parse_reverse_v6(&n), None, "{s}");
-        }
-        // Non-hex nibble.
-        let mut labels = "z".to_string();
-        for _ in 0..31 {
-            labels.push_str(".0");
-        }
-        labels.push_str(".ip6.arpa");
-        let n = DomainName::parse(&labels).unwrap();
-        assert_eq!(parse_reverse_v6(&n), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! whole run"; this crate answers "what is happening *right now*":
 //!
 //! * [`series::Sampler`] — a bounded history of registry snapshots
-//!   taken on a configurable tick, exposing windowed per-second rates
+//!   taken once a second, exposing windowed per-second rates
 //!   (1 s / 10 s / 60 s), EWMA smoothing, and histogram quantiles;
 //! * [`server`] — a std-only HTTP/1.1 scrape endpoint (`/metrics`,
 //!   `/snapshot`, `/health`, `/trace/summary`);
@@ -21,9 +21,9 @@
 //! wall-clock thread next to the HTTP server.
 //!
 //! ```
-//! use bs_live::{LiveConfig, LiveLoop};
+//! use bs_live::LiveLoop;
 //!
-//! let mut live = LiveLoop::new(LiveConfig::default());
+//! let mut live = LiveLoop::new();
 //! let reg = bs_telemetry::Registry::new();
 //! reg.counter("demo.records").add(0);
 //! live.tick(0, reg.snapshot());
@@ -39,7 +39,7 @@ pub mod series;
 pub mod server;
 pub mod watchdog;
 
-pub use series::{CounterRates, Sample, Sampler, SeriesConfig, ShardSkew};
+pub use series::{CounterRates, Sample, Sampler};
 pub use server::{http_get, spawn as spawn_server, ServerHandle};
 pub use watchdog::{health_state, Health, HealthState, Rule, Severity, Signal, Watchdog};
 
@@ -68,21 +68,6 @@ pub fn buildinfo_json() -> String {
     )
 }
 
-/// Configuration for a [`LiveLoop`].
-#[derive(Debug, Clone)]
-pub struct LiveConfig {
-    /// Sampling cadence and history length.
-    pub series: SeriesConfig,
-    /// Watchdog rules (see [`Watchdog::default_rules`]).
-    pub rules: Vec<Rule>,
-}
-
-impl Default for LiveConfig {
-    fn default() -> Self {
-        LiveConfig { series: SeriesConfig::default(), rules: Watchdog::default_rules() }
-    }
-}
-
 /// One sampler plus one watchdog: the state behind every scrape route.
 #[derive(Debug)]
 pub struct LiveLoop {
@@ -91,16 +76,18 @@ pub struct LiveLoop {
 }
 
 impl LiveLoop {
-    /// A live loop with no history, health `Ok`. Enables the global
-    /// telemetry registry — a live view of a disabled registry is
-    /// all zeros, which is never what an operator asked for.
-    pub fn new(config: LiveConfig) -> Self {
+    /// A live loop with no history, health `Ok`, watching
+    /// [`Watchdog::default_rules`]. Enables the global telemetry
+    /// registry — a live view of a disabled registry is all zeros,
+    /// which is never what an operator asked for (and why this is no
+    /// `Default`).
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Self {
         bs_telemetry::enable();
         process_origin();
-        let state = health_state();
         LiveLoop {
-            sampler: Sampler::new(config.series),
-            watchdog: Watchdog::new(config.rules, state),
+            sampler: Sampler::new(),
+            watchdog: Watchdog::new(Watchdog::default_rules(), health_state()),
         }
     }
 
@@ -147,9 +134,8 @@ impl LiveLoop {
     }
 
     /// The `/snapshot` body: timestamp, health, build provenance,
-    /// derived per-counter rates, the shard-skew view (null when
-    /// running unsharded), and the full registry snapshot (counters,
-    /// gauges, histograms with p50/p90/p99).
+    /// derived per-counter rates, and the full registry snapshot
+    /// (counters, gauges, histograms with p50/p90/p99).
     pub fn snapshot_json(&self) -> String {
         let (at_ms, registry_json) = match self.sampler.latest() {
             Some(s) => (s.at_ms as i64, s.snapshot.to_json()),
@@ -158,22 +144,14 @@ impl LiveLoop {
         // Indent the embedded registry document two spaces so the
         // composite stays readable under `curl | less`.
         let registry_json = registry_json.replace('\n', "\n  ");
-        let shard_skew = match self.sampler.shard_skew(10_000) {
-            Some(s) => format!(
-                "{{ \"lanes\": {}, \"max_rps\": {:.3}, \"mean_rps\": {:.3}, \"skew\": {:.3} }}",
-                s.lanes, s.max_rps, s.mean_rps, s.skew
-            ),
-            None => "null".to_string(),
-        };
         let buildinfo = buildinfo_json().replace('\n', "\n  ");
         format!(
-            "{{\n  \"at_ms\": {},\n  \"health\": \"{}\",\n  \"ticks\": {},\n  \"buildinfo\": {},\n  \"rates\": {},\n  \"shard_skew\": {},\n  \"registry\": {}\n}}",
+            "{{\n  \"at_ms\": {},\n  \"health\": \"{}\",\n  \"ticks\": {},\n  \"buildinfo\": {},\n  \"rates\": {},\n  \"registry\": {}\n}}",
             at_ms,
             self.health().as_str(),
             self.sampler.ticks(),
             buildinfo,
             self.sampler.rates_json(),
-            shard_skew,
             registry_json
         )
     }
@@ -239,11 +217,11 @@ fn lock(live: &Arc<Mutex<LiveLoop>>) -> std::sync::MutexGuard<'_, LiveLoop> {
 }
 
 /// Start the full live stack: bind `addr`, spawn the scrape server,
-/// and drive [`LiveLoop::tick_global`] from a wall-clock thread every
-/// `config.series.tick_ms` milliseconds.
-pub fn serve(addr: &str, config: LiveConfig) -> std::io::Result<LiveHandle> {
-    let tick_ms = config.series.tick_ms;
-    let live = Arc::new(Mutex::new(LiveLoop::new(config)));
+/// and drive [`LiveLoop::tick_global`] from a wall-clock thread once a
+/// second.
+pub fn serve(addr: &str) -> std::io::Result<LiveHandle> {
+    let tick = Duration::from_millis(series::TICK_MS);
+    let live = Arc::new(Mutex::new(LiveLoop::new()));
 
     // Take the first sample immediately: rates need two points, so the
     // sooner the origin exists the sooner scrapes mean something.
@@ -257,14 +235,14 @@ pub fn serve(addr: &str, config: LiveConfig) -> std::io::Result<LiveHandle> {
     let sampler_thread =
         std::thread::Builder::new().name("bs-live-sampler".into()).spawn(move || {
             // Sleep in short slices so shutdown latency stays well
-            // under one tick even for multi-second cadences.
-            let slice = Duration::from_millis(tick_ms.clamp(1, 50));
-            let mut next = origin + Duration::from_millis(tick_ms);
+            // under one tick.
+            let slice = Duration::from_millis(50);
+            let mut next = origin + tick;
             while !stop_flag.load(Ordering::Relaxed) {
                 if Instant::now() >= next {
                     let at_ms = origin.elapsed().as_millis() as u64;
                     lock(&sampler_live).tick_global(at_ms);
-                    next += Duration::from_millis(tick_ms);
+                    next += tick;
                 }
                 std::thread::sleep(slice);
             }
@@ -279,7 +257,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_embeds_registry_rates_and_health() {
-        let mut live = LiveLoop::new(LiveConfig::default());
+        let mut live = LiveLoop::new();
         let mk = |records: u64| {
             let r = bs_telemetry::Registry::new();
             r.counter("t.records").add(records);
@@ -324,61 +302,40 @@ mod tests {
 
     #[test]
     fn empty_loop_snapshot_is_still_valid_json() {
-        let live = LiveLoop::new(LiveConfig::default());
+        let live = LiveLoop::new();
         let v = bs_telemetry::json::parse(&live.snapshot_json()).expect("parses");
         assert_eq!(v.get("at_ms").and_then(|t| t.as_f64()), Some(-1.0));
         assert_eq!(v.get("ticks").and_then(|t| t.as_f64()), Some(0.0));
-        assert!(
-            matches!(v.get("shard_skew"), Some(bs_telemetry::json::Value::Null)),
-            "no shard counters → shard_skew is null"
-        );
-    }
-
-    #[test]
-    fn snapshot_json_reports_shard_skew_when_sharded() {
-        let mut live = LiveLoop::new(LiveConfig::default());
-        let mk = |a: u64, b: u64| {
-            let r = bs_telemetry::Registry::new();
-            r.counter("sensor.shard.0.ingested").add(a);
-            r.counter("sensor.shard.1.ingested").add(b);
-            r.snapshot()
-        };
-        live.tick(0, mk(0, 0));
-        live.tick(1_000, mk(300, 100));
-        let v = bs_telemetry::json::parse(&live.snapshot_json()).expect("parses");
-        let skew = v.get("shard_skew").expect("shard counters → skew object");
-        assert_eq!(skew.get("lanes").and_then(|l| l.as_f64()), Some(2.0));
-        let max = skew.get("max_rps").and_then(|m| m.as_f64()).expect("max_rps");
-        assert!((max - 300.0).abs() < 1e-6, "busiest lane rate, got {max}");
-        let mean = skew.get("mean_rps").and_then(|m| m.as_f64()).expect("mean_rps");
-        assert!((mean - 200.0).abs() < 1e-6, "mean lane rate, got {mean}");
-        let s = skew.get("skew").and_then(|m| m.as_f64()).expect("skew");
-        assert!((s - 1.5).abs() < 1e-6, "max 300 / mean 200 → 1.5, got {s}");
+        let keys: Vec<&str> =
+            v.as_object().expect("an object").iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["at_ms", "health", "ticks", "buildinfo", "rates", "registry"]);
     }
 
     #[test]
     fn serve_binds_samples_and_shuts_down() {
         bs_telemetry::enable();
         bs_telemetry::counter_add("live.test.work", 10);
-        let handle = serve(
-            "127.0.0.1:0",
-            LiveConfig {
-                series: SeriesConfig { tick_ms: 20, capacity: 64, ewma_alpha: 0.3 },
-                ..LiveConfig::default()
-            },
-        )
-        .expect("bind ephemeral");
+        let handle = serve("127.0.0.1:0").expect("bind ephemeral");
         let addr = handle.addr();
-        // Let the wall-clock sampler take a few real ticks.
-        std::thread::sleep(Duration::from_millis(120));
+        let scrape = || {
+            let (code, body) = http_get(addr, "/snapshot").expect("scrape");
+            assert_eq!(code, 200);
+            bs_telemetry::json::parse(&body).expect("valid JSON")
+        };
+        // `serve` samples once at startup; the wall-clock sampler's
+        // first tick follows a second later.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let ticks = scrape().get("ticks").and_then(|t| t.as_f64()).expect("ticks present");
+            if ticks >= 2.0 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "sampler thread never ticked: {ticks}");
+            std::thread::sleep(Duration::from_millis(50));
+        }
         bs_telemetry::counter_add("live.test.work", 90);
         handle.sample_now(10_000);
-        let (code, body) = http_get(addr, "/snapshot").expect("scrape");
-        assert_eq!(code, 200);
-        let v = bs_telemetry::json::parse(&body).expect("valid JSON");
-        let ticks = v.get("ticks").and_then(|t| t.as_f64()).expect("ticks present");
-        assert!(ticks >= 3.0, "sampler thread ticked: {ticks}");
-        let total = v
+        let total = scrape()
             .get("rates")
             .and_then(|r| r.get("live.test.work"))
             .and_then(|r| r.get("total"))

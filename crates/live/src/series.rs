@@ -3,15 +3,15 @@
 //!
 //! [`Sampler::tick`] appends one timestamped [`Snapshot`] of the
 //! metrics registry to a bounded history that drops its oldest sample
-//! once it holds `capacity`.
+//! once it holds `CAPACITY` (120).
 //! Derived series are computed *on read*, from the raw history:
 //!
 //! * **windowed rates** — for a counter `c` and window `w`,
 //!   `(c(now) - c(now - w)) / elapsed`: the average per-second rate over
 //!   the most recent `w` of history (1 s / 10 s / 60 s by convention);
 //! * **EWMA** — an exponentially weighted moving average of the
-//!   per-tick rate, updated at sample time (`alpha` configurable), the
-//!   smoothed signal the watchdog prefers for noisy counters;
+//!   per-tick rate, updated at sample time (weight 0.3 on the newest),
+//!   the smoothed signal the watchdog prefers for noisy counters;
 //! * **quantiles** — p50/p90/p99 straight from the log-bucketed
 //!   histogram snapshots ([`bs_telemetry::Histogram::quantile`]).
 //!
@@ -24,25 +24,17 @@ use bs_telemetry::Snapshot;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
-/// Sampler configuration.
-#[derive(Debug, Clone)]
-pub struct SeriesConfig {
-    /// Nominal tick interval in milliseconds (the wall-clock driver's
-    /// period; manual ticks may use any spacing).
-    pub tick_ms: u64,
-    /// Samples retained (history length = `capacity × tick_ms`).
-    pub capacity: usize,
-    /// EWMA smoothing factor in `(0, 1]`: the weight of the newest
-    /// per-tick rate.
-    pub ewma_alpha: f64,
-}
+/// Nominal tick interval of the wall-clock driver, in milliseconds
+/// (manual ticks may use any spacing).
+pub(crate) const TICK_MS: u64 = 1_000;
 
-impl Default for SeriesConfig {
-    fn default() -> Self {
-        // 120 samples at 1 s cover the 60 s window twice over.
-        SeriesConfig { tick_ms: 1_000, capacity: 120, ewma_alpha: 0.3 }
-    }
-}
+/// Samples retained: 120 samples at 1 s cover the 60 s window twice
+/// over.
+const CAPACITY: usize = 120;
+
+/// EWMA smoothing factor in `(0, 1]`: the weight of the newest per-tick
+/// rate.
+const EWMA_ALPHA: f64 = 0.3;
 
 /// One timestamped registry snapshot.
 #[derive(Debug, Clone)]
@@ -68,27 +60,11 @@ pub struct CounterRates {
     pub ewma: f64,
 }
 
-/// Shard load balance derived from the `sensor.shard.<i>.ingested`
-/// counters: how evenly the hash partition spreads live traffic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardSkew {
-    /// Shard lanes observed (counters present in the latest sample).
-    pub lanes: usize,
-    /// The busiest lane's ingest rate over the window (records/s).
-    pub max_rps: f64,
-    /// Mean per-lane ingest rate over the window (records/s).
-    pub mean_rps: f64,
-    /// `max / mean` — `1.0` is perfectly even; `0.0` when idle.
-    pub skew: f64,
-}
-
 /// The time-series engine over the metrics registry.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Sampler {
-    config: SeriesConfig,
-    /// Oldest → newest, at most `capacity` samples.
+    /// Oldest → newest, at most `CAPACITY` samples.
     history: VecDeque<Sample>,
-    capacity: usize,
     /// Counter name → EWMA of the per-tick rate (per second).
     ewma: BTreeMap<String, f64>,
     ticks: u64,
@@ -96,20 +72,8 @@ pub struct Sampler {
 
 impl Sampler {
     /// A sampler with no history yet.
-    pub fn new(config: SeriesConfig) -> Self {
-        assert!(config.tick_ms > 0, "tick_ms must be positive");
-        assert!(
-            config.ewma_alpha > 0.0 && config.ewma_alpha <= 1.0,
-            "ewma_alpha must be in (0, 1]"
-        );
-        let capacity = config.capacity.max(2);
-        let history = VecDeque::with_capacity(capacity);
-        Sampler { history, capacity, config, ewma: BTreeMap::new(), ticks: 0 }
-    }
-
-    /// The sampler's configuration.
-    pub fn config(&self) -> &SeriesConfig {
-        &self.config
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Ticks recorded so far.
@@ -124,7 +88,6 @@ impl Sampler {
         if let Some(prev) = self.history.back() {
             let dt_s = (at_ms.saturating_sub(prev.at_ms)) as f64 / 1_000.0;
             if dt_s > 0.0 {
-                let alpha = self.config.ewma_alpha;
                 for (name, &now) in &snapshot.counters {
                     let before = prev.snapshot.counters.get(name).copied().unwrap_or(0);
                     // A counter that went backwards was reset; treat the
@@ -132,21 +95,15 @@ impl Sampler {
                     let delta = if now >= before { now - before } else { now };
                     let rate = delta as f64 / dt_s;
                     let e = self.ewma.entry(name.clone()).or_insert(rate);
-                    *e = alpha * rate + (1.0 - alpha) * *e;
+                    *e = EWMA_ALPHA * rate + (1.0 - EWMA_ALPHA) * *e;
                 }
             }
         }
-        if self.history.len() == self.capacity {
+        if self.history.len() == CAPACITY {
             self.history.pop_front();
         }
         self.history.push_back(Sample { at_ms, snapshot });
         self.ticks += 1;
-    }
-
-    /// Sample the process-global registry at wall-clock `now` —
-    /// convenience for the live driver thread.
-    pub fn tick_global(&mut self, at_ms: u64) {
-        self.tick(at_ms, bs_telemetry::snapshot());
     }
 
     /// The newest sample, if any tick has happened.
@@ -193,33 +150,6 @@ impl Sampler {
     pub fn gauge(&self, name: &str) -> Option<i64> {
         let newest = self.history.back()?;
         Some(newest.snapshot.gauges.get(name).copied().unwrap_or(0))
-    }
-
-    /// The per-shard load view over `window_ms`, derived from the
-    /// `sensor.shard.<i>.ingested` counters the sharded streaming
-    /// sensor emits at each window flush. `None` until a sample shows
-    /// at least one shard counter (i.e. the process runs unsharded).
-    pub fn shard_skew(&self, window_ms: u64) -> Option<ShardSkew> {
-        let newest = self.history.back()?;
-        let lanes: Vec<&String> = newest
-            .snapshot
-            .counters
-            .keys()
-            .filter(|n| n.starts_with("sensor.shard.") && n.ends_with(".ingested"))
-            .collect();
-        if lanes.is_empty() {
-            return None;
-        }
-        let mut max_rps = 0.0f64;
-        let mut sum = 0.0f64;
-        for name in &lanes {
-            let r = self.rate(name, window_ms)?;
-            max_rps = max_rps.max(r);
-            sum += r;
-        }
-        let mean_rps = sum / lanes.len() as f64;
-        let skew = if mean_rps > 0.0 { max_rps / mean_rps } else { 0.0 };
-        Some(ShardSkew { lanes: lanes.len(), max_rps, mean_rps, skew })
     }
 
     /// The full windowed view of every counter at the newest sample.
@@ -287,7 +217,7 @@ mod tests {
 
     #[test]
     fn windowed_rates_recover_counter_deltas_exactly() {
-        let mut s = Sampler::new(SeriesConfig { tick_ms: 1_000, capacity: 120, ewma_alpha: 0.5 });
+        let mut s = Sampler::new();
         // 100 records/s for 70 seconds of manual ticks.
         for t in 0..=70u64 {
             s.tick(t * 1_000, snap_with("x.records", t * 100));
@@ -304,7 +234,7 @@ mod tests {
 
     #[test]
     fn short_window_sees_a_burst_long_window_averages_it() {
-        let mut s = Sampler::new(SeriesConfig::default());
+        let mut s = Sampler::new();
         // 60 s idle, then a 1000-records burst in the last second.
         for t in 0..=59u64 {
             s.tick(t * 1_000, snap_with("x.records", 0));
@@ -319,19 +249,21 @@ mod tests {
 
     #[test]
     fn window_clamps_to_available_history() {
-        let mut s = Sampler::new(SeriesConfig { tick_ms: 1_000, capacity: 4, ewma_alpha: 0.3 });
-        // Flat until t = 5, then 10/s.
-        for t in 0..10u64 {
-            s.tick(t * 1_000, snap_with("c", t.saturating_sub(5) * 10));
+        let mut s = Sampler::new();
+        // 201 ticks, flat until the first retained one, then 10/s.
+        let first = 201 - CAPACITY as u64;
+        for t in 0..=200u64 {
+            s.tick(t * 1_000, snap_with("c", t.saturating_sub(first) * 10));
         }
-        // Only 4 samples retained (t=6..9): the "60 s" rate is really
-        // the 3 s rate, 10/s. Had t=0..5 been kept it would read 40/9.
-        assert!((s.rate("c", 60_000).unwrap() - 10.0).abs() < 1e-9);
+        // Only CAPACITY samples retained (t = 81..=200): the "600 s" rate
+        // is really the 119 s rate, 10/s. Had t = 0..=80 been kept it
+        // would read 1190/200.
+        assert!((s.rate("c", 600_000).unwrap() - 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn counter_reset_does_not_produce_negative_rates() {
-        let mut s = Sampler::new(SeriesConfig::default());
+        let mut s = Sampler::new();
         s.tick(0, snap_with("c", 1_000));
         s.tick(1_000, snap_with("c", 5));
         let r = s.rate("c", 1_000).unwrap();
@@ -341,7 +273,7 @@ mod tests {
 
     #[test]
     fn no_rate_before_two_samples() {
-        let mut s = Sampler::new(SeriesConfig::default());
+        let mut s = Sampler::new();
         assert!(s.rate("c", 1_000).is_none());
         s.tick(0, snap_with("c", 1));
         assert!(s.rate("c", 1_000).is_none(), "one sample spans no time");
@@ -350,7 +282,7 @@ mod tests {
 
     #[test]
     fn rate_ratio_handles_zero_denominator() {
-        let mut s = Sampler::new(SeriesConfig::default());
+        let mut s = Sampler::new();
         let mk = |bad: u64, total: u64| {
             let r = Registry::new();
             r.counter("bad").add(bad);
@@ -367,7 +299,7 @@ mod tests {
 
     #[test]
     fn rates_json_is_parseable() {
-        let mut s = Sampler::new(SeriesConfig::default());
+        let mut s = Sampler::new();
         s.tick(0, snap_with("a\"weird\\name", 0));
         s.tick(1_000, snap_with("a\"weird\\name", 42));
         let json = s.rates_json();

@@ -276,10 +276,9 @@ pub fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LiveConfig;
 
     fn live_loop() -> Arc<Mutex<LiveLoop>> {
-        Arc::new(Mutex::new(LiveLoop::new(LiveConfig::default())))
+        Arc::new(Mutex::new(LiveLoop::new()))
     }
 
     #[test]

@@ -215,18 +215,10 @@ impl Watchdog {
     ///   no longer fits;
     /// * probation resets (10 s) above 100/s → degraded: the same;
     /// * out-of-order fraction (10 s) above 20% → degraded;
-    /// * any ledger conservation imbalance → critical;
-    /// * par pool backlog (`par.inflight`) above 256 queued tasks →
-    ///   degraded: workers are drowning;
-    /// * shard queue backlog (`par.shard_backlog`) above 100k records
-    ///   parked at a drain barrier → degraded: the lanes have stopped
-    ///   keeping up with the reader (the BSP design bounds backlog at
-    ///   lanes × queue cap, so this only trips on misconfiguration).
+    /// * any ledger conservation imbalance → critical.
     ///
-    /// The eviction and probation-reset counters are rollups summed
-    /// across shard lanes, so the same two rules cover the single and
-    /// sharded sensors; a trip tightens probation decay on *every*
-    /// shard through the broadcast pressure hook.
+    /// Every series they watch is one the streaming sensor or the live
+    /// loop itself publishes.
     pub fn default_rules() -> Vec<Rule> {
         vec![
             Rule::new(
@@ -261,18 +253,6 @@ impl Watchdog {
                 Severity::Critical,
             )
             .with_hysteresis(1, 1),
-            Rule::new(
-                "par_backlog",
-                Signal::GaugeValue { name: "par.inflight".into() },
-                256.0,
-                Severity::Degraded,
-            ),
-            Rule::new(
-                "shard_backlog",
-                Signal::GaugeValue { name: "par.shard_backlog".into() },
-                100_000.0,
-                Severity::Degraded,
-            ),
         ]
     }
 
@@ -396,11 +376,10 @@ impl Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::SeriesConfig;
     use bs_telemetry::Registry;
 
     fn sampler() -> Sampler {
-        Sampler::new(SeriesConfig::default())
+        Sampler::new()
     }
 
     fn snap(evictions: u64, records: u64) -> bs_telemetry::Snapshot {
@@ -516,18 +495,11 @@ mod tests {
         let v = bs_telemetry::json::parse(&json).expect("health JSON parses");
         assert_eq!(v.get("status").and_then(|s| s.as_str()), Some("ok"));
         let rules = v.get("rules").and_then(|r| r.as_array()).expect("rules array");
-        assert_eq!(rules.len(), 6, "all six default rules reported");
         let names: Vec<&str> =
             rules.iter().filter_map(|r| r.get("rule").and_then(|n| n.as_str())).collect();
-        for expect in [
-            "eviction_storm",
-            "probation_thrash",
-            "out_of_order",
-            "ledger_imbalance",
-            "par_backlog",
-            "shard_backlog",
-        ] {
-            assert!(names.contains(&expect), "missing rule {expect}: {names:?}");
-        }
+        assert_eq!(
+            names,
+            ["eviction_storm", "probation_thrash", "out_of_order", "ledger_imbalance"]
+        );
     }
 }

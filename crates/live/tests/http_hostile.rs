@@ -5,7 +5,7 @@
 //! answered within the deadline. Random cases derive from their seed
 //! alone, so a failure replays from the seed in its message.
 
-use bs_live::{http_get, spawn_server, LiveConfig, LiveLoop, ServerHandle};
+use bs_live::{http_get, spawn_server, LiveLoop, ServerHandle};
 use bs_par::Rng;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 const SCRAPE_DEADLINE: Duration = Duration::from_secs(2);
 
 fn server() -> ServerHandle {
-    let live = Arc::new(Mutex::new(LiveLoop::new(LiveConfig::default())));
+    let live = Arc::new(Mutex::new(LiveLoop::new()));
     spawn_server("127.0.0.1:0", live).expect("bind ephemeral")
 }
 

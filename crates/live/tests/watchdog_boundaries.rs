@@ -11,7 +11,7 @@
 //! * inside the hysteresis band (hot and quiet ticks alternating)
 //!   the state never flaps: streaks reset and no transition fires.
 
-use bs_live::{health_state, Health, Rule, Sampler, SeriesConfig, Severity, Signal, Watchdog};
+use bs_live::{health_state, Health, Rule, Sampler, Severity, Signal, Watchdog};
 use bs_telemetry::Registry;
 
 const GAUGE: &str = "test.watchdog.signal";
@@ -38,7 +38,7 @@ fn step(wd: &mut Watchdog, s: &mut Sampler, t_ms: &mut u64, value: i64) -> Healt
 
 fn harness(trip_ticks: u32, clear_ticks: u32) -> (Watchdog, Sampler, u64) {
     let wd = Watchdog::new(vec![rule(trip_ticks, clear_ticks)], health_state());
-    (wd, Sampler::new(SeriesConfig::default()), 0)
+    (wd, Sampler::new(), 0)
 }
 
 /// Reference implementation of the hysteresis contract, evolved in

@@ -27,14 +27,14 @@
 //! grows (`matrix`, `presort`); one flat arena per tree, a split's children
 //! in adjacent slots and leaves self-looping, walked one row at a time
 //! or [`BLOCK_ROWS`] rows at once through a [`RowBlock`] (`flat`,
-//! DESIGN.md §14); and a bounded Gram-matrix cache under SMO (`gram`).
+//! DESIGN.md §14); and a flat symmetric Gram matrix under SMO (`gram`).
 //! The original boxed/nested implementations are kept as executable
 //! references compiled for tests only, and the `mlcore_equivalence`
 //! suite proves the fast paths bit-identical to them: stable argsort
 //! plus stable partition reproduce exactly the orderings the
-//! reference's per-node stable sorts produce, and the Gram cache
-//! returns the same bits whether full or lazy because the kernel is
-//! symmetric and evaluated identically either way.
+//! reference's per-node stable sorts produce, and the Gram matrix
+//! holds the reference's kernel bits because the kernel is symmetric
+//! and evaluated identically.
 //!
 //! Everything is deterministic given a seed.
 

@@ -5,7 +5,7 @@
 //! the columnar presorted-index CART must choose the same splits,
 //! accumulate the same importances and predict the same classes as the
 //! boxed re-sorting reference; the blocked batch descent must predict
-//! what the per-row walk predicts; the Gram-cached SMO must produce
+//! what the per-row walk predicts; the Gram-matrix SMO must produce
 //! equal machines to the nested-`Vec` reference; and persisted models
 //! must serialize to identical bytes whichever grower built them.
 //!
@@ -267,10 +267,9 @@ fn forest_predict_all_matches_per_row_predict() {
     }
 }
 
-/// Gram-cached SMO ≡ reference SMO: equal machines (support vectors,
-/// coefficients, biases — `Svm` derives `PartialEq`), in both
-/// full-matrix and lazy-row cache modes. SMO is the expensive fit, so
-/// fewer cases.
+/// Gram-matrix SMO ≡ reference SMO: equal machines (support vectors,
+/// coefficients, biases — `Svm` derives `PartialEq`). SMO is the
+/// expensive fit, so fewer cases.
 #[test]
 fn svm_fast_path_matches_reference() {
     for seed in 0..12u64 {
@@ -281,11 +280,5 @@ fn svm_fast_path_matches_reference() {
         let fast = Svm::fit(&d, &params, fit_seed);
         let reference = Svm::fit_reference(&d, &params, fit_seed);
         assert_eq!(fast, reference, "bit-identical machines, seed {seed}");
-
-        // Force the bounded row cache: every pairwise problem exceeds
-        // gram_limit, so rows are cached lazily and recomputed past the
-        // cap. Same machines either way.
-        let lazy = Svm::fit(&d, &SvmParams { gram_limit: 4, ..params }, fit_seed);
-        assert_eq!(fast, lazy, "cache mode must not leak into results, seed {seed}");
     }
 }

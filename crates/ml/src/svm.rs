@@ -11,10 +11,9 @@
 //! Two solvers live here (DESIGN.md §11):
 //!
 //! * [`Svm::fit`] — the **fast path**: scaled rows in one flat
-//!   `RowMatrix`, the kernel behind a `GramCache`
-//!   (flat symmetric matrix below [`SvmParams::gram_limit`] rows,
-//!   bounded lazy row cache above it), and decision sums driven by a
-//!   sorted support-index list so each KKT scan costs
+//!   `RowMatrix`, the kernel precomputed into a flat symmetric
+//!   `GramCache`, and decision sums driven by a sorted support-index
+//!   list so each KKT scan costs
 //!   `O(|support|)` contiguous reads instead of an `O(n)` skip-scan
 //!   over nested `Vec`s.
 //! * `Svm::fit_reference` — the reference, compiled for tests only:
@@ -46,22 +45,11 @@ pub struct SvmParams {
     pub max_passes: usize,
     /// Hard cap on optimization sweeps.
     pub max_iters: usize,
-    /// Largest pairwise problem (rows) whose Gram matrix is fully
-    /// materialized; larger problems fall back to a bounded row cache
-    /// with the same memory budget (`gram_limit²` floats).
-    pub gram_limit: usize,
 }
 
 impl Default for SvmParams {
     fn default() -> Self {
-        SvmParams {
-            c: 10.0,
-            gamma: 0.5,
-            tol: 1e-3,
-            max_passes: 5,
-            max_iters: 200,
-            gram_limit: 2048,
-        }
+        SvmParams { c: 10.0, gamma: 0.5, tol: 1e-3, max_passes: 5, max_iters: 200 }
     }
 }
 
@@ -287,13 +275,7 @@ fn set_alpha(
 /// over the sorted support list. Equal to the reference's skip-zero
 /// scan bit for bit: same indices, same ascending order, and
 /// `K(i, j) == K(j, i)` as bits for the (symmetric) RBF kernel.
-fn decision_at<F: Fn(usize, usize) -> f64>(
-    k: &mut GramCache<F>,
-    support: &[u32],
-    coef: &[f64],
-    b: f64,
-    i: usize,
-) -> f64 {
+fn decision_at(k: &GramCache, support: &[u32], coef: &[f64], b: f64, i: usize) -> f64 {
     let row = k.row(i);
     let mut s = b;
     for &j in support {
@@ -316,11 +298,7 @@ fn smo_fast(
     if n < 2 || y.iter().all(|&v| v == y[0]) {
         return None; // degenerate pair; voting just skips it
     }
-    let gamma = p.gamma;
-    // Above the full-matrix limit, cap cached rows so lazy-mode memory
-    // never exceeds the full-matrix budget of `gram_limit²` floats.
-    let row_cap = ((p.gram_limit * p.gram_limit) / n.max(1)).max(8);
-    let mut k = GramCache::new(n, p.gram_limit, row_cap, |i, j| rbf(xs.row(i), xs.row(j), gamma));
+    let k = GramCache::new(n, |i, j| rbf(xs.row(i), xs.row(j), p.gamma));
 
     let mut alpha = vec![0.0; n];
     let mut coef = vec![0.0; n];
@@ -333,26 +311,14 @@ fn smo_fast(
         iters += 1;
         let mut changed = 0;
         for i in 0..n {
-            let ei = decision_at(&mut k, &support, &coef, b, i) - y[i];
+            let ei = decision_at(&k, &support, &coef, b, i) - y[i];
             if (y[i] * ei < -p.tol && alpha[i] < p.c) || (y[i] * ei > p.tol && alpha[i] > 0.0) {
                 let mut j = rng.range(0..n - 1);
                 if j >= i {
                     j += 1;
                 }
-                // Fetch row-i scalars before touching row j: in lazy
-                // mode both may share the scratch buffer.
-                let (kii, kij) = {
-                    let r = k.row(i);
-                    (r[i], r[j])
-                };
-                let (ej, kjj) = {
-                    let r = k.row(j);
-                    let mut s = b;
-                    for &q in &support {
-                        s += coef[q as usize] * r[q as usize];
-                    }
-                    (s - y[j], r[j])
-                };
+                let (kii, kij, kjj) = (k.row(i)[i], k.row(i)[j], k.row(j)[j]);
+                let ej = decision_at(&k, &support, &coef, b, j) - y[j];
                 let (ai_old, aj_old) = (alpha[i], alpha[j]);
                 let (lo, hi) = if y[i] != y[j] {
                     ((aj_old - ai_old).max(0.0), (p.c + aj_old - ai_old).min(p.c))
@@ -593,15 +559,6 @@ mod tests {
             let reference = Svm::fit_reference(&train, &SvmParams::default(), seed);
             assert_eq!(fast, reference, "bit-identical machines at seed {seed}");
         }
-    }
-
-    #[test]
-    fn lazy_row_cache_matches_full_gram() {
-        let train = ring_dataset(9, 30);
-        let full = Svm::fit(&train, &SvmParams::default(), 3);
-        // Force lazy mode: every pairwise problem exceeds gram_limit=4.
-        let lazy = Svm::fit(&train, &SvmParams { gram_limit: 4, ..SvmParams::default() }, 3);
-        assert_eq!(full, lazy, "cache mode must not change the trained machines");
     }
 
     #[test]

@@ -497,13 +497,14 @@ mod tests {
                     DomainName::parse("mail.example.net").unwrap(),
                     QType::Ptr,
                 ),
-                2 => Message::query(
-                    i as u16,
-                    bs_dns::reverse::reverse_name_v6(std::net::Ipv6Addr::from(
-                        draw(5, 1 << 62) as u128
-                    )),
-                    QType::Ptr,
-                ),
+                2 => {
+                    // A PTR lookup under `ip6.arpa`: 32 nibble labels,
+                    // least significant first.
+                    let nibbles = format!("{:032x}", draw(5, 1 << 62));
+                    let labels: String = nibbles.chars().rev().map(|c| format!("{c}.")).collect();
+                    let qname = DomainName::parse(&format!("{labels}ip6.arpa")).unwrap();
+                    Message::query(i as u16, qname, QType::Ptr)
+                }
                 _ => Message::query(i as u16, reverse_name(originator), QType::Ptr),
             };
             let mut response = Message::response(&query, rcode, Vec::new()).encode();

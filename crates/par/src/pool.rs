@@ -184,10 +184,6 @@ where
     let _stage = bs_telemetry::stage("par.run").charging_parent();
     let inherited = Position::capture();
     bs_telemetry::gauge_set("par.threads", t as i64);
-    // Region depth for the live watchdog's backlog rule: tasks still
-    // queued or running across all concurrent regions. Net zero after
-    // every region, so a scrape seeing it high means work in flight.
-    bs_telemetry::gauge_add("par.inflight", n as i64);
     // Relaxed is enough: the counter publishes no data, and results
     // reach this thread through the workers' joins.
     let next = &AtomicUsize::new(0);
@@ -213,7 +209,6 @@ where
     });
 
     bs_telemetry::counter_add("par.tasks", n as u64);
-    bs_telemetry::gauge_add("par.inflight", -(n as i64));
 
     // Reassemble in task-index order, independent of execution order.
     let mut out: Vec<Option<U>> = Vec::with_capacity(n);

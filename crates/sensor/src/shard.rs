@@ -58,9 +58,7 @@
 //! (`sensor.shard.<i>.{ingested,evictions,probation_resets}`) ride
 //! next to the unchanged `sensor.stream.*` rollups, and each window
 //! flush publishes merged gauges plus shard-skew gauges
-//! (`sensor.shard.load.{max,mean}`, `sensor.shard.skew_milli`) and
-//! zeroes `par.shard_backlog`, which drain barriers set to the queued
-//! total so the watchdog can rule on runaway backlog.
+//! (`sensor.shard.load.{max,mean}`, `sensor.shard.skew_milli`).
 
 use crate::ingest::{Observations, OriginatorObservation};
 #[cfg(test)]
@@ -299,13 +297,9 @@ impl ShardedStreamingSensor {
     /// so there is no contention — the mutex exists to hand `&mut`
     /// across the scoped-parallel boundary safely).
     fn drain_all(&mut self) {
-        let total = self.queued_records();
-        if total == 0 {
+        if self.queued_records() == 0 {
             return;
         }
-        // Published before the drain and zeroed at window flush: the
-        // watchdog's view of "records parked between barriers".
-        bs_telemetry::gauge_set("par.shard_backlog", total as i64);
         let lanes: Vec<Mutex<&mut Lane>> = self.lanes.iter_mut().map(Mutex::new).collect();
         bs_par::par_map_range(lanes.len(), |i| lock(&lanes[i]).drain_queue());
     }
@@ -381,7 +375,6 @@ impl ShardedStreamingSensor {
             0
         };
         bs_telemetry::gauge_set("sensor.shard.skew_milli", skew_milli);
-        bs_telemetry::gauge_set("par.shard_backlog", 0);
         all_queriers.sort_unstable();
         all_queriers.dedup();
         let observations =

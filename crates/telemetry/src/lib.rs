@@ -185,13 +185,6 @@ pub fn gauge_set(name: &str, value: i64) {
     }
 }
 
-/// Add (possibly negative) to a named gauge. No-op while disabled.
-pub fn gauge_add(name: &str, delta: i64) {
-    if is_enabled() {
-        registry().gauge(name).add(delta);
-    }
-}
-
 /// Record one value into a named histogram. No-op while disabled.
 pub fn observe(name: &str, value: u64) {
     if is_enabled() {
@@ -251,8 +244,7 @@ mod tests {
         enable();
         counter_add("lib.test.counter", 2);
         counter_inc("lib.test.counter");
-        gauge_set("lib.test.gauge", -7);
-        gauge_add("lib.test.gauge", 3);
+        gauge_set("lib.test.gauge", -4);
         observe("lib.test.hist", 1000);
         {
             let _g = stage("lib.test.span");

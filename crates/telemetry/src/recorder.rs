@@ -1,28 +1,25 @@
-//! The flight recorder: a fixed-capacity, lock-striped ring buffer of
-//! recent trace events.
+//! The flight recorder: one fixed-capacity ring of recent trace events.
 //!
 //! Events are pushed from any thread. Each thread is assigned a *lane*
 //! (a small dense id, named after the pool worker when `bs-par` enters
-//! the spawner's [`crate::Position`]); events route to one of
-//! [`STRIPES`] independent
-//! mutex-protected rings by `lane % STRIPES`, so threads on different
-//! stripes never contend. A process-global sequence number gives a
-//! total order for export. When a stripe fills, its oldest events are
-//! overwritten and [`dropped`] counts them — the recorder keeps the
-//! *most recent* history, which is what you want from a flight
-//! recorder after a crash.
+//! the spawner's [`crate::Position`]). Every event goes into one
+//! mutex-protected ring, and takes its sequence number under that lock,
+//! so the ring is always in `seq` order. When the ring is full its
+//! oldest event is overwritten and [`dropped`] counts it — the recorder
+//! keeps the *most recent* history, whichever lanes recorded it, which
+//! is what you want from a flight recorder after a crash.
+//!
+//! Lane names live next to the ring. Each pool worker is a fresh
+//! thread, so every region names new lanes; naming one forgets the
+//! names of lanes that have no event left in the ring.
 
 use crate::stage::current_context;
 use crate::{epoch, lock};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Number of independently-locked rings. Power of two; lanes route by
-/// `lane % STRIPES`.
-const STRIPES: usize = 8;
-
-/// Default total event capacity across all stripes.
+/// Events the ring holds.
 const DEFAULT_CAPACITY: usize = 65_536;
 
 /// One recorded trace event.
@@ -77,27 +74,27 @@ pub enum EventKind {
     },
 }
 
-struct Stripe {
-    ring: Mutex<VecDeque<Event>>,
-}
-
+#[derive(Default)]
 struct Recorder {
-    stripes: Vec<Stripe>,
-    seq: AtomicU64,
-    dropped: AtomicU64,
-    capacity_per_stripe: AtomicUsize,
-    lane_names: Mutex<Vec<(u64, String)>>,
+    /// Oldest → newest, at most [`DEFAULT_CAPACITY`] events.
+    ring: VecDeque<Event>,
+    /// The next event's `seq`.
+    seq: u64,
+    dropped: u64,
+    lanes: HashMap<u64, Lane>,
 }
 
-fn recorder() -> &'static Recorder {
-    static RECORDER: OnceLock<Recorder> = OnceLock::new();
-    RECORDER.get_or_init(|| Recorder {
-        stripes: (0..STRIPES).map(|_| Stripe { ring: Mutex::new(VecDeque::new()) }).collect(),
-        seq: AtomicU64::new(0),
-        dropped: AtomicU64::new(0),
-        capacity_per_stripe: AtomicUsize::new(DEFAULT_CAPACITY / STRIPES),
-        lane_names: Mutex::new(Vec::new()),
-    })
+/// What the recorder knows of one lane.
+#[derive(Default)]
+struct Lane {
+    name: Option<String>,
+    /// This lane's events in the ring.
+    held: usize,
+}
+
+fn recorder() -> &'static Mutex<Recorder> {
+    static RECORDER: OnceLock<Mutex<Recorder>> = OnceLock::new();
+    RECORDER.get_or_init(Mutex::default)
 }
 
 static NEXT_LANE: AtomicU64 = AtomicU64::new(0);
@@ -120,40 +117,44 @@ pub(crate) fn lane() -> u64 {
 
 /// Name the current thread's lane (e.g. `"par-worker-3"`); the name
 /// becomes the thread label in the Chrome trace export. Re-naming a
-/// lane replaces the previous name. Inert while tracing is disabled.
+/// lane replaces the previous name. Forgets the lanes, other than this
+/// one, that have no event left in the ring, so the table never
+/// outgrows the ring. Inert while tracing is disabled.
 pub fn name_lane(name: &str) {
     if !crate::trace::is_enabled() {
         return;
     }
     let id = lane();
-    let mut names = lock(&recorder().lane_names);
-    match names.iter_mut().find(|(l, _)| *l == id) {
-        Some(entry) => entry.1 = name.to_string(),
-        None => names.push((id, name.to_string())),
-    }
+    let mut rec = lock(recorder());
+    rec.lanes.entry(id).or_default().name = Some(name.to_string());
+    rec.lanes.retain(|&l, lane| l == id || lane.held > 0);
 }
 
-/// All `(lane, name)` pairs registered via [`name_lane`].
+/// All `(lane, name)` pairs registered via [`name_lane`] and not yet
+/// forgotten.
 pub fn lane_names() -> Vec<(u64, String)> {
-    lock(&recorder().lane_names).clone()
+    let rec = lock(recorder());
+    rec.lanes.iter().filter_map(|(&l, lane)| Some((l, lane.name.clone()?))).collect()
 }
 
 /// Record an event on the current thread's lane. Callers have already
 /// checked [`crate::trace::is_enabled`].
 pub(crate) fn push(trace_id: u64, span_id: u64, parent_id: u64, kind: EventKind) {
-    let rec = recorder();
     let lane = lane();
     let t_us = u64::try_from(epoch().elapsed().as_micros()).unwrap_or(u64::MAX);
-    let seq = rec.seq.fetch_add(1, Ordering::Relaxed);
-    let event = Event { seq, t_us, lane, trace_id, span_id, parent_id, kind };
-    let cap = rec.capacity_per_stripe.load(Ordering::Relaxed).max(1);
-    let stripe = &rec.stripes[(lane as usize) % STRIPES];
-    let mut ring = lock(&stripe.ring);
-    while ring.len() >= cap {
-        ring.pop_front();
-        rec.dropped.fetch_add(1, Ordering::Relaxed);
+    let mut guard = lock(recorder());
+    let rec = &mut *guard;
+    if rec.ring.len() == DEFAULT_CAPACITY {
+        let old = rec.ring.pop_front().expect("a full ring");
+        if let Some(l) = rec.lanes.get_mut(&old.lane) {
+            l.held -= 1;
+        }
+        rec.dropped += 1;
     }
-    ring.push_back(event);
+    let seq = rec.seq;
+    rec.seq += 1;
+    rec.lanes.entry(lane).or_default().held += 1;
+    rec.ring.push_back(Event { seq, t_us, lane, trace_id, span_id, parent_id, kind });
 }
 
 /// Record a counter sample attributed to the current span (if any).
@@ -197,49 +198,25 @@ fn ids() -> (u64, u64) {
     }
 }
 
-/// Set the recorder's total event capacity (split evenly across
-/// stripes, minimum one event per stripe). Existing events are kept up
-/// to the new per-stripe limit.
-pub fn set_capacity(total: usize) {
-    let rec = recorder();
-    let per = (total / STRIPES).max(1);
-    rec.capacity_per_stripe.store(per, Ordering::Relaxed);
-    for stripe in &rec.stripes {
-        let mut ring = lock(&stripe.ring);
-        while ring.len() > per {
-            ring.pop_front();
-            rec.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Events overwritten because a stripe was full (oldest-first loss).
+/// Events overwritten because the ring was full (oldest-first loss).
 pub fn dropped() -> u64 {
-    recorder().dropped.load(Ordering::Relaxed)
+    lock(recorder()).dropped
 }
 
 /// Copy out all buffered events, in global `seq` order, leaving the
 /// buffer intact (for the panic hook and mid-run inspection).
 pub fn events() -> Vec<Event> {
-    let rec = recorder();
-    let mut all: Vec<Event> = Vec::new();
-    for stripe in &rec.stripes {
-        all.extend(lock(&stripe.ring).iter().cloned());
-    }
-    all.sort_by_key(|e| e.seq);
-    all
+    lock(recorder()).ring.iter().cloned().collect()
 }
 
 /// Take all buffered events, in global `seq` order, emptying the
-/// buffer. The export path: record a run, `drain`, write the JSON.
+/// buffer. The export path: record a run, `drain`, write the JSON. Lane
+/// names stay until the next [`name_lane`], so the export can label
+/// what was drained.
 pub fn drain() -> Vec<Event> {
-    let rec = recorder();
-    let mut all: Vec<Event> = Vec::new();
-    for stripe in &rec.stripes {
-        all.extend(lock(&stripe.ring).drain(..));
-    }
-    all.sort_by_key(|e| e.seq);
-    all
+    let mut rec = lock(recorder());
+    rec.lanes.values_mut().for_each(|l| l.held = 0);
+    rec.ring.drain(..).collect()
 }
 
 /// Install a panic hook that dumps the flight recorder (as a span tree
@@ -273,21 +250,35 @@ mod tests {
         let _g = testutil::serial();
         crate::trace::enable();
         drain();
-        // Tiny capacity: one event per stripe. All events from this
-        // thread land on one stripe, so only the newest survives.
-        set_capacity(STRIPES);
         let before_dropped = dropped();
-        for i in 0..10 {
-            record_counter("trace.test.ring", i);
+        // Four threads overflow the ring by 1 000 events; one of them
+        // records most of them.
+        let per_thread = [DEFAULT_CAPACITY - 2_000, 1_000, 1_000, 1_000];
+        std::thread::scope(|s| {
+            for (t, &n) in per_thread.iter().enumerate() {
+                s.spawn(move || {
+                    for i in 0..n as u64 {
+                        record_counter("trace.test.ring", t as u64 * 1_000_000 + i);
+                    }
+                });
+            }
+        });
+        let evs = events();
+        assert_eq!(evs.len(), DEFAULT_CAPACITY, "a full ring");
+        assert_eq!(dropped() - before_dropped, 1_000, "every overwrite counted");
+        for pair in evs.windows(2) {
+            assert_eq!(pair[0].seq + 1, pair[1].seq, "the newest events, with no gap");
         }
-        let evs = drain();
-        assert_eq!(evs.len(), 1, "one-slot stripe keeps exactly the newest event");
-        match &evs[0].kind {
-            EventKind::Counter { value, .. } => assert_eq!(*value, 9, "newest value wins"),
-            other => panic!("unexpected kind {other:?}"),
+        // Every thread's last event survives: the losses are the oldest.
+        for (t, &n) in per_thread.iter().enumerate() {
+            let last = t as u64 * 1_000_000 + n as u64 - 1;
+            assert!(
+                evs.iter()
+                    .any(|e| matches!(e.kind, EventKind::Counter { value, .. } if value == last)),
+                "thread {t} lost its newest event"
+            );
         }
-        assert_eq!(dropped() - before_dropped, 9, "nine overwrites counted");
-        set_capacity(DEFAULT_CAPACITY);
+        drain();
         crate::trace::disable();
     }
 
@@ -325,6 +316,32 @@ mod tests {
         let mine: Vec<&(u64, String)> = names.iter().filter(|(l, _)| *l == my_lane).collect();
         assert_eq!(mine.len(), 1, "rename replaces, not appends");
         assert_eq!(mine[0].1, "trace-test-lane-2");
+        crate::trace::disable();
+    }
+
+    #[test]
+    fn lane_table_holds_only_lanes_with_events() {
+        let _g = testutil::serial();
+        crate::trace::enable();
+        drain();
+        // Many traced regions, each a fresh named thread, each exported
+        // before the next starts.
+        for region in 0..300 {
+            std::thread::spawn(move || {
+                let _p = crate::Position::capture().enter(format_args!("trace-region-{region}"));
+                record_counter("trace.test.lanes", region);
+            })
+            .join()
+            .unwrap();
+            let evs = drain();
+            let names = lane_names();
+            assert!(names.len() <= 2, "region {region}: {} names kept", names.len());
+            for (lane, name) in &names {
+                if name.starts_with("trace-region-") {
+                    assert!(evs.iter().any(|e| e.lane == *lane), "{name} has no event");
+                }
+            }
+        }
         crate::trace::disable();
     }
 }

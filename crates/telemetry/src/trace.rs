@@ -8,7 +8,7 @@
 //! `bs-par` carries into pool workers, so a stage opened inside a
 //! worker task parents under the stage that spawned it at any thread
 //! count. Events land in a **flight recorder** ([`drain`], [`events`]):
-//! a fixed-capacity, lock-striped ring buffer of recent span
+//! a fixed-capacity ring buffer of recent span
 //! starts/ends, counter samples and warn-or-worse log records, dumpable
 //! on demand or on panic ([`install_panic_hook`]).
 //!
@@ -33,7 +33,7 @@
 pub use crate::chrome::{chrome_trace_json, tree_dump};
 pub use crate::recorder::{
     drain, dropped, events, install_panic_hook, lane_names, name_lane, record_counter, record_log,
-    set_capacity, Event, EventKind,
+    Event, EventKind,
 };
 pub use crate::stage::{current_context, TraceContext};
 

@@ -9,8 +9,10 @@
 #   ring) → traffic-sized machinery (no work-stealing queue, no log
 #   rate limiter) → one window view (only the code that builds a
 #   window reads its storage) → one road from bytes to verdicts (no
-#   classify --model, no --shards, --capture or --format flag) → lints
-#   as errors → rustdoc as errors → release build → one experiments
+#   classify --model, no --shards, --capture or --format flag) →
+#   observability sized to the binary (no shard-skew view, backlog rule
+#   or live config struct, one recorder ring, one Gram matrix, no IPv6
+#   reverse helpers) → lints as errors → rustdoc as errors → release build → one experiments
 #   binary whose registry matches results/ → bs-dns, bs-netsim, bs-ml,
 #   bs-classify, bs-sensor and backscatter-core tests on the release
 #   build → tests → CLI smokes (stream --extract holds fewer cache
@@ -189,6 +191,19 @@ commands="$(sed -n '/^const COMMANDS/,/^];/p' src/bin/backscatter.rs | tr '\n' '
 if grep -n 'cmd_classify_with_model' src/bin/backscatter.rs ||
     grep -E '"(shards|capture|format)"' <<<"$commands"; then
     echo "a retired CLI road or flag is back (lines above)"
+    exit 1
+fi
+
+echo "=== observability sized to the binary: retired views, rules and knobs stay deleted"
+# The live plane watches what the binary runs: no view of the sharded
+# engine nothing selects, no rule over a gauge that is only the size of
+# the open parallel region, and no config struct for values the binary
+# sets one way (DESIGN.md §12, §13). The flight recorder is one ring,
+# the SVM keeps one Gram matrix, and the parked IPv6 reverse helpers
+# stay deleted (DESIGN.md §8, §11).
+if grep -rnE 'ShardSkew|shard_skew|par_backlog|shard_backlog|par\.inflight|LiveConfig|SeriesConfig|gram_limit|STRIPES|reverse_name_v6|parse_reverse_v6' \
+    crates src tests examples; then
+    echo "a retired live view, rule, gauge or knob is back (lines above)"
     exit 1
 fi
 

@@ -95,25 +95,23 @@ fn main() -> ExitCode {
     // The bound address is printed so `--serve 127.0.0.1:0` callers
     // can discover the ephemeral port.
     let live_handle = match flags.get("serve") {
-        Some(addr) => {
-            match dns_backscatter::live::serve(addr, dns_backscatter::live::LiveConfig::default()) {
-                Ok(h) => {
-                    println!("live: listening on {}", h.addr());
-                    telemetry::info!(
-                        "cli",
-                        "live endpoint up";
-                        addr = h.addr(),
-                        routes =
-                            "/metrics /snapshot /health /trace/summary /buildinfo /profile/*",
-                    );
-                    Some(h)
-                }
-                Err(e) => {
-                    eprintln!("error: --serve {addr}: {e}");
-                    return ExitCode::from(2);
-                }
+        Some(addr) => match dns_backscatter::live::serve(addr) {
+            Ok(h) => {
+                println!("live: listening on {}", h.addr());
+                telemetry::info!(
+                    "cli",
+                    "live endpoint up";
+                    addr = h.addr(),
+                    routes =
+                        "/metrics /snapshot /health /trace/summary /buildinfo /profile/*",
+                );
+                Some(h)
             }
-        }
+            Err(e) => {
+                eprintln!("error: --serve {addr}: {e}");
+                return ExitCode::from(2);
+            }
+        },
         None => None,
     };
     let result = {
@@ -578,7 +576,6 @@ metric naming: dotted crate.stage names, e.g.
                              name of its ledger row
   par.tasks                  pool tasks run
   par.threads                gauge: workers in the latest region
-  par.inflight               gauge: tasks inside active parallel regions
   par.run                    latency histogram per parallel region (ns)
   log.error/.warn/.info/.debug     logger event counts
   live.ticks                 gauge: samples taken by the live sampler

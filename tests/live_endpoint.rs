@@ -9,7 +9,7 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
-use dns_backscatter::live::http_get;
+use dns_backscatter::live::{http_get, Signal, Watchdog};
 use dns_backscatter::telemetry::json;
 
 fn bin() -> Command {
@@ -183,6 +183,67 @@ fn stream_serve_answers_scrapes_while_ingesting() {
                     "histogram {name} quantiles out of order: {h:?}"
                 );
             }
+        }
+    }
+}
+
+/// Every rule `/health` lists watches series the binary publishes: a
+/// rule over a series nothing sets reads 0 forever. The run keeps five
+/// originators, so the sensor evicts and resets probation, and its log
+/// has seven records moved behind their window, so some arrive late.
+#[test]
+fn every_watchdog_rule_watches_a_published_series() {
+    let text = std::fs::read_to_string(simulated_log()).expect("read the simulated log");
+    let lines: Vec<&str> = text.lines().collect();
+    let log = tmp("live-late.tsv");
+    std::fs::write(&log, [&lines[7..], &lines[..7]].concat().join("\n") + "\n")
+        .expect("write the reordered log");
+    let mut child = bin()
+        .args(["stream", "--log", log.to_str().unwrap(), "--window", "600"])
+        .args(["--max-originators", "5", "--serve", "127.0.0.1:0", "--linger", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn stream --serve");
+    let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
+    let mut addr: Option<SocketAddr> = None;
+    // The listening line comes first; the summary line follows the
+    // sample forced after the final record.
+    for line in lines.by_ref() {
+        let line = line.expect("read child stdout");
+        if let Some(rest) = line.strip_prefix("live: listening on ") {
+            addr = Some(rest.trim().parse().expect("parse bound address"));
+        }
+        if line.starts_with("stream: ") {
+            break;
+        }
+    }
+    let addr = addr.expect("no listening line");
+    let (_, health) = http_get(addr, "/health").expect("scrape /health");
+    let (_, snap) = http_get(addr, "/snapshot").expect("scrape /snapshot");
+    assert!(child.wait().expect("wait for child").success());
+
+    let health = json::parse(&health).expect("/health is valid JSON");
+    let snap = json::parse(&snap).expect("/snapshot is valid JSON");
+    let registry = snap.get("registry").expect("/snapshot embeds the registry");
+    let defaults = Watchdog::default_rules();
+    let listed = health.get("rules").and_then(|r| r.as_array()).expect("/health lists rules");
+    assert_eq!(listed.len(), defaults.len());
+    for listed in listed {
+        let name = listed.get("rule").and_then(|n| n.as_str()).expect("rule name");
+        let rule = defaults.iter().find(|r| r.name == name).expect("a default rule");
+        let series = match &rule.signal {
+            Signal::CounterRate { name, .. } => vec![("counters", name)],
+            Signal::RateRatio { numerator, denominator, .. } => {
+                vec![("counters", numerator), ("counters", denominator)]
+            }
+            Signal::GaugeValue { name } => vec![("gauges", name)],
+        };
+        for (kind, series) in series {
+            assert!(
+                registry.get(kind).and_then(|m| m.get(series)).is_some(),
+                "rule {name} watches {kind} {series}, which the binary never publishes"
+            );
         }
     }
 }
