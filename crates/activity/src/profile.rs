@@ -27,9 +27,9 @@ pub enum Targeting {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiurnalPattern {
     /// Amplitude in `[0, 1]`: 0 = flat, 1 = full swing.
-    pub amplitude: f64,
+    pub(crate) amplitude: f64,
     /// Hour of peak activity in `[0, 24)`.
-    pub peak_hour: f64,
+    pub(crate) peak_hour: f64,
 }
 
 impl DiurnalPattern {
@@ -39,7 +39,7 @@ impl DiurnalPattern {
     }
 
     /// Relative intensity at a time of day, mean 1.0 over a day.
-    pub fn intensity(&self, t: SimTime) -> f64 {
+    pub(crate) fn intensity(&self, t: SimTime) -> f64 {
         let hour = t.second_of_day() as f64 / 3600.0;
         let phase = (hour - self.peak_hour) / 24.0 * std::f64::consts::TAU;
         (1.0 + self.amplitude * phase.cos()).max(0.0)
@@ -58,7 +58,7 @@ pub struct OriginatorProfile {
     pub targets_per_day: f64,
     /// Mean contacts per chosen target (spam retries, repeated CDN
     /// deliveries); drives the queries-per-querier feature.
-    pub repeat_mean: f64,
+    pub(crate) repeat_mean: f64,
     /// Traffic kind(s); contacts cycle through this list.
     pub kinds: Vec<ContactKind>,
     /// Target-selection strategy.

@@ -17,12 +17,12 @@ pub struct BurstConfig {
     pub baseline_windows: usize,
     /// Flag when `count > mean + threshold_sigmas · std` of the
     /// baseline (std floored at `min_std` to survive quiet baselines).
-    pub threshold_sigmas: f64,
+    pub(crate) threshold_sigmas: f64,
     /// Floor on the baseline standard deviation.
-    pub min_std: f64,
+    pub(crate) min_std: f64,
     /// Also require a relative excess of at least this fraction over
     /// the baseline mean (guards against flagging +1 on a count of 3).
-    pub min_relative_excess: f64,
+    pub(crate) min_relative_excess: f64,
 }
 
 impl Default for BurstConfig {

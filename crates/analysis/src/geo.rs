@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 /// Per-class country histogram of distinct originators.
-pub type GeoBreakdown = BTreeMap<ApplicationClass, BTreeMap<CountryCode, usize>>;
+pub(crate) type GeoBreakdown = BTreeMap<ApplicationClass, BTreeMap<CountryCode, usize>>;
 
 /// Count distinct originators per (class, country) across windows.
 /// Originators in unusable space (no country) are skipped.

@@ -21,7 +21,7 @@ pub struct TeamSummary {
     /// class (stronger evidence of coordination).
     pub single_class_teams: usize,
     /// The threshold used.
-    pub team_threshold: usize,
+    pub(crate) team_threshold: usize,
 }
 
 fn block_of(ip: Ipv4Addr) -> u32 {

@@ -53,7 +53,7 @@ fn percentile(sorted: &[usize], p: f64) -> usize {
 
 impl BoxStats {
     /// Summarize a set of footprints; `None` when empty.
-    pub fn from_footprints(mut footprints: Vec<usize>) -> Option<BoxStats> {
+    pub(crate) fn from_footprints(mut footprints: Vec<usize>) -> Option<BoxStats> {
         if footprints.is_empty() {
             return None;
         }

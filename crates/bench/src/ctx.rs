@@ -20,7 +20,8 @@ use std::time::Instant;
 type Memo<T> = [OnceLock<T>; DatasetId::ALL.len()];
 
 /// The six case-study roles of the paper's §IV-A (Fig. 3 / Table II).
-pub const CASE_STUDIES: [&str; 6] = ["scan-icmp", "scan-ssh", "ad-track", "cdn", "mail", "spam"];
+pub(crate) const CASE_STUDIES: [&str; 6] =
+    ["scan-icmp", "scan-ssh", "ad-track", "cdn", "mail", "spam"];
 
 /// Shared state of one experiment run.
 pub struct Ctx {
@@ -55,7 +56,7 @@ impl Ctx {
 
     /// Repetition count for a protocol the paper runs `standard` times:
     /// the paper's count at standard scale, a handful at smoke.
-    pub fn reps(&self, standard: usize) -> usize {
+    pub(crate) fn reps(&self, standard: usize) -> usize {
         ((standard as f64 * self.scale.duration_scale).ceil() as usize).max(2)
     }
 
@@ -133,7 +134,7 @@ impl Ctx {
     /// Ground-truth (oracle) series: the same windows, labeled from the
     /// scenario instead of the classifier. Used where the paper itself
     /// uses curated labels (Figs. 5–6).
-    pub fn truth_series(&self, id: DatasetId) -> &[WindowClassification] {
+    pub(crate) fn truth_series(&self, id: DatasetId) -> &[WindowClassification] {
         self.truth[id as usize].get_or_init(|| {
             let built = self.dataset(id);
             let windows = built.windows().into_iter().zip(self.features(id)).enumerate();
@@ -174,7 +175,7 @@ impl Ctx {
     /// The paper's six case-study originators on JP-ditl: the
     /// largest-footprint representative of each role. Roles with no
     /// analyzable representative are skipped.
-    pub fn case_studies(&self) -> Vec<(&'static str, &OriginatorFeatures)> {
+    pub(crate) fn case_studies(&self) -> Vec<(&'static str, &OriginatorFeatures)> {
         let by_ip: BTreeMap<_, _> =
             self.features(DatasetId::JpDitl)[0].iter().map(|f| (f.originator, f)).collect();
         let mut picks: BTreeMap<&'static str, &OriginatorFeatures> = BTreeMap::new();

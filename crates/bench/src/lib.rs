@@ -122,7 +122,7 @@ pub struct Experiment {
     /// Registry key and stem of the results file.
     pub name: &'static str,
     /// Heading of the rendered artifact.
-    pub title: &'static str,
+    pub(crate) title: &'static str,
     /// The paper artifact reproduced.
     pub paper_ref: &'static str,
     /// The shape claims the experiment judges.

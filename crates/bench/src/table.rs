@@ -3,7 +3,7 @@
 
 /// A fixed-width table: `header` names the columns, separated by `|`;
 /// column widths adapt to content.
-pub fn table(header: &str, rows: &[Vec<String>]) -> String {
+pub(crate) fn table(header: &str, rows: &[Vec<String>]) -> String {
     let header: Vec<String> = header.split('|').map(String::from).collect();
     let mut widths: Vec<usize> = header.iter().map(String::len).collect();
     for r in rows {
@@ -24,28 +24,28 @@ pub fn table(header: &str, rows: &[Vec<String>]) -> String {
 }
 
 /// Format a float with three decimals.
-pub fn f3(x: f64) -> String {
+pub(crate) fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
 /// Arithmetic mean; 0 for an empty slice.
-pub fn mean(v: &[f64]) -> f64 {
+pub(crate) fn mean(v: &[f64]) -> f64 {
     v.iter().sum::<f64>() / v.len().max(1) as f64
 }
 
 /// The smallest of some floats; +∞ for none.
-pub fn lowest(v: impl IntoIterator<Item = f64>) -> f64 {
+pub(crate) fn lowest(v: impl IntoIterator<Item = f64>) -> f64 {
     v.into_iter().fold(f64::INFINITY, f64::min)
 }
 
 /// The largest of some floats; −∞ for none.
-pub fn highest(v: impl IntoIterator<Item = f64>) -> f64 {
+pub(crate) fn highest(v: impl IntoIterator<Item = f64>) -> f64 {
     v.into_iter().fold(f64::NEG_INFINITY, f64::max)
 }
 
 /// Coefficient of variation (population standard deviation over mean)
 /// of non-negative values; 0 when they are all zero.
-pub fn cv(v: &[f64]) -> f64 {
+pub(crate) fn cv(v: &[f64]) -> f64 {
     let m = mean(v);
     let var = mean(&v.iter().map(|x| (x - m) * (x - m)).collect::<Vec<_>>());
     var.sqrt() / m.max(f64::MIN_POSITIVE)

@@ -16,10 +16,10 @@ use crate::pipeline::FeatureMap;
 pub struct AdvisorConfig {
     /// Re-curate when the active fraction of malicious labels falls
     /// below this (the paper sees malicious halve within a month).
-    pub malicious_floor: f64,
+    pub(crate) malicious_floor: f64,
     /// Re-curate when the active fraction of benign labels falls below
     /// this.
-    pub benign_floor: f64,
+    pub(crate) benign_floor: f64,
     /// Minimum *absolute* active examples per group regardless of
     /// fractions (the paper wants ~20 per class, ~200 total; per group
     /// we default to 15).
@@ -110,20 +110,6 @@ pub fn advise(health: &LabelHealth, config: &AdvisorConfig) -> CurationAdvice {
     }
 }
 
-/// Scan a window sequence and return, for each window, the advice —
-/// plus the first window where re-curation became necessary (what the
-/// operator would actually schedule).
-pub fn advise_series(
-    labels: &LabeledSet,
-    windows: &[FeatureMap],
-    config: &AdvisorConfig,
-) -> (Vec<CurationAdvice>, Option<usize>) {
-    let advice: Vec<CurationAdvice> =
-        windows.iter().map(|w| advise(&LabelHealth::measure(labels, w), config)).collect();
-    let first = advice.iter().position(|a| *a != CurationAdvice::Healthy);
-    (advice, first)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,21 +191,9 @@ mod tests {
     }
 
     #[test]
-    fn series_reports_first_trigger() {
-        let l = labels(20, 20);
-        let windows = vec![window(20, 20), window(15, 20), window(9, 20), window(5, 18)];
-        let (advice, first) = advise_series(&l, &windows, &AdvisorConfig::default());
-        assert_eq!(advice[0], CurationAdvice::Healthy);
-        assert_eq!(advice[1], CurationAdvice::Healthy);
-        assert_eq!(advice[2], CurationAdvice::RecurateMalicious);
-        assert_eq!(first, Some(2));
-    }
-
-    #[test]
     fn empty_label_set_is_trivially_healthy() {
         let l = LabeledSet::default();
-        let (advice, first) = advise_series(&l, &[window(0, 0)], &AdvisorConfig::default());
-        assert_eq!(advice, vec![CurationAdvice::Healthy]);
-        assert_eq!(first, None);
+        let advice = advise(&LabelHealth::measure(&l, &window(0, 0)), &AdvisorConfig::default());
+        assert_eq!(advice, CurationAdvice::Healthy);
     }
 }

@@ -69,7 +69,7 @@ impl LabeledSet {
 
     /// The examples whose originators appear in `features` — the
     /// "re-appearing labeled examples" used to validate over time.
-    pub fn reappearing<'a>(
+    pub(crate) fn reappearing<'a>(
         &'a self,
         features: &BTreeMap<Ipv4Addr, bs_sensor::FeatureVector>,
     ) -> Vec<&'a LabeledExample> {

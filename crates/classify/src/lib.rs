@@ -25,7 +25,7 @@ pub mod labels;
 pub mod pipeline;
 pub mod strategies;
 
-pub use advisor::{advise, advise_series, AdvisorConfig, CurationAdvice, LabelHealth};
+pub use advisor::{advise, AdvisorConfig, CurationAdvice, LabelHealth};
 pub use consistency::{consistency_cdf, consistency_ratios, vote_entropy, WeeklyVote};
 pub use labels::{LabeledExample, LabeledSet, PER_CLASS_CAP};
 pub use pipeline::{ClassifierPipeline, FeatureMap, TrainedClassifier};

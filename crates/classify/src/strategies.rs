@@ -78,7 +78,7 @@ pub struct WindowScore {
     /// re-appeared to evaluate.
     pub f1: Option<f64>,
     /// How many evaluation examples re-appeared.
-    pub evaluated: usize,
+    pub(crate) evaluated: usize,
     /// Size of the label set used for this window's model.
     pub label_set_size: usize,
 }
@@ -87,7 +87,7 @@ pub struct WindowScore {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StrategyEvaluation {
     /// The strategy evaluated.
-    pub strategy: TrainingStrategy,
+    pub(crate) strategy: TrainingStrategy,
     /// One score per window.
     pub scores: Vec<WindowScore>,
 }

@@ -23,13 +23,11 @@ use std::net::Ipv4Addr;
 
 /// One blacklist record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlacklistEntry {
+pub(crate) struct BlacklistEntry {
     /// Spam-list count (of 9 organizations).
     pub bls: u8,
     /// Other-malice list count (scanning, ssh brute force, phishing).
     pub blo: u8,
-    /// When the first listing appeared.
-    pub listed_from: bs_dns::SimTime,
 }
 
 /// A modeled aggregate of nine DNS blacklists.
@@ -73,10 +71,7 @@ impl Blacklist {
                 }
             };
             if bls > 0 || blo > 0 {
-                // Listings appear a few days after activity starts.
-                let lag_days = 1 + bounded(mix64(h ^ 6), 5);
-                let listed_from = p.active_from + bs_dns::SimDuration::from_days(lag_days);
-                entries.entry(p.originator).or_insert(BlacklistEntry { bls, blo, listed_from });
+                entries.entry(p.originator).or_insert(BlacklistEntry { bls, blo });
             }
         }
         Blacklist { entries }
@@ -90,17 +85,6 @@ impl Blacklist {
     /// Other-malice list count (the BLO column).
     pub fn blo(&self, ip: Ipv4Addr) -> u8 {
         self.entries.get(&ip).map(|e| e.blo).unwrap_or(0)
-    }
-
-    /// Is `ip` on any list at `time`?
-    pub fn is_listed(&self, ip: Ipv4Addr, time: bs_dns::SimTime) -> bool {
-        self.entries.get(&ip).map(|e| time >= e.listed_from).unwrap_or(false)
-    }
-
-    /// Addresses with at least one *spam* listing — the spam-portion
-    /// oracle used for curation.
-    pub fn spam_listed(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
-        self.entries.iter().filter(|(_, e)| e.bls > 0).map(|(ip, _)| *ip)
     }
 
     /// Number of listed addresses.
@@ -213,18 +197,6 @@ mod tests {
         assert!(coverage > 0.6, "spam coverage {coverage}");
         let fp = benign_listed as f64 / benign_total.max(1) as f64;
         assert!(fp < 0.10, "benign false-listing rate {fp}");
-    }
-
-    #[test]
-    fn listings_lag_activity_start() {
-        let (_, s) = scenario();
-        let bl = Blacklist::build(&s, 1);
-        for p in s.profiles() {
-            if p.class == ApplicationClass::Spam && bl.bls(p.originator) > 0 {
-                assert!(!bl.is_listed(p.originator, p.active_from));
-                assert!(bl.is_listed(p.originator, p.active_from + SimDuration::from_days(7)));
-            }
-        }
     }
 
     #[test]

@@ -85,11 +85,11 @@ pub struct DatasetSpec {
     /// Deterministic 1-in-N sampling at the authority, if any.
     pub sampling: Option<u32>,
     /// Feature-window length (the paper's `d`). `None` = whole span.
-    pub feature_window: Option<SimDuration>,
+    pub(crate) feature_window: Option<SimDuration>,
     /// Stride between window starts; windows tile the span when equal
     /// to `feature_window`, or subsample it when larger (B-multi-year
     /// analyses one day per week).
-    pub window_stride: Option<SimDuration>,
+    pub(crate) window_stride: Option<SimDuration>,
     /// The population and span.
     pub scenario: ScenarioConfig,
 }
@@ -302,7 +302,7 @@ impl DatasetSpec {
     /// Days of the span that need simulating at all: with a sparse
     /// window stride (B-multi-year), days between observed windows are
     /// skipped.
-    pub fn days_to_simulate(&self) -> Vec<u64> {
+    pub(crate) fn days_to_simulate(&self) -> Vec<u64> {
         let total_days = self.scenario.duration.secs().div_ceil(86_400);
         match (self.feature_window, self.window_stride) {
             (Some(w), Some(s)) if s.secs() > w.secs() => {

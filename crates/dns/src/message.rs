@@ -52,7 +52,7 @@ impl QType {
     }
 
     /// Decode a wire value.
-    pub fn from_code(code: u16) -> Option<Self> {
+    pub(crate) fn from_code(code: u16) -> Option<Self> {
         Some(match code {
             1 => QType::A,
             2 => QType::Ns,
@@ -105,7 +105,7 @@ impl QClass {
     }
 
     /// Decode a wire value.
-    pub fn from_code(code: u16) -> Option<Self> {
+    pub(crate) fn from_code(code: u16) -> Option<Self> {
         Some(match code {
             1 => QClass::In,
             3 => QClass::Ch,
@@ -146,7 +146,7 @@ impl Rcode {
     }
 
     /// Decode a wire value.
-    pub fn from_code(code: u8) -> Option<Self> {
+    pub(crate) fn from_code(code: u8) -> Option<Self> {
         Some(match code {
             0 => Rcode::NoError,
             1 => Rcode::FormErr,
@@ -167,7 +167,7 @@ pub struct Question {
     /// The record type requested.
     pub qtype: QType,
     /// The class (`IN` everywhere that matters).
-    pub qclass: QClass,
+    pub(crate) qclass: QClass,
 }
 
 /// Typed record data for the RR types the simulator produces.
@@ -229,11 +229,11 @@ pub struct Message {
     /// True for responses (header QR bit).
     pub is_response: bool,
     /// Authoritative-answer bit.
-    pub authoritative: bool,
+    pub(crate) authoritative: bool,
     /// Recursion-desired bit (set by stub resolvers and queriers).
-    pub recursion_desired: bool,
+    pub(crate) recursion_desired: bool,
     /// Recursion-available bit (set by recursive resolvers).
-    pub recursion_available: bool,
+    pub(crate) recursion_available: bool,
     /// Response code.
     pub rcode: Rcode,
     /// Questions (exactly one in all traffic we model).

@@ -14,11 +14,11 @@ use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 /// Maximum length of a single label in bytes (RFC 1035 §2.3.4).
-pub const MAX_LABEL_LEN: usize = 63;
+pub(crate) const MAX_LABEL_LEN: usize = 63;
 
 /// Maximum wire length of a whole name in bytes, including length octets
 /// and the terminating root byte (RFC 1035 §2.3.4).
-pub const MAX_NAME_LEN: usize = 255;
+pub(crate) const MAX_NAME_LEN: usize = 255;
 
 /// Errors from constructing names or labels.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,9 +26,9 @@ pub enum NameError {
     /// A label was empty (only the root label may be empty, and it is
     /// implicit).
     EmptyLabel,
-    /// A label exceeded [`MAX_LABEL_LEN`] bytes.
+    /// A label exceeded `MAX_LABEL_LEN` bytes.
     LabelTooLong(usize),
-    /// The whole name exceeded [`MAX_NAME_LEN`] bytes in wire form.
+    /// The whole name exceeded `MAX_NAME_LEN` bytes in wire form.
     NameTooLong(usize),
     /// A label contained a byte we do not accept (we allow ASCII
     /// letters, digits, `-` and `_`; `_` occurs in real reverse trees).
@@ -175,11 +175,6 @@ impl DomainName {
     /// classifies `mail.ns.example.com` as `mail`, not `ns`.
     pub fn leftmost(&self) -> Option<&str> {
         self.labels().next()
-    }
-
-    /// Lowercased dotted representation, for canonical map keys.
-    pub fn to_lowercase_string(&self) -> String {
-        self.to_string().to_ascii_lowercase()
     }
 
     /// Wire length: the labels' length octets and bytes plus the
@@ -395,11 +390,5 @@ mod tests {
         let base = DomainName::parse("example.com").unwrap();
         let c = base.child(Label::new("www").unwrap()).unwrap();
         assert_eq!(c.to_string(), "www.example.com");
-    }
-
-    #[test]
-    fn lowercase_string_is_canonical() {
-        let n = DomainName::parse("MaIl.Example.COM").unwrap();
-        assert_eq!(n.to_lowercase_string(), "mail.example.com");
     }
 }

@@ -155,13 +155,6 @@ impl ReverseZone {
     pub fn covers_zone(&self, other: &ReverseZone) -> bool {
         self.plen <= other.plen && self.contains(other.prefix)
     }
-
-    /// The zone apex as a domain name, e.g. `2.0.192.in-addr.arpa` for
-    /// `192.0.2.0/24`, or `in-addr.arpa` for `/0`.
-    pub fn zone_name(&self) -> DomainName {
-        let significant = (self.plen / 8) as usize;
-        in_addr_name(self.prefix.octets()[..significant].iter().rev().copied())
-    }
 }
 
 impl fmt::Display for ReverseZone {
@@ -275,11 +268,10 @@ mod tests {
     #[test]
     fn zone_apex_names() {
         let z24 = ReverseZone::new(Ipv4Addr::new(192, 0, 2, 9), 24).unwrap();
-        assert_eq!(z24.zone_name().to_string(), "2.0.192.in-addr.arpa");
         assert_eq!(z24.prefix(), Ipv4Addr::new(192, 0, 2, 0));
         let z8 = ReverseZone::new(Ipv4Addr::new(10, 1, 2, 3), 8).unwrap();
-        assert_eq!(z8.zone_name().to_string(), "10.in-addr.arpa");
-        assert_eq!(ReverseZone::whole_tree().zone_name().to_string(), "in-addr.arpa");
+        assert_eq!(z8.prefix(), Ipv4Addr::new(10, 0, 0, 0));
+        assert_eq!(ReverseZone::whole_tree().prefix(), Ipv4Addr::UNSPECIFIED);
     }
 
     #[test]

@@ -31,12 +31,6 @@ impl SimTime {
         self.0
     }
 
-    /// Construct from a count of whole minutes.
-    #[inline]
-    pub fn from_mins(mins: u64) -> Self {
-        SimTime(mins * 60)
-    }
-
     /// Construct from a count of whole hours.
     #[inline]
     pub fn from_hours(hours: u64) -> Self {
@@ -94,12 +88,6 @@ impl SimDuration {
     #[inline]
     pub fn from_secs(secs: u64) -> Self {
         SimDuration(secs)
-    }
-
-    /// Span of `mins` minutes.
-    #[inline]
-    pub fn from_mins(mins: u64) -> Self {
-        SimDuration(mins * 60)
     }
 
     /// Span of `hours` hours.
@@ -179,8 +167,8 @@ mod tests {
     fn construction_and_accessors() {
         assert_eq!(SimTime::from_days(2).secs(), 172_800);
         assert_eq!(SimTime::from_hours(3).secs(), 10_800);
-        assert_eq!(SimTime::from_mins(5).secs(), 300);
-        let t = SimTime::from_days(1) + SimDuration::from_hours(13) + SimDuration::from_mins(30);
+        let t =
+            SimTime::from_days(1) + SimDuration::from_hours(13) + SimDuration::from_secs(30 * 60);
         assert_eq!(t.day(), 1);
         assert_eq!(t.hour_of_day(), 13);
         assert_eq!(t.second_of_day(), 13 * 3600 + 30 * 60);
@@ -211,6 +199,6 @@ mod tests {
     fn display_formats() {
         let t = SimTime::from_days(3) + SimDuration::from_secs(3723);
         assert_eq!(t.to_string(), "d3+01:02:03");
-        assert_eq!(SimDuration::from_mins(2).to_string(), "120s");
+        assert_eq!(SimDuration::from_secs(120).to_string(), "120s");
     }
 }

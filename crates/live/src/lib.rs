@@ -39,7 +39,7 @@ pub mod series;
 pub mod server;
 pub mod watchdog;
 
-pub use series::{CounterRates, Sample, Sampler};
+pub use series::{Sample, Sampler};
 pub use server::{http_get, spawn as spawn_server, ServerHandle};
 pub use watchdog::{health_state, Health, HealthState, Rule, Severity, Signal, Watchdog};
 
@@ -58,7 +58,7 @@ fn process_origin() -> Instant {
 /// The `/buildinfo` body: build provenance (git hash, rustc version,
 /// cargo profile — baked in by `build.rs`, each `"unknown"` when not
 /// determinable at compile time) plus process uptime.
-pub fn buildinfo_json() -> String {
+pub(crate) fn buildinfo_json() -> String {
     format!(
         "{{\n  \"git_hash\": \"{}\",\n  \"rustc\": \"{}\",\n  \"profile\": \"{}\",\n  \"uptime_secs\": {}\n}}",
         bs_telemetry::json::escape(env!("BS_GIT_HASH")),
@@ -106,7 +106,7 @@ impl LiveLoop {
     /// Sample the global registry at `at_ms`, refreshing the
     /// `live.ledger.imbalances` gauge first so the conservation rule
     /// sees the current ledger state in the same sample.
-    pub fn tick_global(&mut self, at_ms: u64) -> Health {
+    pub(crate) fn tick_global(&mut self, at_ms: u64) -> Health {
         let imbalances = bs_telemetry::ledger::verify().len();
         bs_telemetry::gauge_set("live.ledger.imbalances", imbalances as i64);
         self.tick(at_ms, bs_telemetry::snapshot())
@@ -158,11 +158,10 @@ impl LiveLoop {
 }
 
 /// A running live stack: HTTP server plus wall-clock sampling thread.
-/// Dropping the handle (or calling [`LiveHandle::shutdown`]) stops
-/// both.
+/// Dropping the handle stops both.
 #[derive(Debug)]
 pub struct LiveHandle {
-    server: Option<ServerHandle>,
+    server: ServerHandle,
     live: Arc<Mutex<LiveLoop>>,
     stop: Arc<AtomicBool>,
     sampler_thread: Option<std::thread::JoinHandle<()>>,
@@ -171,7 +170,7 @@ pub struct LiveHandle {
 impl LiveHandle {
     /// The bound scrape address.
     pub fn addr(&self) -> std::net::SocketAddr {
-        self.server.as_ref().expect("server runs until shutdown").addr()
+        self.server.addr()
     }
 
     /// The shared health cell for degradation consumers.
@@ -189,26 +188,16 @@ impl LiveHandle {
     pub fn live(&self) -> Arc<Mutex<LiveLoop>> {
         Arc::clone(&self.live)
     }
+}
 
-    /// Stop sampling, stop the HTTP server, join both threads.
-    pub fn shutdown(mut self) {
-        self.stop_all();
-    }
-
-    fn stop_all(&mut self) {
+impl Drop for LiveHandle {
+    /// Stop sampling and join the sampler; the server field drops
+    /// next, which stops the HTTP server and joins its thread.
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.sampler_thread.take() {
             let _ = t.join();
         }
-        if let Some(s) = self.server.take() {
-            s.shutdown();
-        }
-    }
-}
-
-impl Drop for LiveHandle {
-    fn drop(&mut self) {
-        self.stop_all();
     }
 }
 
@@ -217,8 +206,8 @@ fn lock(live: &Arc<Mutex<LiveLoop>>) -> std::sync::MutexGuard<'_, LiveLoop> {
 }
 
 /// Start the full live stack: bind `addr`, spawn the scrape server,
-/// and drive [`LiveLoop::tick_global`] from a wall-clock thread once a
-/// second.
+/// and tick the live loop (ledger check, then a registry sample) from
+/// a wall-clock thread once a second.
 pub fn serve(addr: &str) -> std::io::Result<LiveHandle> {
     let tick = Duration::from_millis(series::TICK_MS);
     let live = Arc::new(Mutex::new(LiveLoop::new()));
@@ -248,7 +237,7 @@ pub fn serve(addr: &str) -> std::io::Result<LiveHandle> {
             }
         })?;
 
-    Ok(LiveHandle { server: Some(server), live, stop, sampler_thread: Some(sampler_thread) })
+    Ok(LiveHandle { server, live, stop, sampler_thread: Some(sampler_thread) })
 }
 
 #[cfg(test)]
@@ -342,7 +331,7 @@ mod tests {
             .and_then(|t| t.as_f64())
             .expect("counter visible");
         assert!(total >= 100.0, "live total {total}");
-        handle.shutdown();
-        assert!(std::net::TcpListener::bind(addr).is_ok(), "port released after shutdown");
+        drop(handle);
+        assert!(std::net::TcpListener::bind(addr).is_ok(), "port released after the drop");
     }
 }

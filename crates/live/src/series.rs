@@ -40,14 +40,14 @@ const EWMA_ALPHA: f64 = 0.3;
 #[derive(Debug, Clone)]
 pub struct Sample {
     /// Sample time in milliseconds (monotonic, caller-defined origin).
-    pub at_ms: u64,
+    pub(crate) at_ms: u64,
     /// The registry at that instant.
     pub snapshot: Snapshot,
 }
 
 /// The windowed view of one counter, as exposed on `/snapshot`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CounterRates {
+pub(crate) struct CounterRates {
     /// Cumulative value at the latest sample.
     pub total: u64,
     /// Average per-second rate over the last ~1 s of history.
@@ -134,13 +134,18 @@ impl Sampler {
 
     /// EWMA-smoothed per-second rate of counter `name` (`None` before
     /// the second sample).
-    pub fn ewma_rate(&self, name: &str) -> Option<f64> {
+    pub(crate) fn ewma_rate(&self, name: &str) -> Option<f64> {
         self.ewma.get(name).copied()
     }
 
     /// The ratio `rate(numerator) / rate(denominator)` over
     /// `window_ms`; 0 when the denominator rate is 0.
-    pub fn rate_ratio(&self, numerator: &str, denominator: &str, window_ms: u64) -> Option<f64> {
+    pub(crate) fn rate_ratio(
+        &self,
+        numerator: &str,
+        denominator: &str,
+        window_ms: u64,
+    ) -> Option<f64> {
         let num = self.rate(numerator, window_ms)?;
         let den = self.rate(denominator, window_ms)?;
         Some(if den > 0.0 { num / den } else { 0.0 })
@@ -153,7 +158,7 @@ impl Sampler {
     }
 
     /// The full windowed view of every counter at the newest sample.
-    pub fn counter_rates(&self) -> BTreeMap<String, CounterRates> {
+    pub(crate) fn counter_rates(&self) -> BTreeMap<String, CounterRates> {
         let Some(newest) = self.history.back() else {
             return BTreeMap::new();
         };
@@ -180,7 +185,7 @@ impl Sampler {
     /// { "sensor.stream.records": { "total": 9000, "r1s": 120.0,
     ///     "r10s": 118.5, "r60s": 97.2, "ewma": 119.1 }, … }
     /// ```
-    pub fn rates_json(&self) -> String {
+    pub(crate) fn rates_json(&self) -> String {
         let mut out = String::from("{");
         let mut first = true;
         for (name, r) in self.counter_rates() {

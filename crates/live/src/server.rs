@@ -54,9 +54,8 @@ fn io_budget(deadline: Instant) -> std::io::Result<Duration> {
     Ok(left.min(IO_TIMEOUT))
 }
 
-/// A running scrape server; dropping it (or calling
-/// [`ServerHandle::shutdown`]) stops the accept loop and joins the
-/// thread.
+/// A running scrape server; dropping it stops the accept loop and
+/// joins the thread.
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
@@ -69,23 +68,15 @@ impl ServerHandle {
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
+}
 
+impl Drop for ServerHandle {
     /// Stop the accept loop and wait for the server thread to exit.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.stop_and_join();
     }
 }
 
@@ -363,7 +354,7 @@ mod tests {
         let (code, _) = http_get(addr, "/nope").expect("scrape unknown");
         assert_eq!(code, 404);
 
-        server.shutdown();
+        drop(server);
         // The port is released: a fresh bind to the same addr works.
         let relisten = TcpListener::bind(addr);
         assert!(relisten.is_ok(), "server thread did not release the port");

@@ -43,21 +43,11 @@ impl Health {
     }
 
     /// The wire encoding stored in a [`HealthState`].
-    pub fn as_u8(self) -> u8 {
+    pub(crate) fn as_u8(self) -> u8 {
         match self {
             Health::Ok => 0,
             Health::Degraded => 1,
             Health::Critical => 2,
-        }
-    }
-
-    /// Decode a [`HealthState`] value (unknown codes clamp to
-    /// `Critical`: fail safe).
-    pub fn from_u8(v: u8) -> Health {
-        match v {
-            0 => Health::Ok,
-            1 => Health::Degraded,
-            _ => Health::Critical,
         }
     }
 }
@@ -140,7 +130,7 @@ pub struct Rule {
     /// Trips when the signal exceeds this value.
     pub threshold: f64,
     /// Severity contributed while tripped.
-    pub severity: Severity,
+    pub(crate) severity: Severity,
     /// Consecutive over-threshold evaluations required to trip.
     pub trip_ticks: u32,
     /// Consecutive under-threshold evaluations required to clear.
@@ -175,7 +165,7 @@ pub struct RuleStatus {
     /// Whether the rule is currently tripped.
     pub tripped: bool,
     /// Last evaluated signal value (`None` before enough history).
-    pub last_value: Option<f64>,
+    pub(crate) last_value: Option<f64>,
     hot_streak: u32,
     quiet_streak: u32,
 }
@@ -338,7 +328,7 @@ impl Watchdog {
     }
 
     /// The `/health` JSON body: aggregate status plus per-rule detail.
-    pub fn health_json(&self) -> String {
+    pub(crate) fn health_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = write!(
@@ -479,7 +469,6 @@ mod tests {
         s.tick(1_000, mk(2));
         assert_eq!(wd.evaluate(&s), Health::Critical, "imbalance trips immediately");
         assert_eq!(state.load(Ordering::Relaxed), 2);
-        assert_eq!(Health::from_u8(2), Health::Critical);
         s.tick(2_000, mk(0));
         assert_eq!(wd.evaluate(&s), Health::Ok, "clears as soon as the books balance");
     }

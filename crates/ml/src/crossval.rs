@@ -10,7 +10,6 @@ use crate::dataset::Dataset;
 use crate::metrics::{ConfusionMatrix, Metrics};
 use crate::vote::MajorityEnsemble;
 use crate::Algorithm;
-use bs_par::Rng;
 
 /// Result of a repeated-holdout evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,7 +19,7 @@ pub struct HoldoutReport {
     /// Population standard deviation over the repetitions.
     pub std: Metrics,
     /// Number of repetitions actually run.
-    pub repetitions: usize,
+    pub(crate) repetitions: usize,
 }
 
 /// Run `repetitions` random stratified splits with `train_frac` in the
@@ -56,58 +55,12 @@ pub fn repeated_holdout(
     HoldoutReport { mean: Metrics::mean(&all), std: Metrics::std(&all), repetitions: all.len() }
 }
 
-/// Stratified k-fold cross-validation: each class's samples are
-/// shuffled and dealt round-robin into `k` folds; each fold serves once
-/// as the test set. Complements [`repeated_holdout`] (the paper's
-/// protocol) with the more standard deterministic-coverage variant.
-pub fn k_fold(algorithm: &Algorithm, data: &Dataset, k: usize, seed: u64) -> HoldoutReport {
-    assert!(k >= 2, "k-fold needs at least two folds");
-    assert!(!data.is_empty());
-    let mut rng = Rng::new(seed);
-
-    // fold assignment per sample index, stratified by class.
-    let mut fold_of = vec![0usize; data.len()];
-    for class in 0..data.n_classes() {
-        let mut idx: Vec<usize> =
-            (0..data.len()).filter(|&i| data.samples[i].label == class).collect();
-        rng.shuffle(&mut idx);
-        for (j, i) in idx.into_iter().enumerate() {
-            fold_of[i] = j % k;
-        }
-    }
-
-    let runs_per_fit = if algorithm.is_randomized() { 10 } else { 1 };
-    // The fold assignment above is sequential (one shared RNG); the
-    // folds themselves are independent and train in parallel, with
-    // results collected in fold order.
-    let per_fold: Vec<Option<Metrics>> = bs_par::par_map_range(k, |fold| {
-        let mut train = Dataset::new(data.feature_names.clone(), data.class_names.clone());
-        let mut test = Dataset::new(data.feature_names.clone(), data.class_names.clone());
-        for (i, s) in data.samples.iter().enumerate() {
-            if fold_of[i] == fold {
-                test.samples.push(s.clone());
-            } else {
-                train.samples.push(s.clone());
-            }
-        }
-        if train.is_empty() || test.is_empty() || train.present_classes().len() < 2 {
-            return None;
-        }
-        let ensemble = MajorityEnsemble::fit(algorithm, &train, runs_per_fit, seed ^ fold as u64);
-        let (xs, truth) = test.xy();
-        let predicted = ensemble.predict_all(&xs);
-        let cm = ConfusionMatrix::from_predictions(data.n_classes(), &truth, &predicted);
-        Some(cm.metrics())
-    });
-    let all: Vec<Metrics> = per_fold.into_iter().flatten().collect();
-    HoldoutReport { mean: Metrics::mean(&all), std: Metrics::std(&all), repetitions: all.len() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::Sample;
     use crate::tree::CartParams;
+    use bs_par::Rng;
 
     fn blobs(seed: u64, n: usize) -> Dataset {
         let mut rng = Rng::new(seed);
@@ -142,28 +95,6 @@ mod tests {
         let r1 = repeated_holdout(&alg, &d, 0.6, 5, 7);
         let r2 = repeated_holdout(&alg, &d, 0.6, 5, 7);
         assert_eq!(r1, r2);
-    }
-
-    #[test]
-    fn k_fold_covers_every_sample_once() {
-        let d = blobs(4, 25);
-        let report = k_fold(&Algorithm::Cart(CartParams::default()), &d, 5, 9);
-        assert_eq!(report.repetitions, 5);
-        assert!(report.mean.accuracy > 0.9, "{:?}", report.mean);
-    }
-
-    #[test]
-    fn k_fold_is_deterministic() {
-        let d = blobs(5, 20);
-        let alg = Algorithm::Cart(CartParams::default());
-        assert_eq!(k_fold(&alg, &d, 4, 11), k_fold(&alg, &d, 4, 11));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two folds")]
-    fn k_fold_rejects_k_one() {
-        let d = blobs(6, 5);
-        k_fold(&Algorithm::Cart(CartParams::default()), &d, 1, 0);
     }
 
     #[test]

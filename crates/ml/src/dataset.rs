@@ -16,9 +16,9 @@ pub struct Sample {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
     /// Human-readable feature names (column headers).
-    pub feature_names: Vec<String>,
+    pub(crate) feature_names: Vec<String>,
     /// Human-readable class names; labels index into this.
-    pub class_names: Vec<String>,
+    pub(crate) class_names: Vec<String>,
     /// The examples.
     pub samples: Vec<Sample>,
 }

@@ -25,11 +25,11 @@ const CURSORS: usize = 8;
 /// The largest feature or class count a packed node can address: the
 /// feature index after the last real one names the zero column, and
 /// both fields are `u16`.
-pub const MAX_ARITY: usize = u16::MAX as usize - 1;
+pub(crate) const MAX_ARITY: usize = u16::MAX as usize - 1;
 
 /// One arena node (16 bytes).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlatNode {
+pub(crate) struct FlatNode {
     /// Split threshold (`x[feature] <= threshold` goes left); `+∞` for
     /// leaves.
     pub threshold: f64,
@@ -46,14 +46,14 @@ pub struct FlatNode {
 /// handed out by [`FlatTree::split`]. It carries its depth so the tree
 /// knows how many steps the batch descent needs.
 #[derive(Debug, Clone, Copy)]
-pub struct Slot {
+pub(crate) struct Slot {
     index: u32,
     depth: u32,
 }
 
 impl Slot {
     /// Splits between the root and this slot.
-    pub fn depth(self) -> usize {
+    pub(crate) fn depth(self) -> usize {
         self.depth as usize
     }
 }
@@ -63,7 +63,7 @@ impl Slot {
 /// into a split with [`FlatTree::split`], which appends the two
 /// children.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FlatTree {
+pub(crate) struct FlatTree {
     nodes: Vec<FlatNode>,
     n_features: u16,
     depth: u32,
@@ -74,7 +74,7 @@ impl FlatTree {
     ///
     /// # Panics
     /// If `n_features` exceeds [`MAX_ARITY`].
-    pub fn new(n_features: usize) -> Self {
+    pub(crate) fn new(n_features: usize) -> Self {
         assert!(n_features <= MAX_ARITY, "{n_features} features exceed the packed node's u16");
         let n_features = n_features as u16;
         FlatTree { nodes: vec![Self::leaf_node(0, n_features, 0)], n_features, depth: 0 }
@@ -85,7 +85,7 @@ impl FlatTree {
     }
 
     /// The root's slot.
-    pub fn root(&self) -> Slot {
+    pub(crate) fn root(&self) -> Slot {
         Slot { index: 0, depth: 0 }
     }
 
@@ -93,7 +93,7 @@ impl FlatTree {
     ///
     /// # Panics
     /// If `class` exceeds [`MAX_ARITY`].
-    pub fn leaf(&mut self, slot: Slot, class: usize) {
+    pub(crate) fn leaf(&mut self, slot: Slot, class: usize) {
         assert!(class <= MAX_ARITY, "class {class} exceeds the packed node's u16");
         self.nodes[slot.index as usize] =
             Self::leaf_node(slot.index, self.n_features, class as u16);
@@ -104,7 +104,7 @@ impl FlatTree {
     ///
     /// # Panics
     /// If `feature` is not below the tree's feature count.
-    pub fn split(&mut self, slot: Slot, feature: usize, threshold: f64) -> (Slot, Slot) {
+    pub(crate) fn split(&mut self, slot: Slot, feature: usize, threshold: f64) -> (Slot, Slot) {
         assert!(feature < self.n_features as usize, "split feature {feature} out of range");
         let left = u32::try_from(self.nodes.len()).expect("a tree holds fewer than 2^32 nodes");
         self.nodes[slot.index as usize] =
@@ -118,7 +118,7 @@ impl FlatTree {
 
     /// Root-to-leaf descent for one row of `n_features` values;
     /// returns the class. NaN compares false and goes right.
-    pub fn predict(&self, x: &[f64]) -> usize {
+    pub(crate) fn predict(&self, x: &[f64]) -> usize {
         let mut i = 0u32;
         loop {
             let node = &self.nodes[i as usize];
@@ -143,7 +143,7 @@ impl FlatTree {
     /// # Panics
     /// If the block's feature count differs from the tree's, or `ids`
     /// holds more than [`BLOCK_ROWS`] ids or one not below it.
-    pub fn predict_rows(&self, block: &RowBlock, ids: &[u8], out: &mut [u16; BLOCK_ROWS]) {
+    pub(crate) fn predict_rows(&self, block: &RowBlock, ids: &[u8], out: &mut [u16; BLOCK_ROWS]) {
         assert_eq!(block.n_features(), self.n_features as usize, "feature arity mismatch");
         assert!(ids.len() <= BLOCK_ROWS, "{} row ids for a block of {BLOCK_ROWS}", ids.len());
         let nodes = self.nodes.as_slice();
@@ -169,28 +169,29 @@ impl FlatTree {
     }
 
     /// Number of nodes.
-    pub fn n_nodes(&self) -> usize {
+    pub(crate) fn n_nodes(&self) -> usize {
         self.nodes.len()
     }
 
     /// Number of features a row must have.
-    pub fn n_features(&self) -> usize {
+    pub(crate) fn n_features(&self) -> usize {
         self.n_features as usize
     }
 
     /// The arena (serialization support). A node whose `left` is its
     /// own index is a leaf.
-    pub fn nodes(&self) -> &[FlatNode] {
+    pub(crate) fn nodes(&self) -> &[FlatNode] {
         &self.nodes
     }
 
     /// Number of leaves.
-    pub fn leaves(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn leaves(&self) -> usize {
         self.nodes.iter().enumerate().filter(|(i, n)| n.left as usize == *i).count()
     }
 
     /// Depth (a leaf-only tree has depth 0).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.depth as usize
     }
 }
@@ -244,7 +245,7 @@ impl RowBlock {
     /// # Panics
     /// If `row.len()` differs from the block's feature count, or the
     /// block is full.
-    pub fn push_row(&mut self, row: &[f64]) {
+    pub(crate) fn push_row(&mut self, row: &[f64]) {
         assert_eq!(row.len(), self.n_features(), "feature arity mismatch");
         self.next_row().copy_from_slice(row);
     }

@@ -15,7 +15,7 @@
 
 /// The full `n × n` kernel matrix, row-major.
 #[derive(Debug)]
-pub struct GramCache {
+pub(crate) struct GramCache {
     n: usize,
     full: Vec<f64>,
 }
@@ -23,7 +23,7 @@ pub struct GramCache {
 impl GramCache {
     /// Compute `kernel(i, j)` for every `i ≤ j < n` and mirror it
     /// (memory `n² × 8` bytes).
-    pub fn new(n: usize, kernel: impl Fn(usize, usize) -> f64) -> Self {
+    pub(crate) fn new(n: usize, kernel: impl Fn(usize, usize) -> f64) -> Self {
         let mut full = vec![0.0; n * n];
         for i in 0..n {
             for j in i..n {
@@ -36,7 +36,7 @@ impl GramCache {
     }
 
     /// Kernel row `i`: `K(i, j)` for every `j`, contiguous.
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
         &self.full[i * self.n..(i + 1) * self.n]
     }
 }

@@ -57,7 +57,7 @@ pub mod vote;
 #[cfg(test)]
 mod mlcore_equivalence;
 
-pub use crossval::{k_fold, repeated_holdout, HoldoutReport};
+pub use crossval::{repeated_holdout, HoldoutReport};
 pub use dataset::{Dataset, Sample};
 pub use forest::{Forest, ForestParams};
 pub use metrics::{ConfusionMatrix, Metrics};
@@ -115,7 +115,7 @@ impl Algorithm {
 
     /// Whether the paper treats this algorithm as randomized (and
     /// majority-votes over ten runs).
-    pub fn is_randomized(&self) -> bool {
+    pub(crate) fn is_randomized(&self) -> bool {
         !matches!(self, Algorithm::Cart(_))
     }
 }

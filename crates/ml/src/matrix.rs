@@ -8,14 +8,14 @@
 /// [`ColumnarView::col`] linearly; labels are `u32` so the label array
 /// stays half the size of the `usize` original.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ColumnarView {
+pub(crate) struct ColumnarView {
     cols: Vec<Vec<f64>>,
     labels: Vec<u32>,
 }
 
 impl ColumnarView {
     /// An empty view with `n_features` columns and room for `rows`.
-    pub fn with_capacity(n_features: usize, rows: usize) -> Self {
+    pub(crate) fn with_capacity(n_features: usize, rows: usize) -> Self {
         ColumnarView {
             cols: (0..n_features).map(|_| Vec::with_capacity(rows)).collect(),
             labels: Vec::with_capacity(rows),
@@ -24,7 +24,7 @@ impl ColumnarView {
 
     /// Append one row. `features` must have exactly one value per
     /// column.
-    pub fn push_row(&mut self, features: &[f64], label: u32) {
+    pub(crate) fn push_row(&mut self, features: &[f64], label: u32) {
         assert_eq!(features.len(), self.cols.len(), "feature arity mismatch");
         for (col, v) in self.cols.iter_mut().zip(features) {
             col.push(*v);
@@ -33,28 +33,28 @@ impl ColumnarView {
     }
 
     /// Number of rows (positions).
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.labels.len()
     }
 
     /// Number of feature columns.
-    pub fn n_features(&self) -> usize {
+    pub(crate) fn n_features(&self) -> usize {
         self.cols.len()
     }
 
     /// The contiguous value column for feature `f`, indexed by
     /// position.
-    pub fn col(&self, f: usize) -> &[f64] {
+    pub(crate) fn col(&self, f: usize) -> &[f64] {
         &self.cols[f]
     }
 
     /// Labels indexed by position.
-    pub fn labels(&self) -> &[u32] {
+    pub(crate) fn labels(&self) -> &[u32] {
         &self.labels
     }
 
     /// The label at `position` as a class index.
-    pub fn label(&self, position: u32) -> usize {
+    pub(crate) fn label(&self, position: u32) -> usize {
         self.labels[position as usize] as usize
     }
 }
@@ -62,41 +62,41 @@ impl ColumnarView {
 /// Flat row-major storage: all rows in one allocation with a fixed
 /// stride, for kernel methods that consume whole feature vectors.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RowMatrix {
+pub(crate) struct RowMatrix {
     data: Vec<f64>,
     dim: usize,
 }
 
 impl RowMatrix {
     /// An empty matrix of `dim`-wide rows.
-    pub fn new(dim: usize) -> Self {
+    pub(crate) fn new(dim: usize) -> Self {
         RowMatrix { data: Vec::new(), dim }
     }
 
     /// Append one row of exactly `dim` values.
-    pub fn push_row(&mut self, row: &[f64]) {
+    pub(crate) fn push_row(&mut self, row: &[f64]) {
         assert_eq!(row.len(), self.dim, "row width mismatch");
         self.data.extend_from_slice(row);
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.data.len().checked_div(self.dim).unwrap_or(0)
     }
 
     /// Row width.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
     /// The contiguous row `i`.
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
     /// A new matrix holding copies of the given rows, in order
     /// (one-vs-one submatrix extraction).
-    pub fn select(&self, rows: &[usize]) -> RowMatrix {
+    pub(crate) fn select(&self, rows: &[usize]) -> RowMatrix {
         let mut out = RowMatrix { data: Vec::with_capacity(rows.len() * self.dim), dim: self.dim };
         for &r in rows {
             out.data.extend_from_slice(self.row(r));

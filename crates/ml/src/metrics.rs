@@ -49,7 +49,7 @@ impl ConfusionMatrix {
     }
 
     /// False negatives for a class (truth c, predicted differently).
-    pub fn fn_(&self, c: usize) -> usize {
+    pub(crate) fn fn_(&self, c: usize) -> usize {
         (0..self.n_classes).filter(|&p| p != c).map(|p| self.counts[c][p]).sum()
     }
 

@@ -25,7 +25,7 @@ use crate::matrix::ColumnarView;
 /// Every row of a dataset, column-major, with each feature's stable
 /// argsort: what the trees of one forest share.
 #[derive(Debug)]
-pub struct SortedRows {
+pub(crate) struct SortedRows {
     /// The dataset's rows; a position is a dataset index.
     pub view: ColumnarView,
     /// `order[f]`: all positions ascending by feature `f`'s value.
@@ -37,7 +37,7 @@ pub struct SortedRows {
 impl SortedRows {
     /// Copy `data` column-major and arg-sort every column
     /// (`O(features · n log n)`).
-    pub fn new(data: &Dataset) -> Self {
+    pub(crate) fn new(data: &Dataset) -> Self {
         let _stage = bs_telemetry::stage("ml.fit.shared");
         let view = data.columnar();
         let order = (0..view.n_features())
@@ -62,7 +62,7 @@ impl SortedRows {
 /// One tree's arg-sorted position arrays, one per feature,
 /// segment-partitioned in place as the tree grows.
 #[derive(Debug, Clone)]
-pub struct PresortedColumns {
+pub(crate) struct PresortedColumns {
     /// `per_feature[f]` holds the tree's in-bag positions sorted
     /// ascending by feature `f`'s value (stable: ties in position order).
     per_feature: Vec<Vec<u32>>,
@@ -76,7 +76,7 @@ pub struct PresortedColumns {
 impl PresortedColumns {
     /// The shared orders restricted to the positions of non-zero
     /// weight: every whole array partitioned by "in bag", left side kept.
-    pub fn filtered(shared: &SortedRows, weights: &[usize]) -> Self {
+    pub(crate) fn filtered(shared: &SortedRows, weights: &[usize]) -> Self {
         let mut ps = PresortedColumns {
             per_feature: shared.order.clone(),
             go_left: weights.iter().map(|&w| w > 0).collect(),
@@ -91,7 +91,7 @@ impl PresortedColumns {
 
     /// Feature `f`'s positions for the node segment `[lo, hi)`, in
     /// ascending value order.
-    pub fn feature_segment(&self, f: usize, lo: usize, hi: usize) -> &[u32] {
+    pub(crate) fn feature_segment(&self, f: usize, lo: usize, hi: usize) -> &[u32] {
         &self.per_feature[f][lo..hi]
     }
 
@@ -99,7 +99,7 @@ impl PresortedColumns {
     /// `col[position] <= threshold` goes left. `col` must be the value
     /// column of `f` (any feature's segment enumerates the same set;
     /// passing `f`'s keeps the walk contiguous).
-    pub fn mark_by_threshold(
+    pub(crate) fn mark_by_threshold(
         &mut self,
         f: usize,
         lo: usize,
@@ -123,7 +123,7 @@ impl PresortedColumns {
     /// the scratch cursor and the mark advances one of the two. The
     /// left cursor never passes the read cursor, so the in-place store
     /// only overwrites elements already read.
-    pub fn partition(&mut self, lo: usize, hi: usize) -> usize {
+    pub(crate) fn partition(&mut self, lo: usize, hi: usize) -> usize {
         let Self { per_feature, go_left, scratch } = self;
         let mut n_left = 0;
         for order in per_feature.iter_mut() {

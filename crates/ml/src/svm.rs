@@ -38,13 +38,13 @@ pub struct SvmParams {
     /// Soft-margin penalty.
     pub c: f64,
     /// RBF kernel width: `k(x,y) = exp(-gamma ||x-y||²)`.
-    pub gamma: f64,
+    pub(crate) gamma: f64,
     /// KKT violation tolerance.
-    pub tol: f64,
+    pub(crate) tol: f64,
     /// Passes without change before the solver stops.
-    pub max_passes: usize,
+    pub(crate) max_passes: usize,
     /// Hard cap on optimization sweeps.
-    pub max_iters: usize,
+    pub(crate) max_iters: usize,
 }
 
 impl Default for SvmParams {
@@ -235,11 +235,6 @@ impl Svm {
             }
         }
         argmax_first(&votes)
-    }
-
-    /// Number of pairwise machines trained.
-    pub fn n_machines(&self) -> usize {
-        self.machines.len()
     }
 }
 
@@ -509,7 +504,7 @@ mod tests {
             d.push(Sample { features: vec![5.0 + (i as f64) * 0.01, 5.0], label: 2 });
         }
         let m = Svm::fit(&d, &SvmParams::default(), 1);
-        assert_eq!(m.n_machines(), 3, "3 classes → 3 pairs");
+        assert_eq!(m.machines.len(), 3, "3 classes → 3 pairs");
         assert_eq!(m.predict(&[5.1, 5.0]), 2);
         assert_eq!(m.predict(&[0.0, 0.0]), 0);
         assert_eq!(m.predict(&[2.0, 0.0]), 1);
@@ -536,7 +531,7 @@ mod tests {
             d.push(Sample { features: vec![i as f64], label: 1 });
         }
         let m = Svm::fit(&d, &SvmParams::default(), 0);
-        assert_eq!(m.n_machines(), 0);
+        assert_eq!(m.machines.len(), 0);
         assert_eq!(m.predict(&[3.0]), 1);
     }
 

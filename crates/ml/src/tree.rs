@@ -81,7 +81,7 @@ impl DecisionTree {
 
     /// Grow on a subset of sample indices (bootstrap support for the
     /// forest; duplicate indices are distinct training rows).
-    pub fn fit_on_indices(
+    pub(crate) fn fit_on_indices(
         data: &Dataset,
         indices: &[usize],
         params: &CartParams,
@@ -167,18 +167,13 @@ impl DecisionTree {
     }
 
     /// Raw (unnormalized) per-feature impurity decreases.
-    pub fn raw_importances(&self) -> &[f64] {
+    pub(crate) fn raw_importances(&self) -> &[f64] {
         &self.importances
     }
 
     /// Tree depth (leaf-only tree has depth 0).
     pub fn depth(&self) -> usize {
         self.flat.depth()
-    }
-
-    /// Number of leaves.
-    pub fn leaves(&self) -> usize {
-        self.flat.leaves()
     }
 
     /// Write the tree's nodes in pre-order (`S <feature> <threshold>` /
@@ -643,7 +638,7 @@ mod tests {
             assert_eq!(t.predict(&s.features), s.label);
         }
         assert_eq!(t.depth(), 1, "one split suffices");
-        assert_eq!(t.leaves(), 2);
+        assert_eq!(t.flat.leaves(), 2);
     }
 
     #[test]
@@ -662,7 +657,7 @@ mod tests {
             d.push(Sample { features: vec![i as f64], label: 0 });
         }
         let t = DecisionTree::fit(&d, &CartParams::default(), 0);
-        assert_eq!(t.leaves(), 1);
+        assert_eq!(t.flat.leaves(), 1);
         assert_eq!(t.predict(&[3.0]), 0);
     }
 
@@ -675,7 +670,7 @@ mod tests {
         }
         let p = CartParams { max_depth: 0, ..CartParams::default() };
         let t = DecisionTree::fit(&d, &p, 0);
-        assert_eq!(t.leaves(), 1);
+        assert_eq!(t.flat.leaves(), 1);
         assert_eq!(t.predict(&[0.0, 0.3]), 1, "majority class wins");
     }
 
@@ -700,7 +695,7 @@ mod tests {
         let p = CartParams { min_samples_leaf: 25, ..CartParams::default() };
         let t = DecisionTree::fit(&d, &p, 0);
         // 40 samples, each child would need ≥25: impossible, so no split.
-        assert_eq!(t.leaves(), 1);
+        assert_eq!(t.flat.leaves(), 1);
     }
 
     #[test]
@@ -727,7 +722,7 @@ mod tests {
             d.push(Sample { features: vec![5.0], label: i % 2 });
         }
         let t = DecisionTree::fit(&d, &CartParams::default(), 0);
-        assert_eq!(t.leaves(), 1);
+        assert_eq!(t.flat.leaves(), 1);
     }
 
     #[test]

@@ -70,17 +70,6 @@ pub fn weighted_pick(h: u64, weights: &[f64]) -> usize {
     weights.len() - 1
 }
 
-/// Sample an exponential inter-arrival time with the given rate (events
-/// per second). Returns `f64::INFINITY` when the rate is zero.
-#[inline]
-pub fn exponential(h: u64, rate_per_sec: f64) -> f64 {
-    if rate_per_sec <= 0.0 {
-        return f64::INFINITY;
-    }
-    let u = unit_f64(h).max(f64::MIN_POSITIVE);
-    -u.ln() / rate_per_sec
-}
-
 /// Sample a log-normal value with the given parameters of the underlying
 /// normal (a Box–Muller pair built from two derived hashes).
 pub fn log_normal(h: u64, mu: f64, sigma: f64) -> f64 {
@@ -165,16 +154,6 @@ mod tests {
         assert!((counts[0] as f64 / 100_000.0 - 0.1).abs() < 0.01);
         assert!((counts[1] as f64 / 100_000.0 - 0.3).abs() < 0.01);
         assert!((counts[2] as f64 / 100_000.0 - 0.6).abs() < 0.01);
-    }
-
-    #[test]
-    fn exponential_mean_matches_rate() {
-        let rate = 0.25;
-        let n = 50_000u64;
-        let sum: f64 = (0..n).map(|i| exponential(mix64(i), rate)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 4.0).abs() < 0.15, "mean={mean}");
-        assert_eq!(exponential(1, 0.0), f64::INFINITY);
     }
 
     #[test]

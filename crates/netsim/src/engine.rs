@@ -39,14 +39,14 @@ pub struct SimulatorConfig {
     /// Authorities not listed keep everything.
     pub sampling: BTreeMap<AuthorityId, u32>,
     /// Referral-warmth parameters.
-    pub referral: ReferralConfig,
+    pub(crate) referral: ReferralConfig,
     /// Fraction of *broken* resolvers that ignore DNS timeout rules:
     /// they never cache leaf answers and re-send each query several
     /// times within seconds. These are the queriers the paper's
     /// 30-second deduplication exists for ("to avoid excessive skew of
     /// querier rate estimates due to queriers that do not follow DNS
     /// timeout rules"). Real traces put them at a few percent.
-    pub broken_resolver_fraction: f64,
+    pub(crate) broken_resolver_fraction: f64,
     /// Fraction of resolvers using QNAME minimization (RFC 7816).
     /// Minimizing resolvers send only the label needed at each level,
     /// so upper authorities learn the /8 or /24 being walked but never
@@ -103,7 +103,7 @@ pub struct SimStats {
     pub final_queries: u64,
     /// Records actually appended to an observed authority's log
     /// (post-observation, post-sampling).
-    pub logged_records: u64,
+    pub(crate) logged_records: u64,
 }
 
 /// The event-driven backscatter simulator.
@@ -171,7 +171,7 @@ impl<'w> Simulator<'w> {
     /// the global telemetry registry (`netsim.*`). Called automatically
     /// at the end of every [`Simulator::process`] batch and on
     /// [`Simulator::into_logs`]; near-free while telemetry is disabled.
-    pub fn publish_metrics(&mut self) {
+    pub(crate) fn publish_metrics(&mut self) {
         if !bs_telemetry::is_enabled() {
             return;
         }
@@ -445,11 +445,6 @@ impl<'w> Simulator<'w> {
         self.stats
     }
 
-    /// Number of distinct resolvers that have been exercised.
-    pub fn resolver_count(&self) -> usize {
-        self.resolvers.len()
-    }
-
     /// Drop expired cache entries everywhere and forget resolvers with
     /// no remaining state. Long-running dataset builds call this
     /// between days to keep memory proportional to the *live* cache
@@ -650,10 +645,10 @@ mod tests {
         let mut sim = Simulator::new(&w, SimulatorConfig::observing([final_auth]));
         let c = find_direct_mail_target(&w, orig);
         sim.contact(c);
-        assert!(sim.resolver_count() >= 1);
+        assert!(!sim.resolvers.is_empty());
         // Far in the future everything has expired.
         sim.sweep(SimTime::from_days(30));
-        assert_eq!(sim.resolver_count(), 0, "all state expired");
+        assert_eq!(sim.resolvers.len(), 0, "all state expired");
         // A repeat contact re-creates the resolver and queries again.
         let mut c2 = c;
         c2.time = SimTime::from_days(31);

@@ -35,13 +35,13 @@ pub struct ControlledScan {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanObservation {
     /// Number of probes actually sent.
-    pub targets_probed: u64,
+    pub(crate) targets_probed: u64,
     /// Unique querier addresses at the prober's final authority.
     pub queriers_at_final: usize,
     /// Unique querier addresses at each root.
     pub queriers_at_root: BTreeMap<RootServer, usize>,
     /// Raw query counts at the final authority (pre-uniquing).
-    pub queries_at_final: usize,
+    pub(crate) queries_at_final: usize,
 }
 
 /// Run one controlled scan and report what each authority saw.

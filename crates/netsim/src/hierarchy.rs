@@ -43,7 +43,7 @@ impl Region {
     /// Probability that a resolver in this region sends its root queries
     /// to M-Root rather than B-Root. M is well provisioned in Asia and
     /// Europe; B only in North America.
-    pub fn m_root_preference(self) -> f64 {
+    pub(crate) fn m_root_preference(self) -> f64 {
         match self {
             Region::Americas => 0.25,
             Region::Emea => 0.70,

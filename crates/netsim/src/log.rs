@@ -163,7 +163,7 @@ impl fmt::Display for LogParseError {
 impl std::error::Error for LogParseError {}
 
 /// Labeled logs for a set of authorities, as produced by one simulation.
-pub type AuthorityLogs = std::collections::BTreeMap<AuthorityId, QueryLog>;
+pub(crate) type AuthorityLogs = std::collections::BTreeMap<AuthorityId, QueryLog>;
 
 impl FromStr for QueryLog {
     type Err = LogParseError;

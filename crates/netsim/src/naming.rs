@@ -51,13 +51,13 @@ pub const CDN_SUFFIXES: &[&str] =
     &["akamai.sim", "edgecast.sim", "cdnetworks.sim", "llnw.sim", "chinacache.sim"];
 
 /// Suffix used by the simulated AWS.
-pub const AWS_SUFFIX: &str = "amazonaws.sim";
+pub(crate) const AWS_SUFFIX: &str = "amazonaws.sim";
 
 /// Suffix used by the simulated Azure.
-pub const MS_SUFFIX: &str = "azure.sim";
+pub(crate) const MS_SUFFIX: &str = "azure.sim";
 
 /// Suffix used by the simulated Google.
-pub const GOOGLE_SUFFIX: &str = "google.sim";
+pub(crate) const GOOGLE_SUFFIX: &str = "google.sim";
 
 /// Generic TLD pool for organization domains.
 const GTLDS: &[&str] = &["com", "net", "org"];
@@ -88,7 +88,7 @@ fn org_label(h: u64, syllable_count: usize) -> String {
 ///
 /// `org_key` is typically the /24 or /16 the organization owns;
 /// `country` steers the TLD (country TLD two-thirds of the time).
-pub fn org_domain(seed: u64, org_key: u64, country: CountryCode) -> DomainName {
+pub(crate) fn org_domain(seed: u64, org_key: u64, country: CountryCode) -> DomainName {
     let h = hash2(seed ^ 0x0126_5732_81AC_0001, org_key, 1);
     let label = org_label(h, 2 + (h % 2) as usize);
     let tld_h = mix64(h ^ 0x77);
@@ -110,7 +110,7 @@ fn pick<'a>(h: u64, table: &'a [&'a str]) -> &'a str {
 /// The left-most label carries the role keyword (possibly with a numeric
 /// suffix or embedded address octets), because the sensor's matcher
 /// favours left-most labels exactly as the paper's does.
-pub fn host_name(seed: u64, addr: Ipv4Addr, role: HostRole, org: &DomainName) -> DomainName {
+pub(crate) fn host_name(seed: u64, addr: Ipv4Addr, role: HostRole, org: &DomainName) -> DomainName {
     let o = addr.octets();
     let h = hash3(seed ^ 0x4057_B3D0_31C5_0002, u32::from(addr) as u64, role_tag(role), 7);
     let leftmost: String = match role {
@@ -153,7 +153,7 @@ fn numbered(h: u64, kw: &str) -> String {
 
 /// The deployment domain for a CDN or cloud node: `deploy.akamai.sim`,
 /// `compute.amazonaws.sim`, …
-pub fn provider_domain(seed: u64, addr: Ipv4Addr, role: HostRole) -> DomainName {
+pub(crate) fn provider_domain(seed: u64, addr: Ipv4Addr, role: HostRole) -> DomainName {
     let h = hash2(seed ^ 0x6E5A_1B00_77F0_0003, u32::from(addr) as u64 >> 8, role_tag(role));
     let suffix = match role {
         HostRole::CdnNode => pick(h, CDN_SUFFIXES),

@@ -5,7 +5,7 @@
 //! 1. **Leaf PTR caching.** Once a resolver has resolved (or negatively
 //!    resolved) an originator's reverse name, it answers from cache for
 //!    the record TTL. This is modeled *exactly*, with one
-//!    [`AddrPtrCache`] per resolver, because it controls per-querier
+//!    `AddrPtrCache` per resolver, because it controls per-querier
 //!    query counts at the final authority.
 //!
 //! 2. **Delegation caching.** Walking down from the root requires NS
@@ -51,14 +51,14 @@ use std::collections::HashMap;
 /// `u32` instead of a lowercased QNAME string keeps the hot path
 /// allocation-free.
 #[derive(Debug, Default)]
-pub struct AddrPtrCache {
+pub(crate) struct AddrPtrCache {
     map: HashMap<u32, SimTime>,
 }
 
 impl AddrPtrCache {
     /// Is a (positive or negative) answer for `addr` still cached?
     #[inline]
-    pub fn is_cached(&mut self, addr: u32, now: SimTime) -> bool {
+    pub(crate) fn is_cached(&mut self, addr: u32, now: SimTime) -> bool {
         match self.map.get(&addr) {
             Some(expiry) if *expiry > now => true,
             Some(_) => {
@@ -71,32 +71,27 @@ impl AddrPtrCache {
 
     /// Cache an answer for `addr` with the given TTL (0 = uncached).
     #[inline]
-    pub fn insert(&mut self, addr: u32, ttl: u32, now: SimTime) {
+    pub(crate) fn insert(&mut self, addr: u32, ttl: u32, now: SimTime) {
         if ttl > 0 {
             self.map.insert(addr, now + SimDuration::from_secs(ttl as u64));
         }
     }
 
     /// Drop expired entries; true when empty afterwards.
-    pub fn expire(&mut self, now: SimTime) -> bool {
+    pub(crate) fn expire(&mut self, now: SimTime) -> bool {
         self.map.retain(|_, e| *e > now);
         self.map.is_empty()
     }
 
-    /// Number of live-or-stale entries held.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
     /// True when no entries are held.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 }
 
 /// Referral levels a resolver may need to refresh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReferralLevel {
+pub(crate) enum ReferralLevel {
     /// `⟨a⟩.in-addr.arpa` NS sets — served by the root, keyed per /8.
     /// Background traffic across the whole /8 keeps these warm.
     Root,
@@ -111,7 +106,7 @@ pub enum ReferralLevel {
 
 /// Outcome of consulting the referral cache for one level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReferralCheck {
+pub(crate) enum ReferralCheck {
     /// Cached (ours or background-refreshed): no upward query.
     Warm,
     /// Our query walks up; the parent authority sees it.
@@ -120,9 +115,9 @@ pub enum ReferralCheck {
 
 /// Mutable state of one recursive resolver.
 #[derive(Debug)]
-pub struct ResolverState {
+pub(crate) struct ResolverState {
     /// Exact leaf PTR cache (positive + negative entries).
-    pub ptr_cache: AddrPtrCache,
+    pub(crate) ptr_cache: AddrPtrCache,
     /// Background reverse-lookup rate in queries/second.
     background_rate: f64,
     /// Stored referral expiries keyed by (level, zone key).
@@ -135,27 +130,27 @@ pub struct ResolverState {
 
 /// Parameters of the referral model.
 #[derive(Debug, Clone, Copy)]
-pub struct ReferralConfig {
+pub(crate) struct ReferralConfig {
     /// TTL of /8 referrals served by the root (seconds). Real root-zone
     /// delegations use 2 days.
-    pub root_ttl: u64,
+    pub(crate) root_ttl: u64,
     /// TTL of /24 delegations served by national /16 zones (seconds).
-    pub national_ttl: u64,
+    pub(crate) national_ttl: u64,
     /// Fraction of a resolver's background reverse traffic that warms
     /// any one /8 referral (≈ 1 / number of popular /8s).
-    pub root_bg_share: f64,
+    pub(crate) root_bg_share: f64,
     /// Fraction of background traffic warming one specific /24
     /// delegation (≈ 1 in ten million; effectively zero).
-    pub national_bg_share: f64,
+    pub(crate) national_bg_share: f64,
     /// How long a SERVFAIL (unreachable final authority) is remembered.
-    pub servfail_ttl: u32,
+    pub(crate) servfail_ttl: u32,
     /// Negative TTL applied when a root-served /8 zone answers NXDOMAIN
     /// for undelegated space (the 2-day daggers of the paper's
     /// Table VIII).
-    pub root_neg_ttl: u32,
+    pub(crate) root_neg_ttl: u32,
     /// Negative TTL when a national registry answers NXDOMAIN for
     /// undelegated space.
-    pub national_neg_ttl: u32,
+    pub(crate) national_neg_ttl: u32,
 }
 
 impl Default for ReferralConfig {
@@ -176,7 +171,7 @@ impl ResolverState {
     /// Create state for `id`. `shared` resolvers (ISP caches) get
     /// heavier background rates than dedicated hosts doing their own
     /// lookups.
-    pub fn new(seed: u64, id: ResolverId, shared: bool) -> Self {
+    pub(crate) fn new(seed: u64, id: ResolverId, shared: bool) -> Self {
         let h = hash2(seed ^ 0x5E50_1BE4, u32::from(id.0) as u64, shared as u64);
         // Median ≈ 3 q/s for shared resolvers, ≈ 0.002 q/s for hosts
         // resolving for themselves; both spread over orders of magnitude.
@@ -190,15 +185,10 @@ impl ResolverState {
         }
     }
 
-    /// The modeled background reverse-query rate (queries/second).
-    pub fn background_rate(&self) -> f64 {
-        self.background_rate
-    }
-
     /// Drop expired cache and referral entries; returns true when the
     /// resolver holds no state at all afterwards (so the simulator can
     /// forget it — state is recreated deterministically on next use).
-    pub fn sweep(&mut self, now: SimTime) -> bool {
+    pub(crate) fn sweep(&mut self, now: SimTime) -> bool {
         self.ptr_cache.expire(now);
         self.referrals.retain(|_, expiry| *expiry > now);
         self.ptr_cache.is_empty() && self.referrals.is_empty()
@@ -214,7 +204,7 @@ impl ResolverState {
     ///
     /// `bg_share` scales the resolver's background rate down to the
     /// fraction that touches this particular zone.
-    pub fn check_referral(
+    pub(crate) fn check_referral(
         &mut self,
         level: ReferralLevel,
         zone: u32,
@@ -271,9 +261,8 @@ mod tests {
     #[test]
     fn shared_resolvers_are_busier() {
         // Compare medians over many resolver identities.
-        let shared: Vec<f64> = (0..200u8).map(|i| resolver(true, i).background_rate()).collect();
-        let dedicated: Vec<f64> =
-            (0..200u8).map(|i| resolver(false, i).background_rate()).collect();
+        let shared: Vec<f64> = (0..200u8).map(|i| resolver(true, i).background_rate).collect();
+        let dedicated: Vec<f64> = (0..200u8).map(|i| resolver(false, i).background_rate).collect();
         let med = |mut v: Vec<f64>| {
             v.sort_by(|a, b| a.partial_cmp(b).unwrap());
             v[v.len() / 2]

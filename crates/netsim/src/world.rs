@@ -13,7 +13,7 @@
 //!   prefix of an address is geographically meaningful — the basis of
 //!   the sensor's *global entropy* feature);
 //! * each **/16** belongs to an autonomous system of some
-//!   [`AsType`] (ISP, hosting, enterprise, …);
+//!   `AsType` (ISP, hosting, enterprise, …);
 //! * each **/24** gets a [`BlockProfile`] conditioned on its AS type
 //!   (residential pool, server room, CDN PoP, …) that drives host
 //!   density, host roles, reverse naming, and middlebox behaviour.
@@ -36,7 +36,7 @@ pub struct CountrySpec {
     pub region: Region,
     /// Whether a national registry serves this country's reverse zones
     /// (sits between root and final authorities, like JPNIC).
-    pub national_authority: bool,
+    pub(crate) national_authority: bool,
 }
 
 fn spec(code: &str, weight: f64, region: Region, national: bool) -> CountrySpec {
@@ -51,7 +51,7 @@ fn spec(code: &str, weight: f64, region: Region, national: bool) -> CountrySpec 
 /// The broad business of an autonomous system, which conditions what its
 /// blocks look like.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AsType {
+pub(crate) enum AsType {
     /// Access ISP: mostly residential pools plus some infrastructure.
     Isp,
     /// Hosting / datacenter provider: servers, scanners-for-hire, VPSes.
@@ -68,7 +68,7 @@ pub enum AsType {
 
 impl AsType {
     /// All variants.
-    pub const ALL: [AsType; 6] = [
+    pub(crate) const ALL: [AsType; 6] = [
         AsType::Isp,
         AsType::Hosting,
         AsType::Enterprise,
@@ -110,9 +110,9 @@ pub struct WorldConfig {
     pub countries: Vec<CountrySpec>,
     /// Probability that a /16 of hosting space is undelegated (reverse
     /// walks die with NXDOMAIN at the parent).
-    pub undelegated_hosting: f64,
+    pub(crate) undelegated_hosting: f64,
     /// Undelegated probability for all other space.
-    pub undelegated_other: f64,
+    pub(crate) undelegated_other: f64,
 }
 
 impl Default for WorldConfig {
@@ -242,12 +242,12 @@ impl World {
     }
 
     /// Country spec lookup by code.
-    pub fn country_spec(&self, code: CountryCode) -> Option<&CountrySpec> {
+    pub(crate) fn country_spec(&self, code: CountryCode) -> Option<&CountrySpec> {
         self.config.countries.iter().find(|c| c.code == code)
     }
 
     /// The region of `addr`, if usable.
-    pub fn region_of(&self, addr: Ipv4Addr) -> Option<Region> {
+    pub(crate) fn region_of(&self, addr: Ipv4Addr) -> Option<Region> {
         self.slash8_country[addr.octets()[0] as usize]
             .map(|ci| self.config.countries[ci as usize].region)
     }
@@ -276,7 +276,7 @@ impl World {
     }
 
     /// The business type of an AS.
-    pub fn as_type(&self, as_id: AsId) -> AsType {
+    pub(crate) fn as_type(&self, as_id: AsId) -> AsType {
         let h = hash1(self.config.seed ^ 0xA5_0002, as_id.0 as u64);
         // ISP-heavy mix with a meaningful hosting sector.
         const W: [f64; 6] = [0.42, 0.18, 0.20, 0.06, 0.06, 0.08];
@@ -373,7 +373,7 @@ impl World {
     /// The organization domain for `addr`'s network. ISP pools share one
     /// domain per AS (real access pools look like `*.bigisp.net`); other
     /// blocks get per-/24 org domains.
-    pub fn org_domain(&self, addr: Ipv4Addr) -> DomainName {
+    pub(crate) fn org_domain(&self, addr: Ipv4Addr) -> DomainName {
         let country =
             self.country_of(addr).unwrap_or_else(|| CountryCode::new("us").expect("static code"));
         let profile = self.block_profile(addr);
@@ -551,7 +551,7 @@ impl World {
     }
 
     /// Does the /24 containing `addr` run a logging middlebox?
-    pub fn middlebox_at(&self, addr: Ipv4Addr) -> bool {
+    pub(crate) fn middlebox_at(&self, addr: Ipv4Addr) -> bool {
         let p = Self::middlebox_presence_prob(self.block_profile(addr));
         if p == 0.0 {
             return false;

@@ -26,7 +26,7 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 /// Length of a persistence period in seconds (paper: 10 minutes).
-pub const PERSISTENCE_PERIOD: u64 = 600;
+pub(crate) const PERSISTENCE_PERIOD: u64 = 600;
 
 /// The eight dynamic features of one originator.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -40,13 +40,13 @@ pub struct DynamicFeatures {
     /// Normalized entropy of querier /8 prefixes.
     pub global_entropy: f64,
     /// Unique querier ASes / total window ASes.
-    pub as_ratio: f64,
+    pub(crate) as_ratio: f64,
     /// Unique querier countries / total window countries.
-    pub country_ratio: f64,
+    pub(crate) country_ratio: f64,
     /// Unique countries per unique querier.
     pub countries_per_querier: f64,
     /// Unique ASes per unique querier.
-    pub ases_per_querier: f64,
+    pub(crate) ases_per_querier: f64,
 }
 
 impl DynamicFeatures {
@@ -65,7 +65,7 @@ impl DynamicFeatures {
     }
 
     /// As a fixed-order array.
-    pub fn to_array(self) -> [f64; 8] {
+    pub(crate) fn to_array(self) -> [f64; 8] {
         [
             self.queries_per_querier,
             self.persistence,
@@ -136,7 +136,7 @@ impl DynamicFeatures {
     /// `obs.queries()` holds offsets in seconds from this `window_start`
     /// (persistence divides them into periods as they are). An
     /// observation built otherwise gives wrong features, not an error.
-    pub fn from_counts(
+    pub(crate) fn from_counts(
         obs: &OriginatorObservation,
         window_start: SimTime,
         window_end: SimTime,

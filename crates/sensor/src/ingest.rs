@@ -27,7 +27,7 @@ use std::net::Ipv4Addr;
 
 /// The deduplication window: duplicate queries from the same querier
 /// for the same originator within this span are dropped.
-pub const DEDUP_WINDOW: SimDuration = SimDuration(30);
+pub(crate) const DEDUP_WINDOW: SimDuration = SimDuration(30);
 
 /// The analyzability threshold: originators need at least this many
 /// unique queriers to be classified.
@@ -72,7 +72,7 @@ impl OriginatorObservation {
     /// order (time order when the input is). The offset is the query's
     /// time in seconds after [`Observations::window_start`]: a sensor
     /// keeps no record behind its window, and no window is longer than
-    /// [`MAX_WINDOW`], so every query's time is `window_start + offset`
+    /// `MAX_WINDOW`, so every query's time is `window_start + offset`
     /// exactly.
     pub fn queries(&self) -> &[(u32, Ipv4Addr)] {
         &self.queries
@@ -146,12 +146,12 @@ impl Observations {
     /// per-(originator, querier) deduplication: the streaming sensor
     /// anchored at `start` and run for the one window. An empty or
     /// inverted window observes nothing; a window longer than
-    /// [`MAX_WINDOW`] observes its first `MAX_WINDOW` and reports that
+    /// `MAX_WINDOW` observes its first `MAX_WINDOW` and reports that
     /// end, as the sensor cuts its own window
     /// ([`StreamConfig::resolved_window`]).
     ///
     /// `dedup` is exposed for the ablation bench; the paper's pipeline
-    /// always passes [`DEDUP_WINDOW`].
+    /// always passes `DEDUP_WINDOW`.
     pub fn ingest_with_dedup(
         log: &QueryLog,
         start: SimTime,
@@ -267,7 +267,7 @@ impl Observations {
     }
 
     /// Number of distinct queriers seen in the window.
-    pub fn unique_querier_count(&self) -> usize {
+    pub(crate) fn unique_querier_count(&self) -> usize {
         self.all_queriers.len()
     }
 }

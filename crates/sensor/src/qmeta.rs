@@ -41,7 +41,7 @@
 //!
 //! Dense ids are `u32`, not `u16`: the id space is bounded by the
 //! number of distinct values actually observed, which at a busy
-//! authority can exceed 65 535 ASes per window. [`NO_ID`] marks a
+//! authority can exceed 65 535 ASes per window. `NO_ID` marks a
 //! querier with no AS (or country) mapping.
 
 use crate::hash::IntHash;
@@ -53,7 +53,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Sentinel dense id for "no AS / no country known for this querier".
-pub const NO_ID: u32 = u32::MAX;
+pub(crate) const NO_ID: u32 = u32::MAX;
 
 /// Sentinel category for a querier the table did not name: no selected
 /// footprint holds it, so no feature reads its reverse name. Only
@@ -71,15 +71,15 @@ const RESOLVE_CHUNK: usize = 1024;
 
 /// One querier's metadata after per-window interning: the static
 /// keyword category (dense index into [`crate::StaticFeature::ALL`])
-/// and dense AS/country ids ([`NO_ID`] when unknown).
+/// and dense AS/country ids (`NO_ID` when unknown).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuerierMeta {
     /// `StaticFeature::index()` of the classified reverse name.
     pub category: u8,
-    /// Dense per-window AS id, or [`NO_ID`].
+    /// Dense per-window AS id, or `NO_ID`.
     pub as_id: u32,
     /// Dense per-window country id, or [`NO_ID`].
-    pub country_id: u32,
+    pub(crate) country_id: u32,
 }
 
 /// One querier's *resolved* metadata before interning — what the
@@ -91,7 +91,7 @@ pub struct RawQuerierMeta {
     /// footprints hold the querier names it.
     pub category: Option<StaticFeature>,
     /// The querier's AS, if known.
-    pub asn: Option<AsId>,
+    pub(crate) asn: Option<AsId>,
     /// The querier's country, if known.
     pub country: Option<CountryCode>,
 }
@@ -263,12 +263,12 @@ impl QuerierMetaTable {
     /// Distinct ASes across the window — what the per-pair reference
     /// counts one lookup at a time, by construction (the interner
     /// admits exactly the distinct `Some(AsId)` values).
-    pub fn distinct_ases(&self) -> usize {
+    pub(crate) fn distinct_ases(&self) -> usize {
         self.n_ases
     }
 
     /// Distinct countries across the window, likewise.
-    pub fn distinct_countries(&self) -> usize {
+    pub(crate) fn distinct_countries(&self) -> usize {
         self.n_countries
     }
 }
@@ -357,7 +357,7 @@ impl QuerierMetaCache {
 
     /// Open a new generation, dropping every entry now past the keep
     /// horizon.
-    pub fn begin_window(&mut self) {
+    pub(crate) fn begin_window(&mut self) {
         self.generation = self.generation.wrapping_add(1);
         let (gen, keep) = (self.generation, self.keep_windows);
         let before = self.entries.len();
@@ -422,7 +422,7 @@ impl QuerierMetaCache {
     /// Flush counter deltas since the last publish into the telemetry
     /// registry (plus the current size as a gauge), so live scrapes
     /// and the watchdog see cache health per window.
-    pub fn publish_telemetry(&mut self) {
+    pub(crate) fn publish_telemetry(&mut self) {
         let now = [self.hits, self.misses, self.expired];
         let names =
             ["sensor.qmeta.cache_hits", "sensor.qmeta.cache_misses", "sensor.qmeta.cache_expired"];

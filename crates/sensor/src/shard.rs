@@ -17,7 +17,7 @@
 //! hash **slices** (the top bits of the address multiplied by
 //! 2⁶⁴/φ), and every admission-control resource —
 //! tracked-table capacity, probation capacity — is divided evenly
-//! across the slices ([`slice_config`]). A run with N lanes assigns
+//! across the slices (`slice_config`). A run with N lanes assigns
 //! slice `j` to lane `j % N`; each lane drives one `StreamingSensor`
 //! per owned slice.
 //!
@@ -41,7 +41,7 @@
 //! The reader thread owns the window clock (first record anchors the
 //! window grid; late records are counted per-lane and dropped, exactly
 //! like the single sensor) and routes records into per-lane bounded
-//! queues. When any queue reaches [`SHARD_QUEUE_CAP`] the driver runs
+//! queues. When any queue reaches `SHARD_QUEUE_CAP` the driver runs
 //! a drain barrier: a `bs-par` parallel region in which every lane
 //! ingests its queued records in arrival order. At a window boundary
 //! the driver drains, flushes every lane in parallel, and merges the
@@ -80,20 +80,14 @@ pub const SHARD_SLICES: usize = 64;
 /// Records a lane queue may hold before the driver runs a drain
 /// barrier. Batches per-record work into cache-friendly runs and
 /// bounds driver-side memory at `lanes × SHARD_QUEUE_CAP` records.
-pub const SHARD_QUEUE_CAP: usize = 4096;
+pub(crate) const SHARD_QUEUE_CAP: usize = 4096;
 
 /// The slice an originator address belongs to: the top 6 bits of the
 /// address times 2⁶⁴/φ (a bare multiply keeps its entropy in the high
 /// bits).
 #[inline]
-pub fn slice_of(originator: Ipv4Addr) -> usize {
+pub(crate) fn slice_of(originator: Ipv4Addr) -> usize {
     (u64::from(u32::from(originator)).wrapping_mul(crate::hash::PHI64) >> 58) as usize
-}
-
-/// The lane that owns `originator` when running `lanes` lanes.
-#[inline]
-pub fn shard_of(originator: Ipv4Addr, lanes: usize) -> usize {
-    slice_of(originator) % lanes.clamp(1, SHARD_SLICES)
 }
 
 /// The per-slice configuration: tracked-table and probation capacity
@@ -101,7 +95,7 @@ pub fn shard_of(originator: Ipv4Addr, lanes: usize) -> usize {
 /// Totals may exceed the configured caps by at most `SHARD_SLICES - 1`
 /// entries — the price of slice-local (and therefore parallelizable)
 /// admission control.
-pub fn slice_config(config: &StreamConfig) -> StreamConfig {
+pub(crate) fn slice_config(config: &StreamConfig) -> StreamConfig {
     StreamConfig {
         max_originators: config.max_originators.div_ceil(SHARD_SLICES),
         probation_cap: config.resolved_probation_cap().div_ceil(SHARD_SLICES),
@@ -228,7 +222,7 @@ impl ShardedStreamingSensor {
 
     /// Originators currently tracked across all slices. Records still
     /// sitting in lane queues are not reflected until the next drain.
-    pub fn tracked_originators(&self) -> usize {
+    pub(crate) fn tracked_originators(&self) -> usize {
         self.lanes
             .iter()
             .map(|l| l.slices.iter().map(|s| s.tracked_originators()).sum::<usize>())
@@ -236,18 +230,8 @@ impl ShardedStreamingSensor {
     }
 
     /// Records currently queued and not yet ingested, across lanes.
-    pub fn queued_records(&self) -> usize {
+    pub(crate) fn queued_records(&self) -> usize {
         self.lanes.iter().map(|l| l.queue.len()).sum()
-    }
-
-    /// Probation resets accumulated in the current window, across all
-    /// slices — a diagnostic for the pressure-broadcast path.
-    #[doc(hidden)]
-    pub fn pending_probation_resets(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| l.slices.iter().map(|s| s.pending_probation_resets()).sum::<u64>())
-            .sum()
     }
 
     /// Feed one record (records must arrive in time order). Returns
@@ -506,7 +490,6 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "100k addresses must cover all 64 slices");
         let a = Ipv4Addr::new(203, 0, 113, 7);
         assert_eq!(slice_of(a), slice_of(a), "hash is a pure function");
-        assert_eq!(shard_of(a, 4), slice_of(a) % 4);
     }
 
     #[test]
@@ -672,7 +655,11 @@ mod tests {
                 s.push(rec(i as u64 * 40, i as u32, *o));
             }
             s.drain_all();
-            s.pending_probation_resets()
+            s.lanes
+                .iter()
+                .flat_map(|l| &l.slices)
+                .map(|slice| slice.pending_probation_resets())
+                .sum::<u64>()
         };
         assert_eq!(run(0), 0, "healthy: 40 probation entries fit under the slice cap of 64");
         assert!(run(2) > 0, "critical: the tightened cap (16) forces wholesale decay");

@@ -32,7 +32,7 @@
 //! over packed integer keys, behind the crate's one-multiply hasher.
 //! The dedup table maps an `(originator, querier)` `PairKey` (two
 //! `u32`s) to its last accepted offset from the window start (31 bits,
-//! hence [`MAX_WINDOW`]) plus a footprint bit, a 12-byte entry.
+//! hence `MAX_WINDOW`) plus a footprint bit, a 12-byte entry.
 //! Per-originator state lives in a dense arena addressed by `u32` slot
 //! indices (evicted slots recycle through a free list): stored queries,
 //! 8 bytes each — the seconds after the window start and the querier —
@@ -78,7 +78,7 @@ const MIN_PRESSURE_PROBATION_CAP: usize = 16;
 /// and a stored query hold a record's offset from its window's start in
 /// 31 bits. A longer configured window is cut to this one
 /// ([`StreamConfig::resolved_window`]).
-pub const MAX_WINDOW: SimDuration = SimDuration(1 << 31);
+pub(crate) const MAX_WINDOW: SimDuration = SimDuration(1 << 31);
 
 /// The dedup entry's footprint bit, above the 31-bit offset: set while
 /// the pair is stored under its originator's current admission.
@@ -130,7 +130,7 @@ fn sorted_column(scratch: &mut Vec<u32>) -> Vec<Ipv4Addr> {
 /// Streaming-sensor configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
-    /// Window length; past [`MAX_WINDOW`] it is cut to that.
+    /// Window length; past `MAX_WINDOW` it is cut to that.
     pub window: SimDuration,
     /// Hard cap on tracked originators per window.
     pub max_originators: usize,
@@ -160,7 +160,7 @@ impl Default for StreamConfig {
 impl StreamConfig {
     /// The probation cap with the `0 = 4 × max_originators` default
     /// resolved.
-    pub fn resolved_probation_cap(&self) -> usize {
+    pub(crate) fn resolved_probation_cap(&self) -> usize {
         if self.probation_cap == 0 {
             self.max_originators.saturating_mul(4)
         } else {
@@ -168,7 +168,7 @@ impl StreamConfig {
         }
     }
 
-    /// The window with a length past [`MAX_WINDOW`] cut to it, as every
+    /// The window with a length past `MAX_WINDOW` cut to it, as every
     /// sensor runs it: such windows start on multiples of 2³¹ s, and
     /// [`Observations::ingest_with_dedup`] observes the first
     /// `MAX_WINDOW` of a longer span.
@@ -312,6 +312,7 @@ impl StreamingSensor {
 
     /// Probation resets accumulated in the current (unflushed) window
     /// — a diagnostic for the sharded pressure-broadcast path.
+    #[cfg(test)]
     pub(crate) fn pending_probation_resets(&self) -> u64 {
         self.tally.probation_resets
     }
@@ -374,21 +375,14 @@ impl StreamingSensor {
     }
 
     /// Originators currently tracked (arena occupancy).
-    pub fn tracked_originators(&self) -> usize {
+    pub(crate) fn tracked_originators(&self) -> usize {
         self.slot_of.len()
     }
 
     /// True when `originator` currently holds an arena slot.
-    pub fn is_tracked(&self, originator: Ipv4Addr) -> bool {
+    #[cfg(test)]
+    fn is_tracked(&self, originator: Ipv4Addr) -> bool {
         self.slot_of.contains_key(&u32::from(originator))
-    }
-
-    /// Lifetime lazy-heap pops performed while picking eviction
-    /// victims — a cost diagnostic: with the heap, total pops stay
-    /// proportional to admissions, where the seed's full-table scan
-    /// paid `max_originators` comparisons *per* admission.
-    pub fn eviction_heap_pops(&self) -> u64 {
-        self.heap_pops
     }
 
     fn rotate(&mut self, now: SimTime) -> WindowSummary {
@@ -408,7 +402,7 @@ impl StreamingSensor {
     /// own). After the call the sensor is anchored: records in
     /// `[next_start, next_start + window)` accumulate without
     /// re-deriving the grid from their timestamps.
-    pub fn flush_to(&mut self, next_start: SimTime) -> Option<WindowSummary> {
+    pub(crate) fn flush_to(&mut self, next_start: SimTime) -> Option<WindowSummary> {
         // An anchored slice with an empty arena has nothing to emit:
         // it only ever receives in-window records from the driver, so
         // zero tracked originators means zero tallies too.
@@ -1150,7 +1144,7 @@ mod tests {
             sensor.push(rec(t, o, 100_000 + o));
             sensor.push(rec(t + 1, o + 1, 100_000 + o));
         }
-        let pops = sensor.eviction_heap_pops();
+        let pops = sensor.heap_pops;
         let w = sensor.finish().expect("window");
         assert_eq!(w.evicted, storm as usize, "every storm admission evicts exactly once");
         // Generous bound: a handful of pops per eviction, independent

@@ -13,7 +13,7 @@ use bs_par::Rng;
 use std::net::Ipv4Addr;
 
 /// The address pools and length bound an arbitrary stream draws from.
-pub struct Pools {
+pub(crate) struct Pools {
     /// Record times are uniform in `0..horizon`.
     pub horizon: u64,
     /// The querier's last octet is its 16-bit id modulo this.
@@ -26,18 +26,19 @@ pub struct Pools {
 
 /// Deliberately small pools, so dedup hits, repeat visits, queriers
 /// shared across originators and admission-filter pressure all occur.
-pub const SMALL: Pools = Pools { horizon: 5_000, querier_mod: 61, originators: 37, max_len: 400 };
+pub(crate) const SMALL: Pools =
+    Pools { horizon: 5_000, querier_mod: 61, originators: 37, max_len: 400 };
 
 /// The amplification-reflector shape (Fachkha et al.): three
 /// originators and a day's horizon, so dedup rarely fires and each
 /// footprint reaches ~10⁴ queriers, heavily overlapping the other two
 /// — every table grows several times, which `SMALL` (a few dozen
 /// entries a set) never makes one do.
-pub const AMPLIFIED: Pools =
+pub(crate) const AMPLIFIED: Pools =
     Pools { horizon: 86_400, querier_mod: 251, originators: 3, max_len: 30_000 };
 
 /// An arbitrary (unsorted) record stream over `pools`.
-pub fn arb_records(rng: &mut Rng, pools: &Pools) -> Vec<QueryLogRecord> {
+pub(crate) fn arb_records(rng: &mut Rng, pools: &Pools) -> Vec<QueryLogRecord> {
     (0..rng.range(0..pools.max_len))
         .map(|_| {
             let time = SimTime(rng.below(pools.horizon));
@@ -54,7 +55,7 @@ pub fn arb_records(rng: &mut Rng, pools: &Pools) -> Vec<QueryLogRecord> {
 }
 
 /// The same stream in time order (stable, as the suites always sorted).
-pub fn sorted_records(rng: &mut Rng, pools: &Pools) -> Vec<QueryLogRecord> {
+pub(crate) fn sorted_records(rng: &mut Rng, pools: &Pools) -> Vec<QueryLogRecord> {
     let mut records = arb_records(rng, pools);
     records.sort_by_key(|r| r.time);
     records

@@ -111,7 +111,7 @@ enum Item {
 /// Render events as an indented span tree with durations, counters,
 /// and log records attached under their owning span. Spans whose
 /// parent fell out of the ring buffer render at the root.
-pub fn tree_dump(events: &[Event]) -> String {
+pub(crate) fn tree_dump(events: &[Event]) -> String {
     let mut nodes: BTreeMap<u64, Node> = BTreeMap::new();
     let mut roots: Vec<Item> = Vec::new();
 
@@ -207,8 +207,8 @@ mod tests {
         crate::trace::drain();
         {
             let _root = crate::stage("trace.test.export");
-            crate::trace::record_counter("trace.test.export.count", 7);
-            crate::trace::record_log("WARN", "trace.test", "a \"quoted\"\nmessage");
+            crate::counter_add("trace.test.export.count", 7);
+            crate::recorder::record_log("WARN", "trace.test", "a \"quoted\"\nmessage");
             let _inner = crate::stage("trace.test.export.inner");
         }
         let evs = crate::trace::drain();
@@ -241,7 +241,7 @@ mod tests {
         crate::trace::drain();
         {
             let _outer = crate::stage("trace.test.tree.outer");
-            crate::trace::record_counter("trace.test.tree.n", 3);
+            crate::counter_add("trace.test.tree.n", 3);
             let _inner = crate::stage("trace.test.tree.inner");
         }
         let evs = crate::trace::drain();

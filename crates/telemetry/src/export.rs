@@ -80,7 +80,7 @@ impl Snapshot {
 
     /// Serialize in the Prometheus text exposition format. Histograms
     /// export as summaries (`quantile` labels plus `_sum`/`_count`).
-    pub fn to_prometheus(&self) -> String {
+    pub(crate) fn to_prometheus(&self) -> String {
         let mut out = String::new();
         for (k, v) in &self.counters {
             let n = prom_name(k);

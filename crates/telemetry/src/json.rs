@@ -82,14 +82,6 @@ impl Value {
         }
     }
 
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Look up `key` in an object (first match, source order).
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.as_object()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
@@ -306,7 +298,7 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].get("ph").and_then(Value::as_str), Some("B"));
         assert_eq!(events[0].get("ts").and_then(Value::as_f64), Some(1.5));
-        assert_eq!(events[0].get("ok").and_then(Value::as_bool), Some(true));
+        assert_eq!(events[0].get("ok"), Some(&Value::Bool(true)));
         assert_eq!(events[0].get("none"), Some(&Value::Null));
         assert_eq!(events[1].as_array().expect("inner")[2].as_f64(), Some(300.0));
         assert_eq!(v.get("unit").and_then(Value::as_str), Some("ms"));

@@ -80,7 +80,7 @@ mod registry;
 mod stage;
 pub mod trace;
 
-pub use logger::{log_emit, log_enabled, set_log_format, set_max_log_level, Level, LogFormat};
+pub use logger::{log_emit, log_enabled, Level};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{Registry, Snapshot};
 pub use stage::{stage, Entered, Position, Stage};
@@ -157,25 +157,18 @@ pub fn reset() {
     registry().reset();
 }
 
-/// Add to a named counter, and — under tracing — record the sample in
-/// the flight recorder attributed to the current span. No-op while
-/// both sinks are detached.
+/// Add to a named counter, and — under tracing — record a nonzero
+/// sample in the flight recorder attributed to the current span. Adding
+/// 0 registers the counter, so one that never moved reads 0 rather than
+/// being missing. No-op while both sinks are detached.
 pub fn counter_add(name: &str, n: u64) {
     let flags = flags();
-    if n == 0 || flags & (METRICS | TRACE) == 0 {
-        return;
-    }
-    if flags & TRACE != 0 {
+    if flags & TRACE != 0 && n != 0 {
         recorder::push_counter(name, n);
     }
     if flags & METRICS != 0 {
         registry().counter(name).add(n);
     }
-}
-
-/// Increment a named counter by one. No-op while disabled.
-pub fn counter_inc(name: &str) {
-    counter_add(name, 1);
 }
 
 /// Set a named gauge. No-op while disabled.
@@ -216,7 +209,7 @@ pub(crate) mod testutil {
     /// process: every test that records through them holds this lock.
     static LOCK: Mutex<()> = Mutex::new(());
 
-    pub fn serial() -> MutexGuard<'static, ()> {
+    pub(crate) fn serial() -> MutexGuard<'static, ()> {
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
@@ -243,7 +236,7 @@ mod tests {
         let _g = testutil::serial();
         enable();
         counter_add("lib.test.counter", 2);
-        counter_inc("lib.test.counter");
+        counter_add("lib.test.counter", 1);
         gauge_set("lib.test.gauge", -4);
         observe("lib.test.hist", 1000);
         {
@@ -254,5 +247,18 @@ mod tests {
         assert_eq!(snap.gauges["lib.test.gauge"], -4);
         assert_eq!(snap.histograms["lib.test.hist"].count, 1);
         assert_eq!(snap.histograms["lib.test.span"].count, 1);
+    }
+
+    #[test]
+    fn a_counter_booked_with_zero_reads_zero() {
+        let _g = testutil::serial();
+        enable();
+        trace::enable();
+        trace::drain();
+        counter_add("lib.test.zero", 0);
+        let events = trace::drain();
+        trace::disable();
+        assert_eq!(snapshot().counters.get("lib.test.zero"), Some(&0), "registered at 0");
+        assert!(events.is_empty(), "a zero sample is no flight-recorder event: {events:?}");
     }
 }

@@ -4,9 +4,8 @@
 //!
 //! The maximum level comes from the `BS_LOG` environment variable
 //! (`off`, `error`, `warn`, `info`, `debug`; default `info`), read once
-//! on first use; [`set_max_log_level`] overrides it programmatically.
-//! Lines go to stderr as `[LEVEL target] message key=value …`, or —
-//! with `BS_LOG_FORMAT=json` (or [`set_log_format`]) — as one JSON
+//! on first use. Lines go to stderr as `[LEVEL target] message
+//! key=value …`, or — with `BS_LOG_FORMAT=json` — as one JSON
 //! object per line (`ts_ms`, `level`, `target`, `message`, `kvs`) so
 //! logs are machine-ingestable alongside the trace export.
 //!
@@ -74,7 +73,8 @@ fn level_from_env() -> u8 {
 
 /// Override the maximum level (`None` silences the logger). Takes
 /// precedence over `BS_LOG` from the moment it is called.
-pub fn set_max_log_level(level: Option<Level>) {
+#[cfg(test)]
+fn set_max_log_level(level: Option<Level>) {
     MAX_LEVEL.store(level.map(|l| l as u8).unwrap_or(LEVEL_OFF), Ordering::Relaxed);
 }
 
@@ -87,10 +87,10 @@ pub fn log_enabled(level: Level) -> bool {
     level as u8 <= max
 }
 
-/// Log output encodings (see [`set_log_format`] / `BS_LOG_FORMAT`).
+/// Log output encodings (`BS_LOG_FORMAT`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
-pub enum LogFormat {
+pub(crate) enum LogFormat {
     /// `[LEVEL target] message key=value …` (the default).
     Text = 0,
     /// One JSON object per line:
@@ -109,12 +109,6 @@ fn format_from_env() -> u8 {
     };
     FORMAT.store(parsed, Ordering::Relaxed);
     parsed
-}
-
-/// Override the output encoding. Takes precedence over
-/// `BS_LOG_FORMAT` from the moment it is called.
-pub fn set_log_format(format: LogFormat) {
-    FORMAT.store(format as u8, Ordering::Relaxed);
 }
 
 fn current_format() -> LogFormat {
@@ -183,7 +177,7 @@ pub fn log_emit(level: Level, target: &str, message: &str, kvs: &[(&str, String)
         // key=value pairs rendered into the message.
         let traced = render(LogFormat::Text, ts_ms, level, target, message, kvs);
         let stripped = traced.split_once("] ").map(|(_, m)| m).unwrap_or(&traced);
-        crate::trace::record_log(level.as_str(), target, stripped);
+        crate::recorder::record_log(level.as_str(), target, stripped);
     }
     crate::counter_add(level.counter_name(), 1);
 }
@@ -303,15 +297,6 @@ mod tests {
         let line = render(LogFormat::Json, 0, Level::Info, "t", "m", &[]);
         let v = crate::json::parse(&line).expect("parses");
         assert_eq!(v.get("kvs").and_then(|k| k.as_object()).map(<[_]>::len), Some(0));
-    }
-
-    #[test]
-    fn set_log_format_overrides_env() {
-        let _g = crate::testutil::serial();
-        set_log_format(LogFormat::Json);
-        assert_eq!(current_format(), LogFormat::Json);
-        set_log_format(LogFormat::Text);
-        assert_eq!(current_format(), LogFormat::Text);
     }
 
     #[test]

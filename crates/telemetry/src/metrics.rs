@@ -20,11 +20,6 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Increment by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -250,7 +245,7 @@ mod tests {
     #[test]
     fn counter_and_gauge_semantics() {
         let c = Counter::new();
-        c.inc();
+        c.add(1);
         c.add(41);
         assert_eq!(c.get(), 42);
         let g = Gauge::new();
@@ -403,7 +398,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..10_000u64 {
                         h.record(t * 10_000 + i);
-                        c.inc();
+                        c.add(1);
                     }
                 })
             })

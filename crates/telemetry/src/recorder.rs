@@ -28,7 +28,7 @@ pub struct Event {
     /// Position in the process-global total order.
     pub seq: u64,
     /// Microseconds since the first recorded event (process epoch).
-    pub t_us: u64,
+    pub(crate) t_us: u64,
     /// Dense id of the thread that recorded the event.
     pub lane: u64,
     /// Trace this event belongs to (0 if recorded outside any span).
@@ -157,15 +157,8 @@ pub(crate) fn push(trace_id: u64, span_id: u64, parent_id: u64, kind: EventKind)
     rec.ring.push_back(Event { seq, t_us, lane, trace_id, span_id, parent_id, kind });
 }
 
-/// Record a counter sample attributed to the current span (if any).
-/// Near-free when disabled: one relaxed atomic load, no allocation.
-pub fn record_counter(name: &str, value: u64) {
-    if crate::trace::is_enabled() {
-        push_counter(name, value);
-    }
-}
-
-/// [`record_counter`] for callers that already checked the flag word.
+/// Record a counter sample attributed to the current span (if any);
+/// the caller has checked that tracing is on.
 pub(crate) fn push_counter(name: &str, value: u64) {
     let (trace_id, span_id) = ids();
     push(trace_id, span_id, 0, EventKind::Counter { name: name.to_string(), value });
@@ -174,7 +167,7 @@ pub(crate) fn push_counter(name: &str, value: u64) {
 /// Record a log line attributed to the current span (if any).
 /// The logger forwards warn-or-worse records here. Near-free when
 /// disabled: one relaxed atomic load, no allocation.
-pub fn record_log(level: &str, target: &str, message: &str) {
+pub(crate) fn record_log(level: &str, target: &str, message: &str) {
     if !crate::trace::is_enabled() {
         return;
     }
@@ -258,7 +251,7 @@ mod tests {
             for (t, &n) in per_thread.iter().enumerate() {
                 s.spawn(move || {
                     for i in 0..n as u64 {
-                        record_counter("trace.test.ring", t as u64 * 1_000_000 + i);
+                        push_counter("trace.test.ring", t as u64 * 1_000_000 + i);
                     }
                 });
             }
@@ -291,7 +284,7 @@ mod tests {
             for t in 0..4 {
                 s.spawn(move || {
                     for i in 0..8 {
-                        record_counter("trace.test.multilane", t * 100 + i);
+                        push_counter("trace.test.multilane", t * 100 + i);
                     }
                 });
             }
@@ -329,7 +322,7 @@ mod tests {
         for region in 0..300 {
             std::thread::spawn(move || {
                 let _p = crate::Position::capture().enter(format_args!("trace-region-{region}"));
-                record_counter("trace.test.lanes", region);
+                push_counter("trace.test.lanes", region);
             })
             .join()
             .unwrap();

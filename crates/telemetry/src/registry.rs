@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn reset_zeroes_all_kinds_in_place() {
         let r = Registry::new();
-        r.counter("c").inc();
+        r.counter("c").add(1);
         r.gauge("g").set(5);
         r.histogram("h").record(9);
         r.reset();
@@ -183,8 +183,8 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..5_000u64 {
                         // Contend on a shared name and a private one.
-                        r.counter("shared").inc();
-                        r.counter(&format!("private.{t}")).inc();
+                        r.counter("shared").add(1);
+                        r.counter(&format!("private.{t}")).add(1);
                         r.histogram("lat").record(i);
                     }
                 })

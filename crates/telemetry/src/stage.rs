@@ -70,7 +70,7 @@ pub(crate) fn alloc_slot() -> usize {
 
 /// The current thread's span context. `None` while tracing and
 /// profiling are both off, or outside any stage.
-pub fn current_context() -> Option<TraceContext> {
+pub(crate) fn current_context() -> Option<TraceContext> {
     if crate::flags() & ACTIVE == 0 {
         return None;
     }
@@ -235,7 +235,8 @@ impl Stage {
 
     /// Whether the guard was created with no sink attached (it records
     /// nothing and never read the clock).
-    pub fn is_inert(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_inert(&self) -> bool {
         self.live.is_none()
     }
 

@@ -14,7 +14,7 @@
 //!
 //! Exporters: [`chrome_trace_json`] writes the Chrome trace-event JSON
 //! format (loadable in `chrome://tracing` / Perfetto, one lane per pool
-//! worker) and [`tree_dump`] renders a human-readable span tree.
+//! worker); the panic hook prints the ring as a span tree.
 //!
 //! ```
 //! use bs_telemetry::trace;
@@ -30,12 +30,11 @@
 //! bs_telemetry::json::parse(&json).expect("valid trace JSON");
 //! ```
 
-pub use crate::chrome::{chrome_trace_json, tree_dump};
+pub use crate::chrome::chrome_trace_json;
 pub use crate::recorder::{
-    drain, dropped, events, install_panic_hook, lane_names, name_lane, record_counter, record_log,
-    Event, EventKind,
+    drain, dropped, events, install_panic_hook, lane_names, name_lane, Event, EventKind,
 };
-pub use crate::stage::{current_context, TraceContext};
+pub use crate::stage::TraceContext;
 
 /// Start recording trace events (and ledger flows).
 pub fn enable() {
@@ -55,6 +54,8 @@ pub fn is_enabled() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::record_log;
+    use crate::stage::current_context;
     use crate::{ledger, prof, stage, testutil, Position};
 
     #[test]
@@ -69,7 +70,7 @@ mod tests {
             let s = stage("trace.test.disabled");
             assert!(s.is_inert(), "disabled stage must carry no ids");
             assert!(current_context().is_none());
-            record_counter("trace.test.counter", 1);
+            crate::counter_add("trace.test.counter", 1);
             record_log("WARN", "trace.test", "dropped");
             ledger::record("trace.test.stage", 5, &[("kept", 5)]);
             let _w = ledger::window_scope(3);

@@ -1,23 +1,15 @@
 #!/bin/bash
 # The repo's tier-1 gate, runnable locally and in CI:
 #   format check → hermeticity → no unused dependency edge → no thread
-#   in bs-telemetry → no retired batch-ingest metric name → one CART
-#   growth regime → one keyword matcher → no soft cap on the metadata
-#   cache → compact window (no 16-byte dedup entry or stored query) →
-#   one sensing pass per dataset (no per-window wrapper, no pipeline
-#   feature config, no per-window rescan, no log merge, no bs-live
-#   ring) → traffic-sized machinery (no work-stealing queue, no log
-#   rate limiter) → one window view (only the code that builds a
-#   window reads its storage) → one road from bytes to verdicts (no
-#   classify --model, no --shards, --capture or --format flag) →
-#   observability sized to the binary (no shard-skew view, backlog rule
-#   or live config struct, one recorder ring, one Gram matrix, no IPv6
-#   reverse helpers) → lints as errors → rustdoc as errors → release build → one experiments
-#   binary whose registry matches results/ → bs-dns, bs-netsim, bs-ml,
-#   bs-classify, bs-sensor and backscatter-core tests on the release
-#   build → tests → CLI smokes (stream --extract holds fewer cache
-#   entries than the log has queriers; stream --model prints verdict
-#   rows from a capture).
+#   in bs-telemetry → retired names stay deleted (one table: PR,
+#   pattern, paths, allowed hits; plus no bs-live ring and no retired
+#   CLI flag in COMMANDS) → every pub fn has a consumer → lints as
+#   errors (unreachable_pub on) → rustdoc as errors → the benchmark
+#   builds → release build → one experiments binary whose registry
+#   matches results/ → bs-dns, bs-netsim, bs-ml, bs-classify, bs-sensor
+#   and backscatter-core tests on the release build → tests → CLI
+#   smokes (stream --extract holds fewer cache entries than the log has
+#   queriers; stream --model prints verdict rows from a capture).
 # Performance is not gated here: `bash benchmark/run.sh` measures it.
 # Any step failing fails the script.
 set -euo pipefail
@@ -88,122 +80,101 @@ if awk 'FNR == 1 { tests = 0 } /^#\[cfg\(test\)\]/ { tests = 1 }
     exit 1
 fi
 
-echo "=== one ingest engine: the batch road's metric names stay retired"
-# Every subcommand's ingest is the streaming sensor's, booked as
-# sensor.stream.*; a second per-record loop would bring its own names
-# back.
-if grep -rnE 'sensor\.(ingest|records|dedup_suppressed)' crates src tests README.md DESIGN.md; then
-    echo "a retired batch-ingest stage or counter name is back (lines above)"
-    exit 1
-fi
-
-echo "=== one CART growth regime: node-local tree growth stays deleted"
-# Every node partitions the presorted arrays (DESIGN.md §11); forcing
-# the node-local mode at every node ran retrain-daily at 0.63x, so a
-# second regime would be a fast path that does not win.
-if grep -rnE 'local_mode|grow_local' crates src; then
-    echo "a second CART growth regime is back (lines above)"
-    exit 1
-fi
-
-echo "=== one keyword matcher: the packed matcher stays deleted"
-# Static features match a label keyword at a time and byte at a time
-# (DESIGN.md §14); shipping the packed u64 matcher instead read within
-# noise end to end, so a second matcher would be a fast path that does
-# not win.
-if grep -rnE 'PackedKeyword|packed_rules|fold_ascii_lower|pack_prefix' crates src; then
-    echo "a second keyword matcher is back (lines above)"
-    exit 1
-fi
-
-echo "=== bounded metadata cache: the soft cap stays deleted"
-# QuerierMetaCache drops every entry past its keep horizon at each
-# window boundary (DESIGN.md §15), so it holds only what it can still
-# serve; a size cap beside that would be a second bound on one cache.
-if grep -rnE 'max_entries|cache_evictions|fn evicted' crates src; then
-    echo "the metadata cache's soft cap is back (lines above)"
-    exit 1
-fi
-
-echo "=== compact window: the 16-byte dedup entry and stored query stay gone"
-# A dedup entry is a [u32; 2] pair key and a 31-bit window offset with
-# the footprint bit, 12 bytes; a stored query is its offset from the
-# window start and the querier, 8 (DESIGN.md §10). A u64 offset or an
-# absolute time beside the querier would be 16 again.
-if grep -rnE 'HashMap<u64, u64|Vec<\(SimTime, Ipv4Addr\)>' crates/sensor/src crates/bench/src; then
-    echo "a 16-byte dedup entry or stored query is back (lines above)"
-    exit 1
-fi
-
-echo "=== one sensing pass per dataset"
-# sense_dataset senses every window of a dataset in one streaming pass
-# over its time-ordered log, and DatasetPipeline::run classifies the
-# features it is given (DESIGN.md §10): a per-window wrapper, a sensor
-# config inside the pipeline, a per-window sensing method on
-# BuiltDataset or a second way to order a log would be a second
-# sensing road. The live sampler caps its own VecDeque, so bs-live
-# needs no ring type.
-if grep -rnE 'features_for_window|\.feature_config\b|par_map\(&self\.windows\(\)' \
-    crates src tests examples ||
-    grep -rn 'fn features(' crates/datasets/src ||
-    grep -n 'fn merge' crates/netsim/src/log.rs; then
-    echo "a second road that senses a dataset is back (lines above)"
-    exit 1
-fi
+echo "=== retired names stay deleted"
+# One row per retired road, fast path or knob: the PR that retired it,
+# an extended regex, where it must not appear, the hits that may stay
+# (a regex over grep's `file:line:` prefix, `-` for none) and what came
+# back if it matches. DESIGN.md gives each retirement's reason.
+# Retiring a name is one row.
+retired_table() {
+    cat <<'TABLE'
+21 | sensor\.(ingest|records|dedup_suppressed) | crates src tests README.md DESIGN.md | - | a retired batch-ingest stage or counter name (one ingest engine)
+31 | local_mode|grow_local | crates src | - | a second CART growth regime
+32 | PackedKeyword|packed_rules|fold_ascii_lower|pack_prefix | crates src | - | a second keyword matcher
+33 | max_entries|cache_evictions|fn evicted | crates src | - | the metadata cache's soft cap
+34 | HashMap<u64, u64|Vec<\(SimTime, Ipv4Addr\)> | crates/sensor/src crates/bench/src | - | a 16-byte dedup entry or stored query
+35 | features_for_window|\.feature_config\b|par_map\(&self\.windows\(\) | crates src tests examples | - | a second road that senses a dataset
+36 | fn features\( | crates/datasets/src | - | a per-window sensing method on BuiltDataset
+36 | fn merge | crates/netsim/src/log.rs | - | a second way to order a log
+37 | VecDeque|next_task|par\.steals | crates/par/src | - | a work-stealing queue
+37 | LogSite|SITE_BURST|SITE_REFILL_PER_SEC|log\.suppressed | crates src README.md DESIGN.md | - | the log rate limiter
+38 | \.per_originator|\.all_queriers | crates src tests examples | ^crates/sensor/src/(ingest|stream|shard)\.rs: | a window's storage read outside the code that builds it
+39 | cmd_classify_with_model | src/bin/backscatter.rs | - | a second saved-model road
+40 | ShardSkew|shard_skew|par_backlog|shard_backlog|par\.inflight|LiveConfig|SeriesConfig|gram_limit|STRIPES|reverse_name_v6|parse_reverse_v6 | crates src tests examples | - | a retired live view, rule, gauge or knob
+TABLE
+}
+back=0
+while IFS=$'\t' read -r pr pattern paths allowed what; do
+    # shellcheck disable=SC2086 # paths is a word list
+    hits="$(grep -rnE -- "$pattern" $paths || true)"
+    if [ "$allowed" != - ]; then hits="$(grep -vE -- "$allowed" <<<"$hits" || true)"; fi
+    if [ -n "$hits" ]; then
+        echo "$hits"
+        echo "retired in PR $pr and back: $what (lines above)"
+        back=1
+    fi
+done < <(retired_table | sed 's/ | /\t/g')
+# Not a grep row: the live sampler caps its own VecDeque, so bs-live
+# needs no ring type (PR 35).
 if [ -e crates/live/src/ring.rs ]; then
     echo "crates/live/src/ring.rs is back"
-    exit 1
+    back=1
 fi
-
-echo "=== traffic-sized machinery: work-stealing queues and the log rate limiter stay deleted"
-# Every parallel region is a flat index range whose workers claim tasks
-# from one shared counter, and no task creates a task, so per-worker
-# deques would balance nothing (DESIGN.md §9). No log call site fires
-# more than once per command, dataset or window, and the watchdog logs
-# only on a hysteresis edge, so a per-site token bucket would limit
-# nothing (DESIGN.md §8, §12).
-if grep -rnE 'VecDeque|next_task|par\.steals' crates/par/src ||
-    grep -rnE 'LogSite|SITE_BURST|SITE_REFILL_PER_SEC|log\.suppressed' \
-        crates src README.md DESIGN.md; then
-    echo "work-stealing queues or the log rate limiter are back (lines above)"
-    exit 1
-fi
-
-echo "=== one window view: only the code that builds a window reads its storage"
-# Every reader sees a sensed window through Observations' accessors and
-# OriginatorObservation's methods (DESIGN.md §10), so only ingest.rs,
-# stream.rs and shard.rs, with their own unit tests, know how it is
-# stored. The benchmark reads the fields until ROADMAP 1(c).
-if grep -rnE '\.per_originator|\.all_queriers' crates src tests examples |
-    grep -vE '^crates/sensor/src/(ingest|stream|shard)\.rs:'; then
-    echo "a window's storage is read outside the code that builds it (lines above)"
-    exit 1
-fi
-
-echo "=== one road from bytes to verdicts: the retired CLI roads and flags stay deleted"
-# A saved model classifies through `stream --model` only, every --log
-# is read by its bytes (a capture needs no flag of its own), the
-# sharded engine is not a user's switch, and `stats` snapshots no idle
-# process (README "The backscatter CLI").
+# Not a grep row: the retired CLI flags, read from the COMMANDS table
+# (PR 39: every --log is read by its bytes, the sharded engine is not a
+# user's switch, and `stats` snapshots no idle process).
 commands="$(sed -n '/^const COMMANDS/,/^];/p' src/bin/backscatter.rs | tr '\n' ' ' |
     grep -o '&\[[^]]*\]' || true)"
 [ -n "$commands" ] || { echo "no COMMANDS flag lists in src/bin/backscatter.rs"; exit 1; }
-if grep -n 'cmd_classify_with_model' src/bin/backscatter.rs ||
-    grep -E '"(shards|capture|format)"' <<<"$commands"; then
-    echo "a retired CLI road or flag is back (lines above)"
-    exit 1
+if grep -E '"(shards|capture|format)"' <<<"$commands"; then
+    echo "a retired CLI flag is back (lines above)"
+    back=1
 fi
+[ "$back" = 0 ] || exit 1
 
-echo "=== observability sized to the binary: retired views, rules and knobs stay deleted"
-# The live plane watches what the binary runs: no view of the sharded
-# engine nothing selects, no rule over a gauge that is only the size of
-# the open parallel region, and no config struct for values the binary
-# sets one way (DESIGN.md §12, §13). The flight recorder is one ring,
-# the SVM keeps one Gram matrix, and the parked IPv6 reverse helpers
-# stay deleted (DESIGN.md §8, §11).
-if grep -rnE 'ShardSkew|shard_skew|par_backlog|shard_backlog|par\.inflight|LiveConfig|SeriesConfig|gram_limit|STRIPES|reverse_name_v6|parse_reverse_v6' \
-    crates src tests examples; then
-    echo "a retired live view, rule, gauge or knob is back (lines above)"
+echo "=== every pub fn has a consumer: another target names it"
+# `pub` means another target names the item (DESIGN.md §3). A target is
+# another crate's src/, tests/ or examples/, the crate's own tests/,
+# examples/ or src/bin/, the root package's src/, tests/ or examples/,
+# benchmark/src, or a doc example. rustc's unreachable_pub catches a
+# `pub` no other crate can reach; this catches one that nothing calls.
+# The logger macros reach log_enabled and log_emit through `$crate::`.
+macro_targets="log_enabled log_emit"
+# Identifiers of the code in the files given: lines outside `//`
+# comments, plus the fenced examples inside `///` and `//!` comments
+# (with docs_only=1, those alone).
+idents() {
+    awk -v docs_only="${docs_only:-0}" '
+        FNR == 1 { fence = 0 }
+        /^[ \t]*\/\/[\/!]/ {
+            line = $0; sub(/^[ \t]*\/\/[\/!] ?/, "", line)
+            if (line ~ /^```/) { fence = !fence; next }
+            if (fence) print line
+            next
+        }
+        /^[ \t]*\/\// { next }
+        !docs_only { print }' "$@" | { grep -oE '[A-Za-z_][A-Za-z0-9_]*' || true; } | sort -u
+}
+unnamed=0
+for crate in crates/*; do
+    consumers=(src tests examples benchmark/src "$crate/tests" "$crate/examples" "$crate/src/bin")
+    for other in crates/*; do
+        [ "$other" = "$crate" ] || consumers+=("$other/src" "$other/tests" "$other/examples")
+    done
+    # Directories a crate does not have are skipped.
+    mapfile -t consumer_files < <(find "${consumers[@]}" -name '*.rs' 2>/dev/null)
+    mapfile -t own < <(find "$crate/src" -name '*.rs' -not -path "$crate/src/bin/*")
+    named="$( (idents "${consumer_files[@]}"; docs_only=1 idents "${own[@]}") | sort -u)"
+    pub_fns="$({ grep -hoE '^[[:space:]]*pub (const |unsafe |async )*fn [A-Za-z0-9_]+' "${own[@]}" ||
+        true; } | sed 's/.* fn //' | sort -u)"
+    for name in $(comm -23 <(echo "$pub_fns") <(echo "$named")); do
+        case " $macro_targets " in *" $name "*) continue ;; esac
+        echo "$crate: pub fn $name is named by no other target"
+        unnamed=$((unnamed + 1))
+    done
+done
+if [ "$unnamed" != 0 ]; then
+    echo "$unnamed pub fn names have no consumer: make them pub(crate), or delete what rustc then finds unused"
     exit 1
 fi
 
@@ -228,6 +199,19 @@ if grep -lE 'unique_by|id="method\.(total_ases|total_countries|compute)"' \
     echo "the per-pair reference's body is public again in bs-sensor (pages above)"
     exit 1
 fi
+
+echo "=== the benchmark builds against the workspace's API"
+# Nothing above builds benchmark/, so narrowing an item it names would
+# fail every benchmark run. Its own workspace rewrites
+# benchmark/Cargo.lock; the committed one is put back (ROADMAP 1(a)
+# deletes this step when the benchmark joins the root workspace).
+bench_tmp="$(mktemp -d)"
+cp benchmark/Cargo.lock "$bench_tmp/"
+trap 'cp "$bench_tmp/Cargo.lock" benchmark/Cargo.lock; rm -rf "$bench_tmp"' EXIT
+cargo check --offline --manifest-path benchmark/Cargo.toml
+cp "$bench_tmp/Cargo.lock" benchmark/Cargo.lock
+rm -rf "$bench_tmp"
+trap - EXIT
 
 echo "=== cargo build --release"
 cargo build --release

@@ -6,7 +6,7 @@
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 use dns_backscatter::live::{http_get, Signal, Watchdog};
@@ -188,19 +188,32 @@ fn stream_serve_answers_scrapes_while_ingesting() {
 }
 
 /// Every rule `/health` lists watches series the binary publishes: a
-/// rule over a series nothing sets reads 0 forever. The run keeps five
-/// originators, so the sensor evicts and resets probation, and its log
-/// has seven records moved behind their window, so some arrive late.
+/// rule over a series nothing sets reads 0 forever.
 #[test]
 fn every_watchdog_rule_watches_a_published_series() {
+    // A storm: seven records moved behind their window arrive late, and
+    // a table of five originators makes the sensor evict and reset
+    // probation.
     let text = std::fs::read_to_string(simulated_log()).expect("read the simulated log");
     let lines: Vec<&str> = text.lines().collect();
     let log = tmp("live-late.tsv");
     std::fs::write(&log, [&lines[7..], &lines[..7]].concat().join("\n") + "\n")
         .expect("write the reordered log");
+    assert_every_rule_watches_a_published_series("storm", &log, &["--max-originators", "5"]);
+    // A calm run: the log in time order at the default table size, so
+    // nothing is late and nothing is evicted. A watched counter that
+    // never moved must read 0, not be missing.
+    assert_every_rule_watches_a_published_series("calm", &simulated_log(), &[]);
+}
+
+/// Run `stream --serve` over `log` with `args`, scrape `/health` and
+/// `/snapshot` once the last record is in, and check that every series
+/// a default rule watches is in the registry.
+fn assert_every_rule_watches_a_published_series(run: &str, log: &Path, args: &[&str]) {
     let mut child = bin()
         .args(["stream", "--log", log.to_str().unwrap(), "--window", "600"])
-        .args(["--max-originators", "5", "--serve", "127.0.0.1:0", "--linger", "1"])
+        .args(args)
+        .args(["--serve", "127.0.0.1:0", "--linger", "1"])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -242,7 +255,7 @@ fn every_watchdog_rule_watches_a_published_series() {
         for (kind, series) in series {
             assert!(
                 registry.get(kind).and_then(|m| m.get(series)).is_some(),
-                "rule {name} watches {kind} {series}, which the binary never publishes"
+                "{run}: rule {name} watches {kind} {series}, which the binary never publishes"
             );
         }
     }
