@@ -28,10 +28,10 @@
 #![warn(missing_docs)]
 
 pub mod behavior;
-pub mod class;
-pub mod pools;
-pub mod profile;
-pub mod scenario;
+mod class;
+mod pools;
+mod profile;
+mod scenario;
 
 pub use class::ApplicationClass;
 pub use pools::{PoolKind, TargetPool, TargetPools};

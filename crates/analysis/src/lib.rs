@@ -11,12 +11,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bursts;
+mod bursts;
 pub mod cases;
 pub mod churn;
 pub mod footprint;
 pub mod geo;
-pub mod report;
+mod report;
 pub mod teams;
 pub mod topn;
 pub mod trends;

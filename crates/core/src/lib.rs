@@ -9,9 +9,9 @@
 //! IEEE-ToN 2017).
 //!
 //! This crate re-exports the whole system and adds the high-level
-//! [`pipeline::DatasetPipeline`] that runs the paper's recommended
+//! [`DatasetPipeline`](prelude::DatasetPipeline) that runs the paper's recommended
 //! operation end to end over a dataset's windows, sensed in one pass
-//! ([`pipeline::sense_dataset`]): curate labels once, retrain daily on
+//! ([`sense_dataset`](prelude::sense_dataset)): curate labels once, retrain daily on
 //! fresh features, classify every analyzable originator per window.
 //!
 //! # Crate map
@@ -61,7 +61,7 @@ pub use bs_par as par;
 pub use bs_sensor as sensor;
 pub use bs_telemetry as telemetry;
 
-pub mod pipeline;
+mod pipeline;
 pub mod stream;
 
 /// The pool width, the telemetry flag word and the registry's counters

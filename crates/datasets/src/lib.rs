@@ -21,7 +21,7 @@
 //! years → 60 weeks) to fit a single-core budget; EXPERIMENTS.md
 //! records every such substitution.
 //!
-//! [`external`] supplies the oracles the paper validates against:
+//! [`Blacklist`] and [`Darknet`] supply the oracles the paper validates against:
 //! DNS blacklists with realistic coverage and lag, and a darknet that
 //! tallies probes into two unused prefixes.
 
@@ -29,8 +29,8 @@
 #![warn(missing_docs)]
 
 pub mod build;
-pub mod external;
-pub mod spec;
+mod external;
+mod spec;
 
 pub use build::{build_dataset, BuiltDataset};
 pub use external::{Blacklist, Darknet};

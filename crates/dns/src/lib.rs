@@ -43,7 +43,7 @@
 pub mod message;
 pub mod name;
 pub mod reverse;
-pub mod time;
+mod time;
 pub mod wire;
 
 pub use message::{Message, QClass, QType, Rcode, RecordData, ResourceRecord};

@@ -5,12 +5,12 @@
 //! diurnal load swings. `bs-telemetry` answers "what happened over the
 //! whole run"; this crate answers "what is happening *right now*":
 //!
-//! * [`series::Sampler`] — a bounded history of registry snapshots
+//! * [`Sampler`] — a bounded history of registry snapshots
 //!   taken once a second, exposing windowed per-second rates
 //!   (1 s / 10 s / 60 s), EWMA smoothing, and histogram quantiles;
-//! * [`server`] — a std-only HTTP/1.1 scrape endpoint (`/metrics`,
+//! * [`spawn_server`] — a std-only HTTP/1.1 scrape endpoint (`/metrics`,
 //!   `/snapshot`, `/health`, `/trace/summary`);
-//! * [`watchdog::Watchdog`] — declarative threshold rules over the
+//! * [`Watchdog`] — declarative threshold rules over the
 //!   derived series that flip a tri-state [`Health`] and publish it
 //!   through a shared [`HealthState`] atomic, which the streaming
 //!   sensor polls to tighten probation admission under storm pressure.
@@ -35,9 +35,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod series;
-pub mod server;
-pub mod watchdog;
+mod series;
+mod server;
+mod watchdog;
 
 pub use series::{Sample, Sampler};
 pub use server::{http_get, spawn as spawn_server, ServerHandle};

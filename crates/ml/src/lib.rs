@@ -10,13 +10,13 @@
 //! * [`tree`] — CART with Gini impurity, depth/leaf-size controls;
 //! * [`forest`] — bagged CART ensemble with per-split feature
 //!   subsampling and accumulated, normalized Gini importances;
-//! * [`svm`] — soft-margin SMO with an RBF kernel, lifted to
+//! * [`Svm`] — soft-margin SMO with an RBF kernel, lifted to
 //!   multi-class by one-vs-one voting, with internal standardization;
 //! * [`metrics`] — confusion matrices and macro-averaged
 //!   accuracy/precision/recall/F1, matching the paper's definitions;
-//! * [`crossval`] — the paper's evaluation protocol: 50 repetitions of a
+//! * [`repeated_holdout`] — the paper's evaluation protocol: 50 repetitions of a
 //!   stratified 60/40 split, reporting means and standard deviations;
-//! * [`vote`] — majority voting over several independently-seeded fits
+//! * [`MajorityEnsemble`] — majority voting over several independently-seeded fits
 //!   ("for non-deterministic algorithms we run each 10 times and take
 //!   the majority classification").
 //!
@@ -41,18 +41,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod crossval;
+mod crossval;
 pub mod dataset;
 mod flat;
 pub mod forest;
 mod gram;
 mod matrix;
 pub mod metrics;
-pub mod persist;
+mod persist;
 mod presort;
-pub mod svm;
+mod svm;
 pub mod tree;
-pub mod vote;
+mod vote;
 
 #[cfg(test)]
 mod mlcore_equivalence;

@@ -40,8 +40,8 @@ pub mod engine;
 pub mod experiment;
 pub mod hierarchy;
 pub mod log;
-pub mod naming;
-pub mod resolver;
+mod naming;
+mod resolver;
 pub mod types;
 pub mod world;
 

@@ -47,7 +47,7 @@ const ANTISPAM_KEYWORDS: &[&str] = &["ironport", "spam"];
 
 /// Suffixes used by simulated CDN operators (the paper matches Akamai,
 /// Edgecast, CDNetworks, LLNW; ours are fictional lookalikes).
-pub const CDN_SUFFIXES: &[&str] =
+pub(crate) const CDN_SUFFIXES: &[&str] =
     &["akamai.sim", "edgecast.sim", "cdnetworks.sim", "llnw.sim", "chinacache.sim"];
 
 /// Suffix used by the simulated AWS.

@@ -29,26 +29,29 @@
 //! RNG — and must do any floating-point reduction *after* the parallel
 //! section, iterating results in index order. Under those two rules,
 //! output is bit-identical at every thread count; the workspace's
-//! determinism tests assert exactly that at `BS_THREADS=1` vs `8`.
+//! determinism tests assert exactly that at 1 thread vs 2 and 8.
 //!
 //! # Sizing
 //!
 //! The pool size resolves, in priority order: [`set_threads`] (the
 //! CLI's `--threads` flag) → the `BS_THREADS` environment variable →
-//! [`std::thread::available_parallelism`], capped at 256. Workers are
-//! scoped threads spawned per parallel region — there is no persistent
-//! pool to keep alive or shut down, so borrows of stack data just work
-//! and a panicking task propagates to the caller.
+//! [`std::thread::available_parallelism`], capped at 256. A region of
+//! width `t` runs on the calling thread and `t − 1` scoped threads it
+//! spawns — there is no persistent pool to keep alive or shut down, so
+//! borrows of stack data just work, and a panicking task reaches the
+//! caller with its own payload at every width.
 //!
 //! # Scheduling
 //!
-//! A region of `n` tasks spawns `t = min(threads(), n)` workers, and
-//! each claims the next task index from one shared atomic counter until
-//! the indices run out, so a worker that draws short tasks simply
+//! A region of `n` tasks runs on `t = min(threads(), n)` threads: the
+//! caller spawns `t − 1` workers and is the first worker itself. Each
+//! thread claims the next task index from one shared atomic counter
+//! until the indices run out, so a thread that draws short tasks simply
 //! claims more of them. Every region is a flat index range and nothing
 //! inside a task adds tasks: nested parallel regions run sequentially
-//! inside pool workers, so the thread count stays bounded by the pool
-//! size at any nesting depth. When the core pipeline parallelizes over
+//! on a thread that is running a region's tasks — a spawned worker, or
+//! the caller during its share — so the thread count stays bounded by
+//! the pool size at any nesting depth. When the core pipeline parallelizes over
 //! windows, the forests inside each window train sequentially, and
 //! when there is only one window, the forest level parallelizes
 //! instead.
@@ -56,9 +59,9 @@
 //! # Telemetry
 //!
 //! Parallel regions publish through `bs-telemetry`: `par.tasks`
-//! (counter: tasks executed), `par.threads` (gauge: workers in the
-//! latest region) and `par.run` (histogram: nanoseconds per parallel
-//! region).
+//! (counter: tasks executed), `par.threads` (gauge: the threads that
+//! ran the latest region, the caller included) and `par.run`
+//! (histogram: nanoseconds per parallel region).
 //!
 //! # Position propagation
 //!
@@ -74,8 +77,12 @@
 //! under the stage that fanned out). Entering also names the
 //! thread's flight-recorder lane (`par-worker-N`, `par-join`,
 //! `par-scope`), which becomes the thread label in the Chrome trace
-//! export. With tracing and profiling off, all of this costs one
-//! relaxed atomic load per region and one per spawned thread.
+//! export. A region's caller captures the position after opening
+//! `par.run`, so its own share of the tasks already runs there: it
+//! enters nothing and keeps its lane, and the spawned lanes are
+//! `par-worker-1` … `par-worker-{t−1}`. With tracing and profiling off,
+//! all of this costs one relaxed atomic load per region and one per
+//! spawned thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -89,18 +96,65 @@ pub use seed::{derive_seed, splitmix64, Rng};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     /// Serializes tests that mutate the global thread override.
     static LOCK: Mutex<()> = Mutex::new(());
 
     fn with_override<R>(n: usize, f: impl FnOnce() -> R) -> R {
+        /// Clears the override when dropped, also when `f` panics.
+        struct Reset;
+        impl Drop for Reset {
+            fn drop(&mut self) {
+                set_threads(0);
+            }
+        }
         let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_threads(n);
-        let r = f();
-        set_threads(0);
-        r
+        let _reset = Reset;
+        f()
+    }
+
+    /// Makes every task of a region wait until both the calling thread
+    /// and a spawned worker have started one (or until five seconds
+    /// after [`BothSides::new`]), so a test sees both sides take part
+    /// whatever the scheduler does. Of a region of `n ≥ t` tasks, the
+    /// threads that wait hold at most `t − 1` indices, so both sides
+    /// claim one.
+    struct BothSides {
+        caller: std::thread::ThreadId,
+        caller_started: std::sync::atomic::AtomicBool,
+        worker_started: std::sync::atomic::AtomicBool,
+        give_up: std::time::Instant,
+    }
+
+    impl BothSides {
+        fn new() -> BothSides {
+            BothSides {
+                caller: std::thread::current().id(),
+                caller_started: Default::default(),
+                worker_started: Default::default(),
+                give_up: std::time::Instant::now() + std::time::Duration::from_secs(5),
+            }
+        }
+
+        /// Mark this thread's side started, then wait for the other.
+        /// Returns whether this is the caller's thread.
+        fn meet(&self) -> bool {
+            let on_caller = std::thread::current().id() == self.caller;
+            let side = if on_caller { &self.caller_started } else { &self.worker_started };
+            side.store(true, Ordering::SeqCst);
+            while !(self.caller_started.load(Ordering::SeqCst)
+                && self.worker_started.load(Ordering::SeqCst))
+                && std::time::Instant::now() < self.give_up
+            {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            on_caller
+        }
     }
 
     #[test]
@@ -262,8 +316,10 @@ mod tests {
             bs_telemetry::trace::drain();
             let root = bs_telemetry::stage("par.test.stage");
             let root_ctx = root.context().expect("root context");
+            let both = BothSides::new();
             par_map_range(16, |i| {
                 let _s = bs_telemetry::stage("par.test.task");
+                both.meet();
                 i
             });
             drop(root);
@@ -293,8 +349,12 @@ mod tests {
                 has_ancestor(&index, t.parent_id, root_ctx.span_id),
                 "worker span chain reaches the spawning stage"
             );
-            assert_ne!(t.lane, root_lane, "tasks ran on worker threads, not the caller's");
         }
+        // The caller is one of the region's threads: its lane runs
+        // tasks beside the workers', and no more than the width ran.
+        let lanes: std::collections::BTreeSet<_> = tasks.iter().map(|t| t.lane).collect();
+        assert!(lanes.len() <= 4, "a width-4 region ran tasks on {} lanes", lanes.len());
+        assert!(lanes.contains(&root_lane), "the caller ran none of the region's tasks");
         let names = bs_telemetry::trace::lane_names();
         assert!(
             names.iter().any(|(_, n)| n.starts_with("par-worker-")),
@@ -360,12 +420,118 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_threads(2);
-        let r = std::panic::catch_unwind(|| {
-            par_map_range(8, |i| if i == 5 { panic!("task boom") } else { i });
+        let r = with_override(2, || {
+            std::panic::catch_unwind(|| {
+                par_map_range(8, |i| if i == 5 { panic!("task boom") } else { i });
+            })
         });
-        set_threads(0);
         assert!(r.is_err(), "a panicking task must fail the parallel region");
+    }
+
+    #[test]
+    #[should_panic(expected = "task 5 failed")]
+    fn a_panicking_task_keeps_its_payload_at_width_1() {
+        with_override(1, || {
+            par_map_range(8, |i| if i == 5 { panic!("task {i} failed") } else { i })
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "a task failed on a spawned worker")]
+    fn a_panicking_task_on_a_worker_keeps_its_payload_at_width_4() {
+        with_override(4, || {
+            let both = BothSides::new();
+            par_map_range(16, |i| {
+                if !both.meet() {
+                    panic!("a task failed on a spawned worker");
+                }
+                i
+            })
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "a task failed on the caller")]
+    fn a_panicking_task_on_the_caller_keeps_its_payload_at_width_4() {
+        with_override(4, || {
+            let both = BothSides::new();
+            par_map_range(16, |i| {
+                if both.meet() {
+                    panic!("a task failed on the caller");
+                }
+                i
+            })
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "the spawned side failed")]
+    fn a_panic_in_join_keeps_its_payload() {
+        with_override(2, || join(|| 1, || -> i32 { panic!("the spawned side failed") }));
+    }
+
+    /// The distinct threads that ran the tasks of a width-`t` region
+    /// of `n ≥ t` tasks, and the caller's id.
+    fn region_threads(t: usize, n: usize) -> (HashSet<ThreadId>, ThreadId) {
+        with_override(t, || {
+            let both = BothSides::new();
+            let ran = par_map_range(n, |_| {
+                both.meet();
+                std::thread::current().id()
+            });
+            (ran.into_iter().collect(), std::thread::current().id())
+        })
+    }
+
+    #[test]
+    fn a_region_runs_on_at_most_its_width_of_threads_the_caller_included() {
+        for t in [2, 4] {
+            let (ran, caller) = region_threads(t, 32);
+            assert!(ran.len() <= t, "width {t} ran on {} threads", ran.len());
+            assert!(ran.len() >= 2, "width {t} ran on one thread");
+            assert!(ran.contains(&caller), "width {t}: the caller ran no task");
+        }
+    }
+
+    #[test]
+    fn a_region_nested_in_the_callers_task_adds_no_thread() {
+        let (outer, nested, caller) = with_override(4, || {
+            let both = BothSides::new();
+            let ran = par_map_range(8, |_| {
+                let on_caller = both.meet();
+                let here = std::thread::current().id();
+                let inner: Vec<ThreadId> = par_map_range(16, |_| std::thread::current().id());
+                (here, on_caller.then_some(inner))
+            });
+            let outer: HashSet<ThreadId> = ran.iter().map(|(id, _)| *id).collect();
+            let nested: Vec<Vec<ThreadId>> = ran.into_iter().filter_map(|(_, n)| n).collect();
+            (outer, nested, std::thread::current().id())
+        });
+        assert!(!nested.is_empty(), "the caller ran no task");
+        for inner in &nested {
+            assert!(
+                inner.iter().all(|&id| id == caller),
+                "a nested region left the caller's thread"
+            );
+        }
+        assert!(outer.len() <= 4, "a width-4 region ran on {} threads", outer.len());
+    }
+
+    #[test]
+    fn the_worker_flag_is_restored_after_a_region_and_after_a_panic() {
+        // Each following region from the same thread fans out again.
+        for _ in 0..2 {
+            let (ran, _) = region_threads(4, 16);
+            assert!(ran.len() >= 2, "a region after a region ran on one thread");
+        }
+        let r = with_override(4, || {
+            std::panic::catch_unwind(|| {
+                let both = BothSides::new();
+                par_map_range(16, |i| if both.meet() { panic!("caller task {i}") } else { i })
+            })
+        });
+        assert!(r.is_err(), "the caller's panic reached the region's caller");
+        let (ran, caller) = region_threads(4, 16);
+        assert!(ran.len() >= 2 && ran.contains(&caller), "a region after a panic did not fan out");
     }
 }

@@ -1,11 +1,13 @@
 //! The scoped pool: one shared task counter per parallel region.
 //!
-//! There are no persistent worker threads: each parallel region spawns
-//! its workers inside [`std::thread::scope`], so closures may borrow
-//! stack data freely and a panicking task unwinds into the caller.
-//! What *is* global is the sizing policy ([`threads`]) and the
-//! nested-region guard (a thread-local flag marking pool workers, under
-//! which nested regions degrade to sequential execution).
+//! There are no persistent worker threads: a region of width `t` runs
+//! on the calling thread and `t − 1` workers it spawns inside
+//! [`std::thread::scope`], so closures may borrow stack data freely and
+//! a panicking task unwinds into the caller with its own payload. What
+//! *is* global is the sizing policy ([`threads`]) and the nested-region
+//! guard (a thread-local flag marking the threads that run a region's
+//! tasks, the caller during its share included, under which nested
+//! regions degrade to sequential execution).
 
 use bs_telemetry::Position;
 use std::cell::Cell;
@@ -20,13 +22,15 @@ static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 static DEFAULT: OnceLock<usize> = OnceLock::new();
 
 thread_local! {
-    /// True on threads spawned as pool workers; nested parallel
-    /// regions on such threads run sequentially.
+    /// True on a thread while it runs a region's tasks: a spawned
+    /// worker, or the caller during its own share. Nested parallel
+    /// regions on such a thread run sequentially.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// The widest pool [`threads`] resolves to: a region spawns one thread
-/// per task up to the width, so an unbounded width is one per task.
+/// The widest pool [`threads`] resolves to: a region runs on one thread
+/// per task up to the width (the caller and `width − 1` spawned), so an
+/// unbounded width is one thread per task.
 pub(crate) const MAX_THREADS: usize = 256;
 
 /// The resolved pool size: [`set_threads`] override → `BS_THREADS`
@@ -56,8 +60,8 @@ pub fn set_threads(n: usize) {
     OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// Whether the current thread is a pool worker (nested regions run
-/// sequentially there).
+/// Whether the current thread is running a region's tasks (nested
+/// regions run sequentially there).
 fn in_worker() -> bool {
     IN_WORKER.with(|f| f.get())
 }
@@ -149,7 +153,8 @@ where
 }
 
 /// Run two independent closures, concurrently when a core is free.
-/// `b` runs on a spawned scoped thread, `a` on the caller's.
+/// `b` runs on a spawned scoped thread, `a` on the caller's. A panic on
+/// either side reaches the caller with its own payload.
 pub fn join<RA, RB>(a: impl FnOnce() -> RA, b: impl FnOnce() -> RB + Send) -> (RA, RB)
 where
     RB: Send,
@@ -164,15 +169,16 @@ where
             b()
         });
         let ra = a();
-        (ra, hb.join().expect("join: spawned side panicked"))
+        (ra, hb.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
     })
 }
 
-/// Run `n` tasks on `t` workers that claim indices from one shared
-/// counter: each `fetch_add` hands out the next unclaimed index, so no
-/// task runs twice and a worker retires at the first index past `n`.
-/// Every region is a flat index range and a nested region runs inline,
-/// so no task ever creates a task and there is nothing to rebalance.
+/// Run `n` tasks on `t` threads, the caller and `t − 1` spawned
+/// workers, that claim indices from one shared counter: each
+/// `fetch_add` hands out the next unclaimed index, so no task runs
+/// twice and a thread retires at the first index past `n`. Every region
+/// is a flat index range and a nested region runs inline, so no task
+/// ever creates a task and there is nothing to rebalance.
 fn run_shared<U, F>(n: usize, t: usize, f: &F) -> Vec<U>
 where
     U: Send,
@@ -181,6 +187,8 @@ where
     // Capturing the position *after* opening the stage means worker
     // child spans parent under `par.run` → enclosing stage → root;
     // allocations stay charged to the enclosing stage, as at width 1.
+    // The caller is already at that position, so its share runs there
+    // without entering it and its lane keeps its name.
     let _stage = bs_telemetry::stage("par.run").charging_parent();
     let inherited = Position::capture();
     bs_telemetry::gauge_set("par.threads", t as i64);
@@ -189,23 +197,19 @@ where
     let next = &AtomicUsize::new(0);
 
     let parts: Vec<Vec<(usize, U)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..t)
+        let handles: Vec<_> = (1..t)
             .map(|w| {
                 s.spawn(move || {
-                    IN_WORKER.with(|flag| flag.set(true));
                     let _inherited = inherited.enter(format_args!("par-worker-{w}"));
-                    let mut done = Vec::with_capacity(n / t + 1);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break done;
-                        }
-                        done.push((i, f(i)));
-                    }
+                    claim_until_done(next, n, t, f)
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("pool worker panicked")).collect()
+        let mine = claim_until_done(next, n, t, f);
+        let theirs = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        std::iter::once(mine).chain(theirs).collect()
     });
 
     bs_telemetry::counter_add("par.tasks", n as u64);
@@ -220,4 +224,48 @@ where
         }
     }
     out.into_iter().map(|u| u.expect("every task index executed")).collect()
+}
+
+/// One thread's claim loop, the caller's or a spawned worker's: run
+/// the next unclaimed task until the indices run out.
+fn claim_until_done<U, F>(next: &AtomicUsize, n: usize, t: usize, f: &F) -> Vec<(usize, U)>
+where
+    F: Fn(usize) -> U,
+{
+    let _claiming = Claiming::new(next, n);
+    let mut done = Vec::with_capacity(n / t + 1);
+    loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            return done;
+        }
+        done.push((i, f(i)));
+    }
+}
+
+/// Held while a thread runs a region's claim loop. It sets the worker
+/// flag, so a region opened inside a task runs inline, and restores the
+/// thread's previous value when dropped, also on unwind: the caller's
+/// next region fans out again. A task that panics pushes the counter
+/// past `n` on its way out, so the other threads retire at their next
+/// claim instead of finishing a region whose result is lost.
+struct Claiming<'a> {
+    next: &'a AtomicUsize,
+    n: usize,
+    was_worker: bool,
+}
+
+impl<'a> Claiming<'a> {
+    fn new(next: &'a AtomicUsize, n: usize) -> Claiming<'a> {
+        Claiming { next, n, was_worker: IN_WORKER.with(|flag| flag.replace(true)) }
+    }
+}
+
+impl Drop for Claiming<'_> {
+    fn drop(&mut self) {
+        IN_WORKER.with(|flag| flag.set(self.was_worker));
+        if std::thread::panicking() {
+            self.next.fetch_max(self.n, Ordering::Relaxed);
+        }
+    }
 }

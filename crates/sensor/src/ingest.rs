@@ -100,7 +100,7 @@ impl OriginatorObservation {
 
 /// All originators observed in a window, with window-global context the
 /// dynamic features need (total ASes and countries seen). Read it through
-/// its accessors: only this module, [`crate::stream`] and [`crate::shard`]
+/// its accessors: only this module, `stream` and `shard`
 /// build a window and know how it is stored.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Observations {

@@ -16,7 +16,7 @@
 //!    antispam, www, ntp, cdn, aws, ms, google, other-unclassified,
 //!    unreach, nxdomain), matching by dot-component from the left and
 //!    taking the first matching rule.
-//! 4. [`dynamic`] computes the temporal and spatial features: queries
+//! 4. [`DynamicFeatures`] computes the temporal and spatial features: queries
 //!    per querier, persistence, local (/24) and global (/8) entropy,
 //!    AS and country spreads.
 //!
@@ -36,7 +36,7 @@
 //! here is a real test of the generator's realism rather than a
 //! tautology.
 //!
-//! Ingestion is one loop, [`stream::StreamingSensor`]'s — a window of
+//! Ingestion is one loop, [`StreamingSensor`]'s — a window of
 //! a log in memory ([`Observations::ingest`]) is that sensor run for
 //! the one window. It runs on std `HashMap` / `HashSet` tables behind
 //! one private one-multiply hasher (packed integer keys, arena-indexed
@@ -44,26 +44,26 @@
 //! converts to the BTree-ordered [`Observations`]
 //! representation only at window flush. Every reader sees that window
 //! through [`Observations`]' accessors and [`OriginatorObservation`]'s
-//! methods, so only the code that builds it ([`ingest`], [`stream`],
-//! [`shard`]) knows how it is stored. BTree reference
+//! methods, so only the code that builds it ([`ingest`], `stream`,
+//! `shard`) knows how it is stored. BTree reference
 //! implementations, compiled for tests only, define the semantics and
 //! are property-tested equal on arbitrary record streams (the
 //! `*_equivalence` modules of this crate). For live traffic,
-//! [`shard::ShardedStreamingSensor`] hash-shards the originator space
+//! [`ShardedStreamingSensor`] hash-shards the originator space
 //! across N such sensors for multi-core scaling, with output invariant
 //! across shard counts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dynamic;
-pub mod extract;
+mod dynamic;
+mod extract;
 mod hash;
 pub mod ingest;
 pub mod qmeta;
-pub mod shard;
+mod shard;
 pub mod static_features;
-pub mod stream;
+mod stream;
 
 // The fast-path ≡ reference suites. The references are `#[cfg(test)]`
 // items of this crate, so the suites are unit-test modules; the case

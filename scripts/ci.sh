@@ -122,15 +122,56 @@ if [ -e crates/live/src/ring.rs ]; then
 fi
 # Not a grep row: the retired CLI flags, read from the COMMANDS table
 # (PR 39: every --log is read by its bytes, the sharded engine is not a
-# user's switch, and `stats` snapshots no idle process).
+# user's switch, and `stats` snapshots no idle process). One line per
+# command: its name, its stage, then the flags it reads.
 commands="$(sed -n '/^const COMMANDS/,/^];/p' src/bin/backscatter.rs | tr '\n' ' ' |
-    grep -o '&\[[^]]*\]' || true)"
-[ -n "$commands" ] || { echo "no COMMANDS flag lists in src/bin/backscatter.rs"; exit 1; }
-if grep -E '"(shards|capture|format)"' <<<"$commands"; then
+    grep -oE '\( *"[^"]+", *"[^"]*", *&\[[^]]*\]' | tr -d '(),&[]"' |
+    awk '{ $1 = $1; print }' || true)"
+[ -n "$commands" ] || { echo "no COMMANDS rows in src/bin/backscatter.rs"; exit 1; }
+if cut -d' ' -f3- <<<"$commands" | grep -wE 'shards|capture|format'; then
     echo "a retired CLI flag is back (lines above)"
     back=1
 fi
 [ "$back" = 0 ] || exit 1
+
+echo "=== every documented backscatter command runs: its name and flags are in COMMANDS"
+# Each `target/release/backscatter <command> …` in README.md and
+# DESIGN.md, its `\` continuation lines joined and anything after `#`
+# or `|` cut, must name a command of the table above, and each --flag
+# must be one that command reads or one of COMMON_FLAGS.
+common="$(sed -n 's/^const COMMON_FLAGS.*= &\[\(.*\)\];$/\1/p' src/bin/backscatter.rs | tr -d '",')"
+[ -n "$common" ] || { echo "no COMMON_FLAGS in src/bin/backscatter.rs"; exit 1; }
+stale=0
+while read -r where line; do
+    line="${line%%#*}"
+    line="${line%%|*}"
+    read -r _ command rest <<<"$line"
+    row="$(awk -v c="$command" '$1 == c' <<<"$commands")"
+    if [ -z "$row" ]; then
+        echo "$where: no command \`$command\` in COMMANDS: $line"
+        stale=1
+        continue
+    fi
+    read -r _ _ reads <<<"$row"
+    for word in $rest; do
+        case "$word" in --*) ;; *) continue ;; esac
+        flag="${word#--}"
+        case " $reads $common " in
+        *" $flag "*) ;;
+        *)
+            echo "$where: \`$command\` has no flag --$flag: $line"
+            stale=1
+            ;;
+        esac
+    done
+done < <(awk '
+    !joining && /^[ \t]*target\/release\/backscatter / { line = ""; joining = 1; at = FILENAME ":" FNR }
+    joining {
+        text = $0; sub(/\\[ \t]*$/, "", text)
+        line = line " " text
+        if ($0 !~ /\\[ \t]*$/) { print at line; joining = 0 }
+    }' README.md DESIGN.md)
+[ "$stale" = 0 ] || exit 1
 
 echo "=== every pub fn has a consumer: another target names it"
 # `pub` means another target names the item (DESIGN.md §3). A target is
@@ -195,7 +236,7 @@ fi
 if grep -lE 'unique_by|id="method\.(total_ases|total_countries|compute)"' \
     target/doc/bs_sensor/all.html \
     target/doc/bs_sensor/ingest/struct.Observations.html \
-    target/doc/bs_sensor/dynamic/struct.DynamicFeatures.html; then
+    target/doc/bs_sensor/struct.DynamicFeatures.html; then
     echo "the per-pair reference's body is public again in bs-sensor (pages above)"
     exit 1
 fi

@@ -575,7 +575,8 @@ metric naming: dotted crate.stage names, e.g.
   sensor.stream              histogram: one window close (ns), under the
                              name of its ledger row
   par.tasks                  pool tasks run
-  par.threads                gauge: workers in the latest region
+  par.threads                gauge: threads that ran the latest region,
+                             the caller included
   par.run                    latency histogram per parallel region (ns)
   log.error/.warn/.info/.debug     logger event counts
   live.ticks                 gauge: samples taken by the live sampler

@@ -4,8 +4,9 @@
 //! Thread-count overrides are process-global (`set_threads`), so every
 //! test serializes on one mutex and restores the default before
 //! releasing it. The interesting comparisons are 1 thread (the pure
-//! sequential fallback, no pool at all) versus 8 (more workers than
-//! a small host has cores, so tasks finish out of index order).
+//! sequential fallback, no pool at all) versus 2 (the smallest fan-out:
+//! the caller and one spawned worker) and 8 (more threads than a small
+//! host has cores, so tasks finish out of index order).
 
 use dns_backscatter::ml::{Algorithm, Dataset, Forest, ForestParams, MajorityEnsemble, Sample};
 use dns_backscatter::prelude::*;
@@ -23,6 +24,11 @@ fn at_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     let r = f();
     dns_backscatter::par::set_threads(0);
     r
+}
+
+/// `f`'s result at 1 thread, then at the wider widths 2 and 8.
+fn at_1_then_2_and_8<R>(f: impl Fn() -> R) -> (R, [R; 2]) {
+    (at_threads(1, &f), [at_threads(2, &f), at_threads(8, &f)])
 }
 
 /// A deterministic 300-sample, 4-feature, 2-class training set from a
@@ -64,13 +70,14 @@ fn forest_fit_is_identical_at_1_and_8_threads() {
     let _guard = serial();
     let data = training_set();
     let params = ForestParams { n_trees: 24, ..Default::default() };
-    let seq = at_threads(1, || Forest::fit(&data, &params, 42));
-    let par = at_threads(8, || Forest::fit(&data, &params, 42));
-    // Importances are f64 sums reduced in tree order after the parallel
-    // section, so even they must match bitwise.
-    assert_eq!(seq.importances(), par.importances());
-    for x in grid() {
-        assert_eq!(seq.predict(&x), par.predict(&x));
+    let (seq, wide) = at_1_then_2_and_8(|| Forest::fit(&data, &params, 42));
+    for par in wide {
+        // Importances are f64 sums reduced in tree order after the
+        // parallel section, so even they must match bitwise.
+        assert_eq!(seq.importances(), par.importances());
+        for x in grid() {
+            assert_eq!(seq.predict(&x), par.predict(&x));
+        }
     }
 }
 
@@ -79,11 +86,12 @@ fn ensemble_fit_is_identical_at_1_and_8_threads() {
     let _guard = serial();
     let data = training_set();
     let alg = Algorithm::RandomForest(ForestParams { n_trees: 8, ..Default::default() });
-    let seq = at_threads(1, || MajorityEnsemble::fit(&alg, &data, 10, 7));
-    let par = at_threads(8, || MajorityEnsemble::fit(&alg, &data, 10, 7));
-    assert_eq!(seq.len(), par.len());
-    for x in grid() {
-        assert_eq!(seq.predict_with_confidence(&x), par.predict_with_confidence(&x));
+    let (seq, wide) = at_1_then_2_and_8(|| MajorityEnsemble::fit(&alg, &data, 10, 7));
+    for par in wide {
+        assert_eq!(seq.len(), par.len());
+        for x in grid() {
+            assert_eq!(seq.predict_with_confidence(&x), par.predict_with_confidence(&x));
+        }
     }
 }
 
@@ -110,10 +118,11 @@ fn feature_extraction_is_identical_at_1_and_8_threads() {
             &FeatureConfig { min_queriers: 10, top_n: None },
         )
     };
-    let seq = at_threads(1, extract);
-    let par = at_threads(8, extract);
+    let (seq, wide) = at_1_then_2_and_8(extract);
     assert!(!seq.is_empty(), "nothing analyzable — test is vacuous");
-    assert_eq!(seq, par);
+    for par in wide {
+        assert_eq!(seq, par);
+    }
 }
 
 #[test]
@@ -140,13 +149,14 @@ fn full_dataset_pipeline_is_identical_at_1_and_8_threads() {
         pipeline.run(&built, &features)
     };
 
-    let seq = at_threads(1, run);
-    let par = at_threads(8, run);
+    let (seq, wide) = at_1_then_2_and_8(run);
     assert!(
         seq.windows.iter().any(|w| !w.entries.is_empty()),
         "pipeline classified nothing — test is vacuous"
     );
-    assert_eq!(seq.windows, par.windows);
+    for par in wide {
+        assert_eq!(seq.windows, par.windows);
+    }
 }
 
 /// `par_map` must return outputs in input order for any input and
