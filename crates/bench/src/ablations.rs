@@ -5,7 +5,7 @@ use crate::{Ctx, Experiment, Run, Verdict};
 use backscatter_core::classify::pipeline::feature_map;
 use backscatter_core::classify::PER_CLASS_CAP;
 use backscatter_core::ml::{
-    repeated_holdout, ConfusionMatrix, ForestParams, MajorityEnsemble, Metrics,
+    repeated_holdout, ConfusionMatrix, ForestParams, MajorityEnsemble, Metrics, PAPER_VOTE_RUNS,
 };
 use backscatter_core::netsim::types::NameOutcome;
 use backscatter_core::prelude::*;
@@ -125,7 +125,7 @@ fn forest_size(ctx: &Ctx) -> Run {
     let mut vote_gain = Vec::new();
     for n_trees in [10usize, 50, 100, 200] {
         let alg = Algorithm::RandomForest(ForestParams { n_trees, ..Default::default() });
-        let f1 = [1usize, 10].map(|runs| {
+        let f1 = [1, PAPER_VOTE_RUNS].map(|runs| {
             // Repeated holdout with the ensemble size under test.
             let holdout = |rep| {
                 let (train, test) = data.stratified_split(0.6, 0xF0 + rep);

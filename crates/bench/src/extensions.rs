@@ -4,7 +4,7 @@
 use crate::table::{highest, lowest, table};
 use crate::{Ctx, Experiment, Run, Verdict};
 use backscatter_core::analysis::geo::{concentration, geo_breakdown, top_countries};
-use backscatter_core::ml::{ConfusionMatrix, ForestParams, MajorityEnsemble};
+use backscatter_core::ml::{ConfusionMatrix, ForestParams, MajorityEnsemble, PAPER_VOTE_RUNS};
 use backscatter_core::netsim::hierarchy::Delegation;
 use backscatter_core::netsim::types::CountryCode;
 use backscatter_core::prelude::*;
@@ -114,7 +114,7 @@ fn per_class(ctx: &Ctx) -> Run {
             continue;
         }
         let forest = Algorithm::RandomForest(ForestParams::default());
-        let ensemble = MajorityEnsemble::fit(&forest, &train, 10, 0x11 + rep);
+        let ensemble = MajorityEnsemble::fit(&forest, &train, PAPER_VOTE_RUNS, 0x11 + rep);
         let (xs, labels) = test.xy();
         truth.extend(labels);
         predicted.extend(ensemble.predict_all(&xs));

@@ -21,17 +21,18 @@ pub fn feature_map(features: &[OriginatorFeatures]) -> FeatureMap {
 pub struct ClassifierPipeline {
     /// The learning algorithm.
     pub algorithm: Algorithm,
-    /// Independent fits to majority-vote over (paper: 10 for randomized
-    /// algorithms, 1 for CART).
+    /// Independent fits to majority-vote over (paper:
+    /// [`bs_ml::PAPER_VOTE_RUNS`] for randomized algorithms, 1 for CART).
     pub runs: usize,
 }
 
 impl ClassifierPipeline {
-    /// The paper's preferred configuration: random forest, 10 votes.
+    /// The paper's preferred configuration: random forest,
+    /// [`bs_ml::PAPER_VOTE_RUNS`] votes.
     pub fn random_forest() -> Self {
         ClassifierPipeline {
             algorithm: Algorithm::RandomForest(bs_ml::ForestParams::default()),
-            runs: 10,
+            runs: bs_ml::PAPER_VOTE_RUNS,
         }
     }
 
@@ -84,12 +85,12 @@ pub struct TrainedClassifier {
 }
 
 impl TrainedClassifier {
-    /// Classify one feature vector: the per-row vote that
-    /// [`TrainedClassifier::classify_all`] is tested against.
+    /// Classify one feature vector alone, as a one-row
+    /// [`TrainedClassifier::classify_all`].
     #[cfg(test)]
     pub(crate) fn classify(&self, fv: &FeatureVector) -> ApplicationClass {
-        let idx = self.ensemble.predict(&fv.to_vec());
-        ApplicationClass::from_index(idx).expect("model trained on class schema")
+        let ip = Ipv4Addr::UNSPECIFIED;
+        self.classify_all(&FeatureMap::from([(ip, fv.clone())]))[&ip]
     }
 
     /// Classify every originator in a feature map.
@@ -218,9 +219,10 @@ mod tests {
     }
 
     /// Batch sizes that leave the last cursor group of a block, and
-    /// the last block of a batch, partly filled must classify
-    /// identically to the per-row path — the rows that pad a group are
-    /// never reported as real ones.
+    /// the last block of a batch, partly filled must classify each
+    /// originator as it classifies alone — the rows that pad a group
+    /// are never reported as real ones. (That the batch vote is the
+    /// full per-row vote is pinned in bs-ml's `vote` suite.)
     #[test]
     fn classify_all_ragged_tails_match_per_row_classify() {
         let (labeled, mut features) = setup();
@@ -240,47 +242,6 @@ mod tests {
             assert_eq!(batch.len(), n);
             for (ip, fv) in &subset {
                 assert_eq!(batch[ip], model.classify(fv), "n = {n}, originator {ip}");
-            }
-        }
-    }
-
-    /// Forest ensembles on overlapping classes, so votes split and tie
-    /// at both levels: two classes, even and odd tree counts on both
-    /// sides of the forest's eight-tree check, 1, 2 and 10 runs. The
-    /// early-exiting batch vote must give every originator the class
-    /// of the per-row full vote, in every ragged batch size.
-    #[test]
-    fn classify_all_matches_per_row_classify_on_split_forest_votes() {
-        let mut features = FeatureMap::new();
-        let mut examples = Vec::new();
-        for i in 0..=255u8 {
-            let x = f64::from(i) / 255.0;
-            let ip = Ipv4Addr::new(10, 0, 3, i);
-            features.insert(ip, fv(x, (1.0 - x) / 2.0));
-            // Labels cross over twice, so bootstraps disagree near the
-            // crossings.
-            let spam = (i % 7 < 4) == (x < 0.5);
-            let class = if spam { ApplicationClass::Spam } else { ApplicationClass::Scan };
-            examples.push(LabeledExample { originator: ip, class });
-        }
-        let labeled = LabeledSet { examples };
-        for (n_trees, runs) in [(1, 10), (2, 2), (7, 1), (8, 10), (9, 2), (16, 1), (17, 10)] {
-            let pipe = ClassifierPipeline {
-                algorithm: Algorithm::RandomForest(bs_ml::ForestParams {
-                    n_trees,
-                    ..Default::default()
-                }),
-                runs,
-            };
-            let model = pipe.train(&labeled, &features, n_trees as u64).expect("trainable");
-            for n in [0usize, 1, 7, 8, 9, 63, 64, 65, features.len()] {
-                let subset: FeatureMap =
-                    features.iter().take(n).map(|(ip, fv)| (*ip, fv.clone())).collect();
-                let batch = model.classify_all(&subset);
-                assert_eq!(batch.len(), n);
-                for (ip, fv) in &subset {
-                    assert_eq!(batch[ip], model.classify(fv), "{n_trees} × {runs}, n = {n}, {ip}");
-                }
             }
         }
     }

@@ -8,7 +8,7 @@
 
 use crate::dataset::Dataset;
 use crate::metrics::{ConfusionMatrix, Metrics};
-use crate::vote::MajorityEnsemble;
+use crate::vote::{MajorityEnsemble, PAPER_VOTE_RUNS};
 use crate::Algorithm;
 
 /// Result of a repeated-holdout evaluation.
@@ -23,9 +23,9 @@ pub struct HoldoutReport {
 }
 
 /// Run `repetitions` random stratified splits with `train_frac` in the
-/// training half; train `algorithm` (with the paper's 10-run majority
-/// vote when the algorithm is randomized) and evaluate on the held-out
-/// part.
+/// training half; train `algorithm` (with the paper's
+/// [`PAPER_VOTE_RUNS`]-run majority vote when the algorithm is
+/// randomized) and evaluate on the held-out part.
 pub fn repeated_holdout(
     algorithm: &Algorithm,
     data: &Dataset,
@@ -35,7 +35,7 @@ pub fn repeated_holdout(
 ) -> HoldoutReport {
     assert!(repetitions >= 1);
     assert!(!data.is_empty(), "cannot evaluate on an empty dataset");
-    let runs_per_fit = if algorithm.is_randomized() { 10 } else { 1 };
+    let runs_per_fit = if algorithm.is_randomized() { PAPER_VOTE_RUNS } else { 1 };
     // Repetitions are independent given their rep-derived seeds, so
     // they evaluate in parallel; results collect in repetition order,
     // keeping the mean/std reductions bit-identical to sequential.

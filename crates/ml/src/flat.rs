@@ -117,7 +117,9 @@ impl FlatTree {
     }
 
     /// Root-to-leaf descent for one row of `n_features` values;
-    /// returns the class. NaN compares false and goes right.
+    /// returns the class. NaN compares false and goes right. The
+    /// reference the blocked descent is tested against.
+    #[cfg(test)]
     pub(crate) fn predict(&self, x: &[f64]) -> usize {
         let mut i = 0u32;
         loop {
@@ -133,8 +135,8 @@ impl FlatTree {
     }
 
     /// Blocked batch descent over the rows of `block` that `ids` names:
-    /// `out[j]` is row `ids[j]`'s class, bit-identical to
-    /// [`FlatTree::predict`] — each step is the same compare on the same bits.
+    /// `out[j]` is row `ids[j]`'s class, bit-identical to the one-row
+    /// root-to-leaf walk — each step is the same compare on the same bits.
     ///
     /// Rows advance `CURSORS` (8) at a time for exactly `depth` steps;
     /// the cursors filling a short last group walk the buffer's first

@@ -7,7 +7,6 @@
 //! Table IV ranking ("larger Gini values indicate features with greater
 //! discriminative power").
 
-use crate::argmax_first;
 use crate::dataset::Dataset;
 use crate::flat::{RowBlock, BLOCK_ROWS};
 use crate::presort::SortedRows;
@@ -125,14 +124,16 @@ impl Forest {
         Forest { trees, n_classes: data.n_classes(), importances }
     }
 
-    /// Predict by majority vote over the trees (ties break toward the
-    /// smaller class index, explicitly first-max).
-    pub fn predict(&self, x: &[f64]) -> usize {
+    /// The full per-row vote: every tree walks `x` (ties break toward
+    /// the smaller class index, explicitly first-max). The reference
+    /// the blocked vote is tested against.
+    #[cfg(test)]
+    pub(crate) fn predict(&self, x: &[f64]) -> usize {
         let mut votes = vec![0usize; self.n_classes];
         for t in &self.trees {
-            votes[t.predict(x)] += 1;
+            votes[t.flat().predict(x)] += 1;
         }
-        argmax_first(&votes)
+        crate::argmax_first(&votes)
     }
 
     /// Predict a batch, one [`RowBlock`] of rows at a time through
@@ -146,8 +147,8 @@ impl Forest {
 
     /// Predict the rows of `block` that `ids` names into `out[j]` for
     /// row `ids[j]`: tree-outer, each arena walked by the rows whose
-    /// winner the trees left can still change (DESIGN.md §14).
-    /// Identical to [`Forest::predict`] per row.
+    /// winner the trees left can still change (DESIGN.md §14): the
+    /// winner of the vote of every tree, ties to the smaller class.
     pub fn predict_block(&self, block: &RowBlock, ids: &[u8], out: &mut [usize; BLOCK_ROWS]) {
         let _stage = bs_telemetry::stage("ml.predict");
         let mut vote = BlockVote::new(ids.len(), self.n_classes);
@@ -242,7 +243,8 @@ mod tests {
         let train = blobs(1, 60);
         let test = blobs(2, 30);
         let f = Forest::fit(&train, &ForestParams::default(), 7);
-        let correct = test.samples.iter().filter(|s| f.predict(&s.features) == s.label).count();
+        let (xs, truth) = test.xy();
+        let correct = f.predict_all(&xs).iter().zip(&truth).filter(|(p, t)| p == t).count();
         let acc = correct as f64 / test.len() as f64;
         assert!(acc > 0.9, "accuracy {acc}");
     }
@@ -264,8 +266,8 @@ mod tests {
         let train = blobs(4, 40);
         let f1 = Forest::fit(&train, &ForestParams::default(), 99);
         let f2 = Forest::fit(&train, &ForestParams::default(), 99);
-        let probe = vec![1.5, 1.5, 0.0, 0.0];
-        assert_eq!(f1.predict(&probe), f2.predict(&probe));
+        let probe = [vec![1.5, 1.5, 0.0, 0.0]];
+        assert_eq!(f1.predict_all(&probe), f2.predict_all(&probe));
         assert_eq!(f1.importances(), f2.importances());
     }
 
@@ -283,7 +285,8 @@ mod tests {
         let p = ForestParams { n_trees: 1, ..ForestParams::default() };
         let f = Forest::fit(&train, &p, 0);
         assert_eq!(f.n_trees(), 1);
-        let correct = train.samples.iter().filter(|s| f.predict(&s.features) == s.label).count();
+        let (xs, truth) = train.xy();
+        let correct = f.predict_all(&xs).iter().zip(&truth).filter(|(p, t)| p == t).count();
         assert!(correct * 10 > train.len() * 7);
     }
 
@@ -294,9 +297,8 @@ mod tests {
         let fast = Forest::fit(&train, &p, 13);
         let reference = Forest::fit_reference(&train, &p, 13);
         assert_eq!(fast.importances(), reference.importances(), "bitwise importances");
-        for s in &train.samples {
-            assert_eq!(fast.predict(&s.features), reference.predict(&s.features));
-        }
+        let (xs, _) = train.xy();
+        assert_eq!(fast.predict_all(&xs), reference.predict_all(&xs));
     }
 
     #[test]

@@ -18,17 +18,19 @@
 //!   stratified 60/40 split, reporting means and standard deviations;
 //! * [`MajorityEnsemble`] — majority voting over several independently-seeded fits
 //!   ("for non-deterministic algorithms we run each 10 times and take
-//!   the majority classification").
+//!   the majority classification": [`PAPER_VOTE_RUNS`]).
 //!
 //! Training and prediction run on a columnar data layout the crate
 //! keeps to itself (DESIGN.md §11): column-major training views with
 //! per-feature index arrays arg-sorted once per forest and kept
 //! segment-partitioned by stable partition at every node as each tree
 //! grows (`matrix`, `presort`); one flat arena per tree, a split's children
-//! in adjacent slots and leaves self-looping, walked one row at a time
-//! or [`BLOCK_ROWS`] rows at once through a [`RowBlock`] (`flat`,
-//! DESIGN.md §14); and a flat symmetric Gram matrix under SMO (`gram`).
-//! The original boxed/nested implementations are kept as executable
+//! in adjacent slots and leaves self-looping, walked [`BLOCK_ROWS`]
+//! rows at once through a [`RowBlock`] until each row's vote is decided
+//! (`flat`, `vote`, DESIGN.md §14) — the one way a tree, forest or
+//! ensemble predicts; and a flat symmetric Gram matrix under SMO
+//! (`gram`). The original boxed/nested implementations, the one-row
+//! tree walk and the full per-row vote are kept as executable
 //! references compiled for tests only, and the `mlcore_equivalence`
 //! suite proves the fast paths bit-identical to them: stable argsort
 //! plus stable partition reproduce exactly the orderings the
@@ -63,7 +65,7 @@ pub use forest::{Forest, ForestParams};
 pub use metrics::{ConfusionMatrix, Metrics};
 pub use svm::{Svm, SvmParams};
 pub use tree::{CartParams, DecisionTree};
-pub use vote::MajorityEnsemble;
+pub use vote::{MajorityEnsemble, PAPER_VOTE_RUNS};
 
 pub use flat::{RowBlock, BLOCK_ROWS};
 
@@ -114,7 +116,7 @@ impl Algorithm {
     }
 
     /// Whether the paper treats this algorithm as randomized (and
-    /// majority-votes over ten runs).
+    /// majority-votes over [`PAPER_VOTE_RUNS`] runs).
     pub(crate) fn is_randomized(&self) -> bool {
         !matches!(self, Algorithm::Cart(_))
     }
@@ -132,15 +134,6 @@ pub enum Model {
 }
 
 impl Model {
-    /// Predict the class index for one feature vector.
-    pub fn predict(&self, x: &[f64]) -> usize {
-        match self {
-            Model::Cart(m) => m.predict(x),
-            Model::Forest(m) => m.predict(x),
-            Model::Svm(m) => m.predict(x),
-        }
-    }
-
     /// Predict the rows of `block` that `ids` names into `out[j]` for
     /// row `ids[j]`. `ml.predict.samples` counts rows asked about (at
     /// most rows × runs in a vote) and `ml.predict.tree_rows` the tree

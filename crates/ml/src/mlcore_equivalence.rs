@@ -72,11 +72,12 @@ fn cart_fast_path_matches_reference() {
             "importances must match bitwise, seed {seed}"
         );
         assert_eq!(fast, reference.flatten(), "identical flat arenas, seed {seed}");
-        for s in &d.samples {
-            assert_eq!(fast.predict(&s.features), reference.predict(&s.features), "seed {seed}");
-        }
-        let probe: Vec<f64> = (0..d.n_features()).map(|f| f as f64 * 0.25 - 1.0).collect();
-        assert_eq!(fast.predict(&probe), reference.predict(&probe), "seed {seed}");
+        let (mut rows, _) = d.xy();
+        rows.push((0..d.n_features()).map(|f| f as f64 * 0.25 - 1.0).collect());
+        let mut block = RowBlock::new(d.n_features());
+        block.fill(&rows);
+        let per_row: Vec<usize> = rows.iter().map(|x| reference.predict(x)).collect();
+        assert_eq!(fast.predict_block(&block), per_row, "seed {seed}");
     }
 }
 
@@ -90,9 +91,9 @@ fn boundary_probes(rng: &mut Rng, n: usize, n_features: usize) -> Vec<Vec<f64>> 
         .collect()
 }
 
-/// Flat-arena predict ≡ boxed recursive predict for the same tree (the
-/// reference flattened), including the blocked batch descent, on the
-/// training rows and on boundary probes.
+/// The blocked batch descent and the one-row flat walk ≡ boxed
+/// recursive predict for the same tree (the reference flattened), on
+/// the training rows and on boundary probes.
 #[test]
 fn flat_predict_matches_boxed_predict() {
     for seed in 0..48u64 {
@@ -110,8 +111,8 @@ fn flat_predict_matches_boxed_predict() {
         let batch = flat.predict_block(&block);
         assert_eq!(batch.len(), rows.len());
         for (x, b) in rows.iter().zip(&batch) {
-            assert_eq!(boxed.predict(x), flat.predict(x), "seed {seed}");
-            assert_eq!(flat.predict(x), *b, "batch ≡ per-row, seed {seed}");
+            assert_eq!(boxed.predict(x), flat.flat().predict(x), "seed {seed}");
+            assert_eq!(boxed.predict(x), *b, "batch ≡ per-row, seed {seed}");
         }
     }
 }
@@ -242,9 +243,8 @@ fn forest_persistence_is_grower_independent() {
         assert_eq!(text, reference.to_text(), "byte-identical persisted models, seed {seed}");
         let loaded = Forest::from_text(&text).expect("round-trip parses");
         assert_eq!(loaded.to_text(), text, "round-trip is byte-identical, seed {seed}");
-        for s in &d.samples {
-            assert_eq!(fast.predict(&s.features), loaded.predict(&s.features), "seed {seed}");
-        }
+        let (xs, _) = d.xy();
+        assert_eq!(fast.predict_all(&xs), loaded.predict_all(&xs), "seed {seed}");
     }
 }
 

@@ -81,17 +81,20 @@ impl Forest {
     /// Parse the `bs-forest v1` text format.
     pub fn from_text(text: &str) -> Result<Forest, PersistError> {
         let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
+        // Running out of lines is an error at the line after the last.
+        let eof = text.lines().count() + 1;
         fn next_line<'a>(
             it: &mut impl Iterator<Item = (usize, &'a str)>,
+            eof: usize,
         ) -> Result<(usize, &'a str), PersistError> {
-            it.next().ok_or_else(|| err(0, "unexpected end of input"))
+            it.next().ok_or_else(|| err(eof, "unexpected end of input"))
         }
 
-        let (ln, header) = next_line(&mut lines)?;
+        let (ln, header) = next_line(&mut lines, eof)?;
         if header != "bs-forest v1" {
             return Err(err(ln, format!("bad header {header:?}")));
         }
-        let (ln, classes_line) = next_line(&mut lines)?;
+        let (ln, classes_line) = next_line(&mut lines, eof)?;
         let n_classes: usize = classes_line
             .strip_prefix("classes ")
             .and_then(|s| s.parse().ok())
@@ -104,7 +107,7 @@ impl Forest {
         if n_classes > MAX_ARITY {
             return Err(err(ln, format!("{n_classes} classes, at most {MAX_ARITY}")));
         }
-        let (ln, features_line) = next_line(&mut lines)?;
+        let (ln, features_line) = next_line(&mut lines, eof)?;
         let n_features: usize = features_line
             .strip_prefix("features ")
             .and_then(|s| s.parse().ok())
@@ -112,7 +115,7 @@ impl Forest {
         if n_features > MAX_ARITY {
             return Err(err(ln, format!("{n_features} features, at most {MAX_ARITY}")));
         }
-        let (ln, imp_line) = next_line(&mut lines)?;
+        let (ln, imp_line) = next_line(&mut lines, eof)?;
         let imp_body = imp_line
             .strip_prefix("importances")
             .ok_or_else(|| err(ln, "expected `importances …`"))?;
@@ -124,9 +127,11 @@ impl Forest {
 
         let mut trees = Vec::new();
         let mut expected_tree = 0usize;
+        let end;
         loop {
-            let (ln, line) = next_line(&mut lines)?;
+            let (ln, line) = next_line(&mut lines, eof)?;
             if line == "end" {
+                end = ln;
                 break;
             }
             let idx: usize = line
@@ -137,11 +142,11 @@ impl Forest {
                 return Err(err(ln, format!("tree index {idx}, expected {expected_tree}")));
             }
             expected_tree += 1;
-            let tree = DecisionTree::read_nodes(&mut lines, n_classes, n_features)?;
+            let tree = DecisionTree::read_nodes(&mut lines, eof, n_classes, n_features)?;
             trees.push(tree);
         }
         if trees.is_empty() {
-            return Err(err(0, "forest has no trees"));
+            return Err(err(end, "forest has no trees"));
         }
         Ok(Forest::from_parts(trees, n_classes, importances))
     }
@@ -178,12 +183,13 @@ mod tests {
         let loaded = Forest::from_text(&text).unwrap();
         assert_eq!(loaded.importances(), forest.importances());
         assert_eq!(loaded.n_trees(), forest.n_trees());
-        // Identical predictions over a probe grid.
+        // Identical predictions over a probe grid, each the full vote.
         let mut rng = Rng::new(9);
-        for _ in 0..300 {
-            let x: Vec<f64> = (0..5).map(|_| rng.range_f64(-1.0..2.0)).collect();
-            assert_eq!(loaded.predict(&x), forest.predict(&x));
-        }
+        let xs: Vec<Vec<f64>> =
+            (0..300).map(|_| (0..5).map(|_| rng.range_f64(-1.0..2.0)).collect()).collect();
+        let per_row: Vec<usize> = xs.iter().map(|x| forest.predict(x)).collect();
+        assert_eq!(loaded.predict_all(&xs), per_row);
+        assert_eq!(forest.predict_all(&xs), per_row);
         // Serialization is canonical.
         assert_eq!(loaded.to_text(), text);
     }
@@ -194,16 +200,26 @@ mod tests {
         let forest = Forest::fit(&data, &ForestParams { n_trees: 2, ..Default::default() }, 3);
         let text = forest.to_text();
 
-        assert_eq!(Forest::from_text("nope").unwrap_err().line, 1);
+        let line = |text: &str| Forest::from_text(text).unwrap_err().line;
+        let n = text.lines().count();
+        assert_eq!(line("nope"), 1);
+        assert_eq!(line(""), 1, "an empty text ends before line 1");
+        // Truncations end at the line after the last one: without `end`,
+        // and inside a tree.
         let missing_end = text.trim_end().trim_end_matches("end").to_string();
-        assert!(Forest::from_text(&missing_end).is_err());
-        let bad_float = text.replacen("importances ", "importances zz ", 1);
-        assert!(Forest::from_text(&bad_float).is_err());
+        assert_eq!(line(&missing_end), n);
+        let mid_tree: String = text.lines().take(6).map(|l| format!("{l}\n")).collect();
+        assert!(text.lines().nth(5).unwrap().starts_with('S'), "line 6 is the root split");
+        assert_eq!(line(&mid_tree), 7);
+        assert_eq!(line(&text.replacen("importances ", "importances zz ", 1)), 4);
         // Out-of-range feature index in a split.
-        let bad_split = text.replacen("S 0 ", "S 99 ", 1);
-        if bad_split != text {
-            assert!(Forest::from_text(&bad_split).is_err());
-        }
+        let split = text.lines().position(|l| l.starts_with("S ")).unwrap();
+        let bad_split: String = (text.lines().enumerate())
+            .map(|(i, l)| if i == split { "S 99 0\n".to_string() } else { format!("{l}\n") })
+            .collect();
+        assert_eq!(line(&bad_split), split + 1);
+        // No trees: the `end` line.
+        assert_eq!(line("bs-forest v1\nclasses 2\nfeatures 0\nimportances\nend\n"), 5);
     }
 
     #[test]
@@ -235,7 +251,6 @@ mod tests {
             "bs-forest v1\nclasses 3\nfeatures 0\nimportances\ntree 0\nL 2\ntree 1\nL 2\nend\n";
         let forest = Forest::from_text(text).unwrap();
         assert_eq!(forest.n_trees(), 2);
-        assert_eq!(forest.predict(&[]), 2);
         assert_eq!(forest.predict_all(&vec![vec![]; 70]), vec![2; 70]);
         assert_eq!(forest.to_text(), text);
         // A split cannot name a feature when there are none.
@@ -259,6 +274,8 @@ mod tests {
         };
         let e = Forest::from_text(&chain(65)).unwrap_err();
         assert!(e.what.contains("deeper than 64"), "{e}");
+        // Five header lines and 65 splits: line 71 would sit at depth 65.
+        assert_eq!(e.line, 71, "{e}");
         let deep = Forest::from_text(&chain(64)).unwrap();
         // Only a value at or below every threshold reaches the bottom.
         let xs = vec![vec![-1.0], vec![0.5], vec![100.0], vec![f64::NAN]];

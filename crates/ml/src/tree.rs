@@ -14,8 +14,8 @@
 //!   per-node index segments of the in-bag rows by stable partition at
 //!   every node (`O(features · n log n)` once, `O(nodes · features ·
 //!   n)` a tree, against the reference's `O(nodes · features · n log
-//!   n)`); the grown tree is a `FlatTree` arena walked by `predict` and
-//!   by the blocked batch descent.
+//!   n)`); the grown tree is a `FlatTree` arena walked by the blocked
+//!   batch descent.
 //! * `ReferenceTree` — the boxed-node reference, compiled for tests
 //!   only: per-node re-sorting, `Box` recursion. Property tests
 //!   (`crates/ml/src/mlcore_equivalence.rs`) prove the fast path
@@ -30,6 +30,7 @@ use crate::argmax_first;
 use crate::dataset::Dataset;
 use crate::flat::{FlatTree, RowBlock, Slot, BLOCK_ROWS};
 use crate::matrix::ColumnarView;
+use crate::persist::PersistError;
 use crate::presort::{PresortedColumns, SortedRows};
 use bs_par::Rng;
 
@@ -130,17 +131,10 @@ impl DecisionTree {
         }
     }
 
-    /// Predict the class of one feature vector.
-    pub fn predict(&self, x: &[f64]) -> usize {
-        assert_eq!(x.len(), self.flat.n_features(), "feature arity mismatch");
-        self.flat.predict(x)
-    }
-
     /// Predict every row of `block` through the blocked descent
-    /// (DESIGN.md §14); identical to [`DecisionTree::predict`]
-    /// per row.
+    /// (DESIGN.md §14).
     #[cfg(test)]
-    pub fn predict_block(&self, block: &RowBlock) -> Vec<usize> {
+    pub(crate) fn predict_block(&self, block: &RowBlock) -> Vec<usize> {
         let ids: [u8; BLOCK_ROWS] = std::array::from_fn(|i| i as u8);
         let mut classes = [0u16; BLOCK_ROWS];
         self.predict_rows(block, &ids[..block.rows()], &mut classes);
@@ -151,6 +145,12 @@ impl DecisionTree {
     /// caller-owned buffer: `out[j]` is row `ids[j]`'s class.
     pub(crate) fn predict_rows(&self, block: &RowBlock, ids: &[u8], out: &mut [u16; BLOCK_ROWS]) {
         self.flat.predict_rows(block, ids, out);
+    }
+
+    /// The arena, whose one-row walk the batch is tested against.
+    #[cfg(test)]
+    pub(crate) fn flat(&self) -> &FlatTree {
+        &self.flat
     }
 
     /// A tree over an arena built by hand, for suites that need trees
@@ -200,25 +200,28 @@ impl DecisionTree {
     /// tree (the forest stores the aggregate), so they reload as
     /// zeros. `n_classes` and `n_features` must not exceed
     /// `MAX_ARITY`; the depth-64 refusal bounds the steps
-    /// the batch descent runs.
+    /// the batch descent runs. Running out of lines is an error at
+    /// line `eof`, the one after the text's last.
     pub(crate) fn read_nodes<'a>(
         lines: &mut impl Iterator<Item = (usize, &'a str)>,
+        eof: usize,
         n_classes: usize,
         n_features: usize,
-    ) -> Result<Self, crate::persist::PersistError> {
-        use crate::persist::PersistError;
+    ) -> Result<Self, PersistError> {
         fn rec<'a>(
             lines: &mut impl Iterator<Item = (usize, &'a str)>,
+            eof: usize,
             n_classes: usize,
             flat: &mut FlatTree,
             slot: Slot,
         ) -> Result<(), PersistError> {
             let e = |line: usize, what: String| PersistError { line, what };
+            let (ln, line) = lines
+                .next()
+                .ok_or_else(|| e(eof, "unexpected end of input in tree".to_string()))?;
             if slot.depth() > 64 {
-                return Err(e(0, "tree deeper than 64: refusing".to_string()));
+                return Err(e(ln, "tree deeper than 64: refusing".to_string()));
             }
-            let (ln, line) =
-                lines.next().ok_or_else(|| e(0, "unexpected end of input in tree".to_string()))?;
             let mut f = line.split_whitespace();
             match f.next() {
                 Some("L") => {
@@ -246,15 +249,15 @@ impl DecisionTree {
                         .map(f64::from_bits)
                         .ok_or_else(|| e(ln, format!("bad threshold in {line:?}")))?;
                     let (left, right) = flat.split(slot, feature, threshold);
-                    rec(lines, n_classes, flat, left)?;
-                    rec(lines, n_classes, flat, right)
+                    rec(lines, eof, n_classes, flat, left)?;
+                    rec(lines, eof, n_classes, flat, right)
                 }
                 _ => Err(e(ln, format!("expected node line, got {line:?}"))),
             }
         }
         let mut flat = FlatTree::new(n_features);
         let root = flat.root();
-        rec(lines, n_classes, &mut flat, root)?;
+        rec(lines, eof, n_classes, &mut flat, root)?;
         Ok(DecisionTree { flat, n_classes, importances: vec![0.0; n_features] })
     }
 }
@@ -635,7 +638,7 @@ mod tests {
         let d = two_blob_dataset();
         let t = DecisionTree::fit(&d, &CartParams::default(), 0);
         for s in &d.samples {
-            assert_eq!(t.predict(&s.features), s.label);
+            assert_eq!(t.flat.predict(&s.features), s.label);
         }
         assert_eq!(t.depth(), 1, "one split suffices");
         assert_eq!(t.flat.leaves(), 2);
@@ -658,7 +661,7 @@ mod tests {
         }
         let t = DecisionTree::fit(&d, &CartParams::default(), 0);
         assert_eq!(t.flat.leaves(), 1);
-        assert_eq!(t.predict(&[3.0]), 0);
+        assert_eq!(t.flat.predict(&[3.0]), 0);
     }
 
     #[test]
@@ -671,7 +674,7 @@ mod tests {
         let p = CartParams { max_depth: 0, ..CartParams::default() };
         let t = DecisionTree::fit(&d, &p, 0);
         assert_eq!(t.flat.leaves(), 1);
-        assert_eq!(t.predict(&[0.0, 0.3]), 1, "majority class wins");
+        assert_eq!(t.flat.predict(&[0.0, 0.3]), 1, "majority class wins");
     }
 
     /// Regression for the documented tie-break: an exact tie in the
@@ -684,7 +687,7 @@ mod tests {
         let d = two_blob_dataset(); // exactly 20 of each class
         let p = CartParams { max_depth: 0, ..CartParams::default() };
         let t = DecisionTree::fit(&d, &p, 0);
-        assert_eq!(t.predict(&[9.0, 0.5]), 0, "20-20 tie goes to class 0");
+        assert_eq!(t.flat.predict(&[9.0, 0.5]), 0, "20-20 tie goes to class 0");
         let r = ReferenceTree::fit(&d, &p, 0);
         assert_eq!(r.predict(&[9.0, 0.5]), 0);
     }
@@ -709,7 +712,7 @@ mod tests {
         let p = CartParams { min_samples_split: 2, ..CartParams::default() };
         let t = DecisionTree::fit(&d, &p, 0);
         for s in &d.samples {
-            assert_eq!(t.predict(&s.features), s.label);
+            assert_eq!(t.flat.predict(&s.features), s.label);
         }
         assert!(t.depth() >= 2);
     }
@@ -732,7 +735,7 @@ mod tests {
         let t1 = DecisionTree::fit(&d, &p, 9);
         let t2 = DecisionTree::fit(&d, &p, 9);
         for s in &d.samples {
-            assert_eq!(t1.predict(&s.features), t2.predict(&s.features));
+            assert_eq!(t1.flat.predict(&s.features), t2.flat.predict(&s.features));
         }
     }
 
@@ -746,7 +749,7 @@ mod tests {
             assert_eq!(fast.raw_importances(), reference.raw_importances());
             assert_eq!(fast, reference.flatten(), "identical arenas node for node");
             for s in &d.samples {
-                assert_eq!(fast.predict(&s.features), reference.predict(&s.features));
+                assert_eq!(fast.flat.predict(&s.features), reference.predict(&s.features));
             }
         }
     }
@@ -758,7 +761,7 @@ mod tests {
         let xs: Vec<&[f64]> = d.samples.iter().map(|s| s.features.as_slice()).collect();
         let mut block = RowBlock::new(2);
         block.fill(&xs);
-        let per_row: Vec<usize> = d.samples.iter().map(|s| t.predict(&s.features)).collect();
+        let per_row: Vec<usize> = d.samples.iter().map(|s| t.flat.predict(&s.features)).collect();
         assert_eq!(t.predict_block(&block), per_row);
     }
 
@@ -767,7 +770,7 @@ mod tests {
     fn predict_checks_arity() {
         let d = two_blob_dataset();
         let t = DecisionTree::fit(&d, &CartParams::default(), 0);
-        t.predict(&[1.0]);
+        t.predict_block(&RowBlock::new(1));
     }
 
     #[test]

@@ -10,6 +10,10 @@ use crate::flat::{RowBlock, BLOCK_ROWS};
 use crate::forest::Forest;
 use crate::{Algorithm, Model};
 
+/// Fits the paper votes over for a randomized algorithm: "we run each
+/// 10 times and take the majority classification".
+pub const PAPER_VOTE_RUNS: usize = 10;
+
 /// A bag of independently trained models that predicts by majority.
 #[derive(Debug, Clone)]
 pub struct MajorityEnsemble {
@@ -38,23 +42,20 @@ impl MajorityEnsemble {
         MajorityEnsemble { models, n_classes: data.n_classes(), n_features: data.n_features() }
     }
 
-    /// Majority class over the member models (ties break toward the
-    /// smaller class index, explicitly first-max).
-    pub fn predict(&self, x: &[f64]) -> usize {
-        self.predict_with_confidence(x).0
-    }
-
-    /// Majority class plus its confidence: the fraction of member
-    /// models voting for the winner (1.0 = unanimous, ≈ 1/k = coin
-    /// flip among k classes). Low-confidence labels are the ones an
-    /// operator reviews first.
-    pub fn predict_with_confidence(&self, x: &[f64]) -> (usize, f64) {
+    /// The full per-row vote: every member model answers for `x` (ties
+    /// break toward the smaller class index, explicitly first-max). The
+    /// reference the blocked vote is tested against.
+    #[cfg(test)]
+    pub(crate) fn predict(&self, x: &[f64]) -> usize {
         let mut votes = vec![0usize; self.n_classes];
         for m in &self.models {
-            votes[m.predict(x)] += 1;
+            votes[match m {
+                Model::Cart(t) => t.flat().predict(x),
+                Model::Forest(f) => f.predict(x),
+                Model::Svm(s) => s.predict(x),
+            }] += 1;
         }
-        let class = argmax_first(&votes);
-        (class, votes[class] as f64 / self.models.len() as f64)
+        argmax_first(&votes)
     }
 
     /// Predict a batch, one [`RowBlock`] of rows at a time through
@@ -64,8 +65,8 @@ impl MajorityEnsemble {
     }
 
     /// Predict every row of `block` into `out[..block.rows()]`, asking
-    /// each model only about the rows whose winner is still open.
-    /// Identical to [`MajorityEnsemble::predict`] per row.
+    /// each model only about the rows whose winner is still open: the
+    /// winner of every model's vote, ties to the smaller class.
     pub fn predict_block(&self, block: &RowBlock, out: &mut [usize; BLOCK_ROWS]) {
         let mut vote = BlockVote::new(block.rows(), self.n_classes);
         let mut classes = [0; BLOCK_ROWS];
@@ -175,28 +176,20 @@ mod tests {
         d
     }
 
+    fn rows(xs: &[f64]) -> Vec<Vec<f64>> {
+        xs.iter().map(|&x| vec![x]).collect()
+    }
+
     #[test]
     fn ensemble_of_carts_agrees_with_single_cart() {
         let d = tiny();
         let alg = Algorithm::Cart(CartParams::default());
         let e = MajorityEnsemble::fit(&alg, &d, 10, 1);
         assert_eq!(e.len(), 10);
-        let single = alg.fit(&d, 1);
-        for x in [0.0, 2.0, 7.0, 9.0] {
-            assert_eq!(e.predict(&[x]), single.predict(&[x]));
-        }
-    }
-
-    #[test]
-    fn confidence_is_unanimous_on_separable_data() {
-        let d = tiny();
-        let alg = Algorithm::Cart(CartParams::default());
-        let e = MajorityEnsemble::fit(&alg, &d, 10, 1);
-        let (class, conf) = e.predict_with_confidence(&[0.0]);
-        assert_eq!(class, 0);
-        assert_eq!(conf, 1.0, "identical CARTs vote unanimously");
-        let (_, conf2) = e.predict_with_confidence(&[9.0]);
-        assert_eq!(conf2, 1.0);
+        let single = MajorityEnsemble::fit(&alg, &d, 1, 1);
+        let xs = rows(&[0.0, 2.0, 7.0, 9.0]);
+        assert_eq!(e.predict_all(&xs), single.predict_all(&xs));
+        assert_eq!(e.predict_all(&xs), [0, 0, 1, 1]);
     }
 
     #[test]
@@ -204,8 +197,7 @@ mod tests {
         let d = tiny();
         let alg = Algorithm::RandomForest(ForestParams { n_trees: 9, ..Default::default() });
         let e = MajorityEnsemble::fit(&alg, &d, 5, 2);
-        assert_eq!(e.predict(&[0.0]), 0);
-        assert_eq!(e.predict(&[9.0]), 1);
+        assert_eq!(e.predict_all(&rows(&[0.0, 9.0])), [0, 1]);
     }
 
     #[test]
@@ -369,7 +361,7 @@ mod tests {
             let e = MajorityEnsemble::from(forest);
             for x in assert_batch_is_the_full_vote(&e, &mut rng, &format!("seed {seed}")) {
                 let Model::Forest(f) = &e.models[0] else { unreachable!() };
-                let ones = f.trees().iter().filter(|t| t.predict(&x) == 1).count();
+                let ones = f.trees().iter().filter(|t| t.flat().predict(&x) == 1).count();
                 ties += usize::from(2 * ones == n_trees);
             }
         }
@@ -420,5 +412,37 @@ mod tests {
             let e = ensemble_of(random);
             assert_batch_is_the_full_vote(&e, &mut rng, &format!("{runs} runs, random"));
         }
+    }
+
+    /// Trained forests on labels that cross twice, so bootstraps
+    /// disagree near the crossings and votes split and tie at both
+    /// levels: two classes, even and odd tree counts on both sides of
+    /// the forest's eight-tree check, 1, 2 and 10 runs. The
+    /// early-exiting batch vote gives every row the class of the full
+    /// vote, in every ragged batch size.
+    #[test]
+    fn trained_forests_on_crossing_labels_vote_as_the_full_vote() {
+        let mut d = Dataset::new(vec!["x".into(), "y".into()], vec!["a".into(), "b".into()]);
+        for i in 0..=255u8 {
+            let x = f64::from(i) / 255.0;
+            let label = usize::from((i % 7 < 4) == (x < 0.5));
+            d.push(Sample { features: vec![x, (1.0 - x) / 2.0], label });
+        }
+        let (xs, _) = d.xy();
+        let mut split = 0;
+        for (n_trees, runs) in [(1, 10), (2, 2), (7, 1), (8, 10), (9, 2), (16, 1), (17, 10)] {
+            let alg = Algorithm::RandomForest(ForestParams { n_trees, ..Default::default() });
+            let e = MajorityEnsemble::fit(&alg, &d, runs, n_trees as u64);
+            for n in [0usize, 1, 7, 8, 9, 63, 64, 65, xs.len()] {
+                let per_row: Vec<usize> = xs[..n].iter().map(|x| e.predict(x)).collect();
+                assert_eq!(e.predict_all(&xs[..n]), per_row, "{n_trees} × {runs}, {n} rows");
+            }
+            let Model::Forest(f) = &e.models[0] else { unreachable!() };
+            split += xs
+                .iter()
+                .filter(|x| f.trees().iter().any(|t| t.flat().predict(x) != f.predict(x)))
+                .count();
+        }
+        assert!(split > 100, "only {split} split votes: the suite is not adversarial");
     }
 }

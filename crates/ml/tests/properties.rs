@@ -4,7 +4,8 @@
 use bs_ml::dataset::{Dataset, Sample};
 use bs_ml::forest::{Forest, ForestParams};
 use bs_ml::metrics::ConfusionMatrix;
-use bs_ml::tree::{CartParams, DecisionTree};
+use bs_ml::tree::CartParams;
+use bs_ml::{Algorithm, MajorityEnsemble};
 use bs_par::Rng;
 
 const CASES: u64 = 32;
@@ -32,9 +33,9 @@ fn tree_predicts_seen_classes() {
     for seed in 0..CASES {
         let mut rng = Rng::new(seed);
         let d = dataset(&mut rng);
-        let t = DecisionTree::fit(&d, &CartParams::default(), 0);
+        let t = MajorityEnsemble::fit(&Algorithm::Cart(CartParams::default()), &d, 1, 0);
         let x: Vec<f64> = (0..d.n_features()).map(|_| rng.range_f64(-200.0..200.0)).collect();
-        assert!(d.present_classes().contains(&t.predict(&x)), "seed {seed}");
+        assert!(d.present_classes().contains(&t.predict_all(&[x])[0]), "seed {seed}");
     }
 }
 
@@ -45,8 +46,9 @@ fn tree_beats_or_ties_majority_on_training_data() {
     for seed in 0..CASES {
         let d = dataset(&mut Rng::new(seed ^ 0x7EE));
         let params = CartParams { max_depth: 30, min_samples_split: 2, ..CartParams::default() };
-        let t = DecisionTree::fit(&d, &params, 0);
-        let correct = d.samples.iter().filter(|s| t.predict(&s.features) == s.label).count();
+        let t = MajorityEnsemble::fit(&Algorithm::Cart(params), &d, 1, 0);
+        let (xs, labels) = d.xy();
+        let correct = t.predict_all(&xs).iter().zip(&labels).filter(|(p, l)| p == l).count();
         let majority = d.class_counts().into_iter().max().unwrap_or(0);
         assert!(correct >= majority, "seed {seed}: correct={correct} majority={majority}");
     }

@@ -7,9 +7,10 @@
 #   errors (unreachable_pub on) → rustdoc as errors → the benchmark
 #   builds → release build → one experiments binary whose registry
 #   matches results/ → bs-dns, bs-netsim, bs-ml, bs-classify, bs-sensor
-#   and backscatter-core tests on the release build → tests → CLI
-#   smokes (stream --extract holds fewer cache entries than the log has
-#   queriers; stream --model prints verdict rows from a capture).
+#   and backscatter-core tests on the release build → tests → the seed
+#   sweep matches EXPERIMENTS.md → CLI smokes (stream --extract holds
+#   fewer cache entries than the log has queriers; stream --model
+#   prints verdict rows from a capture).
 # Performance is not gated here: `bash benchmark/run.sh` measures it.
 # Any step failing fails the script.
 set -euo pipefail
@@ -101,6 +102,7 @@ retired_table() {
 38 | \.per_originator|\.all_queriers | crates src tests examples | ^crates/sensor/src/(ingest|stream|shard)\.rs: | a window's storage read outside the code that builds it
 39 | cmd_classify_with_model | src/bin/backscatter.rs | - | a second saved-model road
 40 | ShardSkew|shard_skew|par_backlog|shard_backlog|par\.inflight|LiveConfig|SeriesConfig|gram_limit|STRIPES|reverse_name_v6|parse_reverse_v6 | crates src tests examples | - | a retired live view, rule, gauge or knob
+43 | predict_with_confidence|pub fn predict\( | crates src tests examples DESIGN.md README.md | ^crates/ml/src/svm\.rs: | a per-row predictor beside the blocked vote, or a vote share
 TABLE
 }
 back=0
@@ -287,6 +289,21 @@ echo "=== cargo test --workspace (every crate, default thread count)"
 # pool width is pinned by tests/parallel_determinism.rs and by the
 # core::stream and netsim::capture tests that set the width themselves.
 cargo test --workspace -q
+
+echo "=== the seed sweep: every claim's verdicts on smoke seeds 1-8 are EXPERIMENTS.md's"
+# tests/paper_shape.rs::seed_sweep prints the per-seed totals and the
+# per-claim counts; a claim that starts or stops failing on some seed
+# is recorded in EXPERIMENTS.md ("Claims across seeds"), never chosen
+# away by seed.
+sweep="$(cargo test -q --test paper_shape -- --ignored --nocapture --exact seed_sweep 2>/dev/null |
+    grep '^|')"
+recorded="$(sed -n '/^<!-- seed-sweep: begin -->$/,/^<!-- seed-sweep: end -->$/p' EXPERIMENTS.md |
+    grep '^|')"
+if [ "$sweep" != "$recorded" ]; then
+    diff <(echo "$recorded") <(echo "$sweep") || true
+    echo "the seed sweep differs from EXPERIMENTS.md (< recorded, > this run)"
+    exit 1
+fi
 
 echo "=== root integration tests (sequential: BS_THREADS=1)"
 # The root package only: `cargo test -q` alone now runs every default

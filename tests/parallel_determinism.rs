@@ -75,9 +75,7 @@ fn forest_fit_is_identical_at_1_and_8_threads() {
         // Importances are f64 sums reduced in tree order after the
         // parallel section, so even they must match bitwise.
         assert_eq!(seq.importances(), par.importances());
-        for x in grid() {
-            assert_eq!(seq.predict(&x), par.predict(&x));
-        }
+        assert_eq!(seq.predict_all(&grid()), par.predict_all(&grid()));
     }
 }
 
@@ -89,9 +87,7 @@ fn ensemble_fit_is_identical_at_1_and_8_threads() {
     let (seq, wide) = at_1_then_2_and_8(|| MajorityEnsemble::fit(&alg, &data, 10, 7));
     for par in wide {
         assert_eq!(seq.len(), par.len());
-        for x in grid() {
-            assert_eq!(seq.predict_with_confidence(&x), par.predict_with_confidence(&x));
-        }
+        assert_eq!(seq.predict_all(&grid()), par.predict_all(&grid()));
     }
 }
 
